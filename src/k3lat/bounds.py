@@ -139,10 +139,7 @@ def intrinsic_polarization(cfg: CurveConfig) -> IntrinsicPolarization:
         return IntrinsicPolarization(
             False, note="the whole span is isotropic but degrees are positive"
         )
-    try:
-        coords = inverse(quotient).apply(rhs)
-    except SingularMatrixError:  # pragma: no cover - quotient is nondegenerate
-        raise AssertionError("quotient must be nondegenerate")
+    coords = inverse(quotient).apply(rhs)  # the quotient is nondegenerate
     # consistency on the remaining vertices detects a radical obstruction
     full = gram(cfg)
     basis_set = set(basis_pos)
@@ -247,12 +244,16 @@ def _check_box_witness(
 
 def verify_certificate(cert: BoundCertificate, cfg: CurveConfig) -> bool:
     """Re-verify a certificate by independent recomputation from the
-    configuration it was issued for."""
-    sub = cfg.induced(cert.support_ids)
-    if cert.kind == INTRINSIC_SQUARE:
-        ip = intrinsic_polarization(sub)
-        return ip.exists and ip.square == cert.bound_on_2h
-    w = inverse(gram(sub))
+    configuration it was issued for.  Total: malformed input, such as an
+    unknown or degenerate support, is rejected rather than raised."""
+    try:
+        sub = cfg.induced(cert.support_ids)
+        if cert.kind == INTRINSIC_SQUARE:
+            ip = intrinsic_polarization(sub)
+            return ip.exists and ip.square == cert.bound_on_2h
+        w = inverse(gram(sub))
+    except (ValueError, SingularMatrixError):
+        return False
     d = cert.d
     if cert.kind == ROUGH_POSITIVE_ENTRY_SUM:
         return cert.bound_on_2h == w.positive_entry_sum() * d * d
@@ -263,7 +264,7 @@ def verify_certificate(cert: BoundCertificate, cfg: CurveConfig) -> bool:
         ones = (Fraction(1),) * w.n
         try:
             _check_box_witness(w, wit.negative_part, wit.nonnegative_part, ones)
-        except AssertionError:
+        except (AssertionError, ValueError):
             return False
         if wit.x_max != (Fraction(d),) * w.n:
             return False
@@ -306,8 +307,8 @@ def exclude(
     exact degree data of the configuration, which is sound only when those
     degrees are known exactly.
     """
-    if d < 1 or h < 1:
-        raise ValueError("d and h must be positive")
+    if d < 1 or h < 1 or subgraph_cap < 1:
+        raise ValueError("d, h and subgraph_cap must be positive")
     for v in cfg.vertices:
         if v.degree > d:
             raise ValueError(f"vertex {v.id!r} has degree {v.degree} > d = {d}")

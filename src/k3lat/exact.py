@@ -1,11 +1,13 @@
 """Exact linear algebra over the rationals for symmetric matrices.
 
 Everything here works with :class:`fractions.Fraction` entries, so results
-are exact (arbitrary-precision integers, no rounding ever).  The three
-workhorses are :func:`signature` (inertia via symmetric congruence
-diagonalization), :func:`kernel_basis` (exact row reduction) and
-:func:`inverse` (Gauss-Jordan).  All values are immutable and all functions
-are pure; concurrent use is safe.
+are exact (arbitrary-precision integers, no rounding ever).  There are two
+eliminations.  A symmetric congruence ``P^T M P = diag(d, 0, ..., 0)`` gives
+:func:`signature` (signs of ``d``), :func:`positive_square_vector` (a column
+of ``P``), :func:`inverse` (``sum p_j p_j^T / d_j``) and, through the
+kernel columns of ``P``, :func:`kernel_basis`.  :func:`row_echelon` is the
+one Gauss-Jordan loop; it puts kernel bases in canonical form.  All values
+are immutable and all functions are pure; concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -135,22 +137,21 @@ class SymMatrix:
         return min(x for row in self._rows for x in row)
 
 
-def diagonalizing_congruence(m: SymMatrix) -> tuple[Signature, tuple[tuple[Fraction, ...], ...]]:
-    """Diagonalize ``m`` by a rational congruence and return its inertia.
+def _congruence(m: SymMatrix) -> tuple[list[Fraction], list[list[Fraction]]]:
+    """Symmetric elimination ``P^T m P = diag(d, 0, ..., 0)``.
 
-    Returns ``(sig, P)`` where ``P`` is given as columns (a tuple of column
-    vectors) with ``P^T m P`` diagonal.  Columns whose diagonal entry is
-    positive are explicit witnesses of positive square.  Zero diagonals on
-    every remaining candidate pivot are repaired symmetrically by adding a
-    row and the matching column, which is valid over the rationals.
+    Returns the nonzero pivots ``d`` in elimination order and the columns
+    ``p`` of ``P``; ``p[len(d):]`` span the kernel.  Step ``k`` pivots on the
+    first nonzero diagonal at or after ``k``; failing that, the first nonzero
+    off-diagonal ``(r, c)`` of the trailing block (row-major) is moved onto
+    the diagonal by adding row and column ``c`` to ``r``.  Eliminated rows
+    and columns vanish on the trailing block, so only that block is updated.
     """
     n = m.n
     a = [list(row) for row in m.rows()]
-    # p[j] is the j-th column of the accumulated congruence transform
     p = [[Fraction(i == j) for i in range(n)] for j in range(n)]
-    n_plus = n_minus = n_zero = 0
-    k = 0
-    while k < n:
+    d: list[Fraction] = []
+    for k in range(n):
         piv = next((r for r in range(k, n) if a[r][r] != 0), None)
         if piv is None:
             off = next(
@@ -158,57 +159,90 @@ def diagonalizing_congruence(m: SymMatrix) -> tuple[Signature, tuple[tuple[Fract
                 None,
             )
             if off is None:
-                n_zero += n - k
                 break
-            r, c = off
-            # a[r][r] becomes 2*a[r][c] != 0 after adding row/col c to row/col r
-            for j in range(n):
-                a[r][j] += a[c][j]
-            for i in range(n):
-                a[i][r] += a[i][c]
-            for i in range(n):
-                p[r][i] += p[c][i]
-            piv = r
+            piv, c = off
+            for j in range(k, n):
+                a[piv][j] += a[c][j]
+            for i in range(k, n):
+                a[i][piv] += a[i][c]
+            p[piv] = [x + y for x, y in zip(p[piv], p[c])]
         if piv != k:
             a[k], a[piv] = a[piv], a[k]
-            for i in range(n):
-                a[i][k], a[i][piv] = a[i][piv], a[i][k]
+            for row in a[k:]:
+                row[k], row[piv] = row[piv], row[k]
             p[k], p[piv] = p[piv], p[k]
-        d = a[k][k]
-        if d > 0:
-            n_plus += 1
-        else:
-            n_minus += 1
-        for r in range(k + 1, n):
-            if a[r][k] != 0:
-                f = a[r][k] / d
-                for j in range(n):
-                    a[r][j] -= f * a[k][j]
-                for i in range(n):
-                    a[i][r] -= f * a[i][k]
-                for i in range(n):
-                    p[r][i] -= f * p[k][i]
-        k += 1
-    sig = Signature(n_plus, n_minus, n_zero)
-    return sig, tuple(tuple(col) for col in p)
+        pivot = a[k][k]
+        d.append(pivot)
+        row_k = a[k]
+        nz_a = [j for j in range(k + 1, n) if row_k[j] != 0]
+        nz_p = [(i, x) for i, x in enumerate(p[k]) if x != 0]
+        for r in nz_a:
+            f = row_k[r] / pivot
+            row_r, p_r = a[r], p[r]
+            for j in nz_a:
+                row_r[j] -= f * row_k[j]
+            for i, x in nz_p:
+                p_r[i] -= f * x
+    return d, p
+
+
+def row_echelon(
+    rows: Iterable[Sequence[Fraction]], cols: Iterable[int]
+) -> tuple[list[list[Fraction]], list[int]]:
+    """Gauss-Jordan reduction of ``rows``, pivoting through ``cols`` in the
+    given order.
+
+    Returns ``(reduced, pivots)``: ``reduced[i]`` is 1 at column
+    ``pivots[i]`` and 0 at every other pivot column.  Rows left without a
+    pivot are dropped.
+    Entries must be :class:`~fractions.Fraction` so that division is exact.
+    """
+    a = [list(row) for row in rows]
+    pivots: list[int] = []
+    for col in cols:
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        pv = a[r][col]
+        a[r] = [x / pv for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+    return a[: len(pivots)], pivots
+
+
+def diagonalizing_congruence(m: SymMatrix) -> tuple[Signature, tuple[tuple[Fraction, ...], ...]]:
+    """Inertia of ``m`` and the columns of a rational ``P`` with ``P^T m P``
+    diagonal; columns with a positive diagonal entry witness positive square."""
+    d, p = _congruence(m)
+    return _signature(m.n, d), tuple(tuple(col) for col in p)
+
+
+def _signature(n: int, d: Sequence[Fraction]) -> Signature:
+    n_plus = sum(1 for x in d if x > 0)
+    return Signature(n_plus, len(d) - n_plus, n - len(d))
 
 
 def signature(m: SymMatrix) -> Signature:
     """Inertia of a symmetric matrix, computed exactly."""
-    sig, _ = diagonalizing_congruence(m)
-    return sig
+    return _signature(m.n, _congruence(m)[0])
 
 
 def positive_square_vector(m: SymMatrix) -> tuple[Fraction, ...] | None:
     """A vector ``v`` with ``v^T m v > 0``, or None if the form is negative
     semi-definite."""
-    sig, cols = diagonalizing_congruence(m)
-    if sig.n_plus == 0:
+    d, p = _congruence(m)
+    j = next((j for j, x in enumerate(d) if x > 0), None)
+    if j is None:
         return None
-    for col in cols:
-        if m.quadratic_form(col) > 0:
-            return col
-    raise AssertionError("congruence transform lost its positive direction")
+    vec = tuple(p[j])
+    if not m.quadratic_form(vec) > 0:
+        raise AssertionError("congruence transform lost its positive direction")
+    return vec
 
 
 def _primitive_integer(vec: Sequence[Fraction]) -> tuple[int, ...]:
@@ -232,57 +266,38 @@ def _primitive_integer(vec: Sequence[Fraction]) -> tuple[int, ...]:
 def kernel_basis(m: SymMatrix) -> list[tuple[int, ...]]:
     """Basis of ``{x : m x = 0}`` as primitive integer vectors.
 
-    The list is empty exactly when ``m`` is nondegenerate.  Vectors are
-    normalized to content 1 with positive leading entry and sorted
-    lexicographically so output is deterministic.
+    The list is empty exactly when ``m`` is nondegenerate.  The basis is
+    canonical: a column of ``m`` is free when left-to-right row reduction of
+    ``m`` finds no pivot in it, and there is one vector per free column,
+    nonzero there and zero on every other free column.  (Reducing a kernel
+    spanning set from the rightmost column finds exactly these.)  Vectors
+    have content 1 and a positive leading entry, sorted lexicographically.
     """
     n = m.n
-    a = [list(row) for row in m.rows()]
-    pivots: list[int] = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, n) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        pv = a[r][col]
-        a[r] = [x / pv for x in a[r]]
-        for i in range(n):
-            if i != r and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(col)
-        r += 1
-        if r == n:
-            break
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for ri, pc in enumerate(pivots):
-            vec[pc] = -a[ri][fc]
-        basis.append(_primitive_integer(vec))
-    return sorted(basis)
+    d, p = _congruence(m)
+    reduced, _ = row_echelon(p[len(d):], range(n - 1, -1, -1))
+    return sorted(_primitive_integer(vec) for vec in reduced)
 
 
 def inverse(m: SymMatrix) -> SymMatrix:
-    """Exact inverse; raises :class:`SingularMatrixError` on a degenerate
-    input."""
+    """Exact inverse ``P diag(d)^-1 P^T``; raises
+    :class:`SingularMatrixError` on a degenerate input."""
     n = m.n
-    a = [list(row) + [Fraction(i == j) for j in range(n)] for i, row in enumerate(m.rows())]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise SingularMatrixError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return SymMatrix([row[n:] for row in a])
+    d, p = _congruence(m)
+    if len(d) < n:
+        raise SingularMatrixError("matrix is singular")
+    w = [[Fraction(0)] * n for _ in range(n)]
+    for dj, col in zip(d, p):
+        nz = [(i, x) for i, x in enumerate(col) if x != 0]
+        for a, (i, x) in enumerate(nz):
+            s = x / dj
+            w_i = w[i]
+            for l, y in nz[a:]:
+                w_i[l] += s * y
+    for i in range(n):
+        for l in range(i):
+            w[i][l] = w[l][i]
+    return SymMatrix(w)
 
 
 def outer_rank_one(vec: Sequence[Fraction], scale: Fraction) -> SymMatrix:

@@ -20,6 +20,7 @@ from .exact import (
     SymMatrix,
     kernel_basis,
     positive_square_vector,
+    row_echelon,
     signature,
 )
 
@@ -334,39 +335,17 @@ def quotient_by_kernel(cfg: CurveConfig) -> tuple[SymMatrix, QuotientProjection]
     """
     m = gram(cfg)
     n = cfg.n
-    kern = kernel_basis(m)
-    if not kern:
-        basis = tuple(v.id for v in cfg.vertices)
-        ident = tuple(
-            tuple(Fraction(i == j) for j in range(n)) for i in range(n)
-        )
-        return m, QuotientProjection(basis, ident)
-    # row-reduce the kernel to find pivot columns; non-pivot vertices descend
-    # to a basis of the quotient
-    rows = [[Fraction(x) for x in k] for k in kern]
-    pivots: list[int] = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][col]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
+    # pivot columns of the reduced kernel are dropped; the remaining vertices
+    # descend to a basis of the quotient
+    rows, pivots = row_echelon(
+        ([Fraction(x) for x in vec] for vec in kernel_basis(m)), range(n)
+    )
     basis_pos = [j for j in range(n) if j not in pivots]
-    proj = [[Fraction(0)] * n for _ in range(len(basis_pos))]
-    for bi, bp in enumerate(basis_pos):
-        proj[bi][bp] = Fraction(1)
-    for ri, pc in enumerate(pivots):
-        # e_pc = -sum over free columns of rows[ri][free] * e_free (mod radical)
+    proj = [[Fraction(j == bp) for j in range(n)] for bp in basis_pos]
+    for row, pc in zip(rows, pivots):
+        # e_pc = -sum over free columns of row[free] * e_free (mod radical)
         for bi, bp in enumerate(basis_pos):
-            proj[bi][pc] = -rows[ri][bp]
+            proj[bi][pc] = -row[bp]
     quotient = m.submatrix(basis_pos)
     basis_ids = tuple(cfg.vertices[j].id for j in basis_pos)
     return quotient, QuotientProjection(basis_ids, tuple(tuple(r) for r in proj))

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from k3lat.bounds import (
     rough_bound,
     verify_certificate,
 )
-from k3lat.exact import inverse, signature
+from k3lat.exact import SymMatrix, inverse, signature
 from k3lat.graph import classify, config_from_data, gram
 from k3lat.roots import standard_diagram
 
@@ -183,6 +184,26 @@ def test_verify_certificate_rejects_tampering(char3_cfg):
     assert not verify_certificate(forged, char3_cfg)
 
 
+@pytest.mark.parametrize("make", [rough_bound, box_certificate])
+@pytest.mark.parametrize(
+    "support", [("f1", "f2", "c1", "c2", "c3", "f3", "f4"), ("nope",)]
+)
+def test_verify_certificate_total_on_bad_support(make, support):
+    # a degenerate support has no inverse and an unknown id no subgraph;
+    # both must be rejected, not raised
+    cfg = d6tilde_plus_three()
+    cert = make(cfg, 1)
+    assert verify_certificate(cert, cfg)
+    assert not verify_certificate(replace(cert, support_ids=support), cfg)
+
+
+def test_verify_certificate_rejects_mismatched_witness(char3_cfg):
+    cert = box_certificate(char3_cfg, 1)
+    wit = cert.witness
+    bad = replace(wit, negative_part=SymMatrix.zero(wit.negative_part.n - 1))
+    assert not verify_certificate(replace(cert, witness=bad), char3_cfg)
+
+
 # -- exclusion engine ---------------------------------------------------------
 
 
@@ -234,6 +255,11 @@ def test_exclude_invalid():
         [("a", "b", 3), ("c", "d", 3)],
     )
     assert exclude(cfg, 1, 43).status is ExclusionStatus.INVALID_EXCLUDED
+
+
+def test_exclude_rejects_subgraph_cap_below_one(d6tilde_cfg):
+    with pytest.raises(ValueError):
+        exclude(d6tilde_cfg, 1, 43, subgraph_cap=0)
 
 
 def test_exclude_degree_cap_precondition(char3_cfg):

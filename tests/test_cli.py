@@ -145,6 +145,17 @@ def test_exclude_undecided(capsys):
     assert "HyperbolicUndecided" in out
 
 
+def test_exclude_cap_zero_exit_code(capsys):
+    rc, _, err = run(
+        capsys,
+        "exclude",
+        str(EXAMPLES / "example-D6tilde.json"),
+        "--d", "1", "--h", "43", "--cap", "0",
+    )
+    assert rc == 2
+    assert "subgraph_cap" in err
+
+
 def test_budget(capsys):
     rc, out, _ = run(capsys, "budget", str(EXAMPLES / "profile-qe2-20xIII.json"))
     assert rc == 0

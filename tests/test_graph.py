@@ -1,3 +1,5 @@
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -259,3 +261,22 @@ def test_quotient_signature_property(data):
     assert signature(q).as_tuple() == (full.n_plus, full.n_minus, 0)
     assert q.n == n - full.n_zero
     assert q.n == row_reduce_rank([list(r) for r in gram(cfg).rows()])
+
+
+def test_quotient_golden_byte_identical():
+    # pins the quotient basis and the projection matrix exactly
+    rng = random.Random(7)
+    out = []
+    for _ in range(400):
+        n = rng.randint(1, 8)
+        vs = [(f"v{i}", rng.choice([-2, -2, -2, 0])) for i in range(n)]
+        es = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < 0.35:
+                    es.append((f"v{i}", f"v{j}", rng.choice([1, 1, 2])))
+        q, proj = quotient_by_kernel(config_from_data(vs, es))
+        assert all(isinstance(x, Fraction) for row in proj.matrix for x in row)
+        out.append((q.rows(), proj.basis_ids, proj.matrix))
+    digest = hashlib.sha256(repr(out).encode()).hexdigest()[:16]
+    assert digest == "9580bebb207d0c89"
