@@ -118,6 +118,9 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_kodaira(args) -> int:
+    if (args.d is None) != (args.h is None):
+        sys.stderr.write("the low-degree check needs both --d and --h\n")
+        return 2
     doc = parse_config(_read(args.file))
     divisors = kodaira.find_kodaira_divisors(doc.config, args.max_weight)
     report = {
@@ -143,7 +146,7 @@ def _cmd_kodaira(args) -> int:
             f"support {', '.join(d.support)}"
         )
     rc = 0
-    if args.d is not None and args.h is not None:
+    if args.d is not None:
         violations = kodaira.exclusion_6d(doc.config, args.d, args.h)
         report["low_degree_violations"] = _violations_payload(violations)
         for v in violations:
@@ -360,6 +363,9 @@ def _cmd_very_ample(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
+    if args.name and args.action != "show":
+        sys.stderr.write(f"catalog {args.action} takes no entry name\n")
+        return 2
     if args.action == "list":
         entries = catalog.load_catalog()
         report = {

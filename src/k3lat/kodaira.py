@@ -21,19 +21,18 @@ from .graph import (
     classify,
     connected_vertex_subsets,
 )
-from .roots import recognize_component
+from .roots import radical, recognize_component
 
-_FIXED_MULTIPLICITIES = {
-    "II": (1,),
-    "III": (1, 1),
-    "IV": (1, 1, 1),
-    # branch vertex first, then the arms outward, short arms first
-    "IV*": (3, 2, 1, 2, 1, 2, 1),
-    "III*": (4, 2, 3, 2, 1, 3, 2, 1),
-    "II*": (6, 3, 4, 2, 5, 4, 3, 2, 1),
+# the additive types of fixed shape: (multiplicities, Euler number); the
+# star-shaped ones are the affine E diagrams
+_FIXED_TYPES = {
+    "II": ((1,), 2),
+    "III": ((1, 1), 3),
+    "IV": ((1, 1, 1), 4),
+    "IV*": (radical("AffineE", 6), 8),
+    "III*": (radical("AffineE", 7), 9),
+    "II*": (radical("AffineE", 8), 10),
 }
-
-_FIXED_EULER = {"II": 2, "III": 3, "IV": 4, "IV*": 8, "III*": 9, "II*": 10}
 
 _TAG_RE = re.compile(r"^I(\*)?(\d+)$")
 
@@ -47,6 +46,9 @@ class KodairaType:
     lists two simple leaves, the chain of double components, then the other
     two simple leaves; the star-shaped types list the branch component
     first and then each arm from the branch outward, shortest arm first.
+    The multiplicities of ``I*n``, ``IV*``, ``III*`` and ``II*`` are the
+    radical generators of the affine D and E diagrams, read from
+    :func:`k3lat.roots.radical` in that same order.
     """
 
     tag: str
@@ -66,7 +68,7 @@ class KodairaType:
 def parse_tag(tag: str) -> tuple[str, int | None]:
     """Split a fiber tag into (series, index): ("I", 4), ("I*", 2) or
     (tag, None) for the fixed additive types."""
-    if tag in _FIXED_MULTIPLICITIES:
+    if tag in _FIXED_TYPES:
         return tag, None
     m = _TAG_RE.match(tag)
     if m:
@@ -83,12 +85,9 @@ def type_table(tag: str) -> KodairaType:
             return KodairaType("I0", (1,), False, 0)
         return KodairaType(tag, (1,) * n, False, n)
     if series == "I*":
-        if n == 0:
-            mults = (2, 1, 1, 1, 1)
-        else:
-            mults = (1, 1) + (2,) * (n + 1) + (1, 1)
-        return KodairaType(tag, mults, True, n + 6)
-    return KodairaType(tag, _FIXED_MULTIPLICITIES[tag], True, _FIXED_EULER[tag])
+        return KodairaType(tag, radical("AffineD", n + 4), True, n + 6)
+    mults, euler = _FIXED_TYPES[tag]
+    return KodairaType(tag, mults, True, euler)
 
 
 @dataclass(frozen=True)
@@ -113,32 +112,26 @@ class KodairaDivisor:
         return self.multiplicities[self.support.index(vid)]
 
 
-def _divisor_from_component(comp) -> KodairaDivisor | None:
-    """Map a recognized affine root component to its fiber divisor."""
+def _divisor_from_component(comp) -> KodairaDivisor:
+    """Map a recognized affine root component to its fiber divisor; a dual
+    graph shared by two types gets their merged tag and Euler range."""
+    k = comp.rank_param
     if comp.kind == "A1Tilde":
-        return KodairaDivisor("I2_OR_III", comp.vertex_ids, (1, 1), 2, (2, 3))
-    if comp.kind == "AffineA":
-        k = comp.rank_param
-        if k == 2:
-            return KodairaDivisor(
-                "I3_OR_IV", comp.vertex_ids, comp.kernel_vector, 3, (3, 4)
-            )
-        return KodairaDivisor(
-            f"I{k + 1}", comp.vertex_ids, comp.kernel_vector, k + 1, (k + 1, k + 1)
-        )
-    if comp.kind == "AffineD":
-        n = comp.rank_param - 4
-        wt = sum(comp.kernel_vector)
-        return KodairaDivisor(
-            f"I*{n}", comp.vertex_ids, comp.kernel_vector, wt, (n + 6, n + 6)
-        )
-    if comp.kind == "AffineE":
-        tag = {6: "IV*", 7: "III*", 8: "II*"}[comp.rank_param]
-        e = _FIXED_EULER[tag]
-        return KodairaDivisor(
-            tag, comp.vertex_ids, comp.kernel_vector, sum(comp.kernel_vector), (e, e)
-        )
-    return None
+        tags = ("I2", "III")
+    elif comp.kind == "AffineA":
+        tags = ("I3", "IV") if k == 2 else (f"I{k + 1}",)
+    elif comp.kind == "AffineD":
+        tags = (f"I*{k - 4}",)
+    else:
+        tags = ({6: "IV*", 7: "III*", 8: "II*"}[k],)
+    first, last = type_table(tags[0]), type_table(tags[-1])
+    return KodairaDivisor(
+        "_OR_".join(tags),
+        comp.vertex_ids,
+        comp.kernel_vector,
+        first.weight,
+        (first.euler, last.euler),
+    )
 
 
 def find_kodaira_divisors(
@@ -150,12 +143,14 @@ def find_kodaira_divisors(
     or cuspidal curve of arithmetic genus one) and is flagged as such.
     Results are capped at ``max_weight`` (default 30, the largest standard
     weight) and sorted by (weight, support ids), which fixes a
-    deterministic order.
+    deterministic order.  Raises ``ValueError`` for ``max_weight < 1``.
     """
     cap = 30 if max_weight is None else max_weight
+    if cap < 1:
+        raise ValueError(f"max_weight must be at least 1, got {cap}")
     out: list[KodairaDivisor] = []
     for v in cfg.vertices:
-        if v.square == 0 and cap >= 1:
+        if v.square == 0:
             out.append(
                 KodairaDivisor(
                     "I1", (v.id,), (1,), 1, (1, 2), nodal_or_cuspidal=True
@@ -173,7 +168,7 @@ def find_kodaira_divisors(
         if comp is None or not comp.is_affine:
             continue
         div = _divisor_from_component(comp)
-        if div is not None and div.weight <= cap:
+        if div.weight <= cap:
             out.append(div)
     out.sort(key=lambda dv: (dv.weight, tuple(sorted(dv.support))))
     return out

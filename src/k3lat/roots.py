@@ -4,16 +4,20 @@ A connected component of a negative (semi-)definite configuration is either
 a simply-laced root diagram A/D/E, its affine extension (negative
 semi-definite with a one-dimensional radical carrying the standard positive
 multiplicities), a pair of curves joined by a double edge (the degenerate
-rank-one extension), or an isolated isotropic vertex.  Recognition goes by
-degree sequence and cycle shape first and is then confirmed by the exact
-signature, so a wrong match cannot slip through.
+rank-one extension), or an isolated isotropic vertex.  One walk along the
+degree-two chains gives the shape and the canonical vertex order: a cycle,
+a path, a chain forked at both ends, or a star read off one table of arm
+lengths.  The exact signature then confirms the match, and for affine kinds
+so does the radical generator, which must annihilate the Gram matrix; a
+wrong match cannot slip through.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
-from .exact import kernel_basis, signature
+from .exact import signature
 from .graph import CurveConfig, CurveVertex, SpanKind, classify, gram
 
 
@@ -79,78 +83,108 @@ class Decomposition:
         )
 
 
-def _component_kernel(cfg: CurveConfig, order: tuple[str, ...]) -> tuple[int, ...] | None:
-    """Radical generator of an affine component, aligned with ``order``;
-    None unless the radical is one-dimensional with all entries >= 1."""
-    sub = cfg.induced(order)
-    basis = kernel_basis(gram(sub))
-    if len(basis) != 1:
-        return None
-    vec = basis[0]
-    aligned = tuple(vec[sub.index_of(vid)] for vid in order)
-    if any(x < 1 for x in aligned):
-        return None
-    return aligned
+# star-shaped diagrams other than D, keyed by their arm lengths in
+# increasing order; E and affine E are exactly these, plus the 5-vertex
+# affine D
+_STARS = {
+    (1, 2, 2): ("E", 6),
+    (1, 2, 3): ("E", 7),
+    (1, 2, 4): ("E", 8),
+    (2, 2, 2): ("AffineE", 6),
+    (1, 3, 3): ("AffineE", 7),
+    (1, 2, 5): ("AffineE", 8),
+    (1, 1, 1, 1): ("AffineD", 4),
+}
 
 
-def _path_order(cfg: CurveConfig, ids: list[str]) -> list[str] | None:
-    """Order the vertices of a path graph end to end, smaller-id end first."""
-    deg = {v: len([w for w in cfg.neighbors(v) if w in set(ids)]) for v in ids}
-    if len(ids) == 1:
-        return ids
-    ends = sorted(v for v in ids if deg[v] == 1)
-    if len(ends) != 2:
-        return None
-    idset = set(ids)
-    order = [ends[0]]
-    prev = None
-    while len(order) < len(ids):
-        cur = order[-1]
-        nxt = [w for w in cfg.neighbors(cur) if w in idset and w != prev]
-        if len(nxt) != 1:
+def _star_arms(kind: str, n: int | None) -> tuple[int, ...] | None:
+    return next((arms for arms, hit in _STARS.items() if hit == (kind, n)), None)
+
+
+def radical(kind: str, n: int) -> tuple[int, ...]:
+    """Radical generator of an affine diagram in canonical vertex order:
+    the standard positive multiplicities of the matching fiber type."""
+    if kind == "A1Tilde":
+        return (1, 1)
+    if kind == "AffineA":
+        return (1,) * (n + 1)
+    if kind == "AffineD" and n > 4:
+        # leaves, chain, leaves
+        return (1, 1) + (2,) * (n - 3) + (1, 1)
+    arms = _star_arms(kind, n) if kind.startswith("Affine") else None
+    if arms is None:
+        raise ValueError(f"{kind}({n}) is not an affine diagram")
+    # the centre carries the lcm of (arm length + 1); each arm falls
+    # linearly to zero one step beyond its leaf
+    top = math.lcm(*(a + 1 for a in arms))
+    return (top,) + tuple(top * (a - i) // (a + 1) for a in arms for i in range(a))
+
+
+def _walk(nbrs: dict[str, list[str]], v: str, prev: str) -> list[str]:
+    """Follow ``v`` away from ``prev`` through vertices of degree two.
+
+    The walk ends at the first vertex of another degree (included) or, on
+    a cycle, just before it would come back to ``prev``.
+    """
+    out = [v]
+    stop = prev
+    while len(nbrs[v]) == 2:
+        a, b = nbrs[v]
+        v, prev = (b if a == prev else a), v
+        if v == stop:
+            break
+        out.append(v)
+    return out
+
+
+def _shape(nbrs: dict[str, list[str]], n_edges: int) -> tuple[str, int, list[str]] | None:
+    """Kind, rank parameter and canonical vertex order of a simple graph
+    shaped like a connected root diagram with at least two vertices; None
+    for any other shape."""
+    n = len(nbrs)
+    deg = {v: len(ws) for v, ws in nbrs.items()}
+    if n_edges == n:
+        # cycle from the smallest id toward its smaller neighbor
+        if any(d != 2 for d in deg.values()):
             return None
-        prev = cur
-        order.append(nxt[0])
-    return order if order[-1] == ends[1] else None
-
-
-def _cycle_order(cfg: CurveConfig, ids: list[str]) -> list[str] | None:
-    """Order the vertices of a cycle starting at the smallest id, walking
-    toward its smaller neighbor."""
-    idset = set(ids)
-    start = min(ids)
-    nbrs = sorted(w for w in cfg.neighbors(start) if w in idset)
-    if len(nbrs) != 2:
+        start = min(nbrs)
+        order = [start] + _walk(nbrs, min(nbrs[start]), start)
+        return ("AffineA", n - 1, order) if len(order) == n else None
+    if n_edges != n - 1:
         return None
-    order = [start, nbrs[0]]
-    while len(order) < len(ids):
-        cur, prev = order[-1], order[-2]
-        nxt = [w for w in cfg.neighbors(cur) if w in idset and w != prev]
-        if len(nxt) != 1:
+    branch = sorted(v for v in nbrs if deg[v] >= 3)
+    if not branch:
+        # path from the smaller end
+        ends = sorted(v for v in nbrs if deg[v] == 1)
+        if len(ends) != 2:
             return None
-        order.append(nxt[0])
-    last_nbrs = [w for w in cfg.neighbors(order[-1]) if w in idset]
-    return order if start in last_nbrs and len(order) == len(ids) else None
-
-
-def _arms_from(cfg: CurveConfig, center: str, idset: set[str]) -> list[list[str]] | None:
-    """Arms of a tree read from a branch vertex outward; None if any arm
-    branches again."""
-    arms = []
-    for first in sorted(w for w in cfg.neighbors(center) if w in idset):
-        arm = [first]
-        prev = center
-        while True:
-            cur = arm[-1]
-            nxt = [w for w in cfg.neighbors(cur) if w in idset and w != prev]
-            if not nxt:
-                break
-            if len(nxt) > 1:
-                return None
-            prev = cur
-            arm.append(nxt[0])
-        arms.append(arm)
-    return arms
+        order = [ends[0]] + _walk(nbrs, nbrs[ends[0]][0], ends[0])
+        return ("A", n, order) if len(order) == n else None
+    if len(branch) == 2:
+        # forks at both ends of a chain: leaves, chain, leaves
+        f1, f2 = branch
+        leaves = [sorted(w for w in nbrs[f] if deg[w] == 1) for f in branch]
+        if deg[f1] != 3 or deg[f2] != 3 or [len(ls) for ls in leaves] != [2, 2]:
+            return None
+        (first,) = (w for w in nbrs[f1] if deg[w] != 1)
+        chain = [f1] + _walk(nbrs, first, f1)
+        if chain[-1] != f2 or len(chain) + 4 != n:
+            return None
+        return ("AffineD", n - 1, leaves[0] + chain + leaves[1])
+    if len(branch) != 1:
+        return None
+    center = branch[0]
+    arms = sorted((_walk(nbrs, w, center) for w in nbrs[center]), key=lambda a: (len(a), a))
+    if any(deg[a[-1]] != 1 for a in arms) or 1 + sum(map(len, arms)) != n:
+        return None
+    lengths = tuple(len(a) for a in arms)
+    if len(arms) == 3 and lengths[:2] == (1, 1):
+        # fork at one end only: two leaves, the centre, then the chain
+        return ("D", n, [arms[0][0], arms[1][0], center] + arms[2])
+    hit = _STARS.get(lengths)
+    if hit is None:
+        return None
+    return (*hit, [center] + [v for a in arms for v in a])
 
 
 def recognize_component(cfg: CurveConfig, ids: tuple[str, ...]) -> RootComponent | None:
@@ -158,143 +192,53 @@ def recognize_component(cfg: CurveConfig, ids: tuple[str, ...]) -> RootComponent
 
     Returns None for anything that is not an ADE diagram, an affine
     extension, a double-edge pair, or an isolated isotropic vertex.  The
-    shape match is confirmed against the exact signature before returning.
+    shape match is confirmed against the exact signature (and, for affine
+    kinds, the radical) before returning.
     """
-    idlist = list(ids)
-    idset = set(idlist)
-    verts = [cfg.vertex(v) for v in idlist]
-
-    if len(idlist) == 1:
-        v = verts[0]
+    if len(ids) == 1:
+        v = cfg.vertex(ids[0])
         if v.square == 0:
             return RootComponent("IsotropicVertex", None, (v.id,))
         if v.square == -2:
             return RootComponent("A", 1, (v.id,))
         return None
 
-    if any(v.square != -2 for v in verts):
+    if any(cfg.vertex(v).square != -2 for v in ids):
         return None
-
-    edges = [
-        (a, b, m)
-        for a, b, m in cfg.edge_items()
-        if a in idset and b in idset
-    ]
-    if any(m > 2 for _, _, m in edges):
-        return None
-    doubles = [(a, b) for a, b, m in edges if m == 2]
-    if doubles:
-        if len(idlist) == 2 and len(doubles) == 1:
-            pair = tuple(sorted(idlist))
-            comp = RootComponent("A1Tilde", 1, pair, kernel_vector=(1, 1))
-            return _confirmed(cfg, comp, affine=True)
-        return None
-
-    n_edges = len(edges)
-    n = len(idlist)
-    if n_edges > n:
-        return None
-
-    if n_edges == n:
-        order = _cycle_order(cfg, idlist)
-        if order is None:
+    idset = set(ids)
+    edges = [(a, b, m) for a, b, m in cfg.edge_items() if a in idset and b in idset]
+    if any(m != 1 for _, _, m in edges):
+        # only the pair of curves meeting twice survives a multiple edge
+        if len(ids) != 2 or edges[0][2] != 2:
             return None
-        comp = RootComponent(
-            "AffineA", n - 1, tuple(order), kernel_vector=tuple([1] * n)
-        )
-        return _confirmed(cfg, comp, affine=True)
-
-    # tree: classify by branch vertices and arm lengths
-    deg = {v: len([w for w in cfg.neighbors(v) if w in idset]) for v in idlist}
-    branch = sorted((v for v in idlist if deg[v] >= 3), key=deg.get, reverse=True)
-    if not branch:
-        order = _path_order(cfg, idlist)
-        if order is None:
+        shape = ("A1Tilde", 1, sorted(ids))
+    else:
+        nbrs: dict[str, list[str]] = {v: [] for v in ids}
+        for a, b, _ in edges:
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+        shape = _shape(nbrs, len(edges))
+        if shape is None:
             return None
-        return _confirmed(cfg, RootComponent("A", n, tuple(order)), affine=False)
-
-    if len(branch) == 1:
-        center = branch[0]
-        if deg[center] == 4:
-            arms = _arms_from(cfg, center, idset)
-            if arms is None or [len(a) for a in arms] != [1, 1, 1, 1]:
-                return None
-            order = (center,) + tuple(a[0] for a in arms)
-            comp = RootComponent("AffineD", 4, order, kernel_vector=(2, 1, 1, 1, 1))
-            return _confirmed(cfg, comp, affine=True)
-        if deg[center] != 3:
-            return None
-        arms = _arms_from(cfg, center, idset)
-        if arms is None:
-            return None
-        arms.sort(key=lambda a: (len(a), a))
-        lengths = tuple(len(a) for a in arms)
-        if lengths[0] == 1 and lengths[1] == 1:
-            # fork at one end only: finite D, read leaves first then the chain
-            order = (arms[0][0], arms[1][0], center) + tuple(arms[2])
-            return _confirmed(cfg, RootComponent("D", n, order), affine=False)
-        table = {
-            (1, 2, 2): ("E", 6, False),
-            (1, 2, 3): ("E", 7, False),
-            (1, 2, 4): ("E", 8, False),
-            (2, 2, 2): ("AffineE", 6, True),
-            (1, 3, 3): ("AffineE", 7, True),
-            (1, 2, 5): ("AffineE", 8, True),
-        }
-        hit = table.get(lengths)
-        if hit is None:
-            return None
-        kind, param, affine = hit
-        order = (center,) + tuple(v for arm in arms for v in arm)
-        kern = _component_kernel(cfg, order) if affine else None
-        if affine and kern is None:
-            return None
-        comp = RootComponent(kind, param, order, kernel_vector=kern)
-        return _confirmed(cfg, comp, affine=affine)
-
-    if len(branch) == 2:
-        # forks at both ends of a chain: affine D of rank n - 1
-        f1, f2 = sorted(branch)
-        if deg[f1] != 3 or deg[f2] != 3:
-            return None
-        leaves1 = sorted(w for w in cfg.neighbors(f1) if w in idset and deg[w] == 1)
-        leaves2 = sorted(w for w in cfg.neighbors(f2) if w in idset and deg[w] == 1)
-        if len(leaves1) != 2 or len(leaves2) != 2:
-            return None
-        chain = [f1]
-        prev = None
-        while chain[-1] != f2 and len(chain) <= n:
-            cur = chain[-1]
-            nxt = [
-                w
-                for w in cfg.neighbors(cur)
-                if w in idset and w != prev and deg[w] >= 2
-            ]
-            if len(nxt) != 1:
-                return None
-            prev = cur
-            chain.append(nxt[0])
-        if chain[-1] != f2 or len(chain) + 4 != n:
-            return None
-        order = tuple(leaves1) + tuple(chain) + tuple(leaves2)
-        kern = _component_kernel(cfg, order)
-        if kern is None:
-            return None
-        comp = RootComponent("AffineD", n - 1, order, kernel_vector=kern)
-        return _confirmed(cfg, comp, affine=True)
-
-    return None
+    kind, param, order = shape
+    comp = RootComponent(kind, param, tuple(order))
+    if comp.is_affine:
+        comp = replace(comp, kernel_vector=radical(kind, param))
+    return _confirmed(cfg, comp)
 
 
-def _confirmed(cfg: CurveConfig, comp: RootComponent, affine: bool) -> RootComponent | None:
-    """Cross-check the shape match against the exact signature."""
+def _confirmed(cfg: CurveConfig, comp: RootComponent) -> RootComponent | None:
+    """Cross-check the shape match: the exact signature must be (0, n, 0),
+    or (0, n - 1, 1) for an affine kind, whose radical generator must also
+    annihilate the Gram matrix."""
     sub = cfg.induced(comp.vertex_ids)
-    sig = signature(gram(sub))
-    size = len(comp.vertex_ids)
-    want = (0, size - 1, 1) if affine else (0, size, 0)
-    if sig.as_tuple() != want:
-        return None
-    return comp
+    g = gram(sub)
+    if comp.is_affine:
+        coef = dict(zip(comp.vertex_ids, comp.kernel_vector))
+        if any(g.apply([coef[v] for v in sub.ids()])):
+            return None
+    want = (0, sub.n - 1, 1) if comp.is_affine else (0, sub.n, 0)
+    return comp if signature(g).as_tuple() == want else None
 
 
 def decompose(cfg: CurveConfig) -> Decomposition:
@@ -352,60 +296,40 @@ def standard_diagram(kind: str, n: int | None = None, prefix: str = "v") -> Curv
         return CurveConfig(vs, [(mk(0), mk(1), 2)], name="A~1")
     if n is None:
         raise ValueError(f"kind {kind!r} needs a rank parameter")
+    size = n + 1 if kind.startswith("Affine") else n
+    ids = [mk(i) for i in range(size)]
     if kind == "A":
         if n < 1:
             raise ValueError("A(n) needs n >= 1")
-        ids = [mk(i) for i in range(n)]
-        return CurveConfig([CurveVertex(v) for v in ids], _chain_edges(ids), name=f"A{n}")
-    if kind == "AffineA":
+        edges = _chain_edges(ids)
+    elif kind == "AffineA":
         if n < 2:
             raise ValueError("AffineA(n) needs n >= 2 (use A1Tilde for n = 1)")
-        ids = [mk(i) for i in range(n + 1)]
         edges = _chain_edges(ids) + [(ids[-1], ids[0], 1)]
-        return CurveConfig([CurveVertex(v) for v in ids], edges, name=f"A~{n}")
-    if kind == "D":
+    elif kind == "D":
         if n < 4:
             raise ValueError("D(n) needs n >= 4")
         # two leaves on a fork, then the chain
-        ids = [mk(i) for i in range(n)]
         edges = [(ids[0], ids[2], 1), (ids[1], ids[2], 1)] + _chain_edges(ids[2:])
-        return CurveConfig([CurveVertex(v) for v in ids], edges, name=f"D{n}")
-    if kind == "AffineD":
+    elif kind == "AffineD" and n != 4:
         if n < 4:
             raise ValueError("AffineD(n) needs n >= 4")
-        ids = [mk(i) for i in range(n + 1)]
-        if n == 4:
-            edges = [(ids[0], ids[k], 1) for k in range(1, 5)]
-            return CurveConfig([CurveVertex(v) for v in ids], edges, name="D~4")
         # leaves 0,1 fork 2, chain, fork n-2, leaves n-1,n
-        chain = ids[2 : n - 1]
         edges = (
             [(ids[0], ids[2], 1), (ids[1], ids[2], 1)]
-            + _chain_edges(chain)
+            + _chain_edges(ids[2 : n - 1])
             + [(ids[n - 2], ids[n - 1], 1), (ids[n - 2], ids[n], 1)]
         )
-        return CurveConfig([CurveVertex(v) for v in ids], edges, name=f"D~{n}")
-    if kind in ("E", "AffineE"):
-        arms = {
-            ("E", 6): (1, 2, 2),
-            ("E", 7): (1, 2, 3),
-            ("E", 8): (1, 2, 4),
-            ("AffineE", 6): (2, 2, 2),
-            ("AffineE", 7): (1, 3, 3),
-            ("AffineE", 8): (1, 2, 5),
-        }.get((kind, n))
+    elif kind in ("E", "AffineE", "AffineD"):
+        arms = _star_arms(kind, n)
         if arms is None:
             raise ValueError(f"{kind}({n}) is not a diagram")
-        ids = [mk(0)]
-        edges = []
-        k = 1
+        # the centre, then each arm outward
+        edges, k = [], 1
         for arm_len in arms:
-            prev = ids[0]
-            for _ in range(arm_len):
-                ids.append(mk(k))
-                edges.append((prev, mk(k), 1))
-                prev = mk(k)
-                k += 1
-        tilde = "~" if kind == "AffineE" else ""
-        return CurveConfig([CurveVertex(v) for v in ids], edges, name=f"E{tilde}{n}")
-    raise ValueError(f"unknown diagram kind {kind!r}")
+            edges += _chain_edges([ids[0]] + ids[k : k + arm_len])
+            k += arm_len
+    else:
+        raise ValueError(f"unknown diagram kind {kind!r}")
+    name = RootComponent(kind, n, ()).name
+    return CurveConfig([CurveVertex(v) for v in ids], edges, name=name)

@@ -2,6 +2,16 @@ import pytest
 
 from k3lat.graph import config_from_data
 
+# the 83 standard diagrams the recognizer must round-trip, as (kind, n)
+ALL_KINDS = (
+    [("A", n) for n in range(1, 22)]
+    + [("D", n) for n in range(4, 22)]
+    + [("E", n) for n in (6, 7, 8)]
+    + [("AffineA", n) for n in range(2, 22)]
+    + [("AffineD", n) for n in range(4, 22)]
+    + [("AffineE", n) for n in (6, 7, 8)]
+)
+
 
 def d6tilde_plus_three(attach=("f1", "f2", "f3")):
     """Double-fork chain (the 7-vertex degenerate diagram) with three extra

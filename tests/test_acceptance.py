@@ -29,7 +29,12 @@ from k3lat.graph import config_from_data, gram
 from k3lat.kodaira import type_table
 from k3lat.roots import decompose, standard_diagram
 
-from conftest import d6tilde_plus_three, i3star_four_sections, ivstar_three_a2
+from conftest import (
+    ALL_KINDS,
+    d6tilde_plus_three,
+    i3star_four_sections,
+    ivstar_three_a2,
+)
 from oracles import box_max, oracle_signature
 
 EXAMPLES = Path(data_root()) / "examples"
@@ -190,15 +195,7 @@ def test_acceptance_8_certificate_soundness(capsys):
 
 
 def test_acceptance_9_recognition_round_trip(capsys):
-    kinds = (
-        [("A", n) for n in range(1, 22)]
-        + [("D", n) for n in range(4, 22)]
-        + [("E", n) for n in (6, 7, 8)]
-        + [("AffineA", n) for n in range(2, 22)]
-        + [("AffineD", n) for n in range(4, 22)]
-        + [("AffineE", n) for n in (6, 7, 8)]
-    )
-    for kind, n in kinds:
+    for kind, n in ALL_KINDS:
         cfg = standard_diagram(kind, n)
         (comp,) = decompose(cfg).components
         assert (comp.kind, comp.rank_param) == (kind, n)
@@ -211,7 +208,7 @@ def test_acceptance_9_recognition_round_trip(capsys):
     (d4,) = decompose(standard_diagram("AffineD", 4)).components
     assert d4.kernel_vector == (2, 1, 1, 1, 1)
     with capsys.disabled():
-        _passed(9, f"{len(kinds)} standard diagrams re-recognized with exact radicals")
+        _passed(9, f"{len(ALL_KINDS)} standard diagrams re-recognized with exact radicals")
 
 
 def test_acceptance_10_catalog_verifies(capsys):

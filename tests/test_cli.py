@@ -91,6 +91,22 @@ def test_kodaira_low_degree_check(tmp_path, capsys):
     assert "kodaira-low-degree" in out
 
 
+def test_kodaira_low_degree_needs_d_and_h(capsys):
+    path = str(EXAMPLES / "example-D6tilde.json")
+    for half in (["--d", "1"], ["--h", "43"]):
+        rc, out, err = run(capsys, "kodaira", path, *half)
+        assert rc == 2
+        assert out == "" and "--d and --h" in err
+
+
+def test_kodaira_max_weight_below_one_exit_code(capsys):
+    path = str(EXAMPLES / "example-D6tilde.json")
+    for weight in ("0", "-3"):
+        rc, out, err = run(capsys, "kodaira", path, "--max-weight", weight)
+        assert rc == 2
+        assert out == "" and "max_weight" in err
+
+
 def test_polarize(capsys):
     rc, out, _ = run(capsys, "polarize", str(EXAMPLES / "char3-I3star-4sections.json"))
     assert rc == 0
@@ -219,6 +235,13 @@ def test_catalog_verify(capsys):
     rc, out, _ = run(capsys, "catalog", "verify")
     assert rc == 0
     assert "18/18 entries verified" in out
+
+
+def test_catalog_list_and_verify_reject_entry_name(capsys):
+    for action in ("list", "verify"):
+        rc, out, err = run(capsys, "catalog", action, "example-D6tilde")
+        assert rc == 2
+        assert out == "" and "takes no entry name" in err
 
 
 def test_missing_file_is_input_error(capsys):

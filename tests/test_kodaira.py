@@ -154,6 +154,13 @@ def test_find_divisors_weight_cap():
     assert len(find_kodaira_divisors(cfg, max_weight=18)) == 1
 
 
+def test_find_divisors_rejects_weight_cap_below_one():
+    cfg = standard_diagram("AffineA", 3)
+    for cap in (0, -3):
+        with pytest.raises(ValueError):
+            find_kodaira_divisors(cfg, max_weight=cap)
+
+
 def test_divisor_degree_cycle():
     cfg = standard_diagram("AffineA", 3)
     (d,) = find_kodaira_divisors(cfg)

@@ -1,7 +1,19 @@
+import functools
+import hashlib
+import random
+
 import pytest
 
 from k3lat.exact import signature
-from k3lat.graph import classify, config_from_data, gram
+from k3lat.graph import (
+    CurveConfig,
+    CurveVertex,
+    classify,
+    config_from_data,
+    connected_vertex_subsets,
+    gram,
+)
+from k3lat.kodaira import find_kodaira_divisors
 from k3lat.roots import (
     NotNegativeSemidefiniteError,
     decompose,
@@ -9,6 +21,8 @@ from k3lat.roots import (
     recognize_component,
     standard_diagram,
 )
+
+from conftest import ALL_KINDS
 
 # the standard positive multiplicity patterns of the degenerate diagrams,
 # in the canonical recognition order
@@ -83,16 +97,6 @@ def test_isotropic_vertex_component():
     assert comp.rank == 0
 
 
-ALL_KINDS = (
-    [("A", n) for n in range(1, 22)]
-    + [("D", n) for n in range(4, 22)]
-    + [("E", n) for n in (6, 7, 8)]
-    + [("AffineA", n) for n in range(2, 22)]
-    + [("AffineD", n) for n in range(4, 22)]
-    + [("AffineE", n) for n in (6, 7, 8)]
-)
-
-
 @pytest.mark.parametrize("kind,n", ALL_KINDS)
 def test_recognition_round_trip(kind, n):
     cfg = standard_diagram(kind, n)
@@ -161,3 +165,82 @@ def test_mixed_parabolic_decomposition():
     dec = decompose(cfg)
     assert sorted(dec.names()) == ["A2", "A~3", "isotropic"]
     assert classify(cfg).kind.value == "Parabolic"
+
+
+@functools.lru_cache(maxsize=None)
+def _golden_run():
+    """Recognition records for relabelled, shuffled standard diagrams and for
+    every connected subset of 200 seeded random configurations (trees of
+    (-2)-curves, and general graphs with multiple edges and isotropic
+    vertices), plus the Kodaira divisors of each configuration.  Also
+    collects every subset where recognition disagrees with the exact
+    signature."""
+    rng = random.Random(1907)
+    records = []
+    mismatches = []
+    n_subsets = 0
+
+    def rec(c):
+        return None if c is None else (c.kind, c.rank_param, c.vertex_ids, c.kernel_vector)
+
+    for kind, n in ALL_KINDS + [("A1Tilde", None), ("IsotropicVertex", None)]:
+        cfg = standard_diagram(kind, n)
+        fwd = dict(zip(cfg.ids(), [f"x{k}" for k in rng.sample(range(1000), cfg.n)]))
+        vs = [CurveVertex(fwd[v.id], v.square) for v in cfg.vertices]
+        rng.shuffle(vs)
+        cfg = CurveConfig(vs, [(fwd[a], fwd[b], m) for a, b, m in cfg.edge_items()])
+        records.append(rec(recognize_component(cfg, cfg.ids())))
+    for t in range(200):
+        n = rng.randint(2, 9)
+        ids = [f"x{k}" for k in rng.sample(range(1000), n)]
+        if t % 2 == 0:
+            vs = [CurveVertex(v) for v in ids]
+            es = [(ids[i], ids[rng.randrange(i)], 1) for i in range(1, n)]
+        else:
+            vs = [CurveVertex(v, rng.choice([-2, -2, -2, -2, -2, 0])) for v in ids]
+            es = [
+                (ids[i], ids[j], rng.choice([1, 1, 1, 1, 2, 3]))
+                for i in range(n)
+                for j in range(i + 1, n)
+                if rng.random() < 0.3
+            ]
+        cfg = CurveConfig(vs, es)
+        for sub in connected_vertex_subsets(cfg, 8):
+            sub_ids = tuple(cfg.vertices[i].id for i in sub)
+            comp = recognize_component(cfg, sub_ids)
+            records.append(rec(comp))
+            n_subsets += 1
+            sig = signature(gram(cfg.induced(sub_ids)))
+            recognizable = sig.n_plus == 0 and sig.n_zero <= 1
+            degenerate = comp is not None and (
+                comp.is_affine or comp.kind == "IsotropicVertex"
+            )
+            if (comp is not None) != recognizable or (
+                comp is not None and degenerate != (sig.n_zero == 1)
+            ):
+                mismatches.append((t, sub_ids))
+        records.append(
+            [
+                (d.tag, d.support, d.multiplicities, d.weight, d.euler_range,
+                 d.nodal_or_cuspidal)
+                for d in find_kodaira_divisors(cfg)
+            ]
+        )
+    return records, mismatches, n_subsets
+
+
+def test_recognition_golden_byte_identical():
+    records, _, _ = _golden_run()
+    assert len(records) == 7990
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()[:16]
+    assert digest == "3676ea5a2df211cd"
+
+
+def test_recognition_complete_against_signature():
+    # a connected (-2)/isotropic configuration is recognized exactly when
+    # its span is negative semi-definite with at most a one-dimensional
+    # radical, and the recognized kind is degenerate exactly when the
+    # radical is nonzero
+    _, mismatches, n_subsets = _golden_run()
+    assert n_subsets == 7705
+    assert mismatches == []
