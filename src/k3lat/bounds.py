@@ -19,6 +19,15 @@ negative semi-definite whenever ``S > 0``, because a form of signature
 ``(1, n-1)`` is negative definite on the orthogonal complement of any
 positive vector.  The split exists exactly when additionally ``rho >= 0``
 entrywise, and every emitted witness is re-verified exactly.
+
+The exclusion sweep runs in exact integers.  It visits connected
+subconfigurations level by level, and each one borders a nondegenerate
+parent one curve smaller: the determinant and the adjugate of its Gram
+matrix follow in ``O(k^2)`` by a fraction-free (Bareiss-Sylvester) update,
+and its inertia by the sign of one Schur complement (Haynsworth
+additivity).  Both bounds are read off the adjugate's entry, row and sign
+sums; only the certificate that is returned is rebuilt from scratch, with
+its witness built and checked.
 """
 
 from __future__ import annotations
@@ -27,9 +36,11 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact import (
     SymMatrix,
+    _congruence,
     inverse,
     outer_rank_one,
     signature,
@@ -39,7 +50,6 @@ from .graph import (
     CurveConfig,
     SpanKind,
     classify,
-    connected_vertex_subsets,
     gram,
     quotient_by_kernel,
 )
@@ -287,6 +297,135 @@ def _subgraph_certificates(
     return certs
 
 
+class _Adjugate(NamedTuple):
+    """Integer data of one nondegenerate subset in the exclusion sweep.
+
+    ``order`` lists its vertex indices in the order that the rows of
+    ``adj`` follow; ``det`` and ``adj`` are the determinant and adjugate of
+    its Gram matrix in that order, and ``n_plus`` its positive inertia.
+    """
+
+    order: tuple[int, ...]
+    det: int
+    adj: list[list[int]]
+    n_plus: int
+
+
+# the empty subset, which every singleton borders
+_EMPTY = _Adjugate((), 1, [], 0)
+
+
+def _bordered(
+    parent: _Adjugate, u: int, g: list[list[int]]
+) -> _Adjugate | None:
+    """The entry of ``parent + {u}``, or None when it is degenerate.
+
+    With ``D``, ``A`` the determinant and adjugate of the parent and ``b``,
+    ``c`` the column and diagonal entry of ``u``, put ``a = A b``.  Then
+    ``t = D c - b.a`` is the new determinant, Sylvester's identity makes
+    ``[[(t A + a a^T) / D, -a], [-a^T, D]]`` the new adjugate with exact
+    division, and the Schur complement ``t / D`` adds one positive
+    direction iff ``t D > 0`` (Haynsworth inertia additivity).
+    """
+    order, det, adj, n_plus = parent
+    col = g[u]
+    b = [(i, col[v]) for i, v in enumerate(order) if col[v]]
+    a = [sum(row[i] * x for i, x in b) for row in adj]
+    t = det * col[u] - sum(a[i] * x for i, x in b)
+    if t == 0:
+        return None
+    rows = [
+        [(t * x + ai * aj) // det for x, aj in zip(row, a)] + [-ai]
+        for row, ai in zip(adj, a)
+    ]
+    rows.append([-ai for ai in a] + [det])
+    return _Adjugate(order + (u,), t, rows, n_plus + (t * det > 0))
+
+
+def _from_scratch(subset: tuple[int, ...], g: list[list[int]]) -> _Adjugate | None:
+    """The entry of a subset whose connected parents are all degenerate.
+
+    The congruence ``P^T m P = diag(d)`` has ``det P = +-1``, so the
+    determinant is the product of the pivots.
+    """
+    m = SymMatrix([[g[i][j] for j in subset] for i in subset])
+    d, _ = _congruence(m)
+    if len(d) < m.n:
+        return None
+    det = math.prod(d)
+    adj = [[int(det * x) for x in row] for row in inverse(m).rows()]
+    return _Adjugate(subset, int(det), adj, sum(1 for x in d if x > 0))
+
+
+def _adjugate_sweep(cfg: CurveConfig, cap: int):
+    """Yield ``(subset, entry)`` for every connected vertex subset of at most
+    ``cap`` curves in canonical order (size, then index tuple); ``entry``
+    is an :class:`_Adjugate`, or None for a degenerate subset.
+
+    Level ``k + 1`` is the set of ``S + {u}`` over ``S`` in level ``k`` and
+    ``u`` a neighbour of ``S``: every connected set loses a leaf of a
+    spanning tree to a connected set one smaller, so these are exactly the
+    connected subsets.  Each subset borders the first nondegenerate parent
+    met; one whose connected parents are all degenerate is computed from
+    scratch.  A level is built only when the previous one has been consumed,
+    and only two levels are held at a time.
+    """
+    g = [[int(x) for x in row] for row in gram(cfg).rows()]
+    nbrs = [{j for j, x in enumerate(row) if x and j != i} for i, row in enumerate(g)]
+    grown = {(i,): (_EMPTY, i) for i in range(cfg.n)}
+    for size in range(1, cap + 1):
+        level = []
+        for subset, (parent, u) in sorted(grown.items()):
+            if parent is None:
+                entry = _from_scratch(subset, g)
+            else:
+                entry = _bordered(parent, u, g)
+            level.append((subset, entry))
+            yield subset, entry
+        if size == cap:
+            return
+        grown = {}
+        for subset, entry in level:
+            for u in set().union(*(nbrs[v] for v in subset)).difference(subset):
+                key = tuple(sorted(subset + (u,)))
+                if key not in grown or grown[key][0] is None:
+                    grown[key] = (entry, u)
+
+
+def _sweep_bound(entry: _Adjugate, d: int) -> tuple[int, int]:
+    """Numerator and positive denominator of the bound that
+    ``_subgraph_certificates(sub, d)[0]`` carries, read off the adjugate.
+
+    With ``sigma`` the sign of the determinant, the inverse is
+    ``sigma * adj / |det|``.  The box split applies iff ``sigma`` times the
+    entry sum is positive and no ``sigma`` times a row sum is negative (an
+    inverse with no negative entry passes too, its entry sum being
+    positive); its bound never exceeds the rough one and wins ties.
+    Otherwise the rough bound sums the entries of sign ``sigma``.
+    """
+    sigma = 1 if entry.det > 0 else -1
+    rows = [sigma * sum(row) for row in entry.adj]
+    total = sum(rows)
+    if total <= 0 or min(rows) < 0:
+        total = sigma * sum(x for row in entry.adj for x in row if sigma * x > 0)
+    return total * d * d, abs(entry.det)
+
+
+def _checked_certificate(
+    cfg: CurveConfig, subset: tuple[int, ...], d: int, bound: Fraction
+) -> BoundCertificate:
+    """Rebuild the certificate of one swept subset from scratch, box
+    witness checked, and hold it to the bound the sweep found."""
+    sub = cfg.induced(tuple(cfg.vertices[i].id for i in subset))
+    cert = _subgraph_certificates(sub, d)[0]
+    if cert.bound_on_2h != bound:
+        raise AssertionError(
+            f"sweep bound {bound} differs from the rebuilt certificate's "
+            f"{cert.bound_on_2h}"
+        )
+    return cert
+
+
 def exclude(
     cfg: CurveConfig,
     d: int,
@@ -302,10 +441,16 @@ def exclude(
     elsewhere).  For a hyperbolic span the engine sweeps connected
     subconfigurations up to ``subgraph_cap`` vertices in canonical order
     (size, then vertex order) and returns the first certificate whose bound
-    is strictly below ``2h``.  Certificates treat the degrees as unknown up
-    to the cap ``d``; pass ``use_pinned_degrees=True`` to also use the
-    exact degree data of the configuration, which is sound only when those
-    degrees are known exactly.
+    is strictly below ``2h``, or else the best one found.  Certificates
+    treat the degrees as unknown up to the cap ``d``; pass
+    ``use_pinned_degrees=True`` to also use the exact degree data of the
+    configuration, which is sound only when those degrees are known exactly.
+
+    The sweep keeps a bordered integer adjugate and the inertia of each
+    nondegenerate subconfiguration, updated from a parent one curve smaller
+    (inertia additivity), and reads each bound off it without building a
+    witness.  The witness is built and checked only for the certificate
+    returned, which must carry the bound the sweep found.
     """
     if d < 1 or h < 1 or subgraph_cap < 1:
         raise ValueError("d, h and subgraph_cap must be positive")
@@ -372,29 +517,25 @@ def exclude(
         else:
             notes.append(f"pinned degrees admit no solution: {ip.note}")
 
-    subsets = sorted(
-        connected_vertex_subsets(cfg, min(subgraph_cap, cfg.n)),
-        key=lambda s: (len(s), s),
-    )
-    for subset in subsets:
-        sub_ids = tuple(cfg.vertices[i].id for i in subset)
-        sub = cfg.induced(sub_ids)
-        sig = signature(gram(sub))
-        if sig.n_plus != 1 or sig.n_zero != 0:
+    best_ratio = None if best is None else best.bound_on_2h.as_integer_ratio()
+    best_subset = None
+    for subset, entry in _adjugate_sweep(cfg, min(subgraph_cap, cfg.n)):
+        if entry is None or entry.n_plus != 1:
             continue
-        certs = _subgraph_certificates(sub, d)
-        for cert in certs:
-            if best is None or cert.bound_on_2h < best.bound_on_2h:
-                best = cert
-        if certs and certs[0].bound_on_2h < two_h:
+        num, den = _sweep_bound(entry, d)
+        if num < 2 * h * den:
+            cert = _checked_certificate(cfg, subset, d, Fraction(num, den))
             return ExclusionVerdict(
                 ExclusionStatus.HYPERBOLIC_EXCLUDED,
-                certificates=(certs[0],),
+                certificates=(cert,),
                 notes=tuple(
-                    notes
-                    + [f"2h = {two_h} exceeds bound {certs[0].bound_on_2h}"]
+                    notes + [f"2h = {two_h} exceeds bound {cert.bound_on_2h}"]
                 ),
             )
+        if best_ratio is None or num * best_ratio[1] < best_ratio[0] * den:
+            best_ratio, best_subset = (num, den), subset
+    if best_subset is not None:
+        best = _checked_certificate(cfg, best_subset, d, Fraction(*best_ratio))
     return ExclusionVerdict(
         ExclusionStatus.HYPERBOLIC_UNDECIDED,
         certificates=() if best is None else (best,),

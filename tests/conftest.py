@@ -62,3 +62,17 @@ def char3_cfg():
 @pytest.fixture
 def char2_cfg():
     return ivstar_three_a2()
+
+
+def i4_fibres_with_section(fibres=6):
+    """``fibres`` I4 cycles of -2 curves plus a zero section ``s`` meeting
+    the first component of each: a fibration-shaped hyperbolic
+    configuration with ``4 * fibres + 1`` curves."""
+    verts = [("s", -2, 1)]
+    edges = []
+    for f in range(fibres):
+        ids = [f"f{f}c{c}" for c in range(4)]
+        verts += [(v, -2, 1) for v in ids]
+        edges += [(ids[c], ids[(c + 1) % 4]) for c in range(4)]
+        edges.append(("s", ids[0]))
+    return config_from_data(verts, edges, name=f"{fibres}xI4-plus-section")

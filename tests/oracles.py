@@ -4,13 +4,28 @@ Everything here is deliberately written from scratch against different
 algorithms than the package: the characteristic polynomial comes from
 exact determinant interpolation, eigenvalue sign counts from Sturm chains
 (with multiplicities recovered by gcd recursion), rank from plain row
-reduction, and box maxima from exhaustive enumeration.
+reduction, and box maxima from exhaustive enumeration.  The one exception
+is :func:`exclude_reference`, the per-subset exclusion sweep that
+``bounds.exclude`` replaced, kept as the reference for its differential
+tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+
+from k3lat.bounds import (
+    INTRINSIC_SQUARE,
+    BoundCertificate,
+    ExclusionStatus,
+    ExclusionVerdict,
+    _subgraph_certificates,
+    exclude,
+    intrinsic_polarization,
+)
+from k3lat.exact import signature
+from k3lat.graph import SpanKind, classify, connected_vertex_subsets, gram
 
 
 # -- exact determinant and rank (independent row reduction) ---------------
@@ -244,3 +259,73 @@ def box_max(inv_rows: list[list[Fraction]], d: int) -> Fraction:
         if best is None or val > best:
             best = val
     return best
+
+
+# -- the per-subset exclusion sweep ------------------------------------------
+
+
+def exclude_reference(cfg, d, h, subgraph_cap=13, use_pinned_degrees=False):
+    """``bounds.exclude`` as a plain per-subset loop: every connected subset
+    up to the cap in canonical order, filtered by a fresh signature, with
+    fresh box and rough certificates from scratch.
+
+    Only hyperbolic spans are re-implemented; the others never reach the
+    sweep and are answered by ``exclude`` itself.
+    """
+    if classify(cfg).kind is not SpanKind.HYPERBOLIC:
+        return exclude(cfg, d, h, subgraph_cap, use_pinned_degrees)
+    two_h = Fraction(2 * h)
+    notes: list[str] = []
+    best = None
+    if use_pinned_degrees:
+        ip = intrinsic_polarization(cfg)
+        if ip.exists:
+            cert = BoundCertificate(
+                INTRINSIC_SQUARE,
+                ip.square,
+                cfg.ids(),
+                d,
+                witness=ip,
+                note="square of the class solving C.H = d_C exactly",
+            )
+            if cert.bound_on_2h < two_h:
+                return ExclusionVerdict(
+                    ExclusionStatus.HYPERBOLIC_EXCLUDED,
+                    certificates=(cert,),
+                    notes=(f"2h = {two_h} exceeds the pinned-degree bound",),
+                )
+            best = cert
+        else:
+            notes.append(f"pinned degrees admit no solution: {ip.note}")
+    subsets = sorted(
+        connected_vertex_subsets(cfg, min(subgraph_cap, cfg.n)),
+        key=lambda s: (len(s), s),
+    )
+    for subset in subsets:
+        sub = cfg.induced(tuple(cfg.vertices[i].id for i in subset))
+        sig = signature(gram(sub))
+        if sig.n_plus != 1 or sig.n_zero != 0:
+            continue
+        certs = _subgraph_certificates(sub, d)
+        for cert in certs:
+            if best is None or cert.bound_on_2h < best.bound_on_2h:
+                best = cert
+        if certs and certs[0].bound_on_2h < two_h:
+            return ExclusionVerdict(
+                ExclusionStatus.HYPERBOLIC_EXCLUDED,
+                certificates=(certs[0],),
+                notes=tuple(
+                    notes + [f"2h = {two_h} exceeds bound {certs[0].bound_on_2h}"]
+                ),
+            )
+    return ExclusionVerdict(
+        ExclusionStatus.HYPERBOLIC_UNDECIDED,
+        certificates=() if best is None else (best,),
+        notes=tuple(
+            notes
+            + [
+                "no certificate below "
+                + f"2h = {two_h} on subgraphs up to {subgraph_cap} vertices"
+            ]
+        ),
+    )

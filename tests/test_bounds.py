@@ -1,11 +1,17 @@
+import hashlib
 import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from k3lat.bounds import (
     BOX_OPTIMUM_DECOMPOSITION,
+    _adjugate_sweep,
+    _subgraph_certificates,
+    _sweep_bound,
     BoundCertificate,
     DegenerateLatticeError,
     ExclusionStatus,
@@ -18,11 +24,22 @@ from k3lat.bounds import (
     verify_certificate,
 )
 from k3lat.exact import SymMatrix, inverse, signature
-from k3lat.graph import classify, config_from_data, gram
+from k3lat.graph import (
+    SpanKind,
+    classify,
+    config_from_data,
+    connected_vertex_subsets,
+    gram,
+)
 from k3lat.roots import standard_diagram
 
-from conftest import d6tilde_plus_three
-from oracles import box_max
+from conftest import (
+    d6tilde_plus_three,
+    i3star_four_sections,
+    i4_fibres_with_section,
+    ivstar_three_a2,
+)
+from oracles import box_max, det, exclude_reference
 
 
 def toy_config():
@@ -279,10 +296,209 @@ def test_exclude_pinned_uses_intrinsic(char3_cfg):
     )
 
 
+def test_exclude_stress_full_sweep_cap_8():
+    # six I4 fibres plus a zero section: 6545 connected subsets up to 8
+    # curves, none of them bounding 2h = 2
+    cfg = i4_fibres_with_section()
+    verdict = exclude(cfg, 1, 1, subgraph_cap=8)
+    assert verdict.status is ExclusionStatus.HYPERBOLIC_UNDECIDED
+    (cert,) = verdict.certificates
+    assert cert.kind == BOX_OPTIMUM_DECOMPOSITION
+    assert cert.bound_on_2h == Fraction(90, 7)
+    assert len(cert.support_ids) == 8
+    assert verify_certificate(cert, cfg)
+    verdict = exclude(cfg, 1, 11, subgraph_cap=8)
+    assert verdict.status is ExclusionStatus.HYPERBOLIC_EXCLUDED
+    (cert,) = verdict.certificates
+    assert cert.bound_on_2h == 20
+    assert len(cert.support_ids) == 7
+    assert verify_certificate(cert, cfg)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_exclude_matches_reference_hypothesis(data):
+    n = data.draw(st.integers(min_value=2, max_value=6))
+    d = data.draw(st.integers(min_value=1, max_value=3))
+    squares = st.sampled_from((-2, -2, -2, 0, 2))
+    verts = [
+        (f"v{i}", data.draw(squares), data.draw(st.integers(1, d)))
+        for i in range(n)
+    ]
+    mults = st.sampled_from((0, 0, 1, 1, 2, 3))
+    edges = [
+        (f"v{i}", f"v{j}", m)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if (m := data.draw(mults))
+    ]
+    cfg = config_from_data(verts, edges)
+    h = data.draw(st.integers(min_value=1, max_value=40))
+    cap = data.draw(st.integers(min_value=1, max_value=n))
+    pinned = data.draw(st.booleans())
+    assert exclude(cfg, d, h, cap, pinned) == exclude_reference(
+        cfg, d, h, cap, pinned
+    )
+
+
+@pytest.mark.parametrize(
+    "cfg, cap",
+    [
+        (i4_fibres_with_section(), 6),
+        # the inverse [[-1/4, 1/4], [1/4, 1/4]] has a zero row sum: the box
+        # split still applies, with bound 1/2 against the rough 3/4
+        (config_from_data([("a", -2, 1), ("b", 2, 1)], [("a", "b", 2)]), 2),
+    ],
+)
+def test_sweep_bounds_match_reference(cfg, cap):
+    # the sweep visits the reference's subsets in the reference's order,
+    # finds the same hyperbolic ones and reads the same certs[0] bound
+    swept = list(_adjugate_sweep(cfg, cap))
+    subsets = sorted(connected_vertex_subsets(cfg, cap), key=lambda s: (len(s), s))
+    assert [s for s, _ in swept] == subsets
+    hyperbolic = 0
+    for subset, entry in swept:
+        sub = cfg.induced(tuple(cfg.vertices[i].id for i in subset))
+        sig = signature(gram(sub))
+        if sig.n_plus != 1 or sig.n_zero != 0:
+            assert entry is None or entry.n_plus != 1
+            continue
+        hyperbolic += 1
+        for d in (1, 2):
+            num, den = _sweep_bound(entry, d)
+            assert Fraction(num, den) == _subgraph_certificates(sub, d)[0].bound_on_2h
+    assert hyperbolic > 0
+
+
+def _assert_exact_entry(cfg, entry):
+    # the exact determinant, adjugate and inertia of the Gram matrix in the
+    # entry's stored order
+    g = gram(cfg).rows()
+    m = SymMatrix([[g[i][j] for j in entry.order] for i in entry.order])
+    assert entry.det == det([list(r) for r in m.rows()])
+    assert SymMatrix(entry.adj) == SymMatrix(
+        [[entry.det * x for x in row] for row in inverse(m).rows()]
+    )
+    assert entry.n_plus == signature(m).n_plus
+
+
+def test_sweep_adjugates_exact_on_stress_configuration():
+    # every cached entry, which checks the exact division of each update
+    cfg = i4_fibres_with_section()
+    for subset, entry in _adjugate_sweep(cfg, 6):
+        if entry is None:
+            assert signature(gram(cfg).submatrix(subset)).n_zero > 0
+            continue
+        assert sorted(entry.order) == list(subset)
+        _assert_exact_entry(cfg, entry)
+
+
+def _has_nondegenerate_connected_parent(cfg, subset):
+    for v in subset:
+        rest = tuple(x for x in subset if x != v)
+        sub = cfg.induced(tuple(cfg.vertices[i].id for i in rest))
+        if len(sub.connected_components()) == 1 and signature(gram(sub)).n_zero == 0:
+            return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "cfg, from_scratch",
+    [
+        # two square-0 curves meeting once: both singletons are degenerate
+        (config_from_data([("a", 0, 1), ("b", 0, 1)], [("a", "b")]), (0, 1)),
+        # an I4 cycle listed before its section: the degenerate cycle is
+        # the first parent met by the whole configuration and is replaced
+        (
+            config_from_data(
+                [(f"c{i}", -2, 1) for i in range(4)] + [("s", -2, 1)],
+                [("c0", "c1"), ("c1", "c2"), ("c2", "c3"), ("c3", "c0"),
+                 ("s", "c0")],
+            ),
+            None,
+        ),
+        # a section meeting five fibre components: each connected parent
+        # is the section with four of them, a degenerate D~4 star
+        (
+            config_from_data(
+                [("s", -2, 1)] + [(f"c{i}", -2, 1) for i in range(5)],
+                [("s", f"c{i}") for i in range(5)],
+            ),
+            (0, 1, 2, 3, 4, 5),
+        ),
+    ],
+)
+def test_sweep_subsets_without_nondegenerate_parent(cfg, from_scratch):
+    entries = dict(_adjugate_sweep(cfg, cfg.n))
+    if from_scratch is not None:
+        assert not _has_nondegenerate_connected_parent(cfg, from_scratch)
+        assert entries[from_scratch] is not None
+    for entry in entries.values():
+        if entry is not None:
+            _assert_exact_entry(cfg, entry)
+    for d, h in ((1, 1), (1, 2), (2, 3), (3, 50)):
+        for pinned in (False, True):
+            assert exclude(cfg, d, h, use_pinned_degrees=pinned) == (
+                exclude_reference(cfg, d, h, use_pinned_degrees=pinned)
+            )
+
+
 def test_exclude_deterministic(char3_cfg):
     v1 = exclude(char3_cfg, 1, 44)
     v2 = exclude(char3_cfg, 1, 44)
     assert v1 == v2
+
+
+def _golden_random_configs(count=40, seed=4107):
+    """Seeded configurations with squares -2/0/2, multiplicities 1-3 and
+    degrees up to a per-config cap; every fourth one is disconnected and
+    every eighth is kept whatever its span, the rest are hyperbolic."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        k = len(out)
+        n = rng.randint(3, 7)
+        d = rng.randint(1, 3)
+        verts = [
+            (f"v{i}", rng.choice((-2,) * 9 + (0, 0, 2)), rng.randint(1, d))
+            for i in range(n)
+        ]
+        split = rng.randint(1, n - 1) if k % 4 == 0 else n
+        edges = [
+            (f"v{i}", f"v{j}", rng.choice((1, 1, 1, 1, 1, 2, 3)))
+            for i in range(n)
+            for j in range(i + 1, n)
+            if (i < split) == (j < split) and rng.random() < 0.4
+        ]
+        cfg = config_from_data(verts, edges, name=f"r{k}")
+        if k % 8 == 7 or classify(cfg).kind is SpanKind.HYPERBOLIC:
+            out.append((cfg, d))
+    return out
+
+
+def test_exclude_golden_byte_identical():
+    # pins statuses, certificates with their witness matrices and support
+    # order, and notes: full sweeps, early exits and pinned degrees
+    calls = [
+        (cfg, d, h, 13, False)
+        for cfg in (d6tilde_plus_three(), i3star_four_sections(), ivstar_three_a2())
+        for d in (1, 2)
+        for h in (43, 44, 185, 186)
+    ]
+    calls += [(i4_fibres_with_section(), 1, h, 6, False) for h in (1, 11, 12)]
+    for cfg, d in _golden_random_configs():
+        calls.append((cfg, d, 1, 13, False))
+        calls.append((cfg, d, 1, 13, True))
+        full = exclude(cfg, d, 1)
+        if full.status is ExclusionStatus.HYPERBOLIC_UNDECIDED:
+            h_early = int(full.certificates[0].bound_on_2h // 2) + 1
+            calls.append((cfg, d, h_early, 13, False))
+    out = []
+    for cfg, d, h, cap, pinned in calls:
+        v = exclude(cfg, d, h, subgraph_cap=cap, use_pinned_degrees=pinned)
+        out.append((v.status, v.certificates, v.notes))
+    digest = hashlib.sha256(repr(out).encode()).hexdigest()[:16]
+    assert digest == "5f0dc98c847a0371"
 
 
 # -- admissible h range -------------------------------------------------------
