@@ -195,9 +195,43 @@ def enumerate_uniform(rho_max: int) -> list[FibrationProfile]:
     return out
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality for
+# every n below the least strong pseudoprime to all of them
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_TEST_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Exact primality for ``n < _PRIME_TEST_LIMIT``."""
+    if n < 2:
+        return False
+    for q in _PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class SurfaceContext:
-    """Hypothesis flags selecting the applicable curve-count bound."""
+    """Hypothesis flags selecting the applicable curve-count bound.
+
+    The characteristic is 0 or a prime (below ``_PRIME_TEST_LIMIT``, where
+    primality is decided exactly); the Artin invariant of a supersingular
+    surface lies in 1..10.  Anything else raises ``ValueError``.
+    """
 
     characteristic: int = 0
     unirational: bool | None = None
@@ -205,9 +239,13 @@ class SurfaceContext:
     rho_max: int = 22
 
     def __post_init__(self):
-        if self.characteristic < 0:
-            raise ValueError("characteristic must be 0 or a prime")
-        if self.characteristic == 0:
+        p = self.characteristic
+        if p != 0 and not (p < _PRIME_TEST_LIMIT and _is_prime(p)):
+            raise ValueError(f"characteristic must be 0 or a prime, got {p}")
+        sigma = self.artin_invariant
+        if sigma is not None and not 1 <= sigma <= 10:
+            raise ValueError(f"Artin invariant must lie in 1..10, got {sigma}")
+        if p == 0:
             object.__setattr__(self, "rho_max", 20)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .exact import (
@@ -52,9 +53,10 @@ class CurveVertex:
 
 
 class CurveConfig:
-    """Ordered vertices plus edge multiplicities keyed by unordered pairs."""
+    """Ordered vertices plus edge multiplicities keyed by unordered pairs,
+    and the same edges as one adjacency per vertex index, built once."""
 
-    __slots__ = ("name", "vertices", "_index", "_edges")
+    __slots__ = ("name", "vertices", "_index", "_edges", "_adj")
 
     def __init__(
         self,
@@ -88,6 +90,13 @@ class CurveConfig:
                 raise ValueError(f"duplicate edge ({a!r},{b!r})")
             norm[key] = mult
         self._edges = dict(sorted(norm.items()))
+        # filled from the sorted edges, so each row lists its neighbours in
+        # increasing index order
+        adj: list[dict[int, int]] = [{} for _ in self.vertices]
+        for (i, j), m in self._edges.items():
+            adj[i][j] = m
+            adj[j][i] = m
+        self._adj = tuple(MappingProxyType(row) for row in adj)
 
     # -- basic accessors -------------------------------------------------
 
@@ -110,6 +119,11 @@ class CurveConfig:
             for (i, j), m in self._edges.items()
         ]
 
+    def adjacency(self) -> tuple[Mapping[int, int], ...]:
+        """Per vertex index, a read-only map from each neighbour's index
+        (in increasing order) to the edge multiplicity."""
+        return self._adj
+
     def edge_mult(self, a: str, b: str) -> int:
         i, j = self._index[a], self._index[b]
         if i == j:
@@ -120,14 +134,8 @@ class CurveConfig:
         return tuple(v.degree for v in self.vertices)
 
     def neighbors(self, vid: str) -> list[str]:
-        i = self._index[vid]
-        out = []
-        for (a, b) in self._edges:
-            if a == i:
-                out.append(self.vertices[b].id)
-            elif b == i:
-                out.append(self.vertices[a].id)
-        return out
+        """Neighbour ids in config order."""
+        return [self.vertices[j].id for j in self._adj[self._index[vid]]]
 
     def induced(self, ids: Sequence[str], name: str = "") -> "CurveConfig":
         """Induced sub-configuration on the given vertex ids (config order)."""
@@ -154,14 +162,10 @@ class CurveConfig:
 
     def connected_components(self) -> list[tuple[str, ...]]:
         """Vertex-id sets of connected components, in config order."""
-        n = self.n
-        adj: list[set[int]] = [set() for _ in range(n)]
-        for (i, j) in self._edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        seen = [False] * n
+        adj = self._adj
+        seen = [False] * self.n
         comps = []
-        for s in range(n):
+        for s in range(self.n):
             if seen[s]:
                 continue
             stack, comp = [s], []
@@ -363,12 +367,7 @@ def connected_vertex_subsets(cfg: CurveConfig, max_size: int, prune=None):
     neither yielded nor extended, so the predicate must be monotone (every
     supergraph of a pruned subset must also be prunable).
     """
-    n = cfg.n
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for a, b, _ in cfg.edge_items():
-        i, j = cfg.index_of(a), cfg.index_of(b)
-        adj[i].add(j)
-        adj[j].add(i)
+    adj = cfg.adjacency()
 
     def extend(sub: tuple[int, ...], forbidden: frozenset[int]):
         yield sub
@@ -385,7 +384,7 @@ def connected_vertex_subsets(cfg: CurveConfig, max_size: int, prune=None):
                 yield from extend(grown, frozenset(blocked))
             blocked.add(v)
 
-    for s in range(n):
+    for s in range(cfg.n):
         if prune is not None and prune((s,)):
             continue
         yield from extend((s,), frozenset(range(s)))

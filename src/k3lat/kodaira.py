@@ -180,38 +180,34 @@ def _shape_prune(cfg: CurveConfig):
     vertex outside the 5-vertex star, a multiple edge beyond the 2-vertex
     case, or a proper supergraph of a cycle.  All of these only grow
     under extension, so pruned branches lose nothing."""
-    index_pairs = {}
-    for a, b, m in cfg.edge_items():
-        i, j = cfg.index_of(a), cfg.index_of(b)
-        index_pairs[(min(i, j), max(i, j))] = m
+    adj = cfg.adjacency()
 
     def prune(subset: tuple[int, ...]) -> bool:
         size = len(subset)
-        deg = dict.fromkeys(subset, 0)
-        edges = 0
-        multi = False
         members = set(subset)
-        for (i, j), m in index_pairs.items():
-            if i in members and j in members:
-                edges += 1
-                deg[i] += 1
-                deg[j] += 1
-                if m >= 2:
-                    multi = True
-                if m >= 3:
-                    return True
-        if multi and size > 2:
+        deg = []
+        top = 0
+        for i in subset:
+            d = 0
+            for j, m in adj[i].items():
+                if j in members:
+                    d += 1
+                    if m > top:
+                        top = m
+            deg.append(d)
+        if top >= 3 or (top == 2 and size > 2):
             return True
+        edges = sum(deg) // 2
         if edges > size:
             return True
-        if edges == size and any(d != 2 for d in deg.values()):
+        if edges == size and deg.count(2) != size:
             return True
-        branch = [d for d in deg.values() if d >= 3]
+        branch = [d for d in deg if d >= 3]
         if len(branch) > 2:
             return True
-        if any(d > 4 for d in branch):
+        if max(branch, default=0) > 4:
             return True
-        if any(d == 4 for d in branch) and size > 5:
+        if 4 in branch and size > 5:
             return True
         return False
 

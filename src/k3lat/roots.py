@@ -7,13 +7,16 @@ multiplicities), a pair of curves joined by a double edge (the degenerate
 rank-one extension), or an isolated isotropic vertex.  One walk along the
 degree-two chains gives the shape and the canonical vertex order: a cycle,
 a path, a chain forked at both ends, or a star read off one table of arm
-lengths.  The exact signature then confirms the match, and for affine kinds
-so does the radical generator, which must annihilate the Gram matrix; a
-wrong match cannot slip through.
+lengths.  The match is confirmed when the integer Gram matrix in that order
+equals the standard diagram's.  That matrix comes from a table built once
+per diagram, and building it checks the exact signature and, for affine
+kinds, that the radical generator annihilates it; equal matrices share both,
+so a wrong match cannot slip through.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -192,8 +195,10 @@ def recognize_component(cfg: CurveConfig, ids: tuple[str, ...]) -> RootComponent
 
     Returns None for anything that is not an ADE diagram, an affine
     extension, a double-edge pair, or an isolated isotropic vertex.  The
-    shape match is confirmed against the exact signature (and, for affine
-    kinds, the radical) before returning.
+    shape match is confirmed before returning: the integer Gram matrix in
+    canonical order must equal the standard diagram's, whose signature
+    (and, for affine kinds, radical) :func:`standard_gram` checked once.
+    Work is proportional to the subset and its neighbourhood.
     """
     if len(ids) == 1:
         v = cfg.vertex(ids[0])
@@ -203,21 +208,21 @@ def recognize_component(cfg: CurveConfig, ids: tuple[str, ...]) -> RootComponent
             return RootComponent("A", 1, (v.id,))
         return None
 
-    if any(cfg.vertex(v).square != -2 for v in ids):
-        return None
-    idset = set(ids)
-    edges = [(a, b, m) for a, b, m in cfg.edge_items() if a in idset and b in idset]
-    if any(m != 1 for _, _, m in edges):
-        # only the pair of curves meeting twice survives a multiple edge
-        if len(ids) != 2 or edges[0][2] != 2:
-            return None
+    # the shape walk reads the simple graph; squares other than -2 and
+    # multiple edges (except the pair meeting twice) fail the Gram
+    # comparison in _confirmed
+    adj = cfg.adjacency()
+    members = {cfg.index_of(v): v for v in ids}
+    nbrs: dict[str, list[str]] = {}
+    for i, v in members.items():
+        nbrs[v] = row = []
+        for j in adj[i]:
+            if j in members:
+                row.append(members[j])
+    if len(members) == 2 and adj[min(members)].get(max(members)) == 2:
         shape = ("A1Tilde", 1, sorted(ids))
     else:
-        nbrs: dict[str, list[str]] = {v: [] for v in ids}
-        for a, b, _ in edges:
-            nbrs[a].append(b)
-            nbrs[b].append(a)
-        shape = _shape(nbrs, len(edges))
+        shape = _shape(nbrs, sum(map(len, nbrs.values())) // 2)
         if shape is None:
             return None
     kind, param, order = shape
@@ -228,17 +233,15 @@ def recognize_component(cfg: CurveConfig, ids: tuple[str, ...]) -> RootComponent
 
 
 def _confirmed(cfg: CurveConfig, comp: RootComponent) -> RootComponent | None:
-    """Cross-check the shape match: the exact signature must be (0, n, 0),
-    or (0, n - 1, 1) for an affine kind, whose radical generator must also
-    annihilate the Gram matrix."""
-    sub = cfg.induced(comp.vertex_ids)
-    g = gram(sub)
-    if comp.is_affine:
-        coef = dict(zip(comp.vertex_ids, comp.kernel_vector))
-        if any(g.apply([coef[v] for v in sub.ids()])):
-            return None
-    want = (0, sub.n - 1, 1) if comp.is_affine else (0, sub.n, 0)
-    return comp if signature(g).as_tuple() == want else None
+    """Cross-check the shape match: the integer Gram matrix in canonical
+    order must equal the standard diagram's."""
+    verts, adj = cfg.vertices, cfg.adjacency()
+    idx = [cfg.index_of(v) for v in comp.vertex_ids]
+    g = tuple(
+        tuple([verts[i].square if i == j else adj[i].get(j, 0) for j in idx])
+        for i in idx
+    )
+    return comp if g == standard_gram(comp.kind, comp.rank_param) else None
 
 
 def decompose(cfg: CurveConfig) -> Decomposition:
@@ -333,3 +336,25 @@ def standard_diagram(kind: str, n: int | None = None, prefix: str = "v") -> Curv
         raise ValueError(f"unknown diagram kind {kind!r}")
     name = RootComponent(kind, n, ()).name
     return CurveConfig([CurveVertex(v) for v in ids], edges, name=name)
+
+
+@functools.lru_cache(maxsize=None)
+def standard_gram(kind: str, n: int | None) -> tuple[tuple[int, ...], ...]:
+    """Integer Gram matrix of ``standard_diagram(kind, n)`` in canonical
+    order, built once per diagram.
+
+    Building an entry checks the exact signature, (0, size, 0) or
+    (0, size - 1, 1) for an affine kind, and that an affine kind's
+    :func:`radical` annihilates the matrix.  A failure raises
+    ``RuntimeError``: the diagram table itself would be wrong.
+    """
+    cfg = standard_diagram(kind, n)
+    g = gram(cfg)
+    affine = RootComponent(kind, n, ()).is_affine
+    want = (0, cfg.n - 1, 1) if affine else (0, cfg.n, 0)
+    got = signature(g).as_tuple()
+    if got != want:
+        raise RuntimeError(f"{cfg.name} has signature {got}, expected {want}")
+    if affine and any(g.apply(radical(kind, n))):
+        raise RuntimeError(f"radical of {cfg.name} does not annihilate its Gram matrix")
+    return tuple(tuple(int(x) for x in row) for row in g.rows())

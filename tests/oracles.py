@@ -4,14 +4,17 @@ Everything here is deliberately written from scratch against different
 algorithms than the package: the characteristic polynomial comes from
 exact determinant interpolation, eigenvalue sign counts from Sturm chains
 (with multiplicities recovered by gcd recursion), rank from plain row
-reduction, and box maxima from exhaustive enumeration.  The one exception
-is :func:`exclude_reference`, the per-subset exclusion sweep that
-``bounds.exclude`` replaced, kept as the reference for its differential
-tests.
+reduction, and box maxima from exhaustive enumeration.  The two exceptions
+are :func:`exclude_reference`, the per-subset exclusion sweep that
+``bounds.exclude`` replaced, and :func:`recognize_component_reference`,
+the edge-scanning, signature-confirmed recognition that
+``roots.recognize_component`` replaced; both are kept as references for
+differential tests.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -26,6 +29,7 @@ from k3lat.bounds import (
 )
 from k3lat.exact import signature
 from k3lat.graph import SpanKind, classify, connected_vertex_subsets, gram
+from k3lat.roots import RootComponent, _shape, radical
 
 
 # -- exact determinant and rank (independent row reduction) ---------------
@@ -329,3 +333,48 @@ def exclude_reference(cfg, d, h, subgraph_cap=13, use_pinned_degrees=False):
             ]
         ),
     )
+
+
+# -- the signature-confirmed recognition ----------------------------------------
+
+
+def recognize_component_reference(cfg, ids):
+    """``roots.recognize_component`` as it was before the shared adjacency
+    and the Gram table: the induced edges from a scan of every edge, the
+    same shape walk, then the exact signature of the induced Gram matrix
+    and, for affine kinds, the radical check on every match."""
+    if len(ids) == 1:
+        v = cfg.vertex(ids[0])
+        if v.square == 0:
+            return RootComponent("IsotropicVertex", None, (v.id,))
+        if v.square == -2:
+            return RootComponent("A", 1, (v.id,))
+        return None
+    if any(cfg.vertex(v).square != -2 for v in ids):
+        return None
+    idset = set(ids)
+    edges = [(a, b, m) for a, b, m in cfg.edge_items() if a in idset and b in idset]
+    if any(m != 1 for _, _, m in edges):
+        if len(ids) != 2 or edges[0][2] != 2:
+            return None
+        shape = ("A1Tilde", 1, sorted(ids))
+    else:
+        nbrs = {v: [] for v in ids}
+        for a, b, _ in edges:
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+        shape = _shape(nbrs, len(edges))
+        if shape is None:
+            return None
+    kind, param, order = shape
+    comp = RootComponent(kind, param, tuple(order))
+    if comp.is_affine:
+        comp = replace(comp, kernel_vector=radical(kind, param))
+    sub = cfg.induced(comp.vertex_ids)
+    g = gram(sub)
+    if comp.is_affine:
+        coef = dict(zip(comp.vertex_ids, comp.kernel_vector))
+        if any(g.apply([coef[v] for v in sub.ids()])):
+            return None
+    want = (0, sub.n - 1, 1) if comp.is_affine else (0, sub.n, 0)
+    return comp if signature(g).as_tuple() == want else None

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from k3lat.catalog import data_root
 from k3lat.cli import main
@@ -198,6 +203,29 @@ def test_sd_bound_unsupported(capsys):
     # is contradictory, which surfaces as an input error
     rc, out, err = run(capsys, "sd-bound", "--char", "0", "--restricted")
     assert rc == 0  # restricted flag alone is fine in characteristic 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--char", "4"), ("--char", "1"), ("--char", "3", "--sigma", "11"),
+     ("--char", "3", "--sigma", "0"), ("--char", "3", "--sigma", "-4")],
+)
+def test_sd_bound_rejects_impossible_hypotheses(capsys, argv):
+    rc, out, err = run(capsys, "sd-bound", *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("input error:")
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    res = subprocess.run(
+        [sys.executable, "-m", "k3lat", "catalog", "list"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    assert "char3-I3star-4sections" in res.stdout
 
 
 def test_very_ample_pass_and_fail(tmp_path, capsys):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -206,6 +207,56 @@ def test_sd_bound_char0_unirational_unsupported():
 def test_surface_context_rho_max():
     assert SurfaceContext(characteristic=0).rho_max == 20
     assert SurfaceContext(characteristic=3).rho_max == 22
+
+
+@pytest.mark.parametrize("p", [-3, -1, 1, 4, 9, 15, 561, 3215031751, 2**61 + 1])
+def test_surface_context_rejects_non_prime_characteristic(p):
+    with pytest.raises(ValueError, match="0 or a prime"):
+        SurfaceContext(characteristic=p)
+
+
+@pytest.mark.parametrize("sigma", [-4, 0, 11])
+def test_surface_context_rejects_artin_invariant_out_of_range(sigma):
+    with pytest.raises(ValueError, match="Artin invariant"):
+        SurfaceContext(characteristic=3, artin_invariant=sigma)
+
+
+def _accepts_characteristic(p):
+    try:
+        SurfaceContext(characteristic=p)
+    except ValueError:
+        return False
+    return True
+
+
+def test_surface_context_primality_is_exact():
+    # composites with no factor up to 41, such as 43^2 = 1849, reach the
+    # Miller-Rabin rounds
+    for n in list(range(1600, 1900)) + list(range(10**6, 10**6 + 300)):
+        assert _accepts_characteristic(n) == all(n % q for q in range(2, isqrt(n) + 1)), n
+    # the least strong pseudoprimes to every prime base up to 11, 13, 17,
+    # 23 and 37, and to every one up to 41, where exact testing stops
+    for n in (
+        2152302898747,
+        3474749660383,
+        341550071728321,
+        3825123056546413051,
+        318665857834031151167461,
+        3317044064679887385961981,
+    ):
+        assert not _accepts_characteristic(n)
+
+
+def test_surface_context_accepts_primes_and_artin_range():
+    primes = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
+    for p in [0] + primes + [2**61 - 1, 1000000000000000003]:
+        assert SurfaceContext(characteristic=p).characteristic == p
+    composites = [n for n in range(4, 200) if n not in primes]
+    for n in composites:
+        with pytest.raises(ValueError):
+            SurfaceContext(characteristic=n)
+    for sigma in range(1, 11):
+        assert SurfaceContext(characteristic=3, artin_invariant=sigma).artin_invariant == sigma
 
 
 # -- extremal lookup -------------------------------------------------------------

@@ -280,3 +280,43 @@ def test_quotient_golden_byte_identical():
         out.append((q.rows(), proj.basis_ids, proj.matrix))
     digest = hashlib.sha256(repr(out).encode()).hexdigest()[:16]
     assert digest == "9580bebb207d0c89"
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_adjacency_matches_edge_map(data):
+    # vertex labels are shuffled against config order and edges are given
+    # in random order, so index order, id order and input order all differ
+    n = data.draw(st.integers(min_value=1, max_value=9))
+    ids = [f"c{k}" for k in data.draw(st.permutations(range(n)))]
+    pairs = [
+        (ids[i], ids[j], m)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if (m := data.draw(st.integers(min_value=0, max_value=3)))
+    ]
+    cfg = config_from_data([(v, -2) for v in ids], data.draw(st.permutations(pairs)))
+    adj = cfg.adjacency()
+    assert len(adj) == cfg.n
+    edge_map = {}
+    for a, b, m in cfg.edge_items():
+        edge_map[(cfg.index_of(a), cfg.index_of(b))] = m
+        edge_map[(cfg.index_of(b), cfg.index_of(a))] = m
+    assert {(i, j): m for i, row in enumerate(adj) for j, m in row.items()} == edge_map
+    for i, row in enumerate(adj):
+        v = cfg.vertices[i].id
+        assert list(row) == sorted(row)
+        # neighbors() keeps the order of a scan over the sorted edges, which
+        # validate_pairings reports in
+        scan = [b if a == v else a for a, b, _ in cfg.edge_items() if v in (a, b)]
+        assert cfg.neighbors(v) == scan
+        assert all(cfg.edge_mult(v, cfg.vertices[j].id) == m for j, m in row.items())
+
+
+def test_adjacency_is_read_only():
+    cfg = config_from_data([("a", -2), ("b", -2)], [("a", "b", 1)])
+    with pytest.raises(TypeError):
+        cfg.adjacency()[0][1] = 2
+    with pytest.raises(TypeError):
+        cfg.adjacency()[0] = {}
+    assert cfg.edge_mult("a", "b") == 1

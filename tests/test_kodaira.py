@@ -1,7 +1,12 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from k3lat.graph import config_from_data, gram
 from k3lat.kodaira import (
+    _shape_prune,
     divisor_degree,
     exclusion_6d,
     find_kodaira_divisors,
@@ -231,3 +236,66 @@ def test_exclusion_6d_preconditions():
     cfg2 = config_from_data([("a", -2, 3)])
     with pytest.raises(ValueError):
         exclusion_6d(cfg2, 1, 43)
+
+
+def _prune_reference(cfg, subset):
+    """The shape rules of ``_shape_prune``, read off the induced edge list."""
+    ids = {cfg.vertices[i].id for i in subset}
+    edges = [(a, b, m) for a, b, m in cfg.edge_items() if a in ids and b in ids]
+    deg = {v: sum(v in (a, b) for a, b, _ in edges) for v in ids}
+    branch = [d for d in deg.values() if d >= 3]
+    top = max((m for _, _, m in edges), default=0)
+    return (
+        top >= 3
+        or (top == 2 and len(ids) > 2)
+        or len(edges) > len(ids)
+        or (len(edges) == len(ids) and set(deg.values()) != {2})
+        or len(branch) > 2
+        or max(branch, default=0) > 4
+        or (4 in branch and len(ids) > 5)
+    )
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        # three forks along a chain, each with its own leaves
+        [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5), (5, 6), (5, 7)],
+        # a four-armed star with one arm grown, and a five-armed star
+        [(0, 1), (0, 2), (0, 3), (0, 4), (4, 5)],
+        [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)],
+    ],
+)
+def test_shape_prune_on_branched_trees(edges):
+    n = 1 + max(j for _, j in edges)
+    cfg = config_from_data(
+        [(f"v{i}", -2) for i in range(n)], [(f"v{i}", f"v{j}") for i, j in edges]
+    )
+    prune = _shape_prune(cfg)
+    assert prune(tuple(range(n)))
+    for r in range(1, n + 1):
+        for subset in itertools.combinations(range(n), r):
+            assert prune(subset) == _prune_reference(cfg, subset), subset
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_shape_prune_matches_its_rules(data):
+    # a random tree (branch vertices, long arms, stars) plus a few chords
+    n = data.draw(st.integers(min_value=1, max_value=9))
+    mult = st.sampled_from([1, 1, 1, 1, 2, 3])
+    edges = {}
+    for j in range(1, n):
+        edges[(data.draw(st.integers(min_value=0, max_value=j - 1)), j)] = data.draw(mult)
+    if n > 2:
+        pair = st.lists(st.integers(min_value=0, max_value=n - 1), min_size=2, max_size=2, unique=True)
+        for i, j in data.draw(st.lists(pair, max_size=3)):
+            edges[(min(i, j), max(i, j))] = data.draw(mult)
+    cfg = config_from_data(
+        [(f"v{i}", -2) for i in range(n)],
+        [(f"v{i}", f"v{j}", m) for (i, j), m in edges.items()],
+    )
+    prune = _shape_prune(cfg)
+    for r in range(1, n + 1):
+        for subset in itertools.combinations(range(n), r):
+            assert prune(subset) == _prune_reference(cfg, subset), subset

@@ -1,9 +1,17 @@
 import functools
 import hashlib
+import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from k3lat import exact, kodaira, roots
 from k3lat.exact import signature
 from k3lat.graph import (
     CurveConfig,
@@ -20,9 +28,13 @@ from k3lat.roots import (
     max_rank_check,
     recognize_component,
     standard_diagram,
+    standard_gram,
 )
 
-from conftest import ALL_KINDS
+from conftest import ALL_KINDS, i4_fibres_with_section
+from oracles import recognize_component_reference
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # the standard positive multiplicity patterns of the degenerate diagrams,
 # in the canonical recognition order
@@ -244,3 +256,131 @@ def test_recognition_complete_against_signature():
     _, mismatches, n_subsets = _golden_run()
     assert n_subsets == 7705
     assert mismatches == []
+
+
+def _brute_connected_subsets(cfg):
+    """Every connected vertex subset as an id tuple in config order, by
+    trying all subsets."""
+    adj = {v: set() for v in cfg.ids()}
+    for a, b, _ in cfg.edge_items():
+        adj[a].add(b)
+        adj[b].add(a)
+    for r in range(1, cfg.n + 1):
+        for sub in itertools.combinations(cfg.ids(), r):
+            seen, todo = {sub[0]}, [sub[0]]
+            while todo:
+                for w in adj[todo.pop()] & set(sub) - seen:
+                    seen.add(w)
+                    todo.append(w)
+            if len(seen) == r:
+                yield sub
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_recognition_matches_signature_reference(data):
+    # every connected subset of a random configuration, in config order,
+    # reversed and with a repeated id: shape mismatches, multiple edges,
+    # isotropic vertices and affine (degenerate) diagrams all go through
+    # both recognizers
+    n = data.draw(st.integers(min_value=1, max_value=9))
+    labels = data.draw(st.permutations(range(n)))
+    ids = [f"c{k}" for k in labels]
+    squares = data.draw(st.lists(st.sampled_from([-2, -2, -2, 0]), min_size=n, max_size=n))
+    edges = [
+        (ids[i], ids[j], m)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if (m := data.draw(st.sampled_from([0, 0, 0, 0, 1, 1, 1, 2, 3])))
+    ]
+    cfg = config_from_data([(v, sq) for v, sq in zip(ids, squares)], edges)
+    for sub in _brute_connected_subsets(cfg):
+        for order in (sub, sub[::-1], sub + sub[:1]):
+            assert recognize_component(cfg, order) == recognize_component_reference(
+                cfg, order
+            ), order
+
+
+def test_standard_gram_table_builds_every_diagram():
+    standard_gram.cache_clear()
+    kinds = ALL_KINDS + [("A1Tilde", 1)]
+    for kind, n in kinds:
+        table = standard_gram(kind, n)
+        want = gram(standard_diagram(kind, n)).rows()
+        assert table == tuple(tuple(int(x) for x in row) for row in want)
+        assert all(type(x) is int for row in table for x in row)
+        assert standard_gram(kind, n) is table
+    info = standard_gram.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (len(kinds), len(kinds), len(kinds))
+
+
+def test_standard_gram_rejects_corrupted_radical(monkeypatch):
+    standard_gram.cache_clear()
+    true = roots.radical("AffineE", 6)
+    monkeypatch.setattr(roots, "radical", lambda kind, n: (1,) * len(true))
+    with pytest.raises(RuntimeError, match="radical"):
+        standard_gram("AffineE", 6)
+    # a failed build leaves no table entry behind
+    monkeypatch.undo()
+    assert standard_gram.cache_info().currsize == 0
+    assert len(standard_gram("AffineE", 6)) == len(true)
+
+
+def test_standard_gram_rejects_wrong_signature(monkeypatch):
+    standard_gram.cache_clear()
+    # a triangle passed off as A3 is semi-definite, not definite
+    monkeypatch.setattr(roots, "standard_diagram", lambda kind, n: standard_diagram("AffineA", 2))
+    with pytest.raises(RuntimeError, match="signature"):
+        standard_gram("A", 3)
+    monkeypatch.undo()
+    standard_gram.cache_clear()
+
+
+def test_standard_gram_check_survives_optimized_mode():
+    code = (
+        "from k3lat import roots\n"
+        "roots.radical = lambda kind, n: (1,) * 9\n"
+        "try:\n"
+        "    roots.standard_gram('AffineE', 8)\n"
+        "except RuntimeError:\n"
+        "    print('raised')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "raised"
+
+
+def test_fibre_search_runs_one_elimination_per_diagram_type(monkeypatch):
+    # the exact signature runs once per distinct diagram the search
+    # recognizes, not once per matching subset
+    standard_gram.cache_clear()
+    eliminations = []
+    real_congruence = exact._congruence
+
+    def counting(m):
+        eliminations.append(m.n)
+        return real_congruence(m)
+
+    kinds, matches, visited = set(), [], []
+    real_recognize = kodaira.recognize_component
+
+    def recording(cfg, ids):
+        visited.append(ids)
+        comp = real_recognize(cfg, ids)
+        if comp is not None and len(ids) > 1:
+            kinds.add((comp.kind, comp.rank_param))
+            matches.append(ids)
+        return comp
+
+    monkeypatch.setattr(exact, "_congruence", counting)
+    monkeypatch.setattr(kodaira, "recognize_component", recording)
+    divisors = find_kodaira_divisors(i4_fibres_with_section())
+    assert len(divisors) == 496
+    assert [d.tag for d in divisors].count("I4") == 6
+    # the shape prune cuts exactly the branches it cut with its own edge scan
+    assert len(visited) == 4670
+    assert len(eliminations) <= len(kinds) == 18
+    assert len(matches) == 2085
