@@ -15,19 +15,34 @@ used:
 
 For the split we use a rank-one projector: with ``rho`` the row-sum vector
 of the inverse ``W`` and ``S`` its total sum, ``W - rho rho^T / S`` is
-negative semi-definite whenever ``S > 0``, because a form of signature
-``(1, n-1)`` is negative definite on the orthogonal complement of any
-positive vector.  The split exists exactly when additionally ``rho >= 0``
-entrywise, and every emitted witness is re-verified exactly.
+negative semi-definite whenever ``S > 0`` and ``W`` (like the Gram matrix
+it inverts) has signature ``(1, n-1)``, because such a form is negative
+definite on the orthogonal complement of any positive vector (reverse
+Cauchy-Schwarz: ``(x.Wx) S <= (x.rho)^2``).  The split exists exactly when
+additionally ``rho >= 0`` entrywise.
 
-The exclusion sweep runs in exact integers.  It visits connected
+Certificates are built and checked in integers.  One fraction-free
+(Bareiss) elimination of the integer Gram matrix ``G`` gives its
+determinant and adjugate, so ``W = adj / det``, and its inertia from the
+nested principal minors (Jacobi's rule; a congruence takes over in the
+rare case where the elimination must leave the diagonal).  A split
+``W = g0 + g+`` is accepted when, with every entry scaled by a common
+denominator ``delta``: ``G (delta W) = delta I``; ``delta g+ >= 0`` and
+``(delta g0) 1 = 0``; and, unless ``g0 = 0``, ``S (delta g+) = rho rho^T``
+for ``rho = (delta W) 1`` and ``S = sum(rho) > 0``, and ``G`` has inertia
+``(1, k-1)``.  The last two make ``g0`` negative semi-definite by the
+argument above, so ``g0`` itself is never eliminated.  Every emitted
+witness passes this check, and :func:`verify_certificate` repeats it from
+the configuration alone.
+
+The exclusion sweep runs in exact integers too.  It visits connected
 subconfigurations level by level, and each one borders a nondegenerate
 parent one curve smaller: the determinant and the adjugate of its Gram
 matrix follow in ``O(k^2)`` by a fraction-free (Bareiss-Sylvester) update,
 and its inertia by the sign of one Schur complement (Haynsworth
 additivity).  Both bounds are read off the adjugate's entry, row and sign
-sums; only the certificate that is returned is rebuilt from scratch, with
-its witness built and checked.
+sums; only the certificate that is returned is built, from the sweep's own
+adjugate, with its witness checked.
 """
 
 from __future__ import annotations
@@ -40,9 +55,9 @@ from typing import NamedTuple
 
 from .exact import (
     SymMatrix,
-    _congruence,
+    bareiss,
     inverse,
-    outer_rank_one,
+    minor_signature,
     signature,
     SingularMatrixError,
 )
@@ -174,15 +189,105 @@ def intrinsic_polarization(cfg: CurveConfig) -> IntrinsicPolarization:
     )
 
 
-def _inverse_gram(cfg: CurveConfig) -> SymMatrix:
-    g = gram(cfg)
+class _Adjugate(NamedTuple):
+    """Integer data of one nondegenerate Gram matrix.
+
+    ``order`` lists the vertex indices that its rows follow; ``det`` and
+    ``adj`` are the determinant and adjugate of the Gram matrix in that
+    order, so that its inverse is ``adj / det``, and ``n_plus`` its
+    positive inertia.
+    """
+
+    order: tuple[int, ...]
+    det: int
+    adj: list[list[int]]
+    n_plus: int
+
+
+def _integer_gram(cfg: CurveConfig, idx) -> list[list[int]]:
+    """Gram matrix of the curves at the indices ``idx``, in that order."""
+    nbrs = cfg.adjacency()
+    return [
+        [cfg.vertices[i].square if i == j else nbrs[i].get(j, 0) for j in idx]
+        for i in idx
+    ]
+
+
+def _adjugate(order: tuple[int, ...], g: list[list[int]]) -> _Adjugate | None:
+    """The entry of the Gram matrix ``g`` of the curves ``order`` from one
+    Bareiss elimination, or None when it is degenerate.  The inertia comes
+    from the nested minors by Jacobi's rule, or from a congruence when the
+    elimination had to leave the diagonal."""
     try:
-        return inverse(g)
+        det, adj, minors = bareiss(g)
     except SingularMatrixError:
+        return None
+    if minors is None:
+        n_plus = signature(SymMatrix(g)).n_plus
+    else:
+        n_plus = minor_signature(minors).n_plus
+    return _Adjugate(order, det, adj, n_plus)
+
+
+def _inverse_gram(cfg: CurveConfig) -> tuple[list[list[int]], _Adjugate]:
+    g = _integer_gram(cfg, range(cfg.n))
+    entry = _adjugate(tuple(range(cfg.n)), g)
+    if entry is None:
         raise DegenerateLatticeError(
             "configuration Gram matrix is degenerate; bounds need the "
             "nondegenerate quotient"
         )
+    return g, entry
+
+
+def _rough_certificate(
+    ids: tuple[str, ...], entry: _Adjugate, d: int
+) -> BoundCertificate:
+    det = entry.det
+    positive = sum(x for row in entry.adj for x in row if x * det > 0)
+    return BoundCertificate(
+        ROUGH_POSITIVE_ENTRY_SUM, Fraction(positive * d * d, det), ids, d
+    )
+
+
+def _box_certificate(
+    ids: tuple[str, ...], g: list[list[int]], entry: _Adjugate, d: int
+) -> BoundCertificate:
+    """The box certificate from the inverse ``adj / det``: with ``r`` the
+    row sums of ``adj`` and ``total`` their sum, the split is
+    ``g+ = r r^T / (det total)`` and ``g0 = adj / det - g+``."""
+    det, adj = entry.det, entry.adj
+    n = len(adj)
+    if all(x * det >= 0 for row in adj for x in row):
+        g0 = SymMatrix.zero(n)
+        gplus = SymMatrix([[Fraction(x, det) for x in row] for row in adj])
+    else:
+        r = [sum(row) for row in adj]
+        total = sum(r)
+        if total * det <= 0 or any(x * det < 0 for x in r):
+            raise NoDecompositionFoundError(
+                "inverse Gram matrix has a negative row sum; the rank-one "
+                "split cannot certify the box optimum"
+            )
+        den = det * total
+        gplus = SymMatrix([[Fraction(ri * rj, den) for rj in r] for ri in r])
+        g0 = SymMatrix(
+            [
+                [Fraction(x * total - ri * rj, den) for x, rj in zip(row, r)]
+                for row, ri in zip(adj, r)
+            ]
+        )
+    fault = _witness_fault(g, g0, gplus, entry.n_plus)
+    if fault is not None:
+        raise AssertionError(f"box witness fails its check: {fault}")
+    bound = Fraction(sum(map(sum, adj)) * d * d, det)
+    return BoundCertificate(
+        BOX_OPTIMUM_DECOMPOSITION,
+        bound,
+        ids,
+        d,
+        witness=BoxWitness(g0, gplus, (Fraction(d),) * n),
+    )
 
 
 def rough_bound(cfg: CurveConfig, d: int) -> BoundCertificate:
@@ -194,11 +299,8 @@ def rough_bound(cfg: CurveConfig, d: int) -> BoundCertificate:
     """
     if d < 1:
         raise ValueError("d must be positive")
-    w = _inverse_gram(cfg)
-    bound = w.positive_entry_sum() * d * d
-    return BoundCertificate(
-        ROUGH_POSITIVE_ENTRY_SUM, bound, cfg.ids(), d
-    )
+    _, entry = _inverse_gram(cfg)
+    return _rough_certificate(cfg.ids(), entry, d)
 
 
 def box_certificate(cfg: CurveConfig, d: int) -> BoundCertificate:
@@ -211,104 +313,114 @@ def box_certificate(cfg: CurveConfig, d: int) -> BoundCertificate:
     """
     if d < 1:
         raise ValueError("d must be positive")
-    w = _inverse_gram(cfg)
-    n = w.n
-    ones = (Fraction(1),) * n
-    x_max = (Fraction(d),) * n
-    if w.min_entry() >= 0:
-        g0 = SymMatrix.zero(n)
-        gplus = w
-    else:
-        rho = w.row_sums()
-        total = sum(rho, Fraction(0))
-        if total <= 0 or any(r < 0 for r in rho):
-            raise NoDecompositionFoundError(
-                "inverse Gram matrix has a negative row sum; the rank-one "
-                "split cannot certify the box optimum"
-            )
-        gplus = outer_rank_one(rho, Fraction(1) / total)
-        g0 = w - gplus
-    _check_box_witness(w, g0, gplus, ones)
-    bound = w.entry_sum() * d * d
-    return BoundCertificate(
-        BOX_OPTIMUM_DECOMPOSITION,
-        bound,
-        cfg.ids(),
-        d,
-        witness=BoxWitness(g0, gplus, x_max),
+    g, entry = _inverse_gram(cfg)
+    return _box_certificate(cfg.ids(), g, entry, d)
+
+
+def _witness_fault(
+    g: list[list[int]], g0: SymMatrix, gplus: SymMatrix, n_plus: int
+) -> str | None:
+    """Why the split ``W = g0 + gplus`` fails to certify the box optimum of
+    the inverse of the integer Gram matrix ``g`` of positive inertia
+    ``n_plus``, or None when it holds.
+
+    With every entry scaled by the common denominator ``delta`` it checks,
+    in integers: ``g (delta W) = delta I``; ``delta gplus >= 0`` entrywise
+    and ``(delta g0) 1 = 0``; and, unless ``g0 = 0``, the rank-one split
+    ``S (delta gplus) = rho rho^T`` with ``rho = (delta W) 1`` and
+    ``S = sum(rho) > 0``, and the inertia ``(1, k - 1)`` of ``g``, which
+    together make ``g0`` negative semi-definite (module docstring).
+    """
+    k = len(g)
+    if g0.n != k or gplus.n != k:
+        return "witness size differs from the support"
+    delta = 1
+    for part in (g0, gplus):
+        for row in part.rows():
+            delta = math.lcm(delta, *(x.denominator for x in row))
+    n0, npl = (
+        [[x.numerator * (delta // x.denominator) for x in row] for row in part.rows()]
+        for part in (g0, gplus)
     )
-
-
-def _check_box_witness(
-    w: SymMatrix, g0: SymMatrix, gplus: SymMatrix, ones: tuple[Fraction, ...]
-) -> None:
-    if g0 + gplus != w:
-        raise AssertionError("witness does not sum to the inverse")
-    if gplus.min_entry() < 0:
-        raise AssertionError("nonnegative part has a negative entry")
-    if any(x != 0 for x in g0.apply(ones)):
-        raise AssertionError("all-ones vector not in the kernel of the split")
-    if signature(g0).n_plus != 0:
-        raise AssertionError("split part is not negative semi-definite")
+    w = [[a + b for a, b in zip(r0, rp)] for r0, rp in zip(n0, npl)]
+    for i, row in enumerate(g):
+        nz = [(l, x) for l, x in enumerate(row) if x]
+        for j in range(k):
+            if sum(x * w[l][j] for l, x in nz) != (delta if i == j else 0):
+                return "W is not the inverse of the Gram matrix"
+    if any(x < 0 for row in npl for x in row):
+        return "the nonnegative part has a negative entry"
+    if any(sum(row) for row in n0):
+        return "(1, ..., 1) is not in the kernel of the negative part"
+    if any(any(row) for row in n0):
+        rho = [sum(row) for row in w]
+        total = sum(rho)
+        if total <= 0 or any(
+            total * x != ri * rj
+            for ri, row in zip(rho, npl)
+            for rj, x in zip(rho, row)
+        ):
+            return "the nonnegative part is not the rank-one split"
+        if n_plus != 1:
+            return "the Gram matrix is not of inertia (1, k - 1)"
+    return None
 
 
 def verify_certificate(cert: BoundCertificate, cfg: CurveConfig) -> bool:
     """Re-verify a certificate by independent recomputation from the
-    configuration it was issued for.  Total: malformed input, such as an
-    unknown or degenerate support, is rejected rather than raised."""
-    try:
-        sub = cfg.induced(cert.support_ids)
-        if cert.kind == INTRINSIC_SQUARE:
-            ip = intrinsic_polarization(sub)
-            return ip.exists and ip.square == cert.bound_on_2h
-        w = inverse(gram(sub))
-    except (ValueError, SingularMatrixError):
-        return False
+    configuration it was issued for, in the order of its support.  Total:
+    malformed input, such as an unknown or degenerate support or a degree
+    cap ``d`` that is not an integer of at least 1, is rejected rather than
+    raised.  A support with no positive direction bounds nothing (the
+    polarization's positive part may lie in its orthogonal complement), so
+    its rough and box certificates are rejected too."""
     d = cert.d
+    if not isinstance(d, int) or d < 1:
+        return False
+    try:
+        if cert.kind == INTRINSIC_SQUARE:
+            ip = intrinsic_polarization(cfg.induced(cert.support_ids))
+            return ip.exists and ip.square == cert.bound_on_2h
+        idx = tuple(cfg.index_of(v) for v in cert.support_ids)
+    except (KeyError, ValueError, SingularMatrixError):
+        return False
+    g = _integer_gram(cfg, idx)
+    entry = _adjugate(idx, g)
+    if entry is None or entry.n_plus == 0:
+        return False
     if cert.kind == ROUGH_POSITIVE_ENTRY_SUM:
-        return cert.bound_on_2h == w.positive_entry_sum() * d * d
+        rough = _rough_certificate(cert.support_ids, entry, d)
+        return cert.bound_on_2h == rough.bound_on_2h
     if cert.kind == BOX_OPTIMUM_DECOMPOSITION:
         wit = cert.witness
-        if not isinstance(wit, BoxWitness):
+        if not isinstance(wit, BoxWitness) or wit.x_max != (Fraction(d),) * len(g):
             return False
-        ones = (Fraction(1),) * w.n
-        try:
-            _check_box_witness(w, wit.negative_part, wit.nonnegative_part, ones)
-        except (AssertionError, ValueError):
+        if _witness_fault(g, wit.negative_part, wit.nonnegative_part, entry.n_plus):
             return False
-        if wit.x_max != (Fraction(d),) * w.n:
-            return False
-        return cert.bound_on_2h == w.quadratic_form(wit.x_max)
+        # the witness has passed as the inverse adj / det
+        total = Fraction(sum(map(sum, entry.adj)), entry.det)
+        return cert.bound_on_2h == total * d * d
     return False
 
 
-def _subgraph_certificates(
-    sub: CurveConfig, d: int
+def _certificates(
+    ids: tuple[str, ...], g: list[list[int]], entry: _Adjugate, d: int
 ) -> list[BoundCertificate]:
     """Box and rough certificates for one nondegenerate hyperbolic
-    subconfiguration, cheapest bound first."""
+    subconfiguration from one inverse, cheapest bound first."""
     certs = []
     try:
-        certs.append(box_certificate(sub, d))
+        certs.append(_box_certificate(ids, g, entry, d))
     except NoDecompositionFoundError:
         pass
-    certs.append(rough_bound(sub, d))
+    certs.append(_rough_certificate(ids, entry, d))
     certs.sort(key=lambda c: c.bound_on_2h)
     return certs
 
 
-class _Adjugate(NamedTuple):
-    """Integer data of one nondegenerate subset in the exclusion sweep.
-
-    ``order`` lists its vertex indices in the order that the rows of
-    ``adj`` follow; ``det`` and ``adj`` are the determinant and adjugate of
-    its Gram matrix in that order, and ``n_plus`` its positive inertia.
-    """
-
-    order: tuple[int, ...]
-    det: int
-    adj: list[list[int]]
-    n_plus: int
+def _subgraph_certificates(sub: CurveConfig, d: int) -> list[BoundCertificate]:
+    """:func:`_certificates` of a whole configuration."""
+    return _certificates(sub.ids(), *_inverse_gram(sub), d)
 
 
 # the empty subset, which every singleton borders
@@ -342,21 +454,6 @@ def _bordered(
     return _Adjugate(order + (u,), t, rows, n_plus + (t * det > 0))
 
 
-def _from_scratch(subset: tuple[int, ...], g: list[list[int]]) -> _Adjugate | None:
-    """The entry of a subset whose connected parents are all degenerate.
-
-    The congruence ``P^T m P = diag(d)`` has ``det P = +-1``, so the
-    determinant is the product of the pivots.
-    """
-    m = SymMatrix([[g[i][j] for j in subset] for i in subset])
-    d, _ = _congruence(m)
-    if len(d) < m.n:
-        return None
-    det = math.prod(d)
-    adj = [[int(det * x) for x in row] for row in inverse(m).rows()]
-    return _Adjugate(subset, int(det), adj, sum(1 for x in d if x > 0))
-
-
 def _adjugate_sweep(cfg: CurveConfig, cap: int):
     """Yield ``(subset, entry)`` for every connected vertex subset of at most
     ``cap`` curves in canonical order (size, then index tuple); ``entry``
@@ -367,17 +464,17 @@ def _adjugate_sweep(cfg: CurveConfig, cap: int):
     spanning tree to a connected set one smaller, so these are exactly the
     connected subsets.  Each subset borders the first nondegenerate parent
     met; one whose connected parents are all degenerate is computed from
-    scratch.  A level is built only when the previous one has been consumed,
-    and only two levels are held at a time.
+    scratch by one Bareiss elimination.  A level is built only when the
+    previous one has been consumed, and only two levels are held at a time.
     """
-    g = [[int(x) for x in row] for row in gram(cfg).rows()]
+    g = _integer_gram(cfg, range(cfg.n))
     nbrs = [{j for j, x in enumerate(row) if x and j != i} for i, row in enumerate(g)]
     grown = {(i,): (_EMPTY, i) for i in range(cfg.n)}
     for size in range(1, cap + 1):
         level = []
         for subset, (parent, u) in sorted(grown.items()):
             if parent is None:
-                entry = _from_scratch(subset, g)
+                entry = _adjugate(subset, [[g[i][j] for j in subset] for i in subset])
             else:
                 entry = _bordered(parent, u, g)
             level.append((subset, entry))
@@ -412,12 +509,19 @@ def _sweep_bound(entry: _Adjugate, d: int) -> tuple[int, int]:
 
 
 def _checked_certificate(
-    cfg: CurveConfig, subset: tuple[int, ...], d: int, bound: Fraction
+    cfg: CurveConfig, subset: tuple[int, ...], entry: _Adjugate, d: int,
+    bound: Fraction,
 ) -> BoundCertificate:
-    """Rebuild the certificate of one swept subset from scratch, box
-    witness checked, and hold it to the bound the sweep found."""
-    sub = cfg.induced(tuple(cfg.vertices[i].id for i in subset))
-    cert = _subgraph_certificates(sub, d)[0]
+    """The certificate of one swept subset from its sweep entry, permuted
+    from the entry's order to the subset's, with its box witness built and
+    checked, held to the bound the sweep found."""
+    pos = {v: k for k, v in enumerate(entry.order)}
+    perm = [pos[i] for i in subset]
+    entry = entry._replace(
+        order=subset, adj=[[entry.adj[a][b] for b in perm] for a in perm]
+    )
+    ids = tuple(cfg.vertices[i].id for i in subset)
+    cert = _certificates(ids, _integer_gram(cfg, subset), entry, d)[0]
     if cert.bound_on_2h != bound:
         raise AssertionError(
             f"sweep bound {bound} differs from the rebuilt certificate's "
@@ -518,13 +622,13 @@ def exclude(
             notes.append(f"pinned degrees admit no solution: {ip.note}")
 
     best_ratio = None if best is None else best.bound_on_2h.as_integer_ratio()
-    best_subset = None
+    best_subset = best_entry = None
     for subset, entry in _adjugate_sweep(cfg, min(subgraph_cap, cfg.n)):
         if entry is None or entry.n_plus != 1:
             continue
         num, den = _sweep_bound(entry, d)
         if num < 2 * h * den:
-            cert = _checked_certificate(cfg, subset, d, Fraction(num, den))
+            cert = _checked_certificate(cfg, subset, entry, d, Fraction(num, den))
             return ExclusionVerdict(
                 ExclusionStatus.HYPERBOLIC_EXCLUDED,
                 certificates=(cert,),
@@ -533,9 +637,11 @@ def exclude(
                 ),
             )
         if best_ratio is None or num * best_ratio[1] < best_ratio[0] * den:
-            best_ratio, best_subset = (num, den), subset
+            best_ratio, best_subset, best_entry = (num, den), subset, entry
     if best_subset is not None:
-        best = _checked_certificate(cfg, best_subset, d, Fraction(*best_ratio))
+        best = _checked_certificate(
+            cfg, best_subset, best_entry, d, Fraction(*best_ratio)
+        )
     return ExclusionVerdict(
         ExclusionStatus.HYPERBOLIC_UNDECIDED,
         certificates=() if best is None else (best,),

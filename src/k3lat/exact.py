@@ -1,13 +1,17 @@
 """Exact linear algebra over the rationals for symmetric matrices.
 
-Everything here works with :class:`fractions.Fraction` entries, so results
-are exact (arbitrary-precision integers, no rounding ever).  There are two
-eliminations.  A symmetric congruence ``P^T M P = diag(d, 0, ..., 0)`` gives
-:func:`signature` (signs of ``d``), :func:`positive_square_vector` (a column
-of ``P``), :func:`inverse` (``sum p_j p_j^T / d_j``) and, through the
-kernel columns of ``P``, :func:`kernel_basis`.  :func:`row_echelon` is the
-one Gauss-Jordan loop; it puts kernel bases in canonical form.  All values
-are immutable and all functions are pure; concurrent use is safe.
+Results are exact (arbitrary-precision integers, no rounding ever).  There
+are three eliminations.  A symmetric congruence ``P^T M P = diag(d, 0, ...,
+0)`` over :class:`fractions.Fraction` gives :func:`signature` (signs of
+``d``), :func:`positive_square_vector` (a column of ``P``; both at once from
+:func:`signature_and_witness`), :func:`inverse` (``sum p_j p_j^T / d_j``)
+and, through the kernel columns of ``P``, :func:`kernel_basis`.
+:func:`bareiss` is the fraction-free elimination of an integer matrix: the
+determinant, the adjugate and, when it pivots only on the diagonal, the
+nested principal minors whose signs give the inertia
+(:func:`minor_signature`).  :func:`row_echelon` is the one Gauss-Jordan
+loop; it puts kernel bases in canonical form.  All values are immutable and
+all functions are pure; concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -128,9 +132,6 @@ class SymMatrix:
     def entry_sum(self) -> Fraction:
         return sum(self.row_sums(), Fraction(0))
 
-    def positive_entry_sum(self) -> Fraction:
-        return sum((x for row in self._rows for x in row if x > 0), Fraction(0))
-
     def min_entry(self) -> Fraction:
         if self.n == 0:
             return Fraction(0)
@@ -186,6 +187,78 @@ def _congruence(m: SymMatrix) -> tuple[list[Fraction], list[list[Fraction]]]:
     return d, p
 
 
+def _integer(x) -> int:
+    if isinstance(x, int):
+        return x
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return x.numerator
+    raise ValueError(f"matrix entries must be integers, got {x!r}")
+
+
+def bareiss(
+    rows: Sequence[Sequence[int | Fraction]],
+) -> tuple[int, list[list[int]], list[int] | None]:
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of a square integer
+    matrix ``m``, run on ``[m | I]``.
+
+    Returns ``(det, adj, minors)``: the determinant and adjugate of ``m``
+    and, when every step pivoted on the diagonal, the nested nonzero
+    principal minors in pivot order (the last one is ``det``), else None.
+    Step ``k`` swaps rows and columns together to bring the first nonzero
+    diagonal at or after ``k`` into place; when every trailing diagonal is 0
+    it swaps in the first row with a nonzero entry in column ``k`` alone,
+    and no minors are reported.  Every division is exact by Sylvester's
+    identity.  Raises :class:`SingularMatrixError` on a singular input.
+    """
+    n = len(rows)
+    a = [
+        [_integer(x) for x in row] + [int(i == j) for j in range(n)]
+        for i, row in enumerate(rows)
+    ]
+    order = list(range(n))  # order[k]: the input column now at position k
+    minors: list[int] | None = []
+    sign = prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][r]), None)
+        if piv is None:
+            piv = next((r for r in range(k, n) if a[r][k]), None)
+            if piv is None:
+                raise SingularMatrixError("matrix is singular")
+            a[k], a[piv] = a[piv], a[k]
+            sign, minors = -sign, None
+        elif piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            for row in a:
+                row[k], row[piv] = row[piv], row[k]
+            order[k], order[piv] = order[piv], order[k]
+        row_k = a[k]
+        p = row_k[k]
+        tail_k = row_k[k + 1 :]
+        for i, row in enumerate(a):
+            if i != k:
+                f = row[k]
+                row[k + 1 :] = [
+                    (p * x - f * y) // prev for x, y in zip(row[k + 1 :], tail_k)
+                ]
+        prev = p
+        if minors is not None:
+            minors.append(p)
+    # the row operations Y satisfy Y m P = det(m P) I for the column
+    # permutation P, so adj(m) = sign * P Y
+    adj: list[list[int]] = [[]] * n
+    for k, row in enumerate(a):
+        adj[order[k]] = [sign * x for x in row[n:]]
+    return sign * prev, adj, minors
+
+
+def minor_signature(minors: Sequence[int]) -> Signature:
+    """Inertia of a nondegenerate symmetric matrix from its nested nonzero
+    principal minors ``M_1, ..., M_n`` (Jacobi's rule): one negative
+    direction per sign change in ``1, M_1, ..., M_n``."""
+    n_minus = sum(1 for x, y in zip((1, *minors), minors) if (x > 0) != (y > 0))
+    return Signature(len(minors) - n_minus, n_minus, 0)
+
+
 def row_echelon(
     rows: Iterable[Sequence[Fraction]], cols: Iterable[int]
 ) -> tuple[list[list[Fraction]], list[int]]:
@@ -232,17 +305,25 @@ def signature(m: SymMatrix) -> Signature:
     return _signature(m.n, _congruence(m)[0])
 
 
-def positive_square_vector(m: SymMatrix) -> tuple[Fraction, ...] | None:
-    """A vector ``v`` with ``v^T m v > 0``, or None if the form is negative
-    semi-definite."""
+def signature_and_witness(
+    m: SymMatrix,
+) -> tuple[Signature, tuple[Fraction, ...] | None]:
+    """Inertia of ``m`` and a vector ``v`` with ``v^T m v > 0`` (None if the
+    form is negative semi-definite), from one congruence."""
     d, p = _congruence(m)
     j = next((j for j, x in enumerate(d) if x > 0), None)
     if j is None:
-        return None
+        return _signature(m.n, d), None
     vec = tuple(p[j])
     if not m.quadratic_form(vec) > 0:
         raise AssertionError("congruence transform lost its positive direction")
-    return vec
+    return _signature(m.n, d), vec
+
+
+def positive_square_vector(m: SymMatrix) -> tuple[Fraction, ...] | None:
+    """A vector ``v`` with ``v^T m v > 0``, or None if the form is negative
+    semi-definite."""
+    return signature_and_witness(m)[1]
 
 
 def _primitive_integer(vec: Sequence[Fraction]) -> tuple[int, ...]:
@@ -299,8 +380,3 @@ def inverse(m: SymMatrix) -> SymMatrix:
             w[i][l] = w[l][i]
     return SymMatrix(w)
 
-
-def outer_rank_one(vec: Sequence[Fraction], scale: Fraction) -> SymMatrix:
-    """The symmetric rank-one matrix ``scale * vec vec^T``."""
-    v = [_frac(x) for x in vec]
-    return SymMatrix([[scale * vi * vj for vj in v] for vi in v])

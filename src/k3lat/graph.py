@@ -20,9 +20,8 @@ from .exact import (
     Signature,
     SymMatrix,
     kernel_basis,
-    positive_square_vector,
     row_echelon,
-    signature,
+    signature_and_witness,
 )
 
 
@@ -258,12 +257,10 @@ def classify(cfg: CurveConfig) -> LatticeClass:
     of a surface (Hodge index), so such input is reported as Invalid with an
     explicit positive-square witness vector.
     """
-    m = gram(cfg)
-    sig = signature(m)
+    sig, witness = signature_and_witness(gram(cfg))
     if sig.n_plus == 0:
         kind = SpanKind.ELLIPTIC if sig.n_zero == 0 else SpanKind.PARABOLIC
         return LatticeClass(kind, sig)
-    witness = positive_square_vector(m)
     kind = SpanKind.HYPERBOLIC if sig.n_plus == 1 else SpanKind.INVALID
     return LatticeClass(kind, sig, positive_witness=witness)
 

@@ -4,12 +4,14 @@ Everything here is deliberately written from scratch against different
 algorithms than the package: the characteristic polynomial comes from
 exact determinant interpolation, eigenvalue sign counts from Sturm chains
 (with multiplicities recovered by gcd recursion), rank from plain row
-reduction, and box maxima from exhaustive enumeration.  The two exceptions
+reduction, and box maxima from exhaustive enumeration.  The exceptions
 are :func:`exclude_reference`, the per-subset exclusion sweep that
-``bounds.exclude`` replaced, and :func:`recognize_component_reference`,
-the edge-scanning, signature-confirmed recognition that
-``roots.recognize_component`` replaced; both are kept as references for
-differential tests.
+``bounds.exclude`` replaced, :func:`recognize_component_reference`, the
+edge-scanning, signature-confirmed recognition that
+``roots.recognize_component`` replaced, and
+:func:`verify_certificate_reference`, the Fraction inverse and dense
+signature check that ``bounds.verify_certificate`` replaced; all are kept as
+references for differential tests.
 """
 
 from __future__ import annotations
@@ -19,15 +21,18 @@ from fractions import Fraction
 from itertools import product
 
 from k3lat.bounds import (
+    BOX_OPTIMUM_DECOMPOSITION,
     INTRINSIC_SQUARE,
+    ROUGH_POSITIVE_ENTRY_SUM,
     BoundCertificate,
+    BoxWitness,
     ExclusionStatus,
     ExclusionVerdict,
     _subgraph_certificates,
     exclude,
     intrinsic_polarization,
 )
-from k3lat.exact import signature
+from k3lat.exact import SingularMatrixError, inverse, signature
 from k3lat.graph import SpanKind, classify, connected_vertex_subsets, gram
 from k3lat.roots import RootComponent, _shape, radical
 
@@ -378,3 +383,52 @@ def recognize_component_reference(cfg, ids):
             return None
     want = (0, sub.n - 1, 1) if comp.is_affine else (0, sub.n, 0)
     return comp if signature(g).as_tuple() == want else None
+
+
+# -- the Fraction certificate check ---------------------------------------------
+
+
+def _check_box_witness_reference(w, g0, gplus, ones):
+    if g0 + gplus != w:
+        raise AssertionError("witness does not sum to the inverse")
+    if gplus.min_entry() < 0:
+        raise AssertionError("nonnegative part has a negative entry")
+    if any(x != 0 for x in g0.apply(ones)):
+        raise AssertionError("all-ones vector not in the kernel of the split")
+    if signature(g0).n_plus != 0:
+        raise AssertionError("split part is not negative semi-definite")
+
+
+def verify_certificate_reference(cert, cfg):
+    """``bounds.verify_certificate`` as it was before the integer checker:
+    a Fraction inverse of the induced Gram matrix (in config order, whatever
+    the support order), and for box certificates the witness summed against
+    it and a dense signature of its negative part.  It does not check ``d``
+    beyond the ``x_max`` corner."""
+    try:
+        sub = cfg.induced(cert.support_ids)
+        if cert.kind == INTRINSIC_SQUARE:
+            ip = intrinsic_polarization(sub)
+            return ip.exists and ip.square == cert.bound_on_2h
+        w = inverse(gram(sub))
+    except (ValueError, SingularMatrixError):
+        return False
+    d = cert.d
+    if cert.kind == ROUGH_POSITIVE_ENTRY_SUM:
+        positive = sum((x for row in w.rows() for x in row if x > 0), Fraction(0))
+        return cert.bound_on_2h == positive * d * d
+    if cert.kind == BOX_OPTIMUM_DECOMPOSITION:
+        wit = cert.witness
+        if not isinstance(wit, BoxWitness):
+            return False
+        ones = (Fraction(1),) * w.n
+        try:
+            _check_box_witness_reference(
+                w, wit.negative_part, wit.nonnegative_part, ones
+            )
+        except (AssertionError, ValueError):
+            return False
+        if wit.x_max != (Fraction(d),) * w.n:
+            return False
+        return cert.bound_on_2h == w.quadratic_form(wit.x_max)
+    return False

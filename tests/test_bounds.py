@@ -1,18 +1,27 @@
+import functools
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from k3lat import bounds
 from k3lat.bounds import (
     BOX_OPTIMUM_DECOMPOSITION,
+    INTRINSIC_SQUARE,
+    ROUGH_POSITIVE_ENTRY_SUM,
     _adjugate_sweep,
     _subgraph_certificates,
     _sweep_bound,
     BoundCertificate,
+    BoxWitness,
     DegenerateLatticeError,
     ExclusionStatus,
     NoDecompositionFoundError,
@@ -39,7 +48,9 @@ from conftest import (
     i4_fibres_with_section,
     ivstar_three_a2,
 )
-from oracles import box_max, det, exclude_reference
+from oracles import box_max, det, exclude_reference, verify_certificate_reference
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def toy_config():
@@ -219,6 +230,192 @@ def test_verify_certificate_rejects_mismatched_witness(char3_cfg):
     wit = cert.witness
     bad = replace(wit, negative_part=SymMatrix.zero(wit.negative_part.n - 1))
     assert not verify_certificate(replace(cert, witness=bad), char3_cfg)
+
+
+
+@pytest.mark.parametrize("cfg", [d6tilde_plus_three(), i3star_four_sections()])
+def test_verify_certificate_rejects_degree_cap_below_one(cfg):
+    # "2h <= 0" from d = 0, and the d = 1 rough bound passed off as d = -2
+    # or d = 3/2, are not certificates for any degree cap
+    rough = rough_bound(cfg, 1)
+    box = box_certificate(cfg, 1)
+    n = len(box.support_ids)
+    zero_box = replace(
+        box, d=0, bound_on_2h=Fraction(0),
+        witness=replace(box.witness, x_max=(Fraction(0),) * n),
+    )
+    forged = [
+        replace(rough, d=0, bound_on_2h=Fraction(0)),
+        zero_box,
+        replace(rough, d=-2, bound_on_2h=rough.bound_on_2h * 4),
+        replace(rough, d=Fraction(3, 2), bound_on_2h=rough.bound_on_2h * Fraction(9, 4)),
+    ]
+    assert verify_certificate(rough, cfg) and verify_certificate(box, cfg)
+    for cert in forged:
+        assert not verify_certificate(cert, cfg), cert.d
+
+
+
+def test_verify_certificate_rejects_support_without_positive_direction():
+    # the inverse form of a negative definite or empty support bounds
+    # nothing; each forgery below claims "2h <= 0"
+    cfg = d6tilde_plus_three()
+    rough = rough_bound(cfg, 1)
+    box = box_certificate(cfg, 1)
+    empty = BoxWitness(SymMatrix.zero(0), SymMatrix.zero(0), ())
+    forged = [
+        replace(rough, support_ids=("f1",), bound_on_2h=Fraction(0)),
+        replace(rough, support_ids=("f1", "c1"), bound_on_2h=Fraction(0)),
+        replace(box, support_ids=(), bound_on_2h=Fraction(0), witness=empty),
+    ]
+    for cert in forged:
+        assert not verify_certificate(cert, cfg), cert.support_ids
+
+@functools.lru_cache(maxsize=None)
+def _certificate_pool():
+    """``(cfg, cert)`` for every certificate that acceptance test 8 and the
+    calls of the exclude golden produce."""
+    pool = []
+    for cfg in (d6tilde_plus_three(), i3star_four_sections(), ivstar_three_a2()):
+        for d in (1, 2):
+            pool += [(cfg, rough_bound(cfg, d)), (cfg, box_certificate(cfg, d))]
+            for h in (43, 44, 185, 186):
+                pool += [(cfg, c) for c in exclude(cfg, d, h).certificates]
+    stress = i4_fibres_with_section()
+    for h in (1, 11, 12):
+        pool += [(stress, c) for c in exclude(stress, 1, h, 6).certificates]
+    for cfg, d in _golden_random_configs():
+        full = exclude(cfg, d, 1)
+        verdicts = [full, exclude(cfg, d, 1, use_pinned_degrees=True)]
+        if full.status is ExclusionStatus.HYPERBOLIC_UNDECIDED:
+            h_early = int(full.certificates[0].bound_on_2h // 2) + 1
+            verdicts.append(exclude(cfg, d, h_early))
+        pool += [(cfg, c) for v in verdicts for c in v.certificates]
+    return tuple(pool)
+
+
+def test_verify_certificate_matches_reference_on_golden_certificates():
+    pool = _certificate_pool()
+    kinds = {c.kind for _, c in pool}
+    assert kinds == {INTRINSIC_SQUARE, ROUGH_POSITIVE_ENTRY_SUM, BOX_OPTIMUM_DECOMPOSITION}
+    assert sum(c.kind == BOX_OPTIMUM_DECOMPOSITION for _, c in pool) > 50
+    for cfg, cert in pool:
+        assert verify_certificate(cert, cfg)
+        assert verify_certificate_reference(cert, cfg)
+
+
+def _scaled(m, c):
+    return SymMatrix([[c * x for x in row] for row in m.rows()])
+
+
+def _tampered(data, cfg, cert):
+    """One forgery of ``cert`` drawn by ``data``, and whether the reference
+    checker, which ignores the support order, is expected to reject it."""
+    hows = ["bound", "d"]
+    if cert.kind == BOX_OPTIMUM_DECOMPOSITION:
+        hows += ["entry", "permute", "drop", "swap", "scale"]
+    how = data.draw(st.sampled_from(hows))
+    wit = cert.witness
+    if how == "bound":
+        delta = data.draw(
+            st.sampled_from((Fraction(1), Fraction(-1, 7), Fraction(1, 1000)))
+        )
+        return replace(cert, bound_on_2h=cert.bound_on_2h + delta), True
+    if how == "d":
+        d = data.draw(st.integers(-3, 5).filter(lambda x: x != cert.d))
+        # the bound of an intrinsic certificate and a rough bound of 0 hold
+        # for every cap, so only a cap below 1 forges them
+        if cert.kind == INTRINSIC_SQUARE or cert.bound_on_2h == 0:
+            d = data.draw(st.integers(-3, 0))
+        return replace(cert, d=d), d >= 1
+    if how == "entry":
+        part = data.draw(st.sampled_from(("negative_part", "nonnegative_part")))
+        rows = [list(r) for r in getattr(wit, part).rows()]
+        i = data.draw(st.integers(0, len(rows) - 1))
+        j = data.draw(st.integers(0, len(rows) - 1))
+        delta = data.draw(
+            st.sampled_from((Fraction(1), Fraction(-1, 3), Fraction(1, 90)))
+        )
+        rows[i][j] += delta
+        if i != j:
+            rows[j][i] += delta
+        return replace(cert, witness=replace(wit, **{part: SymMatrix(rows)})), True
+    if how == "permute":
+        ids = cert.support_ids
+        perm = data.draw(st.permutations(range(len(ids))))
+        g = gram(cfg).rows()
+        idx = [cfg.index_of(v) for v in ids]
+        # a permutation that keeps the Gram matrix leaves a valid certificate
+        k = len(ids)
+        assume(any(
+            g[idx[a]][idx[b]] != g[idx[perm[a]]][idx[perm[b]]]
+            for a in range(k) for b in range(k)
+        ))
+        return replace(cert, support_ids=tuple(ids[p] for p in perm)), False
+    if how == "drop":
+        k = data.draw(st.integers(0, len(cert.support_ids) - 1))
+        ids = cert.support_ids[:k] + cert.support_ids[k + 1:]
+        return replace(cert, support_ids=ids), True
+    if how == "swap":
+        swapped = replace(
+            wit, negative_part=wit.nonnegative_part, nonnegative_part=wit.negative_part
+        )
+        return replace(cert, witness=swapped), True
+    # a multiple of the inverse: every check but G W = I still holds
+    c = data.draw(st.sampled_from((Fraction(2), Fraction(1, 2), Fraction(3))))
+    scaled = BoxWitness(
+        _scaled(wit.negative_part, c), _scaled(wit.nonnegative_part, c), wit.x_max
+    )
+    return replace(cert, witness=scaled, bound_on_2h=c * cert.bound_on_2h), True
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_verify_certificate_rejects_tampering_hypothesis(data):
+    cfg, cert = data.draw(st.sampled_from(_certificate_pool()))
+    forged, reference_rejects = _tampered(data, cfg, cert)
+    assert not verify_certificate(forged, cfg)
+    if reference_rejects:
+        assert not verify_certificate_reference(forged, cfg)
+
+
+def test_verify_certificate_rejects_forgery_under_optimize():
+    code = (
+        "from dataclasses import replace\n"
+        "from fractions import Fraction\n"
+        "from k3lat.bounds import box_certificate, verify_certificate\n"
+        "from k3lat.graph import config_from_data\n"
+        "cfg = config_from_data([('a', -2, 1), ('b', 2, 1)], [('a', 'b', 2)])\n"
+        "cert = box_certificate(cfg, 1)\n"
+        "w = cert.witness\n"
+        "print(verify_certificate(cert, cfg))\n"
+        "print(verify_certificate(replace(cert, d=0, bound_on_2h=Fraction(0),\n"
+        "    witness=replace(w, x_max=(Fraction(0),) * 2)), cfg))\n"
+        "print(verify_certificate(replace(cert, witness=replace(w,\n"
+        "    negative_part=w.nonnegative_part, nonnegative_part=w.negative_part)), cfg))\n"
+    )
+    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["True", "False", "False"]
+
+
+def test_sweep_fallback_only_off_the_diagonal(monkeypatch):
+    # the two square-0 curves meeting once have a zero diagonal, so their
+    # subset takes the congruence for its inertia; no other subset does
+    calls = []
+    real = bounds.signature
+    monkeypatch.setattr(bounds, "signature", lambda m: calls.append(m.n) or real(m))
+    cfg = config_from_data([("a", 0, 1), ("b", 0, 1)], [("a", "b")])
+    entries = dict(_adjugate_sweep(cfg, 2))
+    assert entries[(0,)] is None and entries[(1,)] is None
+    assert entries[(0, 1)].n_plus == 1 and calls == [2]
+    calls.clear()
+    list(_adjugate_sweep(i4_fibres_with_section(2), 9))
+    assert calls == []
 
 
 # -- exclusion engine ---------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -297,3 +298,20 @@ def test_reports_are_byte_identical(capsys):
     _, t1, _ = run(capsys, *args_text)
     _, t2, _ = run(capsys, *args_text)
     assert t1 == t2
+
+
+def test_bound_golden_byte_identical(capsys):
+    # text and JSON output, stderr and exit codes of every method on every
+    # shipped example; profiles and models are input errors
+    out = []
+    for path in sorted(EXAMPLES.glob("*.json")):
+        for d in ("1", "2"):
+            for method in ("rough", "box", "auto"):
+                for fmt in ("text", "json"):
+                    out.append((path.name, d, method, fmt) + run(
+                        capsys, "bound", str(path), "--d", d,
+                        "--method", method, "--format", fmt,
+                    ))
+    assert len(out) == 11 * 2 * 3 * 2
+    digest = hashlib.sha256(repr(out).encode()).hexdigest()[:16]
+    assert digest == "ec01cc210d810def"

@@ -9,14 +9,16 @@ from hypothesis import strategies as st
 from k3lat.exact import (
     SingularMatrixError,
     SymMatrix,
+    bareiss,
     diagonalizing_congruence,
     inverse,
     kernel_basis,
+    minor_signature,
     positive_square_vector,
     signature,
 )
 
-from oracles import oracle_signature, row_reduce_rank
+from oracles import det, oracle_signature, row_reduce_rank
 
 
 def test_signature_a2_negative_definite():
@@ -178,3 +180,89 @@ def test_golden_outputs_byte_identical():
         )
     digest = hashlib.sha256(repr(out).encode()).hexdigest()[:16]
     assert digest == "961c70724f4efd16"
+
+
+# -- fraction-free elimination ---------------------------------------------------
+
+
+def _check_bareiss(rows):
+    n = len(rows)
+    want = det(rows)
+    if want == 0:
+        with pytest.raises(SingularMatrixError):
+            bareiss(rows)
+        return None
+    d, adj, minors = bareiss(rows)
+    assert d == want
+    w = inverse(SymMatrix(rows))
+    assert adj == [[d * x for x in row] for row in w.rows()]
+    if minors is not None:
+        assert len(minors) == n and minors[-1] == d and all(minors)
+        assert minor_signature(minors).as_tuple() == oracle_signature(rows)
+    return minors
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_bareiss_matches_oracles_hypothesis(data):
+    # sparse entries and zero diagonals, so that singular inputs and the
+    # off-diagonal fallback both occur
+    n = data.draw(st.integers(min_value=1, max_value=6))
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3, -5))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = data.draw(entry)
+    _check_bareiss(rows)
+
+
+def test_bareiss_seeded_hits_both_paths():
+    rng = random.Random(6113)
+    seen = {"minors": 0, "fallback": 0, "singular": 0}
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = rng.choice((0, 0, 0, 1, -1, 2))
+        if det(rows) == 0:
+            seen["singular"] += 1
+        minors = _check_bareiss(rows)
+        if det(rows) != 0:
+            seen["minors" if minors is not None else "fallback"] += 1
+    assert min(seen.values()) > 10, seen
+
+
+@pytest.mark.parametrize(
+    "rows, want",
+    [
+        # two square-0 curves meeting once
+        ([[0, 1], [1, 0]], (-1, [[0, -1], [-1, 0]])),
+        # the diagonal pivot -2 first, then a zero-diagonal trailing block
+        (
+            [[0, 1, 0], [1, 0, 0], [0, 0, -2]],
+            (2, [[0, 2, 0], [2, 0, 0], [0, 0, -1]]),
+        ),
+    ],
+)
+def test_bareiss_zero_diagonal_reports_no_minors(rows, want):
+    d, adj, minors = bareiss(rows)
+    assert (d, adj) == want
+    assert minors is None
+
+
+def test_bareiss_nested_minors_in_pivot_order():
+    # the zero first diagonal is skipped: pivots on -2, then the 2x2 minor
+    # of {1, 0}, then the determinant
+    d, adj, minors = bareiss([[0, 1, 0], [1, -2, 1], [0, 1, -2]])
+    assert minors == [-2, -1, 2] and d == 2
+    assert minor_signature(minors).as_tuple() == (1, 2, 0)
+
+
+def test_bareiss_rejects_singular_and_non_integer_input():
+    for rows in ([[0]], [[1, 1], [1, 1]], [[-2, 1, 1], [1, -2, 1], [1, 1, -2]]):
+        with pytest.raises(SingularMatrixError):
+            bareiss(rows)
+    with pytest.raises(ValueError):
+        bareiss([[Fraction(1, 2)]])
+    assert bareiss([]) == (1, [], [])

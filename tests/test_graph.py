@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3lat.exact import Signature, SymMatrix, signature
+from k3lat import exact
+from k3lat.exact import Signature, SymMatrix, positive_square_vector, signature
 from k3lat.graph import (
     CurveVertex,
     LatticeClass,
@@ -92,6 +93,38 @@ def test_classify_invalid_with_witness():
     )
     cls = classify(cfg)
     assert cls.kind is SpanKind.INVALID
+    assert gram(cfg).quadratic_form(cls.positive_witness) > 0
+
+
+
+@pytest.mark.parametrize(
+    "verts, edges, kind",
+    [
+        ([("a", -2), ("b", -2)], [("a", "b", 3)], SpanKind.HYPERBOLIC),
+        (
+            [("a", -2), ("b", -2), ("c", -2), ("d", -2)],
+            [("a", "b", 3), ("c", "d", 3)],
+            SpanKind.INVALID,
+        ),
+        (
+            [("a", 0), ("b", 0), ("c", -2)],
+            [("a", "b", 1), ("b", "c", 1)],
+            SpanKind.HYPERBOLIC,
+        ),
+    ],
+)
+def test_classify_runs_one_elimination(monkeypatch, verts, edges, kind):
+    # the signature and the positive witness come from one congruence
+    cfg = config_from_data(verts, edges)
+    calls = []
+    congruence = exact._congruence
+    monkeypatch.setattr(
+        exact, "_congruence", lambda m: calls.append(m) or congruence(m)
+    )
+    cls = classify(cfg)
+    assert cls.kind is kind
+    assert len(calls) == 1
+    assert cls.positive_witness == positive_square_vector(gram(cfg))
     assert gram(cfg).quadratic_form(cls.positive_witness) > 0
 
 
