@@ -36,18 +36,21 @@ witness passes this check, and :func:`verify_certificate` repeats it from
 the configuration alone.
 
 The exclusion sweep runs in exact integers too.  It visits connected
-subconfigurations level by level, and each one borders a nondegenerate
-parent one curve smaller: the determinant and the adjugate of its Gram
-matrix follow in ``O(k^2)`` by a fraction-free (Bareiss-Sylvester) update,
-and its inertia by the sign of one Schur complement (Haynsworth
-additivity).  Both bounds are read off the adjugate's entry, row and sign
-sums; only the certificate that is returned is built, from the sweep's own
-adjugate, with its witness checked.
+subconfigurations through :func:`~k3lat.graph.connected_vertex_subsets`,
+whose step borders a nondegenerate parent one curve smaller: the
+determinant and the adjugate of its Gram matrix follow in ``O(k^2)`` by a
+fraction-free (Bareiss-Sylvester) update, and its inertia by the sign of
+one Schur complement (Haynsworth additivity).  A subconfiguration whose
+connected parents are all degenerate takes one Bareiss elimination.  Both
+bounds are read off the adjugate's entry, row and sign sums; only the
+certificate that is returned is built, from the sweep's own adjugate, with
+its witness checked.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,7 +68,9 @@ from .graph import (
     CurveConfig,
     SpanKind,
     classify,
+    connected_vertex_subsets,
     gram,
+    integer_gram,
     quotient_by_kernel,
 )
 
@@ -204,15 +209,6 @@ class _Adjugate(NamedTuple):
     n_plus: int
 
 
-def _integer_gram(cfg: CurveConfig, idx) -> list[list[int]]:
-    """Gram matrix of the curves at the indices ``idx``, in that order."""
-    nbrs = cfg.adjacency()
-    return [
-        [cfg.vertices[i].square if i == j else nbrs[i].get(j, 0) for j in idx]
-        for i in idx
-    ]
-
-
 def _adjugate(order: tuple[int, ...], g: list[list[int]]) -> _Adjugate | None:
     """The entry of the Gram matrix ``g`` of the curves ``order`` from one
     Bareiss elimination, or None when it is degenerate.  The inertia comes
@@ -230,7 +226,7 @@ def _adjugate(order: tuple[int, ...], g: list[list[int]]) -> _Adjugate | None:
 
 
 def _inverse_gram(cfg: CurveConfig) -> tuple[list[list[int]], _Adjugate]:
-    g = _integer_gram(cfg, range(cfg.n))
+    g = integer_gram(cfg, range(cfg.n))
     entry = _adjugate(tuple(range(cfg.n)), g)
     if entry is None:
         raise DegenerateLatticeError(
@@ -384,7 +380,7 @@ def verify_certificate(cert: BoundCertificate, cfg: CurveConfig) -> bool:
         idx = tuple(cfg.index_of(v) for v in cert.support_ids)
     except (KeyError, ValueError, SingularMatrixError):
         return False
-    g = _integer_gram(cfg, idx)
+    g = integer_gram(cfg, idx)
     entry = _adjugate(idx, g)
     if entry is None or entry.n_plus == 0:
         return False
@@ -428,17 +424,22 @@ _EMPTY = _Adjugate((), 1, [], 0)
 
 
 def _bordered(
-    parent: _Adjugate, u: int, g: list[list[int]]
+    g: list[list[int]], parent: _Adjugate | None, u: int, subset: tuple[int, ...]
 ) -> _Adjugate | None:
-    """The entry of ``parent + {u}``, or None when it is degenerate.
+    """The entry of ``subset``, which is ``parent + {u}``, or None when it is
+    degenerate; ``g`` is the Gram matrix of the whole configuration.
 
     With ``D``, ``A`` the determinant and adjugate of the parent and ``b``,
     ``c`` the column and diagonal entry of ``u``, put ``a = A b``.  Then
     ``t = D c - b.a`` is the new determinant, Sylvester's identity makes
     ``[[(t A + a a^T) / D, -a], [-a^T, D]]`` the new adjugate with exact
     division, and the Schur complement ``t / D`` adds one positive
-    direction iff ``t D > 0`` (Haynsworth inertia additivity).
+    direction iff ``t D > 0`` (Haynsworth inertia additivity).  A parent
+    of None, every connected parent being degenerate, leaves one Bareiss
+    elimination of the subset.
     """
+    if parent is None:
+        return _adjugate(subset, [[g[i][j] for j in subset] for i in subset])
     order, det, adj, n_plus = parent
     col = g[u]
     b = [(i, col[v]) for i, v in enumerate(order) if col[v]]
@@ -459,34 +460,14 @@ def _adjugate_sweep(cfg: CurveConfig, cap: int):
     ``cap`` curves in canonical order (size, then index tuple); ``entry``
     is an :class:`_Adjugate`, or None for a degenerate subset.
 
-    Level ``k + 1`` is the set of ``S + {u}`` over ``S`` in level ``k`` and
-    ``u`` a neighbour of ``S``: every connected set loses a leaf of a
-    spanning tree to a connected set one smaller, so these are exactly the
-    connected subsets.  Each subset borders the first nondegenerate parent
-    met; one whose connected parents are all degenerate is computed from
-    scratch by one Bareiss elimination.  A level is built only when the
-    previous one has been consumed, and only two levels are held at a time.
+    Each subset borders the first nondegenerate connected parent
+    (:func:`~k3lat.graph.connected_vertex_subsets`); one whose connected
+    parents are all degenerate is computed from scratch by one Bareiss
+    elimination.
     """
-    g = _integer_gram(cfg, range(cfg.n))
-    nbrs = [{j for j, x in enumerate(row) if x and j != i} for i, row in enumerate(g)]
-    grown = {(i,): (_EMPTY, i) for i in range(cfg.n)}
-    for size in range(1, cap + 1):
-        level = []
-        for subset, (parent, u) in sorted(grown.items()):
-            if parent is None:
-                entry = _adjugate(subset, [[g[i][j] for j in subset] for i in subset])
-            else:
-                entry = _bordered(parent, u, g)
-            level.append((subset, entry))
-            yield subset, entry
-        if size == cap:
-            return
-        grown = {}
-        for subset, entry in level:
-            for u in set().union(*(nbrs[v] for v in subset)).difference(subset):
-                key = tuple(sorted(subset + (u,)))
-                if key not in grown or grown[key][0] is None:
-                    grown[key] = (entry, u)
+    g = integer_gram(cfg, range(cfg.n))
+    step = functools.partial(_bordered, g)
+    return connected_vertex_subsets(cfg, cap, step, _EMPTY)
 
 
 def _sweep_bound(entry: _Adjugate, d: int) -> tuple[int, int]:
@@ -521,7 +502,7 @@ def _checked_certificate(
         order=subset, adj=[[entry.adj[a][b] for b in perm] for a in perm]
     )
     ids = tuple(cfg.vertices[i].id for i in subset)
-    cert = _certificates(ids, _integer_gram(cfg, subset), entry, d)[0]
+    cert = _certificates(ids, integer_gram(cfg, subset), entry, d)[0]
     if cert.bound_on_2h != bound:
         raise AssertionError(
             f"sweep bound {bound} differs from the rebuilt certificate's "

@@ -5,7 +5,8 @@ are three eliminations.  A symmetric congruence ``P^T M P = diag(d, 0, ...,
 0)`` over :class:`fractions.Fraction` gives :func:`signature` (signs of
 ``d``), :func:`positive_square_vector` (a column of ``P``; both at once from
 :func:`signature_and_witness`), :func:`inverse` (``sum p_j p_j^T / d_j``)
-and, through the kernel columns of ``P``, :func:`kernel_basis`.
+and, through the kernel columns of ``P``, :func:`kernel_basis`; ``P``
+itself is not part of the public surface.
 :func:`bareiss` is the fraction-free elimination of an integer matrix: the
 determinant, the adjugate and, when it pivots only on the diagonal, the
 nested principal minors whose signs give the inertia
@@ -286,13 +287,6 @@ def row_echelon(
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         pivots.append(col)
     return a[: len(pivots)], pivots
-
-
-def diagonalizing_congruence(m: SymMatrix) -> tuple[Signature, tuple[tuple[Fraction, ...], ...]]:
-    """Inertia of ``m`` and the columns of a rational ``P`` with ``P^T m P``
-    diagonal; columns with a positive diagonal entry witness positive square."""
-    d, p = _congruence(m)
-    return _signature(m.n, d), tuple(tuple(col) for col in p)
 
 
 def _signature(n: int, d: Sequence[Fraction]) -> Signature:

@@ -237,17 +237,21 @@ class Violation:
     slack: Fraction | None = None
 
 
+def integer_gram(cfg: CurveConfig, idx: Sequence[int]) -> list[list[int]]:
+    """Integer Gram matrix of the curves at the indices ``idx``, in that
+    order."""
+    verts, adj = cfg.vertices, cfg.adjacency()
+    return [
+        [verts[i].square if i == j else adj[i].get(j, 0) for j in idx] for i in idx
+    ]
+
+
 def gram(cfg: CurveConfig) -> SymMatrix:
     """Gram matrix of the intersection form in vertex order."""
-    n = cfg.n
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i, v in enumerate(cfg.vertices):
-        rows[i][i] = Fraction(v.square)
-    for a, b, m in cfg.edge_items():
-        i, j = cfg.index_of(a), cfg.index_of(b)
-        rows[i][j] = Fraction(m)
-        rows[j][i] = Fraction(m)
-    return SymMatrix(rows)
+    # one shared zero: a Fraction per zero entry doubles the cost of a build
+    zero = Fraction(0)
+    rows = integer_gram(cfg, range(cfg.n))
+    return SymMatrix([[Fraction(x) if x else zero for x in row] for row in rows])
 
 
 def classify(cfg: CurveConfig) -> LatticeClass:
@@ -352,39 +356,46 @@ def quotient_by_kernel(cfg: CurveConfig) -> tuple[SymMatrix, QuotientProjection]
     return quotient, QuotientProjection(basis_ids, tuple(tuple(r) for r in proj))
 
 
-def connected_vertex_subsets(cfg: CurveConfig, max_size: int, prune=None):
-    """Yield every connected vertex subset of size <= ``max_size`` exactly
-    once, as increasing index tuples.
+# a step result that drops a subset, and everything grown from it, from
+# connected_vertex_subsets
+CUT = object()
 
-    Standard enumeration with a forbidden set: each subset is grown from
-    its minimal vertex, and once a frontier vertex has been tried at some
-    level it is banned from all sibling branches, which makes the
-    generation path of every subset unique.  An optional ``prune``
-    predicate on index tuples cuts whole branches: a pruned subset is
-    neither yielded nor extended, so the predicate must be monotone (every
-    supergraph of a pruned subset must also be prunable).
+
+def connected_vertex_subsets(cfg: CurveConfig, max_size: int, grow, root):
+    """Yield ``(subset, state)`` for every connected vertex subset of at
+    most ``max_size`` curves exactly once, as increasing index tuples in
+    canonical order (size, then index tuple).
+
+    Level ``k + 1`` is the set of ``S + {u}`` over ``S`` in level ``k`` and
+    ``u`` a neighbour of ``S``: every connected set loses a leaf of a
+    spanning tree to a connected set one smaller, so these are exactly the
+    connected subsets.  A subset's state is ``grow(parent_state, u,
+    subset)`` for one connected parent ``subset - {u}``: the first in
+    canonical order whose state is not None, if there is one.  Singletons
+    grow from ``root``, the state of the empty subset.  A step that returns
+    :data:`CUT` drops the subset and everything grown from it, which loses
+    nothing when the cut is monotone: every connected parent of a subset
+    that is not cut must not be cut either.  A level is built only once the
+    previous one has been consumed, and at most two are held at a time.
     """
-    adj = cfg.adjacency()
-
-    def extend(sub: tuple[int, ...], forbidden: frozenset[int]):
-        yield sub
-        if len(sub) >= max_size:
+    # a union of sets merges hash tables; over the read-only rows it rehashes
+    nbrs = [set(row) for row in cfg.adjacency()]
+    grown = {(u,): (root, u) for u in range(cfg.n)}
+    for size in range(1, max_size + 1):
+        level = []
+        for subset, (parent, u) in sorted(grown.items()):
+            state = grow(parent, u, subset)
+            if state is not CUT:
+                level.append((subset, state))
+                yield subset, state
+        if size == max_size:
             return
-        in_sub = set(sub)
-        frontier = sorted(
-            {u for v in sub for u in adj[v]} - in_sub - set(forbidden)
-        )
-        blocked = set(forbidden)
-        for v in frontier:
-            grown = tuple(sorted(sub + (v,)))
-            if prune is None or not prune(grown):
-                yield from extend(grown, frozenset(blocked))
-            blocked.add(v)
-
-    for s in range(cfg.n):
-        if prune is not None and prune((s,)):
-            continue
-        yield from extend((s,), frozenset(range(s)))
+        grown = {}
+        for subset, state in level:
+            for u in set().union(*(nbrs[v] for v in subset)).difference(subset):
+                key = tuple(sorted(subset + (u,)))
+                if key not in grown or grown[key][0] is None:
+                    grown[key] = (state, u)
 
 
 def hodge_filter(cfg: CurveConfig, d: int, h: int) -> list[Violation]:

@@ -2,11 +2,15 @@
 
 The type table records, for each fiber type, the component multiplicities,
 the weight (their sum) and the Euler number.  Detection walks the connected
-induced subgraphs of a configuration and reports every one that carries an
-isotropic effective divisor of fiber shape.  The dual graphs of some type
-pairs coincide (two curves meeting twice is a 2-cycle or a tangent pair;
-three curves meeting pairwise once is a triangle or three concurrent
-lines), so detection returns merged tags for those.
+induced subgraphs of the configuration's (-2)-curves with
+:func:`~k3lat.graph.connected_vertex_subsets` and reports every one that
+carries an isotropic effective divisor of fiber shape.  Each subgraph
+carries four integers describing its shape, updated from a subgraph one
+curve smaller, and one that no affine diagram can grow from is cut with
+all its supergraphs.  The dual graphs of some type pairs coincide (two
+curves meeting twice is a 2-cycle or a tangent pair; three curves meeting
+pairwise once is a triangle or three concurrent lines), so detection
+returns merged tags for those.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import re
 from dataclasses import dataclass
 
 from .graph import (
+    CUT,
     CurveConfig,
     SpanKind,
     Violation,
@@ -159,9 +164,10 @@ def find_kodaira_divisors(
     # multi-vertex divisors live on the (-2)-curves only
     roots_only = cfg.induced([v.id for v in cfg.vertices if v.square == -2])
     # weight >= support size for every type, so size-capped enumeration
-    # cannot miss a divisor under the weight cap
-    for subset in connected_vertex_subsets(
-        roots_only, min(cap, roots_only.n), prune=_shape_prune(roots_only)
+    # cannot miss a divisor under the weight cap; the empty subset's shape
+    # state is all zeros
+    for subset, _ in connected_vertex_subsets(
+        roots_only, min(cap, roots_only.n), _shape_prune(roots_only), (0, 0, 0, 0)
     ):
         ids = tuple(roots_only.vertices[i].id for i in subset)
         comp = recognize_component(roots_only, ids)
@@ -175,43 +181,51 @@ def find_kodaira_divisors(
 
 
 def _shape_prune(cfg: CurveConfig):
-    """Branch cutter for the subgraph search: no affine diagram has a
+    """Enumeration step for the subgraph search.
+
+    A subset's state is ``(top, edges, branch, high)``: its largest edge
+    multiplicity, its number of adjacent pairs, its number of vertices of
+    degree at least 3 and its largest degree.  Adding ``u`` changes the
+    degrees of ``u`` and its neighbours only, so one step costs the degrees
+    of those.  It returns ``CUT`` where no affine diagram can grow: a
     vertex of degree above 4, more than two branch vertices, a degree-4
     vertex outside the 5-vertex star, a multiple edge beyond the 2-vertex
-    case, or a proper supergraph of a cycle.  All of these only grow
-    under extension, so pruned branches lose nothing."""
+    case, or a proper supergraph of a cycle.  All of these only grow under
+    extension, so the cut is monotone and loses nothing.
+    """
     adj = cfg.adjacency()
 
-    def prune(subset: tuple[int, ...]) -> bool:
+    def grow(state, u, subset):
+        top, edges, branch, high = state
+        # u's own degree counts in the edges only: it never exceeds a
+        # neighbour's unless it is 3 or more, and then, the parent being
+        # connected, the subset has more edges than curves and is cut
+        for w, m in adj[u].items():
+            if w in subset:
+                edges += 1
+                if m > top:
+                    top = m
+                dw = len(adj[w].keys() & subset)
+                if dw == 3:
+                    branch += 1
+                if dw > high:
+                    high = dw
         size = len(subset)
-        members = set(subset)
-        deg = []
-        top = 0
-        for i in subset:
-            d = 0
-            for j, m in adj[i].items():
-                if j in members:
-                    d += 1
-                    if m > top:
-                        top = m
-            deg.append(d)
-        if top >= 3 or (top == 2 and size > 2):
-            return True
-        edges = sum(deg) // 2
-        if edges > size:
-            return True
-        if edges == size and deg.count(2) != size:
-            return True
-        branch = [d for d in deg if d >= 3]
-        if len(branch) > 2:
-            return True
-        if max(branch, default=0) > 4:
-            return True
-        if 4 in branch and size > 5:
-            return True
-        return False
+        if (
+            top >= 3
+            or (top == 2 and size > 2)
+            or edges > size
+            # a connected subset with as many edges as vertices is a cycle
+            # exactly when no degree exceeds 2
+            or (edges == size and high != 2)
+            or branch > 2
+            or high > 4
+            or (high == 4 and size > 5)
+        ):
+            return CUT
+        return top, edges, branch, high
 
-    return prune
+    return grow
 
 
 def divisor_degree(div: KodairaDivisor, cfg: CurveConfig) -> int:

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .exact import signature
-from .graph import CurveConfig, CurveVertex, SpanKind, classify, gram
+from .graph import CurveConfig, CurveVertex, SpanKind, classify, gram, integer_gram
 
 
 class NotNegativeSemidefiniteError(ValueError):
@@ -235,13 +235,9 @@ def recognize_component(cfg: CurveConfig, ids: tuple[str, ...]) -> RootComponent
 def _confirmed(cfg: CurveConfig, comp: RootComponent) -> RootComponent | None:
     """Cross-check the shape match: the integer Gram matrix in canonical
     order must equal the standard diagram's."""
-    verts, adj = cfg.vertices, cfg.adjacency()
-    idx = [cfg.index_of(v) for v in comp.vertex_ids]
-    g = tuple(
-        tuple([verts[i].square if i == j else adj[i].get(j, 0) for j in idx])
-        for i in idx
-    )
-    return comp if g == standard_gram(comp.kind, comp.rank_param) else None
+    g = integer_gram(cfg, [cfg.index_of(v) for v in comp.vertex_ids])
+    want = standard_gram(comp.kind, comp.rank_param)
+    return comp if tuple(map(tuple, g)) == want else None
 
 
 def decompose(cfg: CurveConfig) -> Decomposition:

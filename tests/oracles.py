@@ -6,12 +6,13 @@ exact determinant interpolation, eigenvalue sign counts from Sturm chains
 (with multiplicities recovered by gcd recursion), rank from plain row
 reduction, and box maxima from exhaustive enumeration.  The exceptions
 are :func:`exclude_reference`, the per-subset exclusion sweep that
-``bounds.exclude`` replaced, :func:`recognize_component_reference`, the
-edge-scanning, signature-confirmed recognition that
-``roots.recognize_component`` replaced, and
-:func:`verify_certificate_reference`, the Fraction inverse and dense
-signature check that ``bounds.verify_certificate`` replaced; all are kept as
-references for differential tests.
+``bounds.exclude`` replaced, :func:`connected_subsets_reference`, the
+depth-first enumeration that ``graph.connected_vertex_subsets`` replaced,
+:func:`recognize_component_reference`, the edge-scanning,
+signature-confirmed recognition that ``roots.recognize_component``
+replaced, and :func:`verify_certificate_reference`, the Fraction inverse
+and dense signature check that ``bounds.verify_certificate`` replaced; all
+are kept as references for differential tests.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from k3lat.bounds import (
     intrinsic_polarization,
 )
 from k3lat.exact import SingularMatrixError, inverse, signature
-from k3lat.graph import SpanKind, classify, connected_vertex_subsets, gram
+from k3lat.graph import SpanKind, classify, gram
 from k3lat.roots import RootComponent, _shape, radical
 
 
@@ -307,7 +308,7 @@ def exclude_reference(cfg, d, h, subgraph_cap=13, use_pinned_degrees=False):
         else:
             notes.append(f"pinned degrees admit no solution: {ip.note}")
     subsets = sorted(
-        connected_vertex_subsets(cfg, min(subgraph_cap, cfg.n)),
+        connected_subsets_reference(cfg, min(subgraph_cap, cfg.n)),
         key=lambda s: (len(s), s),
     )
     for subset in subsets:
@@ -338,6 +339,41 @@ def exclude_reference(cfg, d, h, subgraph_cap=13, use_pinned_degrees=False):
             ]
         ),
     )
+
+
+# -- connected subsets, depth first ---------------------------------------------
+
+
+def connected_subsets_reference(cfg, max_size):
+    """Every connected vertex subset of size <= ``max_size`` exactly once,
+    as increasing index tuples, in depth-first order: the enumeration that
+    ``graph.connected_vertex_subsets`` replaced.
+
+    Standard enumeration with a forbidden set: each subset is grown from
+    its minimal vertex, and once a frontier vertex has been tried at some
+    level it is banned from all sibling branches, which makes the
+    generation path of every subset unique.  Like the package before it,
+    it yields every singleton even for ``max_size < 1``; callers pass at
+    least 1.
+    """
+    adj = cfg.adjacency()
+
+    def extend(sub, forbidden):
+        yield sub
+        if len(sub) >= max_size:
+            return
+        in_sub = set(sub)
+        frontier = sorted(
+            {u for v in sub for u in adj[v]} - in_sub - set(forbidden)
+        )
+        blocked = set(forbidden)
+        for v in frontier:
+            grown = tuple(sorted(sub + (v,)))
+            yield from extend(grown, frozenset(blocked))
+            blocked.add(v)
+
+    for s in range(cfg.n):
+        yield from extend((s,), frozenset(range(s)))
 
 
 # -- the signature-confirmed recognition ----------------------------------------

@@ -37,7 +37,6 @@ from k3lat.graph import (
     SpanKind,
     classify,
     config_from_data,
-    connected_vertex_subsets,
     gram,
 )
 from k3lat.roots import standard_diagram
@@ -48,7 +47,13 @@ from conftest import (
     i4_fibres_with_section,
     ivstar_three_a2,
 )
-from oracles import box_max, det, exclude_reference, verify_certificate_reference
+from oracles import (
+    box_max,
+    connected_subsets_reference,
+    det,
+    exclude_reference,
+    verify_certificate_reference,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -551,7 +556,7 @@ def test_sweep_bounds_match_reference(cfg, cap):
     # the sweep visits the reference's subsets in the reference's order,
     # finds the same hyperbolic ones and reads the same certs[0] bound
     swept = list(_adjugate_sweep(cfg, cap))
-    subsets = sorted(connected_vertex_subsets(cfg, cap), key=lambda s: (len(s), s))
+    subsets = sorted(connected_subsets_reference(cfg, cap), key=lambda s: (len(s), s))
     assert [s for s, _ in swept] == subsets
     hyperbolic = 0
     for subset, entry in swept:

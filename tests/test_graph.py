@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from k3lat import exact
 from k3lat.exact import Signature, SymMatrix, positive_square_vector, signature
 from k3lat.graph import (
+    CUT,
     CurveVertex,
     LatticeClass,
     SpanKind,
@@ -237,39 +239,95 @@ def test_induced_and_disjoint_union():
         cfg.disjoint_union(cfg)
 
 
+def _brute_connected_subsets(cfg, max_size):
+    """Connected vertex subsets of at most ``max_size`` curves in canonical
+    order, by trying every subset."""
+    adj = cfg.adjacency()
+
+    def connected(sub):
+        todo, seen = [sub[0]], {sub[0]}
+        while todo:
+            for w in adj[todo.pop()]:
+                if w in sub and w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        return len(seen) == len(sub)
+
+    return [
+        c
+        for r in range(1, max_size + 1)
+        for c in itertools.combinations(range(cfg.n), r)
+        if connected(c)
+    ]
+
+
+def _no_state(parent, u, subset):
+    return None
+
+
 def test_connected_subsets_no_duplicates_and_complete():
     cfg = config_from_data(
         [(f"v{i}", -2) for i in range(5)],
         [("v0", "v1"), ("v1", "v2"), ("v2", "v3"), ("v3", "v0"), ("v3", "v4")],
     )
-    subs = list(connected_vertex_subsets(cfg, 5))
+    subs = [s for s, _ in connected_vertex_subsets(cfg, 5, _no_state, None)]
     assert len(subs) == len(set(subs))
-    import itertools
+    assert sorted(subs) == sorted(_brute_connected_subsets(cfg, 5))
 
-    adj = {i: set() for i in range(5)}
-    for a, b, _ in cfg.edge_items():
-        i, j = cfg.index_of(a), cfg.index_of(b)
-        adj[i].add(j)
-        adj[j].add(i)
 
-    def connected(sub):
-        todo, seen = [sub[0]], {sub[0]}
-        subset = set(sub)
-        while todo:
-            u = todo.pop()
-            for w in adj[u] & subset:
-                if w not in seen:
-                    seen.add(w)
-                    todo.append(w)
-        return seen == subset
+@pytest.mark.parametrize("max_size", [0, -3])
+def test_connected_subsets_empty_below_size_one(max_size):
+    cfg = config_from_data([("a", -2), ("b", -2)], [("a", "b")])
+    calls = []
+    grow = lambda parent, u, subset: calls.append(subset)
+    assert list(connected_vertex_subsets(cfg, max_size, grow, None)) == []
+    assert calls == []
 
-    brute = [
-        c
-        for r in range(1, 6)
-        for c in itertools.combinations(range(5), r)
-        if connected(c)
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_connected_subsets_match_brute_force(data):
+    # states are subset weights, None when divisible by 3 (the sweep's
+    # degenerate subsets), cut above an optional limit (a monotone cut)
+    n = data.draw(st.integers(min_value=0, max_value=8))
+    edges = [
+        (f"v{i}", f"v{j}", data.draw(st.integers(min_value=1, max_value=2)))
+        for i in range(n)
+        for j in range(i + 1, n)
+        if data.draw(st.integers(min_value=0, max_value=2)) == 0
     ]
-    assert sorted(subs) == sorted(brute)
+    cfg = config_from_data([(f"v{i}", -2) for i in range(n)], edges)
+    weights = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    max_size = data.draw(st.integers(min_value=-1, max_value=n + 1))
+    limit = data.draw(st.none() | st.integers(min_value=1, max_value=3 * n + 1))
+    weight = lambda sub: sum(weights[i] for i in sub)
+    states = {(): "root"}
+    grown = []
+
+    def grow(parent, u, subset):
+        rest = tuple(x for x in subset if x != u)
+        assert u in subset and rest in states
+        grown.append(subset)
+        assert parent is states[rest]
+        # the first connected parent in canonical order with a state, if any
+        parents = sorted(
+            p for p in (tuple(x for x in subset if x != v) for v in subset)
+            if p in states
+        )
+        assert rest == ([p for p in parents if states[p] is not None] or [rest])[0]
+        w = weight(subset)
+        if limit is not None and w > limit:
+            return CUT
+        return None if w % 3 == 0 else w
+
+    out = []
+    for subset, state in connected_vertex_subsets(cfg, max_size, grow, "root"):
+        assert state == (None if weight(subset) % 3 == 0 else weight(subset))
+        states[subset] = state
+        out.append(subset)
+    brute = _brute_connected_subsets(cfg, max(max_size, 0))
+    assert out == [s for s in brute if limit is None or weight(s) <= limit]
+    assert len(grown) == len(set(grown))
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,10 +1,8 @@
-import itertools
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3lat.graph import config_from_data, gram
+from k3lat.graph import CUT, config_from_data, gram
 from k3lat.kodaira import (
     _shape_prune,
     divisor_degree,
@@ -14,6 +12,8 @@ from k3lat.kodaira import (
     type_table,
 )
 from k3lat.roots import standard_diagram
+
+from oracles import connected_subsets_reference
 
 
 def test_type_table_examples():
@@ -256,6 +256,36 @@ def _prune_reference(cfg, subset):
     )
 
 
+def _state_reference(cfg, subset):
+    """The state ``_shape_prune`` carries, read off the induced edge list:
+    largest multiplicity, edge count, branch-vertex count, largest degree."""
+    ids = {cfg.vertices[i].id for i in subset}
+    edges = [(a, b, m) for a, b, m in cfg.edge_items() if a in ids and b in ids]
+    deg = [sum(v in (a, b) for a, b, _ in edges) for v in ids]
+    return (
+        max((m for _, _, m in edges), default=0),
+        len(edges),
+        sum(d >= 3 for d in deg),
+        max(deg, default=0),
+    )
+
+
+def _assert_step_matches_rules(cfg):
+    # every connected subset from every connected parent, pruned or not
+    grow = _shape_prune(cfg)
+    connected = set(connected_subsets_reference(cfg, cfg.n)) | {()}
+    for subset in sorted(connected - {()}):
+        cut = _prune_reference(cfg, subset)
+        for u in subset:
+            parent = tuple(x for x in subset if x != u)
+            if parent not in connected:
+                continue
+            state = grow(_state_reference(cfg, parent), u, subset)
+            assert (state is CUT) == cut, (parent, u)
+            if not cut:
+                assert state == _state_reference(cfg, subset), (parent, u)
+
+
 @pytest.mark.parametrize(
     "edges",
     [
@@ -271,11 +301,9 @@ def test_shape_prune_on_branched_trees(edges):
     cfg = config_from_data(
         [(f"v{i}", -2) for i in range(n)], [(f"v{i}", f"v{j}") for i, j in edges]
     )
-    prune = _shape_prune(cfg)
-    assert prune(tuple(range(n)))
-    for r in range(1, n + 1):
-        for subset in itertools.combinations(range(n), r):
-            assert prune(subset) == _prune_reference(cfg, subset), subset
+    whole = tuple(range(n))
+    assert _shape_prune(cfg)(_state_reference(cfg, whole[:-1]), n - 1, whole) is CUT
+    _assert_step_matches_rules(cfg)
 
 
 @settings(max_examples=100, deadline=None)
@@ -295,7 +323,4 @@ def test_shape_prune_matches_its_rules(data):
         [(f"v{i}", -2) for i in range(n)],
         [(f"v{i}", f"v{j}", m) for (i, j), m in edges.items()],
     )
-    prune = _shape_prune(cfg)
-    for r in range(1, n + 1):
-        for subset in itertools.combinations(range(n), r):
-            assert prune(subset) == _prune_reference(cfg, subset), subset
+    _assert_step_matches_rules(cfg)

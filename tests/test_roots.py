@@ -18,7 +18,6 @@ from k3lat.graph import (
     CurveVertex,
     classify,
     config_from_data,
-    connected_vertex_subsets,
     gram,
 )
 from k3lat.kodaira import find_kodaira_divisors
@@ -32,7 +31,7 @@ from k3lat.roots import (
 )
 
 from conftest import ALL_KINDS, i4_fibres_with_section
-from oracles import recognize_component_reference
+from oracles import connected_subsets_reference, recognize_component_reference
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -217,7 +216,7 @@ def _golden_run():
                 if rng.random() < 0.3
             ]
         cfg = CurveConfig(vs, es)
-        for sub in connected_vertex_subsets(cfg, 8):
+        for sub in connected_subsets_reference(cfg, 8):
             sub_ids = tuple(cfg.vertices[i].id for i in sub)
             comp = recognize_component(cfg, sub_ids)
             records.append(rec(comp))
