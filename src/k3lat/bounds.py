@@ -69,7 +69,6 @@ from .graph import (
     SpanKind,
     classify,
     connected_vertex_subsets,
-    gram,
     integer_gram,
     quotient_by_kernel,
 )
@@ -171,12 +170,12 @@ def intrinsic_polarization(cfg: CurveConfig) -> IntrinsicPolarization:
         )
     coords = inverse(quotient).apply(rhs)  # the quotient is nondegenerate
     # consistency on the remaining vertices detects a radical obstruction
-    full = gram(cfg)
+    full = integer_gram(cfg, range(cfg.n))
     basis_set = set(basis_pos)
     for i, v in enumerate(cfg.vertices):
         if i in basis_set:
             continue
-        row = full.rows()[i]
+        row = full[i]
         pairing = sum(
             (row[j] * c for j, c in zip(basis_pos, coords)), Fraction(0)
         )
@@ -365,13 +364,13 @@ def _witness_fault(
 def verify_certificate(cert: BoundCertificate, cfg: CurveConfig) -> bool:
     """Re-verify a certificate by independent recomputation from the
     configuration it was issued for, in the order of its support.  Total:
-    malformed input, such as an unknown or degenerate support or a degree
-    cap ``d`` that is not an integer of at least 1, is rejected rather than
-    raised.  A support with no positive direction bounds nothing (the
-    polarization's positive part may lie in its orthogonal complement), so
-    its rough and box certificates are rejected too."""
-    d = cert.d
-    if not isinstance(d, int) or d < 1:
+    malformed input, such as an unknown, repeated or degenerate support or
+    a degree cap ``d`` that is not an integer of at least 1, is rejected
+    rather than raised.  A support with no positive direction bounds nothing
+    (the polarization's positive part may lie in its orthogonal complement),
+    so its rough and box certificates are rejected too."""
+    d, ids = cert.d, cert.support_ids
+    if not isinstance(d, int) or d < 1 or len(set(ids)) != len(ids):
         return False
     try:
         if cert.kind == INTRINSIC_SQUARE:

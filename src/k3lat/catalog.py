@@ -19,7 +19,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import bounds, fibration, formats, kodaira, roots
-from .graph import classify, gram
+from .graph import classify, integer_gram
 from .exact import bareiss
 
 
@@ -126,7 +126,7 @@ def _verify_config_entry(entry: CatalogEntry, root: Path) -> EntryReport:
         found = Counter(d.tag for d in kodaira.find_kodaira_divisors(cfg))
         checks.append(_check("kodaira", dict(exp["kodaira"]), dict(found)))
     if "entry_sum" in exp:
-        det, adj, _ = bareiss(gram(cfg).rows())
+        det, adj, _ = bareiss(integer_gram(cfg, range(cfg.n)))
         total = Fraction(sum(map(sum, adj)), det)
         checks.append(
             _check("entry_sum", exp["entry_sum"], formats.format_fraction(total))

@@ -1,25 +1,26 @@
 """Exact linear algebra over the rationals for symmetric matrices.
 
 Results are exact (arbitrary-precision integers, no rounding ever).  There
-are three eliminations.  A symmetric congruence ``P^T M P = diag(d, 0, ...,
-0)`` over :class:`fractions.Fraction` gives :func:`signature` (signs of
-``d``), :func:`positive_square_vector` (a column of ``P``; both at once from
-:func:`signature_and_witness`), :func:`inverse` (``sum p_j p_j^T / d_j``)
-and, through the kernel columns of ``P``, :func:`kernel_basis`; ``P``
-itself is not part of the public surface.
-:func:`bareiss` is the fraction-free elimination of an integer matrix: the
-determinant, the adjugate and, when it pivots only on the diagonal, the
-nested principal minors whose signs give the inertia
-(:func:`minor_signature`).  :func:`row_echelon` is the one Gauss-Jordan
-loop; it puts kernel bases in canonical form.  All values are immutable and
-all functions are pure; concurrent use is safe.
+are three eliminations, and each exact question is answered by one of them.
+A symmetric congruence ``P^T M P = diag(d, 0, ..., 0)`` over
+:class:`fractions.Fraction` gives :func:`signature` (signs of ``d``) and
+:func:`positive_square_vector` (a column of ``P``; both at once from
+:func:`signature_and_witness`); ``P`` itself is not part of the public
+surface.  :func:`bareiss` is the fraction-free elimination of an integer
+matrix: the determinant, the adjugate, :func:`inverse` as ``adj / det``
+and, when it pivots only on the diagonal, the nested principal minors whose
+signs give the inertia (:func:`minor_signature`).  :func:`row_echelon` is
+the one Gauss-Jordan loop: one left-to-right reduction gives
+:func:`kernel_basis`, one right-to-left reduction the quotient by the
+radical (``graph.quotient_by_kernel``).  All values are immutable and all
+functions are pure; concurrent use is safe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
@@ -344,33 +345,26 @@ def kernel_basis(m: SymMatrix) -> list[tuple[int, ...]]:
     The list is empty exactly when ``m`` is nondegenerate.  The basis is
     canonical: a column of ``m`` is free when left-to-right row reduction of
     ``m`` finds no pivot in it, and there is one vector per free column,
-    nonzero there and zero on every other free column.  (Reducing a kernel
-    spanning set from the rightmost column finds exactly these.)  Vectors
-    have content 1 and a positive leading entry, sorted lexicographically.
+    nonzero there and zero on every other free column.  Vectors have content
+    1 and a positive leading entry, sorted lexicographically.
     """
     n = m.n
-    d, p = _congruence(m)
-    reduced, _ = row_echelon(p[len(d):], range(n - 1, -1, -1))
-    return sorted(_primitive_integer(vec) for vec in reduced)
+    reduced, pivots = row_echelon(m.rows(), range(n))
+    basis = []
+    for f in (j for j in range(n) if j not in pivots):
+        vec = [Fraction(j == f) for j in range(n)]
+        for row, pc in zip(reduced, pivots):
+            vec[pc] = -row[f]
+        basis.append(_primitive_integer(vec))
+    return sorted(basis)
 
 
 def inverse(m: SymMatrix) -> SymMatrix:
-    """Exact inverse ``P diag(d)^-1 P^T``; raises
+    """Exact inverse ``s adj(s m) / det(s m)``, with ``s`` the lcm of the
+    denominators of ``m``, from one :func:`bareiss` elimination; raises
     :class:`SingularMatrixError` on a degenerate input."""
-    n = m.n
-    d, p = _congruence(m)
-    if len(d) < n:
-        raise SingularMatrixError("matrix is singular")
-    w = [[Fraction(0)] * n for _ in range(n)]
-    for dj, col in zip(d, p):
-        nz = [(i, x) for i, x in enumerate(col) if x != 0]
-        for a, (i, x) in enumerate(nz):
-            s = x / dj
-            w_i = w[i]
-            for l, y in nz[a:]:
-                w_i[l] += s * y
-    for i in range(n):
-        for l in range(i):
-            w[i][l] = w[l][i]
-    return SymMatrix(w)
-
+    s = lcm(*(x.denominator for row in m.rows() for x in row))
+    det, adj, _ = bareiss(
+        [[x.numerator * (s // x.denominator) for x in row] for row in m.rows()]
+    )
+    return SymMatrix([[Fraction(s * x, det) for x in row] for row in adj])

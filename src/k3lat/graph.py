@@ -19,7 +19,6 @@ from typing import Iterable, Mapping, Sequence
 from .exact import (
     Signature,
     SymMatrix,
-    kernel_basis,
     row_echelon,
     signature_and_witness,
 )
@@ -340,20 +339,14 @@ def quotient_by_kernel(cfg: CurveConfig) -> tuple[SymMatrix, QuotientProjection]
     """
     m = gram(cfg)
     n = cfg.n
-    # pivot columns of the reduced kernel are dropped; the remaining vertices
-    # descend to a basis of the quotient
-    rows, pivots = row_echelon(
-        ([Fraction(x) for x in vec] for vec in kernel_basis(m)), range(n)
-    )
-    basis_pos = [j for j in range(n) if j not in pivots]
-    proj = [[Fraction(j == bp) for j in range(n)] for bp in basis_pos]
-    for row, pc in zip(rows, pivots):
-        # e_pc = -sum over free columns of row[free] * e_free (mod radical)
-        for bi, bp in enumerate(basis_pos):
-            proj[bi][pc] = -row[bp]
+    # right-to-left reduction pivots on the complement of the kernel's
+    # left-to-right pivots; column j of m is sum_b rows[b][j] * column b, so
+    # each reduced row is the projection row of its pivot vertex
+    rows, pivots = row_echelon(m.rows(), range(n - 1, -1, -1))
+    basis_pos = pivots[::-1]
     quotient = m.submatrix(basis_pos)
     basis_ids = tuple(cfg.vertices[j].id for j in basis_pos)
-    return quotient, QuotientProjection(basis_ids, tuple(tuple(r) for r in proj))
+    return quotient, QuotientProjection(basis_ids, tuple(map(tuple, rows[::-1])))
 
 
 # a step result that drops a subset, and everything grown from it, from

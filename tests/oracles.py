@@ -10,9 +10,12 @@ are :func:`exclude_reference`, the per-subset exclusion sweep that
 depth-first enumeration that ``graph.connected_vertex_subsets`` replaced,
 :func:`recognize_component_reference`, the edge-scanning,
 signature-confirmed recognition that ``roots.recognize_component``
-replaced, and :func:`verify_certificate_reference`, the Fraction inverse
-and dense signature check that ``bounds.verify_certificate`` replaced; all
-are kept as references for differential tests.
+replaced, :func:`verify_certificate_reference`, the Fraction inverse
+and dense signature check that ``bounds.verify_certificate`` replaced, and
+the congruence-based :func:`inverse_reference`,
+:func:`kernel_basis_reference` and :func:`quotient_by_kernel_reference`
+that one Bareiss elimination or one row reduction replaced; all are kept as
+references for differential tests.
 """
 
 from __future__ import annotations
@@ -33,8 +36,15 @@ from k3lat.bounds import (
     exclude,
     intrinsic_polarization,
 )
-from k3lat.exact import SingularMatrixError, inverse, signature
-from k3lat.graph import SpanKind, classify, gram
+from k3lat.exact import (
+    SingularMatrixError,
+    SymMatrix,
+    _congruence,
+    _primitive_integer,
+    row_echelon,
+    signature,
+)
+from k3lat.graph import QuotientProjection, SpanKind, classify, gram
 from k3lat.roots import RootComponent, _shape, radical
 
 
@@ -250,6 +260,61 @@ def oracle_signature(rows: list[list[Fraction]]) -> tuple[int, int, int]:
     return root_sign_counts(charpoly(rows))
 
 
+# -- the congruence-based inverse, kernel and quotient ------------------------
+
+
+def inverse_reference(m: SymMatrix) -> SymMatrix:
+    """Exact inverse ``P diag(d)^-1 P^T``; raises
+    :class:`SingularMatrixError` on a degenerate input."""
+    n = m.n
+    d, p = _congruence(m)
+    if len(d) < n:
+        raise SingularMatrixError("matrix is singular")
+    w = [[Fraction(0)] * n for _ in range(n)]
+    for dj, col in zip(d, p):
+        nz = [(i, x) for i, x in enumerate(col) if x != 0]
+        for a, (i, x) in enumerate(nz):
+            s = x / dj
+            w_i = w[i]
+            for l, y in nz[a:]:
+                w_i[l] += s * y
+    for i in range(n):
+        for l in range(i):
+            w[i][l] = w[l][i]
+    return SymMatrix(w)
+
+
+def kernel_basis_reference(m: SymMatrix) -> list[tuple[int, ...]]:
+    """Canonical kernel basis: the congruence's kernel columns reduced from
+    the rightmost column, as primitive integer vectors, sorted."""
+    n = m.n
+    d, p = _congruence(m)
+    reduced, _ = row_echelon(p[len(d):], range(n - 1, -1, -1))
+    return sorted(_primitive_integer(vec) for vec in reduced)
+
+
+def quotient_by_kernel_reference(cfg) -> tuple[SymMatrix, QuotientProjection]:
+    """Quotient by the radical from the reduced kernel basis: its pivot
+    columns are dropped, and each dropped vertex projects to minus its
+    reduced kernel row on the kept ones."""
+    m = gram(cfg)
+    n = cfg.n
+    # pivot columns of the reduced kernel are dropped; the remaining vertices
+    # descend to a basis of the quotient
+    rows, pivots = row_echelon(
+        ([Fraction(x) for x in vec] for vec in kernel_basis_reference(m)), range(n)
+    )
+    basis_pos = [j for j in range(n) if j not in pivots]
+    proj = [[Fraction(j == bp) for j in range(n)] for bp in basis_pos]
+    for row, pc in zip(rows, pivots):
+        # e_pc = -sum over free columns of row[free] * e_free (mod radical)
+        for bi, bp in enumerate(basis_pos):
+            proj[bi][pc] = -row[bp]
+    quotient = m.submatrix(basis_pos)
+    basis_ids = tuple(cfg.vertices[j].id for j in basis_pos)
+    return quotient, QuotientProjection(basis_ids, tuple(tuple(r) for r in proj))
+
+
 # -- brute force box maximization ------------------------------------------
 
 
@@ -446,7 +511,7 @@ def verify_certificate_reference(cert, cfg):
         if cert.kind == INTRINSIC_SQUARE:
             ip = intrinsic_polarization(sub)
             return ip.exists and ip.square == cert.bound_on_2h
-        w = inverse(gram(sub))
+        w = inverse_reference(gram(sub))
     except (ValueError, SingularMatrixError):
         return False
     d = cert.d

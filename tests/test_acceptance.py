@@ -18,7 +18,7 @@ from k3lat.bounds import (
 )
 from k3lat.catalog import data_root, load_catalog, verify_catalog
 from k3lat.cli import main
-from k3lat.exact import SymMatrix, inverse, signature
+from k3lat.exact import SymMatrix, signature
 from k3lat.fibration import (
     budget_check,
     enumerate_uniform,
@@ -35,7 +35,7 @@ from conftest import (
     i3star_four_sections,
     ivstar_three_a2,
 )
-from oracles import box_max, oracle_signature
+from oracles import box_max, inverse_reference, oracle_signature
 
 EXAMPLES = Path(data_root()) / "examples"
 
@@ -73,7 +73,7 @@ def test_acceptance_2_char3_certificate(capsys):
     assert cert.bound_on_2h == Fraction(86)
     assert cert.witness is not None
     g0, gplus = cert.witness.negative_part, cert.witness.nonnegative_part
-    assert g0 + gplus == inverse(gram(cfg))
+    assert g0 + gplus == inverse_reference(gram(cfg))
     assert gplus.min_entry() >= 0
     assert signature(g0).n_plus == 0
     assert g0.apply((1,) * 12) == (Fraction(0),) * 12
@@ -181,7 +181,7 @@ def test_acceptance_8_certificate_soundness(capsys):
         sig = signature(gram(cfg))
         if sig.n_plus != 1 or sig.n_zero != 0:
             continue
-        w = inverse(gram(cfg))
+        w = inverse_reference(gram(cfg))
         for d in (1, 2, 3):
             exhaustive = box_max([list(r) for r in w.rows()], d)
             assert exhaustive <= rough_bound(cfg, d).bound_on_2h

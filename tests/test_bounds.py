@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from k3lat import bounds
+from k3lat import bounds, catalog, exact, graph, kodaira, roots
 from k3lat.bounds import (
     BOX_OPTIMUM_DECOMPOSITION,
     INTRINSIC_SQUARE,
@@ -32,12 +33,13 @@ from k3lat.bounds import (
     rough_bound,
     verify_certificate,
 )
-from k3lat.exact import SymMatrix, inverse, signature
+from k3lat.exact import SymMatrix, inverse, kernel_basis, signature
 from k3lat.graph import (
     SpanKind,
     classify,
     config_from_data,
     gram,
+    quotient_by_kernel,
 )
 from k3lat.roots import standard_diagram
 
@@ -52,6 +54,7 @@ from oracles import (
     connected_subsets_reference,
     det,
     exclude_reference,
+    inverse_reference,
     verify_certificate_reference,
 )
 
@@ -92,6 +95,45 @@ def test_intrinsic_on_degenerate_compatible():
     cfg = standard_diagram("AffineA", 3)
     ip = intrinsic_polarization(cfg)
     assert not ip.exists  # all degrees 1, radical (1,1,1,1) pairs to 4
+
+
+def _count_eliminations(monkeypatch):
+    """Count calls of the three eliminations of ``k3lat.exact``, wherever a
+    module has bound them."""
+    counts = Counter()
+    for name in ("_congruence", "row_echelon", "bareiss"):
+        real = getattr(exact, name)
+
+        def spy(*args, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        for module in (exact, graph, bounds, catalog, roots, kodaira):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, spy)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [d6tilde_plus_three(), i3star_four_sections(), standard_diagram("AffineA", 3)],
+    ids=lambda cfg: cfg.name,
+)
+def test_exact_answers_run_one_elimination_each(monkeypatch, cfg):
+    # the quotient, kernel and solve are each one reduction or one Bareiss
+    # elimination; the congruence is left to the signatures
+    m = gram(cfg)
+    q = quotient_by_kernel(cfg)[0]
+    counts = _count_eliminations(monkeypatch)
+    for call, want in [
+        (lambda: intrinsic_polarization(cfg), {"row_echelon": 1, "bareiss": 1}),
+        (lambda: quotient_by_kernel(cfg), {"row_echelon": 1}),
+        (lambda: kernel_basis(m), {"row_echelon": 1}),
+        (lambda: inverse(q), {"bareiss": 1}),
+    ]:
+        counts.clear()
+        call()
+        assert dict(counts) == want
 
 
 # -- rough bound ------------------------------------------------------------
@@ -196,7 +238,7 @@ def _random_hyperbolic_configs(count, max_rank=4, seed=20308):
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_brute_force_never_exceeds_bounds(d):
     for cfg in _random_hyperbolic_configs(12):
-        w = inverse(gram(cfg))
+        w = inverse_reference(gram(cfg))
         exhaustive = box_max([list(r) for r in w.rows()], d)
         rough = rough_bound(cfg, d)
         assert exhaustive <= rough.bound_on_2h
@@ -228,6 +270,20 @@ def test_verify_certificate_total_on_bad_support(make, support):
     cert = make(cfg, 1)
     assert verify_certificate(cert, cfg)
     assert not verify_certificate(replace(cert, support_ids=support), cfg)
+
+
+@pytest.mark.parametrize(
+    "kind", [INTRINSIC_SQUARE, ROUGH_POSITIVE_ENTRY_SUM, BOX_OPTIMUM_DECOMPOSITION]
+)
+def test_verify_certificate_rejects_repeated_support_ids(kind):
+    # a repeated id is not a subconfiguration, whatever the certificate kind
+    cfg = d6tilde_plus_three()
+    certs = [rough_bound(cfg, 1), box_certificate(cfg, 1)]
+    certs += exclude(cfg, 1, 1, use_pinned_degrees=True).certificates
+    cert = next(c for c in certs if c.kind == kind)
+    assert verify_certificate(cert, cfg)
+    doubled = replace(cert, support_ids=cert.support_ids + cert.support_ids[:1])
+    assert not verify_certificate(doubled, cfg)
 
 
 def test_verify_certificate_rejects_mismatched_witness(char3_cfg):
@@ -579,7 +635,7 @@ def _assert_exact_entry(cfg, entry):
     m = SymMatrix([[g[i][j] for j in entry.order] for i in entry.order])
     assert entry.det == det([list(r) for r in m.rows()])
     assert SymMatrix(entry.adj) == SymMatrix(
-        [[entry.det * x for x in row] for row in inverse(m).rows()]
+        [[entry.det * x for x in row] for row in inverse_reference(m).rows()]
     )
     assert entry.n_plus == signature(m).n_plus
 

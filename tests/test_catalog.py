@@ -2,6 +2,7 @@ import shutil
 
 import pytest
 
+from k3lat import bounds, catalog, exact
 from k3lat.catalog import (
     CATALOG_ENV_VAR,
     data_root,
@@ -86,3 +87,19 @@ def test_env_var_override(tmp_path, monkeypatch):
 def test_get_entry_unknown_raises():
     with pytest.raises(KeyError):
         get_entry("definitely-not-there")
+
+
+def test_verify_catalog_feeds_bareiss_integers(monkeypatch):
+    # the fraction-free elimination is handed integer Gram matrices only
+    entries = []
+    real = exact.bareiss
+
+    def spy(rows):
+        entries.extend(x for row in rows for x in row)
+        return real(rows)
+
+    for module in (exact, bounds, catalog):
+        if getattr(module, "bareiss", None) is real:
+            monkeypatch.setattr(module, "bareiss", spy)
+    assert all(r.ok for r in verify_catalog())
+    assert entries and all(type(x) is int for x in entries)

@@ -18,7 +18,13 @@ from k3lat.exact import (
     signature,
 )
 
-from oracles import det, oracle_signature, row_reduce_rank
+from oracles import (
+    det,
+    inverse_reference,
+    kernel_basis_reference,
+    oracle_signature,
+    row_reduce_rank,
+)
 
 
 def test_signature_a2_negative_definite():
@@ -182,6 +188,76 @@ def test_golden_outputs_byte_identical():
     assert digest == "961c70724f4efd16"
 
 
+# -- the Bareiss inverse and the one-reduction kernel against the references ----
+
+
+def _check_against_references(m):
+    assert kernel_basis(m) == kernel_basis_reference(m)
+    try:
+        want = inverse_reference(m)
+    except SingularMatrixError:
+        with pytest.raises(SingularMatrixError):
+            inverse(m)
+    else:
+        assert inverse(m) == want
+
+
+def _symmetric_rows(data, n, entry, diagonal):
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = data.draw(diagonal)
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = data.draw(entry)
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_inverse_and_kernel_match_references_hypothesis(data):
+    n = data.draw(st.integers(min_value=0, max_value=7))
+    entry = st.integers(min_value=-4, max_value=4)
+    rows = _symmetric_rows(data, n, entry, st.one_of(st.just(0), entry))
+    _check_against_references(SymMatrix(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_kernel_and_inverse_on_nullity_two_hypothesis(data):
+    # a core of rank r <= n - 2 pulled back along a map of the n indices to
+    # the core's indices or to nothing: repeated and unused indices give a
+    # kernel of dimension at least 2, and unused ones zero diagonals
+    n = data.draw(st.integers(min_value=2, max_value=7))
+    r = data.draw(st.integers(min_value=0, max_value=n - 2))
+    entry = st.integers(min_value=-4, max_value=4)
+    core = _symmetric_rows(data, r, entry, st.one_of(st.just(0), entry))
+    lift = data.draw(
+        st.lists(st.sampled_from((None, *range(r))), min_size=n, max_size=n)
+    )
+    rows = [
+        [0 if a is None or b is None else core[a][b] for b in lift] for a in lift
+    ]
+    assert n - row_reduce_rank(rows) >= 2
+    m = SymMatrix(rows)
+    _check_against_references(m)
+    assert len(kernel_basis(m)) == n - row_reduce_rank(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_inverse_of_fraction_entries_matches_reference_hypothesis(data):
+    # non-integer entries: the inverse scales by the lcm of the denominators
+    n = data.draw(st.integers(min_value=1, max_value=6))
+    entry = st.builds(
+        Fraction,
+        st.integers(min_value=-4, max_value=4),
+        st.integers(min_value=1, max_value=6),
+    )
+    rows = _symmetric_rows(data, n, entry, entry)
+    i = data.draw(st.integers(min_value=0, max_value=n - 1))
+    rows[i][i] = Fraction(data.draw(st.sampled_from((1, -1, 3, -5))), 2)
+    _check_against_references(SymMatrix(rows))
+
+
 # -- fraction-free elimination ---------------------------------------------------
 
 
@@ -194,7 +270,7 @@ def _check_bareiss(rows):
         return None
     d, adj, minors = bareiss(rows)
     assert d == want
-    w = inverse(SymMatrix(rows))
+    w = inverse_reference(SymMatrix(rows))
     assert adj == [[d * x for x in row] for row in w.rows()]
     if minors is not None:
         assert len(minors) == n and minors[-1] == d and all(minors)

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from k3lat import exact
-from k3lat.exact import Signature, SymMatrix, positive_square_vector, signature
+from k3lat.exact import (
+    Signature,
+    SymMatrix,
+    kernel_basis,
+    positive_square_vector,
+    signature,
+)
 from k3lat.graph import (
     CUT,
     CurveVertex,
@@ -23,7 +29,11 @@ from k3lat.graph import (
     validate_pairings,
 )
 
-from oracles import row_reduce_rank
+from oracles import (
+    kernel_basis_reference,
+    quotient_by_kernel_reference,
+    row_reduce_rank,
+)
 
 
 def test_vertex_validation():
@@ -352,6 +362,49 @@ def test_quotient_signature_property(data):
     assert signature(q).as_tuple() == (full.n_plus, full.n_minus, 0)
     assert q.n == n - full.n_zero
     assert q.n == row_reduce_rank([list(r) for r in gram(cfg).rows()])
+
+
+def _random_config(data, max_n):
+    # isotropic vertices and double (and triple) edges
+    n = data.draw(st.integers(min_value=1, max_value=max_n))
+    squares = data.draw(st.lists(st.sampled_from([0, -2, -2]), min_size=n, max_size=n))
+    edges = [
+        (f"v{i}", f"v{j}", m)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if (m := data.draw(st.sampled_from([0, 0, 1, 1, 2, 3])))
+    ]
+    return config_from_data([(f"v{i}", squares[i]) for i in range(n)], edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_quotient_and_kernel_match_references_hypothesis(data):
+    cfg = _random_config(data, 8)
+    q, proj = quotient_by_kernel(cfg)
+    want_q, want_proj = quotient_by_kernel_reference(cfg)
+    assert (q.rows(), proj.basis_ids, proj.matrix) == (
+        want_q.rows(), want_proj.basis_ids, want_proj.matrix
+    )
+    assert kernel_basis(gram(cfg)) == kernel_basis_reference(gram(cfg))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_quotient_projection_is_class_map_hypothesis(data):
+    # every vertex minus the combination of basis vertices it projects to
+    # lies in the radical, and the projection fixes the basis vertices
+    cfg = _random_config(data, 8)
+    m = gram(cfg)
+    _, proj = quotient_by_kernel(cfg)
+    basis = [cfg.index_of(b) for b in proj.basis_ids]
+    for j in range(cfg.n):
+        vec = [Fraction(i == j) for i in range(cfg.n)]
+        for row, b in zip(proj.matrix, basis):
+            vec[b] -= row[j]
+        assert m.apply(vec) == (0,) * cfg.n
+    for row, b in zip(proj.matrix, basis):
+        assert [row[c] for c in basis] == [Fraction(c == b) for c in basis]
 
 
 def test_quotient_golden_byte_identical():
