@@ -303,12 +303,15 @@ def box_certificate(cfg: CurveConfig, d: int) -> BoundCertificate:
     the maximum of the inverse form over the degree box.
 
     Raises :class:`NoDecompositionFoundError` when the rank-one split does
-    not apply (some row sum of the inverse is negative, or the total sum is
-    not positive); callers fall back to :func:`rough_bound`.
+    not apply (the Gram matrix is not of inertia ``(1, k - 1)``, some row
+    sum of the inverse is negative, or the total sum is not positive);
+    callers fall back to :func:`rough_bound`.
     """
     if d < 1:
         raise ValueError("d must be positive")
     g, entry = _inverse_gram(cfg)
+    if entry.n_plus != 1:
+        raise NoDecompositionFoundError("the Gram matrix is not of inertia (1, k - 1)")
     return _box_certificate(cfg.ids(), g, entry, d)
 
 
@@ -364,13 +367,16 @@ def _witness_fault(
 def verify_certificate(cert: BoundCertificate, cfg: CurveConfig) -> bool:
     """Re-verify a certificate by independent recomputation from the
     configuration it was issued for, in the order of its support.  Total:
-    malformed input, such as an unknown, repeated or degenerate support or
-    a degree cap ``d`` that is not an integer of at least 1, is rejected
-    rather than raised.  A support with no positive direction bounds nothing
-    (the polarization's positive part may lie in its orthogonal complement),
-    so its rough and box certificates are rejected too."""
+    malformed input, such as a support that is not a tuple of ids, an
+    unknown, repeated or degenerate support or a degree cap ``d`` that is
+    not an integer of at least 1, is rejected rather than raised.  A
+    support with no positive direction bounds nothing (the polarization's
+    positive part may lie in its orthogonal complement), so its rough and
+    box certificates are rejected too."""
     d, ids = cert.d, cert.support_ids
-    if not isinstance(d, int) or d < 1 or len(set(ids)) != len(ids):
+    if not isinstance(d, int) or d < 1 or not isinstance(ids, tuple):
+        return False
+    if not all(isinstance(v, str) for v in ids) or len(set(ids)) != len(ids):
         return False
     try:
         if cert.kind == INTRINSIC_SQUARE:

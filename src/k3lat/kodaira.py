@@ -5,18 +5,20 @@ the weight (their sum) and the Euler number.  Detection walks the connected
 induced subgraphs of the configuration's (-2)-curves with
 :func:`~k3lat.graph.connected_vertex_subsets` and reports every one that
 carries an isotropic effective divisor of fiber shape.  Each subgraph
-carries four integers describing its shape, updated from a subgraph one
-curve smaller, and one that no affine diagram can grow from is cut with
-all its supergraphs.  The dual graphs of some type pairs coincide (two
-curves meeting twice is a 2-cycle or a tangent pair; three curves meeting
-pairwise once is a triangle or three concurrent lines), so detection
-returns merged tags for those.
+carries the finite ADE diagram it is (a path or a three-armed star),
+updated from a subgraph one curve smaller, or a mark that it is affine;
+one that is indefinite is cut with all its supergraphs, and only the
+affine ones are recognised.  The dual graphs of some type pairs coincide
+(two curves meeting twice is a 2-cycle or a tangent pair; three curves
+meeting pairwise once is a triangle or three concurrent lines), so
+detection returns merged tags for those.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import prod
 
 from .graph import (
     CUT,
@@ -164,11 +166,12 @@ def find_kodaira_divisors(
     # multi-vertex divisors live on the (-2)-curves only
     roots_only = cfg.induced([v.id for v in cfg.vertices if v.square == -2])
     # weight >= support size for every type, so size-capped enumeration
-    # cannot miss a divisor under the weight cap; the empty subset's shape
-    # state is all zeros
-    for subset, _ in connected_vertex_subsets(
-        roots_only, min(cap, roots_only.n), _shape_prune(roots_only), (0, 0, 0, 0)
+    # cannot miss a divisor under the weight cap
+    for subset, state in connected_vertex_subsets(
+        roots_only, min(cap, roots_only.n), _diagram_step(roots_only), None
     ):
+        if state is not _AFFINE:
+            continue
         ids = tuple(roots_only.vertices[i].id for i in subset)
         comp = recognize_component(roots_only, ids)
         if comp is None or not comp.is_affine:
@@ -180,50 +183,60 @@ def find_kodaira_divisors(
     return out
 
 
-def _shape_prune(cfg: CurveConfig):
-    """Enumeration step for the subgraph search.
+# the state of an affine subset: its connected supergraphs are indefinite
+_AFFINE = "affine"
 
-    A subset's state is ``(top, edges, branch, high)``: its largest edge
-    multiplicity, its number of adjacent pairs, its number of vertices of
-    degree at least 3 and its largest degree.  Adding ``u`` changes the
-    degrees of ``u`` and its neighbours only, so one step costs the degrees
-    of those.  It returns ``CUT`` where no affine diagram can grow: a
-    vertex of degree above 4, more than two branch vertices, a degree-4
-    vertex outside the 5-vertex star, a multiple edge beyond the 2-vertex
-    case, or a proper supergraph of a cycle.  All of these only grow under
-    extension, so the cut is monotone and loses nothing.
+
+def _diagram_step(cfg: CurveConfig):
+    """Enumeration step for the subgraph search over the (-2)-curves.
+
+    A finite (negative definite) subset's state is ``(centre, arms)``: one
+    curve and the chains leaving it, each from the centre outward; a path
+    has at most two arms, D and E have three.  From it the step decides
+    whether the subset grown by ``u`` is finite, affine (:data:`_AFFINE`)
+    or indefinite (:data:`~k3lat.graph.CUT`).  A star whose arms have
+    ``p_i - 1`` curves is finite, affine or indefinite as ``sum(1/p_i)``
+    exceeds, equals or falls short of the number of arms less two (the
+    sign of its Gram determinant); the other affine diagrams are the
+    closed path, the double edge and D~n (n > 4).  Having a positive
+    direction is monotone, so the cut loses nothing.
     """
     adj = cfg.adjacency()
 
+    def star(centre, arms):
+        p = [len(arm) + 1 for arm in arms]
+        whole = prod(p)
+        excess = sum(whole // q for q in p) - (len(arms) - 2) * whole
+        return (centre, arms) if excess > 0 else _AFFINE if excess == 0 else CUT
+
     def grow(state, u, subset):
-        top, edges, branch, high = state
-        # u's own degree counts in the edges only: it never exceeds a
-        # neighbour's unless it is 3 or more, and then, the parent being
-        # connected, the subset has more edges than curves and is cut
-        for w, m in adj[u].items():
-            if w in subset:
-                edges += 1
-                if m > top:
-                    top = m
-                dw = len(adj[w].keys() & subset)
-                if dw == 3:
-                    branch += 1
-                if dw > high:
-                    high = dw
-        size = len(subset)
-        if (
-            top >= 3
-            or (top == 2 and size > 2)
-            or edges > size
-            # a connected subset with as many edges as vertices is a cycle
-            # exactly when no degree exceeds 2
-            or (edges == size and high != 2)
-            or branch > 2
-            or high > 4
-            or (high == 4 and size > 5)
-        ):
+        if state is _AFFINE:
             return CUT
-        return top, edges, branch, high
+        hits = {(w, m) for w, m in adj[u].items() if w in subset}
+        if not hits:
+            return u, ()
+        centre, arms = state
+        if len(hits) > 1:
+            # A~n: u closes a path, meeting each of its two ends once
+            ends = [arm[-1] for arm in arms] + [centre] * (2 - len(arms))
+            return _AFFINE if len(arms) < 3 and hits == {(w, 1) for w in ends} else CUT
+        ((w, m),) = hits
+        if m > 1:
+            # A~1 is two curves meeting twice
+            return _AFFINE if m == 2 and not arms else CUT
+        if w == centre:
+            return star(centre, arms + ((u,),))
+        i = next(i for i, arm in enumerate(arms) if w in arm)
+        arm, j = arms[i], arms[i].index(w)
+        if j == len(arm) - 1:
+            return star(centre, arms[:i] + (arm + (u,),) + arms[i + 1 :])
+        if len(arms) < 3:
+            # w becomes the centre of a star
+            back = arm[:j][::-1] + (centre,) + (arms[1 - i] if len(arms) == 2 else ())
+            return star(w, (arm[j + 1 :], back, (u,)))
+        # a second branch curve: D~n from D_n, beside the end of the long arm
+        d_n = sorted(map(len, arms))[:2] == [1, 1]
+        return _AFFINE if d_n and j == len(arm) - 2 else CUT
 
     return grow
 

@@ -14,8 +14,10 @@ replaced, :func:`verify_certificate_reference`, the Fraction inverse
 and dense signature check that ``bounds.verify_certificate`` replaced, and
 the congruence-based :func:`inverse_reference`,
 :func:`kernel_basis_reference` and :func:`quotient_by_kernel_reference`
-that one Bareiss elimination or one row reduction replaced; all are kept as
-references for differential tests.
+that one Bareiss elimination or one row reduction replaced, and
+:func:`find_kodaira_divisors_reference`, the fibre search whose shape
+step kept indefinite subsets and recognised every one it kept; all are
+kept as references for differential tests.
 """
 
 from __future__ import annotations
@@ -44,8 +46,17 @@ from k3lat.exact import (
     row_echelon,
     signature,
 )
-from k3lat.graph import QuotientProjection, SpanKind, classify, gram
-from k3lat.roots import RootComponent, _shape, radical
+from k3lat.graph import (
+    CUT,
+    CurveConfig,
+    QuotientProjection,
+    SpanKind,
+    classify,
+    connected_vertex_subsets,
+    gram,
+)
+from k3lat.kodaira import KodairaDivisor, _divisor_from_component
+from k3lat.roots import RootComponent, _shape, radical, recognize_component
 
 
 # -- exact determinant and rank (independent row reduction) ---------------
@@ -533,3 +544,95 @@ def verify_certificate_reference(cert, cfg):
             return False
         return cert.bound_on_2h == w.quadratic_form(wit.x_max)
     return False
+
+
+# -- the fibre search with the shape step ----------------------------------------
+
+
+def find_kodaira_divisors_reference(
+    cfg: CurveConfig, max_weight: int | None = None
+) -> list[KodairaDivisor]:
+    """All fiber-shaped divisors supported on induced subgraphs of ``cfg``.
+
+    An isolated isotropic vertex counts as a one-component fiber (a nodal
+    or cuspidal curve of arithmetic genus one) and is flagged as such.
+    Results are capped at ``max_weight`` (default 30, the largest standard
+    weight) and sorted by (weight, support ids), which fixes a
+    deterministic order.  Raises ``ValueError`` for ``max_weight < 1``.
+    """
+    cap = 30 if max_weight is None else max_weight
+    if cap < 1:
+        raise ValueError(f"max_weight must be at least 1, got {cap}")
+    out: list[KodairaDivisor] = []
+    for v in cfg.vertices:
+        if v.square == 0:
+            out.append(
+                KodairaDivisor(
+                    "I1", (v.id,), (1,), 1, (1, 2), nodal_or_cuspidal=True
+                )
+            )
+    # multi-vertex divisors live on the (-2)-curves only
+    roots_only = cfg.induced([v.id for v in cfg.vertices if v.square == -2])
+    # weight >= support size for every type, so size-capped enumeration
+    # cannot miss a divisor under the weight cap; the empty subset's shape
+    # state is all zeros
+    for subset, _ in connected_vertex_subsets(
+        roots_only, min(cap, roots_only.n), _shape_prune(roots_only), (0, 0, 0, 0)
+    ):
+        ids = tuple(roots_only.vertices[i].id for i in subset)
+        comp = recognize_component(roots_only, ids)
+        if comp is None or not comp.is_affine:
+            continue
+        div = _divisor_from_component(comp)
+        if div.weight <= cap:
+            out.append(div)
+    out.sort(key=lambda dv: (dv.weight, tuple(sorted(dv.support))))
+    return out
+
+
+def _shape_prune(cfg: CurveConfig):
+    """Enumeration step for the subgraph search.
+
+    A subset's state is ``(top, edges, branch, high)``: its largest edge
+    multiplicity, its number of adjacent pairs, its number of vertices of
+    degree at least 3 and its largest degree.  Adding ``u`` changes the
+    degrees of ``u`` and its neighbours only, so one step costs the degrees
+    of those.  It returns ``CUT`` where no affine diagram can grow: a
+    vertex of degree above 4, more than two branch vertices, a degree-4
+    vertex outside the 5-vertex star, a multiple edge beyond the 2-vertex
+    case, or a proper supergraph of a cycle.  All of these only grow under
+    extension, so the cut is monotone and loses nothing.
+    """
+    adj = cfg.adjacency()
+
+    def grow(state, u, subset):
+        top, edges, branch, high = state
+        # u's own degree counts in the edges only: it never exceeds a
+        # neighbour's unless it is 3 or more, and then, the parent being
+        # connected, the subset has more edges than curves and is cut
+        for w, m in adj[u].items():
+            if w in subset:
+                edges += 1
+                if m > top:
+                    top = m
+                dw = len(adj[w].keys() & subset)
+                if dw == 3:
+                    branch += 1
+                if dw > high:
+                    high = dw
+        size = len(subset)
+        if (
+            top >= 3
+            or (top == 2 and size > 2)
+            or edges > size
+            # a connected subset with as many edges as vertices is a cycle
+            # exactly when no degree exceeds 2
+            or (edges == size and high != 2)
+            or branch > 2
+            or high > 4
+            or (high == 4 and size > 5)
+        ):
+            return CUT
+        return top, edges, branch, high
+
+    return grow

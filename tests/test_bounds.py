@@ -261,11 +261,13 @@ def test_verify_certificate_rejects_tampering(char3_cfg):
 
 @pytest.mark.parametrize("make", [rough_bound, box_certificate])
 @pytest.mark.parametrize(
-    "support", [("f1", "f2", "c1", "c2", "c3", "f3", "f4"), ("nope",)]
+    "support",
+    [("f1", "f2", "c1", "c2", "c3", "f3", "f4"), ("nope",), (["f1"],), None],
 )
 def test_verify_certificate_total_on_bad_support(make, support):
-    # a degenerate support has no inverse and an unknown id no subgraph;
-    # both must be rejected, not raised
+    # a degenerate support has no inverse, an unknown id no subgraph, and a
+    # support that is not a tuple of ids names no subconfiguration; all must
+    # be rejected, not raised
     cfg = d6tilde_plus_three()
     cert = make(cfg, 1)
     assert verify_certificate(cert, cfg)

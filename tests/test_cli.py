@@ -131,6 +131,37 @@ def test_bound_rough_value(capsys):
     assert "1640/21" in out
 
 
+def test_bound_on_invalid_configuration_falls_back_to_rough(tmp_path, capsys):
+    # two positive directions: no rank-one split, and no traceback
+    cfg = tmp_path / "invalid.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "vertices": [
+                    {"id": "v0", "square": 0},
+                    {"id": "v1", "square": 0},
+                    {"id": "v2", "square": -2},
+                    {"id": "v3", "square": 0},
+                ],
+                "edges": [
+                    {"a": "v0", "b": "v1", "mult": 2},
+                    {"a": "v0", "b": "v3", "mult": 2},
+                    {"a": "v1", "b": "v2", "mult": 3},
+                    {"a": "v1", "b": "v3"},
+                ],
+            }
+        )
+    )
+    rc, out, _ = run(capsys, "classify", str(cfg))
+    assert "Invalid" in out
+    rc, out, _ = run(capsys, "bound", str(cfg), "--d", "1")
+    assert rc == 0
+    assert "RoughPositiveEntrySum" in out
+    rc, out, _ = run(capsys, "bound", str(cfg), "--d", "1", "--method", "box")
+    assert rc == 1
+    assert out.startswith("no box certificate: ")
+
+
 def test_bound_box_json(capsys):
     rc, out, _ = run(
         capsys,

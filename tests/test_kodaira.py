@@ -2,9 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3lat.graph import CUT, config_from_data, gram
+from k3lat import kodaira
+from k3lat.graph import CUT, config_from_data, connected_vertex_subsets, gram
 from k3lat.kodaira import (
-    _shape_prune,
+    _AFFINE,
+    _diagram_step,
     divisor_degree,
     exclusion_6d,
     find_kodaira_divisors,
@@ -13,7 +15,12 @@ from k3lat.kodaira import (
 )
 from k3lat.roots import standard_diagram
 
-from oracles import connected_subsets_reference
+from conftest import i4_fibres_with_section
+from oracles import (
+    connected_subsets_reference,
+    find_kodaira_divisors_reference,
+    oracle_signature,
+)
 
 
 def test_type_table_examples():
@@ -238,52 +245,35 @@ def test_exclusion_6d_preconditions():
         exclusion_6d(cfg2, 1, 43)
 
 
-def _prune_reference(cfg, subset):
-    """The shape rules of ``_shape_prune``, read off the induced edge list."""
-    ids = {cfg.vertices[i].id for i in subset}
-    edges = [(a, b, m) for a, b, m in cfg.edge_items() if a in ids and b in ids]
-    deg = {v: sum(v in (a, b) for a, b, _ in edges) for v in ids}
-    branch = [d for d in deg.values() if d >= 3]
-    top = max((m for _, _, m in edges), default=0)
-    return (
-        top >= 3
-        or (top == 2 and len(ids) > 2)
-        or len(edges) > len(ids)
-        or (len(edges) == len(ids) and set(deg.values()) != {2})
-        or len(branch) > 2
-        or max(branch, default=0) > 4
-        or (4 in branch and len(ids) > 5)
-    )
-
-
-def _state_reference(cfg, subset):
-    """The state ``_shape_prune`` carries, read off the induced edge list:
-    largest multiplicity, edge count, branch-vertex count, largest degree."""
-    ids = {cfg.vertices[i].id for i in subset}
-    edges = [(a, b, m) for a, b, m in cfg.edge_items() if a in ids and b in ids]
-    deg = [sum(v in (a, b) for a, b, _ in edges) for v in ids]
-    return (
-        max((m for _, _, m in edges), default=0),
-        len(edges),
-        sum(d >= 3 for d in deg),
-        max(deg, default=0),
-    )
-
-
-def _assert_step_matches_rules(cfg):
-    # every connected subset from every connected parent, pruned or not
-    grow = _shape_prune(cfg)
-    connected = set(connected_subsets_reference(cfg, cfg.n)) | {()}
-    for subset in sorted(connected - {()}):
-        cut = _prune_reference(cfg, subset)
+def _assert_step_cuts_exactly_the_indefinite(cfg):
+    # every connected subset from every connected parent the search keeps:
+    # the child is cut exactly when it has a positive direction or the
+    # parent is degenerate, and it is affine exactly when it is degenerate
+    step = _diagram_step(cfg)
+    kept = dict(connected_vertex_subsets(cfg, cfg.n, step, None))
+    kept[()] = None
+    sig = {(): (0, 0, 0)}
+    for subset in connected_subsets_reference(cfg, cfg.n):
+        ids = [cfg.vertices[i].id for i in subset]
+        sig[subset] = oracle_signature([list(r) for r in gram(cfg.induced(ids)).rows()])
+    for subset in sorted(sig.keys() - {()}):
+        n_plus, _, n_zero = sig[subset]
+        assert (subset in kept) == (n_plus == 0), subset
         for u in subset:
             parent = tuple(x for x in subset if x != u)
-            if parent not in connected:
+            if parent not in kept:
                 continue
-            state = grow(_state_reference(cfg, parent), u, subset)
-            assert (state is CUT) == cut, (parent, u)
-            if not cut:
-                assert state == _state_reference(cfg, subset), (parent, u)
+            state = step(kept[parent], u, subset)
+            assert (state is CUT) == (n_plus > 0 or sig[parent][2] > 0), (parent, u)
+            if state is not CUT:
+                assert (state is _AFFINE) == (n_zero > 0), (parent, u)
+
+
+def _roots_config(n, edges):
+    return config_from_data(
+        [(f"v{i}", -2) for i in range(n)],
+        [(f"v{i}", f"v{j}", m) for (i, j), m in edges.items()],
+    )
 
 
 @pytest.mark.parametrize(
@@ -298,20 +288,23 @@ def _assert_step_matches_rules(cfg):
 )
 def test_shape_prune_on_branched_trees(edges):
     n = 1 + max(j for _, j in edges)
-    cfg = config_from_data(
-        [(f"v{i}", -2) for i in range(n)], [(f"v{i}", f"v{j}") for i, j in edges]
-    )
-    whole = tuple(range(n))
-    assert _shape_prune(cfg)(_state_reference(cfg, whole[:-1]), n - 1, whole) is CUT
-    _assert_step_matches_rules(cfg)
+    cfg = _roots_config(n, dict.fromkeys(edges, 1))
+    kept = dict(connected_vertex_subsets(cfg, n, _diagram_step(cfg), None))
+    assert tuple(range(n)) not in kept
+    _assert_step_cuts_exactly_the_indefinite(cfg)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_shape_prune_matches_its_rules(data):
-    # a random tree (branch vertices, long arms, stars) plus a few chords
-    n = data.draw(st.integers(min_value=1, max_value=9))
-    mult = st.sampled_from([1, 1, 1, 1, 2, 3])
+@pytest.mark.parametrize(
+    "diagram",
+    [("A1Tilde",), ("AffineA", 5), ("AffineD", 4), ("AffineD", 7),
+     ("AffineE", 6), ("AffineE", 7), ("AffineE", 8), ("E", 8), ("D", 6)],
+)
+def test_diagram_step_on_standard_diagrams(diagram):
+    _assert_step_cuts_exactly_the_indefinite(standard_diagram(*diagram))
+
+
+def _random_edges(data, n, mult):
+    # a random tree (branch curves, long arms, stars) plus a few chords
     edges = {}
     for j in range(1, n):
         edges[(data.draw(st.integers(min_value=0, max_value=j - 1)), j)] = data.draw(mult)
@@ -319,8 +312,61 @@ def test_shape_prune_matches_its_rules(data):
         pair = st.lists(st.integers(min_value=0, max_value=n - 1), min_size=2, max_size=2, unique=True)
         for i, j in data.draw(st.lists(pair, max_size=3)):
             edges[(min(i, j), max(i, j))] = data.draw(mult)
+    return edges
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_shape_prune_matches_its_rules(data):
+    # the diagram step's one rule: cut exactly the indefinite subsets
+    n = data.draw(st.integers(min_value=1, max_value=9))
+    edges = _random_edges(data, n, st.sampled_from([1, 1, 1, 1, 2, 3]))
+    _assert_step_cuts_exactly_the_indefinite(_roots_config(n, edges))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_find_divisors_matches_shape_step_search(data):
+    # the same divisor lists as the search that recognised every subset
+    # its shape step kept, on trees, cycles, stars and chords with
+    # isotropic curves and multiple edges, with and without a weight cap
+    n = data.draw(st.integers(min_value=1, max_value=10))
+    shape = data.draw(st.sampled_from(["tree", "cycle", "star"]))
+    mult = st.sampled_from([1, 1, 1, 1, 2, 3])
+    if shape == "tree":
+        edges = _random_edges(data, n, mult)
+    else:
+        spokes = [(0, j) for j in range(1, n)]
+        ring = [(j, j + 1) for j in range(n - 1)] + ([(0, n - 1)] if n > 2 else [])
+        edges = {e: data.draw(mult) for e in (ring if shape == "cycle" else spokes)}
+        edges.update(_random_edges(data, n, mult) if data.draw(st.booleans()) else {})
+    square = st.sampled_from([-2, -2, -2, 0])
+    squares = data.draw(st.lists(square, min_size=n, max_size=n))
     cfg = config_from_data(
-        [(f"v{i}", -2) for i in range(n)],
+        [(f"v{i}", sq) for i, sq in enumerate(squares)],
         [(f"v{i}", f"v{j}", m) for (i, j), m in edges.items()],
     )
-    _assert_step_matches_rules(cfg)
+    cap = data.draw(st.one_of(st.none(), st.integers(min_value=1, max_value=12)))
+    assert find_kodaira_divisors(cfg, cap) == find_kodaira_divisors_reference(cfg, cap)
+
+
+def test_recognition_runs_on_affine_subsets_only(monkeypatch):
+    # one recognition per divisor the search reports before the weight cap
+    cfg = i4_fibres_with_section()
+    calls = []
+    real_recognize = kodaira.recognize_component
+
+    def recording(cfg, ids):
+        comp = real_recognize(cfg, ids)
+        calls.append(comp)
+        return comp
+
+    monkeypatch.setattr(kodaira, "recognize_component", recording)
+    divisors = find_kodaira_divisors(cfg)
+    assert len(calls) == len(divisors) == 496
+    assert all(comp.is_affine for comp in calls)
+    calls.clear()
+    capped = find_kodaira_divisors(cfg, max_weight=4)
+    assert all(comp.is_affine for comp in calls)
+    assert capped == [d for d in divisors if d.weight <= 4]
+    assert len(calls) == sum(len(d.support) <= 4 for d in divisors)

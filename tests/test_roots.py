@@ -379,7 +379,6 @@ def test_fibre_search_runs_one_elimination_per_diagram_type(monkeypatch):
     divisors = find_kodaira_divisors(i4_fibres_with_section())
     assert len(divisors) == 496
     assert [d.tag for d in divisors].count("I4") == 6
-    # the shape prune cuts exactly the branches it cut with its own edge scan
-    assert len(visited) == 4670
-    assert len(eliminations) <= len(kinds) == 18
-    assert len(matches) == 2085
+    # recognition runs on the affine subsets only, one per divisor
+    assert len(visited) == len(matches) == 496
+    assert len(eliminations) <= len(kinds) == 6
