@@ -58,10 +58,10 @@ from typing import NamedTuple
 
 from .exact import (
     SymMatrix,
+    _congruence,
     bareiss,
     inverse,
     minor_signature,
-    signature,
     SingularMatrixError,
 )
 from .graph import (
@@ -218,7 +218,7 @@ def _adjugate(order: tuple[int, ...], g: list[list[int]]) -> _Adjugate | None:
     except SingularMatrixError:
         return None
     if minors is None:
-        n_plus = signature(SymMatrix(g)).n_plus
+        n_plus = _congruence(g)[0].n_plus
     else:
         n_plus = minor_signature(minors).n_plus
     return _Adjugate(order, det, adj, n_plus)
@@ -368,13 +368,14 @@ def verify_certificate(cert: BoundCertificate, cfg: CurveConfig) -> bool:
     """Re-verify a certificate by independent recomputation from the
     configuration it was issued for, in the order of its support.  Total:
     malformed input, such as a support that is not a tuple of ids, an
-    unknown, repeated or degenerate support or a degree cap ``d`` that is
-    not an integer of at least 1, is rejected rather than raised.  A
+    unknown, repeated or degenerate support, a degree cap ``d`` that is
+    not an integer (a bool is not) of at least 1 or a box witness whose
+    parts are not matrices, is rejected rather than raised.  A
     support with no positive direction bounds nothing (the polarization's
     positive part may lie in its orthogonal complement), so its rough and
     box certificates are rejected too."""
     d, ids = cert.d, cert.support_ids
-    if not isinstance(d, int) or d < 1 or not isinstance(ids, tuple):
+    if type(d) is not int or d < 1 or not isinstance(ids, tuple):
         return False
     if not all(isinstance(v, str) for v in ids) or len(set(ids)) != len(ids):
         return False
@@ -396,7 +397,10 @@ def verify_certificate(cert: BoundCertificate, cfg: CurveConfig) -> bool:
         wit = cert.witness
         if not isinstance(wit, BoxWitness) or wit.x_max != (Fraction(d),) * len(g):
             return False
-        if _witness_fault(g, wit.negative_part, wit.nonnegative_part, entry.n_plus):
+        parts = (wit.negative_part, wit.nonnegative_part)
+        if not all(isinstance(x, SymMatrix) for x in parts):
+            return False
+        if _witness_fault(g, *parts, entry.n_plus):
             return False
         # the witness has passed as the inverse adj / det
         total = Fraction(sum(map(sum, entry.adj)), entry.det)

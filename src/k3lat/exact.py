@@ -2,18 +2,19 @@
 
 Results are exact (arbitrary-precision integers, no rounding ever).  There
 are three eliminations, and each exact question is answered by one of them.
-A symmetric congruence ``P^T M P = diag(d, 0, ..., 0)`` over
-:class:`fractions.Fraction` gives :func:`signature` (signs of ``d``) and
+A symmetric congruence ``P^T M P = diag(d, 0, ..., 0)``, run fraction-free
+on an integer matrix, gives :func:`signature` (signs of ``d``) and
 :func:`positive_square_vector` (a column of ``P``; both at once from
 :func:`signature_and_witness`); ``P`` itself is not part of the public
 surface.  :func:`bareiss` is the fraction-free elimination of an integer
 matrix: the determinant, the adjugate, :func:`inverse` as ``adj / det``
 and, when it pivots only on the diagonal, the nested principal minors whose
-signs give the inertia (:func:`minor_signature`).  :func:`row_echelon` is
-the one Gauss-Jordan loop: one left-to-right reduction gives
-:func:`kernel_basis`, one right-to-left reduction the quotient by the
-radical (``graph.quotient_by_kernel``).  All values are immutable and all
-functions are pure; concurrent use is safe.
+signs give the inertia (:func:`minor_signature`).  The public functions
+take a rational matrix and scale it by the lcm of its denominators first.
+:func:`row_echelon` is the one Gauss-Jordan loop: one left-to-right
+reduction gives :func:`kernel_basis`, one right-to-left reduction the
+quotient by the radical (``graph.quotient_by_kernel``).  All values are
+immutable and all functions are pure; concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 
@@ -140,25 +142,34 @@ class SymMatrix:
         return min(x for row in self._rows for x in row)
 
 
-def _congruence(m: SymMatrix) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Symmetric elimination ``P^T m P = diag(d, 0, ..., 0)``.
+def _congruence(
+    rows: Sequence[Sequence[int]], witness: bool = False
+) -> tuple[Signature, tuple[Fraction, ...] | None]:
+    """Inertia of the integer symmetric matrix ``m`` with these ``rows``
+    from the symmetric elimination ``P^T m P = diag(d, 0, ..., 0)``, run
+    fraction-free; with ``witness``, also the column ``v`` of ``P`` at the
+    first positive pivot, checked to have ``v^T m v > 0`` (None when no
+    pivot is positive).
 
-    Returns the nonzero pivots ``d`` in elimination order and the columns
-    ``p`` of ``P``; ``p[len(d):]`` span the kernel.  Step ``k`` pivots on the
-    first nonzero diagonal at or after ``k``; failing that, the first nonzero
-    off-diagonal ``(r, c)`` of the trailing block (row-major) is moved onto
-    the diagonal by adding row and column ``c`` to ``r``.  Eliminated rows
-    and columns vanish on the trailing block, so only that block is updated.
+    Step ``k`` pivots on the first nonzero diagonal at or after ``k``;
+    failing that, the first nonzero off-diagonal ``(r, c)`` of the trailing
+    block (row-major) is moved onto the diagonal by adding row and column
+    ``c`` to ``r``.  Every trailing row takes Bareiss's exact step
+    ``(pivot x - f y) // prev``, so the trailing block and the tracked
+    columns of ``P`` are ``prev`` times those of the rational elimination,
+    and ``d_k`` has the sign of ``pivot * prev``.  Columns of ``P`` are
+    tracked only for a witness, and only up to the first positive pivot.
     """
-    n = m.n
-    a = [list(row) for row in m.rows()]
-    p = [[Fraction(i == j) for i in range(n)] for j in range(n)]
-    d: list[Fraction] = []
+    n = len(rows)
+    a = [list(row) for row in rows]
+    p = [[int(i == j) for i in range(n)] for j in range(n)] if witness else None
+    n_plus = n_minus = 0
+    vec, prev = None, 1
     for k in range(n):
-        piv = next((r for r in range(k, n) if a[r][r] != 0), None)
+        piv = next((r for r in range(k, n) if a[r][r]), None)
         if piv is None:
             off = next(
-                ((r, c) for r in range(k, n) for c in range(r + 1, n) if a[r][c] != 0),
+                ((r, c) for r in range(k, n) for c in range(r + 1, n) if a[r][c]),
                 None,
             )
             if off is None:
@@ -168,25 +179,36 @@ def _congruence(m: SymMatrix) -> tuple[list[Fraction], list[list[Fraction]]]:
                 a[piv][j] += a[c][j]
             for i in range(k, n):
                 a[i][piv] += a[i][c]
-            p[piv] = [x + y for x, y in zip(p[piv], p[c])]
+            if p:
+                p[piv] = [x + y for x, y in zip(p[piv], p[c])]
         if piv != k:
             a[k], a[piv] = a[piv], a[k]
             for row in a[k:]:
                 row[k], row[piv] = row[piv], row[k]
-            p[k], p[piv] = p[piv], p[k]
+            if p:
+                p[k], p[piv] = p[piv], p[k]
         pivot = a[k][k]
-        d.append(pivot)
-        row_k = a[k]
-        nz_a = [j for j in range(k + 1, n) if row_k[j] != 0]
-        nz_p = [(i, x) for i, x in enumerate(p[k]) if x != 0]
-        for r in nz_a:
-            f = row_k[r] / pivot
-            row_r, p_r = a[r], p[r]
-            for j in nz_a:
-                row_r[j] -= f * row_k[j]
-            for i, x in nz_p:
-                p_r[i] -= f * x
-    return d, p
+        if (pivot > 0) != (prev > 0):
+            n_minus += 1
+        else:
+            n_plus += 1
+            if p:
+                q, p = p[k], None
+                vec = tuple(Fraction(x, prev) for x in q)
+        if p:
+            p_k = p[k]
+            for r in range(k + 1, n):
+                f = a[r][k]
+                p[r] = [(pivot * x - f * y) // prev for x, y in zip(p[r], p_k)]
+        tail_k = a[k][k + 1 :]
+        for row in a[k + 1 :]:
+            f = row[k]
+            row[k + 1 :] = [(pivot * x - f * y) // prev for x, y in zip(row[k + 1 :], tail_k)]
+        prev = pivot
+    # v = q / prev and prev^2 > 0, so the check runs on q in integers
+    if vec is not None and not sum(x * sum(map(mul, row, q)) for x, row in zip(q, rows)) > 0:
+        raise AssertionError("congruence transform lost its positive direction")
+    return Signature(n_plus, n_minus, n - n_plus - n_minus), vec
 
 
 def _integer(x) -> int:
@@ -290,14 +312,16 @@ def row_echelon(
     return a[: len(pivots)], pivots
 
 
-def _signature(n: int, d: Sequence[Fraction]) -> Signature:
-    n_plus = sum(1 for x in d if x > 0)
-    return Signature(n_plus, len(d) - n_plus, n - len(d))
+def _scaled(m: SymMatrix) -> tuple[int, list[list[int]]]:
+    """``(s, s m)`` with ``s`` the lcm of the denominators of ``m``, so
+    that ``s m`` is an integer matrix."""
+    s = lcm(*(x.denominator for row in m.rows() for x in row))
+    return s, [[x.numerator * (s // x.denominator) for x in row] for row in m.rows()]
 
 
 def signature(m: SymMatrix) -> Signature:
     """Inertia of a symmetric matrix, computed exactly."""
-    return _signature(m.n, _congruence(m)[0])
+    return _congruence(_scaled(m)[1])[0]
 
 
 def signature_and_witness(
@@ -305,14 +329,7 @@ def signature_and_witness(
 ) -> tuple[Signature, tuple[Fraction, ...] | None]:
     """Inertia of ``m`` and a vector ``v`` with ``v^T m v > 0`` (None if the
     form is negative semi-definite), from one congruence."""
-    d, p = _congruence(m)
-    j = next((j for j, x in enumerate(d) if x > 0), None)
-    if j is None:
-        return _signature(m.n, d), None
-    vec = tuple(p[j])
-    if not m.quadratic_form(vec) > 0:
-        raise AssertionError("congruence transform lost its positive direction")
-    return _signature(m.n, d), vec
+    return _congruence(_scaled(m)[1], witness=True)
 
 
 def positive_square_vector(m: SymMatrix) -> tuple[Fraction, ...] | None:
@@ -363,8 +380,6 @@ def inverse(m: SymMatrix) -> SymMatrix:
     """Exact inverse ``s adj(s m) / det(s m)``, with ``s`` the lcm of the
     denominators of ``m``, from one :func:`bareiss` elimination; raises
     :class:`SingularMatrixError` on a degenerate input."""
-    s = lcm(*(x.denominator for row in m.rows() for x in row))
-    det, adj, _ = bareiss(
-        [[x.numerator * (s // x.denominator) for x in row] for row in m.rows()]
-    )
+    s, rows = _scaled(m)
+    det, adj, _ = bareiss(rows)
     return SymMatrix([[Fraction(s * x, det) for x in row] for row in adj])

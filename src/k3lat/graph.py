@@ -16,12 +16,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .exact import (
-    Signature,
-    SymMatrix,
-    row_echelon,
-    signature_and_witness,
-)
+from .exact import Signature, SymMatrix, _congruence, row_echelon
 
 
 class SpanKind(enum.Enum):
@@ -260,7 +255,7 @@ def classify(cfg: CurveConfig) -> LatticeClass:
     of a surface (Hodge index), so such input is reported as Invalid with an
     explicit positive-square witness vector.
     """
-    sig, witness = signature_and_witness(gram(cfg))
+    sig, witness = _congruence(integer_gram(cfg, range(cfg.n)), witness=True)
     if sig.n_plus == 0:
         kind = SpanKind.ELLIPTIC if sig.n_zero == 0 else SpanKind.PARABOLIC
         return LatticeClass(kind, sig)

@@ -20,8 +20,8 @@ import functools
 import math
 from dataclasses import dataclass, replace
 
-from .exact import signature
-from .graph import CurveConfig, CurveVertex, SpanKind, classify, gram, integer_gram
+from .exact import _congruence
+from .graph import CurveConfig, CurveVertex, SpanKind, classify, integer_gram
 
 
 class NotNegativeSemidefiniteError(ValueError):
@@ -345,12 +345,13 @@ def standard_gram(kind: str, n: int | None) -> tuple[tuple[int, ...], ...]:
     ``RuntimeError``: the diagram table itself would be wrong.
     """
     cfg = standard_diagram(kind, n)
-    g = gram(cfg)
+    g = tuple(map(tuple, integer_gram(cfg, range(cfg.n))))
     affine = RootComponent(kind, n, ()).is_affine
     want = (0, cfg.n - 1, 1) if affine else (0, cfg.n, 0)
-    got = signature(g).as_tuple()
+    got = _congruence(g)[0].as_tuple()
     if got != want:
         raise RuntimeError(f"{cfg.name} has signature {got}, expected {want}")
-    if affine and any(g.apply(radical(kind, n))):
+    rad = radical(kind, n) if affine else ()
+    if any(sum(x * y for x, y in zip(row, rad)) for row in g):
         raise RuntimeError(f"radical of {cfg.name} does not annihilate its Gram matrix")
-    return tuple(tuple(int(x) for x in row) for row in g.rows())
+    return g

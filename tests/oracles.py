@@ -12,7 +12,9 @@ depth-first enumeration that ``graph.connected_vertex_subsets`` replaced,
 signature-confirmed recognition that ``roots.recognize_component``
 replaced, :func:`verify_certificate_reference`, the Fraction inverse
 and dense signature check that ``bounds.verify_certificate`` replaced, and
-the congruence-based :func:`inverse_reference`,
+the Fraction symmetric elimination :func:`congruence_reference` that the
+fraction-free ``exact._congruence`` replaced, the congruence-based
+:func:`inverse_reference`,
 :func:`kernel_basis_reference` and :func:`quotient_by_kernel_reference`
 that one Bareiss elimination or one row reduction replaced, and
 :func:`find_kodaira_divisors_reference`, the fibre search whose shape
@@ -41,7 +43,6 @@ from k3lat.bounds import (
 from k3lat.exact import (
     SingularMatrixError,
     SymMatrix,
-    _congruence,
     _primitive_integer,
     row_echelon,
     signature,
@@ -271,14 +272,73 @@ def oracle_signature(rows: list[list[Fraction]]) -> tuple[int, int, int]:
     return root_sign_counts(charpoly(rows))
 
 
-# -- the congruence-based inverse, kernel and quotient ------------------------
+# -- the Fraction congruence and the inverse, kernel and quotient built on it --
+
+
+def congruence_reference(m: SymMatrix) -> tuple[list[Fraction], list[list[Fraction]]]:
+    """Symmetric elimination ``P^T m P = diag(d, 0, ..., 0)``.
+
+    Returns the nonzero pivots ``d`` in elimination order and the columns
+    ``p`` of ``P``; ``p[len(d):]`` span the kernel.  Step ``k`` pivots on the
+    first nonzero diagonal at or after ``k``; failing that, the first nonzero
+    off-diagonal ``(r, c)`` of the trailing block (row-major) is moved onto
+    the diagonal by adding row and column ``c`` to ``r``.  Eliminated rows
+    and columns vanish on the trailing block, so only that block is updated.
+    """
+    n = m.n
+    a = [list(row) for row in m.rows()]
+    p = [[Fraction(i == j) for i in range(n)] for j in range(n)]
+    d: list[Fraction] = []
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][r] != 0), None)
+        if piv is None:
+            off = next(
+                ((r, c) for r in range(k, n) for c in range(r + 1, n) if a[r][c] != 0),
+                None,
+            )
+            if off is None:
+                break
+            piv, c = off
+            for j in range(k, n):
+                a[piv][j] += a[c][j]
+            for i in range(k, n):
+                a[i][piv] += a[i][c]
+            p[piv] = [x + y for x, y in zip(p[piv], p[c])]
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            for row in a[k:]:
+                row[k], row[piv] = row[piv], row[k]
+            p[k], p[piv] = p[piv], p[k]
+        pivot = a[k][k]
+        d.append(pivot)
+        row_k = a[k]
+        nz_a = [j for j in range(k + 1, n) if row_k[j] != 0]
+        nz_p = [(i, x) for i, x in enumerate(p[k]) if x != 0]
+        for r in nz_a:
+            f = row_k[r] / pivot
+            row_r, p_r = a[r], p[r]
+            for j in nz_a:
+                row_r[j] -= f * row_k[j]
+            for i, x in nz_p:
+                p_r[i] -= f * x
+    return d, p
+
+
+def signature_and_witness_reference(m: SymMatrix):
+    """Inertia ``(n+, n-, n0)`` of ``m`` and the column of ``P`` at the
+    first positive pivot of :func:`congruence_reference` (None if none)."""
+    d, p = congruence_reference(m)
+    n_plus = sum(1 for x in d if x > 0)
+    j = next((j for j, x in enumerate(d) if x > 0), None)
+    witness = None if j is None else tuple(p[j])
+    return (n_plus, len(d) - n_plus, m.n - len(d)), witness
 
 
 def inverse_reference(m: SymMatrix) -> SymMatrix:
     """Exact inverse ``P diag(d)^-1 P^T``; raises
     :class:`SingularMatrixError` on a degenerate input."""
     n = m.n
-    d, p = _congruence(m)
+    d, p = congruence_reference(m)
     if len(d) < n:
         raise SingularMatrixError("matrix is singular")
     w = [[Fraction(0)] * n for _ in range(n)]
@@ -299,7 +359,7 @@ def kernel_basis_reference(m: SymMatrix) -> list[tuple[int, ...]]:
     """Canonical kernel basis: the congruence's kernel columns reduced from
     the rightmost column, as primitive integer vectors, sorted."""
     n = m.n
-    d, p = _congruence(m)
+    d, p = congruence_reference(m)
     reduced, _ = row_echelon(p[len(d):], range(n - 1, -1, -1))
     return sorted(_primitive_integer(vec) for vec in reduced)
 

@@ -34,6 +34,7 @@ from k3lat.bounds import (
     verify_certificate,
 )
 from k3lat.exact import SymMatrix, inverse, kernel_basis, signature
+from k3lat.formats import parse_config
 from k3lat.graph import (
     SpanKind,
     classify,
@@ -104,9 +105,9 @@ def _count_eliminations(monkeypatch):
     for name in ("_congruence", "row_echelon", "bareiss"):
         real = getattr(exact, name)
 
-        def spy(*args, _real=real, _name=name):
+        def spy(*args, _real=real, _name=name, **kwargs):
             counts[_name] += 1
-            return _real(*args)
+            return _real(*args, **kwargs)
 
         for module in (exact, graph, bounds, catalog, roots, kodaira):
             if getattr(module, name, None) is real:
@@ -272,6 +273,15 @@ def test_verify_certificate_total_on_bad_support(make, support):
     cert = make(cfg, 1)
     assert verify_certificate(cert, cfg)
     assert not verify_certificate(replace(cert, support_ids=support), cfg)
+    # nor is a bool degree cap, or a box witness part that is not a matrix
+    bad = [replace(cert, d=True)]
+    if cert.witness is not None:
+        bad += [
+            replace(cert, witness=replace(cert.witness, **{part: value}))
+            for part in ("negative_part", "nonnegative_part")
+            for value in (None, [[0]])
+        ]
+    assert not any(verify_certificate(c, cfg) for c in bad)
 
 
 @pytest.mark.parametrize(
@@ -470,15 +480,26 @@ def test_sweep_fallback_only_off_the_diagonal(monkeypatch):
     # the two square-0 curves meeting once have a zero diagonal, so their
     # subset takes the congruence for its inertia; no other subset does
     calls = []
-    real = bounds.signature
-    monkeypatch.setattr(bounds, "signature", lambda m: calls.append(m.n) or real(m))
+    real = exact._congruence
+
+    def spy(rows, witness=False):
+        calls.append(rows)
+        return real(rows, witness)
+
+    monkeypatch.setattr(bounds, "_congruence", spy)
     cfg = config_from_data([("a", 0, 1), ("b", 0, 1)], [("a", "b")])
     entries = dict(_adjugate_sweep(cfg, 2))
     assert entries[(0,)] is None and entries[(1,)] is None
-    assert entries[(0, 1)].n_plus == 1 and calls == [2]
+    assert entries[(0, 1)].n_plus == 1 and [len(g) for g in calls] == [2]
     calls.clear()
     list(_adjugate_sweep(i4_fibres_with_section(2), 9))
     assert calls == []
+    # classify, exclude and catalog verify hand the congruence integers only
+    monkeypatch.setattr(graph, "_congruence", spy)
+    exclude(cfg, 1, 1)
+    assert all(r.ok for r in catalog.verify_catalog())
+    received = [x for g in calls for row in g for x in row]
+    assert received and all(type(x) is int for x in received)
 
 
 # -- exclusion engine ---------------------------------------------------------
@@ -785,3 +806,50 @@ def test_admissible_h_range_nonexistent_polarization():
 
 def test_admissible_h_range_char3(char3_cfg):
     assert admissible_h_range(char3_cfg, 1).h_max == 43
+
+
+# -- classify golden ------------------------------------------------------------
+
+
+def _relabelled_fibrations(copies=3, seed=2207):
+    """6xI4 and 4xI6 with a section meeting the first component of each
+    fibre, each ``copies`` times with its curves renamed and listed in a
+    seeded random order."""
+    rng = random.Random(seed)
+    out = []
+    for fibres, length in ((6, 4), (4, 6)):
+        ids = ["s"] + [f"f{f}c{c}" for f in range(fibres) for c in range(length)]
+        edges = [
+            (f"f{f}c{c}", f"f{f}c{(c + 1) % length}")
+            for f in range(fibres)
+            for c in range(length)
+        ]
+        edges += [("s", f"f{f}c0") for f in range(fibres)]
+        for k in range(copies):
+            order = rng.sample(ids, len(ids))
+            name = {v: f"x{i}" for i, v in enumerate(rng.sample(ids, len(ids)))}
+            cfg = config_from_data(
+                [(name[v], -2, 1) for v in order],
+                [(name[a], name[b]) for a, b in edges],
+                name=f"{fibres}xI{length}-relabelled-{k}",
+            )
+            out.append(cfg)
+    return out
+
+
+def test_classify_golden_byte_identical():
+    # pins the kind, the signature and the positive witness on the shipped
+    # configurations, the exclude golden's random ones and relabelled
+    # fibrations with a section
+    cfgs = []
+    for path in sorted(Path(catalog.data_root()).glob("*/*.json")):
+        try:
+            cfgs.append(parse_config(path.read_text()).config)
+        except ValueError:
+            pass  # profiles, models and catalog entries
+    assert len(cfgs) == 4
+    cfgs += [cfg for cfg, _ in _golden_random_configs()]
+    cfgs += _relabelled_fibrations()
+    out = [(c.kind, c.signature, c.positive_witness) for c in map(classify, cfgs)]
+    digest = hashlib.sha256(repr(out).encode()).hexdigest()[:16]
+    assert digest == "721cdcdf86a79444"

@@ -16,14 +16,17 @@ from k3lat.exact import (
     minor_signature,
     positive_square_vector,
     signature,
+    signature_and_witness,
 )
 
 from oracles import (
+    congruence_reference,
     det,
     inverse_reference,
     kernel_basis_reference,
     oracle_signature,
     row_reduce_rank,
+    signature_and_witness_reference,
 )
 
 
@@ -132,7 +135,7 @@ def test_signature_properties_hypothesis(data):
     assert sig.as_tuple() == oracle_signature(rows)
     assert sig.n_zero == n - row_reduce_rank(rows)
     # congruence transform really diagonalizes
-    _, cols = _congruence(m)
+    _, cols = congruence_reference(m)
     for a, u in enumerate(cols):
         for b, v in enumerate(cols):
             if a != b:
@@ -342,3 +345,58 @@ def test_bareiss_rejects_singular_and_non_integer_input():
     with pytest.raises(ValueError):
         bareiss([[Fraction(1, 2)]])
     assert bareiss([]) == (1, [], [])
+
+
+# -- the fraction-free congruence against the Fraction loop it replaced -------
+
+
+def _check_congruence(m):
+    want_sig, want_vec = signature_and_witness_reference(m)
+    sig, vec = signature_and_witness(m)
+    assert (sig.as_tuple(), vec) == (want_sig, want_vec)
+    assert signature(m) == sig and positive_square_vector(m) == vec
+    if vec is not None:
+        assert m.quadratic_form(vec) > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_congruence_matches_reference_hypothesis(data):
+    # a core pulled back along a map of the n indices to the core's indices
+    # or to nothing gives nullity >= n - r; zero diagonals force the fold
+    n = data.draw(st.integers(min_value=1, max_value=9))
+    r = data.draw(st.integers(min_value=0, max_value=n))
+    entry = st.integers(min_value=-4, max_value=4)
+    diagonal = st.sampled_from((st.just(0), st.one_of(st.just(0), entry), entry))
+    core = _symmetric_rows(data, r, entry, data.draw(diagonal))
+    extra = data.draw(
+        st.lists(st.sampled_from((None, *range(r))), min_size=n - r, max_size=n - r)
+    )
+    lift = data.draw(st.permutations(list(range(r)) + extra))
+    rows = [
+        [0 if a is None or b is None else core[a][b] for b in lift] for a in lift
+    ]
+    if r <= n - 2:
+        assert n - row_reduce_rank(rows) >= 2
+    _check_congruence(SymMatrix(rows))
+    # the integer entry point returns the same, on int entries
+    want_sig, want_vec = signature_and_witness_reference(SymMatrix(rows))
+    sig, vec = _congruence(rows, witness=True)
+    assert (sig.as_tuple(), vec) == (want_sig, want_vec)
+    assert _congruence(rows)[0] == sig
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_congruence_of_fraction_entries_matches_reference_hypothesis(data):
+    # non-integer entries: the congruence runs on the lcm-scaled matrix
+    n = data.draw(st.integers(min_value=1, max_value=7))
+    entry = st.builds(
+        Fraction,
+        st.integers(min_value=-4, max_value=4),
+        st.integers(min_value=1, max_value=6),
+    )
+    rows = _symmetric_rows(data, n, entry, st.one_of(st.just(Fraction(0)), entry))
+    i, j = data.draw(st.tuples(*[st.integers(min_value=0, max_value=n - 1)] * 2))
+    rows[i][j] = rows[j][i] = Fraction(data.draw(st.sampled_from((1, -1, 3, -5))), 2)
+    _check_congruence(SymMatrix(rows))

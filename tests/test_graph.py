@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3lat import exact
+from k3lat import exact, graph
 from k3lat.exact import (
     Signature,
     SymMatrix,
@@ -33,6 +33,7 @@ from oracles import (
     kernel_basis_reference,
     quotient_by_kernel_reference,
     row_reduce_rank,
+    signature_and_witness_reference,
 )
 
 
@@ -126,16 +127,20 @@ def test_classify_invalid_with_witness():
     ],
 )
 def test_classify_runs_one_elimination(monkeypatch, verts, edges, kind):
-    # the signature and the positive witness come from one congruence
+    # the signature and the positive witness come from one congruence, run
+    # on the integer Gram matrix
     cfg = config_from_data(verts, edges)
     calls = []
     congruence = exact._congruence
     monkeypatch.setattr(
-        exact, "_congruence", lambda m: calls.append(m) or congruence(m)
+        graph,
+        "_congruence",
+        lambda rows, witness=False: calls.append(rows) or congruence(rows, witness),
     )
     cls = classify(cfg)
     assert cls.kind is kind
     assert len(calls) == 1
+    assert all(type(x) is int for row in calls[0] for x in row)
     assert cls.positive_witness == positive_square_vector(gram(cfg))
     assert gram(cfg).quadratic_form(cls.positive_witness) > 0
 
@@ -464,3 +469,14 @@ def test_adjacency_is_read_only():
     with pytest.raises(TypeError):
         cfg.adjacency()[0] = {}
     assert cfg.edge_mult("a", "b") == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_classify_matches_congruence_reference_hypothesis(data):
+    # the integer congruence gives the inertia and the witness that the
+    # Fraction loop gives on the Fraction Gram matrix
+    cfg = _random_config(data, 9)
+    cls = classify(cfg)
+    want_sig, want_vec = signature_and_witness_reference(gram(cfg))
+    assert (cls.signature.as_tuple(), cls.positive_witness) == (want_sig, want_vec)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3lat import exact, kodaira, roots
+from k3lat import exact, graph, kodaira, roots
 from k3lat.exact import signature
 from k3lat.graph import (
     CurveConfig,
@@ -359,9 +359,9 @@ def test_fibre_search_runs_one_elimination_per_diagram_type(monkeypatch):
     eliminations = []
     real_congruence = exact._congruence
 
-    def counting(m):
-        eliminations.append(m.n)
-        return real_congruence(m)
+    def counting(rows, witness=False):
+        eliminations.append(rows)
+        return real_congruence(rows, witness)
 
     kinds, matches, visited = set(), [], []
     real_recognize = kodaira.recognize_component
@@ -374,11 +374,13 @@ def test_fibre_search_runs_one_elimination_per_diagram_type(monkeypatch):
             matches.append(ids)
         return comp
 
-    monkeypatch.setattr(exact, "_congruence", counting)
+    for module in (exact, graph, roots):
+        monkeypatch.setattr(module, "_congruence", counting)
     monkeypatch.setattr(kodaira, "recognize_component", recording)
     divisors = find_kodaira_divisors(i4_fibres_with_section())
     assert len(divisors) == 496
     assert [d.tag for d in divisors].count("I4") == 6
     # recognition runs on the affine subsets only, one per divisor
     assert len(visited) == len(matches) == 496
-    assert len(eliminations) <= len(kinds) == 6
+    assert 0 < len(eliminations) <= len(kinds) == 6
+    assert all(type(x) is int for g in eliminations for row in g for x in row)
