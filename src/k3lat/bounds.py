@@ -42,9 +42,13 @@ determinant and the adjugate of its Gram matrix follow in ``O(k^2)`` by a
 fraction-free (Bareiss-Sylvester) update, and its inertia by the sign of
 one Schur complement (Haynsworth additivity).  A subconfiguration whose
 connected parents are all degenerate takes one Bareiss elimination.  Both
-bounds are read off the adjugate's entry, row and sign sums; only the
-certificate that is returned is built, from the sweep's own adjugate, with
-its witness checked.
+bounds are read off the adjugate's entry, row and sign sums.  A
+subconfiguration at the last level has no children, so it keeps no
+adjugate: its row sums follow in ``O(k)`` from its parent's, and its sign
+sum, in ``O(k^2)`` without building a row, only when the box split fails.
+Only the certificate that is returned is built, from the sweep's own
+adjugate (re-bordered from its parent at the last level), with its witness
+checked.
 """
 
 from __future__ import annotations
@@ -432,19 +436,39 @@ def _subgraph_certificates(sub: CurveConfig, d: int) -> list[BoundCertificate]:
 _EMPTY = _Adjugate((), 1, [], 0)
 
 
+class _Leaf(NamedTuple):
+    """A nondegenerate subset at the sweep's last level, which has no
+    children: ``parent`` bordered by the curve ``u``, with determinant
+    ``det`` and positive inertia ``n_plus``.  ``total`` is ``|det|`` times
+    its bound at ``d = 1`` when it is of inertia ``(1, k - 1)``, else None.
+    """
+
+    parent: _Adjugate
+    u: int
+    det: int
+    n_plus: int
+    total: int | None
+
+
 def _bordered(
-    g: list[list[int]], parent: _Adjugate | None, u: int, subset: tuple[int, ...]
-) -> _Adjugate | None:
-    """The entry of ``subset``, which is ``parent + {u}``, or None when it is
-    degenerate; ``g`` is the Gram matrix of the whole configuration.
+    g: list[list[int]], cap: int | None, parent: _Adjugate | None, u: int,
+    subset: tuple[int, ...],
+) -> _Adjugate | _Leaf | None:
+    """The sweep state of ``subset``, which is ``parent + {u}``, or None when
+    it is degenerate; ``g`` is the Gram matrix of the whole configuration.
+    A subset of ``cap`` curves has no children and gets a :class:`_Leaf`;
+    any other gets its :class:`_Adjugate` (all of them when ``cap`` is None).
 
     With ``D``, ``A`` the determinant and adjugate of the parent and ``b``,
     ``c`` the column and diagonal entry of ``u``, put ``a = A b``.  Then
     ``t = D c - b.a`` is the new determinant, Sylvester's identity makes
     ``[[(t A + a a^T) / D, -a], [-a^T, D]]`` the new adjugate with exact
     division, and the Schur complement ``t / D`` adds one positive
-    direction iff ``t D > 0`` (Haynsworth inertia additivity).  A parent
-    of None, every connected parent being degenerate, leaves one Bareiss
+    direction iff ``t D > 0`` (Haynsworth inertia additivity).  A leaf
+    needs only the new row sums, ``(t r + a sum(a)) / D - a`` and
+    ``D - sum(a)`` from the parent's row sums ``r``, and the sign sum of
+    the new adjugate only when the box split fails.  A parent of None,
+    every connected parent being degenerate, leaves one Bareiss
     elimination of the subset.
     """
     if parent is None:
@@ -456,32 +480,59 @@ def _bordered(
     t = det * col[u] - sum(a[i] * x for i, x in b)
     if t == 0:
         return None
-    rows = [
-        [(t * x + ai * aj) // det for x, aj in zip(row, a)] + [-ai]
-        for row, ai in zip(adj, a)
-    ]
-    rows.append([-ai for ai in a] + [det])
-    return _Adjugate(order + (u,), t, rows, n_plus + (t * det > 0))
+    n_plus += t * det > 0
+    if len(subset) != cap:
+        rows = [
+            [(t * x + ai * aj) // det for x, aj in zip(row, a)] + [-ai]
+            for row, ai in zip(adj, a)
+        ]
+        rows.append([-ai for ai in a] + [det])
+        return _Adjugate(order + (u,), t, rows, n_plus)
+    if n_plus != 1:
+        return _Leaf(parent, u, t, n_plus, None)
+    sa = sum(a)
+    sums = [(t * r + ai * sa) // det - ai for r, ai in zip(map(sum, adj), a)]
+    sums.append(det - sa)
+    total = _box_total(t, sums)
+    if not total:
+        # the entries of the sign sigma of t: a block entry n / D has it
+        # iff s n > 0 with s = sigma sign(D); each border entry -a_i is
+        # there twice
+        sigma = 1 if t > 0 else -1
+        s = sigma if det > 0 else -sigma
+        block = sum(
+            n
+            for row, ai in zip(adj, a)
+            for x, aj in zip(row, a)
+            if s * (n := t * x + ai * aj) > 0
+        )
+        border = sum(ai for ai in a if sigma * ai < 0)
+        corner = det if sigma * det > 0 else 0
+        total = sigma * (block // det - 2 * border + corner)
+    return _Leaf(parent, u, t, n_plus, total)
 
 
-def _adjugate_sweep(cfg: CurveConfig, cap: int):
-    """Yield ``(subset, entry)`` for every connected vertex subset of at most
-    ``cap`` curves in canonical order (size, then index tuple); ``entry``
-    is an :class:`_Adjugate`, or None for a degenerate subset.
+def _adjugate_sweep(cfg: CurveConfig, g: list[list[int]], cap: int):
+    """Yield ``(subset, state)`` for every connected vertex subset of at most
+    ``cap`` curves in canonical order (size, then index tuple); ``g`` is the
+    integer Gram matrix of the whole configuration.  ``state``
+    is None for a degenerate subset; else a :class:`_Leaf` for a subset of
+    ``cap`` curves bordered from a parent, and an :class:`_Adjugate` for
+    any other.
 
     Each subset borders the first nondegenerate connected parent
     (:func:`~k3lat.graph.connected_vertex_subsets`); one whose connected
     parents are all degenerate is computed from scratch by one Bareiss
     elimination.
     """
-    g = integer_gram(cfg, range(cfg.n))
-    step = functools.partial(_bordered, g)
+    step = functools.partial(_bordered, g, cap)
     return connected_vertex_subsets(cfg, cap, step, _EMPTY)
 
 
-def _sweep_bound(entry: _Adjugate, d: int) -> tuple[int, int]:
-    """Numerator and positive denominator of the bound that
-    ``_subgraph_certificates(sub, d)[0]`` carries, read off the adjugate.
+def _box_total(det: int, sums: list[int]) -> int:
+    """``|det|`` times the box bound at ``d = 1`` of the inverse
+    ``adj / det`` whose adjugate has the row sums ``sums``, or 0 when the
+    box split does not apply and the rough bound is the one to use.
 
     With ``sigma`` the sign of the determinant, the inverse is
     ``sigma * adj / |det|``.  The box split applies iff ``sigma`` times the
@@ -490,21 +541,37 @@ def _sweep_bound(entry: _Adjugate, d: int) -> tuple[int, int]:
     positive); its bound never exceeds the rough one and wins ties.
     Otherwise the rough bound sums the entries of sign ``sigma``.
     """
-    sigma = 1 if entry.det > 0 else -1
-    rows = [sigma * sum(row) for row in entry.adj]
-    total = sum(rows)
-    if total <= 0 or min(rows) < 0:
-        total = sigma * sum(x for row in entry.adj for x in row if sigma * x > 0)
+    total = sum(sums)
+    if det > 0:
+        return total if total > 0 and min(sums) >= 0 else 0
+    return -total if total < 0 and max(sums) <= 0 else 0
+
+
+def _sweep_bound(entry: _Adjugate | _Leaf, d: int) -> tuple[int, int]:
+    """Numerator and positive denominator of the bound that
+    ``_subgraph_certificates(sub, d)[0]`` carries: a leaf's own, else the
+    box bound (:func:`_box_total`) or the rough one read off the adjugate.
+    """
+    if isinstance(entry, _Leaf):
+        total = entry.total
+    else:
+        det, adj = entry.det, entry.adj
+        total = _box_total(det, [sum(row) for row in adj]) or abs(
+            sum(x for row in adj for x in row if x * det > 0)
+        )
     return total * d * d, abs(entry.det)
 
 
 def _checked_certificate(
-    cfg: CurveConfig, subset: tuple[int, ...], entry: _Adjugate, d: int,
-    bound: Fraction,
+    cfg: CurveConfig, g: list[list[int]], subset: tuple[int, ...],
+    entry: _Adjugate | _Leaf, d: int, bound: Fraction,
 ) -> BoundCertificate:
     """The certificate of one swept subset from its sweep entry, permuted
     from the entry's order to the subset's, with its box witness built and
-    checked, held to the bound the sweep found."""
+    checked, held to the bound the sweep found.  A leaf's adjugate is
+    bordered from its parent again in the sweep's Gram matrix ``g``."""
+    if isinstance(entry, _Leaf):
+        entry = _bordered(g, None, entry.parent, entry.u, subset)
     pos = {v: k for k, v in enumerate(entry.order)}
     perm = [pos[i] for i in subset]
     entry = entry._replace(
@@ -543,8 +610,12 @@ def exclude(
     The sweep keeps a bordered integer adjugate and the inertia of each
     nondegenerate subconfiguration, updated from a parent one curve smaller
     (inertia additivity), and reads each bound off it without building a
-    witness.  The witness is built and checked only for the certificate
-    returned, which must carry the bound the sweep found.
+    witness.  At ``subgraph_cap`` curves, where nothing is grown further,
+    it builds no adjugate: the bound comes from row sums in ``O(k)``, plus
+    an ``O(k^2)`` sign sum only on the rough fallback.  The witness is
+    built and checked only for the certificate returned, whose adjugate is
+    re-bordered from its parent when it sits at the cap; it must carry the
+    bound the sweep found.
     """
     if d < 1 or h < 1 or subgraph_cap < 1:
         raise ValueError("d, h and subgraph_cap must be positive")
@@ -613,12 +684,15 @@ def exclude(
 
     best_ratio = None if best is None else best.bound_on_2h.as_integer_ratio()
     best_subset = best_entry = None
-    for subset, entry in _adjugate_sweep(cfg, min(subgraph_cap, cfg.n)):
+    g = integer_gram(cfg, range(cfg.n))
+    for subset, entry in _adjugate_sweep(cfg, g, min(subgraph_cap, cfg.n)):
         if entry is None or entry.n_plus != 1:
             continue
         num, den = _sweep_bound(entry, d)
         if num < 2 * h * den:
-            cert = _checked_certificate(cfg, subset, entry, d, Fraction(num, den))
+            cert = _checked_certificate(
+                cfg, g, subset, entry, d, Fraction(num, den)
+            )
             return ExclusionVerdict(
                 ExclusionStatus.HYPERBOLIC_EXCLUDED,
                 certificates=(cert,),
@@ -630,7 +704,7 @@ def exclude(
             best_ratio, best_subset, best_entry = (num, den), subset, entry
     if best_subset is not None:
         best = _checked_certificate(
-            cfg, best_subset, best_entry, d, Fraction(*best_ratio)
+            cfg, g, best_subset, best_entry, d, Fraction(*best_ratio)
         )
     return ExclusionVerdict(
         ExclusionStatus.HYPERBOLIC_UNDECIDED,

@@ -111,13 +111,6 @@ class KodairaDivisor:
     euler_range: tuple[int, int]
     nodal_or_cuspidal: bool = False
 
-    @property
-    def ambiguous(self) -> bool:
-        return "_OR_" in self.tag or self.nodal_or_cuspidal
-
-    def multiplicity_of(self, vid: str) -> int:
-        return self.multiplicities[self.support.index(vid)]
-
 
 def _divisor_from_component(comp) -> KodairaDivisor:
     """Map a recognized affine root component to its fiber divisor; a dual

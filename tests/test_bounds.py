@@ -18,6 +18,7 @@ from k3lat.bounds import (
     BOX_OPTIMUM_DECOMPOSITION,
     INTRINSIC_SQUARE,
     ROUGH_POSITIVE_ENTRY_SUM,
+    _Leaf,
     _adjugate_sweep,
     _subgraph_certificates,
     _sweep_bound,
@@ -476,6 +477,10 @@ def test_verify_certificate_rejects_forgery_under_optimize():
     assert res.stdout.split() == ["True", "False", "False"]
 
 
+def _sweep(cfg, cap):
+    return _adjugate_sweep(cfg, graph.integer_gram(cfg, range(cfg.n)), cap)
+
+
 def test_sweep_fallback_only_off_the_diagonal(monkeypatch):
     # the two square-0 curves meeting once have a zero diagonal, so their
     # subset takes the congruence for its inertia; no other subset does
@@ -488,11 +493,11 @@ def test_sweep_fallback_only_off_the_diagonal(monkeypatch):
 
     monkeypatch.setattr(bounds, "_congruence", spy)
     cfg = config_from_data([("a", 0, 1), ("b", 0, 1)], [("a", "b")])
-    entries = dict(_adjugate_sweep(cfg, 2))
+    entries = dict(_sweep(cfg, 2))
     assert entries[(0,)] is None and entries[(1,)] is None
     assert entries[(0, 1)].n_plus == 1 and [len(g) for g in calls] == [2]
     calls.clear()
-    list(_adjugate_sweep(i4_fibres_with_section(2), 9))
+    list(_sweep(i4_fibres_with_section(2), 9))
     assert calls == []
     # classify, exclude and catalog verify hand the congruence integers only
     monkeypatch.setattr(graph, "_congruence", spy)
@@ -596,9 +601,9 @@ def test_exclude_stress_full_sweep_cap_8():
     assert verify_certificate(cert, cfg)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_exclude_matches_reference_hypothesis(data):
+def _random_config(data):
+    # 2-6 curves of squares -2, 0 or 2, degrees up to a cap d of 1-3, and
+    # multiplicities up to 3
     n = data.draw(st.integers(min_value=2, max_value=6))
     d = data.draw(st.integers(min_value=1, max_value=3))
     squares = st.sampled_from((-2, -2, -2, 0, 2))
@@ -613,7 +618,13 @@ def test_exclude_matches_reference_hypothesis(data):
         for j in range(i + 1, n)
         if (m := data.draw(mults))
     ]
-    cfg = config_from_data(verts, edges)
+    return config_from_data(verts, edges), n, d
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_exclude_matches_reference_hypothesis(data):
+    cfg, n, d = _random_config(data)
     h = data.draw(st.integers(min_value=1, max_value=40))
     cap = data.draw(st.integers(min_value=1, max_value=n))
     pinned = data.draw(st.booleans())
@@ -634,13 +645,18 @@ def test_exclude_matches_reference_hypothesis(data):
 def test_sweep_bounds_match_reference(cfg, cap):
     # the sweep visits the reference's subsets in the reference's order,
     # finds the same hyperbolic ones and reads the same certs[0] bound
-    swept = list(_adjugate_sweep(cfg, cap))
+    swept = list(_sweep(cfg, cap))
     subsets = sorted(connected_subsets_reference(cfg, cap), key=lambda s: (len(s), s))
     assert [s for s, _ in swept] == subsets
-    hyperbolic = 0
+    hyperbolic = leaves = 0
     for subset, entry in swept:
         sub = cfg.induced(tuple(cfg.vertices[i].id for i in subset))
         sig = signature(gram(sub))
+        if isinstance(entry, _Leaf):
+            leaves += 1
+            assert entry.det == det([list(r) for r in gram(sub).rows()])
+            assert entry.n_plus == sig.n_plus
+            _assert_exact_entry(cfg, _leaf_adjugate(cfg, subset, entry))
         if sig.n_plus != 1 or sig.n_zero != 0:
             assert entry is None or entry.n_plus != 1
             continue
@@ -648,7 +664,7 @@ def test_sweep_bounds_match_reference(cfg, cap):
         for d in (1, 2):
             num, den = _sweep_bound(entry, d)
             assert Fraction(num, den) == _subgraph_certificates(sub, d)[0].bound_on_2h
-    assert hyperbolic > 0
+    assert hyperbolic > 0 and leaves > 0
 
 
 def _assert_exact_entry(cfg, entry):
@@ -663,13 +679,28 @@ def _assert_exact_entry(cfg, entry):
     assert entry.n_plus == signature(m).n_plus
 
 
+def _leaf_adjugate(cfg, subset, leaf):
+    # the leaf's adjugate bordered again from its parent, as the certificate
+    # of a leaf is built; it must carry the leaf's determinant, inertia and
+    # bound
+    g = graph.integer_gram(cfg, range(cfg.n))
+    entry = bounds._bordered(g, None, leaf.parent, leaf.u, subset)
+    assert entry.order == leaf.parent.order + (leaf.u,)
+    assert (entry.det, entry.n_plus) == (leaf.det, leaf.n_plus)
+    assert leaf.total == (_sweep_bound(entry, 1)[0] if leaf.n_plus == 1 else None)
+    return entry
+
+
 def test_sweep_adjugates_exact_on_stress_configuration():
-    # every cached entry, which checks the exact division of each update
+    # every cached entry, which checks the exact division of each update;
+    # the last level's through its rebuilt adjugate
     cfg = i4_fibres_with_section()
-    for subset, entry in _adjugate_sweep(cfg, 6):
+    for subset, entry in _sweep(cfg, 6):
         if entry is None:
             assert signature(gram(cfg).submatrix(subset)).n_zero > 0
             continue
+        if isinstance(entry, _Leaf):
+            entry = _leaf_adjugate(cfg, subset, entry)
         assert sorted(entry.order) == list(subset)
         _assert_exact_entry(cfg, entry)
 
@@ -710,11 +741,13 @@ def _has_nondegenerate_connected_parent(cfg, subset):
     ],
 )
 def test_sweep_subsets_without_nondegenerate_parent(cfg, from_scratch):
-    entries = dict(_adjugate_sweep(cfg, cfg.n))
+    entries = dict(_sweep(cfg, cfg.n))
     if from_scratch is not None:
         assert not _has_nondegenerate_connected_parent(cfg, from_scratch)
         assert entries[from_scratch] is not None
-    for entry in entries.values():
+    for subset, entry in entries.items():
+        if isinstance(entry, _Leaf):
+            entry = _leaf_adjugate(cfg, subset, entry)
         if entry is not None:
             _assert_exact_entry(cfg, entry)
     for d, h in ((1, 1), (1, 2), (2, 3), (3, 50)):
@@ -722,6 +755,102 @@ def test_sweep_subsets_without_nondegenerate_parent(cfg, from_scratch):
             assert exclude(cfg, d, h, use_pinned_degrees=pinned) == (
                 exclude_reference(cfg, d, h, use_pinned_degrees=pinned)
             )
+
+
+def _assert_leaves_match_certificates(cfg, cap, d):
+    # every subset at the sweep's last level: its inertia against a fresh
+    # signature and its bound against its certificates from scratch; then
+    # exclude against its reference at h = 1 and just above the least leaf
+    # bound.  Returns the cases met: the certificate kind of each bordered
+    # leaf, a negative determinant, a subset computed from scratch, and the
+    # status of a verdict whose certificate is a bordered leaf
+    cases, leaves, leaf_bounds = set(), set(), []
+    for subset, entry in _sweep(cfg, cap):
+        if len(subset) < cap:
+            continue
+        sub = cfg.induced(tuple(cfg.vertices[i].id for i in subset))
+        sig = signature(gram(sub))
+        assert (entry is None) == (sig.n_zero > 0)
+        if entry is None:
+            continue
+        assert entry.n_plus == sig.n_plus
+        if sig.n_plus != 1:
+            continue
+        cert = _subgraph_certificates(sub, d)[0]
+        assert Fraction(*_sweep_bound(entry, d)) == cert.bound_on_2h
+        leaf_bounds.append(cert.bound_on_2h)
+        if isinstance(entry, _Leaf):
+            leaves.add(subset)
+            cases.add(cert.kind)
+            if entry.det < 0:
+                cases.add("negative determinant")
+        else:
+            cases.add("from scratch")
+    for h in {1, int(min(leaf_bounds, default=0) // 2) + 1}:
+        verdict = exclude(cfg, d, h, cap)
+        assert verdict == exclude_reference(cfg, d, h, cap)
+        certs = verdict.certificates
+        if certs and tuple(map(cfg.index_of, certs[0].support_ids)) in leaves:
+            cases.add(verdict.status)
+    return cases
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_leaf_bounds_match_certificates_hypothesis(data):
+    cfg, n, d = _random_config(data)
+    assume(classify(cfg).kind is SpanKind.HYPERBOLIC)
+    cap = data.draw(st.integers(min_value=2, max_value=n))
+    _assert_leaves_match_certificates(cfg, cap, d)
+
+
+def test_leaf_bounds_cover_every_case():
+    inputs = [
+        # box and rough leaves of four curves, excluded at and undecided
+        # with a certificate on the last level
+        (
+            config_from_data(
+                [("v0", -2, 1), ("v1", -2, 1), ("v2", -2, 3), ("v3", -2, 2),
+                 ("v4", -2, 3)],
+                [("v0", "v1", 3), ("v0", "v2"), ("v0", "v3"), ("v1", "v3", 2),
+                 ("v1", "v4"), ("v2", "v3", 3), ("v2", "v4")],
+            ),
+            4,
+            3,
+        ),
+        # rough leaves of five curves, of positive determinant
+        (
+            config_from_data(
+                [(f"v{i}", -2, 1) for i in range(5)],
+                [("v0", "v2", 3), ("v1", "v3"), ("v1", "v4"), ("v2", "v4", 2)],
+            ),
+            5,
+            1,
+        ),
+        # the chain's parents are both the degenerate A~1, so it is
+        # computed from scratch
+        (
+            config_from_data(
+                [("v0", -2, 1), ("v1", -2, 2), ("v2", -2, 3)],
+                [("v0", "v1", 2), ("v1", "v2", 2)],
+            ),
+            3,
+            3,
+        ),
+        # box leaves of five curves, of positive determinant
+        (i4_fibres_with_section(2), 5, 1),
+    ]
+    cases = set()
+    for cfg, cap, d in inputs:
+        cases |= _assert_leaves_match_certificates(cfg, cap, d)
+    assert cases == {
+        BOX_OPTIMUM_DECOMPOSITION,
+        ROUGH_POSITIVE_ENTRY_SUM,
+        "negative determinant",
+        "from scratch",
+        ExclusionStatus.HYPERBOLIC_EXCLUDED,
+        ExclusionStatus.HYPERBOLIC_UNDECIDED,
+    }
 
 
 def test_exclude_deterministic(char3_cfg):

@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -245,6 +247,12 @@ def test_exclusion_6d_preconditions():
         exclusion_6d(cfg2, 1, 43)
 
 
+@functools.cache
+def _memo_signature(rows):
+    # random trees repeat the same few Gram matrices: one oracle run each
+    return oracle_signature([list(r) for r in rows])
+
+
 def _assert_step_cuts_exactly_the_indefinite(cfg):
     # every connected subset from every connected parent the search keeps:
     # the child is cut exactly when it has a positive direction or the
@@ -255,7 +263,7 @@ def _assert_step_cuts_exactly_the_indefinite(cfg):
     sig = {(): (0, 0, 0)}
     for subset in connected_subsets_reference(cfg, cfg.n):
         ids = [cfg.vertices[i].id for i in subset]
-        sig[subset] = oracle_signature([list(r) for r in gram(cfg.induced(ids)).rows()])
+        sig[subset] = _memo_signature(gram(cfg.induced(ids)).rows())
     for subset in sorted(sig.keys() - {()}):
         n_plus, _, n_zero = sig[subset]
         assert (subset in kept) == (n_plus == 0), subset
