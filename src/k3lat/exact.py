@@ -122,11 +122,6 @@ class SymMatrix:
         v = [_frac(x) for x in vec]
         return tuple(sum((a * x for a, x in zip(row, v)), Fraction(0)) for row in self._rows)
 
-    def quadratic_form(self, vec: Sequence[Fraction | int]) -> Fraction:
-        """Evaluate ``v^T M v`` exactly."""
-        mv = self.apply(vec)
-        return sum((_frac(x) * y for x, y in zip(vec, mv)), Fraction(0))
-
     def submatrix(self, indices: Sequence[int]) -> "SymMatrix":
         return SymMatrix([[self._rows[i][j] for j in indices] for i in indices])
 
@@ -135,11 +130,6 @@ class SymMatrix:
 
     def entry_sum(self) -> Fraction:
         return sum(self.row_sums(), Fraction(0))
-
-    def min_entry(self) -> Fraction:
-        if self.n == 0:
-            return Fraction(0)
-        return min(x for row in self._rows for x in row)
 
 
 def _congruence(

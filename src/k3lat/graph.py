@@ -349,6 +349,13 @@ def quotient_by_kernel(cfg: CurveConfig) -> tuple[SymMatrix, QuotientProjection]
 CUT = object()
 
 
+class Final(tuple):
+    """A step state that ends its subset's growth: the subset is yielded
+    with it, but connected_vertex_subsets grows nothing from it."""
+
+    __slots__ = ()
+
+
 def connected_vertex_subsets(cfg: CurveConfig, max_size: int, grow, root):
     """Yield ``(subset, state)`` for every connected vertex subset of at
     most ``max_size`` curves exactly once, as increasing index tuples in
@@ -363,8 +370,13 @@ def connected_vertex_subsets(cfg: CurveConfig, max_size: int, grow, root):
     grow from ``root``, the state of the empty subset.  A step that returns
     :data:`CUT` drops the subset and everything grown from it, which loses
     nothing when the cut is monotone: every connected parent of a subset
-    that is not cut must not be cut either.  A level is built only once the
-    previous one has been consumed, and at most two are held at a time.
+    that is not cut must not be cut either.  A step that returns a
+    :class:`Final` state keeps the subset but grows nothing from it, so a
+    subset whose connected parents are all final is not visited; that
+    loses nothing when every connected superset of a final subset would be
+    cut.  A level is built only once the previous one has been consumed,
+    at most two are held at a time, and the search ends at the first empty
+    level, however large ``max_size`` is.
     """
     # a union of sets merges hash tables; over the read-only rows it rehashes
     nbrs = [set(row) for row in cfg.adjacency()]
@@ -380,10 +392,14 @@ def connected_vertex_subsets(cfg: CurveConfig, max_size: int, grow, root):
             return
         grown = {}
         for subset, state in level:
+            if type(state) is Final:
+                continue
             for u in set().union(*(nbrs[v] for v in subset)).difference(subset):
                 key = tuple(sorted(subset + (u,)))
                 if key not in grown or grown[key][0] is None:
                     grown[key] = (state, u)
+        if not grown:
+            return
 
 
 def hodge_filter(cfg: CurveConfig, d: int, h: int) -> list[Violation]:

@@ -4,14 +4,18 @@ A connected component of a negative (semi-)definite configuration is either
 a simply-laced root diagram A/D/E, its affine extension (negative
 semi-definite with a one-dimensional radical carrying the standard positive
 multiplicities), a pair of curves joined by a double edge (the degenerate
-rank-one extension), or an isolated isotropic vertex.  One walk along the
-degree-two chains gives the shape and the canonical vertex order: a cycle,
-a path, a chain forked at both ends, or a star read off one table of arm
-lengths.  The match is confirmed when the integer Gram matrix in that order
-equals the standard diagram's.  That matrix comes from a table built once
-per diagram, and building it checks the exact signature and, for affine
-kinds, that the radical generator annihilates it; equal matrices share both,
-so a wrong match cannot slip through.
+rank-one extension), or an isolated isotropic vertex.  A diagram's skeleton
+is a cycle, a centre with the chains leaving it (a path, D, E, or a star
+read off one table of arm lengths), or a chain forked at both ends, and
+:func:`canonical_diagram` names a skeleton: kind, rank and the canonical
+vertex order.  It is the one rule for that order.  :func:`decompose` finds
+each component's skeleton by one walk along its degree-two chains; the
+fibre search of :mod:`k3lat.kodaira` carries it in its enumeration step and
+does not walk.  The match is confirmed when the integer Gram matrix in
+canonical order equals the standard diagram's.  That matrix comes from a
+table built once per diagram, and building it checks the exact signature
+and, for affine kinds, that the radical generator annihilates it; equal
+matrices share both, so a wrong match cannot slip through.
 """
 
 from __future__ import annotations
@@ -104,6 +108,7 @@ def _star_arms(kind: str, n: int | None) -> tuple[int, ...] | None:
     return next((arms for arms, hit in _STARS.items() if hit == (kind, n)), None)
 
 
+@functools.cache
 def radical(kind: str, n: int) -> tuple[int, ...]:
     """Radical generator of an affine diagram in canonical vertex order:
     the standard positive multiplicities of the matching fiber type."""
@@ -123,7 +128,58 @@ def radical(kind: str, n: int) -> tuple[int, ...]:
     return (top,) + tuple(top * (a - i) // (a + 1) for a in arms for i in range(a))
 
 
-def _walk(nbrs: dict[str, list[str]], v: str, prev: str) -> list[str]:
+def canonical_diagram(skeleton: tuple) -> tuple[str, int, tuple[str, ...]] | None:
+    """Kind, rank parameter and canonical vertex order of a connected root
+    diagram given by its skeleton; None for a star that no diagram has.
+
+    A skeleton is one of
+
+    * ``("cycle", ring)``: the curves around a cycle, from any of them in
+      either direction; two curves are the pair meeting twice (A~1);
+    * ``("star", centre, arms)``: a curve and the chains leaving it, each
+      from the centre outward; a path has at most two arms, D has arm
+      lengths (1, 1, k), the rest are looked up in one table;
+    * ``("forks", leaves, chain, leaves)``: a chain forked at both ends
+      (D~n, n > 4), from one fork to the other, with each fork's two
+      leaves.
+
+    The canonical order is the one rule both the decomposition and the
+    fibre search use: a cycle from the smallest id toward its smaller
+    neighbour; a path from its smaller end; D as its two leaves, the fork,
+    then the chain; any other star as the centre, then each arm outward,
+    arms sorted by (length, ids); a forked chain from the fork with the
+    smaller id, as its leaves, the chain, then the other fork's leaves,
+    leaves in sorted order.
+    """
+    tag, *parts = skeleton
+    if tag == "cycle":
+        (ring,) = parts
+        i = ring.index(min(ring))
+        ring = ring[i:] + ring[:i]
+        if ring[-1] < ring[1]:
+            ring = ring[:1] + ring[:0:-1]
+        return ("A1Tilde", 1, ring) if len(ring) == 2 else ("AffineA", len(ring) - 1, ring)
+    if tag == "forks":
+        first, chain, last = parts
+        if chain[-1] < chain[0]:
+            first, chain, last = last, chain[::-1], first
+        order = tuple(sorted(first)) + chain + tuple(sorted(last))
+        return "AffineD", len(order) - 1, order
+    centre, arms = parts
+    if len(arms) <= 2:
+        path = (arms[1][::-1] if len(arms) == 2 else ()) + (centre,) + (arms[0] if arms else ())
+        return "A", len(path), path if path[0] < path[-1] else path[::-1]
+    arms = sorted(arms, key=lambda a: (len(a), a))
+    lengths = tuple(map(len, arms))
+    if len(arms) == 3 and lengths[:2] == (1, 1):
+        return "D", 1 + sum(lengths), (arms[0][0], arms[1][0], centre) + arms[2]
+    hit = _STARS.get(lengths)
+    if hit is None:
+        return None
+    return (*hit, (centre,) + sum(arms, ()))
+
+
+def _walk(nbrs: dict[str, list[str]], v: str, prev: str) -> tuple[str, ...]:
     """Follow ``v`` away from ``prev`` through vertices of degree two.
 
     The walk ends at the first vertex of another degree (included) or, on
@@ -137,57 +193,49 @@ def _walk(nbrs: dict[str, list[str]], v: str, prev: str) -> list[str]:
         if v == stop:
             break
         out.append(v)
-    return out
+    return tuple(out)
 
 
-def _shape(nbrs: dict[str, list[str]], n_edges: int) -> tuple[str, int, list[str]] | None:
+def _shape(nbrs: dict[str, list[str]], n_edges: int) -> tuple[str, int, tuple[str, ...]] | None:
     """Kind, rank parameter and canonical vertex order of a simple graph
     shaped like a connected root diagram with at least two vertices; None
-    for any other shape."""
+    for any other shape.  The walk finds the skeleton, and
+    :func:`canonical_diagram` names it."""
     n = len(nbrs)
     deg = {v: len(ws) for v, ws in nbrs.items()}
     if n_edges == n:
-        # cycle from the smallest id toward its smaller neighbor
         if any(d != 2 for d in deg.values()):
             return None
-        start = min(nbrs)
-        order = [start] + _walk(nbrs, min(nbrs[start]), start)
-        return ("AffineA", n - 1, order) if len(order) == n else None
+        start = next(iter(nbrs))
+        ring = (start,) + _walk(nbrs, nbrs[start][0], start)
+        return canonical_diagram(("cycle", ring)) if len(ring) == n else None
     if n_edges != n - 1:
         return None
-    branch = sorted(v for v in nbrs if deg[v] >= 3)
+    branch = [v for v in nbrs if deg[v] >= 3]
     if not branch:
-        # path from the smaller end
-        ends = sorted(v for v in nbrs if deg[v] == 1)
+        ends = [v for v in nbrs if deg[v] == 1]
         if len(ends) != 2:
             return None
-        order = [ends[0]] + _walk(nbrs, nbrs[ends[0]][0], ends[0])
-        return ("A", n, order) if len(order) == n else None
+        path = _walk(nbrs, nbrs[ends[0]][0], ends[0])
+        return canonical_diagram(("star", ends[0], (path,))) if len(path) + 1 == n else None
     if len(branch) == 2:
-        # forks at both ends of a chain: leaves, chain, leaves
+        # forks at both ends of a chain
         f1, f2 = branch
-        leaves = [sorted(w for w in nbrs[f] if deg[w] == 1) for f in branch]
+        leaves = [tuple(w for w in nbrs[f] if deg[w] == 1) for f in branch]
         if deg[f1] != 3 or deg[f2] != 3 or [len(ls) for ls in leaves] != [2, 2]:
             return None
         (first,) = (w for w in nbrs[f1] if deg[w] != 1)
-        chain = [f1] + _walk(nbrs, first, f1)
+        chain = (f1,) + _walk(nbrs, first, f1)
         if chain[-1] != f2 or len(chain) + 4 != n:
             return None
-        return ("AffineD", n - 1, leaves[0] + chain + leaves[1])
+        return canonical_diagram(("forks", leaves[0], chain, leaves[1]))
     if len(branch) != 1:
         return None
     center = branch[0]
-    arms = sorted((_walk(nbrs, w, center) for w in nbrs[center]), key=lambda a: (len(a), a))
+    arms = tuple(_walk(nbrs, w, center) for w in nbrs[center])
     if any(deg[a[-1]] != 1 for a in arms) or 1 + sum(map(len, arms)) != n:
         return None
-    lengths = tuple(len(a) for a in arms)
-    if len(arms) == 3 and lengths[:2] == (1, 1):
-        # fork at one end only: two leaves, the centre, then the chain
-        return ("D", n, [arms[0][0], arms[1][0], center] + arms[2])
-    hit = _STARS.get(lengths)
-    if hit is None:
-        return None
-    return (*hit, [center] + [v for a in arms for v in a])
+    return canonical_diagram(("star", center, arms))
 
 
 def recognize_component(cfg: CurveConfig, ids: tuple[str, ...]) -> RootComponent | None:
@@ -220,13 +268,13 @@ def recognize_component(cfg: CurveConfig, ids: tuple[str, ...]) -> RootComponent
             if j in members:
                 row.append(members[j])
     if len(members) == 2 and adj[min(members)].get(max(members)) == 2:
-        shape = ("A1Tilde", 1, sorted(ids))
+        shape = canonical_diagram(("cycle", tuple(ids)))
     else:
         shape = _shape(nbrs, sum(map(len, nbrs.values())) // 2)
         if shape is None:
             return None
     kind, param, order = shape
-    comp = RootComponent(kind, param, tuple(order))
+    comp = RootComponent(kind, param, order)
     if comp.is_affine:
         comp = replace(comp, kernel_vector=radical(kind, param))
     return _confirmed(cfg, comp)

@@ -84,6 +84,16 @@ def det(rows: list[list[Fraction]]) -> Fraction:
     return sign * result
 
 
+def quadratic_form(m: SymMatrix, vec) -> Fraction:
+    """``v^T M v``, exactly."""
+    return sum((Fraction(x) * y for x, y in zip(vec, m.apply(vec))), Fraction(0))
+
+
+def min_entry(m: SymMatrix) -> Fraction:
+    """The least entry of ``m``; 0 for the empty matrix."""
+    return min((x for row in m.rows() for x in row), default=Fraction(0))
+
+
 def row_reduce_rank(rows: list[list[Fraction]]) -> int:
     if not rows:
         return 0
@@ -563,7 +573,7 @@ def recognize_component_reference(cfg, ids):
 def _check_box_witness_reference(w, g0, gplus, ones):
     if g0 + gplus != w:
         raise AssertionError("witness does not sum to the inverse")
-    if gplus.min_entry() < 0:
+    if min_entry(gplus) < 0:
         raise AssertionError("nonnegative part has a negative entry")
     if any(x != 0 for x in g0.apply(ones)):
         raise AssertionError("all-ones vector not in the kernel of the split")
@@ -602,7 +612,7 @@ def verify_certificate_reference(cert, cfg):
             return False
         if wit.x_max != (Fraction(d),) * w.n:
             return False
-        return cert.bound_on_2h == w.quadratic_form(wit.x_max)
+        return cert.bound_on_2h == quadratic_form(w, wit.x_max)
     return False
 
 

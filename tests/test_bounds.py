@@ -57,6 +57,7 @@ from oracles import (
     det,
     exclude_reference,
     inverse_reference,
+    min_entry,
     verify_certificate_reference,
 )
 
@@ -181,7 +182,7 @@ def test_box_certificate_char3(char3_cfg):
     assert verify_certificate(cert, char3_cfg)
     wit = cert.witness
     assert signature(wit.negative_part).n_plus == 0
-    assert wit.nonnegative_part.min_entry() >= 0
+    assert min_entry(wit.nonnegative_part) >= 0
     n = wit.negative_part.n
     assert wit.negative_part.apply((1,) * n) == (Fraction(0),) * n
 
@@ -194,7 +195,7 @@ def test_box_certificate_char2(char2_cfg):
 def test_box_certificate_nonnegative_inverse_trivial_split():
     cfg = toy_config()
     cert = box_certificate(cfg, 1)
-    assert cert.witness.negative_part.min_entry() == 0
+    assert min_entry(cert.witness.negative_part) == 0
     assert cert.witness.negative_part.entry_sum() == 0
     assert cert.bound_on_2h == 4  # all inverse entries nonnegative
 

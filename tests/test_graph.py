@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from k3lat.exact import (
 from k3lat.graph import (
     CUT,
     CurveVertex,
+    Final,
     LatticeClass,
     SpanKind,
     classify,
@@ -30,7 +32,9 @@ from k3lat.graph import (
 )
 
 from oracles import (
+    connected_subsets_reference,
     kernel_basis_reference,
+    quadratic_form,
     quotient_by_kernel_reference,
     row_reduce_rank,
     signature_and_witness_reference,
@@ -106,7 +110,7 @@ def test_classify_invalid_with_witness():
     )
     cls = classify(cfg)
     assert cls.kind is SpanKind.INVALID
-    assert gram(cfg).quadratic_form(cls.positive_witness) > 0
+    assert quadratic_form(gram(cfg), cls.positive_witness) > 0
 
 
 
@@ -142,7 +146,7 @@ def test_classify_runs_one_elimination(monkeypatch, verts, edges, kind):
     assert len(calls) == 1
     assert all(type(x) is int for row in calls[0] for x in row)
     assert cls.positive_witness == positive_square_vector(gram(cfg))
-    assert gram(cfg).quadratic_form(cls.positive_witness) > 0
+    assert quadratic_form(gram(cfg), cls.positive_witness) > 0
 
 
 def test_validate_pairings_elliptic_clean():
@@ -343,6 +347,67 @@ def test_connected_subsets_match_brute_force(data):
     brute = _brute_connected_subsets(cfg, max(max_size, 0))
     assert out == [s for s in brute if limit is None or weight(s) <= limit]
     assert len(grown) == len(set(grown))
+
+
+def _final_search(cfg, max_size, is_final):
+    """The subsets and states of a search whose step marks a subset final
+    when ``is_final`` says so, and the number of levels it built."""
+    grow = lambda parent, u, subset: Final((subset,)) if is_final(subset) else subset
+    levels = 0
+
+    def counting(items, **kwargs):
+        nonlocal levels
+        if isinstance(items, type({}.items())):
+            levels += 1
+        return sorted(items, **kwargs)
+
+    with mock.patch.object(graph, "sorted", counting, create=True):
+        out = list(connected_vertex_subsets(cfg, max_size, grow, None))
+    return out, levels
+
+
+def test_connected_subsets_skip_what_only_final_subsets_reach():
+    # a triangle whose edges are all final: each is yielded once, and the
+    # whole triangle, reachable through them only, is not
+    cfg = config_from_data([("a", -2), ("b", -2), ("c", -2)], [("a", "b"), ("b", "c"), ("a", "c")])
+    out, levels = _final_search(cfg, 3, lambda sub: len(sub) == 2)
+    assert [sub for sub, _ in out] == [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
+    assert [type(state) is Final for _, state in out] == [False] * 3 + [True] * 3
+    assert levels == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_connected_subsets_with_final_states_match_reference(data):
+    # a final subset is yielded once and grows nothing; a subset whose
+    # connected parents are all final is not visited; every other subset
+    # is yielded as before, and no level past the first empty one is built
+    n = data.draw(st.integers(min_value=0, max_value=8))
+    edges = [
+        (f"v{i}", f"v{j}", data.draw(st.integers(min_value=1, max_value=2)))
+        for i in range(n)
+        for j in range(i + 1, n)
+        if data.draw(st.integers(min_value=0, max_value=2)) == 0
+    ]
+    cfg = config_from_data([(f"v{i}", -2) for i in range(n)], edges)
+    weights = data.draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    modulus = data.draw(st.integers(min_value=2, max_value=6))
+    max_size = data.draw(st.integers(min_value=1, max_value=n + 3))
+    is_final = lambda sub: sum(weights[i] for i in sub) % modulus == 0
+    out, levels = _final_search(cfg, max_size, is_final)
+    grows, want = set(), []
+    reference = connected_subsets_reference(cfg, max_size) if n else ()
+    for sub in sorted(reference, key=lambda s: (len(s), s)):
+        if len(sub) == 1 or any(tuple(x for x in sub if x != v) in grows for v in sub):
+            want.append(sub)
+            if not is_final(sub):
+                grows.add(sub)
+    assert [sub for sub, _ in out] == want
+    for sub, state in out:
+        assert state == ((sub,) if is_final(sub) else sub)
+        assert (type(state) is Final) == is_final(sub)
+    deepest = max(map(len, want), default=0)
+    assert deepest <= levels <= min(deepest + 1, max_size)
 
 
 @settings(max_examples=60, deadline=None)

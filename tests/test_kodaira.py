@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from k3lat import kodaira
-from k3lat.graph import CUT, config_from_data, connected_vertex_subsets, gram
+from k3lat.graph import CUT, Final, config_from_data, connected_vertex_subsets, gram
 from k3lat.kodaira import (
-    _AFFINE,
+    _affine_component,
     _diagram_step,
     divisor_degree,
     exclusion_6d,
@@ -15,7 +15,7 @@ from k3lat.kodaira import (
     parse_tag,
     type_table,
 )
-from k3lat.roots import standard_diagram
+from k3lat.roots import recognize_component, standard_diagram
 
 from conftest import i4_fibres_with_section
 from oracles import (
@@ -256,7 +256,9 @@ def _memo_signature(rows):
 def _assert_step_cuts_exactly_the_indefinite(cfg):
     # every connected subset from every connected parent the search keeps:
     # the child is cut exactly when it has a positive direction or the
-    # parent is degenerate, and it is affine exactly when it is degenerate
+    # parent is degenerate, and it is final exactly when it is degenerate,
+    # with the component its skeleton names equal to the recognised one;
+    # a final parent grows nothing, since all its children are indefinite
     step = _diagram_step(cfg)
     kept = dict(connected_vertex_subsets(cfg, cfg.n, step, None))
     kept[()] = None
@@ -271,10 +273,17 @@ def _assert_step_cuts_exactly_the_indefinite(cfg):
             parent = tuple(x for x in subset if x != u)
             if parent not in kept:
                 continue
+            if type(kept[parent]) is Final:
+                assert n_plus > 0, (parent, u)
+                continue
             state = step(kept[parent], u, subset)
             assert (state is CUT) == (n_plus > 0 or sig[parent][2] > 0), (parent, u)
             if state is not CUT:
-                assert (state is _AFFINE) == (n_zero > 0), (parent, u)
+                assert (type(state) is Final) == (n_zero > 0), (parent, u)
+            if type(state) is Final:
+                ids = tuple(cfg.vertices[i].id for i in subset)
+                comp = _affine_component(cfg, state)
+                assert comp is not None and comp == recognize_component(cfg, ids), subset
 
 
 def _roots_config(n, edges):
@@ -359,22 +368,22 @@ def test_find_divisors_matches_shape_step_search(data):
 
 
 def test_recognition_runs_on_affine_subsets_only(monkeypatch):
-    # one recognition per divisor the search reports before the weight cap
+    # one confirmation per divisor the search reports before the weight cap
     cfg = i4_fibres_with_section()
     calls = []
-    real_recognize = kodaira.recognize_component
+    real_confirmed = kodaira._confirmed
 
-    def recording(cfg, ids):
-        comp = real_recognize(cfg, ids)
-        calls.append(comp)
-        return comp
+    def recording(cfg, comp):
+        confirmed = real_confirmed(cfg, comp)
+        calls.append(confirmed)
+        return confirmed
 
-    monkeypatch.setattr(kodaira, "recognize_component", recording)
+    monkeypatch.setattr(kodaira, "_confirmed", recording)
     divisors = find_kodaira_divisors(cfg)
     assert len(calls) == len(divisors) == 496
-    assert all(comp.is_affine for comp in calls)
+    assert all(comp is not None and comp.is_affine for comp in calls)
     calls.clear()
     capped = find_kodaira_divisors(cfg, max_weight=4)
-    assert all(comp.is_affine for comp in calls)
+    assert all(comp is not None and comp.is_affine for comp in calls)
     assert capped == [d for d in divisors if d.weight <= 4]
     assert len(calls) == sum(len(d.support) <= 4 for d in divisors)

@@ -364,23 +364,23 @@ def test_fibre_search_runs_one_elimination_per_diagram_type(monkeypatch):
         return real_congruence(rows, witness)
 
     kinds, matches, visited = set(), [], []
-    real_recognize = kodaira.recognize_component
+    real_confirmed = kodaira._confirmed
 
-    def recording(cfg, ids):
-        visited.append(ids)
-        comp = real_recognize(cfg, ids)
-        if comp is not None and len(ids) > 1:
+    def recording(cfg, comp):
+        visited.append(comp.vertex_ids)
+        confirmed = real_confirmed(cfg, comp)
+        if confirmed is not None:
             kinds.add((comp.kind, comp.rank_param))
-            matches.append(ids)
-        return comp
+            matches.append(comp.vertex_ids)
+        return confirmed
 
     for module in (exact, graph, roots):
         monkeypatch.setattr(module, "_congruence", counting)
-    monkeypatch.setattr(kodaira, "recognize_component", recording)
+    monkeypatch.setattr(kodaira, "_confirmed", recording)
     divisors = find_kodaira_divisors(i4_fibres_with_section())
     assert len(divisors) == 496
     assert [d.tag for d in divisors].count("I4") == 6
-    # recognition runs on the affine subsets only, one per divisor
+    # confirmation runs on the affine subsets only, one per divisor
     assert len(visited) == len(matches) == 496
     assert 0 < len(eliminations) <= len(kinds) == 6
     assert all(type(x) is int for g in eliminations for row in g for x in row)
