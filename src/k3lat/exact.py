@@ -73,10 +73,6 @@ class SymMatrix:
         self._rows = rows
 
     @classmethod
-    def identity(cls, n: int) -> "SymMatrix":
-        return cls([[Fraction(i == j) for j in range(n)] for i in range(n)])
-
-    @classmethod
     def zero(cls, n: int) -> "SymMatrix":
         return cls([[Fraction(0)] * n for _ in range(n)])
 
@@ -101,20 +97,6 @@ class SymMatrix:
         body = "; ".join(" ".join(str(x) for x in row) for row in self._rows)
         return f"SymMatrix[{body}]"
 
-    def __add__(self, other: "SymMatrix") -> "SymMatrix":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        return SymMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)]
-        )
-
-    def __sub__(self, other: "SymMatrix") -> "SymMatrix":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        return SymMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)]
-        )
-
     def apply(self, vec: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
         """Matrix-vector product."""
         if len(vec) != self.n:
@@ -124,12 +106,6 @@ class SymMatrix:
 
     def submatrix(self, indices: Sequence[int]) -> "SymMatrix":
         return SymMatrix([[self._rows[i][j] for j in indices] for i in indices])
-
-    def row_sums(self) -> tuple[Fraction, ...]:
-        return tuple(sum(row, Fraction(0)) for row in self._rows)
-
-    def entry_sum(self) -> Fraction:
-        return sum(self.row_sums(), Fraction(0))
 
 
 def _congruence(

@@ -4,18 +4,17 @@ The type table records, for each fiber type, the component multiplicities,
 the weight (their sum) and the Euler number.  Detection walks the connected
 induced subgraphs of the configuration's (-2)-curves with
 :func:`~k3lat.graph.connected_vertex_subsets` and reports every one that
-carries an isotropic effective divisor of fiber shape.  Each subgraph
-carries the finite ADE diagram it is (a path or a three-armed star),
-updated from a subgraph one curve smaller; one that is indefinite is cut
-with all its supergraphs, and one that is affine gets a final state that
-holds its skeleton (the closed path, the star, or the chain forked at both
-ends) and is grown no further, since every connected supergraph of an
-affine diagram is indefinite.  Each affine subgraph is named from its
-skeleton by :func:`k3lat.roots.canonical_diagram` and confirmed against
-the standard diagram's Gram matrix, with no second walk.  The dual graphs
-of some type pairs coincide (two curves meeting twice is a 2-cycle or a
-tangent pair; three curves meeting pairwise once is a triangle or three
-concurrent lines), so detection returns merged tags for those.
+carries an isotropic effective divisor of fiber shape.  The enumeration
+step is :func:`k3lat.roots._diagram_step`, the one shape rule that
+:func:`k3lat.roots.decompose` uses too: each subgraph carries the finite
+ADE diagram it is, one that is indefinite is cut with all its supergraphs,
+and one that is affine gets a final state that holds its skeleton and is
+grown no further, since every connected supergraph of an affine diagram is
+indefinite.  Each affine subgraph is named from its skeleton and confirmed
+against the standard diagram's Gram matrix by :func:`k3lat.roots._component`.
+The dual graphs of some type pairs coincide (two curves meeting twice is a
+2-cycle or a tangent pair; three curves meeting pairwise once is a triangle
+or three concurrent lines), so detection returns merged tags for those.
 """
 
 from __future__ import annotations
@@ -23,10 +22,8 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from math import prod
 
 from .graph import (
-    CUT,
     CurveConfig,
     Final,
     SpanKind,
@@ -34,7 +31,7 @@ from .graph import (
     classify,
     connected_vertex_subsets,
 )
-from .roots import RootComponent, _confirmed, canonical_diagram, radical
+from .roots import _component, _diagram_step, radical
 
 # the additive types of fixed shape: (multiplicities, Euler number); the
 # star-shaped ones are the affine E diagrams
@@ -176,7 +173,7 @@ def find_kodaira_divisors(
     ):
         if type(state) is not Final:
             continue
-        comp = _affine_component(roots_only, state)
+        comp = _component(roots_only, state)
         if comp is None:
             continue
         div = _divisor_from_component(comp)
@@ -184,83 +181,6 @@ def find_kodaira_divisors(
             out.append(div)
     out.sort(key=lambda dv: (dv.weight, tuple(sorted(dv.support))))
     return out
-
-
-def _affine_component(cfg: CurveConfig, skeleton: Final) -> RootComponent | None:
-    """The affine root component a final state of :func:`_diagram_step`
-    names, or None if its Gram matrix in canonical order is not the
-    standard diagram's."""
-    kind, n, order = canonical_diagram(skeleton)
-    return _confirmed(cfg, RootComponent(kind, n, order, radical(kind, n)))
-
-
-def _diagram_step(cfg: CurveConfig):
-    """Enumeration step for the subgraph search over the (-2)-curves.
-
-    A finite (negative definite) subset's state is ``(centre, arms)``: one
-    curve and the chains leaving it, each from the centre outward; a path
-    has at most two arms, D and E have three.  From it the step decides
-    whether the subset grown by ``u`` is finite, affine or indefinite
-    (:data:`~k3lat.graph.CUT`).  An affine subset's state is a
-    :class:`~k3lat.graph.Final` skeleton in curve ids, as
-    :func:`k3lat.roots.canonical_diagram` takes it: the pair meeting twice
-    or the closed path as a cycle, the star's centre and arms, or D~n's two
-    forks with their leaves and the chain between them.  A star whose arms
-    have ``p_i - 1`` curves is finite, affine or indefinite as
-    ``sum(1/p_i)`` exceeds, equals or falls short of the number of arms
-    less two (the sign of its Gram determinant); the other affine diagrams
-    are the closed path, the double edge and D~n (n > 4).  Having a
-    positive direction is monotone, so the cut loses nothing, and a final
-    subset needs no step: all its connected supergraphs are indefinite.
-    """
-    adj = cfg.adjacency()
-    ids = cfg.ids()
-
-    def named(curves):
-        return tuple(ids[v] for v in curves)
-
-    def star(centre, arms):
-        p = [len(arm) + 1 for arm in arms]
-        whole = prod(p)
-        excess = sum(whole // q for q in p) - (len(arms) - 2) * whole
-        if excess > 0:
-            return centre, arms
-        return Final(("star", ids[centre], tuple(map(named, arms)))) if excess == 0 else CUT
-
-    def grow(state, u, subset):
-        hits = {(w, m) for w, m in adj[u].items() if w in subset}
-        if not hits:
-            return u, ()
-        centre, arms = state
-        if len(hits) > 1:
-            # A~n: u closes a path, meeting each of its two ends once
-            ends = [arm[-1] for arm in arms] + [centre] * (2 - len(arms))
-            if len(arms) < 3 and hits == {(w, 1) for w in ends}:
-                back = arms[1][::-1] if len(arms) == 2 else ()
-                return Final(("cycle", named((centre, *arms[0], u, *back))))
-            return CUT
-        ((w, m),) = hits
-        if m > 1:
-            # A~1 is two curves meeting twice
-            return Final(("cycle", named((centre, u)))) if m == 2 and not arms else CUT
-        if w == centre:
-            return star(centre, arms + ((u,),))
-        i = next(i for i, arm in enumerate(arms) if w in arm)
-        arm, j = arms[i], arms[i].index(w)
-        if j == len(arm) - 1:
-            return star(centre, arms[:i] + (arm + (u,),) + arms[i + 1 :])
-        if len(arms) < 3:
-            # w becomes the centre of a star
-            back = arm[:j][::-1] + (centre,) + (arms[1 - i] if len(arms) == 2 else ())
-            return star(w, (arm[j + 1 :], back, (u,)))
-        # a second branch curve: D~n from D_n, beside the end of the long
-        # arm, whose last curve and u are the new fork's leaves
-        if sorted(map(len, arms))[:2] == [1, 1] and j == len(arm) - 2:
-            leaves = named(a[0] for a in arms[:i] + arms[i + 1 :])
-            return Final(("forks", leaves, named((centre,) + arm[:-1]), named((arm[-1], u))))
-        return CUT
-
-    return grow
 
 
 def divisor_degree(div: KodairaDivisor, cfg: CurveConfig) -> int:

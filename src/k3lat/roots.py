@@ -4,28 +4,29 @@ A connected component of a negative (semi-)definite configuration is either
 a simply-laced root diagram A/D/E, its affine extension (negative
 semi-definite with a one-dimensional radical carrying the standard positive
 multiplicities), a pair of curves joined by a double edge (the degenerate
-rank-one extension), or an isolated isotropic vertex.  A diagram's skeleton
-is a cycle, a centre with the chains leaving it (a path, D, E, or a star
-read off one table of arm lengths), or a chain forked at both ends, and
-:func:`canonical_diagram` names a skeleton: kind, rank and the canonical
-vertex order.  It is the one rule for that order.  :func:`decompose` finds
-each component's skeleton by one walk along its degree-two chains; the
-fibre search of :mod:`k3lat.kodaira` carries it in its enumeration step and
-does not walk.  The match is confirmed when the integer Gram matrix in
-canonical order equals the standard diagram's.  That matrix comes from a
-table built once per diagram, and building it checks the exact signature
-and, for affine kinds, that the radical generator annihilates it; equal
-matrices share both, so a wrong match cannot slip through.
+rank-one extension), or an isolated isotropic vertex.  One step,
+:func:`_diagram_step`, decides a diagram's shape as a subgraph grows by one
+curve: it carries the finite diagram (a centre and its arms), cuts the
+subgraph once it is indefinite, and ends an affine one with its skeleton (a
+cycle, a star, or a chain forked at both ends).  The fibre search of
+:mod:`k3lat.kodaira` enumerates with it, and :func:`decompose` grows it over
+each component's curves.  :func:`canonical_diagram` names a skeleton: kind,
+rank and the canonical vertex order; it is the one rule for that order.
+The match is confirmed when the integer Gram matrix in canonical order
+equals the standard diagram's.  That matrix comes from a table built once
+per diagram, and building it checks the exact signature and, for affine
+kinds, that the radical generator annihilates it; equal matrices share
+both, so a wrong match cannot slip through.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .exact import _congruence
-from .graph import CurveConfig, CurveVertex, SpanKind, classify, integer_gram
+from .graph import CUT, CurveConfig, CurveVertex, Final, SpanKind, classify, integer_gram
 
 
 class NotNegativeSemidefiniteError(ValueError):
@@ -128,9 +129,9 @@ def radical(kind: str, n: int) -> tuple[int, ...]:
     return (top,) + tuple(top * (a - i) // (a + 1) for a in arms for i in range(a))
 
 
-def canonical_diagram(skeleton: tuple) -> tuple[str, int, tuple[str, ...]] | None:
+def canonical_diagram(skeleton: tuple) -> tuple[str, int, tuple[str, ...]]:
     """Kind, rank parameter and canonical vertex order of a connected root
-    diagram given by its skeleton; None for a star that no diagram has.
+    diagram given by its skeleton.
 
     A skeleton is one of
 
@@ -138,7 +139,8 @@ def canonical_diagram(skeleton: tuple) -> tuple[str, int, tuple[str, ...]] | Non
       either direction; two curves are the pair meeting twice (A~1);
     * ``("star", centre, arms)``: a curve and the chains leaving it, each
       from the centre outward; a path has at most two arms, D has arm
-      lengths (1, 1, k), the rest are looked up in one table;
+      lengths (1, 1, k), the rest are looked up in one table, which holds
+      every other star :func:`_diagram_step` lets through;
     * ``("forks", leaves, chain, leaves)``: a chain forked at both ends
       (D~n, n > 4), from one fork to the other, with each fork's two
       leaves.
@@ -173,80 +175,91 @@ def canonical_diagram(skeleton: tuple) -> tuple[str, int, tuple[str, ...]] | Non
     lengths = tuple(map(len, arms))
     if len(arms) == 3 and lengths[:2] == (1, 1):
         return "D", 1 + sum(lengths), (arms[0][0], arms[1][0], centre) + arms[2]
-    hit = _STARS.get(lengths)
-    if hit is None:
-        return None
-    return (*hit, (centre,) + sum(arms, ()))
+    return (*_STARS[lengths], (centre,) + sum(arms, ()))
 
 
-def _walk(nbrs: dict[str, list[str]], v: str, prev: str) -> tuple[str, ...]:
-    """Follow ``v`` away from ``prev`` through vertices of degree two.
+def _diagram_step(cfg: CurveConfig):
+    """Enumeration step that decides a connected subgraph's diagram, the
+    one shape rule of both the fibre search and :func:`recognize_component`.
 
-    The walk ends at the first vertex of another degree (included) or, on
-    a cycle, just before it would come back to ``prev``.
+    A finite (negative definite) subset's state is ``(centre, arms)``: one
+    curve and the chains leaving it, each from the centre outward; a path
+    has at most two arms, D and E have three.  From it the step decides
+    whether the subset grown by ``u`` is finite, affine or indefinite
+    (:data:`~k3lat.graph.CUT`).  An affine subset's state is a
+    :class:`~k3lat.graph.Final` skeleton in curve ids, as
+    :func:`canonical_diagram` takes it: the pair meeting twice or the
+    closed path as a cycle, the star's centre and arms, or D~n's two forks
+    with their leaves and the chain between them.  A star whose arms have
+    ``p_i - 1`` curves is finite, affine or indefinite as ``sum(1/p_i)``
+    exceeds, equals or falls short of the number of arms less two (the
+    sign of its Gram determinant); the other affine diagrams are the closed
+    path, the double edge and D~n (n > 4).  Having a positive direction is
+    monotone, so the cut loses nothing, and a final subset needs no step:
+    all its connected supergraphs are indefinite.  The step reads the
+    edges only; squares are left to :func:`_confirmed`.
     """
-    out = [v]
-    stop = prev
-    while len(nbrs[v]) == 2:
-        a, b = nbrs[v]
-        v, prev = (b if a == prev else a), v
-        if v == stop:
-            break
-        out.append(v)
-    return tuple(out)
+    adj = cfg.adjacency()
+    ids = cfg.ids()
 
+    def named(curves):
+        return tuple(ids[v] for v in curves)
 
-def _shape(nbrs: dict[str, list[str]], n_edges: int) -> tuple[str, int, tuple[str, ...]] | None:
-    """Kind, rank parameter and canonical vertex order of a simple graph
-    shaped like a connected root diagram with at least two vertices; None
-    for any other shape.  The walk finds the skeleton, and
-    :func:`canonical_diagram` names it."""
-    n = len(nbrs)
-    deg = {v: len(ws) for v, ws in nbrs.items()}
-    if n_edges == n:
-        if any(d != 2 for d in deg.values()):
-            return None
-        start = next(iter(nbrs))
-        ring = (start,) + _walk(nbrs, nbrs[start][0], start)
-        return canonical_diagram(("cycle", ring)) if len(ring) == n else None
-    if n_edges != n - 1:
-        return None
-    branch = [v for v in nbrs if deg[v] >= 3]
-    if not branch:
-        ends = [v for v in nbrs if deg[v] == 1]
-        if len(ends) != 2:
-            return None
-        path = _walk(nbrs, nbrs[ends[0]][0], ends[0])
-        return canonical_diagram(("star", ends[0], (path,))) if len(path) + 1 == n else None
-    if len(branch) == 2:
-        # forks at both ends of a chain
-        f1, f2 = branch
-        leaves = [tuple(w for w in nbrs[f] if deg[w] == 1) for f in branch]
-        if deg[f1] != 3 or deg[f2] != 3 or [len(ls) for ls in leaves] != [2, 2]:
-            return None
-        (first,) = (w for w in nbrs[f1] if deg[w] != 1)
-        chain = (f1,) + _walk(nbrs, first, f1)
-        if chain[-1] != f2 or len(chain) + 4 != n:
-            return None
-        return canonical_diagram(("forks", leaves[0], chain, leaves[1]))
-    if len(branch) != 1:
-        return None
-    center = branch[0]
-    arms = tuple(_walk(nbrs, w, center) for w in nbrs[center])
-    if any(deg[a[-1]] != 1 for a in arms) or 1 + sum(map(len, arms)) != n:
-        return None
-    return canonical_diagram(("star", center, arms))
+    def star(centre, arms):
+        p = [len(arm) + 1 for arm in arms]
+        whole = math.prod(p)
+        excess = sum(whole // q for q in p) - (len(arms) - 2) * whole
+        if excess > 0:
+            return centre, arms
+        return Final(("star", ids[centre], tuple(map(named, arms)))) if excess == 0 else CUT
+
+    def grow(state, u, subset):
+        hits = {(w, m) for w, m in adj[u].items() if w in subset}
+        if not hits:
+            return u, ()
+        centre, arms = state
+        if len(hits) > 1:
+            # A~n: u closes a path, meeting each of its two ends once
+            ends = [arm[-1] for arm in arms] + [centre] * (2 - len(arms))
+            if len(arms) < 3 and hits == {(w, 1) for w in ends}:
+                back = arms[1][::-1] if len(arms) == 2 else ()
+                return Final(("cycle", named((centre, *arms[0], u, *back))))
+            return CUT
+        ((w, m),) = hits
+        if m > 1:
+            # A~1 is two curves meeting twice
+            return Final(("cycle", named((centre, u)))) if m == 2 and not arms else CUT
+        if w == centre:
+            return star(centre, arms + ((u,),))
+        i = next(i for i, arm in enumerate(arms) if w in arm)
+        arm, j = arms[i], arms[i].index(w)
+        if j == len(arm) - 1:
+            return star(centre, arms[:i] + (arm + (u,),) + arms[i + 1 :])
+        if len(arms) < 3:
+            # w becomes the centre of a star
+            back = arm[:j][::-1] + (centre,) + (arms[1 - i] if len(arms) == 2 else ())
+            return star(w, (arm[j + 1 :], back, (u,)))
+        # a second branch curve: D~n from D_n, beside the end of the long
+        # arm, whose last curve and u are the new fork's leaves
+        if sorted(map(len, arms))[:2] == [1, 1] and j == len(arm) - 2:
+            leaves = named(a[0] for a in arms[:i] + arms[i + 1 :])
+            return Final(("forks", leaves, named((centre,) + arm[:-1]), named((arm[-1], u))))
+        return CUT
+
+    return grow
 
 
 def recognize_component(cfg: CurveConfig, ids: tuple[str, ...]) -> RootComponent | None:
     """Recognize one connected induced subgraph as a root component.
 
     Returns None for anything that is not an ADE diagram, an affine
-    extension, a double-edge pair, or an isolated isotropic vertex.  The
-    shape match is confirmed before returning: the integer Gram matrix in
-    canonical order must equal the standard diagram's, whose signature
-    (and, for affine kinds, radical) :func:`standard_gram` checked once.
-    Work is proportional to the subset and its neighbourhood.
+    extension, a double-edge pair, or an isolated isotropic vertex, and for
+    ids that are not connected.  :func:`_diagram_step` is grown over the
+    curves breadth first from the least index, and :func:`_component`
+    names the diagram it ends in and confirms it.  Repeated ids are read as
+    their set, except that a lone curve or a pair meeting twice is
+    recognised only from its ids without repeats.  Work is proportional to
+    the subset and its neighbourhood.
     """
     if len(ids) == 1:
         v = cfg.vertex(ids[0])
@@ -255,34 +268,51 @@ def recognize_component(cfg: CurveConfig, ids: tuple[str, ...]) -> RootComponent
         if v.square == -2:
             return RootComponent("A", 1, (v.id,))
         return None
-
-    # the shape walk reads the simple graph; squares other than -2 and
-    # multiple edges (except the pair meeting twice) fail the Gram
-    # comparison in _confirmed
+    members = set(map(cfg.index_of, ids))
+    if len(members) < 2:
+        return None
     adj = cfg.adjacency()
-    members = {cfg.index_of(v): v for v in ids}
-    nbrs: dict[str, list[str]] = {}
-    for i, v in members.items():
-        nbrs[v] = row = []
-        for j in adj[i]:
-            if j in members:
-                row.append(members[j])
-    if len(members) == 2 and adj[min(members)].get(max(members)) == 2:
-        shape = canonical_diagram(("cycle", tuple(ids)))
-    else:
-        shape = _shape(nbrs, sum(map(len, nbrs.values())) // 2)
-        if shape is None:
-            return None
-    kind, param, order = shape
-    comp = RootComponent(kind, param, order)
-    if comp.is_affine:
-        comp = replace(comp, kernel_vector=radical(kind, param))
-    return _confirmed(cfg, comp)
+    step = _diagram_step(cfg)
+    order = [min(members)]
+    grown = set(order)
+    state = step(None, order[0], grown)
+    for v in order:
+        for u in adj[v]:
+            if u in members and u not in grown:
+                if type(state) is Final:
+                    # every connected supergraph of an affine diagram is
+                    # indefinite
+                    return None
+                grown.add(u)
+                state = step(state, u, grown)
+                if state is CUT:
+                    return None
+                order.append(u)
+    if len(grown) < len(members):
+        return None
+    if type(state) is not Final:
+        centre, arms = state
+        names = cfg.ids()
+        state = ("star", names[centre], tuple(tuple(names[w] for w in arm) for arm in arms))
+    elif len(members) == 2 < len(ids):
+        # the pair meeting twice, named with a repeat
+        return None
+    return _component(cfg, state)
+
+
+def _component(cfg: CurveConfig, skeleton: tuple) -> RootComponent | None:
+    """The root component a skeleton names, with the radical for a final
+    (affine) one, or None if its Gram matrix in canonical order is not the
+    standard diagram's."""
+    kind, n, order = canonical_diagram(skeleton)
+    kernel = radical(kind, n) if type(skeleton) is Final else None
+    return _confirmed(cfg, RootComponent(kind, n, order, kernel))
 
 
 def _confirmed(cfg: CurveConfig, comp: RootComponent) -> RootComponent | None:
     """Cross-check the shape match: the integer Gram matrix in canonical
-    order must equal the standard diagram's."""
+    order must equal the standard diagram's, whose signature (and, for
+    affine kinds, radical) :func:`standard_gram` checked once."""
     g = integer_gram(cfg, [cfg.index_of(v) for v in comp.vertex_ids])
     want = standard_gram(comp.kind, comp.rank_param)
     return comp if tuple(map(tuple, g)) == want else None

@@ -10,8 +10,10 @@ are :func:`exclude_reference`, the per-subset exclusion sweep that
 depth-first enumeration that ``graph.connected_vertex_subsets`` replaced,
 :func:`recognize_component_reference`, the edge-scanning,
 signature-confirmed recognition that ``roots.recognize_component``
-replaced, :func:`verify_certificate_reference`, the Fraction inverse
-and dense signature check that ``bounds.verify_certificate`` replaced, and
+replaced, with the shape walker along degree-two chains (:func:`_shape`)
+that the package's one diagram step replaced,
+:func:`verify_certificate_reference`, the Fraction inverse and dense
+signature check that ``bounds.verify_certificate`` replaced, and
 the Fraction symmetric elimination :func:`congruence_reference` that the
 fraction-free ``exact._congruence`` replaced, the congruence-based
 :func:`inverse_reference`,
@@ -57,7 +59,7 @@ from k3lat.graph import (
     gram,
 )
 from k3lat.kodaira import KodairaDivisor, _divisor_from_component
-from k3lat.roots import RootComponent, _shape, radical, recognize_component
+from k3lat.roots import _STARS, RootComponent, canonical_diagram, radical
 
 
 # -- exact determinant and rank (independent row reduction) ---------------
@@ -92,6 +94,20 @@ def quadratic_form(m: SymMatrix, vec) -> Fraction:
 def min_entry(m: SymMatrix) -> Fraction:
     """The least entry of ``m``; 0 for the empty matrix."""
     return min((x for row in m.rows() for x in row), default=Fraction(0))
+
+
+def identity_matrix(n: int) -> SymMatrix:
+    return SymMatrix([[Fraction(i == j) for j in range(n)] for i in range(n)])
+
+
+def matrix_sum(a: SymMatrix, b: SymMatrix) -> SymMatrix:
+    if a.n != b.n:
+        raise ValueError("dimension mismatch")
+    return SymMatrix([[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.rows(), b.rows())])
+
+
+def entry_sum(m: SymMatrix) -> Fraction:
+    return sum((x for row in m.rows() for x in row), Fraction(0))
 
 
 def row_reduce_rank(rows: list[list[Fraction]]) -> int:
@@ -525,11 +541,75 @@ def connected_subsets_reference(cfg, max_size):
 # -- the signature-confirmed recognition ----------------------------------------
 
 
+def _walk(nbrs: dict[str, list[str]], v: str, prev: str) -> tuple[str, ...]:
+    """Follow ``v`` away from ``prev`` through vertices of degree two.
+
+    The walk ends at the first vertex of another degree (included) or, on
+    a cycle, just before it would come back to ``prev``.
+    """
+    out = [v]
+    stop = prev
+    while len(nbrs[v]) == 2:
+        a, b = nbrs[v]
+        v, prev = (b if a == prev else a), v
+        if v == stop:
+            break
+        out.append(v)
+    return tuple(out)
+
+
+def _shape(nbrs: dict[str, list[str]], n_edges: int) -> tuple[str, int, tuple[str, ...]] | None:
+    """Kind, rank parameter and canonical vertex order of a simple graph
+    shaped like a connected root diagram with at least two vertices; None
+    for any other shape.  The walk finds the skeleton, and
+    ``roots.canonical_diagram`` names it."""
+    n = len(nbrs)
+    deg = {v: len(ws) for v, ws in nbrs.items()}
+    if n_edges == n:
+        if any(d != 2 for d in deg.values()):
+            return None
+        start = next(iter(nbrs))
+        ring = (start,) + _walk(nbrs, nbrs[start][0], start)
+        return canonical_diagram(("cycle", ring)) if len(ring) == n else None
+    if n_edges != n - 1:
+        return None
+    branch = [v for v in nbrs if deg[v] >= 3]
+    if not branch:
+        ends = [v for v in nbrs if deg[v] == 1]
+        if len(ends) != 2:
+            return None
+        path = _walk(nbrs, nbrs[ends[0]][0], ends[0])
+        return canonical_diagram(("star", ends[0], (path,))) if len(path) + 1 == n else None
+    if len(branch) == 2:
+        # forks at both ends of a chain
+        f1, f2 = branch
+        leaves = [tuple(w for w in nbrs[f] if deg[w] == 1) for f in branch]
+        if deg[f1] != 3 or deg[f2] != 3 or [len(ls) for ls in leaves] != [2, 2]:
+            return None
+        (first,) = (w for w in nbrs[f1] if deg[w] != 1)
+        chain = (f1,) + _walk(nbrs, first, f1)
+        if chain[-1] != f2 or len(chain) + 4 != n:
+            return None
+        return canonical_diagram(("forks", leaves[0], chain, leaves[1]))
+    if len(branch) != 1:
+        return None
+    center = branch[0]
+    arms = tuple(_walk(nbrs, w, center) for w in nbrs[center])
+    if any(deg[a[-1]] != 1 for a in arms) or 1 + sum(map(len, arms)) != n:
+        return None
+    # canonical_diagram names D and the stars of its table only
+    lengths = tuple(sorted(map(len, arms)))
+    if lengths not in _STARS and (len(arms) != 3 or lengths[:2] != (1, 1)):
+        return None
+    return canonical_diagram(("star", center, arms))
+
+
 def recognize_component_reference(cfg, ids):
-    """``roots.recognize_component`` as it was before the shared adjacency
-    and the Gram table: the induced edges from a scan of every edge, the
-    same shape walk, then the exact signature of the induced Gram matrix
-    and, for affine kinds, the radical check on every match."""
+    """``roots.recognize_component`` as it was before the shared adjacency,
+    the Gram table and the diagram step: the induced edges from a scan of
+    every edge, the shape walk :func:`_shape`, then the exact signature of
+    the induced Gram matrix and, for affine kinds, the radical check on
+    every match."""
     if len(ids) == 1:
         v = cfg.vertex(ids[0])
         if v.square == 0:
@@ -571,7 +651,7 @@ def recognize_component_reference(cfg, ids):
 
 
 def _check_box_witness_reference(w, g0, gplus, ones):
-    if g0 + gplus != w:
+    if matrix_sum(g0, gplus) != w:
         raise AssertionError("witness does not sum to the inverse")
     if min_entry(gplus) < 0:
         raise AssertionError("nonnegative part has a negative entry")
@@ -650,7 +730,7 @@ def find_kodaira_divisors_reference(
         roots_only, min(cap, roots_only.n), _shape_prune(roots_only), (0, 0, 0, 0)
     ):
         ids = tuple(roots_only.vertices[i].id for i in subset)
-        comp = recognize_component(roots_only, ids)
+        comp = recognize_component_reference(roots_only, ids)
         if comp is None or not comp.is_affine:
             continue
         div = _divisor_from_component(comp)

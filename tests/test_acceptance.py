@@ -35,7 +35,7 @@ from conftest import (
     i3star_four_sections,
     ivstar_three_a2,
 )
-from oracles import box_max, inverse_reference, min_entry, oracle_signature
+from oracles import box_max, inverse_reference, matrix_sum, min_entry, oracle_signature
 
 EXAMPLES = Path(data_root()) / "examples"
 
@@ -73,7 +73,7 @@ def test_acceptance_2_char3_certificate(capsys):
     assert cert.bound_on_2h == Fraction(86)
     assert cert.witness is not None
     g0, gplus = cert.witness.negative_part, cert.witness.nonnegative_part
-    assert g0 + gplus == inverse_reference(gram(cfg))
+    assert matrix_sum(g0, gplus) == inverse_reference(gram(cfg))
     assert min_entry(gplus) >= 0
     assert signature(g0).n_plus == 0
     assert g0.apply((1,) * 12) == (Fraction(0),) * 12

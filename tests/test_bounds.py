@@ -55,6 +55,7 @@ from oracles import (
     box_max,
     connected_subsets_reference,
     det,
+    entry_sum,
     exclude_reference,
     inverse_reference,
     min_entry,
@@ -196,7 +197,7 @@ def test_box_certificate_nonnegative_inverse_trivial_split():
     cfg = toy_config()
     cert = box_certificate(cfg, 1)
     assert min_entry(cert.witness.negative_part) == 0
-    assert cert.witness.negative_part.entry_sum() == 0
+    assert entry_sum(cert.witness.negative_part) == 0
     assert cert.bound_on_2h == 4  # all inverse entries nonnegative
 
 

@@ -4,24 +4,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3lat import kodaira
+from k3lat import roots
 from k3lat.graph import CUT, Final, config_from_data, connected_vertex_subsets, gram
 from k3lat.kodaira import (
-    _affine_component,
-    _diagram_step,
     divisor_degree,
     exclusion_6d,
     find_kodaira_divisors,
     parse_tag,
     type_table,
 )
-from k3lat.roots import recognize_component, standard_diagram
+from k3lat.roots import _component, _diagram_step, standard_diagram
 
 from conftest import i4_fibres_with_section
 from oracles import (
     connected_subsets_reference,
     find_kodaira_divisors_reference,
     oracle_signature,
+    recognize_component_reference,
 )
 
 
@@ -282,8 +281,8 @@ def _assert_step_cuts_exactly_the_indefinite(cfg):
                 assert (type(state) is Final) == (n_zero > 0), (parent, u)
             if type(state) is Final:
                 ids = tuple(cfg.vertices[i].id for i in subset)
-                comp = _affine_component(cfg, state)
-                assert comp is not None and comp == recognize_component(cfg, ids), subset
+                comp = _component(cfg, state)
+                assert comp is not None and comp == recognize_component_reference(cfg, ids), subset
 
 
 def _roots_config(n, edges):
@@ -371,14 +370,14 @@ def test_recognition_runs_on_affine_subsets_only(monkeypatch):
     # one confirmation per divisor the search reports before the weight cap
     cfg = i4_fibres_with_section()
     calls = []
-    real_confirmed = kodaira._confirmed
+    real_confirmed = roots._confirmed
 
     def recording(cfg, comp):
         confirmed = real_confirmed(cfg, comp)
         calls.append(confirmed)
         return confirmed
 
-    monkeypatch.setattr(kodaira, "_confirmed", recording)
+    monkeypatch.setattr(roots, "_confirmed", recording)
     divisors = find_kodaira_divisors(cfg)
     assert len(calls) == len(divisors) == 496
     assert all(comp is not None and comp.is_affine for comp in calls)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3lat import exact, graph, kodaira, roots
+from k3lat import exact, graph, roots
 from k3lat.exact import signature
 from k3lat.graph import (
     CurveConfig,
@@ -152,6 +152,41 @@ def test_recognize_component_rejects_indefinite_shapes():
         [("v0", "v1"), ("v1", "v2"), ("v2", "v3"), ("v3", "v0"), ("v0", "v4")],
     )
     assert recognize_component(cfg3, cfg3.ids()) is None
+    # ids that are not connected: two A2 chains, a triangle beside a
+    # curve, and a disjoint pair named with a repeat
+    chains = standard_diagram("A", 2, prefix="x").disjoint_union(standard_diagram("A", 2, prefix="y"))
+    triangle = standard_diagram("AffineA", 2).disjoint_union(standard_diagram("A", 1, prefix="w"))
+    pair = config_from_data([("a", -2), ("b", -2)])
+    for cfg, ids in ((chains, chains.ids()), (triangle, triangle.ids()), (pair, ("a", "b", "a"))):
+        assert recognize_component(cfg, ids) is None
+        assert recognize_component_reference(cfg, ids) is None
+
+
+def test_star_rule_agrees_with_the_table():
+    # every star of three arms of at most 9 curves, or of four or five arms
+    # of at most 3: the diagram step's star rule lets through exactly D and
+    # the stars of the table, as the signature-confirmed walker reads them
+    tuples = [
+        lengths
+        for arms, longest in ((3, 9), (4, 3), (5, 3))
+        for lengths in itertools.combinations_with_replacement(range(1, longest + 1), arms)
+    ]
+    assert len(tuples) == 165 + 15 + 21
+    for lengths in tuples:
+        curves = [("c", -2)] + [(f"a{i}_{j}", -2) for i, n in enumerate(lengths) for j in range(n)]
+        edges = [
+            ("c" if j == 0 else f"a{i}_{j - 1}", f"a{i}_{j}")
+            for i, n in enumerate(lengths)
+            for j in range(n)
+        ]
+        cfg = config_from_data(curves, edges)
+        comp = recognize_component(cfg, cfg.ids())
+        if len(lengths) == 3 and lengths[:2] == (1, 1):
+            want = ("D", cfg.n)
+        else:
+            want = roots._STARS.get(lengths)
+        assert (None if comp is None else (comp.kind, comp.rank_param)) == want, lengths
+        assert comp == recognize_component_reference(cfg, cfg.ids()), lengths
 
 
 def test_max_rank_check():
@@ -364,7 +399,7 @@ def test_fibre_search_runs_one_elimination_per_diagram_type(monkeypatch):
         return real_congruence(rows, witness)
 
     kinds, matches, visited = set(), [], []
-    real_confirmed = kodaira._confirmed
+    real_confirmed = roots._confirmed
 
     def recording(cfg, comp):
         visited.append(comp.vertex_ids)
@@ -376,7 +411,7 @@ def test_fibre_search_runs_one_elimination_per_diagram_type(monkeypatch):
 
     for module in (exact, graph, roots):
         monkeypatch.setattr(module, "_congruence", counting)
-    monkeypatch.setattr(kodaira, "_confirmed", recording)
+    monkeypatch.setattr(roots, "_confirmed", recording)
     divisors = find_kodaira_divisors(i4_fibres_with_section())
     assert len(divisors) == 496
     assert [d.tag for d in divisors].count("I4") == 6
