@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from k3lat.catalog import data_root
+from k3lat.catalog import data_root, load_catalog
 from k3lat.cli import main
 
 EXAMPLES = Path(data_root()) / "examples"
@@ -346,3 +346,36 @@ def test_bound_golden_byte_identical(capsys):
     assert len(out) == 11 * 2 * 3 * 2
     digest = hashlib.sha256(repr(out).encode()).hexdigest()[:16]
     assert digest == "ec01cc210d810def"
+
+
+def test_cli_golden_byte_identical(capsys, monkeypatch):
+    # stdout, stderr and exit code of every other command in both formats,
+    # run from the examples directory so each run is keyed by file name;
+    # profiles and models are input errors for the configuration commands
+    monkeypatch.chdir(EXAMPLES)
+    per_file = (
+        ("classify",), ("decompose",), ("kodaira",), ("polarize",),
+        ("exclude", "--d", "1", "--h", "43", "--cap", "6"),
+        ("budget",), ("very-ample",),
+    )
+    runs = [
+        (cmd[0], path.name) + cmd[1:]
+        for cmd in per_file
+        for path in sorted(EXAMPLES.glob("*.json"))
+    ]
+    runs += [
+        ("enum-uniform", "--rho-max", "20"),
+        ("sd-bound", "--char", "2"),
+        ("sd-bound", "--char", "3", "--sigma", "2", "--restricted"),
+        ("catalog", "list"),
+        ("catalog", "verify"),
+    ]
+    runs += [("catalog", "show", e.name) for e in load_catalog()]
+    out = [
+        argv + (fmt,) + run(capsys, *argv, "--format", fmt)
+        for argv in runs
+        for fmt in ("text", "json")
+    ]
+    assert len(out) == 200
+    digest = hashlib.sha256(repr(out).encode()).hexdigest()[:16]
+    assert digest == "ae585fe3c6e23a65"
