@@ -42,7 +42,8 @@ determinant and the adjugate of its Gram matrix follow in ``O(k^2)`` by a
 fraction-free (Bareiss-Sylvester) update, and its inertia by the sign of
 one Schur complement (Haynsworth additivity).  A subconfiguration whose
 connected parents are all degenerate takes one Bareiss elimination.  Both
-bounds are read off the adjugate's entry, row and sign sums.  A
+bounds are read off the adjugate's entry, row and sign sums, and one rule,
+:func:`_box_total`, picks the box bound wherever its split applies.  A
 subconfiguration at the last level has no children, so it keeps no
 adjugate: its row sums follow in ``O(k)`` from its parent's, and its sign
 sum, in ``O(k^2)`` without building a row, only when the box split fails.
@@ -239,22 +240,28 @@ def _inverse_gram(cfg: CurveConfig) -> tuple[list[list[int]], _Adjugate]:
     return g, entry
 
 
+def _rough_total(det: int, adj: list[list[int]]) -> int:
+    """``|det|`` times the rough bound at ``d = 1`` of the inverse
+    ``adj / det``: the sum of its positive entries."""
+    return abs(sum(x for row in adj for x in row if x * det > 0))
+
+
 def _rough_certificate(
     ids: tuple[str, ...], entry: _Adjugate, d: int
 ) -> BoundCertificate:
-    det = entry.det
-    positive = sum(x for row in entry.adj for x in row if x * det > 0)
+    total = _rough_total(entry.det, entry.adj)
     return BoundCertificate(
-        ROUGH_POSITIVE_ENTRY_SUM, Fraction(positive * d * d, det), ids, d
+        ROUGH_POSITIVE_ENTRY_SUM, Fraction(total * d * d, abs(entry.det)), ids, d
     )
 
 
 def _box_certificate(
     ids: tuple[str, ...], g: list[list[int]], entry: _Adjugate, d: int
 ) -> BoundCertificate:
-    """The box certificate from the inverse ``adj / det``: with ``r`` the
-    row sums of ``adj`` and ``total`` their sum, the split is
-    ``g+ = r r^T / (det total)`` and ``g0 = adj / det - g+``."""
+    """The box certificate from the inverse ``adj / det``, for which
+    :func:`_box_total` is nonzero: ``g0 = 0`` when the inverse has no
+    negative entry, else, with ``r`` the row sums of ``adj`` and ``total``
+    their sum, ``g+ = r r^T / (det total)`` and ``g0 = adj / det - g+``."""
     det, adj = entry.det, entry.adj
     n = len(adj)
     if all(x * det >= 0 for row in adj for x in row):
@@ -263,11 +270,6 @@ def _box_certificate(
     else:
         r = [sum(row) for row in adj]
         total = sum(r)
-        if total * det <= 0 or any(x * det < 0 for x in r):
-            raise NoDecompositionFoundError(
-                "inverse Gram matrix has a negative row sum; the rank-one "
-                "split cannot certify the box optimum"
-            )
         den = det * total
         gplus = SymMatrix([[Fraction(ri * rj, den) for rj in r] for ri in r])
         g0 = SymMatrix(
@@ -316,6 +318,11 @@ def box_certificate(cfg: CurveConfig, d: int) -> BoundCertificate:
     g, entry = _inverse_gram(cfg)
     if entry.n_plus != 1:
         raise NoDecompositionFoundError("the Gram matrix is not of inertia (1, k - 1)")
+    if not _box_total(entry.det, [sum(row) for row in entry.adj]):
+        raise NoDecompositionFoundError(
+            "inverse Gram matrix has a negative row sum; the rank-one "
+            "split cannot certify the box optimum"
+        )
     return _box_certificate(cfg.ids(), g, entry, d)
 
 
@@ -373,13 +380,16 @@ def verify_certificate(cert: BoundCertificate, cfg: CurveConfig) -> bool:
     configuration it was issued for, in the order of its support.  Total:
     malformed input, such as a support that is not a tuple of ids, an
     unknown, repeated or degenerate support, a degree cap ``d`` that is
-    not an integer (a bool is not) of at least 1 or a box witness whose
-    parts are not matrices, is rejected rather than raised.  A
+    not an integer (a bool is not) of at least 1, a bound or a box
+    corner ``x_max`` that is not an exact ``Fraction``, or a box witness
+    whose parts are not matrices, is rejected rather than raised.  A
     support with no positive direction bounds nothing (the polarization's
     positive part may lie in its orthogonal complement), so its rough and
     box certificates are rejected too."""
     d, ids = cert.d, cert.support_ids
     if type(d) is not int or d < 1 or not isinstance(ids, tuple):
+        return False
+    if not isinstance(cert.bound_on_2h, Fraction):
         return False
     if not all(isinstance(v, str) for v in ids) or len(set(ids)) != len(ids):
         return False
@@ -401,6 +411,8 @@ def verify_certificate(cert: BoundCertificate, cfg: CurveConfig) -> bool:
         wit = cert.witness
         if not isinstance(wit, BoxWitness) or wit.x_max != (Fraction(d),) * len(g):
             return False
+        if not all(isinstance(x, Fraction) for x in wit.x_max):
+            return False
         parts = (wit.negative_part, wit.nonnegative_part)
         if not all(isinstance(x, SymMatrix) for x in parts):
             return False
@@ -412,24 +424,15 @@ def verify_certificate(cert: BoundCertificate, cfg: CurveConfig) -> bool:
     return False
 
 
-def _certificates(
+def _certificate(
     ids: tuple[str, ...], g: list[list[int]], entry: _Adjugate, d: int
-) -> list[BoundCertificate]:
-    """Box and rough certificates for one nondegenerate hyperbolic
-    subconfiguration from one inverse, cheapest bound first."""
-    certs = []
-    try:
-        certs.append(_box_certificate(ids, g, entry, d))
-    except NoDecompositionFoundError:
-        pass
-    certs.append(_rough_certificate(ids, entry, d))
-    certs.sort(key=lambda c: c.bound_on_2h)
-    return certs
-
-
-def _subgraph_certificates(sub: CurveConfig, d: int) -> list[BoundCertificate]:
-    """:func:`_certificates` of a whole configuration."""
-    return _certificates(sub.ids(), *_inverse_gram(sub), d)
+) -> BoundCertificate:
+    """The certificate of one nondegenerate hyperbolic subconfiguration
+    with Gram matrix ``g``: box when :func:`_box_total` lets the split
+    apply, else rough."""
+    if _box_total(entry.det, [sum(row) for row in entry.adj]):
+        return _box_certificate(ids, g, entry, d)
+    return _rough_certificate(ids, entry, d)
 
 
 # the empty subset, which every singleton borders
@@ -549,16 +552,14 @@ def _box_total(det: int, sums: list[int]) -> int:
 
 def _sweep_bound(entry: _Adjugate | _Leaf, d: int) -> tuple[int, int]:
     """Numerator and positive denominator of the bound that
-    ``_subgraph_certificates(sub, d)[0]`` carries: a leaf's own, else the
-    box bound (:func:`_box_total`) or the rough one read off the adjugate.
+    :func:`_certificate` carries: a leaf's own, else the box bound
+    (:func:`_box_total`) or the rough one read off the adjugate.
     """
     if isinstance(entry, _Leaf):
         total = entry.total
     else:
         det, adj = entry.det, entry.adj
-        total = _box_total(det, [sum(row) for row in adj]) or abs(
-            sum(x for row in adj for x in row if x * det > 0)
-        )
+        total = _box_total(det, [sum(row) for row in adj]) or _rough_total(det, adj)
     return total * d * d, abs(entry.det)
 
 
@@ -578,7 +579,7 @@ def _checked_certificate(
         order=subset, adj=[[entry.adj[a][b] for b in perm] for a in perm]
     )
     ids = tuple(cfg.vertices[i].id for i in subset)
-    cert = _certificates(ids, integer_gram(cfg, subset), entry, d)[0]
+    cert = _certificate(ids, integer_gram(cfg, subset), entry, d)
     if cert.bound_on_2h != bound:
         raise AssertionError(
             f"sweep bound {bound} differs from the rebuilt certificate's "
@@ -719,11 +720,9 @@ def exclude(
     )
 
 
-def admissible_h_range(cfg: CurveConfig, d: int) -> AdmissibleHRange:
+def admissible_h_range(cfg: CurveConfig) -> AdmissibleHRange:
     """Upper bound for the half-degree ``h`` over all surfaces carrying the
     configuration with its pinned degrees; None means unbounded."""
-    if d < 1:
-        raise ValueError("d must be positive")
     cls = classify(cfg)
     if cls.kind in (SpanKind.ELLIPTIC, SpanKind.PARABOLIC):
         return AdmissibleHRange(

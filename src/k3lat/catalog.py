@@ -131,28 +131,14 @@ def _verify_config_entry(entry: CatalogEntry, root: Path) -> EntryReport:
         checks.append(
             _check("entry_sum", exp["entry_sum"], formats.format_fraction(total))
         )
-    if "rough_bound" in exp:
-        d = exp["rough_bound"]["d"]
-        cert = bounds.rough_bound(cfg, d)
-        ok = bounds.verify_certificate(cert, cfg)
-        checks.append(
-            _check(
-                "rough_bound",
-                exp["rough_bound"]["value"],
-                formats.format_fraction(cert.bound_on_2h) if ok else "unverified",
-            )
-        )
-    if "box_bound" in exp:
-        d = exp["box_bound"]["d"]
-        cert = bounds.box_certificate(cfg, d)
-        ok = bounds.verify_certificate(cert, cfg)
-        checks.append(
-            _check(
-                "box_bound",
-                exp["box_bound"]["value"],
-                formats.format_fraction(cert.bound_on_2h) if ok else "unverified",
-            )
-        )
+    for key, build in (
+        ("rough_bound", bounds.rough_bound), ("box_bound", bounds.box_certificate)
+    ):
+        if key in exp:
+            cert = build(cfg, exp[key]["d"])
+            ok = bounds.verify_certificate(cert, cfg)
+            actual = formats.format_fraction(cert.bound_on_2h) if ok else "unverified"
+            checks.append(_check(key, exp[key]["value"], actual))
     for case in exp.get("exclusions", ()):
         verdict = bounds.exclude(cfg, case["d"], case["h"])
         certs_ok = all(

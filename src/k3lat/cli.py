@@ -160,9 +160,8 @@ def _cmd_kodaira(args) -> int:
 def _cmd_polarize(args) -> int:
     doc = parse_config(_read(args.file))
     cfg = doc.config
-    d = args.d if args.d is not None else max(v.degree for v in cfg.vertices)
     ip = bounds.intrinsic_polarization(cfg)
-    rng = bounds.admissible_h_range(cfg, d)
+    rng = bounds.admissible_h_range(cfg)
     report = {
         "name": cfg.name,
         "exists": ip.exists,
@@ -325,11 +324,7 @@ def _cmd_sd_bound(args) -> int:
         unirational=False if args.non_unirational else None,
         artin_invariant=args.sigma,
     )
-    try:
-        res = fibration.sd_bound(ctx, restricted=args.restricted)
-    except fibration.UnsupportedContextError as exc:
-        _emit({"error": str(exc)}, args.format, [f"unsupported context: {exc}"])
-        return 2
+    res = fibration.sd_bound(ctx, restricted=args.restricted)
     report = {
         "bound": res.bound,
         "count": res.count,
@@ -481,7 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("polarize", _cmd_polarize, "intrinsic polarization and admissible degrees")
     p.add_argument("file")
-    p.add_argument("--d", type=int, default=None)
 
     p = add("bound", _cmd_bound, "degree bound certificate for the full configuration")
     p.add_argument("file")

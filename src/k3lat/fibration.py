@@ -155,16 +155,13 @@ def budget_check(prof: FibrationProfile) -> BudgetReport:
     return BudgetReport(ok, mode, total, 24, component_total, tuple(messages))
 
 
-def rational_component_bound(
-    prof: FibrationProfile, all_degrees_within_cap: bool = True
-) -> int:
+def rational_component_bound(prof: FibrationProfile) -> int:
     """Cap on the number of rational curves among fiber components.
 
     Elliptic: the component total itself (at most 24 when the budget
     holds).  Quasi-elliptic: 20 plus the number of reducible fibers, since
     the cuspidal generic-fiber degenerations are excluded from the
-    restricted count.  The flag records whether every component degree is
-    within the degree cap (the cap is an upper bound either way).
+    restricted count.
     """
     if prof.quasi_elliptic:
         reducible = sum(1 for f in prof.fibers if f.type.component_count >= 2)
@@ -236,7 +233,6 @@ class SurfaceContext:
     characteristic: int = 0
     unirational: bool | None = None
     artin_invariant: int | None = None
-    rho_max: int = 22
 
     def __post_init__(self):
         p = self.characteristic
@@ -245,8 +241,6 @@ class SurfaceContext:
         sigma = self.artin_invariant
         if sigma is not None and not 1 <= sigma <= 10:
             raise ValueError(f"Artin invariant must lie in 1..10, got {sigma}")
-        if p == 0:
-            object.__setattr__(self, "rho_max", 20)
 
 
 @dataclass(frozen=True)
@@ -407,17 +401,14 @@ EXTREMAL_TABLE: tuple[ExtremalEntry, ...] = (
 )
 
 
-def extremal_lookup(
-    prof: FibrationProfile, characteristic: int | None = None
-) -> list[ExtremalEntry]:
+def extremal_lookup(prof: FibrationProfile) -> list[ExtremalEntry]:
     """Catalog entries whose full singular-fiber multiset, characteristic
     and fibration kind match the profile."""
-    p = characteristic if characteristic is not None else prof.characteristic
     key = tuple(sorted(prof.tags()))
     return [
         e
         for e in EXTREMAL_TABLE
-        if e.characteristic == p
+        if e.characteristic == prof.characteristic
         and e.quasi_elliptic == prof.quasi_elliptic
         and tuple(sorted(e.fiber_tags)) == key
     ]

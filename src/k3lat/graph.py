@@ -130,7 +130,7 @@ class CurveConfig:
         """Neighbour ids in config order."""
         return [self.vertices[j].id for j in self._adj[self._index[vid]]]
 
-    def induced(self, ids: Sequence[str], name: str = "") -> "CurveConfig":
+    def induced(self, ids: Sequence[str]) -> "CurveConfig":
         """Induced sub-configuration on the given vertex ids (config order)."""
         keep = set(ids)
         verts = [v for v in self.vertices if v.id in keep]
@@ -141,16 +141,14 @@ class CurveConfig:
         edges = [
             (a, b, m) for a, b, m in self.edge_items() if a in sub_ids and b in sub_ids
         ]
-        return CurveConfig(verts, edges, name=name or self.name)
+        return CurveConfig(verts, edges, name=self.name)
 
-    def disjoint_union(self, other: "CurveConfig", name: str = "") -> "CurveConfig":
+    def disjoint_union(self, other: "CurveConfig") -> "CurveConfig":
         overlap = set(self.ids()) & set(other.ids())
         if overlap:
             raise ValueError(f"vertex ids overlap: {sorted(overlap)}")
         return CurveConfig(
-            self.vertices + other.vertices,
-            self.edge_items() + other.edge_items(),
-            name=name,
+            self.vertices + other.vertices, self.edge_items() + other.edge_items()
         )
 
     def connected_components(self) -> list[tuple[str, ...]]:

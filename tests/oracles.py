@@ -38,9 +38,11 @@ from k3lat.bounds import (
     BoxWitness,
     ExclusionStatus,
     ExclusionVerdict,
-    _subgraph_certificates,
+    NoDecompositionFoundError,
+    box_certificate,
     exclude,
     intrinsic_polarization,
+    rough_bound,
 )
 from k3lat.exact import (
     SingularMatrixError,
@@ -436,6 +438,19 @@ def box_max(inv_rows: list[list[Fraction]], d: int) -> Fraction:
 # -- the per-subset exclusion sweep ------------------------------------------
 
 
+def subgraph_certificates_reference(sub, d):
+    """The box and rough certificates of a nondegenerate hyperbolic
+    configuration from the public builders, least bound first and box
+    first on a tie: the first is the one ``bounds.exclude`` must pick."""
+    certs = []
+    try:
+        certs.append(box_certificate(sub, d))
+    except NoDecompositionFoundError:
+        pass
+    certs.append(rough_bound(sub, d))
+    return sorted(certs, key=lambda c: c.bound_on_2h)
+
+
 def exclude_reference(cfg, d, h, subgraph_cap=13, use_pinned_degrees=False):
     """``bounds.exclude`` as a plain per-subset loop: every connected subset
     up to the cap in canonical order, filtered by a fresh signature, with
@@ -478,7 +493,7 @@ def exclude_reference(cfg, d, h, subgraph_cap=13, use_pinned_degrees=False):
         sig = signature(gram(sub))
         if sig.n_plus != 1 or sig.n_zero != 0:
             continue
-        certs = _subgraph_certificates(sub, d)
+        certs = subgraph_certificates_reference(sub, d)
         for cert in certs:
             if best is None or cert.bound_on_2h < best.bound_on_2h:
                 best = cert

@@ -7,6 +7,7 @@ import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,6 @@ from k3lat.bounds import (
     ROUGH_POSITIVE_ENTRY_SUM,
     _Leaf,
     _adjugate_sweep,
-    _subgraph_certificates,
     _sweep_bound,
     BoundCertificate,
     BoxWitness,
@@ -59,6 +59,7 @@ from oracles import (
     exclude_reference,
     inverse_reference,
     min_entry,
+    subgraph_certificates_reference,
     verify_certificate_reference,
 )
 
@@ -261,6 +262,54 @@ def test_verify_certificate_rejects_tampering(char3_cfg):
         cert.kind, cert.bound_on_2h + 1, cert.support_ids, cert.d, cert.witness
     )
     assert not verify_certificate(forged, char3_cfg)
+    # a float equal to an exact value is not exact: neither as the bound
+    # (box 86, rough 94) nor as an entry of the box corner
+    rough = rough_bound(char3_cfg, 1)
+    assert (cert.bound_on_2h, rough.bound_on_2h) == (86, 94)
+    inexact = [
+        replace(cert, bound_on_2h=86.0),
+        replace(rough, bound_on_2h=94.0),
+        replace(cert, witness=replace(cert.witness, x_max=(1.0,) * 12)),
+    ]
+    assert verify_certificate(cert, char3_cfg) and verify_certificate(rough, char3_cfg)
+    assert not any(verify_certificate(c, char3_cfg) for c in inexact)
+
+
+def test_verify_certificate_needs_the_rank_one_split_and_the_inertia(char3_cfg):
+    # two forged box witnesses that pass every other check of the verifier
+    # while their negative part has a positive direction
+    # inertia: two curves of square 4 meeting three times are positive
+    # definite; the rank-one split of their inverse W = [[4, -3], [-3, 4]] / 7
+    # claims 2/7 at d = 1, but x = (1, 0) reaches 4/7
+    pair = config_from_data([("a", 4, 1), ("b", 4, 1)], [("a", "b", 3)])
+    w = [list(row) for row in inverse(gram(pair)).rows()]
+    r = [sum(row) for row in w]
+    gplus = [[ri * rj / sum(r) for rj in r] for ri in r]
+    g0 = [[x - y for x, y in zip(rw, rp)] for rw, rp in zip(w, gplus)]
+    split = BoxWitness(SymMatrix(g0), SymMatrix(gplus), (Fraction(1),) * 2)
+    inertia = BoundCertificate(
+        BOX_OPTIMUM_DECOMPOSITION, sum(r), pair.ids(), 1, split
+    )
+    assert (inertia.bound_on_2h, box_max(w, 1)) == (Fraction(2, 7), Fraction(4, 7))
+    # rank-one: eps (e0 - e1)(e0 - e1)^T moved from g+ to g0 of a valid
+    # certificate keeps the inverse, g+ >= 0 and g0 1 = 0
+    cert = box_certificate(char3_cfg, 1)
+    gplus = [list(row) for row in cert.witness.nonnegative_part.rows()]
+    g0 = [list(row) for row in cert.witness.negative_part.rows()]
+    eps = min(gplus[0][0], gplus[1][1])
+    for i, j in product((0, 1), repeat=2):
+        move = eps if i == j else -eps
+        gplus[i][j] -= move
+        g0[i][j] += move
+    moved = replace(
+        cert.witness, negative_part=SymMatrix(g0), nonnegative_part=SymMatrix(gplus)
+    )
+    rank_one = replace(cert, witness=moved)
+    assert signature(moved.negative_part).as_tuple() == (1, 10, 1)
+    for cfg, forged in ((pair, inertia), (char3_cfg, rank_one)):
+        assert signature(forged.witness.negative_part).n_plus > 0
+        assert not verify_certificate(forged, cfg)
+        assert not verify_certificate_reference(forged, cfg)
 
 
 @pytest.mark.parametrize("make", [rough_bound, box_certificate])
@@ -665,7 +714,8 @@ def test_sweep_bounds_match_reference(cfg, cap):
         hyperbolic += 1
         for d in (1, 2):
             num, den = _sweep_bound(entry, d)
-            assert Fraction(num, den) == _subgraph_certificates(sub, d)[0].bound_on_2h
+            cert = subgraph_certificates_reference(sub, d)[0]
+            assert Fraction(num, den) == cert.bound_on_2h
     assert hyperbolic > 0 and leaves > 0
 
 
@@ -778,7 +828,7 @@ def _assert_leaves_match_certificates(cfg, cap, d):
         assert entry.n_plus == sig.n_plus
         if sig.n_plus != 1:
             continue
-        cert = _subgraph_certificates(sub, d)[0]
+        cert = subgraph_certificates_reference(sub, d)[0]
         assert Fraction(*_sweep_bound(entry, d)) == cert.bound_on_2h
         leaf_bounds.append(cert.bound_on_2h)
         if isinstance(entry, _Leaf):
@@ -917,11 +967,11 @@ def test_exclude_golden_byte_identical():
 
 
 def test_admissible_h_range_toy():
-    assert admissible_h_range(toy_config(), 6).h_max == 42
+    assert admissible_h_range(toy_config()).h_max == 42
 
 
 def test_admissible_h_range_parabolic_unbounded():
-    assert admissible_h_range(standard_diagram("AffineA", 3), 1).h_max is None
+    assert admissible_h_range(standard_diagram("AffineA", 3)).h_max is None
 
 
 def test_admissible_h_range_nonexistent_polarization():
@@ -931,12 +981,12 @@ def test_admissible_h_range_nonexistent_polarization():
         [("a", "b", 2), ("x", "y", 3)],
     )
     assert classify(cfg).kind.value == "Hyperbolic"
-    rng = admissible_h_range(cfg, 1)
+    rng = admissible_h_range(cfg)
     assert rng.h_max == 0
 
 
 def test_admissible_h_range_char3(char3_cfg):
-    assert admissible_h_range(char3_cfg, 1).h_max == 43
+    assert admissible_h_range(char3_cfg).h_max == 43
 
 
 # -- classify golden ------------------------------------------------------------

@@ -118,6 +118,11 @@ def test_polarize(capsys):
     assert rc == 0
     assert "square = 86" in out
     assert "h <= 43" in out
+    # the admissible range uses the file's pinned degrees alone
+    with pytest.raises(SystemExit) as exc:
+        main(["polarize", str(EXAMPLES / "char3-I3star-4sections.json"), "--d", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --d 1" in capsys.readouterr().err
 
 
 def test_bound_rough_value(capsys):
@@ -231,10 +236,11 @@ def test_sd_bound_json(capsys):
 
 
 def test_sd_bound_unsupported(capsys):
-    # characteristic 0 has rho_max 20; asking for a unirational surface there
-    # is contradictory, which surfaces as an input error
+    # the CLI never asserts unirationality, so characteristic 0 stays
+    # supported with the restricted flag; the library's unsupported-context
+    # error has its own test
     rc, out, err = run(capsys, "sd-bound", "--char", "0", "--restricted")
-    assert rc == 0  # restricted flag alone is fine in characteristic 0
+    assert rc == 0
 
 
 @pytest.mark.parametrize(

@@ -204,11 +204,6 @@ def test_sd_bound_char0_unirational_unsupported():
         sd_bound(SurfaceContext(characteristic=0, unirational=True))
 
 
-def test_surface_context_rho_max():
-    assert SurfaceContext(characteristic=0).rho_max == 20
-    assert SurfaceContext(characteristic=3).rho_max == 22
-
-
 @pytest.mark.parametrize("p", [-3, -1, 1, 4, 9, 15, 561, 3215031751, 2**61 + 1])
 def test_surface_context_rejects_non_prime_characteristic(p):
     with pytest.raises(ValueError, match="0 or a prime"):
@@ -271,8 +266,8 @@ def test_extremal_lookup_char7():
 
 
 def test_extremal_lookup_wrong_characteristic():
-    prof = profile([("I7", 2), ("II*", 1)], characteristic=7)
-    assert extremal_lookup(prof, 5) == []
+    prof = profile([("I7", 2), ("II*", 1)], characteristic=5)
+    assert extremal_lookup(prof) == []
 
 
 def test_extremal_lookup_quasi_elliptic_char3():
