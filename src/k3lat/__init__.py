@@ -50,7 +50,6 @@ from .bounds import (
 from .fibration import (
     DeclaredCurve,
     DeclaredModel,
-    ExtremalEntry,
     FiberInstance,
     FibrationProfile,
     SdBound,
@@ -58,7 +57,6 @@ from .fibration import (
     UnsupportedContextError,
     budget_check,
     enumerate_uniform,
-    extremal_lookup,
     fiber,
     profile,
     rational_component_bound,

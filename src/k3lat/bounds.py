@@ -298,7 +298,7 @@ def rough_bound(cfg: CurveConfig, d: int) -> BoundCertificate:
     positive inverse entry contributes at most ``d^2`` to the square of the
     solution class.
     """
-    if d < 1:
+    if type(d) is not int or d < 1:
         raise ValueError("d must be positive")
     _, entry = _inverse_gram(cfg)
     return _rough_certificate(cfg.ids(), entry, d)
@@ -313,7 +313,7 @@ def box_certificate(cfg: CurveConfig, d: int) -> BoundCertificate:
     sum of the inverse is negative, or the total sum is not positive);
     callers fall back to :func:`rough_bound`.
     """
-    if d < 1:
+    if type(d) is not int or d < 1:
         raise ValueError("d must be positive")
     g, entry = _inverse_gram(cfg)
     if entry.n_plus != 1:
@@ -618,7 +618,7 @@ def exclude(
     re-bordered from its parent when it sits at the cap; it must carry the
     bound the sweep found.
     """
-    if d < 1 or h < 1 or subgraph_cap < 1:
+    if type(d) is not int or d < 1 or h < 1 or subgraph_cap < 1:
         raise ValueError("d, h and subgraph_cap must be positive")
     for v in cfg.vertices:
         if v.degree > d:

@@ -3,8 +3,9 @@ extremal fibrations, each with an expected-results block that is recomputed
 on demand.
 
 ``verify_catalog`` re-derives every expected value from the live engines,
-so it doubles as the integration test of the whole package.  The data
-directory can be overridden with the ``K3LAT_CATALOG_DIR`` environment
+so it doubles as the integration test of the whole package.  The extremal
+entries are trusted literature data, kept only in their catalog files.  The
+data directory can be overridden with the ``K3LAT_CATALOG_DIR`` environment
 variable (it must contain ``catalog/`` and ``examples/`` subdirectories).
 """
 
@@ -15,7 +16,6 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 
 from . import bounds, fibration, formats, kodaira, roots
@@ -24,15 +24,12 @@ from .exact import bareiss
 
 
 CATALOG_ENV_VAR = "K3LAT_CATALOG_DIR"
-
-_ENTRY_KINDS = ("config", "profile", "extremal", "model")
+_PACKAGE_DATA = Path(__file__).parent / "data"
 
 
 def data_root() -> Path:
     override = os.environ.get(CATALOG_ENV_VAR)
-    if override:
-        return Path(override)
-    return Path(str(resources.files("k3lat") / "data"))
+    return Path(override) if override else _PACKAGE_DATA
 
 
 @dataclass(frozen=True)
@@ -46,11 +43,22 @@ class CatalogEntry:
     payload: dict | None = None
 
 
-def _entry_from_json(data: dict, where: str) -> CatalogEntry:
-    for key in ("name", "kind", "description", "source", "expected"):
-        if key not in data:
-            raise formats.ValidationError(f"{where}: missing field {key!r}")
-    if data["kind"] not in _ENTRY_KINDS:
+class _Block(dict):
+    """A JSON object read from one catalog file: a missing field is an input
+    error naming the file and the field, not a ``KeyError``."""
+
+    def __init__(self, data: dict, where: str):
+        super().__init__(data)
+        self.where = where
+
+    def __missing__(self, key):
+        raise formats.ValidationError(f"{self.where}: missing field {key!r}")
+
+
+def _read_entry(path: Path) -> CatalogEntry:
+    where = path.name
+    data = json.loads(path.read_text(), object_hook=lambda d: _Block(d, where))
+    if data["kind"] not in _VERIFIERS:
         raise formats.ValidationError(
             f"{where}: unknown kind {data['kind']!r}"
         )
@@ -61,32 +69,45 @@ def _entry_from_json(data: dict, where: str) -> CatalogEntry:
         source=data["source"],
         expected=data["expected"],
         file=data.get("file"),
-        payload=data.get("payload"),
+        payload=data["payload"] if data["kind"] == "extremal" else data.get("payload"),
     )
 
 
-def load_catalog(root: Path | None = None) -> list[CatalogEntry]:
-    root = root or data_root()
-    cat_dir = root / "catalog"
-    entries = []
-    for path in sorted(cat_dir.glob("*.json")):
-        data = json.loads(path.read_text())
-        entries.append(_entry_from_json(data, path.name))
+def load_catalog() -> list[CatalogEntry]:
+    cat_dir = data_root() / "catalog"
+    entries = [_read_entry(path) for path in sorted(cat_dir.glob("*.json"))]
+    if not entries:
+        raise formats.ValidationError(f"no catalog entries in {cat_dir}")
     return sorted(entries, key=lambda e: e.name)
 
 
-def get_entry(name: str, root: Path | None = None) -> CatalogEntry:
-    for entry in load_catalog(root):
+def get_entry(name: str) -> CatalogEntry:
+    for entry in load_catalog():
         if entry.name == name:
             return entry
     raise KeyError(f"no catalog entry named {name!r}")
 
 
-def entry_file_text(entry: CatalogEntry, root: Path | None = None) -> str:
+def entry_file_text(entry: CatalogEntry) -> str:
     if entry.file is None:
         raise ValueError(f"entry {entry.name!r} has no payload file")
-    root = root or data_root()
-    return (root / "examples" / entry.file).read_text()
+    return (data_root() / "examples" / entry.file).read_text()
+
+
+def _extremal_key(payload: dict) -> tuple:
+    tags = sorted(f["type"] for f in payload["fibers"] for _ in range(f["count"]))
+    return payload["characteristic"], payload["quasi_elliptic"], tuple(tags)
+
+
+def extremal_lookup(
+    prof: fibration.FibrationProfile, entries: list[CatalogEntry]
+) -> list[CatalogEntry]:
+    """The extremal entries whose characteristic, fibration kind and full
+    singular-fibre multiset match the profile."""
+    key = (prof.characteristic, prof.quasi_elliptic, tuple(sorted(prof.tags())))
+    return [
+        e for e in entries if e.kind == "extremal" and _extremal_key(e.payload) == key
+    ]
 
 
 @dataclass(frozen=True)
@@ -109,8 +130,8 @@ def _check(name: str, expected, actual) -> CheckResult:
     return CheckResult(name, expected == actual, str(expected), str(actual))
 
 
-def _verify_config_entry(entry: CatalogEntry, root: Path) -> EntryReport:
-    doc = formats.parse_config(entry_file_text(entry, root))
+def _verify_config_entry(entry: CatalogEntry, entries: list[CatalogEntry]) -> EntryReport:
+    doc = formats.parse_config(entry_file_text(entry))
     cfg = doc.config
     exp = entry.expected
     checks = []
@@ -154,8 +175,8 @@ def _verify_config_entry(entry: CatalogEntry, root: Path) -> EntryReport:
     return EntryReport(entry.name, entry.kind, all(c.ok for c in checks), tuple(checks))
 
 
-def _verify_profile_entry(entry: CatalogEntry, root: Path) -> EntryReport:
-    prof = formats.parse_profile(entry_file_text(entry, root))
+def _verify_profile_entry(entry: CatalogEntry, entries: list[CatalogEntry]) -> EntryReport:
+    prof = formats.parse_profile(entry_file_text(entry))
     exp = entry.expected
     report = fibration.budget_check(prof)
     checks = [
@@ -186,15 +207,15 @@ def _verify_profile_entry(entry: CatalogEntry, root: Path) -> EntryReport:
     return EntryReport(entry.name, entry.kind, all(c.ok for c in checks), tuple(checks))
 
 
-def _verify_extremal_entry(entry: CatalogEntry, root: Path) -> EntryReport:
-    payload = entry.payload or {}
+def _verify_extremal_entry(entry: CatalogEntry, entries: list[CatalogEntry]) -> EntryReport:
+    payload = entry.payload
     prof = fibration.profile(
         [(f["type"], f["count"]) for f in payload["fibers"]],
         quasi_elliptic=payload["quasi_elliptic"],
         characteristic=payload["characteristic"],
     )
     exp = entry.expected
-    hits = fibration.extremal_lookup(prof)
+    hits = extremal_lookup(prof, entries)
     table_name = payload["table_name"]
     self_hit = next((h for h in hits if h.name == table_name), None)
     checks = [
@@ -204,13 +225,13 @@ def _verify_extremal_entry(entry: CatalogEntry, root: Path) -> EntryReport:
     ]
     if self_hit is not None:
         checks.append(
-            _check("mordell_weil", exp["mordell_weil"], self_hit.mordell_weil)
+            _check("mordell_weil", exp["mordell_weil"], self_hit.expected["mordell_weil"])
         )
     return EntryReport(entry.name, entry.kind, all(c.ok for c in checks), tuple(checks))
 
 
-def _verify_model_entry(entry: CatalogEntry, root: Path) -> EntryReport:
-    model = formats.parse_model(entry_file_text(entry, root))
+def _verify_model_entry(entry: CatalogEntry, entries: list[CatalogEntry]) -> EntryReport:
+    model = formats.parse_model(entry_file_text(entry))
     verdict = fibration.very_ample_check(model)
     exp = entry.expected
     checks = [_check("passes", exp["passes"], verdict.passed)]
@@ -227,10 +248,10 @@ _VERIFIERS = {
 }
 
 
-def verify_entry(entry: CatalogEntry, root: Path | None = None) -> EntryReport:
-    return _VERIFIERS[entry.kind](entry, root or data_root())
+def verify_entry(entry: CatalogEntry, entries: list[CatalogEntry]) -> EntryReport:
+    return _VERIFIERS[entry.kind](entry, entries)
 
 
-def verify_catalog(root: Path | None = None) -> list[EntryReport]:
-    root = root or data_root()
-    return [verify_entry(e, root) for e in load_catalog(root)]
+def verify_catalog() -> list[EntryReport]:
+    entries = load_catalog()
+    return [verify_entry(e, entries) for e in entries]

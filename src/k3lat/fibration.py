@@ -319,102 +319,6 @@ def sd_bound(ctx: SurfaceContext, restricted: bool = False) -> SdBound:
 
 
 @dataclass(frozen=True)
-class ExtremalEntry:
-    """A fibration with finite Mordell-Weil group and maximal trivial
-    lattice, imported from the classification literature as trusted data."""
-
-    name: str
-    characteristic: int
-    quasi_elliptic: bool
-    fiber_tags: tuple[str, ...]
-    lattice_configuration: str
-    mordell_weil: str
-    note: str = ""
-
-
-EXTREMAL_TABLE: tuple[ExtremalEntry, ...] = (
-    ExtremalEntry(
-        "extremal-I7-I7-IIstar",
-        7,
-        False,
-        ("I7", "I7", "II*"),
-        "I7 + I7 + II*",
-        "trivial",
-        "the only extremal elliptic configuration with three singular "
-        "fibers avoiding low fiber types; 23 components plus a section",
-    ),
-    ExtremalEntry(
-        "qe3-3xE6tilde-A2-two-sections",
-        3,
-        True,
-        ("IV", "IV*", "IV*", "IV*"),
-        "3 x E~6 + A2",
-        "Z/3Z",
-        "three full additive fibers, a partial IV fiber contributing an A2, "
-        "and two of the three sections",
-    ),
-    ExtremalEntry(
-        "qe2-3xD6tilde-2xA1",
-        2,
-        True,
-        ("I*2", "I*2", "I*2", "III", "III"),
-        "3 x D~6 + 2 x A1",
-        "contains Z/2Z",
-        "three full fibers plus one component from each of two III fibers",
-    ),
-    ExtremalEntry(
-        "qe2-2xE7tilde-D6tilde",
-        2,
-        True,
-        ("I*2", "III*", "III*"),
-        "2 x E~7 + D~6",
-        "Z/2Z",
-        "exactly three singular fibers, all fully supported",
-    ),
-    ExtremalEntry(
-        "ell2-A11tilde-E6tilde-A3",
-        2,
-        False,
-        ("I4", "I12", "IV*"),
-        "A~11 + E~6 + A3",
-        "Z/3Z",
-        "elliptic with two full fibers and an A3 from the third",
-    ),
-    ExtremalEntry(
-        "qe3-2xE6tilde-E6-A2",
-        3,
-        True,
-        ("IV", "IV*", "IV*", "IV*"),
-        "2 x E~6 + E6 + A2",
-        "Z/3Z",
-        "two full additive fibers plus definite parts of the others",
-    ),
-    ExtremalEntry(
-        "qe3-3xE6tilde-A2-three-sections",
-        3,
-        True,
-        ("IV", "IV*", "IV*", "IV*"),
-        "3 x E~6 + A2",
-        "Z/3Z",
-        "as the two-section case but with all three sections present",
-    ),
-)
-
-
-def extremal_lookup(prof: FibrationProfile) -> list[ExtremalEntry]:
-    """Catalog entries whose full singular-fiber multiset, characteristic
-    and fibration kind match the profile."""
-    key = tuple(sorted(prof.tags()))
-    return [
-        e
-        for e in EXTREMAL_TABLE
-        if e.characteristic == prof.characteristic
-        and e.quasi_elliptic == prof.quasi_elliptic
-        and tuple(sorted(e.fiber_tags)) == key
-    ]
-
-
-@dataclass(frozen=True)
 class DeclaredCurve:
     label: str
     genus: int

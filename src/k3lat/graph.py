@@ -54,7 +54,7 @@ class CurveConfig:
     def __init__(
         self,
         vertices: Iterable[CurveVertex],
-        edges: Mapping[tuple[str, str], int] | Iterable[tuple[str, str, int]] = (),
+        edges: Iterable[tuple[str, str, int]] = (),
         name: str = "",
     ):
         self.name = name
@@ -66,11 +66,7 @@ class CurveConfig:
             index[v.id] = pos
         self._index = index
         norm: dict[tuple[int, int], int] = {}
-        if isinstance(edges, Mapping):
-            items = [(a, b, m) for (a, b), m in edges.items()]
-        else:
-            items = [(a, b, m) for a, b, m in edges]
-        for a, b, mult in items:
+        for a, b, mult in edges:
             if a not in index or b not in index:
                 missing = a if a not in index else b
                 raise ValueError(f"edge references unknown vertex {missing!r}")

@@ -616,6 +616,18 @@ def test_exclude_rejects_subgraph_cap_below_one(d6tilde_cfg):
         exclude(d6tilde_cfg, 1, 43, subgraph_cap=0)
 
 
+@pytest.mark.parametrize("d", [True, 1.0])
+@pytest.mark.parametrize(
+    "build",
+    [rough_bound, box_certificate, lambda cfg, d: exclude(cfg, d, 43)],
+    ids=["rough_bound", "box_certificate", "exclude"],
+)
+def test_degree_cap_must_be_an_int(char3_cfg, build, d):
+    # verify_certificate rejects a non-int cap, so none may be issued for one
+    with pytest.raises(ValueError, match="must be positive"):
+        build(char3_cfg, d)
+
+
 def test_exclude_degree_cap_precondition(char3_cfg):
     cfg = config_from_data([("a", -2, 2), ("b", -2, 1)], [("a", "b", 3)])
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import json
 import shutil
 
 import pytest
@@ -7,12 +8,15 @@ from k3lat.catalog import (
     CATALOG_ENV_VAR,
     data_root,
     entry_file_text,
+    extremal_lookup,
     get_entry,
     load_catalog,
     verify_catalog,
     verify_entry,
 )
-from k3lat.formats import parse_config
+from k3lat.cli import main
+from k3lat.fibration import budget_check, profile
+from k3lat.formats import ValidationError, parse_config
 
 
 def test_catalog_has_at_least_twelve_entries():
@@ -66,7 +70,7 @@ def test_every_entry_verifies():
 
 
 def test_verify_single_entry_checks_are_named():
-    report = verify_entry(get_entry("char3-I3star-4sections"))
+    report = verify_entry(get_entry("char3-I3star-4sections"), load_catalog())
     names = [c.name for c in report.checks]
     assert "box_bound" in names
     assert "exclude(d=1, h=43)" in names
@@ -82,6 +86,41 @@ def test_env_var_override(tmp_path, monkeypatch):
     assert "example-D6tilde" in names
     reports = verify_catalog()
     assert all(r.ok for r in reports)
+
+
+@pytest.mark.parametrize("action", ["list", "verify"])
+def test_empty_catalog_is_an_input_error(tmp_path, monkeypatch, capsys, action):
+    missing = tmp_path / "nonexistent"
+    monkeypatch.setenv(CATALOG_ENV_VAR, str(missing))
+    with pytest.raises(ValidationError, match="no catalog entries"):
+        load_catalog()
+    assert main(["catalog", action]) == 2
+    assert str(missing / "catalog") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "file, path",
+    [
+        ("uniform-6xI4.json", ("expected", "budget_ok")),
+        ("char3-I3star-4sections.json", ("expected", "box_bound", "d")),
+        ("extremal-I7-I7-IIstar.json", ("payload", "fibers", 1, "count")),
+        ("qe2-2xE7tilde-D6tilde.json", ("payload",)),
+    ],
+    ids=["expected", "nested", "payload", "no-payload"],
+)
+def test_missing_field_is_an_input_error(tmp_path, monkeypatch, capsys, file, path):
+    shutil.copytree(data_root(), tmp_path / "data")
+    target = tmp_path / "data" / "catalog" / file
+    data = json.loads(target.read_text())
+    block = data
+    for key in path[:-1]:
+        block = block[key]
+    del block[path[-1]]
+    target.write_text(json.dumps(data))
+    monkeypatch.setenv(CATALOG_ENV_VAR, str(tmp_path / "data"))
+    assert main(["catalog", "verify"]) == 2
+    err = capsys.readouterr().err
+    assert f"{file}: missing field {path[-1]!r}" in err
 
 
 def test_get_entry_unknown_raises():
@@ -103,3 +142,45 @@ def test_verify_catalog_feeds_bareiss_integers(monkeypatch):
             monkeypatch.setattr(module, "bareiss", spy)
     assert all(r.ok for r in verify_catalog())
     assert entries and all(type(x) is int for x in entries)
+
+
+# -- extremal lookup -------------------------------------------------------------
+
+
+def test_extremal_lookup_char7():
+    prof = profile([("I7", 2), ("II*", 1)], characteristic=7)
+    hits = extremal_lookup(prof, load_catalog())
+    assert len(hits) == 1
+    assert hits[0].expected["mordell_weil"] == "trivial"
+    assert budget_check(prof).ok
+
+
+def test_extremal_lookup_wrong_characteristic():
+    prof = profile([("I7", 2), ("II*", 1)], characteristic=5)
+    assert extremal_lookup(prof, load_catalog()) == []
+
+
+def test_extremal_lookup_quasi_elliptic_char3():
+    prof = profile([("IV*", 3), ("IV", 1)], quasi_elliptic=True, characteristic=3)
+    hits = extremal_lookup(prof, load_catalog())
+    assert len(hits) == 3
+    assert all(h.expected["mordell_weil"] == "Z/3Z" for h in hits)
+    assert budget_check(prof).ok
+
+
+def test_extremal_lookup_needs_matching_kind():
+    elliptic_twin = profile([("IV*", 3), ("IV", 1)], characteristic=3)
+    assert extremal_lookup(elliptic_twin, load_catalog()) == []
+
+
+def test_extremal_entries_all_pass_budget():
+    extremal = [e for e in load_catalog() if e.kind == "extremal"]
+    assert len(extremal) == 7
+    for entry in extremal:
+        payload = entry.payload
+        prof = profile(
+            [(f["type"], f["count"]) for f in payload["fibers"]],
+            quasi_elliptic=payload["quasi_elliptic"],
+            characteristic=payload["characteristic"],
+        )
+        assert budget_check(prof).ok, entry.name

@@ -10,7 +10,6 @@ from k3lat.fibration import (
     UnsupportedContextError,
     budget_check,
     enumerate_uniform,
-    extremal_lookup,
     fiber,
     profile,
     rational_component_bound,
@@ -252,48 +251,6 @@ def test_surface_context_accepts_primes_and_artin_range():
             SurfaceContext(characteristic=n)
     for sigma in range(1, 11):
         assert SurfaceContext(characteristic=3, artin_invariant=sigma).artin_invariant == sigma
-
-
-# -- extremal lookup -------------------------------------------------------------
-
-
-def test_extremal_lookup_char7():
-    prof = profile([("I7", 2), ("II*", 1)], characteristic=7)
-    hits = extremal_lookup(prof)
-    assert len(hits) == 1
-    assert hits[0].mordell_weil == "trivial"
-    assert budget_check(prof).ok
-
-
-def test_extremal_lookup_wrong_characteristic():
-    prof = profile([("I7", 2), ("II*", 1)], characteristic=5)
-    assert extremal_lookup(prof) == []
-
-
-def test_extremal_lookup_quasi_elliptic_char3():
-    prof = profile([("IV*", 3), ("IV", 1)], quasi_elliptic=True, characteristic=3)
-    hits = extremal_lookup(prof)
-    assert len(hits) == 3
-    assert all(h.mordell_weil == "Z/3Z" for h in hits)
-    assert budget_check(prof).ok
-
-
-def test_extremal_lookup_needs_matching_kind():
-    elliptic_twin = profile([("IV*", 3), ("IV", 1)], characteristic=3)
-    assert extremal_lookup(elliptic_twin) == []
-
-
-def test_extremal_entries_all_pass_budget():
-    from k3lat.fibration import EXTREMAL_TABLE
-
-    assert len(EXTREMAL_TABLE) == 7
-    for entry in EXTREMAL_TABLE:
-        prof = profile(
-            [(t, 1) for t in entry.fiber_tags],
-            quasi_elliptic=entry.quasi_elliptic,
-            characteristic=entry.characteristic,
-        )
-        assert budget_check(prof).ok, entry.name
 
 
 # -- very-ampleness criterion ------------------------------------------------------
