@@ -618,8 +618,8 @@ def exclude(
     re-bordered from its parent when it sits at the cap; it must carry the
     bound the sweep found.
     """
-    if type(d) is not int or d < 1 or h < 1 or subgraph_cap < 1:
-        raise ValueError("d, h and subgraph_cap must be positive")
+    if any(type(x) is not int or x < 1 for x in (d, h, subgraph_cap)):
+        raise ValueError("d, h and subgraph_cap must be positive integers")
     for v in cfg.vertices:
         if v.degree > d:
             raise ValueError(f"vertex {v.id!r} has degree {v.degree} > d = {d}")

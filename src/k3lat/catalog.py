@@ -58,10 +58,20 @@ class _Block(dict):
 def _read_entry(path: Path) -> CatalogEntry:
     where = path.name
     data = json.loads(path.read_text(), object_hook=lambda d: _Block(d, where))
+    if not isinstance(data, dict):
+        raise formats.ValidationError(f"{where}: top level is not a JSON object")
     if data["kind"] not in _VERIFIERS:
         raise formats.ValidationError(
             f"{where}: unknown kind {data['kind']!r}"
         )
+    if data["kind"] == "extremal":
+        for f in data["payload"]["fibers"]:
+            if not isinstance(f, dict):
+                raise formats.ValidationError(f"{where}: fibre {f!r} is not a JSON object")
+            if type(f["count"]) is not int:
+                raise formats.ValidationError(
+                    f"{where}: fibre count {f['count']!r} is not an integer"
+                )
     return CatalogEntry(
         name=data["name"],
         kind=data["kind"],

@@ -11,6 +11,7 @@ index theorem forbids inside the Picard lattice of a surface).
 from __future__ import annotations
 
 import enum
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -360,7 +361,7 @@ def connected_vertex_subsets(cfg: CurveConfig, max_size: int, grow, root):
     spanning tree to a connected set one smaller, so these are exactly the
     connected subsets.  A subset's state is ``grow(parent_state, u,
     subset)`` for one connected parent ``subset - {u}``: the first in
-    canonical order whose state is not None, if there is one.  Singletons
+    canonical order whose state is not None, else the last.  Singletons
     grow from ``root``, the state of the empty subset.  A step that returns
     :data:`CUT` drops the subset and everything grown from it, which loses
     nothing when the cut is monotone: every connected parent of a subset
@@ -371,27 +372,45 @@ def connected_vertex_subsets(cfg: CurveConfig, max_size: int, grow, root):
     cut.  A level is built only once the previous one has been consumed,
     at most two are held at a time, and the search ends at the first empty
     level, however large ``max_size`` is.
+
+    A level is keyed by bitmask, curve ``v`` at bit ``n - 1 - v``, so a
+    candidate child costs one ``|`` and one integer dict probe.  The
+    smallest curve in the symmetric difference of two subsets of one size
+    owns their highest differing bit, so within a level integer order,
+    largest first, is canonical order.  Each subset carries the mask of its
+    neighbourhood, a child's being its parent's ``| nbrs[u]``, and its
+    index tuple is built once, when the child is first reached.
     """
-    # a union of sets merges hash tables; over the read-only rows it rehashes
-    nbrs = [set(row) for row in cfg.adjacency()]
-    grown = {(u,): (root, u) for u in range(cfg.n)}
+    n = cfg.n
+    nbrs = [sum(1 << (n - 1 - w) for w in row) for row in cfg.adjacency()]
+    # mask -> (parent state, u, subset, neighbours of the subset)
+    grown = {1 << (n - 1 - u): (root, u, (u,), nbrs[u]) for u in range(n)}
     for size in range(1, max_size + 1):
         level = []
-        for subset, (parent, u) in sorted(grown.items()):
+        for mask, (parent, u, subset, frontier) in sorted(grown.items(), reverse=True):
             state = grow(parent, u, subset)
             if state is not CUT:
-                level.append((subset, state))
+                if type(state) is not Final:
+                    level.append((mask, subset, frontier, state))
                 yield subset, state
         if size == max_size:
             return
         grown = {}
-        for subset, state in level:
-            if type(state) is Final:
-                continue
-            for u in set().union(*(nbrs[v] for v in subset)).difference(subset):
-                key = tuple(sorted(subset + (u,)))
-                if key not in grown or grown[key][0] is None:
-                    grown[key] = (state, u)
+        for mask, subset, frontier, state in level:
+            new = frontier & ~mask
+            while new:
+                bit = new & -new
+                new ^= bit
+                child = mask | bit
+                old = grown.get(child)
+                if old is None:
+                    u = n - bit.bit_length()
+                    i = bisect(subset, u)
+                    grown[child] = (
+                        state, u, subset[:i] + (u,) + subset[i:], frontier | nbrs[u]
+                    )
+                elif old[0] is None:
+                    grown[child] = (state, n - bit.bit_length(), old[2], old[3])
         if not grown:
             return
 

@@ -76,3 +76,22 @@ def i4_fibres_with_section(fibres=6):
         edges += [(ids[c], ids[(c + 1) % 4]) for c in range(4)]
         edges.append(("s", ids[0]))
     return config_from_data(verts, edges, name=f"{fibres}xI4-plus-section")
+
+
+def recorded_steps(monkeypatch, module):
+    """Every result the connected-subset enumerator gets from its step while
+    ``module`` uses it, in call order: the returned list fills as the
+    module's searches run."""
+    real = module.connected_vertex_subsets
+    results = []
+
+    def recording(cfg, max_size, grow, root):
+        def step(parent, u, subset):
+            state = grow(parent, u, subset)
+            results.append(state)
+            return state
+
+        return real(cfg, max_size, step, root)
+
+    monkeypatch.setattr(module, "connected_vertex_subsets", recording)
+    return results

@@ -8,6 +8,8 @@ reduction, and box maxima from exhaustive enumeration.  The exceptions
 are :func:`exclude_reference`, the per-subset exclusion sweep that
 ``bounds.exclude`` replaced, :func:`connected_subsets_reference`, the
 depth-first enumeration that ``graph.connected_vertex_subsets`` replaced,
+:func:`tuple_keyed_subsets_reference`, the same level-wise enumerator keyed
+by sorted index tuples, before its levels were keyed by bitmask,
 :func:`recognize_component_reference`, the edge-scanning,
 signature-confirmed recognition that ``roots.recognize_component``
 replaced, with the shape walker along degree-two chains (:func:`_shape`)
@@ -54,6 +56,7 @@ from k3lat.exact import (
 from k3lat.graph import (
     CUT,
     CurveConfig,
+    Final,
     QuotientProjection,
     SpanKind,
     classify,
@@ -551,6 +554,34 @@ def connected_subsets_reference(cfg, max_size):
 
     for s in range(cfg.n):
         yield from extend((s,), frozenset(range(s)))
+
+
+def tuple_keyed_subsets_reference(cfg, max_size, grow, root):
+    """``graph.connected_vertex_subsets`` with each level keyed by sorted
+    index tuples and ordered by sorting them, the enumerator that bitmask
+    keys replaced: the same steps, in the same order, and the same
+    ``(subset, state)`` stream."""
+    nbrs = [set(row) for row in cfg.adjacency()]
+    grown = {(u,): (root, u) for u in range(cfg.n)}
+    for size in range(1, max_size + 1):
+        level = []
+        for subset, (parent, u) in sorted(grown.items()):
+            state = grow(parent, u, subset)
+            if state is not CUT:
+                level.append((subset, state))
+                yield subset, state
+        if size == max_size:
+            return
+        grown = {}
+        for subset, state in level:
+            if type(state) is Final:
+                continue
+            for u in set().union(*(nbrs[v] for v in subset)).difference(subset):
+                key = tuple(sorted(subset + (u,)))
+                if key not in grown or grown[key][0] is None:
+                    grown[key] = (state, u)
+        if not grown:
+            return
 
 
 # -- the signature-confirmed recognition ----------------------------------------

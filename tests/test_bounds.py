@@ -50,6 +50,7 @@ from conftest import (
     i3star_four_sections,
     i4_fibres_with_section,
     ivstar_three_a2,
+    recorded_steps,
 )
 from oracles import (
     box_max,
@@ -628,6 +629,15 @@ def test_degree_cap_must_be_an_int(char3_cfg, build, d):
         build(char3_cfg, d)
 
 
+@pytest.mark.parametrize(
+    "h, cap", [(43.5, 13), (True, 13), (43.0, 13), (43, True), (43, 6.0)]
+)
+def test_exclude_h_and_cap_must_be_ints(char3_cfg, h, cap):
+    # 43.5 would be a verdict for 2h = 87, and True would run as h = 1
+    with pytest.raises(ValueError, match="must be positive integers"):
+        exclude(char3_cfg, 1, h, subgraph_cap=cap)
+
+
 def test_exclude_degree_cap_precondition(char3_cfg):
     cfg = config_from_data([("a", -2, 2), ("b", -2, 1)], [("a", "b", 3)])
     with pytest.raises(ValueError):
@@ -662,6 +672,16 @@ def test_exclude_stress_full_sweep_cap_8():
     assert cert.bound_on_2h == 20
     assert len(cert.support_ids) == 7
     assert verify_certificate(cert, cfg)
+
+
+def test_exclude_sweep_step_counts_are_pinned(monkeypatch):
+    # 6xI4 plus a zero section at cap 6: a full sweep, whose step count and
+    # degenerate subsets (None states) do not vary between runs
+    steps = recorded_steps(monkeypatch, bounds)
+    verdict = exclude(i4_fibres_with_section(), 1, 11, subgraph_cap=6)
+    assert verdict.status is ExclusionStatus.HYPERBOLIC_UNDECIDED
+    assert len(steps) == 1257
+    assert sum(state is None for state in steps) == 81
 
 
 def _random_config(data):

@@ -123,6 +123,44 @@ def test_missing_field_is_an_input_error(tmp_path, monkeypatch, capsys, file, pa
     assert f"{file}: missing field {path[-1]!r}" in err
 
 
+@pytest.mark.parametrize(
+    "file, text, action, error",
+    [
+        ("zz.json", "[]", "list", "zz.json: top level is not a JSON object"),
+        ("zz.json", '"entry"', "verify", "zz.json: top level is not a JSON object"),
+        (
+            "extremal-I7-I7-IIstar.json",
+            {"type": "I7", "count": "2"},
+            "verify",
+            "extremal-I7-I7-IIstar.json: fibre count '2' is not an integer",
+        ),
+        (
+            "extremal-I7-I7-IIstar.json",
+            2,
+            "list",
+            "extremal-I7-I7-IIstar.json: fibre 2 is not a JSON object",
+        ),
+    ],
+    ids=["list-array", "verify-string", "string-count", "fibre-not-object"],
+)
+def test_malformed_catalog_file_is_an_input_error(
+    tmp_path, monkeypatch, capsys, file, text, action, error
+):
+    shutil.copytree(data_root(), tmp_path / "data")
+    target = tmp_path / "data" / "catalog" / file
+    if not isinstance(text, str):
+        # the value replaces the extremal payload's first fibre, I7 twice
+        data = json.loads(target.read_text())
+        data["payload"]["fibers"][0] = text
+        text = json.dumps(data)
+    target.write_text(text)
+    monkeypatch.setenv(CATALOG_ENV_VAR, str(tmp_path / "data"))
+    with pytest.raises(ValidationError, match=error):
+        load_catalog()
+    assert main(["catalog", action]) == 2
+    assert error in capsys.readouterr().err
+
+
 def test_get_entry_unknown_raises():
     with pytest.raises(KeyError):
         get_entry("definitely-not-there")

@@ -2,7 +2,6 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +37,7 @@ from oracles import (
     quotient_by_kernel_reference,
     row_reduce_rank,
     signature_and_witness_reference,
+    tuple_keyed_subsets_reference,
 )
 
 
@@ -351,19 +351,16 @@ def test_connected_subsets_match_brute_force(data):
 
 def _final_search(cfg, max_size, is_final):
     """The subsets and states of a search whose step marks a subset final
-    when ``is_final`` says so, and the number of levels it built."""
-    grow = lambda parent, u, subset: Final((subset,)) if is_final(subset) else subset
+    when ``is_final`` says so, and the number of levels it built: the size
+    of the largest subset it stepped."""
     levels = 0
 
-    def counting(items, **kwargs):
+    def grow(parent, u, subset):
         nonlocal levels
-        if isinstance(items, type({}.items())):
-            levels += 1
-        return sorted(items, **kwargs)
+        levels = max(levels, len(subset))
+        return Final((subset,)) if is_final(subset) else subset
 
-    with mock.patch.object(graph, "sorted", counting, create=True):
-        out = list(connected_vertex_subsets(cfg, max_size, grow, None))
-    return out, levels
+    return list(connected_vertex_subsets(cfg, max_size, grow, None)), levels
 
 
 def test_connected_subsets_skip_what_only_final_subsets_reach():
@@ -408,6 +405,48 @@ def test_connected_subsets_with_final_states_match_reference(data):
         assert (type(state) is Final) == is_final(sub)
     deepest = max(map(len, want), default=0)
     assert deepest <= levels <= min(deepest + 1, max_size)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_connected_subsets_match_tuple_keyed_reference(data):
+    # one recording step drives the bitmask-keyed enumerator and the
+    # tuple-keyed one it replaced; states are the subset, None when its
+    # weight is divisible by one modulus, final when divisible by another,
+    # and cut above an optional limit (a monotone cut)
+    n = data.draw(st.integers(min_value=0, max_value=9))
+    edges = [
+        (f"v{i}", f"v{j}", data.draw(st.integers(min_value=1, max_value=2)))
+        for i in range(n)
+        for j in range(i + 1, n)
+        if data.draw(st.integers(min_value=0, max_value=2)) == 0
+    ]
+    cfg = config_from_data([(f"v{i}", -2) for i in range(n)], edges)
+    weights = data.draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    max_size = data.draw(st.integers(min_value=-1, max_value=n + 1))
+    limit = data.draw(st.none() | st.integers(min_value=1, max_value=5 * n + 1))
+    degenerate = data.draw(st.integers(min_value=2, max_value=5))
+    final = data.draw(st.integers(min_value=2, max_value=7))
+
+    def run(enumerate_subsets):
+        calls = []
+
+        def grow(parent, u, subset):
+            calls.append((parent, u, subset))
+            w = sum(weights[i] for i in subset)
+            if limit is not None and w > limit:
+                return CUT
+            if w % degenerate == 0:
+                return None
+            return Final((subset,)) if w % final == 0 else subset
+
+        out = [
+            (subset, state, type(state))
+            for subset, state in enumerate_subsets(cfg, max_size, grow, "root")
+        ]
+        return calls, out
+
+    assert run(connected_vertex_subsets) == run(tuple_keyed_subsets_reference)
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3lat import roots
+from k3lat import kodaira, roots
 from k3lat.graph import CUT, Final, config_from_data, connected_vertex_subsets, gram
 from k3lat.kodaira import (
     divisor_degree,
@@ -15,7 +15,7 @@ from k3lat.kodaira import (
 )
 from k3lat.roots import _component, _diagram_step, standard_diagram
 
-from conftest import i4_fibres_with_section
+from conftest import i4_fibres_with_section, recorded_steps
 from oracles import (
     connected_subsets_reference,
     find_kodaira_divisors_reference,
@@ -386,3 +386,14 @@ def test_recognition_runs_on_affine_subsets_only(monkeypatch):
     assert all(comp is not None and comp.is_affine for comp in calls)
     assert capped == [d for d in divisors if d.weight <= 4]
     assert len(calls) == sum(len(d.support) <= 4 for d in divisors)
+
+
+def test_fibre_search_step_counts_are_pinned(monkeypatch):
+    # 6xI4 plus a zero section: how often the search steps, cuts and ends
+    # growth does not vary between runs, and no enumerator that keeps the
+    # step contract may change it
+    steps = recorded_steps(monkeypatch, kodaira)
+    assert len(find_kodaira_divisors(i4_fibres_with_section())) == 496
+    assert len(steps) == 4876
+    assert sum(state is CUT for state in steps) == 2766
+    assert sum(type(state) is Final for state in steps) == 496
