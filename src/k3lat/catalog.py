@@ -67,7 +67,9 @@ def _read_entry(path: Path) -> CatalogEntry:
     if data["kind"] == "extremal":
         for f in data["payload"]["fibers"]:
             if not isinstance(f, dict):
-                raise formats.ValidationError(f"{where}: fibre {f!r} is not a JSON object")
+                raise formats.ValidationError(
+                    f"{where}: fibre {f!r} is not a JSON object"
+                )
             if type(f["count"]) is not int:
                 raise formats.ValidationError(
                     f"{where}: fibre count {f['count']!r} is not an integer"
