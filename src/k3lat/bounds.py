@@ -59,23 +59,23 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 from .exact import (
     SymMatrix,
     _congruence,
     bareiss,
-    inverse,
     minor_signature,
     SingularMatrixError,
 )
 from .graph import (
     CurveConfig,
     SpanKind,
+    _radical_reduction,
     classify,
     connected_vertex_subsets,
     integer_gram,
-    quotient_by_kernel,
 )
 
 
@@ -161,40 +161,36 @@ def intrinsic_polarization(cfg: CurveConfig) -> IntrinsicPolarization:
 
     Works on the quotient by the radical.  The system is solvable iff the
     degree vector vanishes on the radical; nonexistence is data, not an
-    error.
+    error.  The class is ``adj d_B / det`` on the quotient basis ``B``, from
+    one Bareiss elimination of the Gram matrix of ``B``.
     """
-    quotient, proj = quotient_by_kernel(cfg)
-    degrees = [Fraction(v.degree) for v in cfg.vertices]
-    # solvability: the degree functional must kill the radical, i.e. it must
-    # be expressible through the quotient basis
-    basis_pos = [cfg.index_of(b) for b in proj.basis_ids]
-    rhs = tuple(degrees[j] for j in basis_pos)
-    if quotient.n == 0:
+    g, _, _, basis = _radical_reduction(cfg)
+    if not basis:
         return IntrinsicPolarization(
             False, note="the whole span is isotropic but degrees are positive"
         )
-    coords = inverse(quotient).apply(rhs)  # the quotient is nondegenerate
-    # consistency on the remaining vertices detects a radical obstruction
-    full = integer_gram(cfg, range(cfg.n))
-    basis_set = set(basis_pos)
+    degrees = cfg.degrees()
+    d_b = [degrees[j] for j in basis]
+    # the quotient is nondegenerate
+    det, adj, _ = bareiss([[g[i][j] for j in basis] for i in basis])
+    num = [sum(map(mul, row, d_b)) for row in adj]
+    # the basis curves pair to their degrees by construction, and the
+    # others all do iff the degree functional kills the radical
     for i, v in enumerate(cfg.vertices):
-        if i in basis_set:
-            continue
-        row = full[i]
-        pairing = sum(
-            (row[j] * c for j, c in zip(basis_pos, coords)), Fraction(0)
-        )
-        if pairing != degrees[i]:
+        pairing = sum(g[i][j] * x for j, x in zip(basis, num))
+        if pairing != degrees[i] * det:
             return IntrinsicPolarization(
                 False,
                 note=(
                     f"overdetermined: curve {v.id} would need pairing "
-                    f"{degrees[i]} but gets {pairing}"
+                    f"{degrees[i]} but gets {Fraction(pairing, det)}"
                 ),
             )
-    square = sum((c * r for c, r in zip(coords, rhs)), Fraction(0))
     return IntrinsicPolarization(
-        True, coords=tuple(coords), square=square, basis_ids=proj.basis_ids
+        True,
+        coords=tuple(Fraction(x, det) for x in num),
+        square=Fraction(sum(map(mul, num, d_b)), det),
+        basis_ids=tuple(cfg.vertices[j].id for j in basis),
     )
 
 
@@ -601,9 +597,10 @@ def exclude(
     Definite spans are admissible iff they fit the rank bound; semi-definite
     spans always fit (their counts are governed by fiber budgets, checked
     elsewhere).  For a hyperbolic span the engine sweeps connected
-    subconfigurations up to ``subgraph_cap`` vertices in canonical order
-    (size, then vertex order) and returns the first certificate whose bound
-    is strictly below ``2h``, or else the best one found.  Certificates
+    subconfigurations up to ``subgraph_cap`` vertices, and no more than the
+    span's rank, in canonical order (size, then vertex order) and returns
+    the first certificate whose bound is strictly below ``2h``, or else the
+    best one found.  Certificates
     treat the degrees as unknown up to the cap ``d``; pass
     ``use_pinned_degrees=True`` to also use the exact degree data of the
     configuration, which is sound only when those degrees are known exactly.
@@ -686,7 +683,9 @@ def exclude(
     best_ratio = None if best is None else best.bound_on_2h.as_integer_ratio()
     best_subset = best_entry = None
     g = integer_gram(cfg, range(cfg.n))
-    for subset, entry in _adjugate_sweep(cfg, g, min(subgraph_cap, cfg.n)):
+    # a subset of more curves than the rank is degenerate
+    cap = min(subgraph_cap, cfg.n - cls.signature.n_zero)
+    for subset, entry in _adjugate_sweep(cfg, g, cap):
         if entry is None or entry.n_plus != 1:
             continue
         num, den = _sweep_bound(entry, d)

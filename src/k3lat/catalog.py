@@ -43,9 +43,13 @@ class CatalogEntry:
     payload: dict | None = None
 
 
+_JSON_TYPES = {dict: "a JSON object", list: "a JSON array", str: "a string"}
+
+
 class _Block(dict):
-    """A JSON object read from one catalog file: a missing field is an input
-    error naming the file and the field, not a ``KeyError``."""
+    """A JSON object read from one catalog file: a missing field, or one of
+    the wrong type, is an input error naming the file and the field, not a
+    ``KeyError`` or a ``TypeError``."""
 
     def __init__(self, data: dict, where: str):
         super().__init__(data)
@@ -54,18 +58,26 @@ class _Block(dict):
     def __missing__(self, key):
         raise formats.ValidationError(f"{self.where}: missing field {key!r}")
 
+    def typed(self, key: str, kind: type):
+        """``self[key]``, which must be of the JSON type ``kind``."""
+        value = self[key]
+        if not isinstance(value, kind):
+            raise formats.ValidationError(
+                f"{self.where}: field {key!r} is not {_JSON_TYPES[kind]}"
+            )
+        return value
+
 
 def _read_entry(path: Path) -> CatalogEntry:
     where = path.name
     data = json.loads(path.read_text(), object_hook=lambda d: _Block(d, where))
     if not isinstance(data, dict):
         raise formats.ValidationError(f"{where}: top level is not a JSON object")
-    if data["kind"] not in _VERIFIERS:
-        raise formats.ValidationError(
-            f"{where}: unknown kind {data['kind']!r}"
-        )
-    if data["kind"] == "extremal":
-        for f in data["payload"]["fibers"]:
+    kind = data.typed("kind", str)
+    if kind not in _VERIFIERS:
+        raise formats.ValidationError(f"{where}: unknown kind {kind!r}")
+    if kind == "extremal":
+        for f in data.typed("payload", dict).typed("fibers", list):
             if not isinstance(f, dict):
                 raise formats.ValidationError(
                     f"{where}: fibre {f!r} is not a JSON object"
@@ -75,13 +87,13 @@ def _read_entry(path: Path) -> CatalogEntry:
                     f"{where}: fibre count {f['count']!r} is not an integer"
                 )
     return CatalogEntry(
-        name=data["name"],
-        kind=data["kind"],
-        description=data["description"],
-        source=data["source"],
-        expected=data["expected"],
-        file=data.get("file"),
-        payload=data["payload"] if data["kind"] == "extremal" else data.get("payload"),
+        name=data.typed("name", str),
+        kind=kind,
+        description=data.typed("description", str),
+        source=data.typed("source", str),
+        expected=data.typed("expected", dict),
+        file=data.typed("file", str) if "file" in data else None,
+        payload=data.get("payload"),
     )
 
 

@@ -1,20 +1,20 @@
 """Exact linear algebra over the rationals for symmetric matrices.
 
 Results are exact (arbitrary-precision integers, no rounding ever).  There
-are three eliminations, and each exact question is answered by one of them.
-A symmetric congruence ``P^T M P = diag(d, 0, ..., 0)``, run fraction-free
-on an integer matrix, gives :func:`signature` (signs of ``d``) and
-:func:`positive_square_vector` (a column of ``P``; both at once from
-:func:`signature_and_witness`); ``P`` itself is not part of the public
-surface.  :func:`bareiss` is the fraction-free elimination of an integer
-matrix: the determinant, the adjugate, :func:`inverse` as ``adj / det``
-and, when it pivots only on the diagonal, the nested principal minors whose
-signs give the inertia (:func:`minor_signature`).  The public functions
-take a rational matrix and scale it by the lcm of its denominators first.
-:func:`row_echelon` is the one Gauss-Jordan loop: one left-to-right
-reduction gives :func:`kernel_basis`, one right-to-left reduction the
-quotient by the radical (``graph.quotient_by_kernel``).  All values are
-immutable and all functions are pure; concurrent use is safe.
+are three eliminations, all fraction-free loops on integers (Bareiss's
+step ``(p x - f y) // prev``), and each exact question is answered by one
+of them.  A symmetric congruence ``P^T M P = diag(d, 0, ..., 0)`` gives
+:func:`signature` (signs of ``d``) and :func:`positive_square_vector` (a
+column of ``P``; both at once from :func:`signature_and_witness`).
+:func:`bareiss` gives the determinant, the adjugate, :func:`inverse` as
+``adj / det`` and, when it pivots only on the diagonal, the nested
+principal minors whose signs give the inertia (:func:`minor_signature`).
+:func:`row_echelon` gives ``(p, reduced, pivots)`` with ``reduced / p`` in
+reduced row echelon form: one left-to-right reduction gives
+:func:`kernel_basis`, one right-to-left the quotient by the radical
+(``graph.quotient_by_kernel``).  The public functions scale a rational
+matrix by the lcm of its denominators first.  All values are immutable and
+all functions are pure; concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -250,32 +250,34 @@ def minor_signature(minors: Sequence[int]) -> Signature:
 
 
 def row_echelon(
-    rows: Iterable[Sequence[Fraction]], cols: Iterable[int]
-) -> tuple[list[list[Fraction]], list[int]]:
-    """Gauss-Jordan reduction of ``rows``, pivoting through ``cols`` in the
-    given order.
-
-    Returns ``(reduced, pivots)``: ``reduced[i]`` is 1 at column
-    ``pivots[i]`` and 0 at every other pivot column.  Rows left without a
-    pivot are dropped.
-    Entries must be :class:`~fractions.Fraction` so that division is exact.
+    rows: Iterable[Sequence[int | Fraction]], cols: Iterable[int]
+) -> tuple[int, list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan reduction of integer ``rows``, pivoting
+    through ``cols`` in the given order on the first row at or after the
+    next pivot row that is nonzero there; every other row takes the exact
+    step ``(p x - f y) // prev``.  Returns ``(p, reduced, pivots)``:
+    ``reduced[i]`` is ``p`` at column ``pivots[i]`` and 0 at every other
+    pivot column, so ``reduced / p`` is the reduced form (``p = 1`` without
+    a pivot).  Rows left without a pivot are dropped.
     """
-    a = [list(row) for row in rows]
+    a = [[_integer(x) for x in row] for row in rows]
     pivots: list[int] = []
+    prev = 1
     for col in cols:
         r = len(pivots)
-        piv = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
+        piv = next((i for i in range(r, len(a)) if a[i][col]), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        pv = a[r][col]
-        a[r] = [x / pv for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        row_r = a[r]
+        p = row_r[col]
+        for i, row in enumerate(a):
+            if i != r:
+                f = row[col]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(row, row_r)]
+        prev = p
         pivots.append(col)
-    return a[: len(pivots)], pivots
+    return prev, a[: len(pivots)], pivots
 
 
 def _scaled(m: SymMatrix) -> tuple[int, list[list[int]]]:
@@ -304,22 +306,13 @@ def positive_square_vector(m: SymMatrix) -> tuple[Fraction, ...] | None:
     return signature_and_witness(m)[1]
 
 
-def _primitive_integer(vec: Sequence[Fraction]) -> tuple[int, ...]:
-    """Scale a rational vector to a primitive integer vector with positive
-    leading nonzero entry."""
-    denom = 1
-    for x in vec:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    lead = next((v for v in ints if v != 0), 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
+def _primitive_integer(vec: Sequence[int]) -> tuple[int, ...]:
+    """Divide a nonzero integer vector by its content, signed so that its
+    leading nonzero entry is positive."""
+    g = gcd(*vec)
+    if next(v for v in vec if v) < 0:
+        g = -g
+    return tuple(v // g for v in vec)
 
 
 def kernel_basis(m: SymMatrix) -> list[tuple[int, ...]]:
@@ -332,10 +325,10 @@ def kernel_basis(m: SymMatrix) -> list[tuple[int, ...]]:
     1 and a positive leading entry, sorted lexicographically.
     """
     n = m.n
-    reduced, pivots = row_echelon(m.rows(), range(n))
+    p, reduced, pivots = row_echelon(_scaled(m)[1], range(n))
     basis = []
     for f in (j for j in range(n) if j not in pivots):
-        vec = [Fraction(j == f) for j in range(n)]
+        vec = [p * (j == f) for j in range(n)]
         for row, pc in zip(reduced, pivots):
             vec[pc] = -row[f]
         basis.append(_primitive_integer(vec))

@@ -237,10 +237,7 @@ def integer_gram(cfg: CurveConfig, idx: Sequence[int]) -> list[list[int]]:
 
 def gram(cfg: CurveConfig) -> SymMatrix:
     """Gram matrix of the intersection form in vertex order."""
-    # one shared zero: a Fraction per zero entry doubles the cost of a build
-    zero = Fraction(0)
-    rows = integer_gram(cfg, range(cfg.n))
-    return SymMatrix([[Fraction(x) if x else zero for x in row] for row in rows])
+    return SymMatrix(integer_gram(cfg, range(cfg.n)))
 
 
 def classify(cfg: CurveConfig) -> LatticeClass:
@@ -320,6 +317,20 @@ class QuotientProjection:
         )
 
 
+def _radical_reduction(
+    cfg: CurveConfig,
+) -> tuple[list[list[int]], int, list[list[int]], list[int]]:
+    """``(g, p, rows, basis)``: the integer Gram matrix of ``cfg`` and its
+    right-to-left reduction, which pivots on the complement of the kernel's
+    left-to-right pivots.  Those curves, ``basis``, give a basis of the
+    quotient by the radical; column ``j`` of ``g`` is ``sum_b rows[b][j] /
+    p`` times column ``basis[b]``, so ``rows[b] / p`` is the projection row
+    of curve ``basis[b]``."""
+    g = integer_gram(cfg, range(cfg.n))
+    p, rows, pivots = row_echelon(g, range(cfg.n - 1, -1, -1))
+    return g, p, rows[::-1], pivots[::-1]
+
+
 def quotient_by_kernel(cfg: CurveConfig) -> tuple[SymMatrix, QuotientProjection]:
     """Gram matrix of the quotient by the radical, plus the projection map.
 
@@ -327,16 +338,11 @@ def quotient_by_kernel(cfg: CurveConfig) -> tuple[SymMatrix, QuotientProjection]
     ``(n_plus, n_minus, 0)`` of the input.  When the input is already
     nondegenerate, the projection is the identity.
     """
-    m = gram(cfg)
-    n = cfg.n
-    # right-to-left reduction pivots on the complement of the kernel's
-    # left-to-right pivots; column j of m is sum_b rows[b][j] * column b, so
-    # each reduced row is the projection row of its pivot vertex
-    rows, pivots = row_echelon(m.rows(), range(n - 1, -1, -1))
-    basis_pos = pivots[::-1]
-    quotient = m.submatrix(basis_pos)
-    basis_ids = tuple(cfg.vertices[j].id for j in basis_pos)
-    return quotient, QuotientProjection(basis_ids, tuple(map(tuple, rows[::-1])))
+    g, p, rows, basis = _radical_reduction(cfg)
+    quotient = SymMatrix([[g[i][j] for j in basis] for i in basis])
+    basis_ids = tuple(cfg.vertices[j].id for j in basis)
+    matrix = tuple(tuple(Fraction(x, p) for x in row) for row in rows)
+    return quotient, QuotientProjection(basis_ids, matrix)
 
 
 # a step result that drops a subset, and everything grown from it, from

@@ -20,7 +20,11 @@ the Fraction symmetric elimination :func:`congruence_reference` that the
 fraction-free ``exact._congruence`` replaced, the congruence-based
 :func:`inverse_reference`,
 :func:`kernel_basis_reference` and :func:`quotient_by_kernel_reference`
-that one Bareiss elimination or one row reduction replaced, and
+that one Bareiss elimination or one row reduction replaced, the Fraction
+Gauss-Jordan loop :func:`row_echelon_reference` that the fraction-free
+``exact.row_echelon`` replaced, the quotient, inverse and apply path
+:func:`intrinsic_polarization_reference` that one Bareiss elimination of
+the quotient's integer Gram block replaced, and
 :func:`find_kodaira_divisors_reference`, the fibre search whose shape
 step kept indefinite subsets and recognised every one it kept; all are
 kept as references for differential tests.
@@ -31,6 +35,7 @@ from __future__ import annotations
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from k3lat.bounds import (
     BOX_OPTIMUM_DECOMPOSITION,
@@ -40,6 +45,7 @@ from k3lat.bounds import (
     BoxWitness,
     ExclusionStatus,
     ExclusionVerdict,
+    IntrinsicPolarization,
     NoDecompositionFoundError,
     box_certificate,
     exclude,
@@ -50,7 +56,6 @@ from k3lat.exact import (
     SingularMatrixError,
     SymMatrix,
     _primitive_integer,
-    row_echelon,
     signature,
 )
 from k3lat.graph import (
@@ -386,13 +391,41 @@ def inverse_reference(m: SymMatrix) -> SymMatrix:
     return SymMatrix(w)
 
 
+def row_echelon_reference(rows, cols) -> tuple[list[list[Fraction]], list[int]]:
+    """Gauss-Jordan reduction of rational ``rows``, pivoting through
+    ``cols`` in the given order on the first row at or after the next pivot
+    row that is nonzero there.  Returns ``(reduced, pivots)``:
+    ``reduced[i]`` is 1 at column ``pivots[i]`` and 0 at every other pivot
+    column; rows left without a pivot are dropped."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    for col in cols:
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        pv = a[r][col]
+        a[r] = [x / pv for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+    return a[: len(pivots)], pivots
+
+
 def kernel_basis_reference(m: SymMatrix) -> list[tuple[int, ...]]:
     """Canonical kernel basis: the congruence's kernel columns reduced from
     the rightmost column, as primitive integer vectors, sorted."""
     n = m.n
     d, p = congruence_reference(m)
-    reduced, _ = row_echelon(p[len(d):], range(n - 1, -1, -1))
-    return sorted(_primitive_integer(vec) for vec in reduced)
+    reduced, _ = row_echelon_reference(p[len(d):], range(n - 1, -1, -1))
+    basis = []
+    for vec in reduced:
+        s = lcm(*(x.denominator for x in vec))
+        basis.append(_primitive_integer([int(x * s) for x in vec]))
+    return sorted(basis)
 
 
 def quotient_by_kernel_reference(cfg) -> tuple[SymMatrix, QuotientProjection]:
@@ -403,9 +436,7 @@ def quotient_by_kernel_reference(cfg) -> tuple[SymMatrix, QuotientProjection]:
     n = cfg.n
     # pivot columns of the reduced kernel are dropped; the remaining vertices
     # descend to a basis of the quotient
-    rows, pivots = row_echelon(
-        ([Fraction(x) for x in vec] for vec in kernel_basis_reference(m)), range(n)
-    )
+    rows, pivots = row_echelon_reference(kernel_basis_reference(m), range(n))
     basis_pos = [j for j in range(n) if j not in pivots]
     proj = [[Fraction(j == bp) for j in range(n)] for bp in basis_pos]
     for row, pc in zip(rows, pivots):
@@ -415,6 +446,38 @@ def quotient_by_kernel_reference(cfg) -> tuple[SymMatrix, QuotientProjection]:
     quotient = m.submatrix(basis_pos)
     basis_ids = tuple(cfg.vertices[j].id for j in basis_pos)
     return quotient, QuotientProjection(basis_ids, tuple(tuple(r) for r in proj))
+
+
+def intrinsic_polarization_reference(cfg) -> IntrinsicPolarization:
+    """``bounds.intrinsic_polarization`` as it was before the integer solve:
+    the Fraction quotient, its Fraction inverse applied to the basis
+    degrees, and Fraction pairings with every other curve."""
+    quotient, proj = quotient_by_kernel_reference(cfg)
+    degrees = [Fraction(v.degree) for v in cfg.vertices]
+    basis_pos = [cfg.index_of(b) for b in proj.basis_ids]
+    rhs = tuple(degrees[j] for j in basis_pos)
+    if quotient.n == 0:
+        return IntrinsicPolarization(
+            False, note="the whole span is isotropic but degrees are positive"
+        )
+    coords = inverse_reference(quotient).apply(rhs)
+    full = gram(cfg)
+    for i, v in enumerate(cfg.vertices):
+        if i in basis_pos:
+            continue
+        pairing = sum((full[i, j] * c for j, c in zip(basis_pos, coords)), Fraction(0))
+        if pairing != degrees[i]:
+            return IntrinsicPolarization(
+                False,
+                note=(
+                    f"overdetermined: curve {v.id} would need pairing "
+                    f"{degrees[i]} but gets {pairing}"
+                ),
+            )
+    square = sum((c * r for c, r in zip(coords, rhs)), Fraction(0))
+    return IntrinsicPolarization(
+        True, coords=tuple(coords), square=square, basis_ids=proj.basis_ids
+    )
 
 
 # -- brute force box maximization ------------------------------------------

@@ -58,6 +58,7 @@ from oracles import (
     det,
     entry_sum,
     exclude_reference,
+    intrinsic_polarization_reference,
     inverse_reference,
     min_entry,
     subgraph_certificates_reference,
@@ -101,6 +102,43 @@ def test_intrinsic_on_degenerate_compatible():
     cfg = standard_diagram("AffineA", 3)
     ip = intrinsic_polarization(cfg)
     assert not ip.exists  # all degrees 1, radical (1,1,1,1) pairs to 4
+
+
+def test_intrinsic_matches_reference_seeded():
+    # the integer solve against the Fraction quotient, inverse and apply
+    # path: random configurations, and the same with twins of isotropic
+    # curves (a twin minus its original is in the radical, so a twin of
+    # another degree leaves the pinned degrees unsolvable)
+    rng = random.Random(1907)
+    seen = Counter()
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        d = rng.randint(1, 3)
+        verts = [
+            (f"v{i}", rng.choice((-2, -2, -2, 0, 0, 2)), rng.randint(1, d))
+            for i in range(n)
+        ]
+        edges = [
+            (f"v{i}", f"v{j}", rng.choice((1, 1, 1, 2, 3)))
+            for i in range(n)
+            for j in range(i + 1, n)
+            if rng.random() < 0.4
+        ]
+        for vid, square, _ in verts[:n]:
+            if square == 0 and rng.random() < 0.5:
+                twin = vid + "t"
+                verts.append((twin, 0, rng.randint(1, d)))
+                edges += [(twin, b, m) for a, b, m in edges if a == vid]
+                edges += [(twin, a, m) for a, b, m in edges if b == vid]
+        cfg = config_from_data(verts, edges)
+        ip = intrinsic_polarization(cfg)
+        assert ip == intrinsic_polarization_reference(cfg)
+        degenerate = signature(gram(cfg)).n_zero > 0
+        seen[ip.exists, degenerate, ip.note.startswith("overdetermined")] += 1
+    # each case occurs: solvable on a nondegenerate and on a degenerate
+    # span, and overdetermined
+    assert min(seen[k] for k in [(True, False, False), (True, True, False)]) > 10
+    assert seen[False, True, True] > 10, seen
 
 
 def _count_eliminations(monkeypatch):
@@ -713,6 +751,46 @@ def test_exclude_matches_reference_hypothesis(data):
     pinned = data.draw(st.booleans())
     assert exclude(cfg, d, h, cap, pinned) == exclude_reference(
         cfg, d, h, cap, pinned
+    )
+
+
+def _nodal_fibres(d):
+    """A zero section ``O`` and the 24 nodal fibres ``N0``..``N23`` of an
+    elliptic K3 surface, every curve of degree ``d``: 25 curves whose span
+    has rank 2."""
+    return config_from_data(
+        [("O", -2, d)] + [(f"N{i}", 0, d) for i in range(24)],
+        [("O", f"N{i}") for i in range(24)],
+    )
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_nodal_fibres_sweep_stops_at_the_rank(monkeypatch, d):
+    # every subset of more curves than the rank 2 is degenerate, so the
+    # default cap of 13 sweeps nothing beyond the pairs; H = d O + 3d F has
+    # H.C = d on every curve and H^2 = 4 d^2, so the bound is sharp
+    real = bounds._bordered
+
+    def spy(g, cap, parent, u, subset):
+        assert len(subset) <= 2
+        return real(g, cap, parent, u, subset)
+
+    monkeypatch.setattr(bounds, "_bordered", spy)
+    cfg = _nodal_fibres(d)
+    for h, status in [
+        (2 * d * d, ExclusionStatus.HYPERBOLIC_UNDECIDED),
+        (2 * d * d + 1, ExclusionStatus.HYPERBOLIC_EXCLUDED),
+    ]:
+        verdict = exclude(cfg, d, h)
+        assert verdict.status is status
+        (cert,) = verdict.certificates
+        assert (cert.kind, cert.bound_on_2h, cert.support_ids) == (
+            BOX_OPTIMUM_DECOMPOSITION, 4 * d * d, ("O", "N0")
+        )
+        assert verify_certificate(cert, cfg)
+    assert verdict.notes == (f"2h = {2 * h} exceeds bound {4 * d * d}",)
+    assert exclude(cfg, d, 2 * d * d).notes == (
+        f"no certificate below 2h = {4 * d * d} on subgraphs up to 13 vertices",
     )
 
 

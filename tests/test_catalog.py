@@ -130,18 +130,58 @@ def test_missing_field_is_an_input_error(tmp_path, monkeypatch, capsys, file, pa
         ("zz.json", '"entry"', "verify", "zz.json: top level is not a JSON object"),
         (
             "extremal-I7-I7-IIstar.json",
-            {"type": "I7", "count": "2"},
+            (("payload", "fibers", 0), {"type": "I7", "count": "2"}),
             "verify",
             "extremal-I7-I7-IIstar.json: fibre count '2' is not an integer",
         ),
         (
             "extremal-I7-I7-IIstar.json",
-            2,
+            (("payload", "fibers", 0), 2),
             "list",
             "extremal-I7-I7-IIstar.json: fibre 2 is not a JSON object",
         ),
+        (
+            "extremal-I7-I7-IIstar.json",
+            (("payload",), []),
+            "list",
+            "extremal-I7-I7-IIstar.json: field 'payload' is not a JSON object",
+        ),
+        (
+            "extremal-I7-I7-IIstar.json",
+            (("payload", "fibers"), 3),
+            "list",
+            "extremal-I7-I7-IIstar.json: field 'fibers' is not a JSON array",
+        ),
+        (
+            "uniform-6xI4.json",
+            (("expected",), []),
+            "verify",
+            "uniform-6xI4.json: field 'expected' is not a JSON object",
+        ),
+        (
+            "example-D6tilde.json",
+            (("file",), 5),
+            "verify",
+            "example-D6tilde.json: field 'file' is not a string",
+        ),
+        (
+            "uniform-8xI3.json",
+            (("kind",), ["profile"]),
+            "list",
+            "uniform-8xI3.json: field 'kind' is not a string",
+        ),
+        (
+            "uniform-8xI3.json",
+            (("name",), 8),
+            "list",
+            "uniform-8xI3.json: field 'name' is not a string",
+        ),
     ],
-    ids=["list-array", "verify-string", "string-count", "fibre-not-object"],
+    ids=[
+        "list-array", "verify-string", "string-count", "fibre-not-object",
+        "payload-array", "fibers-number", "expected-array", "file-number",
+        "kind-array", "name-number",
+    ],
 )
 def test_malformed_catalog_file_is_an_input_error(
     tmp_path, monkeypatch, capsys, file, text, action, error
@@ -149,9 +189,13 @@ def test_malformed_catalog_file_is_an_input_error(
     shutil.copytree(data_root(), tmp_path / "data")
     target = tmp_path / "data" / "catalog" / file
     if not isinstance(text, str):
-        # the value replaces the extremal payload's first fibre, I7 twice
+        # the value replaces the field at this path of the shipped file
+        path, value = text
         data = json.loads(target.read_text())
-        data["payload"]["fibers"][0] = text
+        block = data
+        for key in path[:-1]:
+            block = block[key]
+        block[path[-1]] = value
         text = json.dumps(data)
     target.write_text(text)
     monkeypatch.setenv(CATALOG_ENV_VAR, str(tmp_path / "data"))

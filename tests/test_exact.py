@@ -15,6 +15,7 @@ from k3lat.exact import (
     kernel_basis,
     minor_signature,
     positive_square_vector,
+    row_echelon,
     signature,
     signature_and_witness,
 )
@@ -27,6 +28,7 @@ from oracles import (
     kernel_basis_reference,
     oracle_signature,
     quadratic_form,
+    row_echelon_reference,
     row_reduce_rank,
     signature_and_witness_reference,
 )
@@ -347,6 +349,40 @@ def test_bareiss_rejects_singular_and_non_integer_input():
     with pytest.raises(ValueError):
         bareiss([[Fraction(1, 2)]])
     assert bareiss([]) == (1, [], [])
+
+
+# -- the fraction-free reduction against the Fraction loop it replaced ---------
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_row_echelon_matches_reference_hypothesis(data):
+    # rectangular rows spanned by r <= min(rows, cols) random ones, some of
+    # them zero, reduced left to right and right to left
+    n_rows = data.draw(st.integers(min_value=0, max_value=6))
+    n_cols = data.draw(st.integers(min_value=1, max_value=6))
+    r = data.draw(st.integers(min_value=0, max_value=min(n_rows, n_cols)))
+    entry = st.integers(min_value=-4, max_value=4)
+    core = [[data.draw(entry) for _ in range(n_cols)] for _ in range(r)]
+    weights = st.sampled_from((0, 0, 1, -1, 2, -3))
+    rows = []
+    for _ in range(n_rows):
+        w = [data.draw(weights) for _ in core]
+        rows.append([sum(a * row[j] for a, row in zip(w, core)) for j in range(n_cols)])
+    cols = data.draw(st.sampled_from((range(n_cols), range(n_cols - 1, -1, -1))))
+    p, reduced, pivots = row_echelon(rows, cols)
+    want, want_pivots = row_echelon_reference(rows, cols)
+    assert pivots == want_pivots
+    assert [[Fraction(x, p) for x in row] for row in reduced] == want
+    assert all(row[c] == p for row, c in zip(reduced, pivots))
+
+
+def test_row_echelon_rejects_non_integer_input():
+    # a non-integral entry would otherwise be floor-divided
+    with pytest.raises(ValueError):
+        row_echelon([[Fraction(1, 2)]], [0])
+    assert row_echelon([[Fraction(4), 2]], [1, 0]) == (2, [[4, 2]], [1])
+    assert row_echelon([], range(3)) == (1, [], [])
 
 
 # -- the fraction-free congruence against the Fraction loop it replaced -------
