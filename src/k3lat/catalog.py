@@ -4,14 +4,17 @@ on demand.
 
 ``verify_catalog`` re-derives every expected value from the live engines,
 so it doubles as the integration test of the whole package.  The extremal
-entries are trusted literature data, kept only in their catalog files.  The
-data directory can be overridden with the ``K3LAT_CATALOG_DIR`` environment
-variable (it must contain ``catalog/`` and ``examples/`` subdirectories).
+entries are trusted literature data, kept only in their catalog files; each
+payload is read by the profile schema (:func:`k3lat.formats.profile_from_data`)
+once, at load.  Every object of a catalog file goes through the one reader
+:class:`k3lat.formats.Fields`, so a missing field or one of the wrong JSON
+type is an input error naming the file and the field.  The data directory
+can be overridden with the ``K3LAT_CATALOG_DIR`` environment variable (it
+must contain ``catalog/`` and ``examples/`` subdirectories).
 """
 
 from __future__ import annotations
 
-import json
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -38,68 +41,66 @@ class CatalogEntry:
     kind: str
     description: str
     source: str
-    expected: dict
+    expected: formats.Fields
     file: str | None = None
-    payload: dict | None = None
+    payload: formats.Fields | None = None
+    profile: fibration.FibrationProfile | None = None
 
 
-_JSON_TYPES = {dict: "a JSON object", list: "a JSON array", str: "a string"}
+# the JSON type of each field of an expected block, nested objects included,
+# and of the members of its array and object fields
+_EXPECTED_TYPES = {
+    "budget_ok": bool, "passes": bool, "restricted": bool,
+    "vertex_count": int, "component_total": int, "component_bound": int,
+    "st_rank_mw0": int, "hits": int, "d": int, "h": int, "bound": int,
+    "classification": str, "entry_sum": str, "value": str, "status": str,
+    "count": str, "threshold": str, "mordell_weil": str,
+    "rough_bound": dict, "box_bound": dict, "sd_bound": dict, "kodaira": dict,
+    "decomposition": list, "failed": list, "exclusions": list,
+}
+_EXPECTED_ITEMS = {"decomposition": str, "failed": str, "kodaira": int, "exclusions": dict}
 
 
-class _Block(dict):
-    """A JSON object read from one catalog file: a missing field, or one of
-    the wrong type, is an input error naming the file and the field, not a
-    ``KeyError`` or a ``TypeError``."""
-
-    def __init__(self, data: dict, where: str):
-        super().__init__(data)
-        self.where = where
-
-    def __missing__(self, key):
-        raise formats.ValidationError(f"{self.where}: missing field {key!r}")
-
-    def typed(self, key: str, kind: type):
-        """``self[key]``, which must be of the JSON type ``kind``."""
-        value = self[key]
-        if not isinstance(value, kind):
-            raise formats.ValidationError(
-                f"{self.where}: field {key!r} is not {_JSON_TYPES[kind]}"
-            )
-        return value
+def _read_expected(block: formats.Fields) -> formats.Fields:
+    """The block, each field of the table type-checked and each nested
+    object read in place as Fields."""
+    for key in block:
+        kind = _EXPECTED_TYPES.get(key)
+        if kind is not None:
+            items = _EXPECTED_ITEMS.get(key)
+            value = block.typed(key, kind, items=items)
+            if kind is dict:
+                block[key] = _read_expected(value)
+            elif items is dict:
+                block[key] = [_read_expected(case) for case in value]
+    return block
 
 
 def _read_entry(path: Path) -> CatalogEntry:
-    where = path.name
-    data = json.loads(path.read_text(), object_hook=lambda d: _Block(d, where))
-    if not isinstance(data, dict):
-        raise formats.ValidationError(f"{where}: top level is not a JSON object")
+    data = formats.read_json(path.read_text(), path.name)
     kind = data.typed("kind", str)
     if kind not in _VERIFIERS:
-        raise formats.ValidationError(f"{where}: unknown kind {kind!r}")
+        raise data.error(f"unknown kind {kind!r}")
+    payload = profile = None
     if kind == "extremal":
-        for f in data.typed("payload", dict).typed("fibers", list):
-            if not isinstance(f, dict):
-                raise formats.ValidationError(
-                    f"{where}: fibre {f!r} is not a JSON object"
-                )
-            if type(f["count"]) is not int:
-                raise formats.ValidationError(
-                    f"{where}: fibre count {f['count']!r} is not an integer"
-                )
+        payload = data.typed("payload", dict)
+        profile = formats.profile_from_data(payload, extra=("table_name",))
     return CatalogEntry(
         name=data.typed("name", str),
         kind=kind,
         description=data.typed("description", str),
         source=data.typed("source", str),
-        expected=data.typed("expected", dict),
-        file=data.typed("file", str) if "file" in data else None,
-        payload=data.get("payload"),
+        expected=_read_expected(data.typed("expected", dict)),
+        file=data.typed("file", str, None),
+        payload=payload,
+        profile=profile,
     )
 
 
 def load_catalog() -> list[CatalogEntry]:
     cat_dir = data_root() / "catalog"
-    entries = [_read_entry(path) for path in sorted(cat_dir.glob("*.json"))]
+    paths = sorted(cat_dir.glob("*.json"), key=lambda path: path.name)
+    entries = [_read_entry(path) for path in paths]
     if not entries:
         raise formats.ValidationError(f"no catalog entries in {cat_dir}")
     return sorted(entries, key=lambda e: e.name)
@@ -118,20 +119,17 @@ def entry_file_text(entry: CatalogEntry) -> str:
     return (data_root() / "examples" / entry.file).read_text()
 
 
-def _extremal_key(payload: dict) -> tuple:
-    tags = sorted(f["type"] for f in payload["fibers"] for _ in range(f["count"]))
-    return payload["characteristic"], payload["quasi_elliptic"], tuple(tags)
+def _lookup_key(prof: fibration.FibrationProfile) -> tuple:
+    return prof.characteristic, prof.quasi_elliptic, tuple(sorted(prof.tags()))
 
 
 def extremal_lookup(
     prof: fibration.FibrationProfile, entries: list[CatalogEntry]
 ) -> list[CatalogEntry]:
     """The extremal entries whose characteristic, fibration kind and full
-    singular-fibre multiset match the profile."""
-    key = (prof.characteristic, prof.quasi_elliptic, tuple(sorted(prof.tags())))
-    return [
-        e for e in entries if e.kind == "extremal" and _extremal_key(e.payload) == key
-    ]
+    singular-fibre multiset match the profile; wild terms are ignored."""
+    key = _lookup_key(prof)
+    return [e for e in entries if e.kind == "extremal" and _lookup_key(e.profile) == key]
 
 
 @dataclass(frozen=True)
@@ -232,15 +230,10 @@ def _verify_profile_entry(entry: CatalogEntry, entries: list[CatalogEntry]) -> E
 
 
 def _verify_extremal_entry(entry: CatalogEntry, entries: list[CatalogEntry]) -> EntryReport:
-    payload = entry.payload
-    prof = fibration.profile(
-        [(f["type"], f["count"]) for f in payload["fibers"]],
-        quasi_elliptic=payload["quasi_elliptic"],
-        characteristic=payload["characteristic"],
-    )
+    prof = entry.profile
     exp = entry.expected
     hits = extremal_lookup(prof, entries)
-    table_name = payload["table_name"]
+    table_name = entry.payload.typed("table_name", str)
     self_hit = next((h for h in hits if h.name == table_name), None)
     checks = [
         _check("budget_ok", exp["budget_ok"], fibration.budget_check(prof).ok),

@@ -17,12 +17,11 @@ from pathlib import Path
 from . import bounds, catalog, fibration, kodaira, roots
 from .exact import SingularMatrixError
 from .formats import (
-    ParseError,
-    ValidationError,
     format_fraction,
     parse_config,
     parse_model,
     parse_profile,
+    read_json,
 )
 from .graph import classify, validate_pairings
 
@@ -396,7 +395,7 @@ def _cmd_catalog(args) -> int:
         if entry.file:
             text = catalog.entry_file_text(entry)
             report["file"] = entry.file
-            report["payload"] = json.loads(text)
+            report["payload"] = read_json(text, entry.file)
             lines.append(f"file: {entry.file}")
             lines.append(text.rstrip("\n"))
         if entry.payload:
@@ -520,9 +519,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError) as exc:
-        sys.stderr.write(f"input error: {exc}\n")
-        return 2
     except OSError as exc:
         sys.stderr.write(f"cannot read input: {exc}\n")
         return 2

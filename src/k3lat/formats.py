@@ -1,6 +1,10 @@
 """On-disk JSON formats: curve configurations, fibration profiles and
 declared models.
 
+Every JSON object of every input file, the catalog's included, is read by
+one reader, :class:`Fields`, and :func:`profile_from_data` reads profile
+files and the catalog's extremal payloads alike.
+
 Exact rationals travel as strings ``"p/q"`` (or ``"p"``) so nothing is
 ever rounded.  Serialization is canonical: fixed key order, two-space
 indent, trailing newline; parse-serialize round-trips are the identity on
@@ -15,19 +19,19 @@ from fractions import Fraction
 
 from .fibration import DeclaredCurve, DeclaredModel, FibrationProfile, fiber
 from .graph import CurveConfig, CurveVertex
-
-
-class ParseError(ValueError):
-    """The text is not well-formed JSON or not the expected shape."""
+from .kodaira import parse_tag
 
 
 class ValidationError(ValueError):
-    """Well-formed input breaking a schema invariant."""
+    """Input breaking the schema: every input error is one."""
+
+
+class ParseError(ValidationError):
+    """The text is not well-formed JSON, or its top level is not an object."""
 
 
 def format_fraction(x: Fraction | int) -> str:
-    x = Fraction(x)
-    return str(x)
+    return str(Fraction(x))
 
 
 def parse_fraction(s: str) -> Fraction:
@@ -37,36 +41,75 @@ def parse_fraction(s: str) -> Fraction:
         raise ParseError(f"invalid rational {s!r}: {exc}") from exc
 
 
-def _load_json(text: str) -> dict:
+_REQUIRED = object()
+_JSON_TYPES = {dict: "a JSON object", list: "a JSON array", str: "a string",
+               int: "an integer", bool: "a boolean"}
+
+
+def _is(value, kind: type) -> bool:
+    # a JSON true or false is never an integer
+    return type(value) is kind or (kind is not int and isinstance(value, kind))
+
+
+class Fields(dict):
+    """One JSON object of an input file, from :func:`read_json` or, nested,
+    from :meth:`typed`.  A missing field, or one of the wrong JSON type, is a
+    :class:`ValidationError` naming the file (or the kind of input), the
+    field, and the path to the object when it is nested (``in fibers[2]``)."""
+
+    __slots__ = ("where", "path")
+
+    def error(self, text: str) -> ValidationError:
+        at = f" in {self.path}" if self.path else ""
+        return ValidationError(f"{self.where}: {text}{at}")
+
+    def __missing__(self, key):
+        raise self.error(f"missing field {key!r}")
+
+    def _nested(self, data: dict, key: str) -> Fields:
+        nested = Fields(data)
+        nested.where, nested.path = self.where, f"{self.path}.{key}" if self.path else key
+        return nested
+
+    def only(self, *keys: str) -> None:
+        for key in self:
+            if key not in keys:
+                raise self.error(f"unknown fields {sorted(self.keys() - keys)}")
+
+    def typed(self, key: str, kind: type, default=_REQUIRED, items: type | None = None):
+        """The field ``key`` of the JSON type ``kind``, each member of the array
+        or object of the type ``items``, or ``default`` when it is absent.
+        Objects come back as :class:`Fields`, arrays of objects as lists."""
+        if default is not _REQUIRED and key not in self:
+            return default
+        value = self[key]
+        if type(value) is not kind and not _is(value, kind):
+            raise self.error(f"field {key!r} is not {_JSON_TYPES[kind]}")
+        if kind is dict:
+            value = self._nested(value, key)
+        if items is not None:
+            if not all(_is(m, items) for m in (value.values() if kind is dict else value)):
+                raise self.error(f"an item of field {key!r} is not {_JSON_TYPES[items]}")
+            if items is dict and kind is list:
+                value = [self._nested(m, f"{key}[{k}]") for k, m in enumerate(value)]
+        return value
+
+
+def read_json(text: str, where: str) -> Fields:
+    """The top-level object of one input file."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(
-            f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+            f"{where}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise ParseError(f"{where}: JSON nested too deeply") from exc
     if not isinstance(data, dict):
-        raise ParseError("top-level value must be an object")
-    return data
-
-
-def _require(data: dict, key: str, kind, where: str):
-    if key not in data:
-        raise ValidationError(f"{where}: missing field {key!r}")
-    value = data[key]
-    if kind is int and isinstance(value, bool):
-        raise ValidationError(f"{where}: field {key!r} must be an integer")
-    if not isinstance(value, kind):
-        raise ValidationError(
-            f"{where}: field {key!r} must be {kind.__name__}, got "
-            f"{type(value).__name__}"
-        )
-    return value
-
-
-def _check_keys(data: dict, allowed: set[str], where: str) -> None:
-    extra = set(data) - allowed
-    if extra:
-        raise ValidationError(f"{where}: unknown fields {sorted(extra)}")
+        raise ParseError(f"{where}: top level is not a JSON object")
+    fields = Fields(data)
+    fields.where, fields.path = where, ""
+    return fields
 
 
 @dataclass(frozen=True)
@@ -82,52 +125,30 @@ def parse_config(text: str) -> ConfigDocument:
     "edges": [{"a", "b", "mult"?}], "metadata": {...}}``.  Degree defaults
     to 1, edge multiplicity defaults to 1.
     """
-    data = _load_json(text)
-    _check_keys(data, {"name", "vertices", "edges", "metadata"}, "config")
-    name = data.get("name", "")
-    if not isinstance(name, str):
-        raise ValidationError("config: field 'name' must be a string")
-    raw_vertices = _require(data, "vertices", list, "config")
+    data = read_json(text, "config")
+    data.only("name", "vertices", "edges", "metadata")
+    name = data.typed("name", str, "")
+    raw_vertices = data.typed("vertices", list, items=dict)
     if not raw_vertices:
         raise ValidationError("config: needs at least one vertex")
     vertices = []
-    for k, rv in enumerate(raw_vertices):
-        where = f"vertex #{k}"
-        if not isinstance(rv, dict):
-            raise ValidationError(f"{where}: must be an object")
-        _check_keys(rv, {"id", "square", "degree"}, where)
-        vid = _require(rv, "id", str, where)
-        square = _require(rv, "square", int, where)
-        degree = rv.get("degree", 1)
-        if isinstance(degree, bool) or not isinstance(degree, int):
-            raise ValidationError(f"{where}: field 'degree' must be an integer")
+    for rv in raw_vertices:
+        rv.only("id", "square", "degree")
+        vertex = rv.typed("id", str), rv.typed("square", int), rv.typed("degree", int, 1)
         try:
-            vertices.append(CurveVertex(vid, square, degree))
+            vertices.append(CurveVertex(*vertex))
         except ValueError as exc:
-            raise ValidationError(f"{where}: {exc}") from exc
+            raise rv.error(str(exc)) from exc
     edges = []
-    raw_edges = data.get("edges", [])
-    if not isinstance(raw_edges, list):
-        raise ValidationError("config: field 'edges' must be a list")
-    for k, re_ in enumerate(raw_edges):
-        where = f"edge #{k}"
-        if not isinstance(re_, dict):
-            raise ValidationError(f"{where}: must be an object")
-        _check_keys(re_, {"a", "b", "mult"}, where)
-        a = _require(re_, "a", str, where)
-        b = _require(re_, "b", str, where)
-        mult = re_.get("mult", 1)
-        if isinstance(mult, bool) or not isinstance(mult, int):
-            raise ValidationError(f"{where}: field 'mult' must be an integer")
-        edges.append((a, b, mult))
-    metadata = data.get("metadata", {})
-    if not isinstance(metadata, dict):
-        raise ValidationError("config: field 'metadata' must be an object")
+    for re_ in data.typed("edges", list, [], items=dict):
+        re_.only("a", "b", "mult")
+        edges.append((re_.typed("a", str), re_.typed("b", str), re_.typed("mult", int, 1)))
+    metadata = dict(data.typed("metadata", dict, {}))
     try:
         config = CurveConfig(vertices, edges, name=name)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
-    return ConfigDocument(config, dict(metadata))
+    return ConfigDocument(config, metadata)
 
 
 def serialize_config(doc: ConfigDocument) -> str:
@@ -146,42 +167,39 @@ def serialize_config(doc: ConfigDocument) -> str:
     return json.dumps(data, indent=2) + "\n"
 
 
-def parse_profile(text: str) -> FibrationProfile:
-    """Parse a fibration profile.
-
-    Schema: ``{"quasi_elliptic": bool, "characteristic": int | null,
-    "fibers": [{"type": str, "count": int, "delta"?: int}]}``.
-    """
-    data = _load_json(text)
-    _check_keys(data, {"quasi_elliptic", "characteristic", "fibers"}, "profile")
-    qe = data.get("quasi_elliptic", False)
-    if not isinstance(qe, bool):
-        raise ValidationError("profile: field 'quasi_elliptic' must be a boolean")
-    char = data.get("characteristic")
-    if char is not None and (isinstance(char, bool) or not isinstance(char, int)):
-        raise ValidationError("profile: field 'characteristic' must be an integer")
-    raw_fibers = _require(data, "fibers", list, "profile")
+def profile_from_data(data: Fields, extra: tuple[str, ...] = ()) -> FibrationProfile:
+    """The fibration profile one JSON object holds, besides its ``extra``
+    fields.  Schema: ``{"quasi_elliptic": bool, "characteristic": int |
+    null, "fibers": [{"type": str, "count": int, "delta"?: int}]}``.  A
+    count, or an ``In`` or ``I*n`` Euler number, above the budget 24 is
+    rejected before any fibre is built."""
+    data.only("quasi_elliptic", "characteristic", "fibers", *extra)
+    qe = data.typed("quasi_elliptic", bool, False)
+    char = None if data.get("characteristic") is None else data.typed("characteristic", int)
     fibers = []
-    for k, rf in enumerate(raw_fibers):
-        where = f"fiber #{k}"
-        if not isinstance(rf, dict):
-            raise ValidationError(f"{where}: must be an object")
-        _check_keys(rf, {"type", "count", "delta"}, where)
-        tag = _require(rf, "type", str, where)
-        count = _require(rf, "count", int, where)
-        if count < 1:
-            raise ValidationError(f"{where}: count must be >= 1")
-        delta = rf.get("delta", 0)
-        if isinstance(delta, bool) or not isinstance(delta, int):
-            raise ValidationError(f"{where}: field 'delta' must be an integer")
+    for rf in data.typed("fibers", list, items=dict):
+        rf.only("type", "count", "delta")
+        tag = rf.typed("type", str)
+        count = rf.typed("count", int)
+        delta = rf.typed("delta", int, 0)
+        if not 1 <= count <= 24:
+            raise rf.error(f"count {count} is not in 1..24")
         try:
+            series, n = parse_tag(tag)
+            if n is not None and n + (6 if series == "I*" else 0) > 24:
+                raise ValueError(f"fiber type {tag} has Euler number above 24")
             fibers.extend(fiber(tag, delta) for _ in range(count))
         except ValueError as exc:
-            raise ValidationError(f"{where}: {exc}") from exc
+            raise rf.error(str(exc)) from exc
     try:
         return FibrationProfile(tuple(fibers), qe, char)
     except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+        raise data.error(str(exc)) from exc
+
+
+def parse_profile(text: str) -> FibrationProfile:
+    """Parse a fibration profile file (schema in :func:`profile_from_data`)."""
+    return profile_from_data(read_json(text, "profile"))
 
 
 def serialize_profile(prof: FibrationProfile) -> str:
@@ -209,26 +227,15 @@ def parse_model(text: str) -> DeclaredModel:
     Schema: ``{"H_square": int, "H_two_divisible": bool,
     "curves": [{"label": str, "pa": int, "H_dot": int}]}``.
     """
-    data = _load_json(text)
-    _check_keys(data, {"H_square", "H_two_divisible", "curves"}, "model")
-    h_square = _require(data, "H_square", int, "model")
-    two_div = data.get("H_two_divisible", False)
-    if not isinstance(two_div, bool):
-        raise ValidationError("model: field 'H_two_divisible' must be a boolean")
-    raw_curves = _require(data, "curves", list, "model")
+    data = read_json(text, "model")
+    data.only("H_square", "H_two_divisible", "curves")
+    h_square = data.typed("H_square", int)
+    two_div = data.typed("H_two_divisible", bool, False)
     curves = []
-    for k, rc in enumerate(raw_curves):
-        where = f"curve #{k}"
-        if not isinstance(rc, dict):
-            raise ValidationError(f"{where}: must be an object")
-        _check_keys(rc, {"label", "pa", "H_dot"}, where)
-        curves.append(
-            DeclaredCurve(
-                _require(rc, "label", str, where),
-                _require(rc, "pa", int, where),
-                _require(rc, "H_dot", int, where),
-            )
-        )
+    for rc in data.typed("curves", list, items=dict):
+        rc.only("label", "pa", "H_dot")
+        curve = rc.typed("label", str), rc.typed("pa", int), rc.typed("H_dot", int)
+        curves.append(DeclaredCurve(*curve))
     try:
         return DeclaredModel(h_square, two_div, tuple(curves))
     except ValueError as exc:

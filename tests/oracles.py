@@ -24,10 +24,12 @@ that one Bareiss elimination or one row reduction replaced, the Fraction
 Gauss-Jordan loop :func:`row_echelon_reference` that the fraction-free
 ``exact.row_echelon`` replaced, the quotient, inverse and apply path
 :func:`intrinsic_polarization_reference` that one Bareiss elimination of
-the quotient's integer Gram block replaced, and
+the quotient's integer Gram block replaced,
 :func:`find_kodaira_divisors_reference`, the fibre search whose shape
-step kept indefinite subsets and recognised every one it kept; all are
-kept as references for differential tests.
+step kept indefinite subsets and recognised every one it kept, and
+:func:`extremal_lookup_reference`, the catalog lookup keyed on raw extremal
+payloads before they were read as profiles; all are kept as references for
+differential tests.
 """
 
 from __future__ import annotations
@@ -895,3 +897,15 @@ def _shape_prune(cfg: CurveConfig):
         return top, edges, branch, high
 
     return grow
+
+
+def extremal_lookup_reference(prof, entries):
+    """The extremal entries whose raw payload has the profile's
+    characteristic, fibration kind and sorted fibre tags (deltas ignored)."""
+
+    def payload_key(payload):
+        tags = sorted(f["type"] for f in payload["fibers"] for _ in range(f["count"]))
+        return payload["characteristic"], payload["quasi_elliptic"], tuple(tags)
+
+    key = (prof.characteristic, prof.quasi_elliptic, tuple(sorted(prof.tags())))
+    return [e for e in entries if e.kind == "extremal" and payload_key(e.payload) == key]

@@ -1,5 +1,7 @@
 import json
 import shutil
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -16,7 +18,8 @@ from k3lat.catalog import (
 )
 from k3lat.cli import main
 from k3lat.fibration import budget_check, profile
-from k3lat.formats import ValidationError, parse_config
+from k3lat.formats import ValidationError, parse_config, profile_from_data, read_json
+from oracles import extremal_lookup_reference
 
 
 def test_catalog_has_at_least_twelve_entries():
@@ -132,13 +135,13 @@ def test_missing_field_is_an_input_error(tmp_path, monkeypatch, capsys, file, pa
             "extremal-I7-I7-IIstar.json",
             (("payload", "fibers", 0), {"type": "I7", "count": "2"}),
             "verify",
-            "extremal-I7-I7-IIstar.json: fibre count '2' is not an integer",
+            "extremal-I7-I7-IIstar.json: field 'count' is not an integer",
         ),
         (
             "extremal-I7-I7-IIstar.json",
             (("payload", "fibers", 0), 2),
             "list",
-            "extremal-I7-I7-IIstar.json: fibre 2 is not a JSON object",
+            "extremal-I7-I7-IIstar.json: an item of field 'fibers' is not a JSON object",
         ),
         (
             "extremal-I7-I7-IIstar.json",
@@ -176,11 +179,74 @@ def test_missing_field_is_an_input_error(tmp_path, monkeypatch, capsys, file, pa
             "list",
             "uniform-8xI3.json: field 'name' is not a string",
         ),
+        (
+            "extremal-I7-I7-IIstar.json",
+            (("payload", "fibers", 0, "type"), 5),
+            "verify",
+            "extremal-I7-I7-IIstar.json: field 'type' is not a string",
+        ),
+        (
+            "extremal-I7-I7-IIstar.json",
+            (("payload", "characteristic"), "7"),
+            "verify",
+            "extremal-I7-I7-IIstar.json: field 'characteristic' is not an integer",
+        ),
+        (
+            "example-D6tilde.json",
+            (("expected", "rough_bound"), []),
+            "verify",
+            "example-D6tilde.json: field 'rough_bound' is not a JSON object",
+        ),
+        (
+            "example-D6tilde.json",
+            (("expected", "exclusions"), {"d": 1}),
+            "verify",
+            "example-D6tilde.json: field 'exclusions' is not a JSON array",
+        ),
+        (
+            "example-D6tilde.json",
+            (("expected", "kodaira"), [1]),
+            "verify",
+            "example-D6tilde.json: field 'kodaira' is not a JSON object",
+        ),
+        (
+            "quasielliptic-3-10xIV.json",
+            (("expected", "sd_bound"), []),
+            "verify",
+            "quasielliptic-3-10xIV.json: field 'sd_bound' is not a JSON object",
+        ),
+        (
+            "qe2-2xE7tilde-D6tilde.json",
+            (("payload", "quasi_elliptic"), "no"),
+            "verify",
+            "qe2-2xE7tilde-D6tilde.json: field 'quasi_elliptic' is not a boolean",
+        ),
+        (
+            "example-D6tilde.json",
+            (("expected", "kodaira", "IV*"), "1"),
+            "verify",
+            "example-D6tilde.json: an item of field 'kodaira' is not an integer",
+        ),
+        (
+            "fermat-I4-cycle.json",
+            (("expected", "decomposition", 0), 3),
+            "verify",
+            "fermat-I4-cycle.json: an item of field 'decomposition' is not a string",
+        ),
+        (
+            "zz.json",
+            "{ nope",
+            "verify",
+            "zz.json: invalid JSON at line 1 column 3",
+        ),
     ],
     ids=[
         "list-array", "verify-string", "string-count", "fibre-not-object",
         "payload-array", "fibers-number", "expected-array", "file-number",
-        "kind-array", "name-number",
+        "kind-array", "name-number", "type-number", "characteristic-string",
+        "rough-bound-array", "exclusions-object", "kodaira-array",
+        "sd-bound-array", "quasi-elliptic-string", "kodaira-value-string",
+        "decomposition-number", "not-json",
     ],
 )
 def test_malformed_catalog_file_is_an_input_error(
@@ -266,3 +332,102 @@ def test_extremal_entries_all_pass_budget():
             characteristic=payload["characteristic"],
         )
         assert budget_check(prof).ok, entry.name
+
+
+def _extremal_variants(entry):
+    """The entry's payload with its fibres split into single fibres and in
+    reverse order, with its characteristic flipped, and with its fibration
+    kind flipped; variants that are no profile are left out."""
+    payload = dict(entry.payload)
+    single = [
+        {"type": f["type"], "count": 1} for f in payload["fibers"] for _ in range(f["count"])
+    ]
+    char = payload["characteristic"]
+    variants = [
+        {**payload, "fibers": single[::-1]},
+        {**payload, "characteristic": {2: 3, 3: 2}.get(char, 5)},
+        {**payload, "quasi_elliptic": not payload["quasi_elliptic"]},
+    ]
+    for variant in variants:
+        payload = read_json(json.dumps(variant), entry.name)
+        try:
+            prof = profile_from_data(payload, extra=("table_name",))
+        except ValidationError:
+            continue
+        yield replace(entry, payload=payload, profile=prof)
+
+
+def test_extremal_lookup_matches_raw_payload_reference():
+    entries = load_catalog()
+    extremal = [e for e in entries if e.kind == "extremal"]
+    # each shipped entry and each of its variants, looked up both among the
+    # shipped entries and among the shipped entries with it swapped in
+    queries = [(e, entries) for e in extremal]
+    for entry in extremal:
+        for variant in _extremal_variants(entry):
+            swapped = [variant if e is entry else e for e in entries]
+            queries += [(variant, entries), (variant, swapped)]
+    assert len(queries) > 3 * len(extremal)
+    hits = 0
+    for query, among in queries:
+        found = extremal_lookup(query.profile, among)
+        assert found == extremal_lookup_reference(query.profile, among), query.name
+        hits += bool(found)
+    assert hits > len(extremal)
+
+
+def test_extremal_lookup_ignores_wild_terms():
+    # an elliptic characteristic-2 query with wild ramification at its IV*
+    entries = load_catalog()
+    prof = profile([("I12", 1), ("IV*", 1, 1), ("I4", 1)], characteristic=2)
+    assert sum(f.delta for f in prof.fibers) == 1
+    hits = extremal_lookup(prof, entries)
+    assert [h.name for h in hits] == ["ell2-A11tilde-E6tilde-A3"]
+    assert hits == extremal_lookup_reference(prof, entries)
+
+
+def _field_paths(data, path=()):
+    yield path
+    if isinstance(data, list):
+        data = dict(enumerate(data))
+    for key, value in data.items() if isinstance(data, dict) else ():
+        yield from _field_paths(value, path + (key,))
+
+
+def test_catalog_verify_is_total_on_substituted_fields(tmp_path, monkeypatch, capsys):
+    # a config, a profile and an extremal entry, and the profile file; every
+    # field of each, at every depth, is replaced in turn by values of every
+    # JSON type, and catalog verify answers 0, 1 or 2 without raising
+    keep = (
+        "example-D6tilde.json", "quasielliptic-3-10xIV.json", "extremal-I7-I7-IIstar.json"
+    )
+    data_dir = tmp_path / "data"
+    shutil.copytree(data_root(), data_dir)
+    for path in (data_dir / "catalog").glob("*.json"):
+        if path.name not in keep:
+            path.unlink()
+    monkeypatch.setenv(CATALOG_ENV_VAR, str(data_dir))
+    assert main(["catalog", "verify"]) == 0
+    targets = [data_dir / "catalog" / name for name in keep]
+    targets.append(data_dir / "examples" / "profile-qe3-10xIV.json")
+    codes = Counter()
+    for target in targets:
+        original = target.read_text()
+        shipped = json.loads(original)
+        for path in _field_paths(shipped):
+            for value in (5, "7", [], {}, None, True):
+                data = json.loads(original)
+                if path:
+                    block = data
+                    for key in path[:-1]:
+                        block = block[key]
+                    block[path[-1]] = value
+                else:
+                    data = value
+                target.write_text(json.dumps(data))
+                code = main(["catalog", "verify"])
+                assert code in (0, 1, 2), (target.name, path, value)
+                codes[code] += 1
+        target.write_text(original)
+    capsys.readouterr()
+    assert codes[2] > codes[0] + codes[1] > 0

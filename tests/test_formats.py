@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from k3lat import formats
 from k3lat.formats import (
     ParseError,
     ValidationError,
@@ -11,6 +12,8 @@ from k3lat.formats import (
     parse_fraction,
     parse_model,
     parse_profile,
+    profile_from_data,
+    read_json,
     serialize_config,
     serialize_model,
     serialize_profile,
@@ -73,6 +76,11 @@ def test_parse_config_bad_json_has_location():
     with pytest.raises(ParseError) as err:
         parse_config("{\n  broken\n}")
     assert "line 2" in str(err.value)
+
+
+def test_deeply_nested_json_is_a_parse_error():
+    with pytest.raises(ParseError, match="config: JSON nested too deeply"):
+        parse_config("[" * 100_000 + "]" * 100_000)
 
 
 def test_parse_config_rejects_non_object():
@@ -158,3 +166,67 @@ def test_fraction_formatting():
         parse_fraction("abc")
     with pytest.raises(ParseError):
         parse_fraction("1/0")
+
+
+@pytest.mark.parametrize(
+    "fibre, error",
+    [
+        ({"type": "I2", "count": 200000}, "count 200000 is not in 1..24"),
+        ({"type": "I1", "count": 25}, "count 25 is not in 1..24"),
+        ({"type": "I1000000", "count": 1}, "Euler number above 24"),
+        ({"type": "I25", "count": 1}, "Euler number above 24"),
+        ({"type": "I*19", "count": 1}, "Euler number above 24"),
+    ],
+    ids=["count-200000", "count-25", "I1000000", "I25", "Istar19"],
+)
+def test_profile_size_is_bounded_before_any_fibre_is_built(monkeypatch, fibre, error):
+    built = []
+    real = formats.fiber
+
+    def spy(*args):
+        built.append(args)
+        assert len(built) <= 25, "more fibres built than a profile can hold"
+        return real(*args)
+
+    monkeypatch.setattr(formats, "fiber", spy)
+    with pytest.raises(ValidationError, match=error):
+        parse_profile(json.dumps({"fibers": [fibre]}))
+    assert built == []
+    # the largest of each still reads
+    for tag, count in (("I1", 24), ("I24", 1), ("I*18", 1)):
+        built.clear()
+        prof = parse_profile(json.dumps({"fibers": [{"type": tag, "count": count}]}))
+        assert len(prof.fibers) == count
+
+
+def test_fields_name_where_each_object_sits():
+    # the kind of input (or the file), the field, and the nested object's path
+    cases = [
+        (
+            parse_config,
+            {"vertices": [{"id": "a", "square": -2}, {"id": "b", "square": True}]},
+            r"config: field 'square' is not an integer in vertices\[1\]$",
+        ),
+        (
+            parse_profile,
+            {"fibers": [{"type": "I2"}]},
+            r"profile: missing field 'count' in fibers\[0\]$",
+        ),
+        (
+            parse_profile,
+            {"fibers": [3]},
+            "profile: an item of field 'fibers' is not a JSON object$",
+        ),
+        (
+            parse_model,
+            {"H_square": 8, "H_two_divisible": 1, "curves": []},
+            "model: field 'H_two_divisible' is not a boolean$",
+        ),
+    ]
+    for parse, data, error in cases:
+        with pytest.raises(ValidationError, match=error):
+            parse(json.dumps(data))
+    data = read_json('{"payload": {"fibers": [{"type": "I2", "count": 1.5}]}}', "x.json")
+    error = r"x.json: field 'count' is not an integer in payload.fibers\[0\]$"
+    with pytest.raises(ValidationError, match=error):
+        profile_from_data(data.typed("payload", dict))
