@@ -40,22 +40,23 @@ subconfigurations through :func:`~k3lat.graph.connected_vertex_subsets`,
 whose step borders a nondegenerate parent one curve smaller: the
 determinant and the adjugate of its Gram matrix follow in ``O(k^2)`` by a
 fraction-free (Bareiss-Sylvester) update, and its inertia by the sign of
-one Schur complement (Haynsworth additivity).  A subconfiguration whose
-connected parents are all degenerate takes one Bareiss elimination.  Both
-bounds are read off the adjugate's entry, row and sign sums, and one rule,
-:func:`_box_total`, picks the box bound wherever its split applies.  A
-subconfiguration at the last level has no children, so it keeps no
-adjugate: its row sums follow in ``O(k)`` from its parent's, and its sign
-sum, in ``O(k^2)`` without building a row, only when the box split fails.
-Only the certificate that is returned is built, from the sweep's own
-adjugate (re-bordered from its parent at the last level), with its witness
-checked.
+one Schur complement (Haynsworth additivity).  The subsets of one level
+whose Gram matrices agree in their stored orders, as across the fibres of
+a fibration, share one computed state (:func:`_bordered`).  A
+subconfiguration whose connected parents are all degenerate takes one
+Bareiss elimination.  Both bounds are read off the adjugate's entry, row
+and sign sums, once per shared state, and one rule, :func:`_box_total`, picks the
+box bound wherever its split applies.  A subconfiguration at the last
+level has no children, so it keeps no adjugate: its row sums follow in
+``O(k)`` from its parent's, and its sign sum, in ``O(k^2)`` without
+building a row, only when the box split fails.  Only the certificate that
+is returned is built, from the sweep's own adjugate (re-bordered from its
+parent at the last level, outside the table), with its witness checked.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -200,13 +201,16 @@ class _Adjugate(NamedTuple):
     ``order`` lists the vertex indices that its rows follow; ``det`` and
     ``adj`` are the determinant and adjugate of the Gram matrix in that
     order, so that its inverse is ``adj / det``, and ``n_plus`` its
-    positive inertia.
+    positive inertia.  A sweep state (:func:`_bordered`) has its class
+    ``cls`` and the ``total`` of :func:`_hyperbolic_total`.
     """
 
     order: tuple[int, ...]
     det: int
     adj: list[list[int]]
     n_plus: int
+    cls: int = 0
+    total: int | None = None
 
 
 def _adjugate(order: tuple[int, ...], g: list[list[int]]) -> _Adjugate | None:
@@ -431,10 +435,6 @@ def _certificate(
     return _rough_certificate(ids, entry, d)
 
 
-# the empty subset, which every singleton borders
-_EMPTY = _Adjugate((), 1, [], 0)
-
-
 class _Leaf(NamedTuple):
     """A nondegenerate subset at the sweep's last level, which has no
     children: ``parent`` bordered by the curve ``u``, with determinant
@@ -449,46 +449,83 @@ class _Leaf(NamedTuple):
     total: int | None
 
 
+# the value of a key that the sweep's level has not met yet
+_UNSEEN = object()
+
+
 def _bordered(
-    g: list[list[int]], cap: int | None, parent: _Adjugate | None, u: int,
-    subset: tuple[int, ...],
+    g: list[list[int]], cap: int | None, states: dict,
+    parent: _Adjugate | None, u: int, subset: tuple[int, ...],
 ) -> _Adjugate | _Leaf | None:
     """The sweep state of ``subset``, which is ``parent + {u}``, or None when
     it is degenerate; ``g`` is the Gram matrix of the whole configuration.
     A subset of ``cap`` curves has no children and gets a :class:`_Leaf`;
     any other gets its :class:`_Adjugate` (all of them when ``cap`` is None).
 
-    With ``D``, ``A`` the determinant and adjugate of the parent and ``b``,
-    ``c`` the column and diagonal entry of ``u``, put ``a = A b``.  Then
-    ``t = D c - b.a`` is the new determinant, Sylvester's identity makes
-    ``[[(t A + a a^T) / D, -a], [-a^T, D]]`` the new adjugate with exact
-    division, and the Schur complement ``t / D`` adds one positive
-    direction iff ``t D > 0`` (Haynsworth inertia additivity).  A leaf
-    needs only the new row sums, ``(t r + a sum(a)) / D - a`` and
-    ``D - sum(a)`` from the parent's row sums ``r``, and the sign sum of
-    the new adjugate only when the box split fails.  A parent of None,
-    every connected parent being degenerate, leaves one Bareiss
-    elimination of the subset.
+    The state depends only on the parent's Gram matrix in its order, the
+    column ``b`` of ``u`` over that order (its nonzero ``(position,
+    multiplicity)`` pairs) and the square ``c`` of ``u``.  So ``states``,
+    the table of one level, keeps what :func:`_border` computes under
+    ``(parent class, b, c)``, and a subset takes it with its own order.  A
+    state's class is the table's size before it is stored, so states of
+    one level share a class only when their Gram matrices in their orders
+    are equal; shared rows are never mutated.  A parent of None, every
+    connected parent being degenerate, leaves one Bareiss elimination,
+    stored under the subset to number its class.
     """
     if parent is None:
-        return _adjugate(subset, [[g[i][j] for j in subset] for i in subset])
-    order, det, adj, n_plus = parent
+        entry = _adjugate(subset, [[g[i][j] for j in subset] for i in subset])
+        if entry is None:
+            return None
+        total = _hyperbolic_total(entry.det, entry.adj, entry.n_plus)
+        states[subset] = entry._replace(cls=len(states), total=total)
+        return states[subset]
     col = g[u]
-    b = [(i, col[v]) for i, v in enumerate(order) if col[v]]
+    b = tuple((i, col[v]) for i, v in enumerate(parent.order) if col[v])
+    key = parent.cls, b, col[u]
+    state = states.get(key, _UNSEEN)
+    if state is _UNSEEN:
+        cls = None if len(subset) == cap else len(states)
+        state = states[key] = _border(parent, b, col[u], cls)
+    if state is None:
+        return None
+    if len(subset) == cap:
+        return _Leaf(parent, u, *state)
+    return _Adjugate(parent.order + (u,), *state)
+
+
+def _border(
+    parent: _Adjugate, b: tuple[tuple[int, int], ...], c: int, cls: int | None
+) -> tuple | None:
+    """The fields after ``order`` of the :class:`_Adjugate` of class ``cls``
+    of ``parent`` bordered by the column ``b`` and the square ``c``, or with
+    ``cls`` None those after ``u`` of a :class:`_Leaf`; None when it is
+    degenerate.
+
+    With ``D``, ``A`` the determinant and adjugate of the parent, put
+    ``a = A b``.  Then ``t = D c - b.a`` is the new determinant, Sylvester's
+    identity makes ``[[(t A + a a^T) / D, -a], [-a^T, D]]`` the new adjugate
+    with exact division, and the Schur complement ``t / D`` adds one
+    positive direction iff ``t D > 0`` (Haynsworth inertia additivity).  A
+    leaf needs only the new row sums, ``(t r + a sum(a)) / D - a`` and
+    ``D - sum(a)`` from the parent's row sums ``r``, and the sign sum of
+    the new adjugate only when the box split fails.
+    """
+    det, adj, n_plus = parent.det, parent.adj, parent.n_plus
     a = [sum(row[i] * x for i, x in b) for row in adj]
-    t = det * col[u] - sum(a[i] * x for i, x in b)
+    t = det * c - sum(a[i] * x for i, x in b)
     if t == 0:
         return None
     n_plus += t * det > 0
-    if len(subset) != cap:
+    if cls is not None:
         rows = [
             [(t * x + ai * aj) // det for x, aj in zip(row, a)] + [-ai]
             for row, ai in zip(adj, a)
         ]
         rows.append([-ai for ai in a] + [det])
-        return _Adjugate(order + (u,), t, rows, n_plus)
+        return t, rows, n_plus, cls, _hyperbolic_total(t, rows, n_plus)
     if n_plus != 1:
-        return _Leaf(parent, u, t, n_plus, None)
+        return t, n_plus, None
     sa = sum(a)
     sums = [(t * r + ai * sa) // det - ai for r, ai in zip(map(sum, adj), a)]
     sums.append(det - sa)
@@ -508,7 +545,7 @@ def _bordered(
         border = sum(ai for ai in a if sigma * ai < 0)
         corner = det if sigma * det > 0 else 0
         total = sigma * (block // det - 2 * border + corner)
-    return _Leaf(parent, u, t, n_plus, total)
+    return t, n_plus, total
 
 
 def _adjugate_sweep(cfg: CurveConfig, g: list[list[int]], cap: int):
@@ -522,10 +559,20 @@ def _adjugate_sweep(cfg: CurveConfig, g: list[list[int]], cap: int):
     Each subset borders the first nondegenerate connected parent
     (:func:`~k3lat.graph.connected_vertex_subsets`); one whose connected
     parents are all degenerate is computed from scratch by one Bareiss
-    elimination.
+    elimination.  The table of shared states (:func:`_bordered`) holds
+    one level, the only one the next borders.
     """
-    step = functools.partial(_bordered, g, cap)
-    return connected_vertex_subsets(cfg, cap, step, _EMPTY)
+    states: dict = {}
+    size = 0
+
+    def step(parent, u, subset):
+        nonlocal size
+        if len(subset) != size:
+            states.clear()
+            size = len(subset)
+        return _bordered(g, cap, states, parent, u, subset)
+
+    return connected_vertex_subsets(cfg, cap, step, _Adjugate((), 1, [], 0))
 
 
 def _box_total(det: int, sums: list[int]) -> int:
@@ -546,17 +593,18 @@ def _box_total(det: int, sums: list[int]) -> int:
     return -total if total < 0 and max(sums) <= 0 else 0
 
 
+def _hyperbolic_total(det: int, adj: list[list[int]], n_plus: int) -> int | None:
+    """``|det|`` times the bound at ``d = 1`` of :func:`_certificate` for
+    the inverse ``adj / det`` of inertia ``(1, k - 1)``, else None."""
+    if n_plus != 1:
+        return None
+    return _box_total(det, [sum(row) for row in adj]) or _rough_total(det, adj)
+
+
 def _sweep_bound(entry: _Adjugate | _Leaf, d: int) -> tuple[int, int]:
-    """Numerator and positive denominator of the bound that
-    :func:`_certificate` carries: a leaf's own, else the box bound
-    (:func:`_box_total`) or the rough one read off the adjugate.
-    """
-    if isinstance(entry, _Leaf):
-        total = entry.total
-    else:
-        det, adj = entry.det, entry.adj
-        total = _box_total(det, [sum(row) for row in adj]) or _rough_total(det, adj)
-    return total * d * d, abs(entry.det)
+    """Numerator and positive denominator of the bound of a sweep state of
+    inertia ``(1, k - 1)``, computed once per class."""
+    return entry.total * d * d, abs(entry.det)
 
 
 def _checked_certificate(
@@ -568,7 +616,7 @@ def _checked_certificate(
     checked, held to the bound the sweep found.  A leaf's adjugate is
     bordered from its parent again in the sweep's Gram matrix ``g``."""
     if isinstance(entry, _Leaf):
-        entry = _bordered(g, None, entry.parent, entry.u, subset)
+        entry = _bordered(g, None, {}, entry.parent, entry.u, subset)
     pos = {v: k for k, v in enumerate(entry.order)}
     perm = [pos[i] for i in subset]
     entry = entry._replace(
@@ -608,9 +656,11 @@ def exclude(
     The sweep keeps a bordered integer adjugate and the inertia of each
     nondegenerate subconfiguration, updated from a parent one curve smaller
     (inertia additivity), and reads each bound off it without building a
-    witness.  At ``subgraph_cap`` curves, where nothing is grown further,
-    it builds no adjugate: the bound comes from row sums in ``O(k)``, plus
-    an ``O(k^2)`` sign sum only on the rough fallback.  The witness is
+    witness.  Subconfigurations of one size whose Gram matrices agree in
+    their stored orders share one update and one bound.  At
+    ``subgraph_cap`` curves, where nothing is grown further, it builds no
+    adjugate: the bound comes from row sums in ``O(k)``, plus an
+    ``O(k^2)`` sign sum only on the rough fallback.  The witness is
     built and checked only for the certificate returned, whose adjugate is
     re-bordered from its parent when it sits at the cap; it must carry the
     bound the sweep found.

@@ -7,10 +7,12 @@ so it doubles as the integration test of the whole package.  The extremal
 entries are trusted literature data, kept only in their catalog files; each
 payload is read by the profile schema (:func:`k3lat.formats.profile_from_data`)
 once, at load.  Every object of a catalog file goes through the one reader
-:class:`k3lat.formats.Fields`, so a missing field or one of the wrong JSON
-type is an input error naming the file and the field.  The data directory
-can be overridden with the ``K3LAT_CATALOG_DIR`` environment variable (it
-must contain ``catalog/`` and ``examples/`` subdirectories).
+:class:`k3lat.formats.Fields`, so a missing field, one of the wrong JSON
+type, or an expected-block field that the table of checked fields does not
+know, is an input error naming the file and the field; so is an error in
+an entry's example file.  The data directory can be overridden with the
+``K3LAT_CATALOG_DIR`` environment variable (it must contain ``catalog/``
+and ``examples/`` subdirectories).
 """
 
 from __future__ import annotations
@@ -62,17 +64,17 @@ _EXPECTED_ITEMS = {"decomposition": str, "failed": str, "kodaira": int, "exclusi
 
 
 def _read_expected(block: formats.Fields) -> formats.Fields:
-    """The block, each field of the table type-checked and each nested
-    object read in place as Fields."""
+    """The block, each field type-checked by the table, one it does not
+    know rejected, and each nested object read in place as Fields; the keys
+    of ``kodaira`` are fibre tags, not fields."""
+    block.only(*_EXPECTED_TYPES)
     for key in block:
-        kind = _EXPECTED_TYPES.get(key)
-        if kind is not None:
-            items = _EXPECTED_ITEMS.get(key)
-            value = block.typed(key, kind, items=items)
-            if kind is dict:
-                block[key] = _read_expected(value)
-            elif items is dict:
-                block[key] = [_read_expected(case) for case in value]
+        kind, items = _EXPECTED_TYPES[key], _EXPECTED_ITEMS.get(key)
+        value = block.typed(key, kind, items=items)
+        if kind is dict and items is None:
+            block[key] = _read_expected(value)
+        elif items is dict:
+            block[key] = [_read_expected(case) for case in value]
     return block
 
 
@@ -153,7 +155,7 @@ def _check(name: str, expected, actual) -> CheckResult:
 
 
 def _verify_config_entry(entry: CatalogEntry, entries: list[CatalogEntry]) -> EntryReport:
-    doc = formats.parse_config(entry_file_text(entry))
+    doc = formats.parse_config(entry_file_text(entry), entry.file)
     cfg = doc.config
     exp = entry.expected
     checks = []
@@ -198,7 +200,7 @@ def _verify_config_entry(entry: CatalogEntry, entries: list[CatalogEntry]) -> En
 
 
 def _verify_profile_entry(entry: CatalogEntry, entries: list[CatalogEntry]) -> EntryReport:
-    prof = formats.parse_profile(entry_file_text(entry))
+    prof = formats.parse_profile(entry_file_text(entry), entry.file)
     exp = entry.expected
     report = fibration.budget_check(prof)
     checks = [
@@ -248,7 +250,7 @@ def _verify_extremal_entry(entry: CatalogEntry, entries: list[CatalogEntry]) -> 
 
 
 def _verify_model_entry(entry: CatalogEntry, entries: list[CatalogEntry]) -> EntryReport:
-    model = formats.parse_model(entry_file_text(entry))
+    model = formats.parse_model(entry_file_text(entry), entry.file)
     verdict = fibration.very_ample_check(model)
     exp = entry.expected
     checks = [_check("passes", exp["passes"], verdict.passed)]

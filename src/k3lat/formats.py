@@ -118,19 +118,19 @@ class ConfigDocument:
     metadata: dict = field(default_factory=dict)
 
 
-def parse_config(text: str) -> ConfigDocument:
-    """Parse a configuration file.
+def parse_config(text: str, where: str = "config") -> ConfigDocument:
+    """Parse a configuration file; its errors name it ``where``.
 
     Schema: ``{"name": str, "vertices": [{"id", "square", "degree"?}],
     "edges": [{"a", "b", "mult"?}], "metadata": {...}}``.  Degree defaults
     to 1, edge multiplicity defaults to 1.
     """
-    data = read_json(text, "config")
+    data = read_json(text, where)
     data.only("name", "vertices", "edges", "metadata")
     name = data.typed("name", str, "")
     raw_vertices = data.typed("vertices", list, items=dict)
     if not raw_vertices:
-        raise ValidationError("config: needs at least one vertex")
+        raise data.error("needs at least one vertex")
     vertices = []
     for rv in raw_vertices:
         rv.only("id", "square", "degree")
@@ -147,7 +147,7 @@ def parse_config(text: str) -> ConfigDocument:
     try:
         config = CurveConfig(vertices, edges, name=name)
     except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+        raise data.error(str(exc)) from exc
     return ConfigDocument(config, metadata)
 
 
@@ -197,9 +197,10 @@ def profile_from_data(data: Fields, extra: tuple[str, ...] = ()) -> FibrationPro
         raise data.error(str(exc)) from exc
 
 
-def parse_profile(text: str) -> FibrationProfile:
-    """Parse a fibration profile file (schema in :func:`profile_from_data`)."""
-    return profile_from_data(read_json(text, "profile"))
+def parse_profile(text: str, where: str = "profile") -> FibrationProfile:
+    """Parse a fibration profile file (schema in :func:`profile_from_data`);
+    its errors name it ``where``."""
+    return profile_from_data(read_json(text, where))
 
 
 def serialize_profile(prof: FibrationProfile) -> str:
@@ -221,13 +222,14 @@ def serialize_profile(prof: FibrationProfile) -> str:
     return json.dumps(data, indent=2) + "\n"
 
 
-def parse_model(text: str) -> DeclaredModel:
-    """Parse a declared model for the very-ampleness checker.
+def parse_model(text: str, where: str = "model") -> DeclaredModel:
+    """Parse a declared model for the very-ampleness checker; its errors
+    name it ``where``.
 
     Schema: ``{"H_square": int, "H_two_divisible": bool,
     "curves": [{"label": str, "pa": int, "H_dot": int}]}``.
     """
-    data = read_json(text, "model")
+    data = read_json(text, where)
     data.only("H_square", "H_two_divisible", "curves")
     h_square = data.typed("H_square", int)
     two_div = data.typed("H_two_divisible", bool, False)
@@ -239,7 +241,7 @@ def parse_model(text: str) -> DeclaredModel:
     try:
         return DeclaredModel(h_square, two_div, tuple(curves))
     except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+        raise data.error(str(exc)) from exc
 
 
 def serialize_model(model: DeclaredModel) -> str:

@@ -722,6 +722,24 @@ def test_exclude_sweep_step_counts_are_pinned(monkeypatch):
     assert sum(state is None for state in steps) == 81
 
 
+def test_exclude_sweep_computes_each_shared_state_once(monkeypatch):
+    # the same sweep: a subset whose parent's class, border column and
+    # diagonal entry have been met at its level takes the stored state, so
+    # only 38 of the 1257 steps compute a bordered update
+    computed = []
+    real = bounds._border
+
+    def spy(*args):
+        computed.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(bounds, "_border", spy)
+    steps = recorded_steps(monkeypatch, bounds)
+    exclude(i4_fibres_with_section(), 1, 11, subgraph_cap=6)
+    assert (len(steps), sum(state is None for state in steps)) == (1257, 81)
+    assert len(computed) == 38
+
+
 def _random_config(data):
     # 2-6 curves of squares -2, 0 or 2, degrees up to a cap d of 1-3, and
     # multiplicities up to 3
@@ -771,9 +789,9 @@ def test_nodal_fibres_sweep_stops_at_the_rank(monkeypatch, d):
     # H.C = d on every curve and H^2 = 4 d^2, so the bound is sharp
     real = bounds._bordered
 
-    def spy(g, cap, parent, u, subset):
+    def spy(g, cap, states, parent, u, subset):
         assert len(subset) <= 2
-        return real(g, cap, parent, u, subset)
+        return real(g, cap, states, parent, u, subset)
 
     monkeypatch.setattr(bounds, "_bordered", spy)
     cfg = _nodal_fibres(d)
@@ -846,7 +864,7 @@ def _leaf_adjugate(cfg, subset, leaf):
     # of a leaf is built; it must carry the leaf's determinant, inertia and
     # bound
     g = graph.integer_gram(cfg, range(cfg.n))
-    entry = bounds._bordered(g, None, leaf.parent, leaf.u, subset)
+    entry = bounds._bordered(g, None, {}, leaf.parent, leaf.u, subset)
     assert entry.order == leaf.parent.order + (leaf.u,)
     assert (entry.det, entry.n_plus) == (leaf.det, leaf.n_plus)
     assert leaf.total == (_sweep_bound(entry, 1)[0] if leaf.n_plus == 1 else None)
@@ -855,16 +873,23 @@ def _leaf_adjugate(cfg, subset, leaf):
 
 def test_sweep_adjugates_exact_on_stress_configuration():
     # every cached entry, which checks the exact division of each update;
-    # the last level's through its rebuilt adjugate
-    cfg = i4_fibres_with_section()
-    for subset, entry in _sweep(cfg, 6):
-        if entry is None:
-            assert signature(gram(cfg).submatrix(subset)).n_zero > 0
-            continue
-        if isinstance(entry, _Leaf):
-            entry = _leaf_adjugate(cfg, subset, entry)
-        assert sorted(entry.order) == list(subset)
-        _assert_exact_entry(cfg, entry)
+    # the last level's through its rebuilt adjugate.  Most entries share
+    # their rows with subsets of equal Gram matrix, which the relabelled,
+    # reordered copy pairs up differently
+    for cfg in (i4_fibres_with_section(), _relabelled_fibrations(copies=1)[0]):
+        shared = Counter()
+        # all held at once, so that no two live entries' rows have one id
+        for subset, entry in list(_sweep(cfg, 6)):
+            if entry is None:
+                assert signature(gram(cfg).submatrix(subset)).n_zero > 0
+                continue
+            if isinstance(entry, _Leaf):
+                entry = _leaf_adjugate(cfg, subset, entry)
+            else:
+                shared[id(entry.adj)] += 1
+            assert sorted(entry.order) == list(subset)
+            _assert_exact_entry(cfg, entry)
+        assert max(shared.values()) > 1
 
 
 def _has_nondegenerate_connected_parent(cfg, subset):

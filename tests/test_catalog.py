@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 from collections import Counter
 from dataclasses import replace
@@ -239,6 +240,26 @@ def test_missing_field_is_an_input_error(tmp_path, monkeypatch, capsys, file, pa
             "verify",
             "zz.json: invalid JSON at line 1 column 3",
         ),
+        # a misspelt field would drop its check; the tags under kodaira are
+        # not fields
+        (
+            "fermat-I4-cycle.json",
+            (("expected", "vertex_cout"), 99),
+            "verify",
+            "fermat-I4-cycle.json: unknown fields ['vertex_cout'] in expected",
+        ),
+        (
+            "example-D6tilde.json",
+            (("expected", "rough_bound", "dd"), 1),
+            "verify",
+            "example-D6tilde.json: unknown fields ['dd'] in expected.rough_bound",
+        ),
+        (
+            "example-D6tilde.json",
+            (("expected", "exclusions", 0, "stat"), "HyperbolicExcluded"),
+            "verify",
+            "example-D6tilde.json: unknown fields ['stat'] in expected.exclusions[0]",
+        ),
     ],
     ids=[
         "list-array", "verify-string", "string-count", "fibre-not-object",
@@ -246,7 +267,8 @@ def test_missing_field_is_an_input_error(tmp_path, monkeypatch, capsys, file, pa
         "kind-array", "name-number", "type-number", "characteristic-string",
         "rough-bound-array", "exclusions-object", "kodaira-array",
         "sd-bound-array", "quasi-elliptic-string", "kodaira-value-string",
-        "decomposition-number", "not-json",
+        "decomposition-number", "not-json", "unknown-expected",
+        "unknown-nested", "unknown-in-array",
     ],
 )
 def test_malformed_catalog_file_is_an_input_error(
@@ -265,10 +287,46 @@ def test_malformed_catalog_file_is_an_input_error(
         text = json.dumps(data)
     target.write_text(text)
     monkeypatch.setenv(CATALOG_ENV_VAR, str(tmp_path / "data"))
-    with pytest.raises(ValidationError, match=error):
+    with pytest.raises(ValidationError, match=re.escape(error)):
         load_catalog()
     assert main(["catalog", action]) == 2
     assert error in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "file, path, error",
+    [
+        ("fermat-I4-cycle.json", ("vertices", 0, "square"),
+         "missing field 'square' in vertices[0]"),
+        ("fermat-I4-cycle.json", ("vertices", 1, "id"),
+         "duplicate vertex id 'L0'"),
+        ("profile-6xI4.json", ("fibers", 0, "count"),
+         "missing field 'count' in fibers[0]"),
+        ("model-quartic-polarization.json", ("curves", 2, "pa"),
+         "missing field 'pa' in curves[2]"),
+        ("model-quartic-polarization.json", ("H_square",), "missing field 'H_square'"),
+    ],
+    ids=["config", "config-value", "profile", "model", "model-top"],
+)
+def test_example_file_errors_name_the_file(
+    tmp_path, monkeypatch, capsys, file, path, error
+):
+    # the field at this path of the shipped example is deleted, or, for an
+    # id, set to the id before it
+    shutil.copytree(data_root(), tmp_path / "data")
+    target = tmp_path / "data" / "examples" / file
+    data = json.loads(target.read_text())
+    block = data
+    for key in path[:-1]:
+        block = block[key]
+    if path[-1] == "id":
+        block[path[-1]] = data["vertices"][0]["id"]
+    else:
+        del block[path[-1]]
+    target.write_text(json.dumps(data))
+    monkeypatch.setenv(CATALOG_ENV_VAR, str(tmp_path / "data"))
+    assert main(["catalog", "verify"]) == 2
+    assert f"input error: {file}: {error}\n" == capsys.readouterr().err
 
 
 def test_get_entry_unknown_raises():
