@@ -47,11 +47,13 @@ subconfiguration whose connected parents are all degenerate takes one
 Bareiss elimination.  Both bounds are read off the adjugate's entry, row
 and sign sums, once per shared state, and one rule, :func:`_box_total`, picks the
 box bound wherever its split applies.  A subconfiguration at the last
-level has no children, so it keeps no adjugate: its row sums follow in
-``O(k)`` from its parent's, and its sign sum, in ``O(k^2)`` without
-building a row, only when the box split fails.  Only the certificate that
-is returned is built, from the sweep's own adjugate (re-bordered from its
-parent at the last level, outside the table), with its witness checked.
+level has no children, so its state is the table's shared entry, with no
+order or adjugate: its row sums follow in ``O(k)`` from its parent's, and
+its sign sum, in ``O(k^2)`` without building a row, only when the box
+split fails.  Only the certificate that is returned is built, from its
+support's own Gram matrix by one Bareiss elimination, as
+:func:`verify_certificate` does; its witness is checked and its bound held
+to the one the sweep found.
 """
 
 from __future__ import annotations
@@ -74,6 +76,7 @@ from .graph import (
     CurveConfig,
     SpanKind,
     _radical_reduction,
+    check_caps,
     classify,
     connected_vertex_subsets,
     integer_gram,
@@ -202,12 +205,13 @@ class _Adjugate(NamedTuple):
     ``adj`` are the determinant and adjugate of the Gram matrix in that
     order, so that its inverse is ``adj / det``, and ``n_plus`` its
     positive inertia.  A sweep state (:func:`_bordered`) has its class
-    ``cls`` and the ``total`` of :func:`_hyperbolic_total`.
+    ``cls`` and the ``total`` of :func:`_hyperbolic_total`; one bordered
+    at the sweep's cap, which has no children, keeps no order or adjugate.
     """
 
     order: tuple[int, ...]
     det: int
-    adj: list[list[int]]
+    adj: list[list[int]] | None
     n_plus: int
     cls: int = 0
     total: int | None = None
@@ -298,8 +302,7 @@ def rough_bound(cfg: CurveConfig, d: int) -> BoundCertificate:
     positive inverse entry contributes at most ``d^2`` to the square of the
     solution class.
     """
-    if type(d) is not int or d < 1:
-        raise ValueError("d must be positive")
+    check_caps(d=d)
     _, entry = _inverse_gram(cfg)
     return _rough_certificate(cfg.ids(), entry, d)
 
@@ -313,8 +316,7 @@ def box_certificate(cfg: CurveConfig, d: int) -> BoundCertificate:
     sum of the inverse is negative, or the total sum is not positive);
     callers fall back to :func:`rough_bound`.
     """
-    if type(d) is not int or d < 1:
-        raise ValueError("d must be positive")
+    check_caps(d=d)
     g, entry = _inverse_gram(cfg)
     if entry.n_plus != 1:
         raise NoDecompositionFoundError("the Gram matrix is not of inertia (1, k - 1)")
@@ -424,43 +426,19 @@ def verify_certificate(cert: BoundCertificate, cfg: CurveConfig) -> bool:
     return False
 
 
-def _certificate(
-    ids: tuple[str, ...], g: list[list[int]], entry: _Adjugate, d: int
-) -> BoundCertificate:
-    """The certificate of one nondegenerate hyperbolic subconfiguration
-    with Gram matrix ``g``: box when :func:`_box_total` lets the split
-    apply, else rough."""
-    if _box_total(entry.det, [sum(row) for row in entry.adj]):
-        return _box_certificate(ids, g, entry, d)
-    return _rough_certificate(ids, entry, d)
-
-
-class _Leaf(NamedTuple):
-    """A nondegenerate subset at the sweep's last level, which has no
-    children: ``parent`` bordered by the curve ``u``, with determinant
-    ``det`` and positive inertia ``n_plus``.  ``total`` is ``|det|`` times
-    its bound at ``d = 1`` when it is of inertia ``(1, k - 1)``, else None.
-    """
-
-    parent: _Adjugate
-    u: int
-    det: int
-    n_plus: int
-    total: int | None
-
-
 # the value of a key that the sweep's level has not met yet
 _UNSEEN = object()
 
 
 def _bordered(
-    g: list[list[int]], cap: int | None, states: dict,
+    g: list[list[int]], cap: int, states: dict,
     parent: _Adjugate | None, u: int, subset: tuple[int, ...],
-) -> _Adjugate | _Leaf | None:
+) -> _Adjugate | None:
     """The sweep state of ``subset``, which is ``parent + {u}``, or None when
     it is degenerate; ``g`` is the Gram matrix of the whole configuration.
-    A subset of ``cap`` curves has no children and gets a :class:`_Leaf`;
-    any other gets its :class:`_Adjugate` (all of them when ``cap`` is None).
+    A subset of ``cap`` curves has no children, so its bordered state is
+    the table's shared entry, with no order or adjugate; any other gets
+    its own order.
 
     The state depends only on the parent's Gram matrix in its order, the
     column ``b`` of ``u`` over that order (its nonzero ``(position,
@@ -484,32 +462,31 @@ def _bordered(
     b = tuple((i, col[v]) for i, v in enumerate(parent.order) if col[v])
     key = parent.cls, b, col[u]
     state = states.get(key, _UNSEEN)
+    leaf = len(subset) == cap
     if state is _UNSEEN:
-        cls = None if len(subset) == cap else len(states)
-        state = states[key] = _border(parent, b, col[u], cls)
-    if state is None:
-        return None
-    if len(subset) == cap:
-        return _Leaf(parent, u, *state)
+        state = states[key] = _border(parent, b, col[u], None if leaf else len(states))
+    if state is None or leaf:
+        return state
     return _Adjugate(parent.order + (u,), *state)
 
 
 def _border(
     parent: _Adjugate, b: tuple[tuple[int, int], ...], c: int, cls: int | None
-) -> tuple | None:
+) -> tuple | _Adjugate | None:
     """The fields after ``order`` of the :class:`_Adjugate` of class ``cls``
     of ``parent`` bordered by the column ``b`` and the square ``c``, or with
-    ``cls`` None those after ``u`` of a :class:`_Leaf`; None when it is
-    degenerate.
+    ``cls`` None the state shared by the subsets at the sweep's cap, with no
+    order or adjugate; None when it is degenerate.
 
     With ``D``, ``A`` the determinant and adjugate of the parent, put
     ``a = A b``.  Then ``t = D c - b.a`` is the new determinant, Sylvester's
     identity makes ``[[(t A + a a^T) / D, -a], [-a^T, D]]`` the new adjugate
     with exact division, and the Schur complement ``t / D`` adds one
     positive direction iff ``t D > 0`` (Haynsworth inertia additivity).  A
-    leaf needs only the new row sums, ``(t r + a sum(a)) / D - a`` and
-    ``D - sum(a)`` from the parent's row sums ``r``, and the sign sum of
-    the new adjugate only when the box split fails.
+    state at the cap needs only the new row sums,
+    ``(t r + a sum(a)) / D - a`` and ``D - sum(a)`` from the parent's row
+    sums ``r``, and the sign sum of the new adjugate only when the box
+    split fails.
     """
     det, adj, n_plus = parent.det, parent.adj, parent.n_plus
     a = [sum(row[i] * x for i, x in b) for row in adj]
@@ -525,7 +502,7 @@ def _border(
         rows.append([-ai for ai in a] + [det])
         return t, rows, n_plus, cls, _hyperbolic_total(t, rows, n_plus)
     if n_plus != 1:
-        return t, n_plus, None
+        return _Adjugate((), t, None, n_plus)
     sa = sum(a)
     sums = [(t * r + ai * sa) // det - ai for r, ai in zip(map(sum, adj), a)]
     sums.append(det - sa)
@@ -545,16 +522,16 @@ def _border(
         border = sum(ai for ai in a if sigma * ai < 0)
         corner = det if sigma * det > 0 else 0
         total = sigma * (block // det - 2 * border + corner)
-    return t, n_plus, total
+    return _Adjugate((), t, None, n_plus, total=total)
 
 
 def _adjugate_sweep(cfg: CurveConfig, g: list[list[int]], cap: int):
     """Yield ``(subset, state)`` for every connected vertex subset of at most
     ``cap`` curves in canonical order (size, then index tuple); ``g`` is the
     integer Gram matrix of the whole configuration.  ``state``
-    is None for a degenerate subset; else a :class:`_Leaf` for a subset of
-    ``cap`` curves bordered from a parent, and an :class:`_Adjugate` for
-    any other.
+    is None for a degenerate subset, else its :class:`_Adjugate`; for a
+    subset of ``cap`` curves bordered from a parent that is the level
+    table's shared entry, with no order or adjugate.
 
     Each subset borders the first nondegenerate connected parent
     (:func:`~k3lat.graph.connected_vertex_subsets`); one whose connected
@@ -601,29 +578,20 @@ def _hyperbolic_total(det: int, adj: list[list[int]], n_plus: int) -> int | None
     return _box_total(det, [sum(row) for row in adj]) or _rough_total(det, adj)
 
 
-def _sweep_bound(entry: _Adjugate | _Leaf, d: int) -> tuple[int, int]:
-    """Numerator and positive denominator of the bound of a sweep state of
-    inertia ``(1, k - 1)``, computed once per class."""
-    return entry.total * d * d, abs(entry.det)
-
-
 def _checked_certificate(
-    cfg: CurveConfig, g: list[list[int]], subset: tuple[int, ...],
-    entry: _Adjugate | _Leaf, d: int, bound: Fraction,
+    cfg: CurveConfig, subset: tuple[int, ...], d: int, bound: Fraction
 ) -> BoundCertificate:
-    """The certificate of one swept subset from its sweep entry, permuted
-    from the entry's order to the subset's, with its box witness built and
-    checked, held to the bound the sweep found.  A leaf's adjugate is
-    bordered from its parent again in the sweep's Gram matrix ``g``."""
-    if isinstance(entry, _Leaf):
-        entry = _bordered(g, None, {}, entry.parent, entry.u, subset)
-    pos = {v: k for k, v in enumerate(entry.order)}
-    perm = [pos[i] for i in subset]
-    entry = entry._replace(
-        order=subset, adj=[[entry.adj[a][b] for b in perm] for a in perm]
-    )
+    """The certificate of one swept subset, built from its own Gram matrix
+    by one Bareiss elimination, as :func:`verify_certificate` does: box,
+    with its witness checked, when :func:`_box_total` lets the split apply,
+    else rough.  It must carry the bound the sweep found."""
+    g = integer_gram(cfg, subset)
+    entry = _adjugate(subset, g)
     ids = tuple(cfg.vertices[i].id for i in subset)
-    cert = _certificate(ids, integer_gram(cfg, subset), entry, d)
+    if _box_total(entry.det, [sum(row) for row in entry.adj]):
+        cert = _box_certificate(ids, g, entry, d)
+    else:
+        cert = _rough_certificate(ids, entry, d)
     if cert.bound_on_2h != bound:
         raise AssertionError(
             f"sweep bound {bound} differs from the rebuilt certificate's "
@@ -658,18 +626,14 @@ def exclude(
     (inertia additivity), and reads each bound off it without building a
     witness.  Subconfigurations of one size whose Gram matrices agree in
     their stored orders share one update and one bound.  At
-    ``subgraph_cap`` curves, where nothing is grown further, it builds no
-    adjugate: the bound comes from row sums in ``O(k)``, plus an
-    ``O(k^2)`` sign sum only on the rough fallback.  The witness is
-    built and checked only for the certificate returned, whose adjugate is
-    re-bordered from its parent when it sits at the cap; it must carry the
-    bound the sweep found.
+    ``subgraph_cap`` curves, where nothing is grown further, a state is
+    the level table's shared entry with no adjugate: the bound comes from
+    row sums in ``O(k)``, plus an ``O(k^2)`` sign sum only on the rough
+    fallback.  Only the certificate returned is built, from its support's
+    own Gram matrix by one Bareiss elimination, with its witness checked;
+    it must carry the bound the sweep found.
     """
-    if any(type(x) is not int or x < 1 for x in (d, h, subgraph_cap)):
-        raise ValueError("d, h and subgraph_cap must be positive integers")
-    for v in cfg.vertices:
-        if v.degree > d:
-            raise ValueError(f"vertex {v.id!r} has degree {v.degree} > d = {d}")
+    check_caps(cfg, d=d, h=h, subgraph_cap=subgraph_cap)
     cls = classify(cfg)
     if cls.kind is SpanKind.ELLIPTIC:
         if cfg.n <= 21:
@@ -731,18 +695,16 @@ def exclude(
             notes.append(f"pinned degrees admit no solution: {ip.note}")
 
     best_ratio = None if best is None else best.bound_on_2h.as_integer_ratio()
-    best_subset = best_entry = None
+    best_subset = None
     g = integer_gram(cfg, range(cfg.n))
     # a subset of more curves than the rank is degenerate
     cap = min(subgraph_cap, cfg.n - cls.signature.n_zero)
     for subset, entry in _adjugate_sweep(cfg, g, cap):
         if entry is None or entry.n_plus != 1:
             continue
-        num, den = _sweep_bound(entry, d)
+        num, den = entry.total * d * d, abs(entry.det)
         if num < 2 * h * den:
-            cert = _checked_certificate(
-                cfg, g, subset, entry, d, Fraction(num, den)
-            )
+            cert = _checked_certificate(cfg, subset, d, Fraction(num, den))
             return ExclusionVerdict(
                 ExclusionStatus.HYPERBOLIC_EXCLUDED,
                 certificates=(cert,),
@@ -751,11 +713,9 @@ def exclude(
                 ),
             )
         if best_ratio is None or num * best_ratio[1] < best_ratio[0] * den:
-            best_ratio, best_subset, best_entry = (num, den), subset, entry
+            best_ratio, best_subset = (num, den), subset
     if best_subset is not None:
-        best = _checked_certificate(
-            cfg, g, best_subset, best_entry, d, Fraction(*best_ratio)
-        )
+        best = _checked_certificate(cfg, best_subset, d, Fraction(*best_ratio))
     return ExclusionVerdict(
         ExclusionStatus.HYPERBOLIC_UNDECIDED,
         certificates=() if best is None else (best,),

@@ -38,6 +38,10 @@ class CurveVertex:
     def __post_init__(self):
         if not self.id:
             raise ValueError("vertex id must be nonempty")
+        for field, value in (("square", self.square), ("degree", self.degree)):
+            # a bool is an int to isinstance, so the type itself is checked
+            if type(value) is not int:
+                raise ValueError(f"vertex {self.id!r}: {field} {value!r} must be an int")
         if self.square % 2 != 0:
             raise ValueError(f"vertex {self.id!r}: square {self.square} must be even")
         if self.square < -2:
@@ -47,10 +51,10 @@ class CurveVertex:
 
 
 class CurveConfig:
-    """Ordered vertices plus edge multiplicities keyed by unordered pairs,
-    and the same edges as one adjacency per vertex index, built once."""
+    """Ordered vertices plus the edge multiplicities, stored once as one
+    adjacency per vertex index."""
 
-    __slots__ = ("name", "vertices", "_index", "_edges", "_adj")
+    __slots__ = ("name", "vertices", "_index", "_adj")
 
     def __init__(
         self,
@@ -66,27 +70,23 @@ class CurveConfig:
                 raise ValueError(f"duplicate vertex id {v.id!r}")
             index[v.id] = pos
         self._index = index
-        norm: dict[tuple[int, int], int] = {}
+        adj: list[dict[int, int]] = [{} for _ in self.vertices]
         for a, b, mult in edges:
             if a not in index or b not in index:
                 missing = a if a not in index else b
                 raise ValueError(f"edge references unknown vertex {missing!r}")
             if a == b:
                 raise ValueError(f"loop at vertex {a!r} not allowed")
-            if mult < 1:
-                raise ValueError(f"edge ({a!r},{b!r}): multiplicity {mult} must be >= 1")
-            key = (min(index[a], index[b]), max(index[a], index[b]))
-            if key in norm:
+            if type(mult) is not int or mult < 1:
+                raise ValueError(
+                    f"edge ({a!r},{b!r}): multiplicity {mult!r} must be an int >= 1"
+                )
+            i, j = index[a], index[b]
+            if j in adj[i]:
                 raise ValueError(f"duplicate edge ({a!r},{b!r})")
-            norm[key] = mult
-        self._edges = dict(sorted(norm.items()))
-        # filled from the sorted edges, so each row lists its neighbours in
-        # increasing index order
-        adj: list[dict[int, int]] = [{} for _ in self.vertices]
-        for (i, j), m in self._edges.items():
-            adj[i][j] = m
-            adj[j][i] = m
-        self._adj = tuple(MappingProxyType(row) for row in adj)
+            adj[i][j] = adj[j][i] = mult
+        # each row lists its neighbours in increasing index order
+        self._adj = tuple(MappingProxyType(dict(sorted(row.items()))) for row in adj)
 
     # -- basic accessors -------------------------------------------------
 
@@ -104,9 +104,13 @@ class CurveConfig:
         return self.vertices[self._index[vid]]
 
     def edge_items(self) -> list[tuple[str, str, int]]:
+        """Each edge once as ``(a, b, mult)``, in increasing index pairs."""
+        vs = self.vertices
         return [
-            (self.vertices[i].id, self.vertices[j].id, m)
-            for (i, j), m in self._edges.items()
+            (vs[i].id, vs[j].id, m)
+            for i, row in enumerate(self._adj)
+            for j, m in row.items()
+            if j > i
         ]
 
     def adjacency(self) -> tuple[Mapping[int, int], ...]:
@@ -118,7 +122,7 @@ class CurveConfig:
         i, j = self._index[a], self._index[b]
         if i == j:
             raise ValueError("no loops")
-        return self._edges.get((min(i, j), max(i, j)), 0)
+        return self._adj[i].get(j, 0)
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(v.degree for v in self.vertices)
@@ -175,11 +179,11 @@ class CurveConfig:
         return (
             isinstance(other, CurveConfig)
             and self.vertices == other.vertices
-            and self._edges == other._edges
+            and self._adj == other._adj
         )
 
     def __hash__(self) -> int:
-        return hash((self.vertices, tuple(self._edges.items())))
+        return hash((self.vertices, tuple(tuple(row.items()) for row in self._adj)))
 
 
 def config_from_data(
@@ -421,6 +425,23 @@ def connected_vertex_subsets(cfg: CurveConfig, max_size: int, grow, root):
             return
 
 
+def check_caps(cfg: CurveConfig | None = None, /, **caps: int) -> None:
+    """The one rule for a degree cap ``d``, a half-degree ``h`` and a size
+    or weight cap: raise ``ValueError`` unless each of ``caps`` is an
+    ``int``, not a bool, of at least 1, and, given ``cfg``, unless every
+    curve degree is at most ``caps["d"]``."""
+    if any(type(x) is not int or x < 1 for x in caps.values()):
+        *rest, last = caps
+        if not rest:
+            raise ValueError(f"{last} must be positive and an int, got {caps[last]!r}")
+        raise ValueError(f"{', '.join(rest)} and {last} must be positive integers")
+    if cfg is not None:
+        d = caps["d"]
+        for v in cfg.vertices:
+            if v.degree > d:
+                raise ValueError(f"vertex {v.id!r} has degree {v.degree} > d = {d}")
+
+
 def hodge_filter(cfg: CurveConfig, d: int, h: int) -> list[Violation]:
     """Hodge-index constraints on squares and pairings at polarization
     degree ``2h`` with all curve degrees capped by ``d``.
@@ -433,11 +454,7 @@ def hodge_filter(cfg: CurveConfig, d: int, h: int) -> list[Violation]:
       ``h`` this forces isotropic curves to be pairwise orthogonal);
     * ``C.C' <= 2`` for pairs of (-2)-curves once ``h > 42 d^2``.
     """
-    if d < 1 or h < 1:
-        raise ValueError("d and h must be positive")
-    for v in cfg.vertices:
-        if v.degree > d:
-            raise ValueError(f"vertex {v.id!r} has degree {v.degree} > d = {d}")
+    check_caps(cfg, d=d, h=h)
     out: list[Violation] = []
     for v in cfg.vertices:
         cap = Fraction(v.degree * v.degree, 2 * h)

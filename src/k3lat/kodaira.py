@@ -28,6 +28,7 @@ from .graph import (
     Final,
     SpanKind,
     Violation,
+    check_caps,
     classify,
     connected_vertex_subsets,
 )
@@ -151,11 +152,11 @@ def find_kodaira_divisors(
     its integer Gram matrix in that order before it is reported.
     Results are capped at ``max_weight`` (default 30, the largest standard
     weight) and sorted by (weight, support ids), which fixes a
-    deterministic order.  Raises ``ValueError`` for ``max_weight < 1``.
+    deterministic order.  Raises ``ValueError`` unless ``max_weight`` is a
+    positive ``int`` (:func:`~k3lat.graph.check_caps`).
     """
     cap = 30 if max_weight is None else max_weight
-    if cap < 1:
-        raise ValueError(f"max_weight must be at least 1, got {cap}")
+    check_caps(max_weight=cap)
     out: list[KodairaDivisor] = []
     for v in cfg.vertices:
         if v.square == 0:
@@ -209,13 +210,9 @@ def exclusion_6d(cfg: CurveConfig, d: int, h: int) -> list[Violation]:
     such divisor, and every curve meeting one positively.  Non-hyperbolic
     input yields no violations (the statement does not apply).
     """
-    if d < 1:
-        raise ValueError("d must be positive")
+    check_caps(cfg, d=d, h=h)
     if h <= 42 * d * d:
         raise ValueError(f"h = {h} must exceed 42 d^2 = {42 * d * d}")
-    for v in cfg.vertices:
-        if v.degree > d:
-            raise ValueError(f"vertex {v.id!r} has degree {v.degree} > d = {d}")
     if classify(cfg).kind is not SpanKind.HYPERBOLIC:
         return []
     out: list[Violation] = []

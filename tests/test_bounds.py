@@ -19,9 +19,7 @@ from k3lat.bounds import (
     BOX_OPTIMUM_DECOMPOSITION,
     INTRINSIC_SQUARE,
     ROUGH_POSITIVE_ENTRY_SUM,
-    _Leaf,
     _adjugate_sweep,
-    _sweep_bound,
     BoundCertificate,
     BoxWitness,
     DegenerateLatticeError,
@@ -740,6 +738,29 @@ def test_exclude_sweep_computes_each_shared_state_once(monkeypatch):
     assert len(computed) == 38
 
 
+def test_exclude_holds_the_rebuilt_certificate_to_the_sweep_bound(monkeypatch):
+    # the first hyperbolic state at the cap has its total corrupted to 0, so
+    # its subset reads bound 0 < 2h and ends the sweep; the certificate
+    # rebuilt from the subset's own Gram matrix carries its true bound, and
+    # exclude refuses to return it
+    real = bounds._border
+    corrupted = []
+
+    def corrupt(parent, b, c, cls):
+        state = real(parent, b, c, cls)
+        if cls is None and state is not None and state.n_plus == 1 and not corrupted:
+            corrupted.append(state)
+            return state._replace(total=0)
+        return state
+
+    monkeypatch.setattr(bounds, "_border", corrupt)
+    with pytest.raises(
+        AssertionError, match="sweep bound 0 differs from the rebuilt certificate's"
+    ):
+        exclude(i4_fibres_with_section(), 1, 11, subgraph_cap=6)
+    assert len(corrupted) == 1
+
+
 def _random_config(data):
     # 2-6 curves of squares -2, 0 or 2, degrees up to a cap d of 1-3, and
     # multiplicities up to 3
@@ -831,20 +852,22 @@ def test_sweep_bounds_match_reference(cfg, cap):
     for subset, entry in swept:
         sub = cfg.induced(tuple(cfg.vertices[i].id for i in subset))
         sig = signature(gram(sub))
-        if isinstance(entry, _Leaf):
-            leaves += 1
-            assert entry.det == det([list(r) for r in gram(sub).rows()])
-            assert entry.n_plus == sig.n_plus
-            _assert_exact_entry(cfg, _leaf_adjugate(cfg, subset, entry))
+        if len(subset) == cap and entry is not None:
+            leaves += entry.adj is None
+            _assert_last_level_state(cfg, subset, entry)
         if sig.n_plus != 1 or sig.n_zero != 0:
             assert entry is None or entry.n_plus != 1
             continue
         hyperbolic += 1
         for d in (1, 2):
-            num, den = _sweep_bound(entry, d)
             cert = subgraph_certificates_reference(sub, d)[0]
-            assert Fraction(num, den) == cert.bound_on_2h
+            assert _state_bound(entry, d) == cert.bound_on_2h
     assert hyperbolic > 0 and leaves > 0
+
+
+def _state_bound(entry, d):
+    # the bound a sweep state of inertia (1, k - 1) gives exclude
+    return Fraction(entry.total * d * d, abs(entry.det))
 
 
 def _assert_exact_entry(cfg, entry):
@@ -859,37 +882,49 @@ def _assert_exact_entry(cfg, entry):
     assert entry.n_plus == signature(m).n_plus
 
 
-def _leaf_adjugate(cfg, subset, leaf):
-    # the leaf's adjugate bordered again from its parent, as the certificate
-    # of a leaf is built; it must carry the leaf's determinant, inertia and
-    # bound
-    g = graph.integer_gram(cfg, range(cfg.n))
-    entry = bounds._bordered(g, None, {}, leaf.parent, leaf.u, subset)
-    assert entry.order == leaf.parent.order + (leaf.u,)
-    assert (entry.det, entry.n_plus) == (leaf.det, leaf.n_plus)
-    assert leaf.total == (_sweep_bound(entry, 1)[0] if leaf.n_plus == 1 else None)
-    return entry
+def _assert_last_level_state(cfg, subset, entry):
+    # a nondegenerate state at the sweep's cap against the subset's Gram
+    # matrix from scratch: its determinant, its inertia and its total,
+    # |det| times its bound at d = 1 when of inertia (1, k - 1), else None.
+    # A bordered one is the level table's entry, with no order or adjugate;
+    # one computed from scratch keeps its exact adjugate
+    sub = cfg.induced(tuple(cfg.vertices[i].id for i in subset))
+    m = gram(sub)
+    assert entry.det == det([list(r) for r in m.rows()])
+    assert entry.n_plus == signature(m).n_plus
+    total = None
+    if entry.n_plus == 1:
+        bound = subgraph_certificates_reference(sub, 1)[0].bound_on_2h
+        total = abs(entry.det) * bound
+    assert entry.total == total
+    if entry.adj is None:
+        assert entry.order == ()
+    else:
+        assert entry.order == subset
+        _assert_exact_entry(cfg, entry)
 
 
 def test_sweep_adjugates_exact_on_stress_configuration():
-    # every cached entry, which checks the exact division of each update;
-    # the last level's through its rebuilt adjugate.  Most entries share
-    # their rows with subsets of equal Gram matrix, which the relabelled,
-    # reordered copy pairs up differently
+    # every cached entry, which checks the exact division of each update,
+    # and every last-level state against its subset from scratch.  Most
+    # entries share their rows, and every last-level state its one object,
+    # with subsets of equal Gram matrix, which the relabelled, reordered
+    # copy pairs up differently
     for cfg in (i4_fibres_with_section(), _relabelled_fibrations(copies=1)[0]):
-        shared = Counter()
-        # all held at once, so that no two live entries' rows have one id
+        shared, shared_leaves = Counter(), Counter()
+        # all held at once, so that no two live entries have one id
         for subset, entry in list(_sweep(cfg, 6)):
             if entry is None:
                 assert signature(gram(cfg).submatrix(subset)).n_zero > 0
                 continue
-            if isinstance(entry, _Leaf):
-                entry = _leaf_adjugate(cfg, subset, entry)
-            else:
-                shared[id(entry.adj)] += 1
+            if len(subset) == 6:
+                shared_leaves[id(entry)] += 1
+                _assert_last_level_state(cfg, subset, entry)
+                continue
+            shared[id(entry.adj)] += 1
             assert sorted(entry.order) == list(subset)
             _assert_exact_entry(cfg, entry)
-        assert max(shared.values()) > 1
+        assert max(shared.values()) > 1 and max(shared_leaves.values()) > 1
 
 
 def _has_nondegenerate_connected_parent(cfg, subset):
@@ -933,9 +968,11 @@ def test_sweep_subsets_without_nondegenerate_parent(cfg, from_scratch):
         assert not _has_nondegenerate_connected_parent(cfg, from_scratch)
         assert entries[from_scratch] is not None
     for subset, entry in entries.items():
-        if isinstance(entry, _Leaf):
-            entry = _leaf_adjugate(cfg, subset, entry)
-        if entry is not None:
+        if entry is None:
+            continue
+        if len(subset) == cfg.n:
+            _assert_last_level_state(cfg, subset, entry)
+        else:
             _assert_exact_entry(cfg, entry)
     for d, h in ((1, 1), (1, 2), (2, 3), (3, 50)):
         for pinned in (False, True):
@@ -945,8 +982,8 @@ def test_sweep_subsets_without_nondegenerate_parent(cfg, from_scratch):
 
 
 def _assert_leaves_match_certificates(cfg, cap, d):
-    # every subset at the sweep's last level: its inertia against a fresh
-    # signature and its bound against its certificates from scratch; then
+    # every subset at the sweep's last level: its state against the subset
+    # from scratch and its bound against its certificates; then
     # exclude against its reference at h = 1 and just above the least leaf
     # bound.  Returns the cases met: the certificate kind of each bordered
     # leaf, a negative determinant, a subset computed from scratch, and the
@@ -960,13 +997,13 @@ def _assert_leaves_match_certificates(cfg, cap, d):
         assert (entry is None) == (sig.n_zero > 0)
         if entry is None:
             continue
-        assert entry.n_plus == sig.n_plus
+        _assert_last_level_state(cfg, subset, entry)
         if sig.n_plus != 1:
             continue
         cert = subgraph_certificates_reference(sub, d)[0]
-        assert Fraction(*_sweep_bound(entry, d)) == cert.bound_on_2h
+        assert _state_bound(entry, d) == cert.bound_on_2h
         leaf_bounds.append(cert.bound_on_2h)
-        if isinstance(entry, _Leaf):
+        if entry.adj is None:
             leaves.add(subset)
             cases.add(cert.kind)
             if entry.det < 0:

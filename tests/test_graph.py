@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from k3lat import exact, graph
+from k3lat.bounds import box_certificate, exclude, rough_bound
 from k3lat.exact import (
     Signature,
     SymMatrix,
@@ -29,6 +30,7 @@ from k3lat.graph import (
     quotient_by_kernel,
     validate_pairings,
 )
+from k3lat.kodaira import exclusion_6d, find_kodaira_divisors
 
 from oracles import (
     connected_subsets_reference,
@@ -63,6 +65,75 @@ def test_config_validation():
         config_from_data([("a", -2), ("b", -2)], [("a", "b", 0)])
     with pytest.raises(ValueError):
         config_from_data([("a", -2), ("b", -2)], [("a", "b", 1), ("b", "a", 1)])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: config_from_data([("a", -2), ("b", -2)], [("a", "b", 1.5)]),
+        lambda: config_from_data([("a", -2), ("b", -2)], [("a", "b", True)]),
+        lambda: CurveVertex("a", -2.0),
+        lambda: CurveVertex("a", True),
+        lambda: CurveVertex("a", -2, True),
+        lambda: CurveVertex("a", -2, 1.0),
+    ],
+    ids=["mult-float", "mult-bool", "square-float", "square-bool", "degree-bool",
+         "degree-float"],
+)
+def test_data_types_take_exact_ints(build):
+    # a multiplicity of 1.5 would be a non-integral intersection number
+    with pytest.raises(ValueError, match="must be an int"):
+        build()
+
+
+def test_edges_stored_once_in_index_order():
+    # edges given in any order and direction read back in increasing index
+    # pairs, and configurations with the same edges are equal and hash alike
+    verts = [("a", -2), ("b", -2), ("c", 0)]
+    cfg = config_from_data(verts, [("c", "b", 2), ("b", "a"), ("c", "a")])
+    same = config_from_data(verts, [("a", "c"), ("a", "b"), ("b", "c", 2)])
+    assert cfg.edge_items() == [("a", "b", 1), ("a", "c", 1), ("b", "c", 2)]
+    assert cfg == same and hash(cfg) == hash(same)
+    assert cfg != config_from_data(verts, [("a", "b"), ("a", "c"), ("b", "c")])
+    assert (cfg.edge_mult("c", "b"), cfg.edge_mult("b", "a")) == (2, 1)
+    assert [dict(row) for row in cfg.adjacency()] == [
+        {1: 1, 2: 1}, {0: 1, 2: 2}, {0: 1, 1: 2}
+    ]
+
+
+# every entry point that takes a degree cap, a half-degree or a weight cap,
+# called with the one value under test; the others are valid
+_CAPPED_CALLS = {
+    "exclude-d": lambda cfg, x: exclude(cfg, x, 43),
+    "exclude-h": lambda cfg, x: exclude(cfg, 1, x),
+    "rough_bound": lambda cfg, x: rough_bound(cfg, x),
+    "box_certificate": lambda cfg, x: box_certificate(cfg, x),
+    "hodge_filter-d": lambda cfg, x: hodge_filter(cfg, x, 43),
+    "hodge_filter-h": lambda cfg, x: hodge_filter(cfg, 1, x),
+    "exclusion_6d-d": lambda cfg, x: exclusion_6d(cfg, x, 43),
+    "exclusion_6d-h": lambda cfg, x: exclusion_6d(cfg, 1, x),
+    "max_weight": lambda cfg, x: find_kodaira_divisors(cfg, x),
+}
+
+
+@pytest.mark.parametrize("call", _CAPPED_CALLS.values(), ids=_CAPPED_CALLS)
+@pytest.mark.parametrize("x", [True, 1.0, 1.5, 43.5, 0, -1])
+def test_caps_are_positive_ints(char3_cfg, call, x):
+    # 43.5 would be a verdict for 2h = 87, True would run as 1
+    with pytest.raises(ValueError, match="must be positive"):
+        call(char3_cfg, x)
+
+
+@pytest.mark.parametrize(
+    "name", ["exclude-d", "exclude-h", "hodge_filter-d", "hodge_filter-h",
+             "exclusion_6d-d", "exclusion_6d-h"],
+)
+def test_degree_caps_bound_every_curve(name):
+    # a bound of the Gram matrix alone (rough_bound, box_certificate) holds
+    # for any cap, so only these need every curve degree at most d
+    cfg = config_from_data([("a", -2, 2), ("b", -2, 1)], [("a", "b", 3)])
+    with pytest.raises(ValueError, match=r"^vertex 'a' has degree 2 > d = 1$"):
+        _CAPPED_CALLS[name](cfg, 1)
 
 
 def test_gram_single_vertex():
