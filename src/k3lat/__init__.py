@@ -43,8 +43,10 @@ from .bounds import (
     admissible_h_range,
     box_certificate,
     exclude,
+    exclude_all,
     intrinsic_polarization,
     rough_bound,
+    sweep_records,
     verify_certificate,
 )
 from .fibration import (

@@ -50,10 +50,13 @@ box bound wherever its split applies.  A subconfiguration at the last
 level has no children, so its state is the table's shared entry, with no
 order or adjugate: its row sums follow in ``O(k)`` from its parent's, and
 its sign sum, in ``O(k^2)`` without building a row, only when the box
-split fails.  Only the certificate that is returned is built, from its
-support's own Gram matrix by one Bareiss elimination, as
-:func:`verify_certificate` does; its witness is checked and its bound held
-to the one the sweep found.
+split fails.
+
+A verdict scans only the sweep's records (:func:`sweep_records`), pulled
+lazily, so one sweep serves every ``(d, h)``.  Only the certificate that
+is returned is built, from its support's own Gram matrix by one Bareiss
+elimination, as :func:`verify_certificate` does; its witness is checked
+and its bound held to the one the sweep found.
 """
 
 from __future__ import annotations
@@ -62,8 +65,9 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import tee
 from operator import mul
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .exact import (
     SymMatrix,
@@ -300,9 +304,9 @@ def rough_bound(cfg: CurveConfig, d: int) -> BoundCertificate:
 
     Valid because degrees are nonnegative and capped by ``d``, so each
     positive inverse entry contributes at most ``d^2`` to the square of the
-    solution class.
+    solution class; a curve of degree above ``d`` is a ValueError.
     """
-    check_caps(d=d)
+    check_caps(cfg, d=d)
     _, entry = _inverse_gram(cfg)
     return _rough_certificate(cfg.ids(), entry, d)
 
@@ -314,9 +318,10 @@ def box_certificate(cfg: CurveConfig, d: int) -> BoundCertificate:
     Raises :class:`NoDecompositionFoundError` when the rank-one split does
     not apply (the Gram matrix is not of inertia ``(1, k - 1)``, some row
     sum of the inverse is negative, or the total sum is not positive);
-    callers fall back to :func:`rough_bound`.
+    callers fall back to :func:`rough_bound`.  A curve of degree above
+    ``d`` is a ValueError.
     """
-    check_caps(d=d)
+    check_caps(cfg, d=d)
     g, entry = _inverse_gram(cfg)
     if entry.n_plus != 1:
         raise NoDecompositionFoundError("the Gram matrix is not of inertia (1, k - 1)")
@@ -382,7 +387,8 @@ def verify_certificate(cert: BoundCertificate, cfg: CurveConfig) -> bool:
     configuration it was issued for, in the order of its support.  Total:
     malformed input, such as a support that is not a tuple of ids, an
     unknown, repeated or degenerate support, a degree cap ``d`` that is
-    not an integer (a bool is not) of at least 1, a bound or a box
+    not an integer (a bool is not) of at least 1 or is below the degree of
+    a support curve, a bound or a box
     corner ``x_max`` that is not an exact ``Fraction``, or a box witness
     whose parts are not matrices, is rejected rather than raised.  A
     support with no positive direction bounds nothing (the polarization's
@@ -396,10 +402,12 @@ def verify_certificate(cert: BoundCertificate, cfg: CurveConfig) -> bool:
     if not all(isinstance(v, str) for v in ids) or len(set(ids)) != len(ids):
         return False
     try:
+        idx = tuple(cfg.index_of(v) for v in ids)
+        if any(cfg.vertices[i].degree > d for i in idx):
+            return False
         if cert.kind == INTRINSIC_SQUARE:
-            ip = intrinsic_polarization(cfg.induced(cert.support_ids))
+            ip = intrinsic_polarization(cfg.induced(ids))
             return ip.exists and ip.square == cert.bound_on_2h
-        idx = tuple(cfg.index_of(v) for v in cert.support_ids)
     except (KeyError, ValueError, SingularMatrixError):
         return False
     g = integer_gram(cfg, idx)
@@ -600,6 +608,27 @@ def _checked_certificate(
     return cert
 
 
+def sweep_records(
+    cfg: CurveConfig, cap: int
+) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """Yield ``(subset, total, |det|)`` for each hyperbolic connected subset
+    of at most ``cap`` curves whose bound at ``d = 1``, ``total / |det|``,
+    is a new strict minimum in canonical order (size, then index tuple).
+
+    The bound at ``d`` is ``d^2`` times it, so the first subset below
+    ``2h`` is a record, and so is the first at the least bound, the last.
+    The sweep goes no further than its records are pulled.
+    """
+    best, best_den = None, 1
+    for subset, entry in _adjugate_sweep(cfg, integer_gram(cfg, range(cfg.n)), cap):
+        if entry is None or entry.n_plus != 1:
+            continue
+        total, den = entry.total, abs(entry.det)
+        if best is None or total * best_den < best * den:
+            best, best_den = total, den
+            yield subset, total, den
+
+
 def exclude(
     cfg: CurveConfig,
     d: int,
@@ -621,21 +650,52 @@ def exclude(
     ``use_pinned_degrees=True`` to also use the exact degree data of the
     configuration, which is sound only when those degrees are known exactly.
 
-    The sweep keeps a bordered integer adjugate and the inertia of each
-    nondegenerate subconfiguration, updated from a parent one curve smaller
-    (inertia additivity), and reads each bound off it without building a
-    witness.  Subconfigurations of one size whose Gram matrices agree in
-    their stored orders share one update and one bound.  At
-    ``subgraph_cap`` curves, where nothing is grown further, a state is
-    the level table's shared entry with no adjugate: the bound comes from
-    row sums in ``O(k)``, plus an ``O(k^2)`` sign sum only on the rough
-    fallback.  Only the certificate returned is built, from its support's
-    own Gram matrix by one Bareiss elimination, with its witness checked;
-    it must carry the bound the sweep found.
+    This is :func:`exclude_all` on the one case ``(d, h)``.  The verdict is
+    a scan of the records of :func:`sweep_records`: the first whose bound
+    at ``d`` is below ``2h`` excludes, and otherwise the last, the least
+    bound of the sweep, is the undecided certificate unless the pinned
+    square is no larger.  The records are pulled lazily, so an exclusion
+    ends the sweep at its subset.  Only the certificate returned is built,
+    from its support's own Gram matrix by one Bareiss elimination, with its
+    witness checked; it must carry the bound the sweep found.
     """
-    check_caps(cfg, d=d, h=h, subgraph_cap=subgraph_cap)
+    return exclude_all(cfg, [(d, h)], subgraph_cap, use_pinned_degrees)[0]
+
+
+def exclude_all(
+    cfg: CurveConfig,
+    cases: Iterable[tuple[int, int]],
+    subgraph_cap: int = 13,
+    use_pinned_degrees: bool = False,
+) -> list[ExclusionVerdict]:
+    """The verdict of :func:`exclude` for each ``(d, h)`` of ``cases``, in
+    order, from one classification and at most one sweep.
+
+    The cases share the records of :func:`sweep_records` through
+    :func:`itertools.tee`: each replays those already pulled before it
+    pulls more, so the sweep runs only as far as the case that needs it
+    furthest.  Nothing is kept once the call returns.
+    """
+    cases = list(cases)
+    for d, h in cases:
+        check_caps(cfg, d=d, h=h, subgraph_cap=subgraph_cap)
+    if not cases:
+        return []
     cls = classify(cfg)
-    if cls.kind is SpanKind.ELLIPTIC:
+    if cls.kind is not SpanKind.HYPERBOLIC:
+        return [_span_verdict(cfg, cls.kind)] * len(cases)
+    ip = intrinsic_polarization(cfg) if use_pinned_degrees else None
+    # a subset of more curves than the rank is degenerate
+    sweep = sweep_records(cfg, min(subgraph_cap, cfg.n - cls.signature.n_zero))
+    return [
+        _hyperbolic_verdict(cfg, d, h, subgraph_cap, ip, records)
+        for (d, h), records in zip(cases, tee(sweep, len(cases)))
+    ]
+
+
+def _span_verdict(cfg: CurveConfig, kind: SpanKind) -> ExclusionVerdict:
+    """The verdict on a span that is not hyperbolic, which needs no sweep."""
+    if kind is SpanKind.ELLIPTIC:
         if cfg.n <= 21:
             return ExclusionVerdict(
                 ExclusionStatus.ELLIPTIC_ADMISSIBLE,
@@ -651,7 +711,7 @@ def exclude(
                 "the Picard lattice of any such surface",
             ),
         )
-    if cls.kind is SpanKind.PARABOLIC:
+    if kind is SpanKind.PARABOLIC:
         return ExclusionVerdict(
             ExclusionStatus.PARABOLIC_FIBRATION,
             notes=(
@@ -660,21 +720,30 @@ def exclude(
                 "budget, independently of the degree",
             ),
         )
-    if cls.kind is SpanKind.INVALID:
-        return ExclusionVerdict(
-            ExclusionStatus.INVALID_EXCLUDED,
-            notes=(
-                "two independent positive directions violate the Hodge "
-                "index theorem on any surface",
-            ),
-        )
+    return ExclusionVerdict(
+        ExclusionStatus.INVALID_EXCLUDED,
+        notes=(
+            "two independent positive directions violate the Hodge "
+            "index theorem on any surface",
+        ),
+    )
 
+
+def _hyperbolic_verdict(
+    cfg: CurveConfig,
+    d: int,
+    h: int,
+    subgraph_cap: int,
+    ip: IntrinsicPolarization | None,
+    records: Iterator[tuple[tuple[int, ...], int, int]],
+) -> ExclusionVerdict:
+    """The verdict of one case on a hyperbolic span from the pinned-degree
+    solution ``ip`` (None unless pinned) and a scan of the sweep's
+    ``records``, pulled only up to the first below ``2h``."""
     two_h = Fraction(2 * h)
     notes: list[str] = []
     best: BoundCertificate | None = None
-
-    if use_pinned_degrees:
-        ip = intrinsic_polarization(cfg)
+    if ip is not None:
         if ip.exists:
             cert = BoundCertificate(
                 INTRINSIC_SQUARE,
@@ -694,17 +763,11 @@ def exclude(
         else:
             notes.append(f"pinned degrees admit no solution: {ip.note}")
 
-    best_ratio = None if best is None else best.bound_on_2h.as_integer_ratio()
-    best_subset = None
-    g = integer_gram(cfg, range(cfg.n))
-    # a subset of more curves than the rank is degenerate
-    cap = min(subgraph_cap, cfg.n - cls.signature.n_zero)
-    for subset, entry in _adjugate_sweep(cfg, g, cap):
-        if entry is None or entry.n_plus != 1:
-            continue
-        num, den = entry.total * d * d, abs(entry.det)
-        if num < 2 * h * den:
-            cert = _checked_certificate(cfg, subset, d, Fraction(num, den))
+    bound = None
+    for subset, total, den in records:
+        bound = Fraction(total * d * d, den)
+        if bound < two_h:
+            cert = _checked_certificate(cfg, subset, d, bound)
             return ExclusionVerdict(
                 ExclusionStatus.HYPERBOLIC_EXCLUDED,
                 certificates=(cert,),
@@ -712,10 +775,9 @@ def exclude(
                     notes + [f"2h = {two_h} exceeds bound {cert.bound_on_2h}"]
                 ),
             )
-        if best_ratio is None or num * best_ratio[1] < best_ratio[0] * den:
-            best_ratio, best_subset = (num, den), subset
-    if best_subset is not None:
-        best = _checked_certificate(cfg, best_subset, d, Fraction(*best_ratio))
+    # the last record holds the least bound
+    if bound is not None and (best is None or bound < best.bound_on_2h):
+        best = _checked_certificate(cfg, subset, d, bound)
     return ExclusionVerdict(
         ExclusionStatus.HYPERBOLIC_UNDECIDED,
         certificates=() if best is None else (best,),

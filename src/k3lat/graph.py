@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -212,11 +213,23 @@ def config_from_data(
 
 @dataclass(frozen=True)
 class LatticeClass:
-    """Definiteness class of the span of a configuration."""
+    """Definiteness class of the span of a configuration.
+
+    ``positive_witness``, a vector of positive square when the span has a
+    positive direction, is computed from its integer Gram matrix ``_gram``,
+    which :func:`classify` keeps only then, on first read: few callers
+    read it, and the signature alone takes a cheaper elimination.
+    """
 
     kind: SpanKind
     signature: Signature
-    positive_witness: tuple[Fraction, ...] | None = None
+    _gram: Sequence[Sequence[int]] | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def positive_witness(self) -> tuple[Fraction, ...] | None:
+        if self._gram is None:
+            return None
+        return _congruence(self._gram, witness=True)[1]
 
 
 @dataclass(frozen=True)
@@ -251,12 +264,13 @@ def classify(cfg: CurveConfig) -> LatticeClass:
     of a surface (Hodge index), so such input is reported as Invalid with an
     explicit positive-square witness vector.
     """
-    sig, witness = _congruence(integer_gram(cfg, range(cfg.n)), witness=True)
+    g = integer_gram(cfg, range(cfg.n))
+    sig = _congruence(g)[0]
     if sig.n_plus == 0:
         kind = SpanKind.ELLIPTIC if sig.n_zero == 0 else SpanKind.PARABOLIC
         return LatticeClass(kind, sig)
     kind = SpanKind.HYPERBOLIC if sig.n_plus == 1 else SpanKind.INVALID
-    return LatticeClass(kind, sig, positive_witness=witness)
+    return LatticeClass(kind, sig, g)
 
 
 def validate_pairings(cfg: CurveConfig, cls: LatticeClass) -> list[Violation]:

@@ -28,8 +28,10 @@ from k3lat.bounds import (
     admissible_h_range,
     box_certificate,
     exclude,
+    exclude_all,
     intrinsic_polarization,
     rough_bound,
+    sweep_records,
     verify_certificate,
 )
 from k3lat.exact import SymMatrix, inverse, kernel_basis, signature
@@ -197,7 +199,10 @@ def test_rough_bound_independent_of_attachment_choice(attach):
 
 
 def test_rough_bound_toy():
-    assert rough_bound(toy_config(), 1).bound_on_2h == 4
+    # the degree-6 curve is above the cap d = 1, which bounds nothing
+    with pytest.raises(ValueError, match="degree 6 > d = 1"):
+        rough_bound(toy_config(), 1)
+    assert rough_bound(toy_config(), 6).bound_on_2h == 144
 
 
 def test_rough_bound_char3_at_least_entry_sum(char3_cfg):
@@ -233,10 +238,10 @@ def test_box_certificate_char2(char2_cfg):
 
 def test_box_certificate_nonnegative_inverse_trivial_split():
     cfg = toy_config()
-    cert = box_certificate(cfg, 1)
+    cert = box_certificate(cfg, 6)
     assert min_entry(cert.witness.negative_part) == 0
     assert entry_sum(cert.witness.negative_part) == 0
-    assert cert.bound_on_2h == 4  # all inverse entries nonnegative
+    assert cert.bound_on_2h == 144  # all inverse entries nonnegative
 
 
 def test_box_certificate_no_split():
@@ -250,9 +255,10 @@ def test_box_certificate_no_split():
 
 def test_box_dominated_by_rough(d6tilde_cfg, char3_cfg, char2_cfg):
     for cfg in (d6tilde_cfg, char3_cfg, char2_cfg, toy_config()):
+        d = max(cfg.degrees())
         assert (
-            box_certificate(cfg, 1).bound_on_2h
-            <= rough_bound(cfg, 1).bound_on_2h
+            box_certificate(cfg, d).bound_on_2h
+            <= rough_bound(cfg, d).bound_on_2h
         )
 
 
@@ -416,6 +422,27 @@ def test_verify_certificate_rejects_degree_cap_below_one(cfg):
     for cert in forged:
         assert not verify_certificate(cert, cfg), cert.d
 
+
+
+def test_verify_certificate_rejects_a_support_curve_above_the_cap():
+    # the degree-6 curve of toy_config bounds nothing at d = 1: each kind
+    # of certificate passed off at d = 1 is rejected, not raised
+    cfg = toy_config()
+    rough, box = rough_bound(cfg, 6), box_certificate(cfg, 6)
+    (pinned,) = exclude(cfg, 6, 1, use_pinned_degrees=True).certificates
+    assert (pinned.kind, pinned.bound_on_2h) == (INTRINSIC_SQUARE, 84)
+    forged = [
+        replace(rough, d=1, bound_on_2h=Fraction(4)),
+        replace(
+            box, d=1, bound_on_2h=Fraction(4),
+            witness=replace(box.witness, x_max=(Fraction(1),) * 2),
+        ),
+        replace(pinned, d=1),
+    ]
+    for cert in (rough, box, pinned):
+        assert verify_certificate(cert, cfg)
+    for cert in forged:
+        assert not verify_certificate(cert, cfg), cert.kind
 
 
 def test_verify_certificate_rejects_support_without_positive_direction():
@@ -793,6 +820,83 @@ def test_exclude_matches_reference_hypothesis(data):
     )
 
 
+def _records(cfg, cap):
+    return list(sweep_records(cfg, cap))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sweep_records_to_a_cap_are_a_prefix_hypothesis(data):
+    # the sweep to cap c is a prefix of the sweep to any c' > c, so its
+    # records are the longer sweep's of at most c curves; each is a
+    # hyperbolic subset whose bound at d = 1 is below every earlier one's
+    cfg, n, _ = _random_config(data)
+    cap = data.draw(st.integers(min_value=1, max_value=n))
+    longer = data.draw(st.integers(min_value=cap, max_value=n + 1))
+    records = _records(cfg, cap)
+    assert records == [r for r in _records(cfg, longer) if len(r[0]) <= cap]
+    bounds_at_1 = [Fraction(total, den) for _, total, den in records]
+    assert all(a > b for a, b in zip(bounds_at_1, bounds_at_1[1:]))
+    for subset, total, den in records:
+        sub = cfg.induced(tuple(cfg.vertices[i].id for i in subset))
+        assert signature(gram(sub)).as_tuple() == (1, len(subset) - 1, 0)
+        d = max(sub.degrees())
+        cert = subgraph_certificates_reference(sub, d)[0]
+        assert cert.bound_on_2h == Fraction(total * d * d, den)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_exclude_all_matches_reference_hypothesis(data):
+    # one sweep shared by 1-4 cases gives each the verdict of its own
+    # reference loop, whatever the order in which the cases pull records
+    cfg, n, d = _random_config(data)
+    cases = data.draw(
+        st.lists(
+            st.tuples(st.integers(d, d + 2), st.integers(1, 40)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    cap = data.draw(st.integers(min_value=1, max_value=n))
+    pinned = data.draw(st.booleans())
+    assert exclude_all(cfg, cases, cap, pinned) == [
+        exclude_reference(cfg, cd, h, cap, pinned) for cd, h in cases
+    ]
+
+
+def test_exclude_early_exit_stops_the_sweep(monkeypatch):
+    # 6xI4 plus a zero section at cap 6, h = 12: the records are pulled
+    # lazily, so the sweep stops at the excluding subset after the same 749
+    # steps (36 of them degenerate) as the loop that checked each subset
+    # against 2h in place
+    steps = recorded_steps(monkeypatch, bounds)
+    verdict = exclude(i4_fibres_with_section(), 1, 12, subgraph_cap=6)
+    assert verdict.status is ExclusionStatus.HYPERBOLIC_EXCLUDED
+    (cert,) = verdict.certificates
+    assert (cert.bound_on_2h, len(cert.support_ids)) == (22, 6)
+    assert (len(steps), sum(state is None for state in steps)) == (749, 36)
+
+
+def test_exclude_all_runs_one_sweep(monkeypatch):
+    # an excluding case pulls part of the sweep, an undecided one the rest
+    # and a later excluding one replays what was pulled: one sweep, each
+    # step once
+    steps = recorded_steps(monkeypatch, bounds)
+    cfg = i4_fibres_with_section()
+    cases = [(1, 12), (1, 11), (1, 13), (2, 45)]
+    verdicts = exclude_all(cfg, cases, subgraph_cap=6)
+    assert len(steps) == 1257
+    assert verdicts == [exclude(cfg, d, h, subgraph_cap=6) for d, h in cases]
+    assert [v.status.value for v in verdicts] == [
+        "HyperbolicExcluded", "HyperbolicUndecided",
+        "HyperbolicExcluded", "HyperbolicExcluded",
+    ]
+    # no case needs no classification
+    monkeypatch.setattr(bounds, "classify", None)
+    assert exclude_all(cfg, [], subgraph_cap=6) == []
+
+
 def _nodal_fibres(d):
     """A zero section ``O`` and the 24 nodal fibres ``N0``..``N23`` of an
     elliptic K3 surface, every curve of degree ``d``: 25 curves whose span
@@ -894,7 +998,9 @@ def _assert_last_level_state(cfg, subset, entry):
     assert entry.n_plus == signature(m).n_plus
     total = None
     if entry.n_plus == 1:
-        bound = subgraph_certificates_reference(sub, 1)[0].bound_on_2h
+        # the bound at d = 1 is the one at the largest degree over its square
+        d = max(sub.degrees())
+        bound = subgraph_certificates_reference(sub, d)[0].bound_on_2h / (d * d)
         total = abs(entry.det) * bound
     assert entry.total == total
     if entry.adj is None:

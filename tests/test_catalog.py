@@ -350,6 +350,25 @@ def test_verify_catalog_feeds_bareiss_integers(monkeypatch):
     assert entries and all(type(x) is int for x in entries)
 
 
+def test_verify_catalog_runs_one_sweep_per_configuration(monkeypatch):
+    # the five exclusion cases sit on three configurations, and each
+    # configuration's cases share one sweep; a second call sweeps again,
+    # since nothing is kept between calls
+    sweeps = []
+    real = bounds._adjugate_sweep
+
+    def spy(cfg, g, cap):
+        sweeps.append(cfg.n)
+        return real(cfg, g, cap)
+
+    monkeypatch.setattr(bounds, "_adjugate_sweep", spy)
+    cases = sum(len(e.expected.get("exclusions", ())) for e in load_catalog())
+    for _ in range(2):
+        sweeps.clear()
+        assert all(r.ok for r in verify_catalog())
+        assert (len(sweeps), cases) == (3, 5)
+
+
 # -- extremal lookup -------------------------------------------------------------
 
 

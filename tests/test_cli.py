@@ -167,6 +167,28 @@ def test_bound_on_invalid_configuration_falls_back_to_rough(tmp_path, capsys):
     assert out.startswith("no box certificate: ")
 
 
+def test_bound_with_a_curve_above_the_cap_exit_code(tmp_path, capsys):
+    # a certificate for d says nothing about a curve of degree above d
+    cfg = tmp_path / "toy.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "vertices": [
+                    {"id": "d", "square": 0, "degree": 6},
+                    {"id": "c", "square": -2},
+                ],
+                "edges": [{"a": "d", "b": "c"}],
+            }
+        )
+    )
+    for method in ("rough", "box", "auto"):
+        rc, out, err = run(capsys, "bound", str(cfg), "--d", "1", "--method", method)
+        assert (rc, out) == (2, "")
+        assert "vertex 'd' has degree 6 > d = 1" in err
+    rc, out, _ = run(capsys, "bound", str(cfg), "--d", "6")
+    assert rc == 0 and "144" in out
+
+
 def test_bound_box_json(capsys):
     rc, out, _ = run(
         capsys,

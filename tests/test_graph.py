@@ -220,6 +220,26 @@ def test_classify_runs_one_elimination(monkeypatch, verts, edges, kind):
     assert quadratic_form(gram(cfg), cls.positive_witness) > 0
 
 
+def test_classify_computes_the_witness_on_first_read(monkeypatch):
+    # the signature takes a witness-free congruence; the witness takes one
+    # more on its first read and none after
+    cfg = config_from_data([("a", 0), ("b", 0), ("c", -2)], [("a", "b"), ("b", "c")])
+    calls = []
+    congruence = exact._congruence
+    monkeypatch.setattr(
+        graph,
+        "_congruence",
+        lambda rows, witness=False: calls.append(witness) or congruence(rows, witness),
+    )
+    cls = classify(cfg)
+    assert (cls.kind, calls) == (SpanKind.HYPERBOLIC, [False])
+    assert cls.positive_witness == positive_square_vector(gram(cfg))
+    assert cls.positive_witness is cls.positive_witness
+    assert calls == [False, True]
+    assert classify(config_from_data([("a", -2)])).positive_witness is None
+    assert calls == [False, True, False]
+
+
 def test_validate_pairings_elliptic_clean():
     cfg = config_from_data([("a", -2), ("b", -2)], [("a", "b", 1)])
     assert validate_pairings(cfg, classify(cfg)) == []
