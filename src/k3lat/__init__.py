@@ -1,7 +1,7 @@
 """Exact lattice-theoretic certificates for rational-curve configurations
 on polarized K3 surfaces."""
 
-from .exact import Signature, SingularMatrixError, SymMatrix, inverse, kernel_basis, signature
+from .exact import Signature, SingularMatrixError, SymMatrix, kernel_basis, signature
 from .graph import (
     CurveConfig,
     CurveVertex,
@@ -10,7 +10,6 @@ from .graph import (
     Violation,
     classify,
     config_from_data,
-    gram,
     hodge_filter,
     quotient_by_kernel,
     validate_pairings,

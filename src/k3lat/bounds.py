@@ -26,8 +26,9 @@ Certificates are built and checked in integers.  One fraction-free
 determinant and adjugate, so ``W = adj / det``, and its inertia from the
 nested principal minors (Jacobi's rule; a congruence takes over in the
 rare case where the elimination must leave the diagonal).  A split
-``W = g0 + g+`` is accepted when, with every entry scaled by a common
-denominator ``delta``: ``G (delta W) = delta I``; ``delta g+ >= 0`` and
+``W = g0 + g+`` is held in integers over one denominator ``delta > 0``
+(:class:`BoxWitness`), built from the adjugate and its row sums, and is
+accepted when: ``G (delta W) = delta I``; ``delta g+ >= 0`` and
 ``(delta g0) 1 = 0``; and, unless ``g0 = 0``, ``S (delta g+) = rho rho^T``
 for ``rho = (delta W) 1`` and ``S = sum(rho) > 0``, and ``G`` has inertia
 ``(1, k-1)``.  The last two make ``g0`` negative semi-definite by the
@@ -69,13 +70,7 @@ from itertools import tee
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple
 
-from .exact import (
-    SymMatrix,
-    _congruence,
-    bareiss,
-    minor_signature,
-    SingularMatrixError,
-)
+from .exact import _congruence, bareiss, minor_signature, SingularMatrixError
 from .graph import (
     CurveConfig,
     SpanKind,
@@ -118,12 +113,15 @@ class IntrinsicPolarization:
 
 @dataclass(frozen=True)
 class BoxWitness:
-    """Split ``inverse = negative_part + nonnegative_part`` certifying that
-    the box maximum of the inverse form sits at the all-``d`` corner."""
+    """Split ``W = g0 + g+`` of the inverse Gram matrix certifying that the
+    box maximum of the inverse form sits at the all-``d`` corner, held as
+    ``delta g0`` and ``delta g+``: k x k tuples of int rows over the int
+    ``delta > 0``, built in lowest terms so that equal splits compare
+    equal."""
 
-    negative_part: SymMatrix
-    nonnegative_part: SymMatrix
-    x_max: tuple[Fraction, ...]
+    delta: int
+    negative_part: tuple[tuple[int, ...], ...]
+    nonnegative_part: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -245,6 +243,11 @@ def _inverse_gram(cfg: CurveConfig) -> tuple[list[list[int]], _Adjugate]:
             "configuration Gram matrix is degenerate; bounds need the "
             "nondegenerate quotient"
         )
+    if entry.n_plus == 0:
+        raise ValueError(
+            "configuration Gram matrix is negative definite; its inverse "
+            "form bounds nothing"
+        )
     return g, entry
 
 
@@ -268,35 +271,33 @@ def _box_certificate(
 ) -> BoundCertificate:
     """The box certificate from the inverse ``adj / det``, for which
     :func:`_box_total` is nonzero: ``g0 = 0`` when the inverse has no
-    negative entry, else, with ``r`` the row sums of ``adj`` and ``total``
-    their sum, ``g+ = r r^T / (det total)`` and ``g0 = adj / det - g+``."""
+    negative entry, so ``delta g+ = adj`` over ``delta = det``; else, with
+    ``r`` the row sums of ``adj`` and ``total`` their sum,
+    ``delta g+ = r r^T`` and ``delta g0 = total adj - r r^T`` over
+    ``delta = det total``.  The witness keeps them in lowest terms."""
     det, adj = entry.det, entry.adj
-    n = len(adj)
     if all(x * det >= 0 for row in adj for x in row):
-        g0 = SymMatrix.zero(n)
-        gplus = SymMatrix([[Fraction(x, det) for x in row] for row in adj])
+        delta, g0, gplus = det, [[0] * len(adj) for _ in adj], adj
     else:
         r = [sum(row) for row in adj]
         total = sum(r)
-        den = det * total
-        gplus = SymMatrix([[Fraction(ri * rj, den) for rj in r] for ri in r])
-        g0 = SymMatrix(
-            [
-                [Fraction(x * total - ri * rj, den) for x, rj in zip(row, r)]
-                for row, ri in zip(adj, r)
-            ]
-        )
-    fault = _witness_fault(g, g0, gplus, entry.n_plus)
+        delta = det * total
+        gplus = [[ri * rj for rj in r] for ri in r]
+        g0 = [
+            [x * total - ri * rj for x, rj in zip(row, r)]
+            for row, ri in zip(adj, r)
+        ]
+    c = math.gcd(delta, *(x for part in (g0, gplus) for row in part for x in row))
+    c = c if delta > 0 else -c
+    wit = BoxWitness(
+        delta // c,
+        *(tuple(tuple(x // c for x in row) for row in part) for part in (g0, gplus)),
+    )
+    fault = _witness_fault(g, wit, entry.n_plus)
     if fault is not None:
         raise AssertionError(f"box witness fails its check: {fault}")
     bound = Fraction(sum(map(sum, adj)) * d * d, det)
-    return BoundCertificate(
-        BOX_OPTIMUM_DECOMPOSITION,
-        bound,
-        ids,
-        d,
-        witness=BoxWitness(g0, gplus, (Fraction(d),) * n),
-    )
+    return BoundCertificate(BOX_OPTIMUM_DECOMPOSITION, bound, ids, d, witness=wit)
 
 
 def rough_bound(cfg: CurveConfig, d: int) -> BoundCertificate:
@@ -304,7 +305,8 @@ def rough_bound(cfg: CurveConfig, d: int) -> BoundCertificate:
 
     Valid because degrees are nonnegative and capped by ``d``, so each
     positive inverse entry contributes at most ``d^2`` to the square of the
-    solution class; a curve of degree above ``d`` is a ValueError.
+    solution class.  A curve of degree above ``d`` is a ValueError, and so
+    is a negative definite configuration, whose inverse form bounds nothing.
     """
     check_caps(cfg, d=d)
     _, entry = _inverse_gram(cfg)
@@ -319,7 +321,8 @@ def box_certificate(cfg: CurveConfig, d: int) -> BoundCertificate:
     not apply (the Gram matrix is not of inertia ``(1, k - 1)``, some row
     sum of the inverse is negative, or the total sum is not positive);
     callers fall back to :func:`rough_bound`.  A curve of degree above
-    ``d`` is a ValueError.
+    ``d`` and a negative definite configuration are ValueErrors, as for
+    :func:`rough_bound`.
     """
     check_caps(cfg, d=d)
     g, entry = _inverse_gram(cfg)
@@ -333,31 +336,29 @@ def box_certificate(cfg: CurveConfig, d: int) -> BoundCertificate:
     return _box_certificate(cfg.ids(), g, entry, d)
 
 
-def _witness_fault(
-    g: list[list[int]], g0: SymMatrix, gplus: SymMatrix, n_plus: int
-) -> str | None:
-    """Why the split ``W = g0 + gplus`` fails to certify the box optimum of
-    the inverse of the integer Gram matrix ``g`` of positive inertia
+def _witness_fault(g: list[list[int]], wit: BoxWitness, n_plus: int) -> str | None:
+    """Why the box witness ``wit`` fails to certify the box optimum of the
+    inverse ``W`` of the integer Gram matrix ``g`` of positive inertia
     ``n_plus``, or None when it holds.
 
-    With every entry scaled by the common denominator ``delta`` it checks,
-    in integers: ``g (delta W) = delta I``; ``delta gplus >= 0`` entrywise
-    and ``(delta g0) 1 = 0``; and, unless ``g0 = 0``, the rank-one split
-    ``S (delta gplus) = rho rho^T`` with ``rho = (delta W) 1`` and
+    ``delta`` must be a positive int (a bool is not) and both parts k x k
+    tuples of rows of ints.  Then it checks the integers as they are:
+    ``g (delta W) = delta I``; ``delta g+ >= 0`` entrywise and
+    ``(delta g0) 1 = 0``; and, unless ``g0 = 0``, the rank-one split
+    ``S (delta g+) = rho rho^T`` with ``rho = (delta W) 1`` and
     ``S = sum(rho) > 0``, and the inertia ``(1, k - 1)`` of ``g``, which
     together make ``g0`` negative semi-definite (module docstring).
     """
-    k = len(g)
-    if g0.n != k or gplus.n != k:
-        return "witness size differs from the support"
-    delta = 1
-    for part in (g0, gplus):
-        for row in part.rows():
-            delta = math.lcm(delta, *(x.denominator for x in row))
-    n0, npl = (
-        [[x.numerator * (delta // x.denominator) for x in row] for row in part.rows()]
-        for part in (g0, gplus)
-    )
+    k, delta = len(g), wit.delta
+    n0, npl = parts = wit.negative_part, wit.nonnegative_part
+    if type(delta) is not int or delta < 1 or not all(
+        isinstance(p, tuple) and len(p) == k and all(
+            isinstance(r, tuple) and len(r) == k and all(type(x) is int for x in r)
+            for r in p
+        )
+        for p in parts
+    ):
+        return "the witness is not two k x k tuples of int rows over a positive int"
     w = [[a + b for a, b in zip(r0, rp)] for r0, rp in zip(n0, npl)]
     for i, row in enumerate(g):
         nz = [(l, x) for l, x in enumerate(row) if x]
@@ -388,12 +389,12 @@ def verify_certificate(cert: BoundCertificate, cfg: CurveConfig) -> bool:
     malformed input, such as a support that is not a tuple of ids, an
     unknown, repeated or degenerate support, a degree cap ``d`` that is
     not an integer (a bool is not) of at least 1 or is below the degree of
-    a support curve, a bound or a box
-    corner ``x_max`` that is not an exact ``Fraction``, or a box witness
-    whose parts are not matrices, is rejected rather than raised.  A
-    support with no positive direction bounds nothing (the polarization's
-    positive part may lie in its orthogonal complement), so its rough and
-    box certificates are rejected too."""
+    a support curve, a bound that is not an exact ``Fraction``, or a box
+    witness whose ``delta`` is not a positive int or whose parts are not
+    k x k tuples of int rows (:func:`_witness_fault`), is rejected rather
+    than raised.  A support with no positive direction bounds nothing (the
+    polarization's positive part may lie in its orthogonal complement), so
+    its rough and box certificates are rejected too."""
     d, ids = cert.d, cert.support_ids
     if type(d) is not int or d < 1 or not isinstance(ids, tuple):
         return False
@@ -419,14 +420,7 @@ def verify_certificate(cert: BoundCertificate, cfg: CurveConfig) -> bool:
         return cert.bound_on_2h == rough.bound_on_2h
     if cert.kind == BOX_OPTIMUM_DECOMPOSITION:
         wit = cert.witness
-        if not isinstance(wit, BoxWitness) or wit.x_max != (Fraction(d),) * len(g):
-            return False
-        if not all(isinstance(x, Fraction) for x in wit.x_max):
-            return False
-        parts = (wit.negative_part, wit.nonnegative_part)
-        if not all(isinstance(x, SymMatrix) for x in parts):
-            return False
-        if _witness_fault(g, *parts, entry.n_plus):
+        if not isinstance(wit, BoxWitness) or _witness_fault(g, wit, entry.n_plus):
             return False
         # the witness has passed as the inverse adj / det
         total = Fraction(sum(map(sum, entry.adj)), entry.det)

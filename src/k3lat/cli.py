@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from . import bounds, catalog, fibration, kodaira, roots
@@ -196,18 +197,16 @@ def _certificate_payload(cert: bounds.BoundCertificate) -> dict:
         "support": list(cert.support_ids),
         "d": cert.d,
     }
-    if isinstance(cert.witness, bounds.BoxWitness):
-        wit = cert.witness
+    wit = cert.witness
+    if isinstance(wit, bounds.BoxWitness):
         payload["witness"] = {
-            "negative_part": [
-                [format_fraction(x) for x in row] for row in wit.negative_part.rows()
-            ],
-            "nonnegative_part": [
-                [format_fraction(x) for x in row]
-                for row in wit.nonnegative_part.rows()
-            ],
-            "x_max": [format_fraction(x) for x in wit.x_max],
+            name: [[format_fraction(Fraction(x, wit.delta)) for x in row] for row in part]
+            for name, part in (
+                ("negative_part", wit.negative_part),
+                ("nonnegative_part", wit.nonnegative_part),
+            )
         }
+        payload["witness"]["x_max"] = [format_fraction(cert.d)] * len(cert.support_ids)
     return payload
 
 

@@ -6,9 +6,10 @@ step ``(p x - f y) // prev``), and each exact question is answered by one
 of them.  A symmetric congruence ``P^T M P = diag(d, 0, ..., 0)`` gives
 :func:`signature` (signs of ``d``) and :func:`positive_square_vector` (a
 column of ``P``; both at once from :func:`signature_and_witness`).
-:func:`bareiss` gives the determinant, the adjugate, :func:`inverse` as
-``adj / det`` and, when it pivots only on the diagonal, the nested
-principal minors whose signs give the inertia (:func:`minor_signature`).
+:func:`bareiss` gives the determinant, the adjugate (so the inverse is
+``adj / det``, kept in integers by its callers) and, when it pivots only
+on the diagonal, the nested principal minors whose signs give the inertia
+(:func:`minor_signature`).
 :func:`row_echelon` gives ``(p, reduced, pivots)`` with ``reduced / p`` in
 reduced row echelon form: one left-to-right reduction gives
 :func:`kernel_basis`, one right-to-left the quotient by the radical
@@ -72,10 +73,6 @@ class SymMatrix:
                     raise ValueError(f"matrix not symmetric at ({i},{j})")
         self._rows = rows
 
-    @classmethod
-    def zero(cls, n: int) -> "SymMatrix":
-        return cls([[Fraction(0)] * n for _ in range(n)])
-
     @property
     def n(self) -> int:
         return len(self._rows)
@@ -103,9 +100,6 @@ class SymMatrix:
             raise ValueError("dimension mismatch")
         v = [_frac(x) for x in vec]
         return tuple(sum((a * x for a, x in zip(row, v)), Fraction(0)) for row in self._rows)
-
-    def submatrix(self, indices: Sequence[int]) -> "SymMatrix":
-        return SymMatrix([[self._rows[i][j] for j in indices] for i in indices])
 
 
 def _congruence(
@@ -334,11 +328,3 @@ def kernel_basis(m: SymMatrix) -> list[tuple[int, ...]]:
         basis.append(_primitive_integer(vec))
     return sorted(basis)
 
-
-def inverse(m: SymMatrix) -> SymMatrix:
-    """Exact inverse ``s adj(s m) / det(s m)``, with ``s`` the lcm of the
-    denominators of ``m``, from one :func:`bareiss` elimination; raises
-    :class:`SingularMatrixError` on a degenerate input."""
-    s, rows = _scaled(m)
-    det, adj, _ = bareiss(rows)
-    return SymMatrix([[Fraction(s * x, det) for x in row] for row in adj])

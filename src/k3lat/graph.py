@@ -252,11 +252,6 @@ def integer_gram(cfg: CurveConfig, idx: Sequence[int]) -> list[list[int]]:
     ]
 
 
-def gram(cfg: CurveConfig) -> SymMatrix:
-    """Gram matrix of the intersection form in vertex order."""
-    return SymMatrix(integer_gram(cfg, range(cfg.n)))
-
-
 def classify(cfg: CurveConfig) -> LatticeClass:
     """Elliptic / parabolic / hyperbolic trichotomy of the span.
 

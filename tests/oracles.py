@@ -30,6 +30,12 @@ step kept indefinite subsets and recognised every one it kept, and
 :func:`extremal_lookup_reference`, the catalog lookup keyed on raw extremal
 payloads before they were read as profiles; all are kept as references for
 differential tests.
+
+The Fraction matrix API that the package no longer calls lives here too:
+:func:`gram`, :func:`submatrix` and :func:`inverse` (one ``exact.bareiss``
+elimination, as ``exact.inverse`` was), with :func:`witness_parts` and
+:func:`integer_witness` between a box witness's integers and its split as
+Fractions.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
+from k3lat import exact
 from k3lat.bounds import (
     BOX_OPTIMUM_DECOMPOSITION,
     INTRINSIC_SQUARE,
@@ -68,10 +75,51 @@ from k3lat.graph import (
     SpanKind,
     classify,
     connected_vertex_subsets,
-    gram,
+    integer_gram,
 )
 from k3lat.kodaira import KodairaDivisor, _divisor_from_component
 from k3lat.roots import _STARS, RootComponent, canonical_diagram, radical
+
+
+# -- the Fraction matrix API ------------------------------------------------
+
+
+def gram(cfg: CurveConfig) -> SymMatrix:
+    """Gram matrix of the intersection form in vertex order."""
+    return SymMatrix(integer_gram(cfg, range(cfg.n)))
+
+
+def submatrix(m: SymMatrix, indices) -> SymMatrix:
+    return SymMatrix([[m[i, j] for j in indices] for i in indices])
+
+
+def inverse(m: SymMatrix) -> SymMatrix:
+    """Exact inverse ``s adj(s m) / det(s m)``, with ``s`` the lcm of the
+    denominators of ``m``, from one ``exact.bareiss`` elimination; raises
+    :class:`SingularMatrixError` on a degenerate input."""
+    s, rows = exact._scaled(m)
+    det, adj, _ = exact.bareiss(rows)
+    return SymMatrix([[Fraction(s * x, det) for x in row] for row in adj])
+
+
+def witness_parts(wit: BoxWitness) -> tuple[SymMatrix, SymMatrix]:
+    """The split ``(g0, g+)`` that a box witness holds over its ``delta``,
+    as Fraction matrices."""
+    return tuple(
+        SymMatrix([[Fraction(x, wit.delta) for x in row] for row in part])
+        for part in (wit.negative_part, wit.nonnegative_part)
+    )
+
+
+def integer_witness(g0, gplus) -> BoxWitness:
+    """The box witness of the split ``(g0, g+)`` given as rows of
+    rationals, over the lcm of their denominators."""
+    parts = [[[Fraction(x) for x in row] for row in part] for part in (g0, gplus)]
+    delta = lcm(*(x.denominator for part in parts for row in part for x in row))
+    return BoxWitness(
+        delta,
+        *(tuple(tuple(int(x * delta) for x in row) for row in part) for part in parts),
+    )
 
 
 # -- exact determinant and rank (independent row reduction) ---------------
@@ -445,7 +493,7 @@ def quotient_by_kernel_reference(cfg) -> tuple[SymMatrix, QuotientProjection]:
         # e_pc = -sum over free columns of row[free] * e_free (mod radical)
         for bi, bp in enumerate(basis_pos):
             proj[bi][pc] = -row[bp]
-    quotient = m.submatrix(basis_pos)
+    quotient = submatrix(m, basis_pos)
     basis_ids = tuple(cfg.vertices[j].id for j in basis_pos)
     return quotient, QuotientProjection(basis_ids, tuple(tuple(r) for r in proj))
 
@@ -775,9 +823,10 @@ def _check_box_witness_reference(w, g0, gplus, ones):
 def verify_certificate_reference(cert, cfg):
     """``bounds.verify_certificate`` as it was before the integer checker:
     a Fraction inverse of the induced Gram matrix (in config order, whatever
-    the support order), and for box certificates the witness summed against
-    it and a dense signature of its negative part.  It does not check ``d``
-    beyond the ``x_max`` corner."""
+    the support order), and for box certificates the witness read as
+    Fractions, summed against it, and a dense signature of its negative
+    part.  It checks ``d`` only through the bound at the all-``d``
+    corner."""
     try:
         sub = cfg.induced(cert.support_ids)
         if cert.kind == INTRINSIC_SQUARE:
@@ -796,14 +845,10 @@ def verify_certificate_reference(cert, cfg):
             return False
         ones = (Fraction(1),) * w.n
         try:
-            _check_box_witness_reference(
-                w, wit.negative_part, wit.nonnegative_part, ones
-            )
-        except (AssertionError, ValueError):
+            _check_box_witness_reference(w, *witness_parts(wit), ones)
+        except (AssertionError, TypeError, ValueError, ZeroDivisionError):
             return False
-        if wit.x_max != (Fraction(d),) * w.n:
-            return False
-        return cert.bound_on_2h == quadratic_form(w, wit.x_max)
+        return cert.bound_on_2h == quadratic_form(w, (Fraction(d),) * w.n)
     return False
 
 

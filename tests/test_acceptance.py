@@ -25,7 +25,7 @@ from k3lat.fibration import (
     profile,
     rational_component_bound,
 )
-from k3lat.graph import config_from_data, gram
+from k3lat.graph import config_from_data
 from k3lat.kodaira import type_table
 from k3lat.roots import decompose, standard_diagram
 
@@ -35,7 +35,16 @@ from conftest import (
     i3star_four_sections,
     ivstar_three_a2,
 )
-from oracles import box_max, inverse_reference, matrix_sum, min_entry, oracle_signature
+from oracles import (
+    box_max,
+    gram,
+    inverse_reference,
+    matrix_sum,
+    min_entry,
+    oracle_signature,
+    quadratic_form,
+    witness_parts,
+)
 
 EXAMPLES = Path(data_root()) / "examples"
 
@@ -72,12 +81,13 @@ def test_acceptance_2_char3_certificate(capsys):
     cert = box_certificate(cfg, 1)
     assert cert.bound_on_2h == Fraction(86)
     assert cert.witness is not None
-    g0, gplus = cert.witness.negative_part, cert.witness.nonnegative_part
+    g0, gplus = witness_parts(cert.witness)
     assert matrix_sum(g0, gplus) == inverse_reference(gram(cfg))
     assert min_entry(gplus) >= 0
     assert signature(g0).n_plus == 0
     assert g0.apply((1,) * 12) == (Fraction(0),) * 12
-    assert cert.witness.x_max == (Fraction(1),) * 12
+    # the bound is the inverse form at the all-ones corner
+    assert quadratic_form(matrix_sum(g0, gplus), (1,) * 12) == 86
     assert exclude(cfg, 1, 43).status is ExclusionStatus.HYPERBOLIC_UNDECIDED
     assert exclude(cfg, 1, 44).status is ExclusionStatus.HYPERBOLIC_EXCLUDED
     with capsys.disabled():

@@ -34,13 +34,12 @@ from k3lat.bounds import (
     sweep_records,
     verify_certificate,
 )
-from k3lat.exact import SymMatrix, inverse, kernel_basis, signature
+from k3lat.exact import SymMatrix, kernel_basis, signature
 from k3lat.formats import parse_config
 from k3lat.graph import (
     SpanKind,
     classify,
     config_from_data,
-    gram,
     quotient_by_kernel,
 )
 from k3lat.roots import standard_diagram
@@ -58,11 +57,16 @@ from oracles import (
     det,
     entry_sum,
     exclude_reference,
+    gram,
+    integer_witness,
     intrinsic_polarization_reference,
+    inverse,
     inverse_reference,
     min_entry,
     subgraph_certificates_reference,
+    submatrix,
     verify_certificate_reference,
+    witness_parts,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -216,6 +220,17 @@ def test_rough_bound_degenerate_raises():
         rough_bound(standard_diagram("AffineA", 3), 1)
 
 
+@pytest.mark.parametrize("build", [rough_bound, box_certificate])
+def test_bounds_refuse_a_negative_definite_configuration(build):
+    # A3 has no positive direction, so its inverse form bounds nothing and
+    # verify_certificate rejects any rough or box certificate on it; neither
+    # builder issues one ("2h <= 0"), and the refusal is a plain ValueError,
+    # not the box split's failure, whatever the method
+    with pytest.raises(ValueError, match="negative definite") as info:
+        build(standard_diagram("A", 3), 1)
+    assert type(info.value) is ValueError
+
+
 # -- box certificate ----------------------------------------------------------
 
 
@@ -224,11 +239,10 @@ def test_box_certificate_char3(char3_cfg):
     assert cert.kind == BOX_OPTIMUM_DECOMPOSITION
     assert cert.bound_on_2h == 86
     assert verify_certificate(cert, char3_cfg)
-    wit = cert.witness
-    assert signature(wit.negative_part).n_plus == 0
-    assert min_entry(wit.nonnegative_part) >= 0
-    n = wit.negative_part.n
-    assert wit.negative_part.apply((1,) * n) == (Fraction(0),) * n
+    g0, gplus = witness_parts(cert.witness)
+    assert signature(g0).n_plus == 0
+    assert min_entry(gplus) >= 0
+    assert g0.apply((1,) * g0.n) == (Fraction(0),) * g0.n
 
 
 def test_box_certificate_char2(char2_cfg):
@@ -239,8 +253,9 @@ def test_box_certificate_char2(char2_cfg):
 def test_box_certificate_nonnegative_inverse_trivial_split():
     cfg = toy_config()
     cert = box_certificate(cfg, 6)
-    assert min_entry(cert.witness.negative_part) == 0
-    assert entry_sum(cert.witness.negative_part) == 0
+    g0 = witness_parts(cert.witness)[0]
+    assert min_entry(g0) == 0
+    assert entry_sum(g0) == 0
     assert cert.bound_on_2h == 144  # all inverse entries nonnegative
 
 
@@ -306,13 +321,20 @@ def test_verify_certificate_rejects_tampering(char3_cfg):
     )
     assert not verify_certificate(forged, char3_cfg)
     # a float equal to an exact value is not exact: neither as the bound
-    # (box 86, rough 94) nor as an entry of the box corner
+    # (box 86, rough 94) nor as the witness's denominator or one of its
+    # entries
     rough = rough_bound(char3_cfg, 1)
     assert (cert.bound_on_2h, rough.bound_on_2h) == (86, 94)
+    wit = cert.witness
+    row = (float(wit.nonnegative_part[0][0]),) + wit.nonnegative_part[0][1:]
     inexact = [
         replace(cert, bound_on_2h=86.0),
         replace(rough, bound_on_2h=94.0),
-        replace(cert, witness=replace(cert.witness, x_max=(1.0,) * 12)),
+        replace(cert, witness=replace(wit, delta=float(wit.delta))),
+        replace(
+            cert,
+            witness=replace(wit, nonnegative_part=(row,) + wit.nonnegative_part[1:]),
+        ),
     ]
     assert verify_certificate(cert, char3_cfg) and verify_certificate(rough, char3_cfg)
     assert not any(verify_certificate(c, char3_cfg) for c in inexact)
@@ -329,7 +351,7 @@ def test_verify_certificate_needs_the_rank_one_split_and_the_inertia(char3_cfg):
     r = [sum(row) for row in w]
     gplus = [[ri * rj / sum(r) for rj in r] for ri in r]
     g0 = [[x - y for x, y in zip(rw, rp)] for rw, rp in zip(w, gplus)]
-    split = BoxWitness(SymMatrix(g0), SymMatrix(gplus), (Fraction(1),) * 2)
+    split = integer_witness(g0, gplus)
     inertia = BoundCertificate(
         BOX_OPTIMUM_DECOMPOSITION, sum(r), pair.ids(), 1, split
     )
@@ -337,20 +359,17 @@ def test_verify_certificate_needs_the_rank_one_split_and_the_inertia(char3_cfg):
     # rank-one: eps (e0 - e1)(e0 - e1)^T moved from g+ to g0 of a valid
     # certificate keeps the inverse, g+ >= 0 and g0 1 = 0
     cert = box_certificate(char3_cfg, 1)
-    gplus = [list(row) for row in cert.witness.nonnegative_part.rows()]
-    g0 = [list(row) for row in cert.witness.negative_part.rows()]
+    g0, gplus = ([list(row) for row in m.rows()] for m in witness_parts(cert.witness))
     eps = min(gplus[0][0], gplus[1][1])
     for i, j in product((0, 1), repeat=2):
         move = eps if i == j else -eps
         gplus[i][j] -= move
         g0[i][j] += move
-    moved = replace(
-        cert.witness, negative_part=SymMatrix(g0), nonnegative_part=SymMatrix(gplus)
-    )
+    moved = integer_witness(g0, gplus)
     rank_one = replace(cert, witness=moved)
-    assert signature(moved.negative_part).as_tuple() == (1, 10, 1)
+    assert signature(witness_parts(moved)[0]).as_tuple() == (1, 10, 1)
     for cfg, forged in ((pair, inertia), (char3_cfg, rank_one)):
-        assert signature(forged.witness.negative_part).n_plus > 0
+        assert signature(witness_parts(forged.witness)[0]).n_plus > 0
         assert not verify_certificate(forged, cfg)
         assert not verify_certificate_reference(forged, cfg)
 
@@ -368,7 +387,8 @@ def test_verify_certificate_total_on_bad_support(make, support):
     cert = make(cfg, 1)
     assert verify_certificate(cert, cfg)
     assert not verify_certificate(replace(cert, support_ids=support), cfg)
-    # nor is a bool degree cap, or a box witness part that is not a matrix
+    # nor is a bool degree cap, or a box witness part that is not a k x k
+    # tuple of int rows
     bad = [replace(cert, d=True)]
     if cert.witness is not None:
         bad += [
@@ -396,8 +416,50 @@ def test_verify_certificate_rejects_repeated_support_ids(kind):
 def test_verify_certificate_rejects_mismatched_witness(char3_cfg):
     cert = box_certificate(char3_cfg, 1)
     wit = cert.witness
-    bad = replace(wit, negative_part=SymMatrix.zero(wit.negative_part.n - 1))
+    k = len(wit.negative_part) - 1
+    bad = replace(wit, negative_part=((0,) * k,) * k)
     assert not verify_certificate(replace(cert, witness=bad), char3_cfg)
+
+
+def test_verify_certificate_total_on_malformed_witness():
+    # two curves whose Gram matrix [[0, 1], [1, -2]] is unimodular, with the
+    # inverse [[2, 1], [1, 0]]: no entry is negative, so the witness is the
+    # trivial split over delta = 1.  Each copy below holds a denominator or
+    # a part that is not a positive int or a 2 x 2 tuple of int rows, many
+    # of them equal in value to the valid one; all are rejected, not raised
+    cfg = config_from_data([("a", 0, 1), ("b", -2, 1)], [("a", "b")])
+    cert = box_certificate(cfg, 1)
+    wit = cert.witness
+    assert wit == BoxWitness(1, ((0, 0), (0, 0)), ((2, 1), (1, 0)))
+    assert verify_certificate(cert, cfg)
+    bad = [replace(wit, delta=v) for v in (True, 1.0, Fraction(1), 0, -1, None, "1")]
+    for name, part in (
+        ("negative_part", wit.negative_part),
+        ("nonnegative_part", wit.nonnegative_part),
+    ):
+        (a, b), (c, e) = part
+        bad += [
+            replace(wit, **{name: value})
+            for value in (
+                None,
+                "00",
+                list(part),
+                tuple(map(list, part)),
+                ((bool(a), b), (c, e)),
+                ((float(a), b), (c, e)),
+                ((Fraction(a), b), (c, e)),
+                ((None, b), (c, e)),
+                part[:1],
+                part + ((0, 0),),
+                ((a, b, 0), (c, e, 0)),
+                ((a,), (c,)),
+            )
+        ]
+    witnesses = [replace(cert, witness=w) for w in bad]
+    plain = (wit.delta, wit.negative_part, wit.nonnegative_part)
+    witnesses += [replace(cert, witness=w) for w in (None, plain)]
+    for forged in witnesses:
+        assert verify_certificate(forged, cfg) is False, forged.witness
 
 
 
@@ -407,11 +469,7 @@ def test_verify_certificate_rejects_degree_cap_below_one(cfg):
     # or d = 3/2, are not certificates for any degree cap
     rough = rough_bound(cfg, 1)
     box = box_certificate(cfg, 1)
-    n = len(box.support_ids)
-    zero_box = replace(
-        box, d=0, bound_on_2h=Fraction(0),
-        witness=replace(box.witness, x_max=(Fraction(0),) * n),
-    )
+    zero_box = replace(box, d=0, bound_on_2h=Fraction(0))
     forged = [
         replace(rough, d=0, bound_on_2h=Fraction(0)),
         zero_box,
@@ -433,10 +491,7 @@ def test_verify_certificate_rejects_a_support_curve_above_the_cap():
     assert (pinned.kind, pinned.bound_on_2h) == (INTRINSIC_SQUARE, 84)
     forged = [
         replace(rough, d=1, bound_on_2h=Fraction(4)),
-        replace(
-            box, d=1, bound_on_2h=Fraction(4),
-            witness=replace(box.witness, x_max=(Fraction(1),) * 2),
-        ),
+        replace(box, d=1, bound_on_2h=Fraction(4)),
         replace(pinned, d=1),
     ]
     for cert in (rough, box, pinned):
@@ -451,7 +506,7 @@ def test_verify_certificate_rejects_support_without_positive_direction():
     cfg = d6tilde_plus_three()
     rough = rough_bound(cfg, 1)
     box = box_certificate(cfg, 1)
-    empty = BoxWitness(SymMatrix.zero(0), SymMatrix.zero(0), ())
+    empty = BoxWitness(1, (), ())
     forged = [
         replace(rough, support_ids=("f1",), bound_on_2h=Fraction(0)),
         replace(rough, support_ids=("f1", "c1"), bound_on_2h=Fraction(0)),
@@ -491,10 +546,17 @@ def test_verify_certificate_matches_reference_on_golden_certificates():
     for cfg, cert in pool:
         assert verify_certificate(cert, cfg)
         assert verify_certificate_reference(cert, cfg)
+        if cert.kind == BOX_OPTIMUM_DECOMPOSITION:
+            # in lowest terms: the witness over the lcm of its split's
+            # denominators, so equal splits compare equal
+            parts = (m.rows() for m in witness_parts(cert.witness))
+            assert cert.witness == integer_witness(*parts)
 
 
-def _scaled(m, c):
-    return SymMatrix([[c * x for x in row] for row in m.rows()])
+def _scaled(wit, c):
+    return integer_witness(
+        *([[c * x for x in row] for row in m.rows()] for m in witness_parts(wit))
+    )
 
 
 def _tampered(data, cfg, cert):
@@ -518,8 +580,9 @@ def _tampered(data, cfg, cert):
             d = data.draw(st.integers(-3, 0))
         return replace(cert, d=d), d >= 1
     if how == "entry":
-        part = data.draw(st.sampled_from(("negative_part", "nonnegative_part")))
-        rows = [list(r) for r in getattr(wit, part).rows()]
+        part = data.draw(st.sampled_from((0, 1)))
+        parts = [[list(r) for r in m.rows()] for m in witness_parts(wit)]
+        rows = parts[part]
         i = data.draw(st.integers(0, len(rows) - 1))
         j = data.draw(st.integers(0, len(rows) - 1))
         delta = data.draw(
@@ -528,7 +591,7 @@ def _tampered(data, cfg, cert):
         rows[i][j] += delta
         if i != j:
             rows[j][i] += delta
-        return replace(cert, witness=replace(wit, **{part: SymMatrix(rows)})), True
+        return replace(cert, witness=integer_witness(*parts)), True
     if how == "permute":
         ids = cert.support_ids
         perm = data.draw(st.permutations(range(len(ids))))
@@ -552,10 +615,7 @@ def _tampered(data, cfg, cert):
         return replace(cert, witness=swapped), True
     # a multiple of the inverse: every check but G W = I still holds
     c = data.draw(st.sampled_from((Fraction(2), Fraction(1, 2), Fraction(3))))
-    scaled = BoxWitness(
-        _scaled(wit.negative_part, c), _scaled(wit.nonnegative_part, c), wit.x_max
-    )
-    return replace(cert, witness=scaled, bound_on_2h=c * cert.bound_on_2h), True
+    return replace(cert, witness=_scaled(wit, c), bound_on_2h=c * cert.bound_on_2h), True
 
 
 @settings(max_examples=300, deadline=None)
@@ -578,8 +638,7 @@ def test_verify_certificate_rejects_forgery_under_optimize():
         "cert = box_certificate(cfg, 1)\n"
         "w = cert.witness\n"
         "print(verify_certificate(cert, cfg))\n"
-        "print(verify_certificate(replace(cert, d=0, bound_on_2h=Fraction(0),\n"
-        "    witness=replace(w, x_max=(Fraction(0),) * 2)), cfg))\n"
+        "print(verify_certificate(replace(cert, d=0, bound_on_2h=Fraction(0)), cfg))\n"
         "print(verify_certificate(replace(cert, witness=replace(w,\n"
         "    negative_part=w.nonnegative_part, nonnegative_part=w.negative_part)), cfg))\n"
     )
@@ -1021,7 +1080,7 @@ def test_sweep_adjugates_exact_on_stress_configuration():
         # all held at once, so that no two live entries have one id
         for subset, entry in list(_sweep(cfg, 6)):
             if entry is None:
-                assert signature(gram(cfg).submatrix(subset)).n_zero > 0
+                assert signature(submatrix(gram(cfg), subset)).n_zero > 0
                 continue
             if len(subset) == 6:
                 shared_leaves[id(entry)] += 1
@@ -1183,6 +1242,55 @@ def test_leaf_bounds_cover_every_case():
     }
 
 
+def _realised_polarizations(count=100, seed=5209):
+    """Seeded hyperbolic configurations of 2-7 curves (squares -2/0/2,
+    multiplicities 0-3), each with ``H^2`` for an integer class
+    ``H = sum a_i C_i``, ``a_i`` in ``[-2, 3]``, with ``H.C >= 1`` on every
+    curve and ``H^2 >= 2``; each curve's degree is ``H.C``."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(2, 7)
+        squares = [rng.choice((-2, -2, -2, 0, 2)) for _ in range(n)]
+        mults = {
+            (i, j): rng.choice((0, 0, 1, 1, 2, 3))
+            for i in range(n)
+            for j in range(i + 1, n)
+        }
+        a = [rng.randint(-2, 3) for _ in range(n)]
+        degrees = [
+            sum(
+                a[j] * (squares[i] if i == j else mults[min(i, j), max(i, j)])
+                for j in range(n)
+            )
+            for i in range(n)
+        ]
+        square = sum(x * y for x, y in zip(a, degrees))
+        if min(degrees) < 1 or square < 2:
+            continue
+        cfg = config_from_data(
+            [(f"v{i}", squares[i], degrees[i]) for i in range(n)],
+            [(f"v{i}", f"v{j}", m) for (i, j), m in mults.items() if m],
+        )
+        if classify(cfg).kind is SpanKind.HYPERBOLIC:
+            out.append((cfg, square))
+    return out
+
+
+def test_exclude_never_excludes_a_realised_polarization():
+    # H pairs to each curve's degree, at most d = max H.C, and has square
+    # 2h = H^2, so no sound bound of any subset, nor the pinned square, is
+    # below 2h: no cap and neither degree mode may exclude
+    for cfg, square in _realised_polarizations():
+        d = max(cfg.degrees())
+        for cap in range(1, cfg.n + 1):
+            for pinned in (False, True):
+                verdict = exclude(cfg, d, square // 2, cap, pinned)
+                assert verdict.status is not ExclusionStatus.HYPERBOLIC_EXCLUDED, (
+                    cfg, cap, pinned, verdict.certificates,
+                )
+
+
 def test_exclude_deterministic(char3_cfg):
     v1 = exclude(char3_cfg, 1, 44)
     v2 = exclude(char3_cfg, 1, 44)
@@ -1220,7 +1328,7 @@ def _rational(witness):
     """The values a certificate's witness stands for, whatever its form: a
     box witness as its two parts, each a tuple of rows of Fractions."""
     if isinstance(witness, BoxWitness):
-        return (witness.negative_part.rows(), witness.nonnegative_part.rows())
+        return tuple(m.rows() for m in witness_parts(witness))
     return witness
 
 

@@ -7,8 +7,17 @@ from pathlib import Path
 
 import pytest
 
+from k3lat.bounds import (
+    BOX_OPTIMUM_DECOMPOSITION,
+    ROUGH_POSITIVE_ENTRY_SUM,
+    BoundCertificate,
+    verify_certificate,
+)
 from k3lat.catalog import data_root, load_catalog
 from k3lat.cli import main
+from k3lat.formats import parse_config, parse_fraction
+
+from oracles import integer_witness
 
 EXAMPLES = Path(data_root()) / "examples"
 
@@ -187,6 +196,82 @@ def test_bound_with_a_curve_above_the_cap_exit_code(tmp_path, capsys):
         assert "vertex 'd' has degree 6 > d = 1" in err
     rc, out, _ = run(capsys, "bound", str(cfg), "--d", "6")
     assert rc == 0 and "144" in out
+
+
+def test_bound_on_a_negative_definite_configuration_exit_code(tmp_path, capsys):
+    # A3 has no positive direction, so no method may print "2h <= 0": each
+    # exits 2 with the reason instead of issuing a certificate that fails
+    # its own re-verification
+    cfg = tmp_path / "a3.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "vertices": [{"id": v, "square": -2} for v in ("a", "b", "c")],
+                "edges": [{"a": "a", "b": "b"}, {"a": "b", "b": "c"}],
+            }
+        )
+    )
+    for method in ("rough", "box", "auto"):
+        rc, out, err = run(capsys, "bound", str(cfg), "--d", "1", "--method", method)
+        assert (rc, out) == (2, "")
+        assert "negative definite" in err
+
+
+def _certificate_from_json(payload):
+    """A certificate rebuilt from its printed JSON alone: each rational read
+    by ``parse_fraction``, a box witness over the lcm of its denominators."""
+    witness = None
+    if "witness" in payload:
+        witness = integer_witness(
+            *(
+                [[parse_fraction(x) for x in row] for row in payload["witness"][name]]
+                for name in ("negative_part", "nonnegative_part")
+            )
+        )
+    return BoundCertificate(
+        payload["kind"],
+        parse_fraction(payload["bound_on_2h"]),
+        tuple(payload["support"]),
+        payload["d"],
+        witness,
+    )
+
+
+def test_printed_certificates_reverify_from_their_bytes(capsys):
+    # every certificate that bound (each method) and exclude print for the
+    # shipped example configurations re-verifies from its JSON alone, and
+    # not with one printed witness entry (or, for a rough bound, the
+    # printed bound) changed
+    seen = []
+    for name in (
+        "char2-IVstar-3xA2", "char3-I3star-4sections", "example-D6tilde",
+        "fermat-I4-cycle",
+    ):
+        path = EXAMPLES / f"{name}.json"
+        cfg = parse_config(path.read_text()).config
+        for d in ("1", "2"):
+            runs = [("bound", "--method", m) for m in ("rough", "box", "auto")]
+            runs.append(("exclude", "--h", "43", "--cap", "6"))
+            for cmd, *opts in runs:
+                _, out, _ = run(capsys, cmd, str(path), "--d", d, *opts, "--format", "json")
+                report = json.loads(out or "{}")
+                payloads = report.get("certificates", [])
+                if "certificate" in report:
+                    payloads = [report["certificate"]]
+                for payload in payloads:
+                    cert = _certificate_from_json(payload)
+                    assert verify_certificate(cert, cfg), (name, d, cmd, opts)
+                    if "witness" in payload:
+                        k = len(cert.support_ids)
+                        assert payload["witness"]["x_max"] == [d] * k
+                        row = payload["witness"]["negative_part"][0]
+                        row[0] = str(parse_fraction(row[0]) + 1)
+                    else:
+                        payload["bound_on_2h"] += "1"
+                    assert not verify_certificate(_certificate_from_json(payload), cfg)
+                    seen.append(cert.kind)
+    assert set(seen) == {BOX_OPTIMUM_DECOMPOSITION, ROUGH_POSITIVE_ENTRY_SUM}
+    assert len(seen) == 18
 
 
 def test_bound_box_json(capsys):

@@ -11,7 +11,6 @@ from k3lat.exact import (
     SymMatrix,
     _congruence,
     bareiss,
-    inverse,
     kernel_basis,
     minor_signature,
     positive_square_vector,
@@ -24,6 +23,7 @@ from oracles import (
     congruence_reference,
     det,
     identity_matrix,
+    inverse,
     inverse_reference,
     kernel_basis_reference,
     oracle_signature,

@@ -25,7 +25,6 @@ from k3lat.graph import (
     classify,
     config_from_data,
     connected_vertex_subsets,
-    gram,
     hodge_filter,
     quotient_by_kernel,
     validate_pairings,
@@ -34,6 +33,7 @@ from k3lat.kodaira import exclusion_6d, find_kodaira_divisors
 
 from oracles import (
     connected_subsets_reference,
+    gram,
     kernel_basis_reference,
     quadratic_form,
     quotient_by_kernel_reference,

@@ -1,8 +1,10 @@
-"""Every module of ``src/k3lat`` uses each name it imports.
+"""Every module of ``src/k3lat`` uses each name it imports, and every
+module-level private name is read somewhere in ``src/k3lat``.
 
-``__init__`` is exempt: it imports names to re-export them.  A name counts
-as used when it is read anywhere in the module, string annotations
-included.
+``__init__`` is exempt from the first: it imports names to re-export them.
+A name counts as used when it is read anywhere in the module, string
+annotations included; binding it is no use.  A private name also counts as
+read when it is an attribute (``module._name``).
 """
 
 import ast
@@ -27,7 +29,7 @@ def _imported(tree):
 def _used(tree):
     used = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             used.add(node.id)
         annotations = []
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -55,3 +57,48 @@ def test_guard_sees_an_unused_import():
         "def f(x: 'Fraction') -> int:\n    return math.floor(x)\n"
     )
     assert sorted(set(_imported(tree)) - _used(tree)) == ["os"]
+
+
+def _private(tree):
+    """Names that ``def _x``, ``class _X`` or ``_X = ...`` bind at module
+    level; dunders are not private."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from (n for n in names if n.startswith("_") and not n.endswith("__"))
+
+
+def _dead_private(trees):
+    read = set()
+    for tree in trees.values():
+        read |= _used(tree)
+        read |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    return sorted(
+        f"{stem}.{name}"
+        for stem, tree in trees.items()
+        for name in _private(tree)
+        if name not in read
+    )
+
+
+def test_every_private_name_is_read():
+    trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
+    assert _dead_private(trees) == []
+
+
+def test_guard_sees_a_dead_private_name():
+    trees = {
+        "a": ast.parse(
+            "_SEEN = {}\n_LEFT = 1\n_both: int = 2\n"
+            "def _helper(): return _SEEN\n"
+            "class _Gone: pass\n"
+            "def _late(x: '_Both'): pass\n"
+        ),
+        "b": ast.parse("from a import _helper\nclass _Both: pass\nprint(_helper, a._late)\n"),
+    }
+    assert _dead_private(trees) == ["a._Gone", "a._LEFT", "a._both"]

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from k3lat import kodaira, roots
-from k3lat.graph import CUT, Final, config_from_data, connected_vertex_subsets, gram
+from k3lat.graph import CUT, Final, config_from_data, connected_vertex_subsets
 from k3lat.kodaira import (
     divisor_degree,
     exclusion_6d,
@@ -19,6 +19,7 @@ from conftest import i4_fibres_with_section, recorded_steps
 from oracles import (
     connected_subsets_reference,
     find_kodaira_divisors_reference,
+    gram,
     oracle_signature,
     recognize_component_reference,
 )

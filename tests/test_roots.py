@@ -18,7 +18,6 @@ from k3lat.graph import (
     CurveVertex,
     classify,
     config_from_data,
-    gram,
 )
 from k3lat.kodaira import find_kodaira_divisors
 from k3lat.roots import (
@@ -31,7 +30,7 @@ from k3lat.roots import (
 )
 
 from conftest import ALL_KINDS, i4_fibres_with_section
-from oracles import connected_subsets_reference, recognize_component_reference
+from oracles import connected_subsets_reference, gram, recognize_component_reference
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
