@@ -1,7 +1,7 @@
 """Exact lattice-theoretic certificates for rational-curve configurations
 on polarized K3 surfaces."""
 
-from .exact import Signature, SingularMatrixError, SymMatrix, kernel_basis, signature
+from .exact import Signature, SingularMatrixError, kernel_basis, signature
 from .graph import (
     CurveConfig,
     CurveVertex,

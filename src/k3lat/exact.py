@@ -1,11 +1,13 @@
 """Exact linear algebra over the rationals for symmetric matrices.
 
-Results are exact (arbitrary-precision integers, no rounding ever).  There
-are three eliminations, all fraction-free loops on integers (Bareiss's
-step ``(p x - f y) // prev``), and each exact question is answered by one
-of them.  A symmetric congruence ``P^T M P = diag(d, 0, ..., 0)`` gives
-:func:`signature` (signs of ``d``) and :func:`positive_square_vector` (a
-column of ``P``; both at once from :func:`signature_and_witness`).
+A matrix is a sequence of rows of ``int`` and ``Fraction`` entries; there
+is no matrix class.  Results are exact (arbitrary-precision integers, no
+rounding ever).  There are three eliminations, all fraction-free loops on
+integers (Bareiss's step ``(p x - f y) // prev``), and each exact question
+is answered by one of them.  A symmetric congruence
+``P^T M P = diag(d, 0, ..., 0)`` gives :func:`signature` (signs of ``d``)
+and :func:`positive_square_vector` (a column of ``P``; both at once from
+:func:`signature_and_witness`).
 :func:`bareiss` gives the determinant, the adjugate (so the inverse is
 ``adj / det``, kept in integers by its callers) and, when it pivots only
 on the diagonal, the nested principal minors whose signs give the inertia
@@ -14,8 +16,9 @@ on the diagonal, the nested principal minors whose signs give the inertia
 reduced row echelon form: one left-to-right reduction gives
 :func:`kernel_basis`, one right-to-left the quotient by the radical
 (``graph.quotient_by_kernel``).  The public functions scale a rational
-matrix by the lcm of its denominators first.  All values are immutable and
-all functions are pure; concurrent use is safe.
+matrix by the lcm of its denominators first; that step is also the one
+check that the rows form a square, symmetric, exact matrix.  No function
+modifies its input and all are pure; concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -26,17 +29,11 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
+Rows = Sequence[Sequence[int | Fraction]]
+
 
 class SingularMatrixError(ZeroDivisionError):
     """Raised when a matrix that must be invertible has a kernel."""
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"matrix entries must be exact rationals, got {type(x).__name__}")
 
 
 @dataclass(frozen=True)
@@ -54,52 +51,6 @@ class Signature:
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.n_plus, self.n_minus, self.n_zero)
-
-
-class SymMatrix:
-    """Immutable symmetric matrix with exact rational entries."""
-
-    __slots__ = ("_rows",)
-
-    def __init__(self, rows: Iterable[Iterable[Fraction | int]]):
-        rows = tuple(tuple(_frac(x) for x in row) for row in rows)
-        n = len(rows)
-        for row in rows:
-            if len(row) != n:
-                raise ValueError("matrix must be square")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError(f"matrix not symmetric at ({i},{j})")
-        self._rows = rows
-
-    @property
-    def n(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        i, j = ij
-        return self._rows[i][j]
-
-    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        return self._rows
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SymMatrix) and self._rows == other._rows
-
-    def __hash__(self) -> int:
-        return hash(self._rows)
-
-    def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in row) for row in self._rows)
-        return f"SymMatrix[{body}]"
-
-    def apply(self, vec: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
-        """Matrix-vector product."""
-        if len(vec) != self.n:
-            raise ValueError("dimension mismatch")
-        v = [_frac(x) for x in vec]
-        return tuple(sum((a * x for a, x in zip(row, v)), Fraction(0)) for row in self._rows)
 
 
 def _congruence(
@@ -179,9 +130,7 @@ def _integer(x) -> int:
     raise ValueError(f"matrix entries must be integers, got {x!r}")
 
 
-def bareiss(
-    rows: Sequence[Sequence[int | Fraction]],
-) -> tuple[int, list[list[int]], list[int] | None]:
+def bareiss(rows: Rows) -> tuple[int, list[list[int]], list[int] | None]:
     """Fraction-free (Bareiss) Gauss-Jordan elimination of a square integer
     matrix ``m``, run on ``[m | I]``.
 
@@ -274,30 +223,40 @@ def row_echelon(
     return prev, a[: len(pivots)], pivots
 
 
-def _scaled(m: SymMatrix) -> tuple[int, list[list[int]]]:
-    """``(s, s m)`` with ``s`` the lcm of the denominators of ``m``, so
-    that ``s m`` is an integer matrix."""
-    s = lcm(*(x.denominator for row in m.rows() for x in row))
-    return s, [[x.numerator * (s // x.denominator) for x in row] for row in m.rows()]
+def _scaled(rows: Rows) -> tuple[int, list[list[int]]]:
+    """``(s, s m)`` for the matrix ``m`` with these ``rows``, with ``s`` the
+    lcm of its denominators.  Raises TypeError on an entry that is not an
+    ``int`` or a ``Fraction``, and ValueError unless ``m`` is square and
+    symmetric."""
+    inexact = [x for row in rows for x in row if not isinstance(x, (int, Fraction))]
+    if inexact:
+        raise TypeError(f"matrix entries must be exact rationals, got {type(inexact[0]).__name__}")
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix must be square")
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rows[i][j] != rows[j][i]:
+                raise ValueError(f"matrix not symmetric at ({i},{j})")
+    s = lcm(*(x.denominator for row in rows for x in row))
+    return s, [[x.numerator * (s // x.denominator) for x in row] for row in rows]
 
 
-def signature(m: SymMatrix) -> Signature:
+def signature(rows: Rows) -> Signature:
     """Inertia of a symmetric matrix, computed exactly."""
-    return _congruence(_scaled(m)[1])[0]
+    return _congruence(_scaled(rows)[1])[0]
 
 
-def signature_and_witness(
-    m: SymMatrix,
-) -> tuple[Signature, tuple[Fraction, ...] | None]:
+def signature_and_witness(rows: Rows) -> tuple[Signature, tuple[Fraction, ...] | None]:
     """Inertia of ``m`` and a vector ``v`` with ``v^T m v > 0`` (None if the
     form is negative semi-definite), from one congruence."""
-    return _congruence(_scaled(m)[1], witness=True)
+    return _congruence(_scaled(rows)[1], witness=True)
 
 
-def positive_square_vector(m: SymMatrix) -> tuple[Fraction, ...] | None:
+def positive_square_vector(rows: Rows) -> tuple[Fraction, ...] | None:
     """A vector ``v`` with ``v^T m v > 0``, or None if the form is negative
     semi-definite."""
-    return signature_and_witness(m)[1]
+    return signature_and_witness(rows)[1]
 
 
 def _primitive_integer(vec: Sequence[int]) -> tuple[int, ...]:
@@ -309,7 +268,7 @@ def _primitive_integer(vec: Sequence[int]) -> tuple[int, ...]:
     return tuple(v // g for v in vec)
 
 
-def kernel_basis(m: SymMatrix) -> list[tuple[int, ...]]:
+def kernel_basis(rows: Rows) -> list[tuple[int, ...]]:
     """Basis of ``{x : m x = 0}`` as primitive integer vectors.
 
     The list is empty exactly when ``m`` is nondegenerate.  The basis is
@@ -318,8 +277,8 @@ def kernel_basis(m: SymMatrix) -> list[tuple[int, ...]]:
     nonzero there and zero on every other free column.  Vectors have content
     1 and a positive leading entry, sorted lexicographically.
     """
-    n = m.n
-    p, reduced, pivots = row_echelon(_scaled(m)[1], range(n))
+    n = len(rows)
+    p, reduced, pivots = row_echelon(_scaled(rows)[1], range(n))
     basis = []
     for f in (j for j in range(n) if j not in pivots):
         vec = [p * (j == f) for j in range(n)]

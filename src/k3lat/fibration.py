@@ -30,8 +30,9 @@ class FiberInstance:
     delta: int = 0
 
     def __post_init__(self):
-        if self.delta < 0:
-            raise ValueError("wild ramification contribution must be >= 0")
+        # a bool is an int to isinstance, so the type itself is checked
+        if type(self.delta) is not int or self.delta < 0:
+            raise ValueError(f"wild ramification term must be an int >= 0, got {self.delta!r}")
         if self.delta > 0 and not self.type.is_additive:
             raise ValueError(
                 f"fiber {self.type.tag}: wild ramification occurs only at "
@@ -63,6 +64,8 @@ class FibrationProfile:
         object.__setattr__(
             self, "fibers", tuple(sorted(self.fibers, key=_tag_sort_key))
         )
+        if self.characteristic is not None and type(self.characteristic) is not int:
+            raise ValueError(f"characteristic must be an int, got {self.characteristic!r}")
         if self.quasi_elliptic and self.characteristic not in (2, 3):
             raise ValueError(
                 "quasi-elliptic fibrations exist only in characteristics 2 and 3"
@@ -172,8 +175,8 @@ def rational_component_bound(prof: FibrationProfile) -> int:
 def shioda_tate_rank(prof: FibrationProfile, mw_rank: int = 0) -> int:
     """Rank of the span of fiber components, a general fiber, and sections:
     ``2 + sum (m_t - 1) + mw_rank``."""
-    if mw_rank < 0:
-        raise ValueError("Mordell-Weil rank must be >= 0")
+    if type(mw_rank) is not int or mw_rank < 0:
+        raise ValueError(f"Mordell-Weil rank must be an int >= 0, got {mw_rank!r}")
     return 2 + sum(f.type.component_count - 1 for f in prof.fibers) + mw_rank
 
 
@@ -227,7 +230,8 @@ class SurfaceContext:
 
     The characteristic is 0 or a prime (below ``_PRIME_TEST_LIMIT``, where
     primality is decided exactly); the Artin invariant of a supersingular
-    surface lies in 1..10.  Anything else raises ``ValueError``.
+    surface lies in 1..10.  Both are ints, not bools; anything else raises
+    ``ValueError``.
     """
 
     characteristic: int = 0
@@ -235,12 +239,11 @@ class SurfaceContext:
     artin_invariant: int | None = None
 
     def __post_init__(self):
-        p = self.characteristic
-        if p != 0 and not (p < _PRIME_TEST_LIMIT and _is_prime(p)):
-            raise ValueError(f"characteristic must be 0 or a prime, got {p}")
-        sigma = self.artin_invariant
-        if sigma is not None and not 1 <= sigma <= 10:
-            raise ValueError(f"Artin invariant must lie in 1..10, got {sigma}")
+        p, sigma = self.characteristic, self.artin_invariant
+        if type(p) is not int or p != 0 and not (p < _PRIME_TEST_LIMIT and _is_prime(p)):
+            raise ValueError(f"characteristic must be an int, 0 or a prime, got {p!r}")
+        if sigma is not None and (type(sigma) is not int or not 1 <= sigma <= 10):
+            raise ValueError(f"Artin invariant must be an int in 1..10, got {sigma!r}")
 
 
 @dataclass(frozen=True)

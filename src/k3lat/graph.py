@@ -18,7 +18,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .exact import Signature, SymMatrix, _congruence, row_echelon
+from .exact import Signature, _congruence, row_echelon
 
 
 class SpanKind(enum.Enum):
@@ -344,15 +344,17 @@ def _radical_reduction(
     return g, p, rows[::-1], pivots[::-1]
 
 
-def quotient_by_kernel(cfg: CurveConfig) -> tuple[SymMatrix, QuotientProjection]:
-    """Gram matrix of the quotient by the radical, plus the projection map.
+def quotient_by_kernel(
+    cfg: CurveConfig,
+) -> tuple[tuple[tuple[int, ...], ...], QuotientProjection]:
+    """Gram matrix (int rows) of the quotient by the radical, plus the projection.
 
     The quotient is always nondegenerate with signature
     ``(n_plus, n_minus, 0)`` of the input.  When the input is already
     nondegenerate, the projection is the identity.
     """
     g, p, rows, basis = _radical_reduction(cfg)
-    quotient = SymMatrix([[g[i][j] for j in basis] for i in basis])
+    quotient = tuple(tuple(g[i][j] for j in basis) for i in basis)
     basis_ids = tuple(cfg.vertices[j].id for j in basis)
     matrix = tuple(tuple(Fraction(x, p) for x in row) for row in rows)
     return quotient, QuotientProjection(basis_ids, matrix)

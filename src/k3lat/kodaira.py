@@ -34,15 +34,15 @@ from .graph import (
 )
 from .roots import _component, _diagram_step, radical
 
-# the additive types of fixed shape: (multiplicities, Euler number); the
-# star-shaped ones are the affine E diagrams
+# the star-shaped fibres, by the rank of their affine E diagram
+_AFFINE_E_TAGS = {6: "IV*", 7: "III*", 8: "II*"}
+# the additive types of fixed shape: (multiplicities, Euler number); an
+# additive fibre of m components has Euler number m + 1
 _FIXED_TYPES = {
     "II": ((1,), 2),
     "III": ((1, 1), 3),
     "IV": ((1, 1, 1), 4),
-    "IV*": (radical("AffineE", 6), 8),
-    "III*": (radical("AffineE", 7), 9),
-    "II*": (radical("AffineE", 8), 10),
+    **{tag: (radical("AffineE", k), k + 2) for k, tag in _AFFINE_E_TAGS.items()},
 }
 
 _TAG_RE = re.compile(r"^I(\*)?(\d+)$")
@@ -128,7 +128,7 @@ def _divisor_from_component(comp) -> KodairaDivisor:
     elif comp.kind == "AffineD":
         tags = (f"I*{k - 4}",)
     else:
-        tags = ({6: "IV*", 7: "III*", 8: "II*"}[k],)
+        tags = (_AFFINE_E_TAGS[k],)
     first, last = type_table(tags[0]), type_table(tags[-1])
     return KodairaDivisor(
         "_OR_".join(tags),

@@ -31,11 +31,12 @@ step kept indefinite subsets and recognised every one it kept, and
 payloads before they were read as profiles; all are kept as references for
 differential tests.
 
-The Fraction matrix API that the package no longer calls lives here too:
-:func:`gram`, :func:`submatrix` and :func:`inverse` (one ``exact.bareiss``
-elimination, as ``exact.inverse`` was), with :func:`witness_parts` and
-:func:`integer_witness` between a box witness's integers and its split as
-Fractions.
+The Fraction matrix API that the package no longer calls lives here too,
+on plain rows (a rational matrix is a tuple of rows of Fractions):
+:func:`gram`, :func:`submatrix`, :func:`apply` and :func:`inverse` (one
+``exact.bareiss`` elimination, as ``exact.inverse`` was), with
+:func:`witness_parts` and :func:`integer_witness` between a box witness's
+integers and its split as Fractions.
 """
 
 from __future__ import annotations
@@ -61,12 +62,7 @@ from k3lat.bounds import (
     intrinsic_polarization,
     rough_bound,
 )
-from k3lat.exact import (
-    SingularMatrixError,
-    SymMatrix,
-    _primitive_integer,
-    signature,
-)
+from k3lat.exact import SingularMatrixError, _primitive_integer, signature
 from k3lat.graph import (
     CUT,
     CurveConfig,
@@ -84,29 +80,39 @@ from k3lat.roots import _STARS, RootComponent, canonical_diagram, radical
 # -- the Fraction matrix API ------------------------------------------------
 
 
-def gram(cfg: CurveConfig) -> SymMatrix:
+def fraction_rows(rows) -> tuple[tuple[Fraction, ...], ...]:
+    """The matrix with these rows as a tuple of rows of Fractions."""
+    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+
+
+def gram(cfg: CurveConfig) -> tuple[tuple[Fraction, ...], ...]:
     """Gram matrix of the intersection form in vertex order."""
-    return SymMatrix(integer_gram(cfg, range(cfg.n)))
+    return fraction_rows(integer_gram(cfg, range(cfg.n)))
 
 
-def submatrix(m: SymMatrix, indices) -> SymMatrix:
-    return SymMatrix([[m[i, j] for j in indices] for i in indices])
+def submatrix(m, indices) -> tuple[tuple[Fraction, ...], ...]:
+    return tuple(tuple(m[i][j] for j in indices) for i in indices)
 
 
-def inverse(m: SymMatrix) -> SymMatrix:
+def apply(m, vec) -> tuple[Fraction, ...]:
+    """Matrix-vector product."""
+    return tuple(sum((a * Fraction(x) for a, x in zip(row, vec)), Fraction(0)) for row in m)
+
+
+def inverse(m) -> tuple[tuple[Fraction, ...], ...]:
     """Exact inverse ``s adj(s m) / det(s m)``, with ``s`` the lcm of the
     denominators of ``m``, from one ``exact.bareiss`` elimination; raises
     :class:`SingularMatrixError` on a degenerate input."""
     s, rows = exact._scaled(m)
     det, adj, _ = exact.bareiss(rows)
-    return SymMatrix([[Fraction(s * x, det) for x in row] for row in adj])
+    return tuple(tuple(Fraction(s * x, det) for x in row) for row in adj)
 
 
-def witness_parts(wit: BoxWitness) -> tuple[SymMatrix, SymMatrix]:
+def witness_parts(wit: BoxWitness):
     """The split ``(g0, g+)`` that a box witness holds over its ``delta``,
-    as Fraction matrices."""
+    as tuples of Fraction rows."""
     return tuple(
-        SymMatrix([[Fraction(x, wit.delta) for x in row] for row in part])
+        tuple(tuple(Fraction(x, wit.delta) for x in row) for row in part)
         for part in (wit.negative_part, wit.nonnegative_part)
     )
 
@@ -146,28 +152,28 @@ def det(rows: list[list[Fraction]]) -> Fraction:
     return sign * result
 
 
-def quadratic_form(m: SymMatrix, vec) -> Fraction:
+def quadratic_form(m, vec) -> Fraction:
     """``v^T M v``, exactly."""
-    return sum((Fraction(x) * y for x, y in zip(vec, m.apply(vec))), Fraction(0))
+    return sum((Fraction(x) * y for x, y in zip(vec, apply(m, vec))), Fraction(0))
 
 
-def min_entry(m: SymMatrix) -> Fraction:
+def min_entry(m) -> Fraction:
     """The least entry of ``m``; 0 for the empty matrix."""
-    return min((x for row in m.rows() for x in row), default=Fraction(0))
+    return min((x for row in m for x in row), default=Fraction(0))
 
 
-def identity_matrix(n: int) -> SymMatrix:
-    return SymMatrix([[Fraction(i == j) for j in range(n)] for i in range(n)])
+def identity_matrix(n: int) -> tuple[tuple[Fraction, ...], ...]:
+    return tuple(tuple(Fraction(i == j) for j in range(n)) for i in range(n))
 
 
-def matrix_sum(a: SymMatrix, b: SymMatrix) -> SymMatrix:
-    if a.n != b.n:
+def matrix_sum(a, b) -> tuple[tuple[Fraction, ...], ...]:
+    if len(a) != len(b):
         raise ValueError("dimension mismatch")
-    return SymMatrix([[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.rows(), b.rows())])
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def entry_sum(m: SymMatrix) -> Fraction:
-    return sum((x for row in m.rows() for x in row), Fraction(0))
+def entry_sum(m) -> Fraction:
+    return sum((x for row in m for x in row), Fraction(0))
 
 
 def row_reduce_rank(rows: list[list[Fraction]]) -> int:
@@ -361,7 +367,7 @@ def oracle_signature(rows: list[list[Fraction]]) -> tuple[int, int, int]:
 # -- the Fraction congruence and the inverse, kernel and quotient built on it --
 
 
-def congruence_reference(m: SymMatrix) -> tuple[list[Fraction], list[list[Fraction]]]:
+def congruence_reference(m) -> tuple[list[Fraction], list[list[Fraction]]]:
     """Symmetric elimination ``P^T m P = diag(d, 0, ..., 0)``.
 
     Returns the nonzero pivots ``d`` in elimination order and the columns
@@ -371,8 +377,8 @@ def congruence_reference(m: SymMatrix) -> tuple[list[Fraction], list[list[Fracti
     the diagonal by adding row and column ``c`` to ``r``.  Eliminated rows
     and columns vanish on the trailing block, so only that block is updated.
     """
-    n = m.n
-    a = [list(row) for row in m.rows()]
+    n = len(m)
+    a = [[Fraction(x) for x in row] for row in m]
     p = [[Fraction(i == j) for i in range(n)] for j in range(n)]
     d: list[Fraction] = []
     for k in range(n):
@@ -410,20 +416,20 @@ def congruence_reference(m: SymMatrix) -> tuple[list[Fraction], list[list[Fracti
     return d, p
 
 
-def signature_and_witness_reference(m: SymMatrix):
+def signature_and_witness_reference(m):
     """Inertia ``(n+, n-, n0)`` of ``m`` and the column of ``P`` at the
     first positive pivot of :func:`congruence_reference` (None if none)."""
     d, p = congruence_reference(m)
     n_plus = sum(1 for x in d if x > 0)
     j = next((j for j, x in enumerate(d) if x > 0), None)
     witness = None if j is None else tuple(p[j])
-    return (n_plus, len(d) - n_plus, m.n - len(d)), witness
+    return (n_plus, len(d) - n_plus, len(m) - len(d)), witness
 
 
-def inverse_reference(m: SymMatrix) -> SymMatrix:
+def inverse_reference(m) -> tuple[tuple[Fraction, ...], ...]:
     """Exact inverse ``P diag(d)^-1 P^T``; raises
     :class:`SingularMatrixError` on a degenerate input."""
-    n = m.n
+    n = len(m)
     d, p = congruence_reference(m)
     if len(d) < n:
         raise SingularMatrixError("matrix is singular")
@@ -438,7 +444,7 @@ def inverse_reference(m: SymMatrix) -> SymMatrix:
     for i in range(n):
         for l in range(i):
             w[i][l] = w[l][i]
-    return SymMatrix(w)
+    return tuple(map(tuple, w))
 
 
 def row_echelon_reference(rows, cols) -> tuple[list[list[Fraction]], list[int]]:
@@ -465,10 +471,10 @@ def row_echelon_reference(rows, cols) -> tuple[list[list[Fraction]], list[int]]:
     return a[: len(pivots)], pivots
 
 
-def kernel_basis_reference(m: SymMatrix) -> list[tuple[int, ...]]:
+def kernel_basis_reference(m) -> list[tuple[int, ...]]:
     """Canonical kernel basis: the congruence's kernel columns reduced from
     the rightmost column, as primitive integer vectors, sorted."""
-    n = m.n
+    n = len(m)
     d, p = congruence_reference(m)
     reduced, _ = row_echelon_reference(p[len(d):], range(n - 1, -1, -1))
     basis = []
@@ -478,7 +484,7 @@ def kernel_basis_reference(m: SymMatrix) -> list[tuple[int, ...]]:
     return sorted(basis)
 
 
-def quotient_by_kernel_reference(cfg) -> tuple[SymMatrix, QuotientProjection]:
+def quotient_by_kernel_reference(cfg):
     """Quotient by the radical from the reduced kernel basis: its pivot
     columns are dropped, and each dropped vertex projects to minus its
     reduced kernel row on the kept ones."""
@@ -506,16 +512,16 @@ def intrinsic_polarization_reference(cfg) -> IntrinsicPolarization:
     degrees = [Fraction(v.degree) for v in cfg.vertices]
     basis_pos = [cfg.index_of(b) for b in proj.basis_ids]
     rhs = tuple(degrees[j] for j in basis_pos)
-    if quotient.n == 0:
+    if not quotient:
         return IntrinsicPolarization(
             False, note="the whole span is isotropic but degrees are positive"
         )
-    coords = inverse_reference(quotient).apply(rhs)
+    coords = apply(inverse_reference(quotient), rhs)
     full = gram(cfg)
     for i, v in enumerate(cfg.vertices):
         if i in basis_pos:
             continue
-        pairing = sum((full[i, j] * c for j, c in zip(basis_pos, coords)), Fraction(0))
+        pairing = sum((full[i][j] * c for j, c in zip(basis_pos, coords)), Fraction(0))
         if pairing != degrees[i]:
             return IntrinsicPolarization(
                 False,
@@ -800,7 +806,7 @@ def recognize_component_reference(cfg, ids):
     g = gram(sub)
     if comp.is_affine:
         coef = dict(zip(comp.vertex_ids, comp.kernel_vector))
-        if any(g.apply([coef[v] for v in sub.ids()])):
+        if any(apply(g, [coef[v] for v in sub.ids()])):
             return None
     want = (0, sub.n - 1, 1) if comp.is_affine else (0, sub.n, 0)
     return comp if signature(g).as_tuple() == want else None
@@ -814,7 +820,7 @@ def _check_box_witness_reference(w, g0, gplus, ones):
         raise AssertionError("witness does not sum to the inverse")
     if min_entry(gplus) < 0:
         raise AssertionError("nonnegative part has a negative entry")
-    if any(x != 0 for x in g0.apply(ones)):
+    if any(x != 0 for x in apply(g0, ones)):
         raise AssertionError("all-ones vector not in the kernel of the split")
     if signature(g0).n_plus != 0:
         raise AssertionError("split part is not negative semi-definite")
@@ -837,18 +843,18 @@ def verify_certificate_reference(cert, cfg):
         return False
     d = cert.d
     if cert.kind == ROUGH_POSITIVE_ENTRY_SUM:
-        positive = sum((x for row in w.rows() for x in row if x > 0), Fraction(0))
+        positive = sum((x for row in w for x in row if x > 0), Fraction(0))
         return cert.bound_on_2h == positive * d * d
     if cert.kind == BOX_OPTIMUM_DECOMPOSITION:
         wit = cert.witness
         if not isinstance(wit, BoxWitness):
             return False
-        ones = (Fraction(1),) * w.n
+        ones = (Fraction(1),) * len(w)
         try:
             _check_box_witness_reference(w, *witness_parts(wit), ones)
         except (AssertionError, TypeError, ValueError, ZeroDivisionError):
             return False
-        return cert.bound_on_2h == quadratic_form(w, (Fraction(d),) * w.n)
+        return cert.bound_on_2h == quadratic_form(w, (Fraction(d),) * len(w))
     return False
 
 

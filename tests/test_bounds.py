@@ -20,6 +20,7 @@ from k3lat.bounds import (
     INTRINSIC_SQUARE,
     ROUGH_POSITIVE_ENTRY_SUM,
     _adjugate_sweep,
+    _checked_certificate,
     BoundCertificate,
     BoxWitness,
     DegenerateLatticeError,
@@ -34,7 +35,7 @@ from k3lat.bounds import (
     sweep_records,
     verify_certificate,
 )
-from k3lat.exact import SymMatrix, kernel_basis, signature
+from k3lat.exact import kernel_basis, signature
 from k3lat.formats import parse_config
 from k3lat.graph import (
     SpanKind,
@@ -52,6 +53,7 @@ from conftest import (
     recorded_steps,
 )
 from oracles import (
+    apply,
     box_max,
     connected_subsets_reference,
     det,
@@ -242,7 +244,7 @@ def test_box_certificate_char3(char3_cfg):
     g0, gplus = witness_parts(cert.witness)
     assert signature(g0).n_plus == 0
     assert min_entry(gplus) >= 0
-    assert g0.apply((1,) * g0.n) == (Fraction(0),) * g0.n
+    assert apply(g0, (1,) * len(g0)) == (Fraction(0),) * len(g0)
 
 
 def test_box_certificate_char2(char2_cfg):
@@ -302,7 +304,7 @@ def _random_hyperbolic_configs(count, max_rank=4, seed=20308):
 def test_brute_force_never_exceeds_bounds(d):
     for cfg in _random_hyperbolic_configs(12):
         w = inverse_reference(gram(cfg))
-        exhaustive = box_max([list(r) for r in w.rows()], d)
+        exhaustive = box_max(w, d)
         rough = rough_bound(cfg, d)
         assert exhaustive <= rough.bound_on_2h
         assert verify_certificate(rough, cfg)
@@ -347,7 +349,7 @@ def test_verify_certificate_needs_the_rank_one_split_and_the_inertia(char3_cfg):
     # definite; the rank-one split of their inverse W = [[4, -3], [-3, 4]] / 7
     # claims 2/7 at d = 1, but x = (1, 0) reaches 4/7
     pair = config_from_data([("a", 4, 1), ("b", 4, 1)], [("a", "b", 3)])
-    w = [list(row) for row in inverse(gram(pair)).rows()]
+    w = inverse(gram(pair))
     r = [sum(row) for row in w]
     gplus = [[ri * rj / sum(r) for rj in r] for ri in r]
     g0 = [[x - y for x, y in zip(rw, rp)] for rw, rp in zip(w, gplus)]
@@ -359,7 +361,7 @@ def test_verify_certificate_needs_the_rank_one_split_and_the_inertia(char3_cfg):
     # rank-one: eps (e0 - e1)(e0 - e1)^T moved from g+ to g0 of a valid
     # certificate keeps the inverse, g+ >= 0 and g0 1 = 0
     cert = box_certificate(char3_cfg, 1)
-    g0, gplus = ([list(row) for row in m.rows()] for m in witness_parts(cert.witness))
+    g0, gplus = ([list(row) for row in m] for m in witness_parts(cert.witness))
     eps = min(gplus[0][0], gplus[1][1])
     for i, j in product((0, 1), repeat=2):
         move = eps if i == j else -eps
@@ -500,6 +502,12 @@ def test_verify_certificate_rejects_a_support_curve_above_the_cap():
         assert not verify_certificate(cert, cfg), cert.kind
 
 
+def test_verify_certificate_rejects_an_unknown_kind(char3_cfg):
+    for cert in (rough_bound(char3_cfg, 1), box_certificate(char3_cfg, 1)):
+        assert verify_certificate(cert, char3_cfg)
+        assert not verify_certificate(replace(cert, kind="UnknownKind"), char3_cfg)
+
+
 def test_verify_certificate_rejects_support_without_positive_direction():
     # the inverse form of a negative definite or empty support bounds
     # nothing; each forgery below claims "2h <= 0"
@@ -549,13 +557,12 @@ def test_verify_certificate_matches_reference_on_golden_certificates():
         if cert.kind == BOX_OPTIMUM_DECOMPOSITION:
             # in lowest terms: the witness over the lcm of its split's
             # denominators, so equal splits compare equal
-            parts = (m.rows() for m in witness_parts(cert.witness))
-            assert cert.witness == integer_witness(*parts)
+            assert cert.witness == integer_witness(*witness_parts(cert.witness))
 
 
 def _scaled(wit, c):
     return integer_witness(
-        *([[c * x for x in row] for row in m.rows()] for m in witness_parts(wit))
+        *([[c * x for x in row] for row in m] for m in witness_parts(wit))
     )
 
 
@@ -581,7 +588,7 @@ def _tampered(data, cfg, cert):
         return replace(cert, d=d), d >= 1
     if how == "entry":
         part = data.draw(st.sampled_from((0, 1)))
-        parts = [[list(r) for r in m.rows()] for m in witness_parts(wit)]
+        parts = [[list(r) for r in m] for m in witness_parts(wit)]
         rows = parts[part]
         i = data.draw(st.integers(0, len(rows) - 1))
         j = data.draw(st.integers(0, len(rows) - 1))
@@ -595,7 +602,7 @@ def _tampered(data, cfg, cert):
     if how == "permute":
         ids = cert.support_ids
         perm = data.draw(st.permutations(range(len(ids))))
-        g = gram(cfg).rows()
+        g = gram(cfg)
         idx = [cfg.index_of(v) for v in ids]
         # a permutation that keeps the Gram matrix leaves a valid certificate
         k = len(ids)
@@ -847,6 +854,41 @@ def test_exclude_holds_the_rebuilt_certificate_to_the_sweep_bound(monkeypatch):
     assert len(corrupted) == 1
 
 
+def test_checked_certificate_builds_a_rough_certificate():
+    # p (square 2) meets n (square -2) once: the inverse [[2, 1], [1, -2]] / 5
+    # has a row sum of each sign, so the box split fails and the rough
+    # bound, its positive entries 2/5 + 1/5 + 1/5, is the certificate
+    cfg = config_from_data([("p", 2), ("n", -2)], [("p", "n", 1)])
+    cert = _checked_certificate(cfg, (0, 1), 1, Fraction(4, 5))
+    assert cert.kind == ROUGH_POSITIVE_ENTRY_SUM
+    assert (cert.bound_on_2h, cert.support_ids, cert.d) == (Fraction(4, 5), ("p", "n"), 1)
+    assert verify_certificate(cert, cfg)
+    with pytest.raises(
+        AssertionError, match="sweep bound 1/2 differs from the rebuilt certificate's 4/5"
+    ):
+        _checked_certificate(cfg, (0, 1), 1, Fraction(1, 2))
+
+
+def test_sweep_eliminates_a_subset_of_degenerate_parents_from_scratch(monkeypatch):
+    # three curves of square 2 meeting pairwise twice: every pair is
+    # degenerate, so the triple has no nondegenerate parent; its one
+    # Bareiss elimination finds it degenerate too
+    cfg = config_from_data(
+        [("a", 2), ("b", 2), ("c", 2)], [("a", "b", 2), ("a", "c", 2), ("b", "c", 2)]
+    )
+    real = bounds._adjugate
+    calls = []
+
+    def spy(subset, rows):
+        entry = real(subset, rows)
+        calls.append((subset, entry))
+        return entry
+
+    monkeypatch.setattr(bounds, "_adjugate", spy)
+    assert list(sweep_records(cfg, 3)) == [((0,), 1, 2)]
+    assert calls == [((0, 1, 2), None)]
+
+
 def _random_config(data):
     # 2-6 curves of squares -2, 0 or 2, degrees up to a cap d of 1-3, and
     # multiplicities up to 3
@@ -1036,12 +1078,11 @@ def _state_bound(entry, d):
 def _assert_exact_entry(cfg, entry):
     # the exact determinant, adjugate and inertia of the Gram matrix in the
     # entry's stored order
-    g = gram(cfg).rows()
-    m = SymMatrix([[g[i][j] for j in entry.order] for i in entry.order])
-    assert entry.det == det([list(r) for r in m.rows()])
-    assert SymMatrix(entry.adj) == SymMatrix(
-        [[entry.det * x for x in row] for row in inverse_reference(m).rows()]
-    )
+    m = submatrix(gram(cfg), entry.order)
+    assert entry.det == det(m)
+    assert [list(row) for row in entry.adj] == [
+        [entry.det * x for x in row] for row in inverse_reference(m)
+    ]
     assert entry.n_plus == signature(m).n_plus
 
 
@@ -1053,7 +1094,7 @@ def _assert_last_level_state(cfg, subset, entry):
     # one computed from scratch keeps its exact adjugate
     sub = cfg.induced(tuple(cfg.vertices[i].id for i in subset))
     m = gram(sub)
-    assert entry.det == det([list(r) for r in m.rows()])
+    assert entry.det == det(m)
     assert entry.n_plus == signature(m).n_plus
     total = None
     if entry.n_plus == 1:
@@ -1328,7 +1369,7 @@ def _rational(witness):
     """The values a certificate's witness stands for, whatever its form: a
     box witness as its two parts, each a tuple of rows of Fractions."""
     if isinstance(witness, BoxWitness):
-        return tuple(m.rows() for m in witness_parts(witness))
+        return witness_parts(witness)
     return witness
 
 
@@ -1386,6 +1427,14 @@ def test_admissible_h_range_nonexistent_polarization():
 
 def test_admissible_h_range_char3(char3_cfg):
     assert admissible_h_range(char3_cfg).h_max == 43
+
+
+def test_admissible_h_range_invalid_span_is_empty():
+    # two disjoint curves of square 2: two positive directions
+    cfg = config_from_data([("a", 2), ("b", 2)])
+    assert classify(cfg).kind is SpanKind.INVALID
+    rng = admissible_h_range(cfg)
+    assert rng.h_max == 0 and "two positive directions" in rng.note
 
 
 # -- classify golden ------------------------------------------------------------

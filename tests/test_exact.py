@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from k3lat.exact import (
     SingularMatrixError,
-    SymMatrix,
     _congruence,
     bareiss,
     kernel_basis,
@@ -20,6 +19,7 @@ from k3lat.exact import (
 )
 
 from oracles import (
+    apply,
     congruence_reference,
     det,
     identity_matrix,
@@ -35,16 +35,16 @@ from oracles import (
 
 
 def test_signature_a2_negative_definite():
-    assert signature(SymMatrix([[-2, 1], [1, -2]])).as_tuple() == (0, 2, 0)
+    assert signature([[-2, 1], [1, -2]]).as_tuple() == (0, 2, 0)
 
 
 def test_signature_zero_form():
-    assert signature(SymMatrix([[0]])).as_tuple() == (0, 0, 1)
+    assert signature([[0]]).as_tuple() == (0, 0, 1)
 
 
 def test_signature_hyperbolic_pair():
     # (1, 1) has square 2 > 0 while the determinant is -5
-    m = SymMatrix([[-2, 3], [3, -2]])
+    m = [[-2, 3], [3, -2]]
     assert signature(m).as_tuple() == (1, 1, 0)
     assert quadratic_form(m, (1, 1)) == 2
 
@@ -54,58 +54,65 @@ def test_signature_identity():
 
 
 def test_kernel_zero_form():
-    assert kernel_basis(SymMatrix([[0]])) == [(1,)]
+    assert kernel_basis([[0]]) == [(1,)]
 
 
 def test_kernel_four_cycle():
-    m = SymMatrix(
-        [[-2, 1, 0, 1], [1, -2, 1, 0], [0, 1, -2, 1], [1, 0, 1, -2]]
-    )
+    m = [[-2, 1, 0, 1], [1, -2, 1, 0], [0, 1, -2, 1], [1, 0, 1, -2]]
     basis = kernel_basis(m)
     assert basis == [(1, 1, 1, 1)]
-    assert m.apply(basis[0]) == (0, 0, 0, 0)
+    assert apply(m, basis[0]) == (0, 0, 0, 0)
 
 
 def test_kernel_nondegenerate_empty():
-    assert kernel_basis(SymMatrix([[-2, 1], [1, -2]])) == []
+    assert kernel_basis([[-2, 1], [1, -2]]) == []
 
 
 def test_inverse_examples():
-    m = SymMatrix([[0, 1], [1, -2]])
-    assert inverse(m) == SymMatrix([[2, 1], [1, 0]])
+    m = [[0, 1], [1, -2]]
+    assert inverse(m) == ((2, 1), (1, 0))
     assert inverse(identity_matrix(3)) == identity_matrix(3)
-    a2 = SymMatrix([[-2, 1], [1, -2]])
+    a2 = [[-2, 1], [1, -2]]
     third = Fraction(1, 3)
-    assert inverse(a2) == SymMatrix(
-        [[-2 * third, -third], [-third, -2 * third]]
-    )
+    assert inverse(a2) == ((-2 * third, -third), (-third, -2 * third))
 
 
 def test_inverse_singular_raises():
     with pytest.raises(SingularMatrixError):
-        inverse(SymMatrix([[0]]))
+        inverse([[0]])
 
 
 def test_symmetry_enforced():
-    with pytest.raises(ValueError):
-        SymMatrix([[0, 1], [2, 0]])
-    with pytest.raises(ValueError):
-        SymMatrix([[0, 1]])
+    # every public entry point checks its rows the same way
+    for fn in (signature, signature_and_witness, positive_square_vector, kernel_basis):
+        with pytest.raises(ValueError, match="not symmetric at \\(0,1\\)"):
+            fn([[0, 1], [2, 0]])
+        with pytest.raises(ValueError, match="square"):
+            fn([[0, 1]])
+        with pytest.raises(ValueError, match="square"):
+            fn([[0, 1], [1]])
+        # an inexact entry is a type error, before the shape is looked at
+        with pytest.raises(TypeError, match="exact rationals, got float"):
+            fn([[0.5, 1], [1]])
+        with pytest.raises(TypeError):
+            fn([[0, None], [None, 0]])
+        # int and Fraction entries alike
+        assert fn([[Fraction(-2), 1], [Fraction(1), -2]]) == fn([[-2, 1], [1, -2]])
 
 
 def test_positive_square_vector():
-    m = SymMatrix([[-2, 3], [3, -2]])
+    m = [[-2, 3], [3, -2]]
     v = positive_square_vector(m)
     assert quadratic_form(m, v) > 0
-    assert positive_square_vector(SymMatrix([[-2]])) is None
+    assert positive_square_vector([[-2]]) is None
 
 
-def _random_symmetric(rng: random.Random, n: int) -> SymMatrix:
+def _random_symmetric(rng: random.Random, n: int) -> list[list[int]]:
     entries = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             entries[i][j] = entries[j][i] = rng.randint(-4, 4)
-    return SymMatrix(entries)
+    return entries
 
 
 def test_signature_matches_sturm_oracle_seeded():
@@ -113,9 +120,7 @@ def test_signature_matches_sturm_oracle_seeded():
     for _ in range(200):
         n = rng.randint(1, 6)
         m = _random_symmetric(rng, n)
-        assert signature(m).as_tuple() == oracle_signature(
-            [list(r) for r in m.rows()]
-        )
+        assert signature(m).as_tuple() == oracle_signature(m)
 
 
 @settings(max_examples=120, deadline=None)
@@ -132,43 +137,39 @@ def test_signature_properties_hypothesis(data):
     for i in range(n):
         for j in range(i + 1, n):
             entries[j][i] = entries[i][j]
-    m = SymMatrix(entries)
+    m = entries
     sig = signature(m)
-    rows = [list(r) for r in m.rows()]
     # independent oracles: Sturm sign counts and row-reduction rank
-    assert sig.as_tuple() == oracle_signature(rows)
-    assert sig.n_zero == n - row_reduce_rank(rows)
+    assert sig.as_tuple() == oracle_signature(m)
+    assert sig.n_zero == n - row_reduce_rank(m)
     # congruence transform really diagonalizes
     _, cols = congruence_reference(m)
     for a, u in enumerate(cols):
         for b, v in enumerate(cols):
             if a != b:
-                assert sum(x * y for x, y in zip(u, m.apply(v))) == 0
+                assert sum(x * y for x, y in zip(u, apply(m, v))) == 0
     # kernel vectors annihilate exactly
     for vec in kernel_basis(m):
-        assert m.apply(vec) == (Fraction(0),) * n
+        assert apply(m, vec) == (Fraction(0),) * n
     # exact two-sided inverse on nondegenerate input
     if sig.n_zero == 0:
         w = inverse(m)
-        n_ = m.n
-        for i in range(n_):
-            row = tuple(
-                sum(m[i, k] * w[k, j] for k in range(n_)) for j in range(n_)
-            )
-            assert row == tuple(Fraction(i == j) for j in range(n_))
+        for i in range(n):
+            row = tuple(sum(m[i][k] * w[k][j] for k in range(n)) for j in range(n))
+            assert row == tuple(Fraction(i == j) for j in range(n))
 
 
 def test_kernel_basis_primitive_and_sorted():
-    m = SymMatrix([[0, 0], [0, 0]])
+    m = [[0, 0], [0, 0]]
     assert kernel_basis(m) == [(0, 1), (1, 0)]
 
 
 def test_large_entries_exact():
     # entries big enough that naive floating point would lose exactness
     big = 10**30
-    m = SymMatrix([[big, 1], [1, big]])
+    m = [[big, 1], [1, big]]
     w = inverse(m)
-    assert w.apply((big, 1)) == (Fraction(1), Fraction(0))
+    assert apply(w, (big, 1)) == (Fraction(1), Fraction(0))
 
 
 def test_golden_outputs_byte_identical():
@@ -183,13 +184,12 @@ def test_golden_outputs_byte_identical():
             a[i][i] = rng.choice([-2, -2, 0, 0, 2])
             for j in range(i + 1, n):
                 a[i][j] = a[j][i] = rng.choice([0, 0, 0, 1, 1, -1, 2])
-        m = SymMatrix(a)
         try:
-            inv = inverse(m).rows()
+            inv = inverse(a)
         except SingularMatrixError:
             inv = None
         out.append(
-            (signature(m).as_tuple(), positive_square_vector(m), kernel_basis(m), inv)
+            (signature(a).as_tuple(), positive_square_vector(a), kernel_basis(a), inv)
         )
     digest = hashlib.sha256(repr(out).encode()).hexdigest()[:16]
     assert digest == "961c70724f4efd16"
@@ -224,7 +224,7 @@ def test_inverse_and_kernel_match_references_hypothesis(data):
     n = data.draw(st.integers(min_value=0, max_value=7))
     entry = st.integers(min_value=-4, max_value=4)
     rows = _symmetric_rows(data, n, entry, st.one_of(st.just(0), entry))
-    _check_against_references(SymMatrix(rows))
+    _check_against_references(rows)
 
 
 @settings(max_examples=200, deadline=None)
@@ -244,9 +244,8 @@ def test_kernel_and_inverse_on_nullity_two_hypothesis(data):
         [0 if a is None or b is None else core[a][b] for b in lift] for a in lift
     ]
     assert n - row_reduce_rank(rows) >= 2
-    m = SymMatrix(rows)
-    _check_against_references(m)
-    assert len(kernel_basis(m)) == n - row_reduce_rank(rows)
+    _check_against_references(rows)
+    assert len(kernel_basis(rows)) == n - row_reduce_rank(rows)
 
 
 @settings(max_examples=200, deadline=None)
@@ -262,7 +261,7 @@ def test_inverse_of_fraction_entries_matches_reference_hypothesis(data):
     rows = _symmetric_rows(data, n, entry, entry)
     i = data.draw(st.integers(min_value=0, max_value=n - 1))
     rows[i][i] = Fraction(data.draw(st.sampled_from((1, -1, 3, -5))), 2)
-    _check_against_references(SymMatrix(rows))
+    _check_against_references(rows)
 
 
 # -- fraction-free elimination ---------------------------------------------------
@@ -277,8 +276,8 @@ def _check_bareiss(rows):
         return None
     d, adj, minors = bareiss(rows)
     assert d == want
-    w = inverse_reference(SymMatrix(rows))
-    assert adj == [[d * x for x in row] for row in w.rows()]
+    w = inverse_reference(rows)
+    assert adj == [[d * x for x in row] for row in w]
     if minors is not None:
         assert len(minors) == n and minors[-1] == d and all(minors)
         assert minor_signature(minors).as_tuple() == oracle_signature(rows)
@@ -416,9 +415,9 @@ def test_congruence_matches_reference_hypothesis(data):
     ]
     if r <= n - 2:
         assert n - row_reduce_rank(rows) >= 2
-    _check_congruence(SymMatrix(rows))
+    _check_congruence(rows)
     # the integer entry point returns the same, on int entries
-    want_sig, want_vec = signature_and_witness_reference(SymMatrix(rows))
+    want_sig, want_vec = signature_and_witness_reference(rows)
     sig, vec = _congruence(rows, witness=True)
     assert (sig.as_tuple(), vec) == (want_sig, want_vec)
     assert _congruence(rows)[0] == sig
@@ -437,4 +436,4 @@ def test_congruence_of_fraction_entries_matches_reference_hypothesis(data):
     rows = _symmetric_rows(data, n, entry, st.one_of(st.just(Fraction(0)), entry))
     i, j = data.draw(st.tuples(*[st.integers(min_value=0, max_value=n - 1)] * 2))
     rows[i][j] = rows[j][i] = Fraction(data.draw(st.sampled_from((1, -1, 3, -5))), 2)
-    _check_congruence(SymMatrix(rows))
+    _check_congruence(rows)

@@ -253,6 +253,38 @@ def test_surface_context_accepts_primes_and_artin_range():
         assert SurfaceContext(characteristic=3, artin_invariant=sigma).artin_invariant == sigma
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        # a float characteristic reached Miller-Rabin's pow() and raised TypeError
+        lambda: SurfaceContext(characteristic=43.0),
+        # ... or was accepted and reported as "characteristic 5.0"
+        lambda: SurfaceContext(characteristic=5.0),
+        lambda: SurfaceContext(characteristic=True),
+        lambda: SurfaceContext(characteristic=3, artin_invariant=2.5),
+        lambda: SurfaceContext(characteristic=3, artin_invariant=True),
+        # an Euler contribution of 5.5
+        lambda: fiber("IV", 1.5),
+        lambda: fiber("IV", True),
+        # a Shioda-Tate rank of 21.5
+        lambda: shioda_tate_rank(profile([("I4", 6)]), 1.5),
+        lambda: shioda_tate_rank(profile([("I4", 6)]), False),
+        # 2.0 passed the "characteristic 2 or 3" test
+        lambda: profile([("IV", 10)], quasi_elliptic=True, characteristic=2.0),
+    ],
+)
+def test_fibration_inputs_must_be_ints(build):
+    with pytest.raises(ValueError, match="must be an int"):
+        build()
+
+
+def test_fibration_int_inputs_still_accepted():
+    assert sd_bound(SurfaceContext(characteristic=5)).hypotheses[0] == "characteristic 5"
+    assert fiber("IV", 1).euler_contribution == 5
+    assert shioda_tate_rank(profile([("I4", 6)]), 1) == 21
+    assert profile([("IV", 10)], quasi_elliptic=True, characteristic=3).characteristic == 3
+
+
 # -- very-ampleness criterion ------------------------------------------------------
 
 

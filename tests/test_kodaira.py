@@ -5,7 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from k3lat import kodaira, roots
-from k3lat.graph import CUT, Final, config_from_data, connected_vertex_subsets
+from k3lat.graph import (
+    CUT,
+    Final,
+    SpanKind,
+    classify,
+    config_from_data,
+    connected_vertex_subsets,
+)
 from k3lat.kodaira import (
     divisor_degree,
     exclusion_6d,
@@ -17,6 +24,7 @@ from k3lat.roots import _component, _diagram_step, standard_diagram
 
 from conftest import i4_fibres_with_section, recorded_steps
 from oracles import (
+    apply,
     connected_subsets_reference,
     find_kodaira_divisors_reference,
     gram,
@@ -108,7 +116,7 @@ def test_multiplicities_annihilate_dual_graph(tag):
     t = type_table(tag)
     cfg = _dual_graph_config(tag)
     assert cfg.n == t.component_count
-    assert gram(cfg).apply(t.multiplicities) == (0,) * cfg.n
+    assert apply(gram(cfg), t.multiplicities) == (0,) * cfg.n
 
 
 def test_find_divisors_four_cycle():
@@ -234,6 +242,19 @@ def test_exclusion_6d_high_degree_divisor_clean():
     assert exclusion_6d(cfg, 1, 43) == []
 
 
+def test_exclusion_6d_skips_a_light_divisor_of_high_degree():
+    # an I7 cycle of degree-2 curves beside a curve of square 2: the search
+    # at weight 6d = 12 finds the I7, whose degree 14 exceeds 12
+    cfg = config_from_data(
+        [(f"c{i}", -2, 2) for i in range(7)] + [("p", 2, 1)],
+        [(f"c{i}", f"c{(i + 1) % 7}") for i in range(7)],
+    )
+    assert classify(cfg).kind is SpanKind.HYPERBOLIC
+    (div,) = find_kodaira_divisors(cfg, max_weight=12)
+    assert (div.tag, div.weight, divisor_degree(div, cfg)) == ("I7", 7, 14)
+    assert exclusion_6d(cfg, 2, 169) == []
+
+
 def test_exclusion_6d_not_hyperbolic_empty():
     assert exclusion_6d(standard_diagram("AffineA", 3), 1, 43) == []
 
@@ -265,7 +286,7 @@ def _assert_step_cuts_exactly_the_indefinite(cfg):
     sig = {(): (0, 0, 0)}
     for subset in connected_subsets_reference(cfg, cfg.n):
         ids = [cfg.vertices[i].id for i in subset]
-        sig[subset] = _memo_signature(gram(cfg.induced(ids)).rows())
+        sig[subset] = _memo_signature(gram(cfg.induced(ids)))
     for subset in sorted(sig.keys() - {()}):
         n_plus, _, n_zero = sig[subset]
         assert (subset in kept) == (n_plus == 0), subset
