@@ -47,11 +47,13 @@ a fibration, share one computed state (:func:`_bordered`).  A
 subconfiguration whose connected parents are all degenerate takes one
 Bareiss elimination.  Both bounds are read off the adjugate's entry, row
 and sign sums, once per shared state, and one rule, :func:`_box_total`, picks the
-box bound wherever its split applies.  A subconfiguration at the last
-level has no children, so its state is the table's shared entry, with no
-order or adjugate: its row sums follow in ``O(k)`` from its parent's, and
-its sign sum, in ``O(k^2)`` without building a row, only when the box
-split fails.
+box bound wherever its split applies.  Where it fails, the rough sign sum
+is at least the sum of the row sums of its sign, so it is taken only when
+that is below the least bound so far; else the subset is no record.  A
+subconfiguration at the last level has no children, so its state is the
+table's shared entry, with no order or adjugate: its row sums follow in
+``O(k)`` from its parent's, and its sign sum in ``O(k^2)``, without
+building a row.
 
 A verdict scans only the sweep's records (:func:`sweep_records`), pulled
 lazily, so one sweep serves every ``(d, h)``.  Only the certificate that
@@ -207,8 +209,9 @@ class _Adjugate(NamedTuple):
     ``adj`` are the determinant and adjugate of the Gram matrix in that
     order, so that its inverse is ``adj / det``, and ``n_plus`` its
     positive inertia.  A sweep state (:func:`_bordered`) has its class
-    ``cls`` and the ``total`` of :func:`_hyperbolic_total`; one bordered
-    at the sweep's cap, which has no children, keeps no order or adjugate.
+    ``cls`` and the ``total`` of :func:`_hyperbolic_total` (None for no
+    record, which stays true as the least bound falls); one bordered at
+    the sweep's cap, with no children, keeps no order or adjugate.
     """
 
     order: tuple[int, ...]
@@ -433,11 +436,12 @@ _UNSEEN = object()
 
 
 def _bordered(
-    g: list[list[int]], cap: int, states: dict,
+    g: list[list[int]], cap: int, states: dict, best: list,
     parent: _Adjugate | None, u: int, subset: tuple[int, ...],
 ) -> _Adjugate | None:
     """The sweep state of ``subset``, which is ``parent + {u}``, or None when
-    it is degenerate; ``g`` is the Gram matrix of the whole configuration.
+    it is degenerate; ``g`` is the Gram matrix of the whole configuration
+    and ``best`` the least bound so far (:func:`_may_win`).
     A subset of ``cap`` curves has no children, so its bordered state is
     the table's shared entry, with no order or adjugate; any other gets
     its own order.
@@ -457,7 +461,7 @@ def _bordered(
         entry = _adjugate(subset, [[g[i][j] for j in subset] for i in subset])
         if entry is None:
             return None
-        total = _hyperbolic_total(entry.det, entry.adj, entry.n_plus)
+        total = _hyperbolic_total(entry.det, entry.adj, entry.n_plus, best)
         states[subset] = entry._replace(cls=len(states), total=total)
         return states[subset]
     col = g[u]
@@ -466,14 +470,14 @@ def _bordered(
     state = states.get(key, _UNSEEN)
     leaf = len(subset) == cap
     if state is _UNSEEN:
-        state = states[key] = _border(parent, b, col[u], None if leaf else len(states))
+        state = states[key] = _border(parent, b, col[u], None if leaf else len(states), best)
     if state is None or leaf:
         return state
     return _Adjugate(parent.order + (u,), *state)
 
 
 def _border(
-    parent: _Adjugate, b: tuple[tuple[int, int], ...], c: int, cls: int | None
+    parent: _Adjugate, b: tuple[tuple[int, int], ...], c: int, cls: int | None, best: list
 ) -> tuple | _Adjugate | None:
     """The fields after ``order`` of the :class:`_Adjugate` of class ``cls``
     of ``parent`` bordered by the column ``b`` and the square ``c``, or with
@@ -488,7 +492,7 @@ def _border(
     state at the cap needs only the new row sums,
     ``(t r + a sum(a)) / D - a`` and ``D - sum(a)`` from the parent's row
     sums ``r``, and the sign sum of the new adjugate only when the box
-    split fails.
+    split fails and :func:`_may_win` holds.
     """
     det, adj, n_plus = parent.det, parent.adj, parent.n_plus
     a = [sum(row[i] * x for i, x in b) for row in adj]
@@ -502,7 +506,7 @@ def _border(
             for row, ai in zip(adj, a)
         ]
         rows.append([-ai for ai in a] + [det])
-        return t, rows, n_plus, cls, _hyperbolic_total(t, rows, n_plus)
+        return t, rows, n_plus, cls, _hyperbolic_total(t, rows, n_plus, best)
     if n_plus != 1:
         return _Adjugate((), t, None, n_plus)
     sa = sum(a)
@@ -510,6 +514,8 @@ def _border(
     sums.append(det - sa)
     total = _box_total(t, sums)
     if not total:
+        if not _may_win(t, sums, best):
+            return _Adjugate((), t, None, n_plus)
         # the entries of the sign sigma of t: a block entry n / D has it
         # iff s n > 0 with s = sigma sign(D); each border entry -a_i is
         # there twice
@@ -527,10 +533,11 @@ def _border(
     return _Adjugate((), t, None, n_plus, total=total)
 
 
-def _adjugate_sweep(cfg: CurveConfig, g: list[list[int]], cap: int):
+def _adjugate_sweep(cfg: CurveConfig, g: list[list[int]], cap: int, best: list):
     """Yield ``(subset, state)`` for every connected vertex subset of at most
     ``cap`` curves in canonical order (size, then index tuple); ``g`` is the
-    integer Gram matrix of the whole configuration.  ``state``
+    integer Gram matrix of the whole configuration, and ``best`` the least
+    bound before each subset (:func:`_may_win`).  ``state``
     is None for a degenerate subset, else its :class:`_Adjugate`; for a
     subset of ``cap`` curves bordered from a parent that is the level
     table's shared entry, with no order or adjugate.
@@ -549,7 +556,7 @@ def _adjugate_sweep(cfg: CurveConfig, g: list[list[int]], cap: int):
         if len(subset) != size:
             states.clear()
             size = len(subset)
-        return _bordered(g, cap, states, parent, u, subset)
+        return _bordered(g, cap, states, best, parent, u, subset)
 
     return connected_vertex_subsets(cfg, cap, step, _Adjugate((), 1, [], 0))
 
@@ -572,12 +579,22 @@ def _box_total(det: int, sums: list[int]) -> int:
     return -total if total < 0 and max(sums) <= 0 else 0
 
 
-def _hyperbolic_total(det: int, adj: list[list[int]], n_plus: int) -> int | None:
-    """``|det|`` times the bound at ``d = 1`` of :func:`_certificate` for
-    the inverse ``adj / det`` of inertia ``(1, k - 1)``, else None."""
+def _may_win(det: int, sums: list[int], best: list) -> bool:
+    """Whether a rough bound over ``det`` with row sums ``sums`` can beat ``best``,
+    ``[total, |det|]`` of the least bound so far (``[1, 0]`` before any): a row's
+    entries of the sign of ``det`` sum to at least its row sum of that sign."""
+    return abs(sum(r for r in sums if r * det > 0)) * best[1] < best[0] * abs(det)
+
+
+def _hyperbolic_total(det: int, adj: list[list[int]], n_plus: int, best: list) -> int | None:
+    """``|det|`` times the bound at ``d = 1`` of :func:`_checked_certificate`
+    for the inverse ``adj / det`` of inertia ``(1, k - 1)``; None for any
+    other inertia, or when the rough bound cannot beat ``best`` (:func:`_may_win`)."""
     if n_plus != 1:
         return None
-    return _box_total(det, [sum(row) for row in adj]) or _rough_total(det, adj)
+    sums = [sum(row) for row in adj]
+    total = _box_total(det, sums)
+    return total or (_rough_total(det, adj) if _may_win(det, sums, best) else None)
 
 
 def _checked_certificate(
@@ -611,16 +628,22 @@ def sweep_records(
 
     The bound at ``d`` is ``d^2`` times it, so the first subset below
     ``2h`` is a record, and so is the first at the least bound, the last.
-    The sweep goes no further than its records are pulled.
+    The sweep goes no further than its records are pulled.  A cap that is
+    not an int of at least 1 is a ValueError, raised at the call.
     """
-    best, best_den = None, 1
-    for subset, entry in _adjugate_sweep(cfg, integer_gram(cfg, range(cfg.n)), cap):
-        if entry is None or entry.n_plus != 1:
-            continue
-        total, den = entry.total, abs(entry.det)
-        if best is None or total * best_den < best * den:
-            best, best_den = total, den
-            yield subset, total, den
+    check_caps(cap=cap)
+    best = [1, 0]
+
+    def records():
+        for subset, entry in _adjugate_sweep(cfg, integer_gram(cfg, range(cfg.n)), cap, best):
+            if entry is None or entry.total is None:
+                continue
+            total, den = entry.total, abs(entry.det)
+            if total * best[1] < best[0] * den:
+                best[:] = total, den
+                yield subset, total, den
+
+    return records()
 
 
 def exclude(
@@ -671,6 +694,8 @@ def exclude_all(
     furthest.  Nothing is kept once the call returns.
     """
     cases = list(cases)
+    if type(use_pinned_degrees) is not bool:
+        raise ValueError(f"use_pinned_degrees must be a bool, got {use_pinned_degrees!r}")
     for d, h in cases:
         check_caps(cfg, d=d, h=h, subgraph_cap=subgraph_cap)
     if not cases:

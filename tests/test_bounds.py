@@ -9,6 +9,7 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -659,7 +660,8 @@ def test_verify_certificate_rejects_forgery_under_optimize():
 
 
 def _sweep(cfg, cap):
-    return _adjugate_sweep(cfg, graph.integer_gram(cfg, range(cfg.n)), cap)
+    # a pass that prunes nothing: its least bound so far stays 1/0
+    return _adjugate_sweep(cfg, graph.integer_gram(cfg, range(cfg.n)), cap, [1, 0])
 
 
 def test_sweep_fallback_only_off_the_diagonal(monkeypatch):
@@ -767,6 +769,23 @@ def test_exclude_h_and_cap_must_be_ints(char3_cfg, h, cap):
         exclude(char3_cfg, 1, h, subgraph_cap=cap)
 
 
+@pytest.mark.parametrize("cap", [True, 0, -1, 2.0, "2"])
+def test_sweep_records_cap_must_be_a_positive_int(char3_cfg, cap):
+    # True ran as cap 1, 0 and -1 gave no records, and 2.0 and "2" raised
+    # TypeError from inside the enumerator; each is refused at the call
+    with pytest.raises(ValueError, match="cap must be positive and an int"):
+        sweep_records(char3_cfg, cap)
+
+
+@pytest.mark.parametrize("pinned", ["no", 1, 0, None])
+def test_exclude_pinned_degrees_must_be_a_bool(char3_cfg, pinned):
+    # "no" is truthy, so it pinned the degrees
+    with pytest.raises(ValueError, match="use_pinned_degrees must be a bool"):
+        exclude(char3_cfg, 1, 1, 13, pinned)
+    with pytest.raises(ValueError, match="use_pinned_degrees must be a bool"):
+        exclude_all(char3_cfg, [(1, 1)], 13, pinned)
+
+
 def test_exclude_degree_cap_precondition(char3_cfg):
     cfg = config_from_data([("a", -2, 2), ("b", -2, 1)], [("a", "b", 3)])
     with pytest.raises(ValueError):
@@ -839,8 +858,8 @@ def test_exclude_holds_the_rebuilt_certificate_to_the_sweep_bound(monkeypatch):
     real = bounds._border
     corrupted = []
 
-    def corrupt(parent, b, c, cls):
-        state = real(parent, b, c, cls)
+    def corrupt(parent, b, c, cls, best):
+        state = real(parent, b, c, cls, best)
         if cls is None and state is not None and state.n_plus == 1 and not corrupted:
             corrupted.append(state)
             return state._replace(total=0)
@@ -867,6 +886,84 @@ def test_checked_certificate_builds_a_rough_certificate():
         AssertionError, match="sweep bound 1/2 differs from the rebuilt certificate's 4/5"
     ):
         _checked_certificate(cfg, (0, 1), 1, Fraction(1, 2))
+
+
+def test_sweep_skips_a_rough_sum_at_the_cap_that_cannot_set_a_record(monkeypatch):
+    # p (square 2) meets n (square -2) once: p's bound 1/2 is the first
+    # record, and the pair's inverse [[2, 1], [1, -2]] / 5 fails the box
+    # split with positive row sum 3/5 >= 1/2, so its rough sum 4/5 is never
+    # taken; the pass that prunes nothing still finds it
+    cfg = config_from_data([("p", 2), ("n", -2)], [("p", "n", 1)])
+    states = []
+    real = bounds._border
+
+    def spy(parent, b, c, cls, best):
+        state = real(parent, b, c, cls, best)
+        states.append((cls, state, list(best)))
+        return state
+
+    monkeypatch.setattr(bounds, "_border", spy)
+    assert list(sweep_records(cfg, 2)) == [((0,), 1, 2)]
+    cls, pair, best = states[-1]
+    assert (cls, pair.det, pair.n_plus, pair.total, best) == (None, -5, 1, None, [1, 2])
+    assert dict(_sweep(cfg, 2))[(0, 1)].total == 4
+
+
+def test_sweep_skips_a_rough_total_below_the_cap(monkeypatch):
+    # with m (square -2) meeting n once, the same pair has a child, so its
+    # state keeps an adjugate, and the sweep never calls _rough_total; the
+    # pass that prunes nothing calls it for the pair alone
+    cfg = config_from_data(
+        [("p", 2), ("n", -2), ("m", -2)], [("p", "n", 1), ("n", "m", 1)]
+    )
+    calls = []
+    real = bounds._rough_total
+
+    def spy(det, adj):
+        calls.append(det)
+        return real(det, adj)
+
+    monkeypatch.setattr(bounds, "_rough_total", spy)
+    assert list(sweep_records(cfg, 3)) == [((0,), 1, 2)]
+    assert calls == []
+    assert dict(_sweep(cfg, 3))[(0, 1)].total == 4
+    assert calls == [-5]
+
+
+def test_sweep_rough_sum_count_is_pinned(monkeypatch):
+    # six curves at cap 4: a rough sum is taken exactly when _may_win
+    # holds, and the pass that prunes nothing takes 27 of them (13 by
+    # _rough_total, 14 at the cap); the sweep takes none, with the same
+    # records
+    cfg = config_from_data(
+        [("v0", -2), ("v1", -2), ("v2", -2), ("v3", 0), ("v4", 0), ("v5", 2)],
+        [
+            ("v0", "v3", 1), ("v0", "v5", 2), ("v1", "v2", 1), ("v1", "v4", 2),
+            ("v1", "v5", 2), ("v2", "v3", 1), ("v2", "v5", 1), ("v3", "v4", 2),
+            ("v3", "v5", 1), ("v4", "v5", 3),
+        ],
+    )
+    taken = Counter()
+    real_win, real_rough = bounds._may_win, bounds._rough_total
+
+    def may_win(det, sums, best):
+        won = real_win(det, sums, best)
+        taken["box split fails"] += 1
+        taken["rough sums"] += won
+        return won
+
+    def rough(det, adj):
+        taken["_rough_total"] += 1
+        return real_rough(det, adj)
+
+    monkeypatch.setattr(bounds, "_may_win", may_win)
+    monkeypatch.setattr(bounds, "_rough_total", rough)
+    records = [((5,), 1, 2), ((4, 5), 4, 9)]
+    assert _unpruned_records(cfg, 4) == records
+    assert taken == {"box split fails": 27, "rough sums": 27, "_rough_total": 13}
+    taken.clear()
+    assert list(sweep_records(cfg, 4)) == records
+    assert taken == {"box split fails": 27, "rough sums": 0}
 
 
 def test_sweep_eliminates_a_subset_of_degenerate_parents_from_scratch(monkeypatch):
@@ -925,6 +1022,19 @@ def _records(cfg, cap):
     return list(sweep_records(cfg, cap))
 
 
+def _unpruned_records(cfg, cap):
+    # the records of a pass that prunes nothing: its states of inertia
+    # (1, k - 1) whose exact bound at d = 1 is a new strict minimum
+    records, least = [], None
+    for subset, entry in _sweep(cfg, cap):
+        if entry is not None and entry.n_plus == 1:
+            bound = Fraction(entry.total, abs(entry.det))
+            if least is None or bound < least:
+                least = bound
+                records.append((subset, entry.total, abs(entry.det)))
+    return records
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_sweep_records_to_a_cap_are_a_prefix_hypothesis(data):
@@ -944,6 +1054,34 @@ def test_sweep_records_to_a_cap_are_a_prefix_hypothesis(data):
         d = max(sub.degrees())
         cert = subgraph_certificates_reference(sub, d)[0]
         assert cert.bound_on_2h == Fraction(total * d * d, den)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sweep_records_skip_only_what_cannot_win_hypothesis(data):
+    # the records are those of a pass that prunes nothing; a state of
+    # inertia (1, k - 1) left with no total has positive row sums of its
+    # inverse summing to no less than the least record before it, and its
+    # bound at d = 1 is no less than that sum
+    cfg, n, _ = _random_config(data)
+    cap = data.draw(st.integers(min_value=1, max_value=n))
+    skipped = []
+    real = bounds._adjugate_sweep
+
+    def spy(cfg, g, cap, best):
+        for subset, entry in real(cfg, g, cap, best):
+            if entry is not None and entry.n_plus == 1 and entry.total is None:
+                skipped.append((subset, Fraction(best[0], best[1])))
+            yield subset, entry
+
+    with mock.patch.object(bounds, "_adjugate_sweep", spy):
+        assert _records(cfg, cap) == _unpruned_records(cfg, cap)
+    for subset, least in skipped:
+        sub = cfg.induced(tuple(cfg.vertices[i].id for i in subset))
+        low = sum(max(0, sum(row)) for row in inverse_reference(gram(sub)))
+        d = max(sub.degrees())
+        assert subgraph_certificates_reference(sub, d)[0].bound_on_2h >= low * d * d
+        assert low >= least
 
 
 @settings(max_examples=150, deadline=None)
@@ -1015,9 +1153,9 @@ def test_nodal_fibres_sweep_stops_at_the_rank(monkeypatch, d):
     # H.C = d on every curve and H^2 = 4 d^2, so the bound is sharp
     real = bounds._bordered
 
-    def spy(g, cap, states, parent, u, subset):
+    def spy(g, cap, states, best, parent, u, subset):
         assert len(subset) <= 2
-        return real(g, cap, states, parent, u, subset)
+        return real(g, cap, states, best, parent, u, subset)
 
     monkeypatch.setattr(bounds, "_bordered", spy)
     cfg = _nodal_fibres(d)

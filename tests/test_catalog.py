@@ -357,9 +357,9 @@ def test_verify_catalog_runs_one_sweep_per_configuration(monkeypatch):
     sweeps = []
     real = bounds._adjugate_sweep
 
-    def spy(cfg, g, cap):
+    def spy(cfg, g, cap, best):
         sweeps.append(cfg.n)
-        return real(cfg, g, cap)
+        return real(cfg, g, cap, best)
 
     monkeypatch.setattr(bounds, "_adjugate_sweep", spy)
     cases = sum(len(e.expected.get("exclusions", ())) for e in load_catalog())
