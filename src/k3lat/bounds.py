@@ -45,15 +45,14 @@ one Schur complement (Haynsworth additivity).  The subsets of one level
 whose Gram matrices agree in their stored orders, as across the fibres of
 a fibration, share one computed state (:func:`_bordered`).  A
 subconfiguration whose connected parents are all degenerate takes one
-Bareiss elimination.  Both bounds are read off the adjugate's entry, row
-and sign sums, once per shared state, and one rule, :func:`_box_total`, picks the
-box bound wherever its split applies.  Where it fails, the rough sign sum
-is at least the sum of the row sums of its sign, so it is taken only when
-that is below the least bound so far; else the subset is no record.  A
-subconfiguration at the last level has no children, so its state is the
-table's shared entry, with no order or adjugate: its row sums follow in
-``O(k)`` from its parent's, and its sign sum in ``O(k^2)``, without
-building a row.
+Bareiss elimination.  Every state carries the row sums of its adjugate,
+which a bordered one updates in ``O(k)`` from its parent's.  One rule,
+:func:`_box_total`, reads the box bound off them wherever its split
+applies.  Where it fails, the rough sign sum is at least the sum of the
+row sums of its sign, so it is taken only when that is below the least
+bound so far; else the subset is no record.  A subconfiguration at the
+last level has no children, so its state is the table's shared entry,
+with no order or adjugate; it builds its adjugate only for a sign sum.
 
 A verdict scans only the sweep's records (:func:`sweep_records`), pulled
 lazily, so one sweep serves every ``(d, h)``.  Only the certificate that
@@ -207,18 +206,21 @@ class _Adjugate(NamedTuple):
 
     ``order`` lists the vertex indices that its rows follow; ``det`` and
     ``adj`` are the determinant and adjugate of the Gram matrix in that
-    order, so that its inverse is ``adj / det``, and ``n_plus`` its
-    positive inertia.  A sweep state (:func:`_bordered`) has its class
-    ``cls`` and the ``total`` of :func:`_hyperbolic_total` (None for no
-    record, which stays true as the least bound falls); one bordered at
-    the sweep's cap, with no children, keeps no order or adjugate.
+    order, so that its inverse is ``adj / det``, ``n_plus`` its positive
+    inertia and ``sums`` the row sums of ``adj``, set once when the entry
+    is made.  A sweep state (:func:`_bordered`) has its class ``cls`` and
+    the ``total`` of :func:`_hyperbolic_total` (None for no record, which
+    stays true as the least bound falls); one bordered at the sweep's cap,
+    with no children, keeps no order, adjugate or class, and its row sums
+    follow some order of its subset.
     """
 
     order: tuple[int, ...]
     det: int
     adj: list[list[int]] | None
     n_plus: int
-    cls: int = 0
+    sums: list[int]
+    cls: int | None = 0
     total: int | None = None
 
 
@@ -235,7 +237,7 @@ def _adjugate(order: tuple[int, ...], g: list[list[int]]) -> _Adjugate | None:
         n_plus = _congruence(g)[0].n_plus
     else:
         n_plus = minor_signature(minors).n_plus
-    return _Adjugate(order, det, adj, n_plus)
+    return _Adjugate(order, det, adj, n_plus, [sum(row) for row in adj])
 
 
 def _inverse_gram(cfg: CurveConfig) -> tuple[list[list[int]], _Adjugate]:
@@ -278,12 +280,11 @@ def _box_certificate(
     ``r`` the row sums of ``adj`` and ``total`` their sum,
     ``delta g+ = r r^T`` and ``delta g0 = total adj - r r^T`` over
     ``delta = det total``.  The witness keeps them in lowest terms."""
-    det, adj = entry.det, entry.adj
+    det, adj, r = entry.det, entry.adj, entry.sums
+    total = sum(r)
     if all(x * det >= 0 for row in adj for x in row):
         delta, g0, gplus = det, [[0] * len(adj) for _ in adj], adj
     else:
-        r = [sum(row) for row in adj]
-        total = sum(r)
         delta = det * total
         gplus = [[ri * rj for rj in r] for ri in r]
         g0 = [
@@ -299,7 +300,7 @@ def _box_certificate(
     fault = _witness_fault(g, wit, entry.n_plus)
     if fault is not None:
         raise AssertionError(f"box witness fails its check: {fault}")
-    bound = Fraction(sum(map(sum, adj)) * d * d, det)
+    bound = Fraction(total * d * d, det)
     return BoundCertificate(BOX_OPTIMUM_DECOMPOSITION, bound, ids, d, witness=wit)
 
 
@@ -331,7 +332,7 @@ def box_certificate(cfg: CurveConfig, d: int) -> BoundCertificate:
     g, entry = _inverse_gram(cfg)
     if entry.n_plus != 1:
         raise NoDecompositionFoundError("the Gram matrix is not of inertia (1, k - 1)")
-    if not _box_total(entry.det, [sum(row) for row in entry.adj]):
+    if not _box_total(entry.det, entry.sums):
         raise NoDecompositionFoundError(
             "inverse Gram matrix has a negative row sum; the rank-one "
             "split cannot certify the box optimum"
@@ -426,8 +427,7 @@ def verify_certificate(cert: BoundCertificate, cfg: CurveConfig) -> bool:
         if not isinstance(wit, BoxWitness) or _witness_fault(g, wit, entry.n_plus):
             return False
         # the witness has passed as the inverse adj / det
-        total = Fraction(sum(map(sum, entry.adj)), entry.det)
-        return cert.bound_on_2h == total * d * d
+        return cert.bound_on_2h == Fraction(sum(entry.sums) * d * d, entry.det)
     return False
 
 
@@ -461,16 +461,22 @@ def _bordered(
         entry = _adjugate(subset, [[g[i][j] for j in subset] for i in subset])
         if entry is None:
             return None
-        total = _hyperbolic_total(entry.det, entry.adj, entry.n_plus, best)
+        total = _hyperbolic_total(entry.det, entry.n_plus, entry.sums, best)
+        if total == 0:
+            total = _rough_total(entry.det, entry.adj)
         states[subset] = entry._replace(cls=len(states), total=total)
         return states[subset]
     col = g[u]
-    b = tuple((i, col[v]) for i, v in enumerate(parent.order) if col[v])
+    b = tuple([(i, col[v]) for i, v in enumerate(parent.order) if col[v]])
     key = parent.cls, b, col[u]
     state = states.get(key, _UNSEEN)
     leaf = len(subset) == cap
     if state is _UNSEEN:
-        state = states[key] = _border(parent, b, col[u], None if leaf else len(states), best)
+        state = _border(parent, b, col[u], None if leaf else len(states), best)
+        if state is not None and not leaf:
+            # the fields after the order, which each subset puts its own before
+            state = state[1:]
+        states[key] = state
     if state is None or leaf:
         return state
     return _Adjugate(parent.order + (u,), *state)
@@ -478,59 +484,46 @@ def _bordered(
 
 def _border(
     parent: _Adjugate, b: tuple[tuple[int, int], ...], c: int, cls: int | None, best: list
-) -> tuple | _Adjugate | None:
-    """The fields after ``order`` of the :class:`_Adjugate` of class ``cls``
-    of ``parent`` bordered by the column ``b`` and the square ``c``, or with
-    ``cls`` None the state shared by the subsets at the sweep's cap, with no
-    order or adjugate; None when it is degenerate.
+) -> _Adjugate | None:
+    """The :class:`_Adjugate`, with no order, of class ``cls`` of ``parent``
+    bordered by the column ``b`` and the square ``c``, or with ``cls`` None
+    the state shared by the subsets at the sweep's cap, with no adjugate
+    either; None when it is degenerate.
 
-    With ``D``, ``A`` the determinant and adjugate of the parent, put
-    ``a = A b``.  Then ``t = D c - b.a`` is the new determinant, Sylvester's
-    identity makes ``[[(t A + a a^T) / D, -a], [-a^T, D]]`` the new adjugate
-    with exact division, and the Schur complement ``t / D`` adds one
-    positive direction iff ``t D > 0`` (Haynsworth inertia additivity).  A
-    state at the cap needs only the new row sums,
-    ``(t r + a sum(a)) / D - a`` and ``D - sum(a)`` from the parent's row
-    sums ``r``, and the sign sum of the new adjugate only when the box
-    split fails and :func:`_may_win` holds.
+    With ``D``, ``A`` and ``r`` the determinant, adjugate and row sums of
+    the parent, put ``a = A b``.  Then ``t = D c - b.a`` is the new
+    determinant, Sylvester's identity makes the new adjugate that of
+    :func:`_border_rows`, so its row sums are ``(t r + a sum(a)) / D - a``
+    and ``D - sum(a)``, and the Schur complement ``t / D`` adds one
+    positive direction iff ``t D > 0`` (Haynsworth inertia additivity).
+    A state at the cap builds the new adjugate only for the rough sum of
+    :func:`_hyperbolic_total`.
     """
-    det, adj, n_plus = parent.det, parent.adj, parent.n_plus
-    a = [sum(row[i] * x for i, x in b) for row in adj]
-    t = det * c - sum(a[i] * x for i, x in b)
+    det, adj = parent.det, parent.adj
+    a = [sum([row[i] * x for i, x in b]) for row in adj]
+    t = det * c - sum([a[i] * x for i, x in b])
     if t == 0:
         return None
-    n_plus += t * det > 0
-    if cls is not None:
-        rows = [
-            [(t * x + ai * aj) // det for x, aj in zip(row, a)] + [-ai]
-            for row, ai in zip(adj, a)
-        ]
-        rows.append([-ai for ai in a] + [det])
-        return t, rows, n_plus, cls, _hyperbolic_total(t, rows, n_plus, best)
-    if n_plus != 1:
-        return _Adjugate((), t, None, n_plus)
+    n_plus = parent.n_plus + (t * det > 0)
     sa = sum(a)
-    sums = [(t * r + ai * sa) // det - ai for r, ai in zip(map(sum, adj), a)]
+    sums = [(t * r + ai * sa) // det - ai for r, ai in zip(parent.sums, a)]
     sums.append(det - sa)
-    total = _box_total(t, sums)
-    if not total:
-        if not _may_win(t, sums, best):
-            return _Adjugate((), t, None, n_plus)
-        # the entries of the sign sigma of t: a block entry n / D has it
-        # iff s n > 0 with s = sigma sign(D); each border entry -a_i is
-        # there twice
-        sigma = 1 if t > 0 else -1
-        s = sigma if det > 0 else -sigma
-        block = sum(
-            n
-            for row, ai in zip(adj, a)
-            for x, aj in zip(row, a)
-            if s * (n := t * x + ai * aj) > 0
-        )
-        border = sum(ai for ai in a if sigma * ai < 0)
-        corner = det if sigma * det > 0 else 0
-        total = sigma * (block // det - 2 * border + corner)
-    return _Adjugate((), t, None, n_plus, total=total)
+    rows = None if cls is None else _border_rows(det, adj, a, t)
+    total = _hyperbolic_total(t, n_plus, sums, best)
+    if total == 0:
+        total = _rough_total(t, rows or _border_rows(det, adj, a, t))
+    return _Adjugate((), t, rows, n_plus, sums, cls, total)
+
+
+def _border_rows(det: int, adj: list[list[int]], a: list[int], t: int) -> list[list[int]]:
+    """The adjugate ``[[(t A + a a^T) / D, -a], [-a^T, D]]`` of the bordered
+    matrix of :func:`_border`, each division exact."""
+    rows = [
+        [(t * x + ai * aj) // det for x, aj in zip(row, a)] + [-ai]
+        for row, ai in zip(adj, a)
+    ]
+    rows.append([-ai for ai in a] + [det])
+    return rows
 
 
 def _adjugate_sweep(cfg: CurveConfig, g: list[list[int]], cap: int, best: list):
@@ -558,7 +551,7 @@ def _adjugate_sweep(cfg: CurveConfig, g: list[list[int]], cap: int, best: list):
             size = len(subset)
         return _bordered(g, cap, states, best, parent, u, subset)
 
-    return connected_vertex_subsets(cfg, cap, step, _Adjugate((), 1, [], 0))
+    return connected_vertex_subsets(cfg, cap, step, _Adjugate((), 1, [], 0, []))
 
 
 def _box_total(det: int, sums: list[int]) -> int:
@@ -586,15 +579,16 @@ def _may_win(det: int, sums: list[int], best: list) -> bool:
     return abs(sum(r for r in sums if r * det > 0)) * best[1] < best[0] * abs(det)
 
 
-def _hyperbolic_total(det: int, adj: list[list[int]], n_plus: int, best: list) -> int | None:
-    """``|det|`` times the bound at ``d = 1`` of :func:`_checked_certificate`
-    for the inverse ``adj / det`` of inertia ``(1, k - 1)``; None for any
-    other inertia, or when the rough bound cannot beat ``best`` (:func:`_may_win`)."""
+def _hyperbolic_total(det: int, n_plus: int, sums: list[int], best: list) -> int | None:
+    """``|det|`` times the box bound at ``d = 1`` of :func:`_checked_certificate`
+    for an inverse over ``det`` of inertia ``(1, k - 1)`` whose adjugate has
+    the row sums ``sums``, or 0 when the rough bound is the one to use and
+    can beat ``best`` (:func:`_may_win`), for the caller's :func:`_rough_total`
+    of the adjugate; None for any other inertia, or when it cannot."""
     if n_plus != 1:
         return None
-    sums = [sum(row) for row in adj]
     total = _box_total(det, sums)
-    return total or (_rough_total(det, adj) if _may_win(det, sums, best) else None)
+    return total if total or _may_win(det, sums, best) else None
 
 
 def _checked_certificate(
@@ -607,7 +601,7 @@ def _checked_certificate(
     g = integer_gram(cfg, subset)
     entry = _adjugate(subset, g)
     ids = tuple(cfg.vertices[i].id for i in subset)
-    if _box_total(entry.det, [sum(row) for row in entry.adj]):
+    if _box_total(entry.det, entry.sums):
         cert = _box_certificate(ids, g, entry, d)
     else:
         cert = _rough_certificate(ids, entry, d)

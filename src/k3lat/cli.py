@@ -16,7 +16,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import bounds, catalog, fibration, kodaira, roots
-from .exact import SingularMatrixError
 from .formats import (
     format_fraction,
     parse_config,
@@ -226,7 +225,7 @@ def _cmd_bound(args) -> int:
     except bounds.NoDecompositionFoundError as exc:
         _emit({"error": str(exc)}, args.format, [f"no box certificate: {exc}"])
         return 1
-    except (bounds.DegenerateLatticeError, SingularMatrixError) as exc:
+    except bounds.DegenerateLatticeError as exc:
         _emit({"error": str(exc)}, args.format, [f"error: {exc}"])
         return 2
     verified = bounds.verify_certificate(cert, cfg)

@@ -184,6 +184,8 @@ def enumerate_uniform(rho_max: int) -> list[FibrationProfile]:
     """All uniform multiplicative configurations ``k x In`` with
     ``n k = 24``, ``n >= 2``, whose trivial lattice fits a Picard lattice
     of rank ``rho_max``."""
+    if type(rho_max) is not int:
+        raise ValueError(f"rho_max must be an int, got {rho_max!r}")
     if rho_max < 2:
         raise ValueError("rho_max must be >= 2")
     out = []

@@ -37,6 +37,9 @@ class CurveVertex:
     degree: int = 1
 
     def __post_init__(self):
+        # a certificate's support is a tuple of str ids (verify_certificate)
+        if not isinstance(self.id, str):
+            raise ValueError(f"vertex id {self.id!r} must be a str")
         if not self.id:
             raise ValueError("vertex id must be nonempty")
         for field, value in (("square", self.square), ("degree", self.degree)):

@@ -912,7 +912,8 @@ def test_sweep_skips_a_rough_sum_at_the_cap_that_cannot_set_a_record(monkeypatch
 def test_sweep_skips_a_rough_total_below_the_cap(monkeypatch):
     # with m (square -2) meeting n once, the same pair has a child, so its
     # state keeps an adjugate, and the sweep never calls _rough_total; the
-    # pass that prunes nothing calls it for the pair alone
+    # pass that prunes nothing calls it for the pair and for the triple at
+    # the cap, whose inverse over 8 fails the box split too
     cfg = config_from_data(
         [("p", 2), ("n", -2), ("m", -2)], [("p", "n", 1), ("n", "m", 1)]
     )
@@ -927,14 +928,13 @@ def test_sweep_skips_a_rough_total_below_the_cap(monkeypatch):
     assert list(sweep_records(cfg, 3)) == [((0,), 1, 2)]
     assert calls == []
     assert dict(_sweep(cfg, 3))[(0, 1)].total == 4
-    assert calls == [-5]
+    assert calls == [-5, 8]
 
 
 def test_sweep_rough_sum_count_is_pinned(monkeypatch):
     # six curves at cap 4: a rough sum is taken exactly when _may_win
-    # holds, and the pass that prunes nothing takes 27 of them (13 by
-    # _rough_total, 14 at the cap); the sweep takes none, with the same
-    # records
+    # holds, each by _rough_total, and the pass that prunes nothing takes
+    # 27 of them; the sweep takes none, with the same records
     cfg = config_from_data(
         [("v0", -2), ("v1", -2), ("v2", -2), ("v3", 0), ("v4", 0), ("v5", 2)],
         [
@@ -960,10 +960,19 @@ def test_sweep_rough_sum_count_is_pinned(monkeypatch):
     monkeypatch.setattr(bounds, "_rough_total", rough)
     records = [((5,), 1, 2), ((4, 5), 4, 9)]
     assert _unpruned_records(cfg, 4) == records
-    assert taken == {"box split fails": 27, "rough sums": 27, "_rough_total": 13}
+    assert taken == {"box split fails": 27, "rough sums": 27, "_rough_total": 27}
     taken.clear()
     assert list(sweep_records(cfg, 4)) == records
     assert taken == {"box split fails": 27, "rough sums": 0}
+
+
+def test_may_win_reads_the_row_sums_of_the_determinants_sign():
+    # the p-n pair: adjugate [[-2, -1], [-1, 2]] over -5, with row sums -3
+    # and 1; only -3 has the sign of -5, so the rough bound is at least
+    # 3/5, which beats 7/10 but not 3/5 itself, a tie never winning.
+    # Summing every row sum's size would read 4/5 and miss 7/10
+    assert bounds._may_win(-5, [-3, 1], [7, 10])
+    assert not bounds._may_win(-5, [-3, 1], [3, 5])
 
 
 def test_sweep_eliminates_a_subset_of_degenerate_parents_from_scratch(monkeypatch):
@@ -1214,26 +1223,29 @@ def _state_bound(entry, d):
 
 
 def _assert_exact_entry(cfg, entry):
-    # the exact determinant, adjugate and inertia of the Gram matrix in the
-    # entry's stored order
+    # the exact determinant, adjugate, row sums and inertia of the Gram
+    # matrix in the entry's stored order
     m = submatrix(gram(cfg), entry.order)
     assert entry.det == det(m)
-    assert [list(row) for row in entry.adj] == [
-        [entry.det * x for x in row] for row in inverse_reference(m)
-    ]
+    adj = [[entry.det * x for x in row] for row in inverse_reference(m)]
+    assert [list(row) for row in entry.adj] == adj
+    assert entry.sums == [sum(row) for row in adj]
     assert entry.n_plus == signature(m).n_plus
 
 
 def _assert_last_level_state(cfg, subset, entry):
     # a nondegenerate state at the sweep's cap against the subset's Gram
-    # matrix from scratch: its determinant, its inertia and its total,
-    # |det| times its bound at d = 1 when of inertia (1, k - 1), else None.
-    # A bordered one is the level table's entry, with no order or adjugate;
-    # one computed from scratch keeps its exact adjugate
+    # matrix from scratch: its determinant, its inertia, its total, |det|
+    # times its bound at d = 1 when of inertia (1, k - 1), else None, and
+    # its row sums, which follow some order of the subset.  A bordered one
+    # is the level table's entry, with no order or adjugate; one computed
+    # from scratch keeps its exact adjugate
     sub = cfg.induced(tuple(cfg.vertices[i].id for i in subset))
     m = gram(sub)
     assert entry.det == det(m)
     assert entry.n_plus == signature(m).n_plus
+    sums = [entry.det * sum(row) for row in inverse_reference(m)]
+    assert sorted(entry.sums) == sorted(sums)
     total = None
     if entry.n_plus == 1:
         # the bound at d = 1 is the one at the largest degree over its square

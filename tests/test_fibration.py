@@ -142,6 +142,16 @@ def test_enumerate_uniform_rho14():
     assert descs == ["12xI2"]
 
 
+@pytest.mark.parametrize(
+    "rho_max, message",
+    [(20.5, "an int"), (22.0, "an int"), ("3", "an int"), (True, "an int"), (1, ">= 2")],
+)
+def test_enumerate_uniform_takes_an_int_of_at_least_two(rho_max, message):
+    # 20.5 would compare as a rank and "3" raise TypeError; a bool is no rank
+    with pytest.raises(ValueError, match=f"rho_max must be {message}"):
+        enumerate_uniform(rho_max)
+
+
 def test_enumerate_uniform_profiles_pass_budget():
     for prof in enumerate_uniform(22):
         report = budget_check(prof)

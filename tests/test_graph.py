@@ -53,6 +53,10 @@ def test_vertex_validation():
         CurveVertex("a", degree=0)
     with pytest.raises(ValueError):
         CurveVertex("")
+    # an int id would give certificates that verify_certificate rejects
+    for vid in (1, None, b"a"):
+        with pytest.raises(ValueError, match="must be a str"):
+            CurveVertex(vid, 2)
 
 
 def test_config_validation():
