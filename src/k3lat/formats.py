@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import methodcaller
 
 from .fibration import DeclaredCurve, DeclaredModel, FibrationProfile, fiber
 from .graph import CurveConfig, CurveVertex
@@ -94,6 +95,33 @@ class Fields(dict):
                 value = [self._nested(m, f"{key}[{k}]") for k, m in enumerate(value)]
         return value
 
+    def rows(self, key: str, columns: dict, build) -> list:
+        """``build(*fields)`` for each object of the array ``key``, its
+        fields in the order of ``columns``, a map from each to its scalar
+        JSON type and default.  The array is checked a column at a time;
+        only if that or ``build`` fails is it read again object by object,
+        with :meth:`only` and :meth:`typed`, to raise the first wrong
+        object's error, naming it (``in vertices[2]``)."""
+        objects = self.typed(key, list)
+        if set(map(type, objects)) <= {dict} and set().union(*objects) <= columns.keys():
+            values = [list(map(methodcaller("get", name, fallback), objects))
+                      for name, (_, fallback) in columns.items()]
+            if all(set(map(type, column)) <= {kind}
+                   for column, (kind, _) in zip(values, columns.values())):
+                try:
+                    return list(map(build, *values))
+                except ValueError:
+                    pass
+        out = []
+        for obj in self.typed(key, list, items=dict):
+            obj.only(*columns)
+            fields = [obj.typed(name, *spec) for name, spec in columns.items()]
+            try:
+                out.append(build(*fields))
+            except ValueError as exc:
+                raise obj.error(str(exc)) from exc
+        return out
+
 
 def read_json(text: str, where: str) -> Fields:
     """The top-level object of one input file."""
@@ -118,6 +146,10 @@ class ConfigDocument:
     metadata: dict = field(default_factory=dict)
 
 
+_VERTEX_COLUMNS = {"id": (str, _REQUIRED), "square": (int, _REQUIRED), "degree": (int, 1)}
+_EDGE_COLUMNS = {"a": (str, _REQUIRED), "b": (str, _REQUIRED), "mult": (int, 1)}
+
+
 def parse_config(text: str, where: str = "config") -> ConfigDocument:
     """Parse a configuration file; its errors name it ``where``.
 
@@ -128,21 +160,10 @@ def parse_config(text: str, where: str = "config") -> ConfigDocument:
     data = read_json(text, where)
     data.only("name", "vertices", "edges", "metadata")
     name = data.typed("name", str, "")
-    raw_vertices = data.typed("vertices", list, items=dict)
-    if not raw_vertices:
+    vertices = data.rows("vertices", _VERTEX_COLUMNS, CurveVertex)
+    if not vertices:
         raise data.error("needs at least one vertex")
-    vertices = []
-    for rv in raw_vertices:
-        rv.only("id", "square", "degree")
-        vertex = rv.typed("id", str), rv.typed("square", int), rv.typed("degree", int, 1)
-        try:
-            vertices.append(CurveVertex(*vertex))
-        except ValueError as exc:
-            raise rv.error(str(exc)) from exc
-    edges = []
-    for re_ in data.typed("edges", list, [], items=dict):
-        re_.only("a", "b", "mult")
-        edges.append((re_.typed("a", str), re_.typed("b", str), re_.typed("mult", int, 1)))
+    edges = data.rows("edges", _EDGE_COLUMNS, lambda *edge: edge) if "edges" in data else []
     metadata = dict(data.typed("metadata", dict, {}))
     try:
         config = CurveConfig(vertices, edges, name=name)
@@ -167,6 +188,18 @@ def serialize_config(doc: ConfigDocument) -> str:
     return json.dumps(data, indent=2) + "\n"
 
 
+_FIBER_COLUMNS = {"type": (str, _REQUIRED), "count": (int, _REQUIRED), "delta": (int, 0)}
+
+
+def _fibers(tag: str, count: int, delta: int) -> list:
+    if not 1 <= count <= 24:
+        raise ValueError(f"count {count} is not in 1..24")
+    series, n = parse_tag(tag)
+    if n is not None and n + (6 if series == "I*" else 0) > 24:
+        raise ValueError(f"fiber type {tag} has Euler number above 24")
+    return [fiber(tag, delta) for _ in range(count)]
+
+
 def profile_from_data(data: Fields, extra: tuple[str, ...] = ()) -> FibrationProfile:
     """The fibration profile one JSON object holds, besides its ``extra``
     fields.  Schema: ``{"quasi_elliptic": bool, "characteristic": int |
@@ -176,21 +209,7 @@ def profile_from_data(data: Fields, extra: tuple[str, ...] = ()) -> FibrationPro
     data.only("quasi_elliptic", "characteristic", "fibers", *extra)
     qe = data.typed("quasi_elliptic", bool, False)
     char = None if data.get("characteristic") is None else data.typed("characteristic", int)
-    fibers = []
-    for rf in data.typed("fibers", list, items=dict):
-        rf.only("type", "count", "delta")
-        tag = rf.typed("type", str)
-        count = rf.typed("count", int)
-        delta = rf.typed("delta", int, 0)
-        if not 1 <= count <= 24:
-            raise rf.error(f"count {count} is not in 1..24")
-        try:
-            series, n = parse_tag(tag)
-            if n is not None and n + (6 if series == "I*" else 0) > 24:
-                raise ValueError(f"fiber type {tag} has Euler number above 24")
-            fibers.extend(fiber(tag, delta) for _ in range(count))
-        except ValueError as exc:
-            raise rf.error(str(exc)) from exc
+    fibers = sum(data.rows("fibers", _FIBER_COLUMNS, _fibers), [])
     try:
         return FibrationProfile(tuple(fibers), qe, char)
     except ValueError as exc:
@@ -222,6 +241,9 @@ def serialize_profile(prof: FibrationProfile) -> str:
     return json.dumps(data, indent=2) + "\n"
 
 
+_CURVE_COLUMNS = {"label": (str, _REQUIRED), "pa": (int, _REQUIRED), "H_dot": (int, _REQUIRED)}
+
+
 def parse_model(text: str, where: str = "model") -> DeclaredModel:
     """Parse a declared model for the very-ampleness checker; its errors
     name it ``where``.
@@ -233,11 +255,7 @@ def parse_model(text: str, where: str = "model") -> DeclaredModel:
     data.only("H_square", "H_two_divisible", "curves")
     h_square = data.typed("H_square", int)
     two_div = data.typed("H_two_divisible", bool, False)
-    curves = []
-    for rc in data.typed("curves", list, items=dict):
-        rc.only("label", "pa", "H_dot")
-        curve = rc.typed("label", str), rc.typed("pa", int), rc.typed("H_dot", int)
-        curves.append(DeclaredCurve(*curve))
+    curves = data.rows("curves", _CURVE_COLUMNS, DeclaredCurve)
     try:
         return DeclaredModel(h_square, two_div, tuple(curves))
     except ValueError as exc:

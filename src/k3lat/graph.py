@@ -14,7 +14,8 @@ import enum
 from bisect import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -375,7 +376,7 @@ class Final(tuple):
     __slots__ = ()
 
 
-def connected_vertex_subsets(cfg: CurveConfig, max_size: int, grow, root):
+def connected_vertex_subsets(cfg: CurveConfig, max_size: int, grow, root, reach=None):
     """Yield ``(subset, state)`` for every connected vertex subset of at
     most ``max_size`` curves exactly once, as increasing index tuples in
     canonical order (size, then index tuple).
@@ -393,9 +394,14 @@ def connected_vertex_subsets(cfg: CurveConfig, max_size: int, grow, root):
     :class:`Final` state keeps the subset but grows nothing from it, so a
     subset whose connected parents are all final is not visited; that
     loses nothing when every connected superset of a final subset would be
-    cut.  A level is built only once the previous one has been consumed,
-    at most two are held at a time, and the search ends at the first empty
-    level, however large ``max_size`` is.
+    cut.  Given ``reach``, a subset grows only by neighbours of the curves
+    in ``reach(state)``, or of all its curves when that is None.  That is
+    exact when the step would cut, from any parent, every child that
+    ``reach`` drops: such a child is not yielded either way, and a kept
+    child is still reached from each parent, so it gets the same state.
+    A level is built only once the previous one has been consumed, at most
+    two are held at a time, and the search ends at the first empty level,
+    however large ``max_size`` is.
 
     A level is keyed by bitmask, curve ``v`` at bit ``n - 1 - v``, so a
     candidate child costs one ``|`` and one integer dict probe.  The
@@ -422,6 +428,8 @@ def connected_vertex_subsets(cfg: CurveConfig, max_size: int, grow, root):
         grown = {}
         for mask, subset, frontier, state in level:
             new = frontier & ~mask
+            if reach and (tips := reach(state)) is not None:
+                new = reduce(or_, [nbrs[v] for v in tips], 0) & ~mask
             while new:
                 bit = new & -new
                 new ^= bit

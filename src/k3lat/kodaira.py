@@ -10,8 +10,11 @@ step is :func:`k3lat.roots._diagram_step`, the one shape rule that
 ADE diagram it is, one that is indefinite is cut with all its supergraphs,
 and one that is affine gets a final state that holds its skeleton and is
 grown no further, since every connected supergraph of an affine diagram is
-indefinite.  Each affine subgraph is named from its skeleton and confirmed
-against the standard diagram's Gram matrix by :func:`k3lat.roots._component`.
+indefinite.  A D or E subgraph grows only where
+:func:`k3lat.roots._diagram_reach` says the step can keep a child, so the
+search builds none of the children it would cut there.  Each affine
+subgraph is named from its skeleton and confirmed against the standard
+diagram's Gram matrix by :func:`k3lat.roots._component`.
 The dual graphs of some type pairs coincide (two curves meeting twice is a
 2-cycle or a tangent pair; three curves meeting pairwise once is a triangle
 or three concurrent lines), so detection returns merged tags for those.
@@ -32,7 +35,7 @@ from .graph import (
     classify,
     connected_vertex_subsets,
 )
-from .roots import _component, _diagram_step, radical
+from .roots import _component, _diagram_reach, _diagram_step, radical
 
 # the star-shaped fibres, by the rank of their affine E diagram
 _AFFINE_E_TAGS = {6: "IV*", 7: "III*", 8: "II*"}
@@ -170,7 +173,7 @@ def find_kodaira_divisors(
     # weight >= support size for every type, so size-capped enumeration
     # cannot miss a divisor under the weight cap
     for _, state in connected_vertex_subsets(
-        roots_only, min(cap, roots_only.n), _diagram_step(roots_only), None
+        roots_only, min(cap, roots_only.n), _diagram_step(roots_only), None, _diagram_reach
     ):
         if type(state) is not Final:
             continue

@@ -9,11 +9,13 @@ rank-one extension), or an isolated isotropic vertex.  One step,
 curve: it carries the finite diagram (a centre and its arms), cuts the
 subgraph once it is indefinite, and ends an affine one with its skeleton (a
 cycle, a star, or a chain forked at both ends).  The fibre search of
-:mod:`k3lat.kodaira` enumerates with it, and :func:`decompose` grows it over
-each component's curves.  :func:`canonical_diagram` names a skeleton: kind,
-rank and the canonical vertex order; it is the one rule for that order.
-The match is confirmed when the integer Gram matrix in canonical order
-equals the standard diagram's.  That matrix comes from a table built once
+:mod:`k3lat.kodaira` enumerates with it, growing a D or E diagram only
+where :func:`_diagram_reach` says the step can keep a child, and
+:func:`decompose` grows it over each component's curves.
+:func:`canonical_diagram` names a skeleton: kind, rank and the canonical
+vertex order; it is the one rule for that order.  The match is confirmed
+when the integer Gram matrix in canonical order equals the standard
+diagram's (:func:`_confirmed`).  That matrix comes from a table built once
 per diagram, and building it checks the exact signature and, for affine
 kinds, that the radical generator annihilates it; equal matrices share
 both, so a wrong match cannot slip through.
@@ -206,12 +208,10 @@ def _diagram_step(cfg: CurveConfig):
         return tuple(ids[v] for v in curves)
 
     def star(centre, arms):
-        p = [len(arm) + 1 for arm in arms]
-        whole = math.prod(p)
-        excess = sum(whole // q for q in p) - (len(arms) - 2) * whole
-        if excess > 0:
+        sign = _star_sign(tuple(map(len, arms))) if len(arms) > 2 else 1
+        if sign > 0:
             return centre, arms
-        return Final(("star", ids[centre], tuple(map(named, arms)))) if excess == 0 else CUT
+        return Final(("star", ids[centre], tuple(map(named, arms)))) if sign == 0 else CUT
 
     def grow(state, u, subset):
         hits = {(w, m) for w, m in adj[u].items() if w in subset}
@@ -247,6 +247,32 @@ def _diagram_step(cfg: CurveConfig):
         return CUT
 
     return grow
+
+
+@functools.cache
+def _star_sign(lengths: tuple[int, ...]) -> int:
+    """1, 0 or -1 as a star with arms of these lengths is finite, affine or
+    indefinite (:func:`_diagram_step`)."""
+    p = [a + 1 for a in lengths]
+    whole = math.prod(p)
+    excess = sum(whole // q for q in p) - (len(p) - 2) * whole
+    return (excess > 0) - (excess < 0)
+
+
+def _diagram_reach(state) -> list[int] | None:
+    """The curves of a finite subset next to which :func:`_diagram_step`
+    can keep a child, or None for all of them.  A star with three arms
+    keeps only a child that meets it once: at an arm's end, at the centre
+    of D4 (D~4) or beside the end of D_n's long arm (D~n); the step cuts
+    every other child."""
+    centre, arms = state
+    if len(arms) < 3:
+        return None
+    tips = [arm[-1] for arm in arms]
+    if sorted(map(len, arms))[1] == 1:
+        long = max(arms, key=len)
+        tips.append(long[-2] if len(long) > 1 else centre)
+    return tips
 
 
 def recognize_component(cfg: CurveConfig, ids: tuple[str, ...]) -> RootComponent | None:
@@ -312,10 +338,23 @@ def _component(cfg: CurveConfig, skeleton: tuple) -> RootComponent | None:
 def _confirmed(cfg: CurveConfig, comp: RootComponent) -> RootComponent | None:
     """Cross-check the shape match: the integer Gram matrix in canonical
     order must equal the standard diagram's, whose signature (and, for
-    affine kinds, radical) :func:`standard_gram` checked once."""
-    g = integer_gram(cfg, [cfg.index_of(v) for v in comp.vertex_ids])
+    affine kinds, radical) :func:`standard_gram` checked once.  Each row is
+    laid from the curve's square and its edges, with no lookup for zeros."""
     want = standard_gram(comp.kind, comp.rank_param)
-    return comp if tuple(map(tuple, g)) == want else None
+    verts, adj = cfg.vertices, cfg.adjacency()
+    pos = {cfg.index_of(v): i for i, v in enumerate(comp.vertex_ids)}
+    if len(pos) != len(want):
+        return None
+    for v, i in pos.items():
+        row = [0] * len(want)
+        row[i] = verts[v].square
+        for w, m in adj[v].items():
+            j = pos.get(w)
+            if j is not None:
+                row[j] = m
+        if want[i] != tuple(row):
+            return None
+    return comp
 
 
 def decompose(cfg: CurveConfig) -> Decomposition:

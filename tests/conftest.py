@@ -64,18 +64,27 @@ def char2_cfg():
     return ivstar_three_a2()
 
 
-def i4_fibres_with_section(fibres=6):
-    """``fibres`` I4 cycles of -2 curves plus a zero section ``s`` meeting
-    the first component of each: a fibration-shaped hyperbolic
-    configuration with ``4 * fibres + 1`` curves."""
+def fibres_with_section(fibres, length):
+    """``fibres`` fibres of type I_``length`` of -2 curves plus a zero
+    section ``s`` meeting the first component of each: a fibration-shaped
+    hyperbolic configuration with ``length * fibres + 1`` curves.  An I2
+    fibre is two curves meeting twice."""
     verts = [("s", -2, 1)]
     edges = []
     for f in range(fibres):
-        ids = [f"f{f}c{c}" for c in range(4)]
+        ids = [f"f{f}c{c}" for c in range(length)]
         verts += [(v, -2, 1) for v in ids]
-        edges += [(ids[c], ids[(c + 1) % 4]) for c in range(4)]
+        if length == 2:
+            edges.append((ids[0], ids[1], 2))
+        else:
+            edges += [(ids[c], ids[(c + 1) % length]) for c in range(length)]
         edges.append(("s", ids[0]))
-    return config_from_data(verts, edges, name=f"{fibres}xI4-plus-section")
+    return config_from_data(verts, edges, name=f"{fibres}xI{length}-plus-section")
+
+
+def i4_fibres_with_section(fibres=6):
+    """``fibres`` I4 cycles plus a zero section (:func:`fibres_with_section`)."""
+    return fibres_with_section(fibres, 4)
 
 
 def recorded_steps(monkeypatch, module):
@@ -85,13 +94,13 @@ def recorded_steps(monkeypatch, module):
     real = module.connected_vertex_subsets
     results = []
 
-    def recording(cfg, max_size, grow, root):
+    def recording(cfg, max_size, grow, root, reach=None):
         def step(parent, u, subset):
             state = grow(parent, u, subset)
             results.append(state)
             return state
 
-        return real(cfg, max_size, step, root)
+        return real(cfg, max_size, step, root, reach)
 
     monkeypatch.setattr(module, "connected_vertex_subsets", recording)
     return results

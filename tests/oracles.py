@@ -28,8 +28,9 @@ the quotient's integer Gram block replaced,
 :func:`find_kodaira_divisors_reference`, the fibre search whose shape
 step kept indefinite subsets and recognised every one it kept, and
 :func:`extremal_lookup_reference`, the catalog lookup keyed on raw extremal
-payloads before they were read as profiles; all are kept as references for
-differential tests.
+payloads before they were read as profiles, and :func:`rows_reference`, the
+object-by-object read of an input array that ``formats.Fields.rows``
+replaced; all are kept as references for differential tests.
 
 The Fraction matrix API that the package no longer calls lives here too,
 on plain rows (a rational matrix is a tuple of rows of Fractions):
@@ -960,3 +961,19 @@ def extremal_lookup_reference(prof, entries):
 
     key = (prof.characteristic, prof.quasi_elliptic, tuple(sorted(prof.tags())))
     return [e for e in entries if e.kind == "extremal" and payload_key(e.payload) == key]
+
+
+def rows_reference(data, key, columns, build):
+    """``build(*fields)`` for each object of the array ``key`` of the
+    ``formats.Fields`` ``data``, each object copied into a ``Fields`` and
+    read with ``only`` and ``typed``, a ``ValueError`` from ``build`` raised
+    as that object's error."""
+    out = []
+    for obj in data.typed(key, list, items=dict):
+        obj.only(*columns)
+        fields = [obj.typed(name, kind, fallback) for name, (kind, fallback) in columns.items()]
+        try:
+            out.append(build(*fields))
+        except ValueError as exc:
+            raise obj.error(str(exc)) from exc
+    return out

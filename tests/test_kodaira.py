@@ -20,9 +20,9 @@ from k3lat.kodaira import (
     parse_tag,
     type_table,
 )
-from k3lat.roots import _component, _diagram_step, standard_diagram
+from k3lat.roots import _component, _diagram_reach, _diagram_step, standard_diagram
 
-from conftest import i4_fibres_with_section, recorded_steps
+from conftest import ALL_KINDS, fibres_with_section, i4_fibres_with_section, recorded_steps
 from oracles import (
     apply,
     connected_subsets_reference,
@@ -362,6 +362,41 @@ def test_shape_prune_matches_its_rules(data):
     _assert_step_cuts_exactly_the_indefinite(_roots_config(n, edges))
 
 
+def _assert_reach_is_exact(cfg):
+    # the step cuts every child the diagram reach drops, so growing only
+    # where it allows yields the same subsets with the same states, and so
+    # the same components, as growing from every curve
+    step, adj = _diagram_step(cfg), cfg.adjacency()
+    full = list(connected_vertex_subsets(cfg, cfg.n, step, None))
+    for subset, state in full:
+        tips = None if type(state) is Final else _diagram_reach(state)
+        if tips is not None:
+            near = {w for v in subset for w in adj[v]} - set(subset)
+            for u in near - {w for v in tips for w in adj[v]}:
+                assert step(state, u, tuple(sorted(subset + (u,)))) is CUT, (subset, u)
+    reached = list(connected_vertex_subsets(cfg, cfg.n, step, None, _diagram_reach))
+    assert reached == full
+    finals = [state for _, state in reached if type(state) is Final]
+    assert [_component(cfg, s) for s in finals] == [_component(cfg, s) for _, s in full if type(s) is Final]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_diagram_reach_is_exact_on_random_graphs(data):
+    n = data.draw(st.integers(min_value=1, max_value=9))
+    _assert_reach_is_exact(_roots_config(n, _random_edges(data, n, st.sampled_from([1, 1, 2, 3]))))
+
+
+@pytest.mark.parametrize("diagram", ALL_KINDS)
+def test_diagram_reach_is_exact_on_standard_diagrams(diagram):
+    _assert_reach_is_exact(standard_diagram(*diagram))
+
+
+@pytest.mark.parametrize("fibres, length", [(6, 4), (8, 3), (12, 2), (4, 6)])
+def test_diagram_reach_is_exact_on_uniform_fibrations(fibres, length):
+    _assert_reach_is_exact(fibres_with_section(fibres, length))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_find_divisors_matches_shape_step_search(data):
@@ -412,10 +447,12 @@ def test_recognition_runs_on_affine_subsets_only(monkeypatch):
 
 def test_fibre_search_step_counts_are_pinned(monkeypatch):
     # 6xI4 plus a zero section: how often the search steps, cuts and ends
-    # growth does not vary between runs, and no enumerator that keeps the
-    # step contract may change it
+    # growth does not vary between runs; growing each D or E diagram only
+    # where the step can keep a child builds 966 children it cuts, where
+    # growing from every curve built 2,766
     steps = recorded_steps(monkeypatch, kodaira)
     assert len(find_kodaira_divisors(i4_fibres_with_section())) == 496
-    assert len(steps) == 4876
-    assert sum(state is CUT for state in steps) == 2766
+    assert len(steps) == 3076
+    assert sum(type(state) is tuple for state in steps) == 1614
+    assert sum(state is CUT for state in steps) == 966
     assert sum(type(state) is Final for state in steps) == 496
