@@ -51,8 +51,8 @@ which a bordered one updates in ``O(k)`` from its parent's.  One rule,
 applies.  Where it fails, the rough sign sum is at least the sum of the
 row sums of its sign, so it is taken only when that is below the least
 bound so far; else the subset is no record.  A subconfiguration at the
-last level has no children, so its state is the table's shared entry,
-with no order or adjugate; it builds its adjugate only for a sign sum.
+last level has no children, so its entry keeps no adjugate; it builds
+one only for a sign sum.
 
 A verdict scans only the sweep's records (:func:`sweep_records`), pulled
 lazily, so one sweep serves every ``(d, h)``.  Only the certificate that
@@ -204,18 +204,16 @@ def intrinsic_polarization(cfg: CurveConfig) -> IntrinsicPolarization:
 class _Adjugate(NamedTuple):
     """Integer data of one nondegenerate Gram matrix.
 
-    ``order`` lists the vertex indices that its rows follow; ``det`` and
-    ``adj`` are the determinant and adjugate of the Gram matrix in that
-    order, so that its inverse is ``adj / det``, ``n_plus`` its positive
-    inertia and ``sums`` the row sums of ``adj``, set once when the entry
-    is made.  A sweep state (:func:`_bordered`) has its class ``cls`` and
-    the ``total`` of :func:`_hyperbolic_total` (None for no record, which
-    stays true as the least bound falls); one bordered at the sweep's cap,
-    with no children, keeps no order, adjugate or class, and its row sums
-    follow some order of its subset.
+    ``det`` and ``adj`` are the determinant and adjugate of the Gram matrix
+    in some order of its curves, so that its inverse is ``adj / det``,
+    ``n_plus`` its positive inertia and ``sums`` the row sums of ``adj``,
+    set once when the entry is made.  A sweep entry (:func:`_bordered`)
+    has its class ``cls`` and the ``total`` of :func:`_hyperbolic_total`
+    (None for no record, which stays true as the least bound falls); one
+    bordered at the sweep's cap, with no children, keeps no adjugate or
+    class.
     """
 
-    order: tuple[int, ...]
     det: int
     adj: list[list[int]] | None
     n_plus: int
@@ -224,11 +222,11 @@ class _Adjugate(NamedTuple):
     total: int | None = None
 
 
-def _adjugate(order: tuple[int, ...], g: list[list[int]]) -> _Adjugate | None:
-    """The entry of the Gram matrix ``g`` of the curves ``order`` from one
-    Bareiss elimination, or None when it is degenerate.  The inertia comes
-    from the nested minors by Jacobi's rule, or from a congruence when the
-    elimination had to leave the diagonal."""
+def _adjugate(g: list[list[int]]) -> _Adjugate | None:
+    """The entry of the Gram matrix ``g`` from one Bareiss elimination, or
+    None when it is degenerate.  The inertia comes from the nested minors
+    by Jacobi's rule, or from a congruence when the elimination had to
+    leave the diagonal."""
     try:
         det, adj, minors = bareiss(g)
     except SingularMatrixError:
@@ -237,12 +235,12 @@ def _adjugate(order: tuple[int, ...], g: list[list[int]]) -> _Adjugate | None:
         n_plus = _congruence(g)[0].n_plus
     else:
         n_plus = minor_signature(minors).n_plus
-    return _Adjugate(order, det, adj, n_plus, [sum(row) for row in adj])
+    return _Adjugate(det, adj, n_plus, [sum(row) for row in adj])
 
 
 def _inverse_gram(cfg: CurveConfig) -> tuple[list[list[int]], _Adjugate]:
     g = integer_gram(cfg, range(cfg.n))
-    entry = _adjugate(tuple(range(cfg.n)), g)
+    entry = _adjugate(g)
     if entry is None:
         raise DegenerateLatticeError(
             "configuration Gram matrix is degenerate; bounds need the "
@@ -416,7 +414,7 @@ def verify_certificate(cert: BoundCertificate, cfg: CurveConfig) -> bool:
     except (KeyError, ValueError, SingularMatrixError):
         return False
     g = integer_gram(cfg, idx)
-    entry = _adjugate(idx, g)
+    entry = _adjugate(g)
     if entry is None or entry.n_plus == 0:
         return False
     if cert.kind == ROUGH_POSITIVE_ENTRY_SUM:
@@ -437,58 +435,55 @@ _UNSEEN = object()
 
 def _bordered(
     g: list[list[int]], cap: int, states: dict, best: list,
-    parent: _Adjugate | None, u: int, subset: tuple[int, ...],
-) -> _Adjugate | None:
-    """The sweep state of ``subset``, which is ``parent + {u}``, or None when
-    it is degenerate; ``g`` is the Gram matrix of the whole configuration
-    and ``best`` the least bound so far (:func:`_may_win`).
-    A subset of ``cap`` curves has no children, so its bordered state is
-    the table's shared entry, with no order or adjugate; any other gets
-    its own order.
+    parent: tuple | None, u: int, subset: tuple[int, ...],
+) -> tuple[tuple[int, ...], _Adjugate] | None:
+    """The sweep state ``(order, entry)`` of ``subset``, which is ``parent +
+    {u}``, or None when it is degenerate; ``g`` is the Gram matrix of the
+    whole configuration and ``best`` the least bound so far
+    (:func:`_may_win`).  ``entry`` is the :class:`_Adjugate` that the
+    level's table holds for the subset's class, and ``order`` lists the
+    subset's curves in the order its rows follow, or is ``()`` for a
+    subset of ``cap`` curves, which nothing borders.
 
-    The state depends only on the parent's Gram matrix in its order, the
+    The entry depends only on the parent's Gram matrix in its order, the
     column ``b`` of ``u`` over that order (its nonzero ``(position,
     multiplicity)`` pairs) and the square ``c`` of ``u``.  So ``states``,
     the table of one level, keeps what :func:`_border` computes under
-    ``(parent class, b, c)``, and a subset takes it with its own order.  A
-    state's class is the table's size before it is stored, so states of
+    ``(parent class, b, c)``, and every subset of that class holds it.  A
+    class is the table's size before its entry is stored, so subsets of
     one level share a class only when their Gram matrices in their orders
     are equal; shared rows are never mutated.  A parent of None, every
-    connected parent being degenerate, leaves one Bareiss elimination,
-    stored under the subset to number its class.
+    connected parent being degenerate, leaves one Bareiss elimination in
+    the subset's order, stored under the subset to number its class.
     """
+    leaf = len(subset) == cap
     if parent is None:
-        entry = _adjugate(subset, [[g[i][j] for j in subset] for i in subset])
+        entry = _adjugate([[g[i][j] for j in subset] for i in subset])
         if entry is None:
             return None
         total = _hyperbolic_total(entry.det, entry.n_plus, entry.sums, best)
         if total == 0:
             total = _rough_total(entry.det, entry.adj)
-        states[subset] = entry._replace(cls=len(states), total=total)
-        return states[subset]
+        states[subset] = entry = entry._replace(cls=len(states), total=total)
+        return ((), entry) if leaf else (subset, entry)
+    order, parent = parent
     col = g[u]
-    b = tuple([(i, col[v]) for i, v in enumerate(parent.order) if col[v]])
+    b = tuple([(i, col[v]) for i, v in enumerate(order) if col[v]])
     key = parent.cls, b, col[u]
-    state = states.get(key, _UNSEEN)
-    leaf = len(subset) == cap
-    if state is _UNSEEN:
-        state = _border(parent, b, col[u], None if leaf else len(states), best)
-        if state is not None and not leaf:
-            # the fields after the order, which each subset puts its own before
-            state = state[1:]
-        states[key] = state
-    if state is None or leaf:
-        return state
-    return _Adjugate(parent.order + (u,), *state)
+    entry = states.get(key, _UNSEEN)
+    if entry is _UNSEEN:
+        entry = states[key] = _border(parent, b, col[u], None if leaf else len(states), best)
+    if entry is None:
+        return None
+    return ((), entry) if leaf else (order + (u,), entry)
 
 
 def _border(
     parent: _Adjugate, b: tuple[tuple[int, int], ...], c: int, cls: int | None, best: list
 ) -> _Adjugate | None:
-    """The :class:`_Adjugate`, with no order, of class ``cls`` of ``parent``
-    bordered by the column ``b`` and the square ``c``, or with ``cls`` None
-    the state shared by the subsets at the sweep's cap, with no adjugate
-    either; None when it is degenerate.
+    """The entry of class ``cls`` of ``parent`` bordered by the column ``b``
+    and the square ``c``, with no adjugate when ``cls`` is None, as at the
+    sweep's cap; None when it is degenerate.
 
     With ``D``, ``A`` and ``r`` the determinant, adjugate and row sums of
     the parent, put ``a = A b``.  Then ``t = D c - b.a`` is the new
@@ -496,7 +491,7 @@ def _border(
     :func:`_border_rows`, so its row sums are ``(t r + a sum(a)) / D - a``
     and ``D - sum(a)``, and the Schur complement ``t / D`` adds one
     positive direction iff ``t D > 0`` (Haynsworth inertia additivity).
-    A state at the cap builds the new adjugate only for the rough sum of
+    An entry with no adjugate builds it only for the rough sum of
     :func:`_hyperbolic_total`.
     """
     det, adj = parent.det, parent.adj
@@ -512,7 +507,7 @@ def _border(
     total = _hyperbolic_total(t, n_plus, sums, best)
     if total == 0:
         total = _rough_total(t, rows or _border_rows(det, adj, a, t))
-    return _Adjugate((), t, rows, n_plus, sums, cls, total)
+    return _Adjugate(t, rows, n_plus, sums, cls, total)
 
 
 def _border_rows(det: int, adj: list[list[int]], a: list[int], t: int) -> list[list[int]]:
@@ -531,14 +526,13 @@ def _adjugate_sweep(cfg: CurveConfig, g: list[list[int]], cap: int, best: list):
     ``cap`` curves in canonical order (size, then index tuple); ``g`` is the
     integer Gram matrix of the whole configuration, and ``best`` the least
     bound before each subset (:func:`_may_win`).  ``state``
-    is None for a degenerate subset, else its :class:`_Adjugate`; for a
-    subset of ``cap`` curves bordered from a parent that is the level
-    table's shared entry, with no order or adjugate.
+    is None for a degenerate subset, else its pair ``(order, entry)`` of
+    :func:`_bordered`.
 
     Each subset borders the first nondegenerate connected parent
     (:func:`~k3lat.graph.connected_vertex_subsets`); one whose connected
     parents are all degenerate is computed from scratch by one Bareiss
-    elimination.  The table of shared states (:func:`_bordered`) holds
+    elimination.  The table of shared entries (:func:`_bordered`) holds
     one level, the only one the next borders.
     """
     states: dict = {}
@@ -551,7 +545,7 @@ def _adjugate_sweep(cfg: CurveConfig, g: list[list[int]], cap: int, best: list):
             size = len(subset)
         return _bordered(g, cap, states, best, parent, u, subset)
 
-    return connected_vertex_subsets(cfg, cap, step, _Adjugate((), 1, [], 0, []))
+    return connected_vertex_subsets(cfg, cap, step, ((), _Adjugate(1, [], 0, [])))
 
 
 def _box_total(det: int, sums: list[int]) -> int:
@@ -599,7 +593,7 @@ def _checked_certificate(
     with its witness checked, when :func:`_box_total` lets the split apply,
     else rough.  It must carry the bound the sweep found."""
     g = integer_gram(cfg, subset)
-    entry = _adjugate(subset, g)
+    entry = _adjugate(g)
     ids = tuple(cfg.vertices[i].id for i in subset)
     if _box_total(entry.det, entry.sums):
         cert = _box_certificate(ids, g, entry, d)
@@ -629,8 +623,8 @@ def sweep_records(
     best = [1, 0]
 
     def records():
-        for subset, entry in _adjugate_sweep(cfg, integer_gram(cfg, range(cfg.n)), cap, best):
-            if entry is None or entry.total is None:
+        for subset, state in _adjugate_sweep(cfg, integer_gram(cfg, range(cfg.n)), cap, best):
+            if state is None or (entry := state[1]).total is None:
                 continue
             total, den = entry.total, abs(entry.det)
             if total * best[1] < best[0] * den:
@@ -806,7 +800,8 @@ def _hyperbolic_verdict(
 
 def admissible_h_range(cfg: CurveConfig) -> AdmissibleHRange:
     """Upper bound for the half-degree ``h`` over all surfaces carrying the
-    configuration with its pinned degrees; None means unbounded."""
+    configuration with its pinned degrees; None means unbounded, and 0
+    that no ``h >= 1`` is admissible."""
     cls = classify(cfg)
     if cls.kind in (SpanKind.ELLIPTIC, SpanKind.PARABOLIC):
         return AdmissibleHRange(
@@ -826,6 +821,8 @@ def admissible_h_range(cfg: CurveConfig) -> AdmissibleHRange:
             ),
         )
     h_max = math.floor(ip.square / 2)
+    if h_max < 1:
+        return AdmissibleHRange(0, note=f"2h <= {ip.square} < 2: no h >= 1 is admissible")
     return AdmissibleHRange(
         h_max, note=f"2h <= {ip.square} forces h <= {h_max}"
     )

@@ -96,10 +96,13 @@ def profile(
     quasi_elliptic: bool = False,
     characteristic: int | None = None,
 ) -> FibrationProfile:
-    """Build a profile from (tag, count[, delta]) triples."""
+    """Build a profile from (tag, count[, delta]) triples; a count that is
+    not an int (a bool is not) of at least 1 raises ``ValueError``."""
     fibers = []
     for item in entries:
         tag, count = item[0], item[1]
+        if type(count) is not int or count < 1:
+            raise ValueError(f"fiber count must be an int >= 1, got {count!r}")
         delta = item[2] if len(item) > 2 else 0
         fibers.extend(fiber(tag, delta) for _ in range(count))
     return FibrationProfile(tuple(fibers), quasi_elliptic, characteristic)
@@ -232,8 +235,8 @@ class SurfaceContext:
 
     The characteristic is 0 or a prime (below ``_PRIME_TEST_LIMIT``, where
     primality is decided exactly); the Artin invariant of a supersingular
-    surface lies in 1..10.  Both are ints, not bools; anything else raises
-    ``ValueError``.
+    surface lies in 1..10.  Both are ints, not bools, and ``unirational``
+    is a bool or None (unknown); anything else raises ``ValueError``.
     """
 
     characteristic: int = 0
@@ -246,6 +249,8 @@ class SurfaceContext:
             raise ValueError(f"characteristic must be an int, 0 or a prime, got {p!r}")
         if sigma is not None and (type(sigma) is not int or not 1 <= sigma <= 10):
             raise ValueError(f"Artin invariant must be an int in 1..10, got {sigma!r}")
+        if self.unirational is not None and type(self.unirational) is not bool:
+            raise ValueError(f"unirational must be a bool or None, got {self.unirational!r}")
 
 
 @dataclass(frozen=True)

@@ -402,7 +402,9 @@ def standard_diagram(kind: str, n: int | None = None, prefix: str = "v") -> Curv
     Kinds: ``A``, ``D`` (n >= 4), ``E`` (n in 6..8), ``AffineA`` (n >= 2),
     ``AffineD`` (n >= 4), ``AffineE`` (n in 6..8), ``A1Tilde``,
     ``IsotropicVertex``.  Vertex ids are ``{prefix}0``, ``{prefix}1``, ...
-    in the canonical order used by the recognizer.
+    in the canonical order used by the recognizer.  The other kinds need a
+    rank parameter ``n`` that is an int (a bool is not), else
+    ``ValueError``.
     """
     mk = lambda k: f"{prefix}{k}"
     if kind == "IsotropicVertex":
@@ -410,8 +412,8 @@ def standard_diagram(kind: str, n: int | None = None, prefix: str = "v") -> Curv
     if kind == "A1Tilde":
         vs = [CurveVertex(mk(0)), CurveVertex(mk(1))]
         return CurveConfig(vs, [(mk(0), mk(1), 2)], name="A~1")
-    if n is None:
-        raise ValueError(f"kind {kind!r} needs a rank parameter")
+    if type(n) is not int:
+        raise ValueError(f"kind {kind!r} needs a rank parameter that is an int, got {n!r}")
     size = n + 1 if kind.startswith("Affine") else n
     ids = [mk(i) for i in range(size)]
     if kind == "A":

@@ -660,7 +660,8 @@ def test_verify_certificate_rejects_forgery_under_optimize():
 
 
 def _sweep(cfg, cap):
-    # a pass that prunes nothing: its least bound so far stays 1/0
+    # a pass that prunes nothing: its least bound so far stays 1/0.  It
+    # yields (subset, state), each state None or a pair (order, entry)
     return _adjugate_sweep(cfg, graph.integer_gram(cfg, range(cfg.n)), cap, [1, 0])
 
 
@@ -678,7 +679,7 @@ def test_sweep_fallback_only_off_the_diagonal(monkeypatch):
     cfg = config_from_data([("a", 0, 1), ("b", 0, 1)], [("a", "b")])
     entries = dict(_sweep(cfg, 2))
     assert entries[(0,)] is None and entries[(1,)] is None
-    assert entries[(0, 1)].n_plus == 1 and [len(g) for g in calls] == [2]
+    assert entries[(0, 1)][1].n_plus == 1 and [len(g) for g in calls] == [2]
     calls.clear()
     list(_sweep(i4_fibres_with_section(2), 9))
     assert calls == []
@@ -906,7 +907,7 @@ def test_sweep_skips_a_rough_sum_at_the_cap_that_cannot_set_a_record(monkeypatch
     assert list(sweep_records(cfg, 2)) == [((0,), 1, 2)]
     cls, pair, best = states[-1]
     assert (cls, pair.det, pair.n_plus, pair.total, best) == (None, -5, 1, None, [1, 2])
-    assert dict(_sweep(cfg, 2))[(0, 1)].total == 4
+    assert dict(_sweep(cfg, 2))[(0, 1)][1].total == 4
 
 
 def test_sweep_skips_a_rough_total_below_the_cap(monkeypatch):
@@ -927,7 +928,7 @@ def test_sweep_skips_a_rough_total_below_the_cap(monkeypatch):
     monkeypatch.setattr(bounds, "_rough_total", spy)
     assert list(sweep_records(cfg, 3)) == [((0,), 1, 2)]
     assert calls == []
-    assert dict(_sweep(cfg, 3))[(0, 1)].total == 4
+    assert dict(_sweep(cfg, 3))[(0, 1)][1].total == 4
     assert calls == [-5, 8]
 
 
@@ -985,14 +986,15 @@ def test_sweep_eliminates_a_subset_of_degenerate_parents_from_scratch(monkeypatc
     real = bounds._adjugate
     calls = []
 
-    def spy(subset, rows):
-        entry = real(subset, rows)
-        calls.append((subset, entry))
+    def spy(rows):
+        entry = real(rows)
+        calls.append((rows, entry))
         return entry
 
     monkeypatch.setattr(bounds, "_adjugate", spy)
     assert list(sweep_records(cfg, 3)) == [((0,), 1, 2)]
-    assert calls == [((0, 1, 2), None)]
+    # the one elimination is of the triple's Gram matrix, every entry 2
+    assert calls == [([[2, 2, 2]] * 3, None)]
 
 
 def _random_config(data):
@@ -1035,7 +1037,8 @@ def _unpruned_records(cfg, cap):
     # the records of a pass that prunes nothing: its states of inertia
     # (1, k - 1) whose exact bound at d = 1 is a new strict minimum
     records, least = [], None
-    for subset, entry in _sweep(cfg, cap):
+    for subset, state in _sweep(cfg, cap):
+        entry = state and state[1]
         if entry is not None and entry.n_plus == 1:
             bound = Fraction(entry.total, abs(entry.det))
             if least is None or bound < least:
@@ -1078,10 +1081,11 @@ def test_sweep_records_skip_only_what_cannot_win_hypothesis(data):
     real = bounds._adjugate_sweep
 
     def spy(cfg, g, cap, best):
-        for subset, entry in real(cfg, g, cap, best):
+        for subset, state in real(cfg, g, cap, best):
+            entry = state and state[1]
             if entry is not None and entry.n_plus == 1 and entry.total is None:
                 skipped.append((subset, Fraction(best[0], best[1])))
-            yield subset, entry
+            yield subset, state
 
     with mock.patch.object(bounds, "_adjugate_sweep", spy):
         assert _records(cfg, cap) == _unpruned_records(cfg, cap)
@@ -1201,12 +1205,13 @@ def test_sweep_bounds_match_reference(cfg, cap):
     subsets = sorted(connected_subsets_reference(cfg, cap), key=lambda s: (len(s), s))
     assert [s for s, _ in swept] == subsets
     hyperbolic = leaves = 0
-    for subset, entry in swept:
+    for subset, state in swept:
+        entry = state and state[1]
         sub = cfg.induced(tuple(cfg.vertices[i].id for i in subset))
         sig = signature(gram(sub))
         if len(subset) == cap and entry is not None:
             leaves += entry.adj is None
-            _assert_last_level_state(cfg, subset, entry)
+            _assert_last_level_state(cfg, subset, state)
         if sig.n_plus != 1 or sig.n_zero != 0:
             assert entry is None or entry.n_plus != 1
             continue
@@ -1222,10 +1227,10 @@ def _state_bound(entry, d):
     return Fraction(entry.total * d * d, abs(entry.det))
 
 
-def _assert_exact_entry(cfg, entry):
+def _assert_exact_entry(cfg, order, entry):
     # the exact determinant, adjugate, row sums and inertia of the Gram
-    # matrix in the entry's stored order
-    m = submatrix(gram(cfg), entry.order)
+    # matrix of the curves order, in that order
+    m = submatrix(gram(cfg), order)
     assert entry.det == det(m)
     adj = [[entry.det * x for x in row] for row in inverse_reference(m)]
     assert [list(row) for row in entry.adj] == adj
@@ -1233,13 +1238,15 @@ def _assert_exact_entry(cfg, entry):
     assert entry.n_plus == signature(m).n_plus
 
 
-def _assert_last_level_state(cfg, subset, entry):
-    # a nondegenerate state at the sweep's cap against the subset's Gram
-    # matrix from scratch: its determinant, its inertia, its total, |det|
-    # times its bound at d = 1 when of inertia (1, k - 1), else None, and
-    # its row sums, which follow some order of the subset.  A bordered one
-    # is the level table's entry, with no order or adjugate; one computed
-    # from scratch keeps its exact adjugate
+def _assert_last_level_state(cfg, subset, state):
+    # a nondegenerate state at the sweep's cap, whose order is (), against
+    # the subset's Gram matrix from scratch: its entry's determinant, its
+    # inertia, its total, |det| times its bound at d = 1 when of inertia
+    # (1, k - 1), else None, and its row sums, which follow some order of
+    # the subset.  A bordered entry keeps no adjugate; one computed from
+    # scratch keeps its exact adjugate in the subset's order
+    order, entry = state
+    assert order == ()
     sub = cfg.induced(tuple(cfg.vertices[i].id for i in subset))
     m = gram(sub)
     assert entry.det == det(m)
@@ -1253,33 +1260,34 @@ def _assert_last_level_state(cfg, subset, entry):
         bound = subgraph_certificates_reference(sub, d)[0].bound_on_2h / (d * d)
         total = abs(entry.det) * bound
     assert entry.total == total
-    if entry.adj is None:
-        assert entry.order == ()
-    else:
-        assert entry.order == subset
-        _assert_exact_entry(cfg, entry)
+    if entry.adj is not None:
+        _assert_exact_entry(cfg, subset, entry)
 
 
 def test_sweep_adjugates_exact_on_stress_configuration():
-    # every cached entry, which checks the exact division of each update,
-    # and every last-level state against its subset from scratch.  Most
-    # entries share their rows, and every last-level state its one object,
-    # with subsets of equal Gram matrix, which the relabelled, reordered
-    # copy pairs up differently
+    # every cached entry in its subset's order, a permutation of the
+    # subset, which checks the exact division of each update, and every
+    # last-level state, of order (), against its subset from scratch.  The
+    # subsets of one class hold one entry object, and most entries below
+    # the cap and at it are held by several subsets of equal Gram matrix,
+    # which the relabelled, reordered copy pairs up differently
     for cfg in (i4_fibres_with_section(), _relabelled_fibrations(copies=1)[0]):
         shared, shared_leaves = Counter(), Counter()
+        classes = {}
         # all held at once, so that no two live entries have one id
-        for subset, entry in list(_sweep(cfg, 6)):
-            if entry is None:
+        for subset, state in list(_sweep(cfg, 6)):
+            if state is None:
                 assert signature(submatrix(gram(cfg), subset)).n_zero > 0
                 continue
+            order, entry = state
             if len(subset) == 6:
                 shared_leaves[id(entry)] += 1
-                _assert_last_level_state(cfg, subset, entry)
+                _assert_last_level_state(cfg, subset, state)
                 continue
-            shared[id(entry.adj)] += 1
-            assert sorted(entry.order) == list(subset)
-            _assert_exact_entry(cfg, entry)
+            assert classes.setdefault((len(subset), entry.cls), entry) is entry
+            shared[id(entry)] += 1
+            assert sorted(order) == list(subset)
+            _assert_exact_entry(cfg, order, entry)
         assert max(shared.values()) > 1 and max(shared_leaves.values()) > 1
 
 
@@ -1323,13 +1331,13 @@ def test_sweep_subsets_without_nondegenerate_parent(cfg, from_scratch):
     if from_scratch is not None:
         assert not _has_nondegenerate_connected_parent(cfg, from_scratch)
         assert entries[from_scratch] is not None
-    for subset, entry in entries.items():
-        if entry is None:
+    for subset, state in entries.items():
+        if state is None:
             continue
         if len(subset) == cfg.n:
-            _assert_last_level_state(cfg, subset, entry)
+            _assert_last_level_state(cfg, subset, state)
         else:
-            _assert_exact_entry(cfg, entry)
+            _assert_exact_entry(cfg, *state)
     for d, h in ((1, 1), (1, 2), (2, 3), (3, 50)):
         for pinned in (False, True):
             assert exclude(cfg, d, h, use_pinned_degrees=pinned) == (
@@ -1345,15 +1353,16 @@ def _assert_leaves_match_certificates(cfg, cap, d):
     # leaf, a negative determinant, a subset computed from scratch, and the
     # status of a verdict whose certificate is a bordered leaf
     cases, leaves, leaf_bounds = set(), set(), []
-    for subset, entry in _sweep(cfg, cap):
+    for subset, state in _sweep(cfg, cap):
         if len(subset) < cap:
             continue
         sub = cfg.induced(tuple(cfg.vertices[i].id for i in subset))
         sig = signature(gram(sub))
-        assert (entry is None) == (sig.n_zero > 0)
-        if entry is None:
+        assert (state is None) == (sig.n_zero > 0)
+        if state is None:
             continue
-        _assert_last_level_state(cfg, subset, entry)
+        _assert_last_level_state(cfg, subset, state)
+        entry = state[1]
         if sig.n_plus != 1:
             continue
         cert = subgraph_certificates_reference(sub, d)[0]
@@ -1573,6 +1582,15 @@ def test_admissible_h_range_nonexistent_polarization():
     assert classify(cfg).kind.value == "Hyperbolic"
     rng = admissible_h_range(cfg)
     assert rng.h_max == 0
+
+
+def test_admissible_h_range_negative_square_admits_no_h():
+    # p (square 2, degree 1) meets n (square -2, degree 5) once: the class
+    # solving C.H = d_C has square -38/5, which leaves no h >= 1, not h <= -4
+    cfg = config_from_data([("p", 2, 1), ("n", -2, 5)], [("p", "n", 1)])
+    assert intrinsic_polarization(cfg).square == Fraction(-38, 5)
+    rng = admissible_h_range(cfg)
+    assert rng.h_max == 0 and "no h >= 1" in rng.note
 
 
 def test_admissible_h_range_char3(char3_cfg):

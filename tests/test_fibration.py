@@ -288,6 +288,23 @@ def test_fibration_inputs_must_be_ints(build):
         build()
 
 
+@pytest.mark.parametrize("flag", [0, 1, "no", 2.0])
+def test_surface_context_unirational_is_a_bool_or_none(flag):
+    # 0 read as "unknown" (40 in characteristic 2) and "no" as unirational
+    with pytest.raises(ValueError, match="unirational must be a bool or None"):
+        SurfaceContext(characteristic=2, unirational=flag)
+    for known in (None, True, False):
+        assert SurfaceContext(characteristic=2, unirational=known).unirational is known
+
+
+@pytest.mark.parametrize("count", [-3, 0, 2.5, True, "2"])
+def test_profile_count_is_an_int_of_at_least_one(count):
+    # -3 and 0 gave an empty profile, 2.5 a TypeError
+    with pytest.raises(ValueError, match="fiber count must be an int >= 1"):
+        profile([("I2", count)])
+    assert len(profile([("I2", 1)]).fibers) == 1
+
+
 def test_fibration_int_inputs_still_accepted():
     assert sd_bound(SurfaceContext(characteristic=5)).hypotheses[0] == "characteristic 5"
     assert fiber("IV", 1).euler_contribution == 5

@@ -1,7 +1,9 @@
-"""Every module of ``src/k3lat`` uses each name it imports, and every
-module-level private name is read somewhere in ``src/k3lat``.
+"""Every module of ``src/k3lat`` and of ``tests`` uses each name it
+imports, and every module-level private name of either is read somewhere
+in its own directory.
 
-``__init__`` is exempt from the first: it imports names to re-export them.
+``k3lat/__init__`` is exempt from the first: it imports names to
+re-export them.
 A name counts as used when it is read anywhere in the module, string
 annotations included; binding it is no use.  A private name also counts as
 read when it is an attribute (``module._name``).
@@ -13,7 +15,9 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "k3lat"
+TESTS = Path(__file__).resolve().parent
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES += sorted(TESTS.glob("*.py"))
 
 
 def _imported(tree):
@@ -45,7 +49,9 @@ def _used(tree):
     return used
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+@pytest.mark.parametrize(
+    "path", MODULES, ids=[p.stem if p.parent == SRC else f"tests.{p.stem}" for p in MODULES]
+)
 def test_module_uses_every_import(path):
     tree = ast.parse(path.read_text(), str(path))
     assert sorted(set(_imported(tree)) - _used(tree)) == []
@@ -86,9 +92,16 @@ def _dead_private(trees):
     )
 
 
+def _trees(directory):
+    return {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(directory.glob("*.py"))}
+
+
 def test_every_private_name_is_read():
-    trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
-    assert _dead_private(trees) == []
+    assert _dead_private(_trees(SRC)) == []
+
+
+def test_every_private_name_of_the_tests_is_read():
+    assert _dead_private(_trees(TESTS)) == []
 
 
 def test_guard_sees_a_dead_private_name():

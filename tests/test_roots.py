@@ -337,6 +337,14 @@ def test_recognition_matches_signature_reference(data):
             ), order
 
 
+@pytest.mark.parametrize("n", [None, True, 2.0, "3"])
+def test_standard_diagram_rank_parameter_is_an_int(n):
+    # True built A1 named "ATrue", and 2.0 raised TypeError
+    with pytest.raises(ValueError, match="needs a rank parameter that is an int"):
+        standard_diagram("A", n)
+    assert standard_diagram("A", 2).n == 2
+
+
 def test_standard_gram_table_builds_every_diagram():
     standard_gram.cache_clear()
     kinds = ALL_KINDS + [("A1Tilde", 1)]
