@@ -620,18 +620,22 @@ def sweep_records(
     not an int of at least 1 is a ValueError, raised at the call.
     """
     check_caps(cap=cap)
+    return _records(cfg, integer_gram(cfg, range(cfg.n)), cap)
+
+
+def _records(
+    cfg: CurveConfig, g: list[list[int]], cap: int
+) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """The records of :func:`sweep_records` on the integer Gram matrix ``g``
+    of the whole configuration, with ``cap`` already checked."""
     best = [1, 0]
-
-    def records():
-        for subset, state in _adjugate_sweep(cfg, integer_gram(cfg, range(cfg.n)), cap, best):
-            if state is None or (entry := state[1]).total is None:
-                continue
-            total, den = entry.total, abs(entry.det)
-            if total * best[1] < best[0] * den:
-                best[:] = total, den
-                yield subset, total, den
-
-    return records()
+    for subset, state in _adjugate_sweep(cfg, g, cap, best):
+        if state is None or (entry := state[1]).total is None:
+            continue
+        total, den = entry.total, abs(entry.det)
+        if total * best[1] < best[0] * den:
+            best[:] = total, den
+            yield subset, total, den
 
 
 def exclude(
@@ -676,7 +680,8 @@ def exclude_all(
     """The verdict of :func:`exclude` for each ``(d, h)`` of ``cases``, in
     order, from one classification and at most one sweep.
 
-    The cases share the records of :func:`sweep_records` through
+    The cases share the records of :func:`sweep_records`, swept on the Gram
+    matrix that :func:`~k3lat.graph.classify` built, through
     :func:`itertools.tee`: each replays those already pulled before it
     pulls more, so the sweep runs only as far as the case that needs it
     furthest.  Nothing is kept once the call returns.
@@ -693,7 +698,7 @@ def exclude_all(
         return [_span_verdict(cfg, cls.kind)] * len(cases)
     ip = intrinsic_polarization(cfg) if use_pinned_degrees else None
     # a subset of more curves than the rank is degenerate
-    sweep = sweep_records(cfg, min(subgraph_cap, cfg.n - cls.signature.n_zero))
+    sweep = _records(cfg, cls._gram, min(subgraph_cap, cfg.n - cls.signature.n_zero))
     return [
         _hyperbolic_verdict(cfg, d, h, subgraph_cap, ip, records)
         for (d, h), records in zip(cases, tee(sweep, len(cases)))

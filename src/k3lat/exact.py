@@ -15,10 +15,25 @@ on the diagonal, the nested principal minors whose signs give the inertia
 :func:`row_echelon` gives ``(p, reduced, pivots)`` with ``reduced / p`` in
 reduced row echelon form: one left-to-right reduction gives
 :func:`kernel_basis`, one right-to-left the quotient by the radical
-(``graph.quotient_by_kernel``).  The public functions scale a rational
-matrix by the lcm of its denominators first; that step is also the one
-check that the rows form a square, symmetric, exact matrix.  No function
-modifies its input and all are pure; concurrent use is safe.
+(``graph.quotient_by_kernel``).
+
+All three skip a zero multiplier.  Each row keeps the pivot ``div`` it
+was last stepped with (1 at the start).  A step that finds ``f = 0`` in a
+row leaves it alone; one that finds ``f != 0`` sets the row to
+``(p x - f y) // div`` and ``div = p``.  A row is brought up to date, to
+``x prev // div``, before it is read as a pivot row, folded or returned;
+in the two Gauss-Jordan loops, which step it again later, a pivot row
+then keeps ``div = p``, as the dense loop leaves it unscaled at its own
+step.  This is exact and gives the dense loop's values: a step the dense
+loop takes with ``f = 0`` multiplies the row by ``p_k / p_(k-1)``, and
+these factors telescope to ``prev / div``; so both formulas equal the
+dense row, an integer by Sylvester's identity.  Curve graphs are sparse,
+so most steps are of this kind.
+
+The public functions scale a rational matrix by the lcm of its
+denominators first; that step is also the one check that the rows form a
+square, symmetric, exact matrix.  No function modifies its input and all
+are pure; concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -65,17 +80,32 @@ def _congruence(
     Step ``k`` pivots on the first nonzero diagonal at or after ``k``;
     failing that, the first nonzero off-diagonal ``(r, c)`` of the trailing
     block (row-major) is moved onto the diagonal by adding row and column
-    ``c`` to ``r``.  Every trailing row takes Bareiss's exact step
-    ``(pivot x - f y) // prev``, so the trailing block and the tracked
-    columns of ``P`` are ``prev`` times those of the rational elimination,
-    and ``d_k`` has the sign of ``pivot * prev``.  Columns of ``P`` are
-    tracked only for a witness, and only up to the first positive pivot.
+    ``c`` to ``r``.  A trailing row with a nonzero multiplier ``f`` takes
+    Bareiss's exact step ``(pivot x - f y) // div``, with ``div`` the pivot
+    it was last stepped with, and a row with ``f = 0`` is left alone (see
+    the module docstring); a row read as a pivot or folded is first brought
+    up to ``prev``.  So an up-to-date trailing row, and its tracked column
+    of ``P``, is ``prev`` times that of the rational elimination, and
+    ``d_k`` has the sign of ``pivot * prev``.  Columns of ``P`` are tracked
+    only for a witness, only up to the first positive pivot, and each on
+    the divisor of its row.
     """
     n = len(rows)
     a = [list(row) for row in rows]
     p = [[int(i == j) for i in range(n)] for j in range(n)] if witness else None
+    div = [1] * n
     n_plus = n_minus = 0
     vec, prev = None, 1
+
+    def catch_up(r: int, k: int) -> None:
+        # row r from column k on, and its column of P, times prev / div[r]
+        d = div[r]
+        if d != prev:
+            a[r][k:] = [x * prev // d for x in a[r][k:]]
+            if p:
+                p[r] = [x * prev // d for x in p[r]]
+            div[r] = prev
+
     for k in range(n):
         piv = next((r for r in range(k, n) if a[r][r]), None)
         if piv is None:
@@ -86,6 +116,8 @@ def _congruence(
             if off is None:
                 break
             piv, c = off
+            catch_up(piv, k)
+            catch_up(c, k)
             for j in range(k, n):
                 a[piv][j] += a[c][j]
             for i in range(k, n):
@@ -94,10 +126,12 @@ def _congruence(
                 p[piv] = [x + y for x, y in zip(p[piv], p[c])]
         if piv != k:
             a[k], a[piv] = a[piv], a[k]
+            div[k], div[piv] = div[piv], div[k]
             for row in a[k:]:
                 row[k], row[piv] = row[piv], row[k]
             if p:
                 p[k], p[piv] = p[piv], p[k]
+        catch_up(k, k)
         pivot = a[k][k]
         if (pivot > 0) != (prev > 0):
             n_minus += 1
@@ -106,15 +140,17 @@ def _congruence(
             if p:
                 q, p = p[k], None
                 vec = tuple(Fraction(x, prev) for x in q)
-        if p:
-            p_k = p[k]
-            for r in range(k + 1, n):
-                f = a[r][k]
-                p[r] = [(pivot * x - f * y) // prev for x, y in zip(p[r], p_k)]
         tail_k = a[k][k + 1 :]
-        for row in a[k + 1 :]:
+        p_k = p[k] if p else None
+        for r in range(k + 1, n):
+            row = a[r]
             f = row[k]
-            row[k + 1 :] = [(pivot * x - f * y) // prev for x, y in zip(row[k + 1 :], tail_k)]
+            if f:
+                d = div[r]
+                row[k + 1 :] = [(pivot * x - f * y) // d for x, y in zip(row[k + 1 :], tail_k)]
+                if p:
+                    p[r] = [(pivot * x - f * y) // d for x, y in zip(p[r], p_k)]
+                div[r] = pivot
         prev = pivot
     # v = q / prev and prev^2 > 0, so the check runs on q in integers
     if vec is not None and not sum(x * sum(map(mul, row, q)) for x, row in zip(q, rows)) > 0:
@@ -140,14 +176,19 @@ def bareiss(rows: Rows) -> tuple[int, list[list[int]], list[int] | None]:
     Step ``k`` swaps rows and columns together to bring the first nonzero
     diagonal at or after ``k`` into place; when every trailing diagonal is 0
     it swaps in the first row with a nonzero entry in column ``k`` alone,
-    and no minors are reported.  Every division is exact by Sylvester's
-    identity.  Raises :class:`SingularMatrixError` on a singular input.
+    and no minors are reported.  A row with a nonzero multiplier takes the
+    exact step ``(p x - f y) // div`` on the pivot ``div`` it last saw, a
+    row with a zero one is left alone, and the pivot row and the adjugate
+    are brought up to date first (see the module docstring).  Every
+    division is exact by Sylvester's identity.  Raises
+    :class:`SingularMatrixError` on a singular input.
     """
     n = len(rows)
     a = [
         [_integer(x) for x in row] + [int(i == j) for j in range(n)]
         for i, row in enumerate(rows)
     ]
+    div = [1] * n
     order = list(range(n))  # order[k]: the input column now at position k
     minors: list[int] | None = []
     sign = prev = 1
@@ -158,29 +199,35 @@ def bareiss(rows: Rows) -> tuple[int, list[list[int]], list[int] | None]:
             if piv is None:
                 raise SingularMatrixError("matrix is singular")
             a[k], a[piv] = a[piv], a[k]
+            div[k], div[piv] = div[piv], div[k]
             sign, minors = -sign, None
         elif piv != k:
             a[k], a[piv] = a[piv], a[k]
+            div[k], div[piv] = div[piv], div[k]
             for row in a:
                 row[k], row[piv] = row[piv], row[k]
             order[k], order[piv] = order[piv], order[k]
-        row_k = a[k]
-        p = row_k[k]
+        row_k, d = a[k], div[k]
+        if d != prev:
+            row_k[k:] = [x * prev // d for x in row_k[k:]]
+        div[k] = p = row_k[k]
         tail_k = row_k[k + 1 :]
         for i, row in enumerate(a):
-            if i != k:
-                f = row[k]
+            f = row[k]
+            if f and i != k:
+                d = div[i]
                 row[k + 1 :] = [
-                    (p * x - f * y) // prev for x, y in zip(row[k + 1 :], tail_k)
+                    (p * x - f * y) // d for x, y in zip(row[k + 1 :], tail_k)
                 ]
+                div[i] = p
         prev = p
         if minors is not None:
             minors.append(p)
     # the row operations Y satisfy Y m P = det(m P) I for the column
     # permutation P, so adj(m) = sign * P Y
     adj: list[list[int]] = [[]] * n
-    for k, row in enumerate(a):
-        adj[order[k]] = [sign * x for x in row[n:]]
+    for k, (row, d) in enumerate(zip(a, div)):
+        adj[order[k]] = [sign * x * prev // d for x in row[n:]]
     return sign * prev, adj, minors
 
 
@@ -197,13 +244,16 @@ def row_echelon(
 ) -> tuple[int, list[list[int]], list[int]]:
     """Fraction-free Gauss-Jordan reduction of integer ``rows``, pivoting
     through ``cols`` in the given order on the first row at or after the
-    next pivot row that is nonzero there; every other row takes the exact
-    step ``(p x - f y) // prev``.  Returns ``(p, reduced, pivots)``:
+    next pivot row that is nonzero there; every other row with a nonzero
+    multiplier takes the exact step ``(p x - f y) // div`` on the pivot
+    ``div`` it last saw, and one with a zero multiplier is left alone (see
+    the module docstring).  Returns ``(p, reduced, pivots)``:
     ``reduced[i]`` is ``p`` at column ``pivots[i]`` and 0 at every other
     pivot column, so ``reduced / p`` is the reduced form (``p = 1`` without
     a pivot).  Rows left without a pivot are dropped.
     """
     a = [[_integer(x) for x in row] for row in rows]
+    div = [1] * len(a)
     pivots: list[int] = []
     prev = 1
     for col in cols:
@@ -212,15 +262,20 @@ def row_echelon(
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        row_r = a[r]
-        p = row_r[col]
-        for i, row in enumerate(a):
-            if i != r:
-                f = row[col]
-                a[i] = [(p * x - f * y) // prev for x, y in zip(row, row_r)]
+        div[r], div[piv] = div[piv], div[r]
+        row_r, d = a[r], div[r]
+        if d != prev:
+            a[r] = row_r = [x * prev // d for x in row_r]
+        div[r] = p = row_r[col]
+        for i, (row, d) in enumerate(zip(a, div)):
+            f = row[col]
+            if f and i != r:
+                a[i] = [(p * x - f * y) // d for x, y in zip(row, row_r)]
+                div[i] = p
         prev = p
         pivots.append(col)
-    return prev, a[: len(pivots)], pivots
+    reduced = [[x * prev // d for x in row] for row, d in zip(a, div[: len(pivots)])]
+    return prev, reduced, pivots
 
 
 def _scaled(rows: Rows) -> tuple[int, list[list[int]]]:

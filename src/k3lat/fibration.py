@@ -45,6 +45,10 @@ class FiberInstance:
 
 
 def fiber(tag: str, delta: int = 0) -> FiberInstance:
+    """The fiber of Kodaira type ``tag`` with wild term ``delta``; a tag
+    that is not a known type's ``str`` raises ``ValueError``."""
+    if not isinstance(tag, str):
+        raise ValueError(f"fiber type tag must be a str, got {tag!r}")
     return FiberInstance(type_table(tag), delta)
 
 
@@ -96,10 +100,13 @@ def profile(
     quasi_elliptic: bool = False,
     characteristic: int | None = None,
 ) -> FibrationProfile:
-    """Build a profile from (tag, count[, delta]) triples; a count that is
-    not an int (a bool is not) of at least 1 raises ``ValueError``."""
+    """Build a profile from (tag, count[, delta]) triples; an entry of
+    another shape, or a count that is not an int (a bool is not) of at
+    least 1, raises ``ValueError``."""
     fibers = []
     for item in entries:
+        if not isinstance(item, (tuple, list)) or len(item) not in (2, 3):
+            raise ValueError(f"fiber entry must be (tag, count[, delta]), got {item!r}")
         tag, count = item[0], item[1]
         if type(count) is not int or count < 1:
             raise ValueError(f"fiber count must be an int >= 1, got {count!r}")

@@ -22,7 +22,11 @@ fraction-free ``exact._congruence`` replaced, the congruence-based
 :func:`kernel_basis_reference` and :func:`quotient_by_kernel_reference`
 that one Bareiss elimination or one row reduction replaced, the Fraction
 Gauss-Jordan loop :func:`row_echelon_reference` that the fraction-free
-``exact.row_echelon`` replaced, the quotient, inverse and apply path
+``exact.row_echelon`` replaced, the dense integer loops
+:func:`congruence_dense`, :func:`bareiss_dense` and
+:func:`row_echelon_dense`, which step every row at every pivot and which
+the ``exact`` loops that skip a zero multiplier replaced, the quotient,
+inverse and apply path
 :func:`intrinsic_polarization_reference` that one Bareiss elimination of
 the quotient's integer Gram block replaced,
 :func:`find_kodaira_divisors_reference`, the fibre search whose shape
@@ -46,6 +50,7 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from operator import mul
 
 from k3lat import exact
 from k3lat.bounds import (
@@ -63,7 +68,13 @@ from k3lat.bounds import (
     intrinsic_polarization,
     rough_bound,
 )
-from k3lat.exact import SingularMatrixError, _primitive_integer, signature
+from k3lat.exact import (
+    Signature,
+    SingularMatrixError,
+    _integer,
+    _primitive_integer,
+    signature,
+)
 from k3lat.graph import (
     CUT,
     CurveConfig,
@@ -470,6 +481,163 @@ def row_echelon_reference(rows, cols) -> tuple[list[list[Fraction]], list[int]]:
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         pivots.append(col)
     return a[: len(pivots)], pivots
+
+
+# -- the dense integer loops that the sparse ones in ``exact`` replaced ---------
+
+
+def congruence_dense(
+    rows: Sequence[Sequence[int]], witness: bool = False
+) -> tuple[Signature, tuple[Fraction, ...] | None]:
+    """Inertia of the integer symmetric matrix ``m`` with these ``rows``
+    from the symmetric elimination ``P^T m P = diag(d, 0, ..., 0)``, run
+    fraction-free; with ``witness``, also the column ``v`` of ``P`` at the
+    first positive pivot, checked to have ``v^T m v > 0`` (None when no
+    pivot is positive).
+
+    Step ``k`` pivots on the first nonzero diagonal at or after ``k``;
+    failing that, the first nonzero off-diagonal ``(r, c)`` of the trailing
+    block (row-major) is moved onto the diagonal by adding row and column
+    ``c`` to ``r``.  Every trailing row takes Bareiss's exact step
+    ``(pivot x - f y) // prev``, so the trailing block and the tracked
+    columns of ``P`` are ``prev`` times those of the rational elimination,
+    and ``d_k`` has the sign of ``pivot * prev``.  Columns of ``P`` are
+    tracked only for a witness, and only up to the first positive pivot.
+    """
+    n = len(rows)
+    a = [list(row) for row in rows]
+    p = [[int(i == j) for i in range(n)] for j in range(n)] if witness else None
+    n_plus = n_minus = 0
+    vec, prev = None, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][r]), None)
+        if piv is None:
+            off = next(
+                ((r, c) for r in range(k, n) for c in range(r + 1, n) if a[r][c]),
+                None,
+            )
+            if off is None:
+                break
+            piv, c = off
+            for j in range(k, n):
+                a[piv][j] += a[c][j]
+            for i in range(k, n):
+                a[i][piv] += a[i][c]
+            if p:
+                p[piv] = [x + y for x, y in zip(p[piv], p[c])]
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            for row in a[k:]:
+                row[k], row[piv] = row[piv], row[k]
+            if p:
+                p[k], p[piv] = p[piv], p[k]
+        pivot = a[k][k]
+        if (pivot > 0) != (prev > 0):
+            n_minus += 1
+        else:
+            n_plus += 1
+            if p:
+                q, p = p[k], None
+                vec = tuple(Fraction(x, prev) for x in q)
+        if p:
+            p_k = p[k]
+            for r in range(k + 1, n):
+                f = a[r][k]
+                p[r] = [(pivot * x - f * y) // prev for x, y in zip(p[r], p_k)]
+        tail_k = a[k][k + 1 :]
+        for row in a[k + 1 :]:
+            f = row[k]
+            row[k + 1 :] = [(pivot * x - f * y) // prev for x, y in zip(row[k + 1 :], tail_k)]
+        prev = pivot
+    # v = q / prev and prev^2 > 0, so the check runs on q in integers
+    if vec is not None and not sum(x * sum(map(mul, row, q)) for x, row in zip(q, rows)) > 0:
+        raise AssertionError("congruence transform lost its positive direction")
+    return Signature(n_plus, n_minus, n - n_plus - n_minus), vec
+
+
+def bareiss_dense(rows: Rows) -> tuple[int, list[list[int]], list[int] | None]:
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of a square integer
+    matrix ``m``, run on ``[m | I]``.
+
+    Returns ``(det, adj, minors)``: the determinant and adjugate of ``m``
+    and, when every step pivoted on the diagonal, the nested nonzero
+    principal minors in pivot order (the last one is ``det``), else None.
+    Step ``k`` swaps rows and columns together to bring the first nonzero
+    diagonal at or after ``k`` into place; when every trailing diagonal is 0
+    it swaps in the first row with a nonzero entry in column ``k`` alone,
+    and no minors are reported.  Every division is exact by Sylvester's
+    identity.  Raises :class:`SingularMatrixError` on a singular input.
+    """
+    n = len(rows)
+    a = [
+        [_integer(x) for x in row] + [int(i == j) for j in range(n)]
+        for i, row in enumerate(rows)
+    ]
+    order = list(range(n))  # order[k]: the input column now at position k
+    minors: list[int] | None = []
+    sign = prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][r]), None)
+        if piv is None:
+            piv = next((r for r in range(k, n) if a[r][k]), None)
+            if piv is None:
+                raise SingularMatrixError("matrix is singular")
+            a[k], a[piv] = a[piv], a[k]
+            sign, minors = -sign, None
+        elif piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            for row in a:
+                row[k], row[piv] = row[piv], row[k]
+            order[k], order[piv] = order[piv], order[k]
+        row_k = a[k]
+        p = row_k[k]
+        tail_k = row_k[k + 1 :]
+        for i, row in enumerate(a):
+            if i != k:
+                f = row[k]
+                row[k + 1 :] = [
+                    (p * x - f * y) // prev for x, y in zip(row[k + 1 :], tail_k)
+                ]
+        prev = p
+        if minors is not None:
+            minors.append(p)
+    # the row operations Y satisfy Y m P = det(m P) I for the column
+    # permutation P, so adj(m) = sign * P Y
+    adj: list[list[int]] = [[]] * n
+    for k, row in enumerate(a):
+        adj[order[k]] = [sign * x for x in row[n:]]
+    return sign * prev, adj, minors
+
+
+def row_echelon_dense(
+    rows: Iterable[Sequence[int | Fraction]], cols: Iterable[int]
+) -> tuple[int, list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan reduction of integer ``rows``, pivoting
+    through ``cols`` in the given order on the first row at or after the
+    next pivot row that is nonzero there; every other row takes the exact
+    step ``(p x - f y) // prev``.  Returns ``(p, reduced, pivots)``:
+    ``reduced[i]`` is ``p`` at column ``pivots[i]`` and 0 at every other
+    pivot column, so ``reduced / p`` is the reduced form (``p = 1`` without
+    a pivot).  Rows left without a pivot are dropped.
+    """
+    a = [[_integer(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    prev = 1
+    for col in cols:
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        row_r = a[r]
+        p = row_r[col]
+        for i, row in enumerate(a):
+            if i != r:
+                f = row[col]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(row, row_r)]
+        prev = p
+        pivots.append(col)
+    return prev, a[: len(pivots)], pivots
 
 
 def kernel_basis_reference(m) -> list[tuple[int, ...]]:

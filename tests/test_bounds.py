@@ -851,6 +851,29 @@ def test_exclude_sweep_computes_each_shared_state_once(monkeypatch):
     assert len(computed) == 38
 
 
+def test_exclude_builds_the_whole_gram_matrix_once(monkeypatch):
+    # classify builds the n x n Gram matrix and the sweep reads that one;
+    # the certificate's support (at most 6 of 25 curves) takes its own
+    cfg = i4_fibres_with_section()
+    whole = []
+    real = graph.integer_gram
+
+    def spy(cfg_, idx):
+        if len(idx) == cfg_.n:
+            whole.append(idx)
+        return real(cfg_, idx)
+
+    for module in (graph, bounds):
+        monkeypatch.setattr(module, "integer_gram", spy)
+    for _ in range(2):
+        whole.clear()
+        verdict = exclude(cfg, 1, 11, subgraph_cap=6)
+        assert verdict.status is ExclusionStatus.HYPERBOLIC_UNDECIDED
+        assert len(whole) == 1
+    assert len(exclude_all(cfg, [(1, 11), (1, 1)], subgraph_cap=6)) == 2
+    assert len(whole) == 2
+
+
 def test_exclude_holds_the_rebuilt_certificate_to_the_sweep_bound(monkeypatch):
     # the first hyperbolic state at the cap has its total corrupted to 0, so
     # its subset reads bound 0 < 2h and ends the sweep; the certificate

@@ -20,6 +20,8 @@ from k3lat.exact import (
 
 from oracles import (
     apply,
+    bareiss_dense,
+    congruence_dense,
     congruence_reference,
     det,
     identity_matrix,
@@ -28,6 +30,7 @@ from oracles import (
     kernel_basis_reference,
     oracle_signature,
     quadratic_form,
+    row_echelon_dense,
     row_echelon_reference,
     row_reduce_rank,
     signature_and_witness_reference,
@@ -437,3 +440,93 @@ def test_congruence_of_fraction_entries_matches_reference_hypothesis(data):
     i, j = data.draw(st.tuples(*[st.integers(min_value=0, max_value=n - 1)] * 2))
     rows[i][j] = rows[j][i] = Fraction(data.draw(st.sampled_from((1, -1, 3, -5))), 2)
     _check_congruence(rows)
+
+
+# -- the loops that skip a zero multiplier against the dense loops -----------
+
+
+def _block_diagonal(blocks):
+    n = sum(map(len, blocks))
+    rows = [[0] * n for _ in range(n)]
+    start = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            rows[start + i][start : start + len(row)] = row
+        start += len(block)
+    return rows
+
+
+def _fibres_with_section(data):
+    """Chains of -2 curves (A_n), some closed into cycles (I_n, with a
+    double edge for n = 2), each met once by one section of square -2, -1
+    or 0."""
+    blocks = []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        n = data.draw(st.integers(min_value=1, max_value=5))
+        block = [[-2 * (i == j) + (abs(i - j) == 1) for j in range(n)] for i in range(n)]
+        if n > 1 and data.draw(st.booleans()):
+            block[0][-1] += 1
+            block[-1][0] += 1
+        blocks.append(block)
+    rows = _block_diagonal(blocks + [[[data.draw(st.sampled_from((-2, -1, 0)))]]])
+    start, s = 0, len(rows) - 1
+    for block in blocks:
+        v = start + data.draw(st.integers(min_value=0, max_value=len(block) - 1))
+        rows[s][v] = rows[v][s] = 1
+        start += len(block)
+    return rows
+
+
+def _sparse_symmetric(data):
+    """A sparse symmetric integer matrix in one of four shapes, its indices
+    permuted: diagonal blocks, fibres with a section, a zero diagonal (the
+    congruence's fold, Bareiss's row-only swap), or one of these with a
+    row and column repeated, which is singular."""
+    entry = st.sampled_from((0, 0, 0, 0, 1, 1, -1, 2, -3))
+    shape = data.draw(st.sampled_from(("blocks", "fibres", "zero diagonal", "singular")))
+    if shape == "fibres" or (shape == "singular" and data.draw(st.booleans())):
+        rows = _fibres_with_section(data)
+    elif shape == "zero diagonal":
+        n = data.draw(st.integers(min_value=1, max_value=7))
+        rows = _symmetric_rows(data, n, entry, st.just(0))
+    else:
+        diagonal = st.sampled_from((0, 0, -2, -2, -1, 1, 2))
+        sizes = data.draw(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3))
+        rows = _block_diagonal([_symmetric_rows(data, n, entry, diagonal) for n in sizes])
+    if shape == "singular":
+        i = data.draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        rows = [row + [row[i]] for row in rows]
+        rows.append(list(rows[i]))
+    order = data.draw(st.permutations(range(len(rows))))
+    return [[rows[i][j] for j in order] for i in order]
+
+
+def _singular_step(eliminate, rows):
+    """The step ``k`` at which ``eliminate(rows)`` finds ``rows`` singular."""
+    with pytest.raises(SingularMatrixError) as info:
+        eliminate(rows)
+    tb = info.tb
+    while tb.tb_next:
+        tb = tb.tb_next
+    return tb.tb_frame.f_locals["k"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_loops_match_the_dense_loops_hypothesis(data):
+    rows = _sparse_symmetric(data)
+    n = len(rows)
+    assert _congruence(rows) == congruence_dense(rows)
+    assert _congruence(rows, witness=True) == congruence_dense(rows, witness=True)
+    try:
+        want = bareiss_dense(rows)
+    except SingularMatrixError:
+        assert _singular_step(bareiss, rows) == _singular_step(bareiss_dense, rows)
+    else:
+        assert bareiss(rows) == want
+    # rectangular: some of the rows, in drawn order, over a column subset
+    # reduced left to right or right to left
+    index = st.integers(min_value=0, max_value=n - 1)
+    picked = [rows[i] for i in data.draw(st.lists(index, unique=True))]
+    cols = sorted(data.draw(st.sets(index, min_size=1)), reverse=data.draw(st.booleans()))
+    assert row_echelon(picked, cols) == row_echelon_dense(picked, cols)

@@ -355,3 +355,21 @@ def test_very_ample_nonpositive_degree_failure():
 def test_declared_model_validation():
     with pytest.raises(ValueError):
         DeclaredModel(7, False, ())
+
+
+@pytest.mark.parametrize("tag", [None, 4, ["I2"], b"I2"])
+def test_fiber_rejects_a_tag_that_is_not_a_known_str(tag):
+    # None and 4 raised TypeError from the tag regex, ["I2"] a TypeError
+    # as unhashable
+    with pytest.raises(ValueError):
+        fiber(tag)
+    with pytest.raises(ValueError):
+        profile([(tag, 1)])
+
+
+@pytest.mark.parametrize("entry", [("I2",), ("I2", 1, 0, 9), "I2", None, {"I2": 1}])
+def test_profile_rejects_an_entry_of_another_shape(entry):
+    # ("I2",) raised IndexError, and ("I2", 1, 0, 9) dropped its last item
+    with pytest.raises(ValueError, match=r"fiber entry must be \(tag, count\[, delta\]\)"):
+        profile([entry])
+    assert profile([["I2", 2], ("IV", 1, 1)], characteristic=3).tags() == ("I2", "I2", "IV")
