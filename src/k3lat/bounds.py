@@ -65,7 +65,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import tee
 from operator import mul
@@ -96,8 +95,7 @@ ROUGH_POSITIVE_ENTRY_SUM = "RoughPositiveEntrySum"
 BOX_OPTIMUM_DECOMPOSITION = "BoxOptimumDecomposition"
 
 
-@dataclass(frozen=True)
-class IntrinsicPolarization:
+class IntrinsicPolarization(NamedTuple):
     """Solution of ``C . H = d_C`` on the nondegenerate quotient.
 
     ``exists`` is False exactly when some radical vector pairs nontrivially
@@ -112,8 +110,7 @@ class IntrinsicPolarization:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class BoxWitness:
+class BoxWitness(NamedTuple):
     """Split ``W = g0 + g+`` of the inverse Gram matrix certifying that the
     box maximum of the inverse form sits at the all-``d`` corner, held as
     ``delta g0`` and ``delta g+``: k x k tuples of int rows over the int
@@ -125,8 +122,7 @@ class BoxWitness:
     nonnegative_part: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class BoundCertificate:
+class BoundCertificate(NamedTuple):
     """An exact upper bound for twice the polarization degree, with enough
     provenance to re-verify it from scratch."""
 
@@ -147,15 +143,13 @@ class ExclusionStatus(enum.Enum):
     INVALID_EXCLUDED = "InvalidExcluded"
 
 
-@dataclass(frozen=True)
-class ExclusionVerdict:
+class ExclusionVerdict(NamedTuple):
     status: ExclusionStatus
     certificates: tuple[BoundCertificate, ...] = ()
     notes: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class AdmissibleHRange:
+class AdmissibleHRange(NamedTuple):
     """Largest polarization half-degree compatible with a configuration;
     ``h_max`` is None when every degree is admissible."""
 

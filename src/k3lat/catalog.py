@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from . import bounds, fibration, formats, kodaira, roots
 from .graph import classify, integer_gram
@@ -37,8 +37,7 @@ def data_root() -> Path:
     return Path(override) if override else _PACKAGE_DATA
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     kind: str
     description: str
@@ -134,16 +133,14 @@ def extremal_lookup(
     return [e for e in entries if e.kind == "extremal" and _lookup_key(e.profile) == key]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     expected: str
     actual: str
 
 
-@dataclass(frozen=True)
-class EntryReport:
+class EntryReport(NamedTuple):
     name: str
     kind: str
     ok: bool

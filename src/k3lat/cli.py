@@ -69,7 +69,7 @@ def _cmd_classify(args) -> int:
         ]
     lines = [
         f"{doc.config.name or args.file}: {cls.kind.value}",
-        f"signature (n+, n-, n0) = {cls.signature.as_tuple()}",
+        f"signature (n+, n-, n0) = {tuple(cls.signature)}",
     ]
     for v in violations:
         lines.append(f"violation [{v.rule}] {', '.join(v.vertices)}: {v.message}")

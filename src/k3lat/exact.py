@@ -38,11 +38,10 @@ are pure; concurrent use is safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Rows = Sequence[Sequence[int | Fraction]]
 
@@ -51,8 +50,7 @@ class SingularMatrixError(ZeroDivisionError):
     """Raised when a matrix that must be invertible has a kernel."""
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(NamedTuple):
     """Inertia of a symmetric form: counts of positive, negative and zero
     eigen-directions.  ``n_plus + n_minus + n_zero`` equals the dimension."""
 
@@ -63,9 +61,6 @@ class Signature:
     @property
     def n(self) -> int:
         return self.n_plus + self.n_minus + self.n_zero
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.n_plus, self.n_minus, self.n_zero)
 
 
 def _congruence(

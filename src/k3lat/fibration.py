@@ -11,9 +11,9 @@ of rational fiber components.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
+from typing import NamedTuple
 
 from .kodaira import KodairaType, type_table
 
@@ -22,22 +22,23 @@ class UnsupportedContextError(ValueError):
     """The hypothesis flags contradict each other."""
 
 
-@dataclass(frozen=True)
-class FiberInstance:
+class FiberInstance(namedtuple("FiberInstance", "type delta")):
     """A singular fiber with its wild-ramification contribution."""
 
-    type: KodairaType
-    delta: int = 0
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
-    def __post_init__(self):
-        # a bool is an int to isinstance, so the type itself is checked
-        if type(self.delta) is not int or self.delta < 0:
+    def __new__(cls, type: KodairaType, delta: int = 0):
+        self = super().__new__(cls, type, delta)
+        # a bool is an int to isinstance, so its class is checked (``type`` is the field)
+        if self.delta.__class__ is not int or self.delta < 0:
             raise ValueError(f"wild ramification term must be an int >= 0, got {self.delta!r}")
         if self.delta > 0 and not self.type.is_additive:
             raise ValueError(
                 f"fiber {self.type.tag}: wild ramification occurs only at "
                 "additive fibers"
             )
+        return self
 
     @property
     def euler_contribution(self) -> int:
@@ -47,8 +48,6 @@ class FiberInstance:
 def fiber(tag: str, delta: int = 0) -> FiberInstance:
     """The fiber of Kodaira type ``tag`` with wild term ``delta``; a tag
     that is not a known type's ``str`` raises ``ValueError``."""
-    if not isinstance(tag, str):
-        raise ValueError(f"fiber type tag must be a str, got {tag!r}")
     return FiberInstance(type_table(tag), delta)
 
 
@@ -56,18 +55,16 @@ def _tag_sort_key(inst: FiberInstance) -> tuple:
     return (inst.type.weight, inst.type.tag, inst.delta)
 
 
-@dataclass(frozen=True)
-class FibrationProfile:
-    """Multiset of singular fibers of one genus-one fibration."""
+class FibrationProfile(namedtuple("FibrationProfile", "fibers quasi_elliptic characteristic")):
+    """Multiset of singular fibers of one genus-one fibration, held sorted."""
 
-    fibers: tuple[FiberInstance, ...]
-    quasi_elliptic: bool = False
-    characteristic: int | None = None
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "fibers", tuple(sorted(self.fibers, key=_tag_sort_key))
-        )
+    def __new__(cls, fibers: tuple[FiberInstance, ...], quasi_elliptic: bool = False,
+                characteristic: int | None = None):
+        fibers = tuple(sorted(fibers, key=_tag_sort_key))
+        self = super().__new__(cls, fibers, quasi_elliptic, characteristic)
         if self.characteristic is not None and type(self.characteristic) is not int:
             raise ValueError(f"characteristic must be an int, got {self.characteristic!r}")
         if self.quasi_elliptic and self.characteristic not in (2, 3):
@@ -82,6 +79,7 @@ class FibrationProfile:
             raise ValueError(
                 "the quasi-elliptic Euler budget carries no wild term"
             )
+        return self
 
     def tags(self) -> tuple[str, ...]:
         return tuple(f.type.tag for f in self.fibers)
@@ -100,12 +98,13 @@ def profile(
     quasi_elliptic: bool = False,
     characteristic: int | None = None,
 ) -> FibrationProfile:
-    """Build a profile from (tag, count[, delta]) triples; an entry of
-    another shape, or a count that is not an int (a bool is not) of at
-    least 1, raises ``ValueError``."""
+    """Build a profile from (tag, count[, delta]) entries, each a plain
+    tuple or list; any other entry (a :class:`FiberInstance` is one), or a
+    count that is not an int (a bool is not) of at least 1, raises
+    ``ValueError``."""
     fibers = []
     for item in entries:
-        if not isinstance(item, (tuple, list)) or len(item) not in (2, 3):
+        if type(item) not in (tuple, list) or len(item) not in (2, 3):
             raise ValueError(f"fiber entry must be (tag, count[, delta]), got {item!r}")
         tag, count = item[0], item[1]
         if type(count) is not int or count < 1:
@@ -115,8 +114,7 @@ def profile(
     return FibrationProfile(tuple(fibers), quasi_elliptic, characteristic)
 
 
-@dataclass(frozen=True)
-class BudgetReport:
+class BudgetReport(NamedTuple):
     ok: bool
     mode: str
     total: int
@@ -236,8 +234,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class SurfaceContext:
+class SurfaceContext(namedtuple("SurfaceContext", "characteristic unirational artin_invariant")):
     """Hypothesis flags selecting the applicable curve-count bound.
 
     The characteristic is 0 or a prime (below ``_PRIME_TEST_LIMIT``, where
@@ -246,11 +243,12 @@ class SurfaceContext:
     is a bool or None (unknown); anything else raises ``ValueError``.
     """
 
-    characteristic: int = 0
-    unirational: bool | None = None
-    artin_invariant: int | None = None
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
-    def __post_init__(self):
+    def __new__(cls, characteristic: int = 0, unirational: bool | None = None,
+                artin_invariant: int | None = None):
+        self = super().__new__(cls, characteristic, unirational, artin_invariant)
         p, sigma = self.characteristic, self.artin_invariant
         if type(p) is not int or p != 0 and not (p < _PRIME_TEST_LIMIT and _is_prime(p)):
             raise ValueError(f"characteristic must be an int, 0 or a prime, got {p!r}")
@@ -258,10 +256,10 @@ class SurfaceContext:
             raise ValueError(f"Artin invariant must be an int in 1..10, got {sigma!r}")
         if self.unirational is not None and type(self.unirational) is not bool:
             raise ValueError(f"unirational must be a bool or None, got {self.unirational!r}")
+        return self
 
 
-@dataclass(frozen=True)
-class SdBound:
+class SdBound(NamedTuple):
     """A curve-count bound with the degree threshold it needs.
 
     The bound applies to surfaces of polarization degree ``2h`` with
@@ -335,29 +333,26 @@ def sd_bound(ctx: SurfaceContext, restricted: bool = False) -> SdBound:
     return SdBound(30, "S_d'", Fraction(43), ("characteristic 3",))
 
 
-@dataclass(frozen=True)
-class DeclaredCurve:
+class DeclaredCurve(NamedTuple):
     label: str
     genus: int
     h_degree: int
 
 
-@dataclass(frozen=True)
-class DeclaredModel:
+class DeclaredModel(namedtuple("DeclaredModel", "h_square h_two_divisible curves")):
     """A finite list of declared curve classes against which the
     very-ampleness criterion is checked."""
 
-    h_square: int
-    h_two_divisible: bool
-    curves: tuple[DeclaredCurve, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
-    def __post_init__(self):
-        if self.h_square % 2 != 0:
+    def __new__(cls, h_square: int, h_two_divisible: bool, curves: tuple[DeclaredCurve, ...]):
+        if h_square % 2 != 0:
             raise ValueError("the polarization square must be even")
+        return super().__new__(cls, h_square, h_two_divisible, curves)
 
 
-@dataclass(frozen=True)
-class VeryAmpleVerdict:
+class VeryAmpleVerdict(NamedTuple):
     passed: bool
     failed: tuple[str, ...]
     notes: tuple[str, ...]

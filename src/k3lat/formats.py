@@ -14,7 +14,7 @@ canonical files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from operator import methodcaller
 
@@ -140,10 +140,12 @@ def read_json(text: str, where: str) -> Fields:
     return fields
 
 
-@dataclass(frozen=True)
-class ConfigDocument:
-    config: CurveConfig
-    metadata: dict = field(default_factory=dict)
+class ConfigDocument(namedtuple("ConfigDocument", "config metadata")):
+    __slots__ = ()
+
+    def __new__(cls, config: CurveConfig, metadata: dict | None = None):
+        # each document gets its own metadata dict
+        return super().__new__(cls, config, {} if metadata is None else metadata)
 
 
 _VERTEX_COLUMNS = {"id": (str, _REQUIRED), "square": (int, _REQUIRED), "degree": (int, 1)}

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, reduce
 from operator import or_
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .exact import Signature, _congruence, row_echelon
 
@@ -29,15 +29,14 @@ class SpanKind(enum.Enum):
     INVALID = "Invalid"
 
 
-@dataclass(frozen=True)
-class CurveVertex:
+class CurveVertex(namedtuple("CurveVertex", "id square degree")):
     """A rational curve: label, self-intersection and polarization degree."""
 
-    id: str
-    square: int = -2
-    degree: int = 1
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
-    def __post_init__(self):
+    def __new__(cls, id: str, square: int = -2, degree: int = 1):
+        self = super().__new__(cls, id, square, degree)
         # a certificate's support is a tuple of str ids (verify_certificate)
         if not isinstance(self.id, str):
             raise ValueError(f"vertex id {self.id!r} must be a str")
@@ -53,6 +52,7 @@ class CurveVertex:
             raise ValueError(f"vertex {self.id!r}: square {self.square} must be >= -2")
         if self.degree < 1:
             raise ValueError(f"vertex {self.id!r}: degree {self.degree} must be >= 1")
+        return self
 
 
 class CurveConfig:
@@ -215,9 +215,9 @@ def config_from_data(
     return CurveConfig(vs, es, name=name)
 
 
-@dataclass(frozen=True)
-class LatticeClass:
-    """Definiteness class of the span of a configuration.
+class LatticeClass(namedtuple("LatticeClass", "kind signature")):
+    """Definiteness class of the span of a configuration: its ``kind`` and
+    ``signature``, which alone make its repr, equality and hash.
 
     ``positive_witness``, a vector of positive square when the span has a
     positive direction, is computed from its integer Gram matrix ``_gram``,
@@ -225,9 +225,10 @@ class LatticeClass:
     read it, and the signature alone takes a cheaper elimination.
     """
 
-    kind: SpanKind
-    signature: Signature
-    _gram: Sequence[Sequence[int]] | None = field(default=None, repr=False, compare=False)
+    def __new__(cls, kind: SpanKind, signature: Signature, _gram: list[list[int]] | None = None):
+        self = super().__new__(cls, kind, signature)
+        self._gram = _gram
+        return self
 
     @cached_property
     def positive_witness(self) -> tuple[Fraction, ...] | None:
@@ -236,8 +237,7 @@ class LatticeClass:
         return _congruence(self._gram, witness=True)[1]
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """A named constraint breach: rule id, the offending vertices and an
     exact measure of how badly the constraint fails."""
 
@@ -316,8 +316,7 @@ def validate_pairings(cfg: CurveConfig, cls: LatticeClass) -> list[Violation]:
     return out
 
 
-@dataclass(frozen=True)
-class QuotientProjection:
+class QuotientProjection(NamedTuple):
     """Linear projection from vertex space onto the nondegenerate quotient.
 
     ``basis_ids`` are the vertices whose classes form a basis; ``matrix``

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import (
     CurveConfig,
@@ -51,8 +51,7 @@ _FIXED_TYPES = {
 _TAG_RE = re.compile(r"^I(\*)?(\d+)$")
 
 
-@dataclass(frozen=True)
-class KodairaType:
+class KodairaType(NamedTuple):
     """One fiber type: tag, canonical component multiplicities, additivity
     and Euler number.
 
@@ -81,7 +80,10 @@ class KodairaType:
 
 def parse_tag(tag: str) -> tuple[str, int | None]:
     """Split a fiber tag into (series, index): ("I", 4), ("I*", 2) or
-    (tag, None) for the fixed additive types."""
+    (tag, None) for the fixed additive types; any other tag, one that is
+    not a str included, raises ``ValueError``."""
+    if not isinstance(tag, str):
+        raise ValueError(f"fiber type tag must be a str, got {tag!r}")
     if tag in _FIXED_TYPES:
         return tag, None
     m = _TAG_RE.match(tag)
@@ -90,9 +92,16 @@ def parse_tag(tag: str) -> tuple[str, int | None]:
     raise ValueError(f"unknown fiber type tag {tag!r}")
 
 
-@functools.cache
 def type_table(tag: str) -> KodairaType:
-    """The filled type record for an exact (unmerged) fiber tag."""
+    """The filled type record for an exact (unmerged) fiber tag; any other
+    tag raises :func:`parse_tag`'s ``ValueError``."""
+    if not isinstance(tag, str):
+        parse_tag(tag)  # raises, where the cache would hash the tag first
+    return _type_record(tag)
+
+
+@functools.cache
+def _type_record(tag: str) -> KodairaType:
     series, n = parse_tag(tag)
     if series == "I":
         if n == 0:
@@ -105,8 +114,7 @@ def type_table(tag: str) -> KodairaType:
     return KodairaType(tag, mults, True, euler)
 
 
-@dataclass(frozen=True)
-class KodairaDivisor:
+class KodairaDivisor(NamedTuple):
     """An effective isotropic divisor of fiber shape found on a
     configuration: support vertices (canonical diagram order), the positive
     multiplicities, and the tag, possibly merged when the dual graph does

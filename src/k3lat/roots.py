@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exact import _congruence
 from .graph import CUT, CurveConfig, CurveVertex, Final, SpanKind, classify, integer_gram
@@ -35,8 +35,7 @@ class NotNegativeSemidefiniteError(ValueError):
     """Raised when decomposition is asked of a span with a positive direction."""
 
 
-@dataclass(frozen=True)
-class RootComponent:
+class RootComponent(NamedTuple):
     """One recognized connected component.
 
     ``kind`` is one of ``"A"``, ``"D"``, ``"E"``, ``"AffineA"``,
@@ -77,8 +76,7 @@ class RootComponent:
         return size
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     components: tuple[RootComponent, ...]
     unrecognized: tuple[tuple[str, ...], ...]
 
@@ -285,8 +283,13 @@ def recognize_component(cfg: CurveConfig, ids: tuple[str, ...]) -> RootComponent
     names the diagram it ends in and confirms it.  Repeated ids are read as
     their set, except that a lone curve or a pair meeting twice is
     recognised only from its ids without repeats.  Work is proportional to
-    the subset and its neighbourhood.
+    the subset and its neighbourhood.  An id not in ``cfg`` raises the
+    ``ValueError`` of :meth:`CurveConfig.induced`.
     """
+    try:
+        members = set(map(cfg.index_of, ids))
+    except KeyError:
+        raise ValueError(f"unknown vertex ids {sorted(set(ids).difference(cfg.ids()))}") from None
     if len(ids) == 1:
         v = cfg.vertex(ids[0])
         if v.square == 0:
@@ -294,7 +297,6 @@ def recognize_component(cfg: CurveConfig, ids: tuple[str, ...]) -> RootComponent
         if v.square == -2:
             return RootComponent("A", 1, (v.id,))
         return None
-    members = set(map(cfg.index_of, ids))
     if len(members) < 2:
         return None
     adj = cfg.adjacency()
@@ -467,7 +469,7 @@ def standard_gram(kind: str, n: int | None) -> tuple[tuple[int, ...], ...]:
     g = tuple(map(tuple, integer_gram(cfg, range(cfg.n))))
     affine = RootComponent(kind, n, ()).is_affine
     want = (0, cfg.n - 1, 1) if affine else (0, cfg.n, 0)
-    got = _congruence(g)[0].as_tuple()
+    got = _congruence(g)[0]
     if got != want:
         raise RuntimeError(f"{cfg.name} has signature {got}, expected {want}")
     rad = radical(kind, n) if affine else ()

@@ -46,7 +46,6 @@ integers and its split as Fractions.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -970,7 +969,7 @@ def recognize_component_reference(cfg, ids):
     kind, param, order = shape
     comp = RootComponent(kind, param, tuple(order))
     if comp.is_affine:
-        comp = replace(comp, kernel_vector=radical(kind, param))
+        comp = comp._replace(kernel_vector=radical(kind, param))
     sub = cfg.induced(comp.vertex_ids)
     g = gram(sub)
     if comp.is_affine:
@@ -978,7 +977,7 @@ def recognize_component_reference(cfg, ids):
         if any(apply(g, [coef[v] for v in sub.ids()])):
             return None
     want = (0, sub.n - 1, 1) if comp.is_affine else (0, sub.n, 0)
-    return comp if signature(g).as_tuple() == want else None
+    return comp if signature(g) == want else None
 
 
 # -- the Fraction certificate check ---------------------------------------------

@@ -5,7 +5,6 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -331,12 +330,11 @@ def test_verify_certificate_rejects_tampering(char3_cfg):
     wit = cert.witness
     row = (float(wit.nonnegative_part[0][0]),) + wit.nonnegative_part[0][1:]
     inexact = [
-        replace(cert, bound_on_2h=86.0),
-        replace(rough, bound_on_2h=94.0),
-        replace(cert, witness=replace(wit, delta=float(wit.delta))),
-        replace(
-            cert,
-            witness=replace(wit, nonnegative_part=(row,) + wit.nonnegative_part[1:]),
+        cert._replace(bound_on_2h=86.0),
+        rough._replace(bound_on_2h=94.0),
+        cert._replace(witness=wit._replace(delta=float(wit.delta))),
+        cert._replace(
+            witness=wit._replace(nonnegative_part=(row,) + wit.nonnegative_part[1:]),
         ),
     ]
     assert verify_certificate(cert, char3_cfg) and verify_certificate(rough, char3_cfg)
@@ -369,8 +367,8 @@ def test_verify_certificate_needs_the_rank_one_split_and_the_inertia(char3_cfg):
         gplus[i][j] -= move
         g0[i][j] += move
     moved = integer_witness(g0, gplus)
-    rank_one = replace(cert, witness=moved)
-    assert signature(witness_parts(moved)[0]).as_tuple() == (1, 10, 1)
+    rank_one = cert._replace(witness=moved)
+    assert signature(witness_parts(moved)[0]) == (1, 10, 1)
     for cfg, forged in ((pair, inertia), (char3_cfg, rank_one)):
         assert signature(witness_parts(forged.witness)[0]).n_plus > 0
         assert not verify_certificate(forged, cfg)
@@ -389,13 +387,13 @@ def test_verify_certificate_total_on_bad_support(make, support):
     cfg = d6tilde_plus_three()
     cert = make(cfg, 1)
     assert verify_certificate(cert, cfg)
-    assert not verify_certificate(replace(cert, support_ids=support), cfg)
+    assert not verify_certificate(cert._replace(support_ids=support), cfg)
     # nor is a bool degree cap, or a box witness part that is not a k x k
     # tuple of int rows
-    bad = [replace(cert, d=True)]
+    bad = [cert._replace(d=True)]
     if cert.witness is not None:
         bad += [
-            replace(cert, witness=replace(cert.witness, **{part: value}))
+            cert._replace(witness=cert.witness._replace(**{part: value}))
             for part in ("negative_part", "nonnegative_part")
             for value in (None, [[0]])
         ]
@@ -412,7 +410,7 @@ def test_verify_certificate_rejects_repeated_support_ids(kind):
     certs += exclude(cfg, 1, 1, use_pinned_degrees=True).certificates
     cert = next(c for c in certs if c.kind == kind)
     assert verify_certificate(cert, cfg)
-    doubled = replace(cert, support_ids=cert.support_ids + cert.support_ids[:1])
+    doubled = cert._replace(support_ids=cert.support_ids + cert.support_ids[:1])
     assert not verify_certificate(doubled, cfg)
 
 
@@ -420,8 +418,8 @@ def test_verify_certificate_rejects_mismatched_witness(char3_cfg):
     cert = box_certificate(char3_cfg, 1)
     wit = cert.witness
     k = len(wit.negative_part) - 1
-    bad = replace(wit, negative_part=((0,) * k,) * k)
-    assert not verify_certificate(replace(cert, witness=bad), char3_cfg)
+    bad = wit._replace(negative_part=((0,) * k,) * k)
+    assert not verify_certificate(cert._replace(witness=bad), char3_cfg)
 
 
 def test_verify_certificate_total_on_malformed_witness():
@@ -435,14 +433,14 @@ def test_verify_certificate_total_on_malformed_witness():
     wit = cert.witness
     assert wit == BoxWitness(1, ((0, 0), (0, 0)), ((2, 1), (1, 0)))
     assert verify_certificate(cert, cfg)
-    bad = [replace(wit, delta=v) for v in (True, 1.0, Fraction(1), 0, -1, None, "1")]
+    bad = [wit._replace(delta=v) for v in (True, 1.0, Fraction(1), 0, -1, None, "1")]
     for name, part in (
         ("negative_part", wit.negative_part),
         ("nonnegative_part", wit.nonnegative_part),
     ):
         (a, b), (c, e) = part
         bad += [
-            replace(wit, **{name: value})
+            wit._replace(**{name: value})
             for value in (
                 None,
                 "00",
@@ -458,9 +456,9 @@ def test_verify_certificate_total_on_malformed_witness():
                 ((a,), (c,)),
             )
         ]
-    witnesses = [replace(cert, witness=w) for w in bad]
+    witnesses = [cert._replace(witness=w) for w in bad]
     plain = (wit.delta, wit.negative_part, wit.nonnegative_part)
-    witnesses += [replace(cert, witness=w) for w in (None, plain)]
+    witnesses += [cert._replace(witness=w) for w in (None, plain)]
     for forged in witnesses:
         assert verify_certificate(forged, cfg) is False, forged.witness
 
@@ -472,12 +470,12 @@ def test_verify_certificate_rejects_degree_cap_below_one(cfg):
     # or d = 3/2, are not certificates for any degree cap
     rough = rough_bound(cfg, 1)
     box = box_certificate(cfg, 1)
-    zero_box = replace(box, d=0, bound_on_2h=Fraction(0))
+    zero_box = box._replace(d=0, bound_on_2h=Fraction(0))
     forged = [
-        replace(rough, d=0, bound_on_2h=Fraction(0)),
+        rough._replace(d=0, bound_on_2h=Fraction(0)),
         zero_box,
-        replace(rough, d=-2, bound_on_2h=rough.bound_on_2h * 4),
-        replace(rough, d=Fraction(3, 2), bound_on_2h=rough.bound_on_2h * Fraction(9, 4)),
+        rough._replace(d=-2, bound_on_2h=rough.bound_on_2h * 4),
+        rough._replace(d=Fraction(3, 2), bound_on_2h=rough.bound_on_2h * Fraction(9, 4)),
     ]
     assert verify_certificate(rough, cfg) and verify_certificate(box, cfg)
     for cert in forged:
@@ -493,9 +491,9 @@ def test_verify_certificate_rejects_a_support_curve_above_the_cap():
     (pinned,) = exclude(cfg, 6, 1, use_pinned_degrees=True).certificates
     assert (pinned.kind, pinned.bound_on_2h) == (INTRINSIC_SQUARE, 84)
     forged = [
-        replace(rough, d=1, bound_on_2h=Fraction(4)),
-        replace(box, d=1, bound_on_2h=Fraction(4)),
-        replace(pinned, d=1),
+        rough._replace(d=1, bound_on_2h=Fraction(4)),
+        box._replace(d=1, bound_on_2h=Fraction(4)),
+        pinned._replace(d=1),
     ]
     for cert in (rough, box, pinned):
         assert verify_certificate(cert, cfg)
@@ -506,7 +504,7 @@ def test_verify_certificate_rejects_a_support_curve_above_the_cap():
 def test_verify_certificate_rejects_an_unknown_kind(char3_cfg):
     for cert in (rough_bound(char3_cfg, 1), box_certificate(char3_cfg, 1)):
         assert verify_certificate(cert, char3_cfg)
-        assert not verify_certificate(replace(cert, kind="UnknownKind"), char3_cfg)
+        assert not verify_certificate(cert._replace(kind="UnknownKind"), char3_cfg)
 
 
 def test_verify_certificate_rejects_support_without_positive_direction():
@@ -517,9 +515,9 @@ def test_verify_certificate_rejects_support_without_positive_direction():
     box = box_certificate(cfg, 1)
     empty = BoxWitness(1, (), ())
     forged = [
-        replace(rough, support_ids=("f1",), bound_on_2h=Fraction(0)),
-        replace(rough, support_ids=("f1", "c1"), bound_on_2h=Fraction(0)),
-        replace(box, support_ids=(), bound_on_2h=Fraction(0), witness=empty),
+        rough._replace(support_ids=("f1",), bound_on_2h=Fraction(0)),
+        rough._replace(support_ids=("f1", "c1"), bound_on_2h=Fraction(0)),
+        box._replace(support_ids=(), bound_on_2h=Fraction(0), witness=empty),
     ]
     for cert in forged:
         assert not verify_certificate(cert, cfg), cert.support_ids
@@ -579,14 +577,14 @@ def _tampered(data, cfg, cert):
         delta = data.draw(
             st.sampled_from((Fraction(1), Fraction(-1, 7), Fraction(1, 1000)))
         )
-        return replace(cert, bound_on_2h=cert.bound_on_2h + delta), True
+        return cert._replace(bound_on_2h=cert.bound_on_2h + delta), True
     if how == "d":
         d = data.draw(st.integers(-3, 5).filter(lambda x: x != cert.d))
         # the bound of an intrinsic certificate and a rough bound of 0 hold
         # for every cap, so only a cap below 1 forges them
         if cert.kind == INTRINSIC_SQUARE or cert.bound_on_2h == 0:
             d = data.draw(st.integers(-3, 0))
-        return replace(cert, d=d), d >= 1
+        return cert._replace(d=d), d >= 1
     if how == "entry":
         part = data.draw(st.sampled_from((0, 1)))
         parts = [[list(r) for r in m] for m in witness_parts(wit)]
@@ -599,7 +597,7 @@ def _tampered(data, cfg, cert):
         rows[i][j] += delta
         if i != j:
             rows[j][i] += delta
-        return replace(cert, witness=integer_witness(*parts)), True
+        return cert._replace(witness=integer_witness(*parts)), True
     if how == "permute":
         ids = cert.support_ids
         perm = data.draw(st.permutations(range(len(ids))))
@@ -611,19 +609,19 @@ def _tampered(data, cfg, cert):
             g[idx[a]][idx[b]] != g[idx[perm[a]]][idx[perm[b]]]
             for a in range(k) for b in range(k)
         ))
-        return replace(cert, support_ids=tuple(ids[p] for p in perm)), False
+        return cert._replace(support_ids=tuple(ids[p] for p in perm)), False
     if how == "drop":
         k = data.draw(st.integers(0, len(cert.support_ids) - 1))
         ids = cert.support_ids[:k] + cert.support_ids[k + 1:]
-        return replace(cert, support_ids=ids), True
+        return cert._replace(support_ids=ids), True
     if how == "swap":
-        swapped = replace(
-            wit, negative_part=wit.nonnegative_part, nonnegative_part=wit.negative_part
+        swapped = wit._replace(
+            negative_part=wit.nonnegative_part, nonnegative_part=wit.negative_part
         )
-        return replace(cert, witness=swapped), True
+        return cert._replace(witness=swapped), True
     # a multiple of the inverse: every check but G W = I still holds
     c = data.draw(st.sampled_from((Fraction(2), Fraction(1, 2), Fraction(3))))
-    return replace(cert, witness=_scaled(wit, c), bound_on_2h=c * cert.bound_on_2h), True
+    return cert._replace(witness=_scaled(wit, c), bound_on_2h=c * cert.bound_on_2h), True
 
 
 @settings(max_examples=300, deadline=None)
@@ -638,7 +636,6 @@ def test_verify_certificate_rejects_tampering_hypothesis(data):
 
 def test_verify_certificate_rejects_forgery_under_optimize():
     code = (
-        "from dataclasses import replace\n"
         "from fractions import Fraction\n"
         "from k3lat.bounds import box_certificate, verify_certificate\n"
         "from k3lat.graph import config_from_data\n"
@@ -646,8 +643,8 @@ def test_verify_certificate_rejects_forgery_under_optimize():
         "cert = box_certificate(cfg, 1)\n"
         "w = cert.witness\n"
         "print(verify_certificate(cert, cfg))\n"
-        "print(verify_certificate(replace(cert, d=0, bound_on_2h=Fraction(0)), cfg))\n"
-        "print(verify_certificate(replace(cert, witness=replace(w,\n"
+        "print(verify_certificate(cert._replace(d=0, bound_on_2h=Fraction(0)), cfg))\n"
+        "print(verify_certificate(cert._replace(witness=w._replace(\n"
         "    negative_part=w.nonnegative_part, nonnegative_part=w.negative_part)), cfg))\n"
     )
     path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
@@ -1085,7 +1082,7 @@ def test_sweep_records_to_a_cap_are_a_prefix_hypothesis(data):
     assert all(a > b for a, b in zip(bounds_at_1, bounds_at_1[1:]))
     for subset, total, den in records:
         sub = cfg.induced(tuple(cfg.vertices[i].id for i in subset))
-        assert signature(gram(sub)).as_tuple() == (1, len(subset) - 1, 0)
+        assert signature(gram(sub)) == (1, len(subset) - 1, 0)
         d = max(sub.degrees())
         cert = subgraph_certificates_reference(sub, d)[0]
         assert cert.bound_on_2h == Fraction(total * d * d, den)

@@ -2,7 +2,6 @@ import json
 import re
 import shutil
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -431,7 +430,7 @@ def _extremal_variants(entry):
             prof = profile_from_data(payload, extra=("table_name",))
         except ValidationError:
             continue
-        yield replace(entry, payload=payload, profile=prof)
+        yield entry._replace(payload=payload, profile=prof)
 
 
 def test_extremal_lookup_matches_raw_payload_reference():

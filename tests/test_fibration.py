@@ -357,6 +357,29 @@ def test_declared_model_validation():
         DeclaredModel(7, False, ())
 
 
+@pytest.mark.parametrize(
+    "record, change",
+    [
+        (fiber("IV", 1), {"delta": -1}),
+        (fiber("I2"), {"delta": 1}),
+        (profile([("I2", 1)]), {"quasi_elliptic": True}),
+        (SurfaceContext(2), {"characteristic": 4}),
+        (SurfaceContext(3), {"artin_invariant": 11}),
+        (DeclaredModel(8, False, ()), {"h_square": 7}),
+    ],
+)
+def test_record_copies_are_checked(record, change):
+    # _replace builds the copy through the constructor, checks included
+    with pytest.raises(ValueError):
+        record._replace(**change)
+
+
+def test_profile_copies_stay_sorted():
+    prof = profile([("I4", 1), ("I2", 2)])
+    assert prof._replace(fibers=prof.fibers[::-1]) == prof
+    assert prof._replace(characteristic=3).tags() == ("I2", "I2", "I4")
+
+
 @pytest.mark.parametrize("tag", [None, 4, ["I2"], b"I2"])
 def test_fiber_rejects_a_tag_that_is_not_a_known_str(tag):
     # None and 4 raised TypeError from the tag regex, ["I2"] a TypeError
@@ -365,6 +388,15 @@ def test_fiber_rejects_a_tag_that_is_not_a_known_str(tag):
         fiber(tag)
     with pytest.raises(ValueError):
         profile([(tag, 1)])
+
+
+@pytest.mark.parametrize("inst", [fiber("I2"), fiber("IV", 1)])
+def test_profile_never_reads_a_fiber_instance_as_an_entry(inst):
+    # a FiberInstance is the 2-tuple (type, delta): read as (tag, count),
+    # fiber("IV", 1) would ask for one fibre of the tag type_table("IV")
+    assert len(inst) == 2
+    with pytest.raises(ValueError, match=r"fiber entry must be \(tag, count\[, delta\]\)"):
+        profile([inst], characteristic=3)
 
 
 @pytest.mark.parametrize("entry", [("I2",), ("I2", 1, 0, 9), "I2", None, {"I2": 1}])

@@ -59,6 +59,15 @@ def test_vertex_validation():
             CurveVertex(vid, 2)
 
 
+def test_vertex_copies_are_checked():
+    # _replace builds the copy through the constructor, checks included
+    v = CurveVertex("a")
+    assert v._replace(degree=3) == CurveVertex("a", -2, 3)
+    for change in ({"square": -3}, {"degree": 0}, {"id": ""}, {"square": True}):
+        with pytest.raises(ValueError):
+            v._replace(**change)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         config_from_data([("a", -2), ("a", -2)])
@@ -243,6 +252,33 @@ def test_classify_computes_the_witness_on_first_read(monkeypatch):
     assert calls == [False, True, False]
 
 
+def test_lattice_class_is_its_kind_and_signature(monkeypatch):
+    # repr, equality and hash read (kind, signature) alone, never the kept
+    # Gram matrix, and no elimination runs until the witness is read
+    cfg = config_from_data([("a", 2), ("b", -2)], [("a", "b", 1)])
+    calls = []
+    congruence = exact._congruence
+    monkeypatch.setattr(
+        graph,
+        "_congruence",
+        lambda rows, witness=False: calls.append(witness) or congruence(rows, witness),
+    )
+    cls = classify(cfg)
+    bare = LatticeClass(SpanKind.HYPERBOLIC, Signature(1, 1, 0))
+    assert repr(cls) == repr(bare) == (
+        "LatticeClass(kind=<SpanKind.HYPERBOLIC: 'Hyperbolic'>, "
+        "signature=Signature(n_plus=1, n_minus=1, n_zero=0))"
+    )
+    assert cls == bare and hash(cls) == hash(bare) and {cls: 1}[bare] == 1
+    assert cls != LatticeClass(SpanKind.INVALID, Signature(1, 1, 0))
+    assert cls != LatticeClass(SpanKind.HYPERBOLIC, Signature(1, 2, 0))
+    assert calls == [False]
+    assert bare.positive_witness is None
+    assert quadratic_form(gram(cfg), cls.positive_witness) > 0
+    assert cls.positive_witness is cls.positive_witness
+    assert calls == [False, True]
+
+
 def test_validate_pairings_elliptic_clean():
     cfg = config_from_data([("a", -2), ("b", -2)], [("a", "b", 1)])
     assert validate_pairings(cfg, classify(cfg)) == []
@@ -291,7 +327,7 @@ def test_quotient_four_cycle_rank_three():
     q, proj = quotient_by_kernel(cfg)
     assert len(q) == 3
     full = signature(gram(cfg))
-    assert signature(q).as_tuple() == (full.n_plus, full.n_minus, 0)
+    assert signature(q) == (full.n_plus, full.n_minus, 0)
     # projection sends each vertex to its class: the dropped vertex maps to
     # minus the sum of the others (the radical is the all-ones vector)
     dropped = next(iter(set(cfg.ids()) - set(proj.basis_ids)))
@@ -563,7 +599,7 @@ def test_quotient_signature_property(data):
     )
     q, proj = quotient_by_kernel(cfg)
     full = signature(gram(cfg))
-    assert signature(q).as_tuple() == (full.n_plus, full.n_minus, 0)
+    assert signature(q) == (full.n_plus, full.n_minus, 0)
     assert len(q) == n - full.n_zero
     assert len(q) == row_reduce_rank(gram(cfg))
 
@@ -680,4 +716,4 @@ def test_classify_matches_congruence_reference_hypothesis(data):
     cfg = _random_config(data, 9)
     cls = classify(cfg)
     want_sig, want_vec = signature_and_witness_reference(gram(cfg))
-    assert (cls.signature.as_tuple(), cls.positive_witness) == (want_sig, want_vec)
+    assert (cls.signature, cls.positive_witness) == (want_sig, want_vec)

@@ -7,9 +7,16 @@ re-export them.
 A name counts as used when it is read anywhere in the module, string
 annotations included; binding it is no use.  A private name also counts as
 read when it is an attribute (``module._name``).
+
+Importing k3lat, its catalog and its command line imports neither
+``dataclasses`` nor ``inspect``: its records are named tuples, so the
+import generates no code.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -63,6 +70,22 @@ def test_guard_sees_an_unused_import():
         "def f(x: 'Fraction') -> int:\n    return math.floor(x)\n"
     )
     assert sorted(set(_imported(tree)) - _used(tree)) == ["os"]
+
+
+def test_importing_k3lat_generates_no_dataclasses():
+    # without site, nothing but k3lat can import them
+    code = (
+        "import sys\n"
+        "import k3lat, k3lat.catalog, k3lat.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))\n"
+    )
+    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
+    res = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["[]"]
 
 
 def _private(tree):

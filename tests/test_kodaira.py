@@ -60,6 +60,15 @@ def test_parse_tag():
         parse_tag("I*")
 
 
+@pytest.mark.parametrize("tag", [3, None, ["I2"], b"I2"])
+def test_a_tag_that_is_not_a_str_is_a_value_error(tag):
+    # 3 and None raised TypeError from the tag regex, and ["I2"] from the
+    # cache of type_table as unhashable
+    for read in (parse_tag, type_table):
+        with pytest.raises(ValueError, match="fiber type tag must be a str"):
+            read(tag)
+
+
 def test_weight_euler_closed_forms_up_to_24():
     for n in range(1, 25):
         t = type_table(f"I{n}")

@@ -125,7 +125,7 @@ def test_recognition_round_trip(kind, n):
         aligned = [kern[comp.vertex_ids.index(v)] for v in sub.ids()]
         assert apply(gram(sub), aligned) == (0,) * sub.n
     else:
-        assert signature(gram(cfg)).as_tuple() == (0, cfg.n, 0)
+        assert signature(gram(cfg)) == (0, cfg.n, 0)
 
 
 @pytest.mark.parametrize("kind,n", sorted(AFFINE_KERNELS))
@@ -133,6 +133,17 @@ def test_affine_kernel_patterns(kind, n):
     cfg = standard_diagram(kind, n)
     (comp,) = decompose(cfg).components
     assert comp.kernel_vector == AFFINE_KERNELS[(kind, n)]
+
+
+def test_recognize_component_rejects_an_unknown_id():
+    # a KeyError escaped before; the ValueError is the one induced raises
+    cfg = standard_diagram("A", 3)
+    for ids in (("zz",), ("v0", "zz"), ("v0", "zz", "q")):
+        with pytest.raises(ValueError, match="unknown vertex ids") as got:
+            recognize_component(cfg, ids)
+        with pytest.raises(ValueError) as want:
+            cfg.induced(ids)
+        assert str(got.value) == str(want.value)
 
 
 def test_recognize_component_rejects_indefinite_shapes():
