@@ -37,16 +37,17 @@ witness passes this check, and :func:`verify_certificate` repeats it from
 the configuration alone.
 
 The exclusion sweep runs in exact integers too.  It visits connected
-subconfigurations through :func:`~k3lat.graph.connected_vertex_subsets`,
-whose step borders a nondegenerate parent one curve smaller: the
-determinant and the adjugate of its Gram matrix follow in ``O(k^2)`` by a
-fraction-free (Bareiss-Sylvester) update, and its inertia by the sign of
-one Schur complement (Haynsworth additivity).  The subsets of one level
-whose Gram matrices agree in their stored orders, as across the fibres of
-a fibration, share one computed state (:func:`_bordered`).  A
-subconfiguration whose connected parents are all degenerate takes one
-Bareiss elimination.  Every state carries the row sums of its adjugate,
-which a bordered one updates in ``O(k)`` from its parent's.  One rule,
+subconfigurations through :func:`~k3lat.graph.connected_vertex_subsets`
+as bitmasks, and its step borders a nondegenerate parent one curve
+smaller: the determinant and the adjugate of its Gram matrix follow in
+``O(k^2)`` by a fraction-free (Bareiss-Sylvester) update, and its inertia
+by the sign of one Schur complement (Haynsworth additivity).  The subsets
+of one level whose Gram matrices agree in their stored orders, as across
+the fibres of a fibration, share one computed state (:func:`_bordered`).
+A subconfiguration whose connected parents are all degenerate takes one
+Bareiss elimination, and with a record it is the only subset whose index
+tuple is built.  Every state carries the row sums of its adjugate, which
+a bordered one updates in ``O(k)`` from its parent's.  One rule,
 :func:`_box_total`, reads the box bound off them wherever its split
 applies.  Where it fails, the rough sign sum is at least the sum of the
 row sums of its sign, so it is taken only when that is below the least
@@ -79,6 +80,8 @@ from .graph import (
     classify,
     connected_vertex_subsets,
     integer_gram,
+    mask_indices,
+    neighbour_masks,
 )
 
 
@@ -428,30 +431,35 @@ _UNSEEN = object()
 
 
 def _bordered(
-    g: list[list[int]], cap: int, states: dict, best: list,
-    parent: tuple | None, u: int, subset: tuple[int, ...],
+    g: list[list[int]], nbrs: list[int], cap: int, states: dict, best: list,
+    parent: tuple | None, u: int, mask: int,
 ) -> tuple[tuple[int, ...], _Adjugate] | None:
-    """The sweep state ``(order, entry)`` of ``subset``, which is ``parent +
-    {u}``, or None when it is degenerate; ``g`` is the Gram matrix of the
-    whole configuration and ``best`` the least bound so far
-    (:func:`_may_win`).  ``entry`` is the :class:`_Adjugate` that the
+    """The sweep state ``(order, entry)`` of the subset ``mask``, which is
+    ``parent + {u}``, or None when it is degenerate; ``g`` is the Gram
+    matrix of the whole configuration, ``nbrs`` its neighbour masks
+    (:func:`~k3lat.graph.neighbour_masks`) and ``best`` the least bound so
+    far (:func:`_may_win`).  ``entry`` is the :class:`_Adjugate` that the
     level's table holds for the subset's class, and ``order`` lists the
     subset's curves in the order its rows follow, or is ``()`` for a
     subset of ``cap`` curves, which nothing borders.
 
     The entry depends only on the parent's Gram matrix in its order, the
     column ``b`` of ``u`` over that order (its nonzero ``(position,
-    multiplicity)`` pairs) and the square ``c`` of ``u``.  So ``states``,
-    the table of one level, keeps what :func:`_border` computes under
-    ``(parent class, b, c)``, and every subset of that class holds it.  A
-    class is the table's size before its entry is stored, so subsets of
-    one level share a class only when their Gram matrices in their orders
-    are equal; shared rows are never mutated.  A parent of None, every
-    connected parent being degenerate, leaves one Bareiss elimination in
-    the subset's order, stored under the subset to number its class.
+    multiplicity)`` pairs) and the square ``c`` of ``u``.  The curves that
+    ``u`` meets in the subset are the bits of ``nbrs[u] & mask``, so ``b``
+    of a single one is its position in ``order``; several, or none (a
+    singleton, whose parent's order is empty), take a scan of the order.  ``states``, the table of one level, keeps what
+    :func:`_border` computes under ``(parent class, b, c)``, and every
+    subset of that class holds it.  A class is the table's size before its
+    entry is stored, so subsets of one level share a class only when their
+    Gram matrices in their orders are equal; shared rows are never
+    mutated.  A parent of None, every connected parent being degenerate,
+    leaves one Bareiss elimination in the subset's index order, stored
+    under the subset to number its class.
     """
-    leaf = len(subset) == cap
+    leaf = mask.bit_count() == cap
     if parent is None:
+        subset = mask_indices(mask, len(g))
         entry = _adjugate([[g[i][j] for j in subset] for i in subset])
         if entry is None:
             return None
@@ -462,7 +470,12 @@ def _bordered(
         return ((), entry) if leaf else (subset, entry)
     order, parent = parent
     col = g[u]
-    b = tuple([(i, col[v]) for i, v in enumerate(order) if col[v]])
+    hits = nbrs[u] & mask
+    if hits and not hits & (hits - 1):
+        w = len(g) - hits.bit_length()
+        b = ((order.index(w), col[w]),)
+    else:
+        b = tuple([(i, col[v]) for i, v in enumerate(order) if col[v]])
     key = parent.cls, b, col[u]
     entry = states.get(key, _UNSEEN)
     if entry is _UNSEEN:
@@ -516,7 +529,7 @@ def _border_rows(det: int, adj: list[list[int]], a: list[int], t: int) -> list[l
 
 
 def _adjugate_sweep(cfg: CurveConfig, g: list[list[int]], cap: int, best: list):
-    """Yield ``(subset, state)`` for every connected vertex subset of at most
+    """Yield ``(mask, state)`` for every connected vertex subset of at most
     ``cap`` curves in canonical order (size, then index tuple); ``g`` is the
     integer Gram matrix of the whole configuration, and ``best`` the least
     bound before each subset (:func:`_may_win`).  ``state``
@@ -531,13 +544,14 @@ def _adjugate_sweep(cfg: CurveConfig, g: list[list[int]], cap: int, best: list):
     """
     states: dict = {}
     size = 0
+    nbrs = neighbour_masks(cfg)
 
-    def step(parent, u, subset):
+    def step(parent, u, mask):
         nonlocal size
-        if len(subset) != size:
+        if mask.bit_count() != size:
             states.clear()
-            size = len(subset)
-        return _bordered(g, cap, states, best, parent, u, subset)
+            size = mask.bit_count()
+        return _bordered(g, nbrs, cap, states, best, parent, u, mask)
 
     return connected_vertex_subsets(cfg, cap, step, ((), _Adjugate(1, [], 0, [])))
 
@@ -623,13 +637,13 @@ def _records(
     """The records of :func:`sweep_records` on the integer Gram matrix ``g``
     of the whole configuration, with ``cap`` already checked."""
     best = [1, 0]
-    for subset, state in _adjugate_sweep(cfg, g, cap, best):
+    for mask, state in _adjugate_sweep(cfg, g, cap, best):
         if state is None or (entry := state[1]).total is None:
             continue
         total, den = entry.total, abs(entry.det)
         if total * best[1] < best[0] * den:
             best[:] = total, den
-            yield subset, total, den
+            yield mask_indices(mask, len(g)), total, den
 
 
 def exclude(
@@ -701,38 +715,25 @@ def exclude_all(
 
 def _span_verdict(cfg: CurveConfig, kind: SpanKind) -> ExclusionVerdict:
     """The verdict on a span that is not hyperbolic, which needs no sweep."""
+    if kind is SpanKind.ELLIPTIC and cfg.n <= 21:
+        return ExclusionVerdict(ExclusionStatus.ELLIPTIC_ADMISSIBLE, notes=(
+            f"negative definite with {cfg.n} <= 21 curves; admissible for every degree",
+        ))
     if kind is SpanKind.ELLIPTIC:
-        if cfg.n <= 21:
-            return ExclusionVerdict(
-                ExclusionStatus.ELLIPTIC_ADMISSIBLE,
-                notes=(
-                    f"negative definite with {cfg.n} <= 21 curves; "
-                    "admissible for every degree",
-                ),
-            )
-        return ExclusionVerdict(
-            ExclusionStatus.ELLIPTIC_EXCLUDED,
-            notes=(
-                f"negative definite of rank {cfg.n} > 21 cannot embed in "
-                "the Picard lattice of any such surface",
-            ),
-        )
+        return ExclusionVerdict(ExclusionStatus.ELLIPTIC_EXCLUDED, notes=(
+            f"negative definite of rank {cfg.n} > 21 cannot embed in "
+            "the Picard lattice of any such surface",
+        ))
     if kind is SpanKind.PARABOLIC:
-        return ExclusionVerdict(
-            ExclusionStatus.PARABOLIC_FIBRATION,
-            notes=(
-                "negative semi-definite: the curves are fiber components of "
-                "a genus-one fibration; counts are bounded by the fiber "
-                "budget, independently of the degree",
-            ),
-        )
-    return ExclusionVerdict(
-        ExclusionStatus.INVALID_EXCLUDED,
-        notes=(
-            "two independent positive directions violate the Hodge "
-            "index theorem on any surface",
-        ),
-    )
+        return ExclusionVerdict(ExclusionStatus.PARABOLIC_FIBRATION, notes=(
+            "negative semi-definite: the curves are fiber components of "
+            "a genus-one fibration; counts are bounded by the fiber "
+            "budget, independently of the degree",
+        ))
+    return ExclusionVerdict(ExclusionStatus.INVALID_EXCLUDED, notes=(
+        "two independent positive directions violate the Hodge "
+        "index theorem on any surface",
+    ))
 
 
 def _hyperbolic_verdict(

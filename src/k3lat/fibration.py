@@ -239,7 +239,8 @@ class SurfaceContext(namedtuple("SurfaceContext", "characteristic unirational ar
 
     The characteristic is 0 or a prime (below ``_PRIME_TEST_LIMIT``, where
     primality is decided exactly); the Artin invariant of a supersingular
-    surface lies in 1..10.  Both are ints, not bools, and ``unirational``
+    surface lies in 1..10, and only such surfaces, in positive
+    characteristic, have one.  Both are ints, not bools, and ``unirational``
     is a bool or None (unknown); anything else raises ``ValueError``.
     """
 
@@ -254,6 +255,8 @@ class SurfaceContext(namedtuple("SurfaceContext", "characteristic unirational ar
             raise ValueError(f"characteristic must be an int, 0 or a prime, got {p!r}")
         if sigma is not None and (type(sigma) is not int or not 1 <= sigma <= 10):
             raise ValueError(f"Artin invariant must be an int in 1..10, got {sigma!r}")
+        if sigma is not None and p == 0:
+            raise ValueError("an Artin invariant needs a positive characteristic (supersingular)")
         if self.unirational is not None and type(self.unirational) is not bool:
             raise ValueError(f"unirational must be a bool or None, got {self.unirational!r}")
         return self

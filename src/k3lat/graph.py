@@ -11,7 +11,6 @@ index theorem forbids inside the Picard lattice of a surface).
 from __future__ import annotations
 
 import enum
-from bisect import bisect
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -230,6 +229,10 @@ class LatticeClass(namedtuple("LatticeClass", "kind signature")):
         self._gram = _gram
         return self
 
+    def _replace(self, **fields) -> "LatticeClass":
+        # the named tuple's own copy is built by tuple.__new__, without _gram
+        return LatticeClass(*super()._replace(**fields), self._gram)
+
     @cached_property
     def positive_witness(self) -> tuple[Fraction, ...] | None:
         if self._gram is None:
@@ -280,39 +283,30 @@ def validate_pairings(cfg: CurveConfig, cls: LatticeClass) -> list[Violation]:
     if cls.kind is SpanKind.ELLIPTIC:
         for a, b, m in cfg.edge_items():
             if m > 1:
-                out.append(
-                    Violation(
-                        "elliptic-pair",
-                        (a, b),
-                        f"C.C' = {m} but a negative definite span forces C.C' in {{0,1}}",
-                        slack=Fraction(m - 1),
-                    )
-                )
+                out.append(Violation(
+                    "elliptic-pair", (a, b),
+                    f"C.C' = {m} but a negative definite span forces C.C' in {{0,1}}",
+                    slack=Fraction(m - 1),
+                ))
     elif cls.kind is SpanKind.PARABOLIC:
         for a, b, m in cfg.edge_items():
             if m > 2:
-                out.append(
-                    Violation(
-                        "parabolic-pair",
-                        (a, b),
-                        f"C.C' = {m} but a negative semi-definite span forces C.C' in {{0,1,2}}",
-                        slack=Fraction(m - 2),
-                    )
-                )
+                out.append(Violation(
+                    "parabolic-pair", (a, b),
+                    f"C.C' = {m} but a negative semi-definite span forces C.C' in {{0,1,2}}",
+                    slack=Fraction(m - 2),
+                ))
         for v in cfg.vertices:
             if v.square != 0:
                 continue
             for w in cfg.neighbors(v.id):
                 m = cfg.edge_mult(v.id, w)
-                out.append(
-                    Violation(
-                        "isotropic-orthogonal",
-                        (v.id, w),
-                        f"isotropic {v.id} meets {w} with D.C = {m}, "
-                        "but an isotropic class pairs to zero with every curve",
-                        slack=Fraction(m),
-                    )
-                )
+                out.append(Violation(
+                    "isotropic-orthogonal", (v.id, w),
+                    f"isotropic {v.id} meets {w} with D.C = {m}, "
+                    "but an isotropic class pairs to zero with every curve",
+                    slack=Fraction(m),
+                ))
     return out
 
 
@@ -375,16 +369,32 @@ class Final(tuple):
     __slots__ = ()
 
 
+def neighbour_masks(cfg: CurveConfig) -> list[int]:
+    """Per curve, the mask of its neighbours, curve ``v`` at bit ``n - 1 -
+    v`` as in :func:`connected_vertex_subsets`."""
+    n = cfg.n
+    return [sum(1 << (n - 1 - w) for w in row) for row in cfg.adjacency()]
+
+
+def mask_indices(mask: int, n: int) -> tuple[int, ...]:
+    """The increasing index tuple of the subset ``mask`` of ``n`` curves:
+    the one conversion from the masks of :func:`connected_vertex_subsets`,
+    whose binary digits list the curves in index order."""
+    return tuple(i for i, bit in enumerate(f"{mask:0{n}b}") if bit == "1")
+
+
 def connected_vertex_subsets(cfg: CurveConfig, max_size: int, grow, root, reach=None):
-    """Yield ``(subset, state)`` for every connected vertex subset of at
-    most ``max_size`` curves exactly once, as increasing index tuples in
-    canonical order (size, then index tuple).
+    """Yield ``(mask, state)`` for every connected vertex subset of at most
+    ``max_size`` curves exactly once, in canonical order (size, then index
+    tuple).  A subset travels as its bitmask, curve ``v`` at bit ``n - 1 -
+    v``, from enumeration to the caller; :func:`mask_indices` reads off its
+    index tuple.
 
     Level ``k + 1`` is the set of ``S + {u}`` over ``S`` in level ``k`` and
     ``u`` a neighbour of ``S``: every connected set loses a leaf of a
     spanning tree to a connected set one smaller, so these are exactly the
     connected subsets.  A subset's state is ``grow(parent_state, u,
-    subset)`` for one connected parent ``subset - {u}``: the first in
+    mask)`` for one connected parent ``mask - {u}``: the first in
     canonical order whose state is not None, else the last.  Singletons
     grow from ``root``, the state of the empty subset.  A step that returns
     :data:`CUT` drops the subset and everything grown from it, which loses
@@ -402,30 +412,27 @@ def connected_vertex_subsets(cfg: CurveConfig, max_size: int, grow, root, reach=
     two are held at a time, and the search ends at the first empty level,
     however large ``max_size`` is.
 
-    A level is keyed by bitmask, curve ``v`` at bit ``n - 1 - v``, so a
-    candidate child costs one ``|`` and one integer dict probe.  The
-    smallest curve in the symmetric difference of two subsets of one size
-    owns their highest differing bit, so within a level integer order,
-    largest first, is canonical order.  Each subset carries the mask of its
-    neighbourhood, a child's being its parent's ``| nbrs[u]``, and its
-    index tuple is built once, when the child is first reached.
+    The smallest curve in the symmetric difference of two subsets of one
+    size owns their highest differing bit, so within a level integer
+    order, largest first, is canonical order.  Each subset carries the mask
+    of its neighbourhood, a child's being its parent's ``| nbrs[u]``.
     """
     n = cfg.n
-    nbrs = [sum(1 << (n - 1 - w) for w in row) for row in cfg.adjacency()]
-    # mask -> (parent state, u, subset, neighbours of the subset)
-    grown = {1 << (n - 1 - u): (root, u, (u,), nbrs[u]) for u in range(n)}
+    nbrs = neighbour_masks(cfg)
+    # mask -> (parent state, u, neighbours of the subset)
+    grown = {1 << (n - 1 - u): (root, u, nbrs[u]) for u in range(n)}
     for size in range(1, max_size + 1):
         level = []
-        for mask, (parent, u, subset, frontier) in sorted(grown.items(), reverse=True):
-            state = grow(parent, u, subset)
+        last = size == max_size
+        for mask in sorted(grown, reverse=True):
+            parent, u, frontier = grown[mask]
+            state = grow(parent, u, mask)
             if state is not CUT:
-                if type(state) is not Final:
-                    level.append((mask, subset, frontier, state))
-                yield subset, state
-        if size == max_size:
-            return
+                if not last and type(state) is not Final:
+                    level.append((mask, frontier, state))
+                yield mask, state
         grown = {}
-        for mask, subset, frontier, state in level:
+        for mask, frontier, state in level:
             new = frontier & ~mask
             if reach and (tips := reach(state)) is not None:
                 new = reduce(or_, [nbrs[v] for v in tips], 0) & ~mask
@@ -436,12 +443,9 @@ def connected_vertex_subsets(cfg: CurveConfig, max_size: int, grow, root, reach=
                 old = grown.get(child)
                 if old is None:
                     u = n - bit.bit_length()
-                    i = bisect(subset, u)
-                    grown[child] = (
-                        state, u, subset[:i] + (u,) + subset[i:], frontier | nbrs[u]
-                    )
+                    grown[child] = (state, u, frontier | nbrs[u])
                 elif old[0] is None:
-                    grown[child] = (state, n - bit.bit_length(), old[2], old[3])
+                    grown[child] = (state, n - bit.bit_length(), old[2])
         if not grown:
             return
 
@@ -480,47 +484,32 @@ def hodge_filter(cfg: CurveConfig, d: int, h: int) -> list[Violation]:
     for v in cfg.vertices:
         cap = Fraction(v.degree * v.degree, 2 * h)
         if Fraction(v.square) > cap:
-            out.append(
-                Violation(
-                    "square-bound",
-                    (v.id,),
-                    f"C^2 = {v.square} exceeds (C.H)^2/H^2 = {cap}",
-                    slack=Fraction(v.square) - cap,
-                )
-            )
+            out.append(Violation(
+                "square-bound", (v.id,), f"C^2 = {v.square} exceeds (C.H)^2/H^2 = {cap}",
+                slack=Fraction(v.square) - cap,
+            ))
     for a, b, m in cfg.edge_items():
         va, vb = cfg.vertex(a), cfg.vertex(b)
         bezout = va.degree * vb.degree
         if m > bezout:
-            out.append(
-                Violation(
-                    "pair-bezout",
-                    (a, b),
-                    f"C.C' = {m} exceeds d_C d_C' = {bezout}",
-                    slack=Fraction(m - bezout),
-                )
-            )
+            out.append(Violation(
+                "pair-bezout", (a, b), f"C.C' = {m} exceeds d_C d_C' = {bezout}",
+                slack=Fraction(m - bezout),
+            ))
         if va.square >= 0 and vb.square >= 0:
             cap = Fraction(bezout, h)
             if Fraction(m) > cap:
-                out.append(
-                    Violation(
-                        "isotropic-pair",
-                        (a, b),
-                        f"C.C' = {m} exceeds d_C d_C'/h = {cap}; at this degree "
-                        "two isotropic curves must be fibres of one fibration, "
-                        "hence orthogonal",
-                        slack=Fraction(m) - cap,
-                    )
-                )
+                out.append(Violation(
+                    "isotropic-pair", (a, b),
+                    f"C.C' = {m} exceeds d_C d_C'/h = {cap}; at this degree "
+                    "two isotropic curves must be fibres of one fibration, "
+                    "hence orthogonal",
+                    slack=Fraction(m) - cap,
+                ))
         if va.square == -2 and vb.square == -2 and h > 42 * d * d and m > 2:
-            out.append(
-                Violation(
-                    "pair-cap",
-                    (a, b),
-                    f"C.C' = {m} > 2 between (-2)-curves is impossible for "
-                    f"h > 42 d^2",
-                    slack=Fraction(m - 2),
-                )
-            )
+            out.append(Violation(
+                "pair-cap", (a, b),
+                f"C.C' = {m} > 2 between (-2)-curves is impossible for h > 42 d^2",
+                slack=Fraction(m - 2),
+            ))
     return out

@@ -197,10 +197,13 @@ def _diagram_step(cfg: CurveConfig):
     path, the double edge and D~n (n > 4).  Having a positive direction is
     monotone, so the cut loses nothing, and a final subset needs no step:
     all its connected supergraphs are indefinite.  The step reads the
-    edges only; squares are left to :func:`_confirmed`.
+    edges only; squares are left to :func:`_confirmed`.  A subset comes as
+    its mask (:func:`~k3lat.graph.connected_vertex_subsets`), and each
+    curve's membership is one test of its precomputed bit.
     """
     adj = cfg.adjacency()
     ids = cfg.ids()
+    bits = [1 << (len(ids) - 1 - v) for v in range(len(ids))]
 
     def named(curves):
         return tuple(ids[v] for v in curves)
@@ -211,8 +214,8 @@ def _diagram_step(cfg: CurveConfig):
             return centre, arms
         return Final(("star", ids[centre], tuple(map(named, arms)))) if sign == 0 else CUT
 
-    def grow(state, u, subset):
-        hits = {(w, m) for w, m in adj[u].items() if w in subset}
+    def grow(state, u, mask):
+        hits = {(w, m) for w, m in adj[u].items() if bits[w] & mask}
         if not hits:
             return u, ()
         centre, arms = state
@@ -279,11 +282,11 @@ def recognize_component(cfg: CurveConfig, ids: tuple[str, ...]) -> RootComponent
     Returns None for anything that is not an ADE diagram, an affine
     extension, a double-edge pair, or an isolated isotropic vertex, and for
     ids that are not connected.  :func:`_diagram_step` is grown over the
-    curves breadth first from the least index, and :func:`_component`
-    names the diagram it ends in and confirms it.  Repeated ids are read as
-    their set, except that a lone curve or a pair meeting twice is
-    recognised only from its ids without repeats.  Work is proportional to
-    the subset and its neighbourhood.  An id not in ``cfg`` raises the
+    curves breadth first from the least index, on the mask of the curves
+    grown so far, and :func:`_component` names the diagram it ends in and
+    confirms it.  Repeated ids are read as their set, except that a lone
+    curve or a pair meeting twice is recognised only from its ids without
+    repeats.  Work is proportional to the subset and its neighbourhood.  An id not in ``cfg`` raises the
     ``ValueError`` of :meth:`CurveConfig.induced`.
     """
     try:
@@ -299,24 +302,25 @@ def recognize_component(cfg: CurveConfig, ids: tuple[str, ...]) -> RootComponent
         return None
     if len(members) < 2:
         return None
-    adj = cfg.adjacency()
+    adj, n = cfg.adjacency(), cfg.n
     step = _diagram_step(cfg)
     order = [min(members)]
-    grown = set(order)
+    grown = 1 << (n - 1 - order[0])
     state = step(None, order[0], grown)
     for v in order:
         for u in adj[v]:
-            if u in members and u not in grown:
+            bit = 1 << (n - 1 - u)
+            if u in members and not grown & bit:
                 if type(state) is Final:
                     # every connected supergraph of an affine diagram is
                     # indefinite
                     return None
-                grown.add(u)
+                grown |= bit
                 state = step(state, u, grown)
                 if state is CUT:
                     return None
                 order.append(u)
-    if len(grown) < len(members):
+    if len(order) < len(members):
         return None
     if type(state) is not Final:
         centre, arms = state

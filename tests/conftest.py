@@ -87,6 +87,19 @@ def i4_fibres_with_section(fibres=6):
     return fibres_with_section(fibres, 4)
 
 
+def indices(mask, n):
+    """The increasing index tuple of the subset ``mask`` of ``n`` curves,
+    curve ``v`` at bit ``n - 1 - v``: the tests' own reading of the masks
+    that the connected-subset enumerator yields."""
+    return tuple(v for v in range(n) if mask >> (n - 1 - v) & 1)
+
+
+def mask_of(subset, n):
+    """The mask of the index tuple ``subset`` of ``n`` curves, the inverse
+    of :func:`indices`."""
+    return sum(1 << (n - 1 - v) for v in subset)
+
+
 def recorded_steps(monkeypatch, module):
     """Every result the connected-subset enumerator gets from its step while
     ``module`` uses it, in call order: the returned list fills as the
@@ -95,8 +108,8 @@ def recorded_steps(monkeypatch, module):
     results = []
 
     def recording(cfg, max_size, grow, root, reach=None):
-        def step(parent, u, subset):
-            state = grow(parent, u, subset)
+        def step(parent, u, mask):
+            state = grow(parent, u, mask)
             results.append(state)
             return state
 

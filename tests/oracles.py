@@ -81,7 +81,6 @@ from k3lat.graph import (
     QuotientProjection,
     SpanKind,
     classify,
-    connected_vertex_subsets,
     integer_gram,
 )
 from k3lat.kodaira import KodairaDivisor, _divisor_from_component
@@ -1055,8 +1054,9 @@ def find_kodaira_divisors_reference(
     roots_only = cfg.induced([v.id for v in cfg.vertices if v.square == -2])
     # weight >= support size for every type, so size-capped enumeration
     # cannot miss a divisor under the weight cap; the empty subset's shape
-    # state is all zeros
-    for subset, _ in connected_vertex_subsets(
+    # state is all zeros, and the tuple-keyed enumerator hands each step its
+    # subset as an index tuple
+    for subset, _ in tuple_keyed_subsets_reference(
         roots_only, min(cap, roots_only.n), _shape_prune(roots_only), (0, 0, 0, 0)
     ):
         ids = tuple(roots_only.vertices[i].id for i in subset)

@@ -49,7 +49,9 @@ from conftest import (
     d6tilde_plus_three,
     i3star_four_sections,
     i4_fibres_with_section,
+    indices,
     ivstar_three_a2,
+    mask_of,
     recorded_steps,
 )
 from oracles import (
@@ -658,8 +660,10 @@ def test_verify_certificate_rejects_forgery_under_optimize():
 
 def _sweep(cfg, cap):
     # a pass that prunes nothing: its least bound so far stays 1/0.  It
-    # yields (subset, state), each state None or a pair (order, entry)
-    return _adjugate_sweep(cfg, graph.integer_gram(cfg, range(cfg.n)), cap, [1, 0])
+    # yields (subset, state), each subset read off its mask as an index
+    # tuple and each state None or a pair (order, entry)
+    sweep = _adjugate_sweep(cfg, graph.integer_gram(cfg, range(cfg.n)), cap, [1, 0])
+    return ((indices(mask, cfg.n), state) for mask, state in sweep)
 
 
 def test_sweep_fallback_only_off_the_diagonal(monkeypatch):
@@ -846,6 +850,80 @@ def test_exclude_sweep_computes_each_shared_state_once(monkeypatch):
     exclude(i4_fibres_with_section(), 1, 11, subgraph_cap=6)
     assert (len(steps), sum(state is None for state in steps)) == (1257, 81)
     assert len(computed) == 38
+
+
+@pytest.mark.parametrize(
+    "cap, subsets, degenerate, computed, last, bound",
+    [
+        (9, 13118, 511, 340, (2432, 192), Fraction(38, 3)),
+        (11, 40941, 781, 1208, (6400, 512), Fraction(25, 2)),
+    ],
+)
+def test_stress_sweep_counts_are_pinned(
+    monkeypatch, cap, subsets, degenerate, computed, last, bound
+):
+    # 6xI4 plus a zero section beyond the cap-6 pins: one pass visits as
+    # many subsets, finds as many degenerate, computes as many bordered
+    # updates and ends on the same last record as the sweep whose column b
+    # was scanned off the whole order of the parent; counts that do not
+    # vary between runs
+    cfg = i4_fibres_with_section()
+    calls = []
+    real = bounds._border
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(bounds, "_border", spy)
+    g = graph.integer_gram(cfg, range(cfg.n))
+    states = [state for _, state in _adjugate_sweep(cfg, g, cap, [1, 0])]
+    assert (len(states), states.count(None), len(calls)) == (subsets, degenerate, computed)
+    subset, total, den = list(sweep_records(cfg, cap))[-1]
+    assert ((total, den), Fraction(total, den), len(subset)) == (last, bound, cap)
+
+
+@pytest.mark.parametrize(
+    "cfg, cap",
+    [
+        (i4_fibres_with_section(), 6),
+        # two square-0 curves meeting once: both singletons are degenerate
+        (config_from_data([("a", 0, 1), ("b", 0, 1)], [("a", "b")]), 2),
+        # a section meeting five fibre components, whose whole set has only
+        # degenerate connected parents
+        (config_from_data(
+            [("s", -2, 1)] + [(f"c{i}", -2, 1) for i in range(5)],
+            [("s", f"c{i}") for i in range(5)],
+        ), 6),
+    ],
+)
+def test_sweep_builds_an_index_tuple_per_record_and_elimination_only(monkeypatch, cfg, cap):
+    # a full sweep reads a subset's index tuple off its mask once for each
+    # record it yields and once for each subset it eliminates from scratch,
+    # and never once per subset; the fibre search reads none
+    converted, scratch = [], []
+    real_indices, real_bordered = graph.mask_indices, bounds._bordered
+
+    def indices_spy(mask, n):
+        converted.append(mask)
+        return real_indices(mask, n)
+
+    def bordered_spy(g, nbrs, cap, states, best, parent, u, mask):
+        if parent is None:
+            scratch.append(mask)
+        return real_bordered(g, nbrs, cap, states, best, parent, u, mask)
+
+    for module in (graph, bounds, roots, kodaira):
+        if hasattr(module, "mask_indices"):
+            monkeypatch.setattr(module, "mask_indices", indices_spy)
+    monkeypatch.setattr(bounds, "_bordered", bordered_spy)
+    steps = recorded_steps(monkeypatch, bounds)
+    records = list(sweep_records(cfg, cap))
+    assert records and len(converted) == len(records) + len(scratch) < len(steps)
+    assert Counter(converted) == Counter(scratch + [mask_of(r[0], cfg.n) for r in records])
+    converted.clear()
+    kodaira.find_kodaira_divisors(cfg)
+    assert converted == []
 
 
 def test_exclude_builds_the_whole_gram_matrix_once(monkeypatch):
@@ -1101,11 +1179,11 @@ def test_sweep_records_skip_only_what_cannot_win_hypothesis(data):
     real = bounds._adjugate_sweep
 
     def spy(cfg, g, cap, best):
-        for subset, state in real(cfg, g, cap, best):
+        for mask, state in real(cfg, g, cap, best):
             entry = state and state[1]
             if entry is not None and entry.n_plus == 1 and entry.total is None:
-                skipped.append((subset, Fraction(best[0], best[1])))
-            yield subset, state
+                skipped.append((indices(mask, cfg.n), Fraction(best[0], best[1])))
+            yield mask, state
 
     with mock.patch.object(bounds, "_adjugate_sweep", spy):
         assert _records(cfg, cap) == _unpruned_records(cfg, cap)
@@ -1186,9 +1264,9 @@ def test_nodal_fibres_sweep_stops_at_the_rank(monkeypatch, d):
     # H.C = d on every curve and H^2 = 4 d^2, so the bound is sharp
     real = bounds._bordered
 
-    def spy(g, cap, states, best, parent, u, subset):
-        assert len(subset) <= 2
-        return real(g, cap, states, best, parent, u, subset)
+    def spy(g, nbrs, cap, states, best, parent, u, mask):
+        assert mask.bit_count() <= 2
+        return real(g, nbrs, cap, states, best, parent, u, mask)
 
     monkeypatch.setattr(bounds, "_bordered", spy)
     cfg = _nodal_fibres(d)

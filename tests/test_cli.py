@@ -353,7 +353,8 @@ def test_sd_bound_unsupported(capsys):
 @pytest.mark.parametrize(
     "argv",
     [("--char", "4"), ("--char", "1"), ("--char", "3", "--sigma", "11"),
-     ("--char", "3", "--sigma", "0"), ("--char", "3", "--sigma", "-4")],
+     ("--char", "3", "--sigma", "0"), ("--char", "3", "--sigma", "-4"),
+     ("--char", "0", "--sigma", "3")],
 )
 def test_sd_bound_rejects_impossible_hypotheses(capsys, argv):
     rc, out, err = run(capsys, "sd-bound", *argv)

@@ -225,6 +225,18 @@ def test_surface_context_rejects_artin_invariant_out_of_range(sigma):
         SurfaceContext(characteristic=3, artin_invariant=sigma)
 
 
+def test_surface_context_rejects_artin_invariant_in_characteristic_0():
+    # only supersingular surfaces have an Artin invariant, and they exist
+    # only in positive characteristic; sd_bound read sigma = 3 at p = 0 as
+    # a plain characteristic-0 surface
+    for sigma in (1, 3, 10):
+        with pytest.raises(ValueError, match="positive characteristic"):
+            SurfaceContext(characteristic=0, artin_invariant=sigma)
+        with pytest.raises(ValueError, match="positive characteristic"):
+            SurfaceContext(characteristic=3, artin_invariant=sigma)._replace(characteristic=0)
+    assert SurfaceContext(characteristic=0).artin_invariant is None
+
+
 def _accepts_characteristic(p):
     try:
         SurfaceContext(characteristic=p)

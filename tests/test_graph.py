@@ -30,6 +30,7 @@ from k3lat.graph import (
 )
 from k3lat.kodaira import exclusion_6d, find_kodaira_divisors
 
+from conftest import indices, mask_of
 from oracles import (
     apply,
     connected_subsets_reference,
@@ -279,6 +280,21 @@ def test_lattice_class_is_its_kind_and_signature(monkeypatch):
     assert calls == [False, True]
 
 
+def test_lattice_class_replace_keeps_its_gram_matrix():
+    # a named tuple's own _replace builds its copy without the kept Gram
+    # matrix, and the copy's witness raised AttributeError
+    cfg = config_from_data([("a", -2), ("b", 2)], [("a", "b", 2)])
+    cls = classify(cfg)
+    copy = cls._replace(kind=SpanKind.INVALID)
+    assert type(copy) is LatticeClass
+    assert copy == LatticeClass(SpanKind.INVALID, cls.signature)
+    assert copy.positive_witness == cls.positive_witness
+    assert quadratic_form(gram(cfg), copy.positive_witness) > 0
+    assert cls._replace() == cls and cls._replace().positive_witness == cls.positive_witness
+    bare = LatticeClass(SpanKind.ELLIPTIC, Signature(0, 1, 0))
+    assert bare._replace(signature=Signature(0, 2, 0)).positive_witness is None
+
+
 def test_validate_pairings_elliptic_clean():
     cfg = config_from_data([("a", -2), ("b", -2)], [("a", "b", 1)])
     assert validate_pairings(cfg, classify(cfg)) == []
@@ -415,12 +431,24 @@ def _no_state(parent, u, subset):
     return None
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=70).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=(1 << n) - 1))
+))
+def test_mask_indices_reads_each_curve_off_its_bit(case):
+    # the enumerator's masks put curve v at bit n - 1 - v, with leading
+    # zero bits for the first curves
+    n, mask = case
+    assert graph.mask_indices(mask, n) == indices(mask, n)
+    assert mask_of(graph.mask_indices(mask, n), n) == mask
+
+
 def test_connected_subsets_no_duplicates_and_complete():
     cfg = config_from_data(
         [(f"v{i}", -2) for i in range(5)],
         [("v0", "v1"), ("v1", "v2"), ("v2", "v3"), ("v3", "v0"), ("v3", "v4")],
     )
-    subs = [s for s, _ in connected_vertex_subsets(cfg, 5, _no_state, None)]
+    subs = [indices(m, cfg.n) for m, _ in connected_vertex_subsets(cfg, 5, _no_state, None)]
     assert len(subs) == len(set(subs))
     assert sorted(subs) == sorted(_brute_connected_subsets(cfg, 5))
 
@@ -454,7 +482,8 @@ def test_connected_subsets_match_brute_force(data):
     states = {(): "root"}
     grown = []
 
-    def grow(parent, u, subset):
+    def grow(parent, u, mask):
+        subset = indices(mask, n)
         rest = tuple(x for x in subset if x != u)
         assert u in subset and rest in states
         grown.append(subset)
@@ -471,7 +500,8 @@ def test_connected_subsets_match_brute_force(data):
         return None if w % 3 == 0 else w
 
     out = []
-    for subset, state in connected_vertex_subsets(cfg, max_size, grow, "root"):
+    for mask, state in connected_vertex_subsets(cfg, max_size, grow, "root"):
+        subset = indices(mask, n)
         assert state == (None if weight(subset) % 3 == 0 else weight(subset))
         states[subset] = state
         out.append(subset)
@@ -486,12 +516,14 @@ def _final_search(cfg, max_size, is_final):
     of the largest subset it stepped."""
     levels = 0
 
-    def grow(parent, u, subset):
+    def grow(parent, u, mask):
         nonlocal levels
+        subset = indices(mask, cfg.n)
         levels = max(levels, len(subset))
         return Final((subset,)) if is_final(subset) else subset
 
-    return list(connected_vertex_subsets(cfg, max_size, grow, None)), levels
+    out = connected_vertex_subsets(cfg, max_size, grow, None)
+    return [(indices(mask, cfg.n), state) for mask, state in out], levels
 
 
 def test_connected_subsets_skip_what_only_final_subsets_reach():
@@ -559,10 +591,12 @@ def test_connected_subsets_match_tuple_keyed_reference(data):
     degenerate = data.draw(st.integers(min_value=2, max_value=5))
     final = data.draw(st.integers(min_value=2, max_value=7))
 
-    def run(enumerate_subsets):
+    def run(enumerate_subsets, read):
+        # read: the subset's index tuple from what the enumerator passes
         calls = []
 
-        def grow(parent, u, subset):
+        def grow(parent, u, key):
+            subset = read(key)
             calls.append((parent, u, subset))
             w = sum(weights[i] for i in subset)
             if limit is not None and w > limit:
@@ -572,12 +606,14 @@ def test_connected_subsets_match_tuple_keyed_reference(data):
             return Final((subset,)) if w % final == 0 else subset
 
         out = [
-            (subset, state, type(state))
-            for subset, state in enumerate_subsets(cfg, max_size, grow, "root")
+            (read(key), state, type(state))
+            for key, state in enumerate_subsets(cfg, max_size, grow, "root")
         ]
         return calls, out
 
-    assert run(connected_vertex_subsets) == run(tuple_keyed_subsets_reference)
+    assert run(connected_vertex_subsets, lambda mask: indices(mask, n)) == run(
+        tuple_keyed_subsets_reference, lambda subset: subset
+    )
 
 
 @settings(max_examples=60, deadline=None)

@@ -22,7 +22,14 @@ from k3lat.kodaira import (
 )
 from k3lat.roots import _component, _diagram_reach, _diagram_step, standard_diagram
 
-from conftest import ALL_KINDS, fibres_with_section, i4_fibres_with_section, recorded_steps
+from conftest import (
+    ALL_KINDS,
+    fibres_with_section,
+    i4_fibres_with_section,
+    indices,
+    mask_of,
+    recorded_steps,
+)
 from oracles import (
     apply,
     connected_subsets_reference,
@@ -290,7 +297,7 @@ def _assert_step_cuts_exactly_the_indefinite(cfg):
     # with the component its skeleton names equal to the recognised one;
     # a final parent grows nothing, since all its children are indefinite
     step = _diagram_step(cfg)
-    kept = dict(connected_vertex_subsets(cfg, cfg.n, step, None))
+    kept = dict(_searched(cfg, step))
     kept[()] = None
     sig = {(): (0, 0, 0)}
     for subset in connected_subsets_reference(cfg, cfg.n):
@@ -306,7 +313,7 @@ def _assert_step_cuts_exactly_the_indefinite(cfg):
             if type(kept[parent]) is Final:
                 assert n_plus > 0, (parent, u)
                 continue
-            state = step(kept[parent], u, subset)
+            state = step(kept[parent], u, mask_of(subset, cfg.n))
             assert (state is CUT) == (n_plus > 0 or sig[parent][2] > 0), (parent, u)
             if state is not CUT:
                 assert (type(state) is Final) == (n_zero > 0), (parent, u)
@@ -314,6 +321,13 @@ def _assert_step_cuts_exactly_the_indefinite(cfg):
                 ids = tuple(cfg.vertices[i].id for i in subset)
                 comp = _component(cfg, state)
                 assert comp is not None and comp == recognize_component_reference(cfg, ids), subset
+
+
+def _searched(cfg, step, reach=None):
+    # the (subset, state) pairs the search yields, in order, each subset
+    # read off its mask as an index tuple
+    found = connected_vertex_subsets(cfg, cfg.n, step, None, reach)
+    return [(indices(mask, cfg.n), state) for mask, state in found]
 
 
 def _roots_config(n, edges):
@@ -336,7 +350,7 @@ def _roots_config(n, edges):
 def test_shape_prune_on_branched_trees(edges):
     n = 1 + max(j for _, j in edges)
     cfg = _roots_config(n, dict.fromkeys(edges, 1))
-    kept = dict(connected_vertex_subsets(cfg, n, _diagram_step(cfg), None))
+    kept = dict(_searched(cfg, _diagram_step(cfg)))
     assert tuple(range(n)) not in kept
     _assert_step_cuts_exactly_the_indefinite(cfg)
 
@@ -376,14 +390,14 @@ def _assert_reach_is_exact(cfg):
     # where it allows yields the same subsets with the same states, and so
     # the same components, as growing from every curve
     step, adj = _diagram_step(cfg), cfg.adjacency()
-    full = list(connected_vertex_subsets(cfg, cfg.n, step, None))
+    full = _searched(cfg, step)
     for subset, state in full:
         tips = None if type(state) is Final else _diagram_reach(state)
         if tips is not None:
             near = {w for v in subset for w in adj[v]} - set(subset)
             for u in near - {w for v in tips for w in adj[v]}:
-                assert step(state, u, tuple(sorted(subset + (u,)))) is CUT, (subset, u)
-    reached = list(connected_vertex_subsets(cfg, cfg.n, step, None, _diagram_reach))
+                assert step(state, u, mask_of(subset + (u,), cfg.n)) is CUT, (subset, u)
+    reached = _searched(cfg, step, _diagram_reach)
     assert reached == full
     finals = [state for _, state in reached if type(state) is Final]
     assert [_component(cfg, s) for s in finals] == [_component(cfg, s) for _, s in full if type(s) is Final]
