@@ -79,6 +79,7 @@ from .graph import (
     check_caps,
     classify,
     connected_vertex_subsets,
+    curve_bits,
     integer_gram,
     mask_indices,
     neighbour_masks,
@@ -431,13 +432,14 @@ _UNSEEN = object()
 
 
 def _bordered(
-    g: list[list[int]], nbrs: list[int], cap: int, states: dict, best: list,
-    parent: tuple | None, u: int, mask: int,
+    g: list[list[int]], nbrs: list[int], curve_of: dict[int, int], cap: int,
+    states: dict, best: list, parent: tuple | None, u: int, mask: int,
 ) -> tuple[tuple[int, ...], _Adjugate] | None:
     """The sweep state ``(order, entry)`` of the subset ``mask``, which is
     ``parent + {u}``, or None when it is degenerate; ``g`` is the Gram
     matrix of the whole configuration, ``nbrs`` its neighbour masks
-    (:func:`~k3lat.graph.neighbour_masks`) and ``best`` the least bound so
+    (:func:`~k3lat.graph.neighbour_masks`), ``curve_of`` the curve of each
+    bit (:func:`~k3lat.graph.curve_bits`) and ``best`` the least bound so
     far (:func:`_may_win`).  ``entry`` is the :class:`_Adjugate` that the
     level's table holds for the subset's class, and ``order`` lists the
     subset's curves in the order its rows follow, or is ``()`` for a
@@ -445,10 +447,10 @@ def _bordered(
 
     The entry depends only on the parent's Gram matrix in its order, the
     column ``b`` of ``u`` over that order (its nonzero ``(position,
-    multiplicity)`` pairs) and the square ``c`` of ``u``.  The curves that
-    ``u`` meets in the subset are the bits of ``nbrs[u] & mask``, so ``b``
-    of a single one is its position in ``order``; several, or none (a
-    singleton, whose parent's order is empty), take a scan of the order.  ``states``, the table of one level, keeps what
+    multiplicity)`` pairs) and the square ``c`` of ``u``.  When ``u`` meets
+    a single curve of the subset, ``nbrs[u] & mask`` is that curve's bit
+    and ``b`` its one position in ``order``; otherwise ``b`` is read by a
+    scan of ``order``.  ``states``, the table of one level, keeps what
     :func:`_border` computes under ``(parent class, b, c)``, and every
     subset of that class holds it.  A class is the table's size before its
     entry is stored, so subsets of one level share a class only when their
@@ -470,12 +472,11 @@ def _bordered(
         return ((), entry) if leaf else (subset, entry)
     order, parent = parent
     col = g[u]
-    hits = nbrs[u] & mask
-    if hits and not hits & (hits - 1):
-        w = len(g) - hits.bit_length()
-        b = ((order.index(w), col[w]),)
-    else:
+    w = curve_of.get(nbrs[u] & mask)
+    if w is None:
         b = tuple([(i, col[v]) for i, v in enumerate(order) if col[v]])
+    else:
+        b = ((order.index(w), col[w]),)
     key = parent.cls, b, col[u]
     entry = states.get(key, _UNSEEN)
     if entry is _UNSEEN:
@@ -545,13 +546,14 @@ def _adjugate_sweep(cfg: CurveConfig, g: list[list[int]], cap: int, best: list):
     states: dict = {}
     size = 0
     nbrs = neighbour_masks(cfg)
+    curve_of = {bit: v for v, bit in enumerate(curve_bits(cfg.n))}
 
     def step(parent, u, mask):
         nonlocal size
         if mask.bit_count() != size:
             states.clear()
             size = mask.bit_count()
-        return _bordered(g, nbrs, cap, states, best, parent, u, mask)
+        return _bordered(g, nbrs, curve_of, cap, states, best, parent, u, mask)
 
     return connected_vertex_subsets(cfg, cap, step, ((), _Adjugate(1, [], 0, [])))
 
@@ -715,25 +717,38 @@ def exclude_all(
 
 def _span_verdict(cfg: CurveConfig, kind: SpanKind) -> ExclusionVerdict:
     """The verdict on a span that is not hyperbolic, which needs no sweep."""
-    if kind is SpanKind.ELLIPTIC and cfg.n <= 21:
-        return ExclusionVerdict(ExclusionStatus.ELLIPTIC_ADMISSIBLE, notes=(
-            f"negative definite with {cfg.n} <= 21 curves; admissible for every degree",
-        ))
     if kind is SpanKind.ELLIPTIC:
-        return ExclusionVerdict(ExclusionStatus.ELLIPTIC_EXCLUDED, notes=(
-            f"negative definite of rank {cfg.n} > 21 cannot embed in "
-            "the Picard lattice of any such surface",
-        ))
+        if cfg.n <= 21:
+            return ExclusionVerdict(
+                ExclusionStatus.ELLIPTIC_ADMISSIBLE,
+                notes=(
+                    f"negative definite with {cfg.n} <= 21 curves; "
+                    "admissible for every degree",
+                ),
+            )
+        return ExclusionVerdict(
+            ExclusionStatus.ELLIPTIC_EXCLUDED,
+            notes=(
+                f"negative definite of rank {cfg.n} > 21 cannot embed in "
+                "the Picard lattice of any such surface",
+            ),
+        )
     if kind is SpanKind.PARABOLIC:
-        return ExclusionVerdict(ExclusionStatus.PARABOLIC_FIBRATION, notes=(
-            "negative semi-definite: the curves are fiber components of "
-            "a genus-one fibration; counts are bounded by the fiber "
-            "budget, independently of the degree",
-        ))
-    return ExclusionVerdict(ExclusionStatus.INVALID_EXCLUDED, notes=(
-        "two independent positive directions violate the Hodge "
-        "index theorem on any surface",
-    ))
+        return ExclusionVerdict(
+            ExclusionStatus.PARABOLIC_FIBRATION,
+            notes=(
+                "negative semi-definite: the curves are fiber components of "
+                "a genus-one fibration; counts are bounded by the fiber "
+                "budget, independently of the degree",
+            ),
+        )
+    return ExclusionVerdict(
+        ExclusionStatus.INVALID_EXCLUDED,
+        notes=(
+            "two independent positive directions violate the Hodge "
+            "index theorem on any surface",
+        ),
+    )
 
 
 def _hyperbolic_verdict(

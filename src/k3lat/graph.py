@@ -283,30 +283,39 @@ def validate_pairings(cfg: CurveConfig, cls: LatticeClass) -> list[Violation]:
     if cls.kind is SpanKind.ELLIPTIC:
         for a, b, m in cfg.edge_items():
             if m > 1:
-                out.append(Violation(
-                    "elliptic-pair", (a, b),
-                    f"C.C' = {m} but a negative definite span forces C.C' in {{0,1}}",
-                    slack=Fraction(m - 1),
-                ))
+                out.append(
+                    Violation(
+                        "elliptic-pair",
+                        (a, b),
+                        f"C.C' = {m} but a negative definite span forces C.C' in {{0,1}}",
+                        slack=Fraction(m - 1),
+                    )
+                )
     elif cls.kind is SpanKind.PARABOLIC:
         for a, b, m in cfg.edge_items():
             if m > 2:
-                out.append(Violation(
-                    "parabolic-pair", (a, b),
-                    f"C.C' = {m} but a negative semi-definite span forces C.C' in {{0,1,2}}",
-                    slack=Fraction(m - 2),
-                ))
+                out.append(
+                    Violation(
+                        "parabolic-pair",
+                        (a, b),
+                        f"C.C' = {m} but a negative semi-definite span forces C.C' in {{0,1,2}}",
+                        slack=Fraction(m - 2),
+                    )
+                )
         for v in cfg.vertices:
             if v.square != 0:
                 continue
             for w in cfg.neighbors(v.id):
                 m = cfg.edge_mult(v.id, w)
-                out.append(Violation(
-                    "isotropic-orthogonal", (v.id, w),
-                    f"isotropic {v.id} meets {w} with D.C = {m}, "
-                    "but an isotropic class pairs to zero with every curve",
-                    slack=Fraction(m),
-                ))
+                out.append(
+                    Violation(
+                        "isotropic-orthogonal",
+                        (v.id, w),
+                        f"isotropic {v.id} meets {w} with D.C = {m}, "
+                        "but an isotropic class pairs to zero with every curve",
+                        slack=Fraction(m),
+                    )
+                )
     return out
 
 
@@ -369,26 +378,30 @@ class Final(tuple):
     __slots__ = ()
 
 
+def curve_bits(n: int) -> list[int]:
+    """The bit of each of ``n`` curves in the mask of a subset, curve ``v``
+    at bit ``n - 1 - v``, so that a mask's binary digits list its curves in
+    index order.  Other modules test and invert masks through this list."""
+    return [1 << (n - 1 - v) for v in range(n)]
+
+
 def neighbour_masks(cfg: CurveConfig) -> list[int]:
-    """Per curve, the mask of its neighbours, curve ``v`` at bit ``n - 1 -
-    v`` as in :func:`connected_vertex_subsets`."""
-    n = cfg.n
-    return [sum(1 << (n - 1 - w) for w in row) for row in cfg.adjacency()]
+    """Per curve, the mask (:func:`curve_bits`) of its neighbours."""
+    bits = curve_bits(cfg.n)
+    return [sum([bits[w] for w in row]) for row in cfg.adjacency()]
 
 
 def mask_indices(mask: int, n: int) -> tuple[int, ...]:
-    """The increasing index tuple of the subset ``mask`` of ``n`` curves:
-    the one conversion from the masks of :func:`connected_vertex_subsets`,
-    whose binary digits list the curves in index order."""
+    """The increasing index tuple of the subset ``mask`` of ``n`` curves
+    (:func:`curve_bits`)."""
     return tuple(i for i, bit in enumerate(f"{mask:0{n}b}") if bit == "1")
 
 
 def connected_vertex_subsets(cfg: CurveConfig, max_size: int, grow, root, reach=None):
     """Yield ``(mask, state)`` for every connected vertex subset of at most
     ``max_size`` curves exactly once, in canonical order (size, then index
-    tuple).  A subset travels as its bitmask, curve ``v`` at bit ``n - 1 -
-    v``, from enumeration to the caller; :func:`mask_indices` reads off its
-    index tuple.
+    tuple).  A subset travels as its mask (:func:`curve_bits`) from
+    enumeration to the caller.
 
     Level ``k + 1`` is the set of ``S + {u}`` over ``S`` in level ``k`` and
     ``u`` a neighbour of ``S``: every connected set loses a leaf of a
@@ -420,7 +433,7 @@ def connected_vertex_subsets(cfg: CurveConfig, max_size: int, grow, root, reach=
     n = cfg.n
     nbrs = neighbour_masks(cfg)
     # mask -> (parent state, u, neighbours of the subset)
-    grown = {1 << (n - 1 - u): (root, u, nbrs[u]) for u in range(n)}
+    grown = {bit: (root, u, nbrs[u]) for u, bit in enumerate(curve_bits(n))}
     for size in range(1, max_size + 1):
         level = []
         last = size == max_size
@@ -484,32 +497,47 @@ def hodge_filter(cfg: CurveConfig, d: int, h: int) -> list[Violation]:
     for v in cfg.vertices:
         cap = Fraction(v.degree * v.degree, 2 * h)
         if Fraction(v.square) > cap:
-            out.append(Violation(
-                "square-bound", (v.id,), f"C^2 = {v.square} exceeds (C.H)^2/H^2 = {cap}",
-                slack=Fraction(v.square) - cap,
-            ))
+            out.append(
+                Violation(
+                    "square-bound",
+                    (v.id,),
+                    f"C^2 = {v.square} exceeds (C.H)^2/H^2 = {cap}",
+                    slack=Fraction(v.square) - cap,
+                )
+            )
     for a, b, m in cfg.edge_items():
         va, vb = cfg.vertex(a), cfg.vertex(b)
         bezout = va.degree * vb.degree
         if m > bezout:
-            out.append(Violation(
-                "pair-bezout", (a, b), f"C.C' = {m} exceeds d_C d_C' = {bezout}",
-                slack=Fraction(m - bezout),
-            ))
+            out.append(
+                Violation(
+                    "pair-bezout",
+                    (a, b),
+                    f"C.C' = {m} exceeds d_C d_C' = {bezout}",
+                    slack=Fraction(m - bezout),
+                )
+            )
         if va.square >= 0 and vb.square >= 0:
             cap = Fraction(bezout, h)
             if Fraction(m) > cap:
-                out.append(Violation(
-                    "isotropic-pair", (a, b),
-                    f"C.C' = {m} exceeds d_C d_C'/h = {cap}; at this degree "
-                    "two isotropic curves must be fibres of one fibration, "
-                    "hence orthogonal",
-                    slack=Fraction(m) - cap,
-                ))
+                out.append(
+                    Violation(
+                        "isotropic-pair",
+                        (a, b),
+                        f"C.C' = {m} exceeds d_C d_C'/h = {cap}; at this degree "
+                        "two isotropic curves must be fibres of one fibration, "
+                        "hence orthogonal",
+                        slack=Fraction(m) - cap,
+                    )
+                )
         if va.square == -2 and vb.square == -2 and h > 42 * d * d and m > 2:
-            out.append(Violation(
-                "pair-cap", (a, b),
-                f"C.C' = {m} > 2 between (-2)-curves is impossible for h > 42 d^2",
-                slack=Fraction(m - 2),
-            ))
+            out.append(
+                Violation(
+                    "pair-cap",
+                    (a, b),
+                    f"C.C' = {m} > 2 between (-2)-curves is impossible for "
+                    f"h > 42 d^2",
+                    slack=Fraction(m - 2),
+                )
+            )
     return out

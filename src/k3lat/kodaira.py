@@ -231,21 +231,27 @@ def exclusion_6d(cfg: CurveConfig, d: int, h: int) -> list[Violation]:
         deg = divisor_degree(div, cfg)
         if deg > 6 * d:
             continue
-        out.append(Violation(
-            "kodaira-low-degree", div.support,
-            f"divisor of type {div.tag} has degree {deg} <= 6d = {6 * d}; "
-            "a hyperbolic configuration cannot support it",
-        ))
+        out.append(
+            Violation(
+                "kodaira-low-degree",
+                div.support,
+                f"divisor of type {div.tag} has degree {deg} <= 6d = {6 * d}; "
+                "a hyperbolic configuration cannot support it",
+            )
+        )
         support = set(div.support)
         for v in cfg.vertices:
             if v.id in support:
                 continue
             pairing = _pairing_with_divisor(cfg, v.id, div)
             if pairing > 0:
-                out.append(Violation(
-                    "meets-low-degree-divisor", (v.id,) + div.support,
-                    f"curve {v.id} meets the degree-{deg} divisor of type "
-                    f"{div.tag} with pairing {pairing}; a low-degree fiber "
-                    "class pairs to zero with every curve",
-                ))
+                out.append(
+                    Violation(
+                        "meets-low-degree-divisor",
+                        (v.id,) + div.support,
+                        f"curve {v.id} meets the degree-{deg} divisor of type "
+                        f"{div.tag} with pairing {pairing}; a low-degree fiber "
+                        "class pairs to zero with every curve",
+                    )
+                )
     return out

@@ -28,7 +28,9 @@ import math
 from typing import NamedTuple
 
 from .exact import _congruence
-from .graph import CUT, CurveConfig, CurveVertex, Final, SpanKind, classify, integer_gram
+from .graph import (
+    CUT, CurveConfig, CurveVertex, Final, SpanKind, classify, curve_bits, integer_gram,
+)
 
 
 class NotNegativeSemidefiniteError(ValueError):
@@ -198,12 +200,12 @@ def _diagram_step(cfg: CurveConfig):
     monotone, so the cut loses nothing, and a final subset needs no step:
     all its connected supergraphs are indefinite.  The step reads the
     edges only; squares are left to :func:`_confirmed`.  A subset comes as
-    its mask (:func:`~k3lat.graph.connected_vertex_subsets`), and each
-    curve's membership is one test of its precomputed bit.
+    its mask, and a curve is in it when its bit
+    (:func:`~k3lat.graph.curve_bits`) is.
     """
     adj = cfg.adjacency()
     ids = cfg.ids()
-    bits = [1 << (len(ids) - 1 - v) for v in range(len(ids))]
+    bits = curve_bits(len(ids))
 
     def named(curves):
         return tuple(ids[v] for v in curves)
@@ -286,8 +288,9 @@ def recognize_component(cfg: CurveConfig, ids: tuple[str, ...]) -> RootComponent
     grown so far, and :func:`_component` names the diagram it ends in and
     confirms it.  Repeated ids are read as their set, except that a lone
     curve or a pair meeting twice is recognised only from its ids without
-    repeats.  Work is proportional to the subset and its neighbourhood.  An id not in ``cfg`` raises the
-    ``ValueError`` of :meth:`CurveConfig.induced`.
+    repeats.  Work is proportional to the subset and its neighbourhood.  An
+    id not in ``cfg`` raises the ``ValueError`` of
+    :meth:`CurveConfig.induced`.
     """
     try:
         members = set(map(cfg.index_of, ids))
@@ -302,20 +305,19 @@ def recognize_component(cfg: CurveConfig, ids: tuple[str, ...]) -> RootComponent
         return None
     if len(members) < 2:
         return None
-    adj, n = cfg.adjacency(), cfg.n
+    adj, bits = cfg.adjacency(), curve_bits(cfg.n)
     step = _diagram_step(cfg)
     order = [min(members)]
-    grown = 1 << (n - 1 - order[0])
+    grown = bits[order[0]]
     state = step(None, order[0], grown)
     for v in order:
         for u in adj[v]:
-            bit = 1 << (n - 1 - u)
-            if u in members and not grown & bit:
+            if u in members and not grown & bits[u]:
                 if type(state) is Final:
                     # every connected supergraph of an affine diagram is
                     # indefinite
                     return None
-                grown |= bit
+                grown |= bits[u]
                 state = step(state, u, grown)
                 if state is CUT:
                     return None

@@ -908,10 +908,10 @@ def test_sweep_builds_an_index_tuple_per_record_and_elimination_only(monkeypatch
         converted.append(mask)
         return real_indices(mask, n)
 
-    def bordered_spy(g, nbrs, cap, states, best, parent, u, mask):
+    def bordered_spy(g, nbrs, curve_of, cap, states, best, parent, u, mask):
         if parent is None:
             scratch.append(mask)
-        return real_bordered(g, nbrs, cap, states, best, parent, u, mask)
+        return real_bordered(g, nbrs, curve_of, cap, states, best, parent, u, mask)
 
     for module in (graph, bounds, roots, kodaira):
         if hasattr(module, "mask_indices"):
@@ -1264,9 +1264,9 @@ def test_nodal_fibres_sweep_stops_at_the_rank(monkeypatch, d):
     # H.C = d on every curve and H^2 = 4 d^2, so the bound is sharp
     real = bounds._bordered
 
-    def spy(g, nbrs, cap, states, best, parent, u, mask):
+    def spy(g, nbrs, curve_of, cap, states, best, parent, u, mask):
         assert mask.bit_count() <= 2
-        return real(g, nbrs, cap, states, best, parent, u, mask)
+        return real(g, nbrs, curve_of, cap, states, best, parent, u, mask)
 
     monkeypatch.setattr(bounds, "_bordered", spy)
     cfg = _nodal_fibres(d)

@@ -437,10 +437,13 @@ def _no_state(parent, u, subset):
 ))
 def test_mask_indices_reads_each_curve_off_its_bit(case):
     # the enumerator's masks put curve v at bit n - 1 - v, with leading
-    # zero bits for the first curves
+    # zero bits for the first curves, and curve_bits lists those bits
     n, mask = case
     assert graph.mask_indices(mask, n) == indices(mask, n)
     assert mask_of(graph.mask_indices(mask, n), n) == mask
+    bits = graph.curve_bits(n)
+    assert [mask_of((v,), n) for v in range(n)] == bits
+    assert tuple(v for v, bit in enumerate(bits) if mask & bit) == indices(mask, n)
 
 
 def test_connected_subsets_no_duplicates_and_complete():
