@@ -37,11 +37,13 @@ witness passes this check, and :func:`verify_certificate` repeats it from
 the configuration alone.
 
 The exclusion sweep runs in exact integers too.  It visits connected
-subconfigurations through :func:`~k3lat.graph.connected_vertex_subsets`
-as bitmasks, and its step borders a nondegenerate parent one curve
-smaller: the determinant and the adjugate of its Gram matrix follow in
-``O(k^2)`` by a fraction-free (Bareiss-Sylvester) update, and its inertia
-by the sign of one Schur complement (Haynsworth additivity).  The subsets
+subconfigurations once each, as bitmasks, through
+:func:`~k3lat.graph.connected_vertex_subsets`.  Its step borders the
+parent that grew the subset, or if that is degenerate the first
+nondegenerate connected parent: the determinant and the adjugate of its
+Gram matrix follow in ``O(k^2)`` by a fraction-free (Bareiss-Sylvester)
+update, and its inertia by the sign of one Schur complement (Haynsworth
+additivity).  The subsets
 of one level whose Gram matrices agree in their stored orders, as across
 the fibres of a fibration, share one computed state (:func:`_bordered`).
 A subconfiguration whose connected parents are all degenerate takes one
@@ -537,7 +539,8 @@ def _adjugate_sweep(cfg: CurveConfig, g: list[list[int]], cap: int, best: list):
     is None for a degenerate subset, else its pair ``(order, entry)`` of
     :func:`_bordered`.
 
-    Each subset borders the first nondegenerate connected parent
+    Each subset borders the parent that grew it, or if that one is
+    degenerate the first nondegenerate connected parent
     (:func:`~k3lat.graph.connected_vertex_subsets`); one whose connected
     parents are all degenerate is computed from scratch by one Bareiss
     elimination.  The table of shared entries (:func:`_bordered`) holds

@@ -133,6 +133,8 @@ def read_json(text: str, where: str) -> Fields:
         ) from exc
     except RecursionError as exc:
         raise ParseError(f"{where}: JSON nested too deeply") from exc
+    except ValueError as exc:  # an int past int(str)'s digit limit
+        raise ParseError(f"{where}: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError(f"{where}: top level is not a JSON object")
     fields = Fields(data)

@@ -14,7 +14,7 @@ import enum
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, reduce
-from operator import or_
+from operator import mul, or_
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -330,10 +330,12 @@ class QuotientProjection(NamedTuple):
     matrix: tuple[tuple[Fraction, ...], ...]
 
     def apply(self, vec: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
-        return tuple(
-            sum((row[j] * Fraction(vec[j]) for j in range(len(row))), Fraction(0))
-            for row in self.matrix
-        )
+        """The quotient coordinates of ``vec``, which has one entry per
+        original vertex; another length is a ``ValueError`` (a quotient of
+        rank 0 has no row to tell it by)."""
+        if self.matrix and len(vec) != len(self.matrix[0]):
+            raise ValueError(f"vector of {len(vec)} entries, not one per vertex")
+        return tuple(sum(map(mul, row, map(Fraction, vec)), Fraction(0)) for row in self.matrix)
 
 
 def _radical_reduction(
@@ -400,67 +402,74 @@ def mask_indices(mask: int, n: int) -> tuple[int, ...]:
 def connected_vertex_subsets(cfg: CurveConfig, max_size: int, grow, root, reach=None):
     """Yield ``(mask, state)`` for every connected vertex subset of at most
     ``max_size`` curves exactly once, in canonical order (size, then index
-    tuple).  A subset travels as its mask (:func:`curve_bits`) from
-    enumeration to the caller.
+    tuple), each as its mask (:func:`curve_bits`) from enumeration on.
 
-    Level ``k + 1`` is the set of ``S + {u}`` over ``S`` in level ``k`` and
-    ``u`` a neighbour of ``S``: every connected set loses a leaf of a
-    spanning tree to a connected set one smaller, so these are exactly the
-    connected subsets.  A subset's state is ``grow(parent_state, u,
-    mask)`` for one connected parent ``mask - {u}``: the first in
-    canonical order whose state is not None, else the last.  Singletons
-    grow from ``root``, the state of the empty subset.  A step that returns
-    :data:`CUT` drops the subset and everything grown from it, which loses
-    nothing when the cut is monotone: every connected parent of a subset
-    that is not cut must not be cut either.  A step that returns a
-    :class:`Final` state keeps the subset but grows nothing from it, so a
-    subset whose connected parents are all final is not visited; that
-    loses nothing when every connected superset of a final subset would be
-    cut.  Given ``reach``, a subset grows only by neighbours of the curves
-    in ``reach(state)``, or of all its curves when that is None.  That is
-    exact when the step would cut, from any parent, every child that
-    ``reach`` drops: such a child is not yielded either way, and a kept
-    child is still reached from each parent, so it gets the same state.
-    A level is built only once the previous one has been consumed, at most
-    two are held at a time, and the search ends at the first empty level,
-    however large ``max_size`` is.
+    Each subset is generated once, from one parent, by ESU (Wernicke,
+    "Efficient detection of network motifs", IEEE/ACM TCBB 2006): it
+    carries an extension, the curves it may still add, a singleton's being
+    its neighbours after it.  They are taken lowest index first, each
+    dropped before the next, and the child by ``w`` extends by what is
+    left and by the neighbours of ``w`` after the subset's first curve
+    that are neither in nor next to the subset.  A subset's state is
+    ``grow(parent_state, u, mask)`` for that parent ``mask - {u}``, or if
+    its state is None, for the first connected parent in canonical order
+    whose state is not None, if any.  Singletons grow from ``root``, the
+    state of the empty subset.  A step that returns :data:`CUT` drops the
+    subset and everything grown from it, and one that returns a
+    :class:`Final` state keeps the subset but grows nothing from it.  That
+    loses nothing when cuts are monotone (every connected parent of a
+    subset that is not cut is not cut either) and every connected superset
+    of a final subset is cut.  Given ``reach``, a subset grows only by
+    neighbours of the curves in ``reach(state)``, or of all its curves when
+    that is None, and the other curves leave its extension.  That is exact
+    when the step would cut, from any parent, every child that ``reach``
+    drops: a subset that could still add such a curve contains that child,
+    so it is cut too, and a kept child has the same parent as without
+    ``reach``.  A level is built only once the previous one is consumed,
+    and the search ends at the first empty level, however large
+    ``max_size`` is.
 
     The smallest curve in the symmetric difference of two subsets of one
     size owns their highest differing bit, so within a level integer
-    order, largest first, is canonical order.  Each subset carries the mask
-    of its neighbourhood, a child's being its parent's ``| nbrs[u]``.
+    order, largest first, is canonical order.  A subset's first curve is
+    its highest bit, and the curves after it are the bits below.
     """
     n = cfg.n
     nbrs = neighbour_masks(cfg)
-    # mask -> (parent state, u, neighbours of the subset)
-    grown = {bit: (root, u, nbrs[u]) for u, bit in enumerate(curve_bits(n))}
+    # (mask, parent state, u, extension, neighbours of its curves); no two masks equal
+    grown = [(bit, root, u, nbrs[u] & bit - 1, nbrs[u]) for u, bit in enumerate(curve_bits(n))]
+    parents = None
     for size in range(1, max_size + 1):
-        level = []
-        last = size == max_size
-        for mask in sorted(grown, reverse=True):
-            parent, u, frontier = grown[mask]
+        last, kept = size == max_size, []
+        for mask, parent, u, ext, near in grown:
+            if parent is None and parents:
+                rest = mask
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    if (state := parents.get(mask ^ bit)) is not None:
+                        parent, u = state, n - bit.bit_length()
+                        break
             state = grow(parent, u, mask)
             if state is not CUT:
                 if not last and type(state) is not Final:
-                    level.append((mask, frontier, state))
+                    kept.append((mask, ext, near, state))
                 yield mask, state
-        grown = {}
-        for mask, frontier, state in level:
-            new = frontier & ~mask
+        grown, parents = [], None
+        for mask, ext, near, state in kept:
+            if state is None and parents is None:
+                parents = {mask: state for mask, _, _, state in kept if state is not None}
             if reach and (tips := reach(state)) is not None:
-                new = reduce(or_, [nbrs[v] for v in tips], 0) & ~mask
-            while new:
-                bit = new & -new
-                new ^= bit
-                child = mask | bit
-                old = grown.get(child)
-                if old is None:
-                    u = n - bit.bit_length()
-                    grown[child] = (state, u, frontier | nbrs[u])
-                elif old[0] is None:
-                    grown[child] = (state, n - bit.bit_length(), old[2])
+                ext &= reduce(or_, [nbrs[v] for v in tips], 0)
+            later = (1 << mask.bit_length() - 1) - 1
+            while ext:
+                bit = 1 << ext.bit_length() - 1
+                ext ^= bit
+                u = n - bit.bit_length()
+                grown.append((mask | bit, state, u, ext | nbrs[u] & ~near & later, near | nbrs[u]))
         if not grown:
             return
+        grown.sort(reverse=True)
 
 
 def check_caps(cfg: CurveConfig | None = None, /, **caps: int) -> None:

@@ -2,7 +2,7 @@
 
 The type table records, for each fiber type, the component multiplicities,
 the weight (their sum) and the Euler number.  Detection walks the connected
-induced subgraphs of the configuration's (-2)-curves with
+induced subgraphs of the configuration's (-2)-curves, each once, with
 :func:`~k3lat.graph.connected_vertex_subsets` and reports every one that
 carries an isotropic effective divisor of fiber shape.  The enumeration
 step is :func:`k3lat.roots._diagram_step`, the one shape rule that
@@ -12,9 +12,10 @@ and one that is affine gets a final state that holds its skeleton and is
 grown no further, since every connected supergraph of an affine diagram is
 indefinite.  A D or E subgraph grows only where
 :func:`k3lat.roots._diagram_reach` says the step can keep a child, so the
-search builds none of the children it would cut there.  Each affine
-subgraph is named from its skeleton and confirmed against the standard
-diagram's Gram matrix by :func:`k3lat.roots._component`.
+search builds none of the children it would cut there, nor any subgraph
+that contains one.  Each affine subgraph is named from its skeleton and
+confirmed against the standard diagram's Gram matrix by
+:func:`k3lat.roots._component`.
 The dual graphs of some type pairs coincide (two curves meeting twice is a
 2-cycle or a tangent pair; three curves meeting pairwise once is a triangle
 or three concurrent lines), so detection returns merged tags for those.

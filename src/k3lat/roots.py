@@ -267,7 +267,7 @@ def _diagram_reach(state) -> list[int] | None:
     can keep a child, or None for all of them.  A star with three arms
     keeps only a child that meets it once: at an arm's end, at the centre
     of D4 (D~4) or beside the end of D_n's long arm (D~n); the step cuts
-    every other child."""
+    every other child, and every subset that contains one."""
     centre, arms = state
     if len(arms) < 3:
         return None

@@ -8,8 +8,8 @@ reduction, and box maxima from exhaustive enumeration.  The exceptions
 are :func:`exclude_reference`, the per-subset exclusion sweep that
 ``bounds.exclude`` replaced, :func:`connected_subsets_reference`, the
 depth-first enumeration that ``graph.connected_vertex_subsets`` replaced,
-:func:`tuple_keyed_subsets_reference`, the same level-wise enumerator keyed
-by sorted index tuples, before its levels were keyed by bitmask,
+:func:`tuple_keyed_subsets_reference`, the level-wise enumerator keyed by
+sorted index tuples, before bitmask keys and ESU extension sets,
 :func:`recognize_component_reference`, the edge-scanning,
 signature-confirmed recognition that ``roots.recognize_component``
 replaced, with the shape walker along degree-two chains (:func:`_shape`)
@@ -843,10 +843,13 @@ def connected_subsets_reference(cfg, max_size):
 
 
 def tuple_keyed_subsets_reference(cfg, max_size, grow, root):
-    """``graph.connected_vertex_subsets`` with each level keyed by sorted
-    index tuples and ordered by sorting them, the enumerator that bitmask
-    keys replaced: the same steps, in the same order, and the same
-    ``(subset, state)`` stream."""
+    """``graph.connected_vertex_subsets`` before ESU extension sets, with
+    each level keyed by sorted index tuples and ordered by sorting them: a
+    child of every parent that grows is probed, and it borders the first
+    such parent in canonical order whose state is not None, else the last.
+    On a step that keeps the enumerator's contract (monotone cuts, every
+    superset of a final subset cut) it yields the same ``(subset, state)``
+    stream, and steps every subset that the enumerator steps."""
     nbrs = [set(row) for row in cfg.adjacency()]
     grown = {(u,): (root, u) for u in range(cfg.n)}
     for size in range(1, max_size + 1):

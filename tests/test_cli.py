@@ -432,6 +432,15 @@ def test_invalid_json_is_input_error(tmp_path, capsys):
     assert "input error" in err
 
 
+def test_oversized_integer_is_input_error(tmp_path, capsys):
+    # named as the input, like every other parse error of the file
+    big = tmp_path / "big.json"
+    big.write_text('{"vertices": [{"id": "a", "square": ' + "2" * 5001 + "}]}")
+    rc, out, err = run(capsys, "classify", str(big))
+    assert rc == 2 and out == ""
+    assert err.startswith("input error: config: Exceeds the limit (4300 digits)")
+
+
 def test_reports_are_byte_identical(capsys):
     args = ("exclude", str(EXAMPLES / "char3-I3star-4sections.json"),
             "--d", "1", "--h", "44", "--format", "json")

@@ -83,6 +83,13 @@ def test_deeply_nested_json_is_a_parse_error():
         parse_config("[" * 100_000 + "]" * 100_000)
 
 
+def test_oversized_integer_is_a_parse_error():
+    # json.loads raises a bare ValueError past int(str)'s digit limit
+    text = '{"vertices": [{"id": "a", "square": ' + "2" * 5001 + "}]}"
+    with pytest.raises(ParseError, match="^config: Exceeds the limit"):
+        parse_config(text)
+
+
 def test_parse_config_rejects_non_object():
     with pytest.raises(ParseError):
         parse_config("[1, 2]")

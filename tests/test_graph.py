@@ -30,10 +30,9 @@ from k3lat.graph import (
 )
 from k3lat.kodaira import exclusion_6d, find_kodaira_divisors
 
-from conftest import indices, mask_of
+from conftest import i4_fibres_with_section, indices, mask_of
 from oracles import (
     apply,
-    connected_subsets_reference,
     fraction_rows,
     gram,
     kernel_basis_reference,
@@ -360,6 +359,17 @@ def test_quotient_nondegenerate_identity():
     assert proj.apply([1, 0]) == (Fraction(1), Fraction(0))
 
 
+def test_quotient_projection_takes_one_entry_per_vertex():
+    # the A~1 pair plus a disjoint curve: a rank-2 quotient of 3 curves
+    cfg = config_from_data([("a", -2), ("b", -2), ("c", -2)], [("a", "b", 2)])
+    _, proj = quotient_by_kernel(cfg)
+    assert len(proj.basis_ids) == 2
+    assert proj.apply([1, 1, 0]) == (Fraction(0), Fraction(0))
+    for vec in ([1, 0, 0, 5], [1, 0]):
+        with pytest.raises(ValueError, match="one per vertex"):
+            proj.apply(vec)
+
+
 def test_hodge_filter_clean_chain():
     cfg = config_from_data([("a", -2, 1), ("b", -2, 1)], [("a", "b", 1)])
     assert hodge_filter(cfg, 1, 43) == []
@@ -427,10 +437,6 @@ def _brute_connected_subsets(cfg, max_size):
     ]
 
 
-def _no_state(parent, u, subset):
-    return None
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.integers(min_value=0, max_value=70).flatmap(
     lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=(1 << n) - 1))
@@ -447,13 +453,21 @@ def test_mask_indices_reads_each_curve_off_its_bit(case):
 
 
 def test_connected_subsets_no_duplicates_and_complete():
-    cfg = config_from_data(
+    # one grow call per subset, none stepped twice whatever its number of
+    # connected parents: a 4-cycle with a tail, and 6xI4 plus a section up
+    # to six curves
+    cycle = config_from_data(
         [(f"v{i}", -2) for i in range(5)],
         [("v0", "v1"), ("v1", "v2"), ("v2", "v3"), ("v3", "v0"), ("v3", "v4")],
     )
-    subs = [indices(m, cfg.n) for m, _ in connected_vertex_subsets(cfg, 5, _no_state, None)]
-    assert len(subs) == len(set(subs))
-    assert sorted(subs) == sorted(_brute_connected_subsets(cfg, 5))
+    for cfg, size in [(cycle, 5), (i4_fibres_with_section(), 6)]:
+        calls = []
+        grow = lambda parent, u, mask: calls.append(mask)
+        out = [mask for mask, _ in connected_vertex_subsets(cfg, size, grow, None)]
+        assert calls == out
+        subs = [indices(m, cfg.n) for m in out]
+        assert len(subs) == len(set(subs))
+        assert sorted(subs) == sorted(_brute_connected_subsets(cfg, size))
 
 
 @pytest.mark.parametrize("max_size", [0, -3])
@@ -465,12 +479,10 @@ def test_connected_subsets_empty_below_size_one(max_size):
     assert calls == []
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_connected_subsets_match_brute_force(data):
-    # states are subset weights, None when divisible by 3 (the sweep's
-    # degenerate subsets), cut above an optional limit (a monotone cut)
-    n = data.draw(st.integers(min_value=0, max_value=8))
+def _random_roots(data, max_n, max_weight=5):
+    """A random configuration of at most ``max_n`` (-2)-curves, single and
+    double edges, and a weight from 1 to ``max_weight`` per curve."""
+    n = data.draw(st.integers(min_value=0, max_value=max_n))
     edges = [
         (f"v{i}", f"v{j}", data.draw(st.integers(min_value=1, max_value=2)))
         for i in range(n)
@@ -478,39 +490,76 @@ def test_connected_subsets_match_brute_force(data):
         if data.draw(st.integers(min_value=0, max_value=2)) == 0
     ]
     cfg = config_from_data([(f"v{i}", -2) for i in range(n)], edges)
-    weights = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    return cfg, data.draw(st.lists(st.integers(1, max_weight), min_size=n, max_size=n))
+
+
+def _contract_step(cfg, weights, limit=None, degenerate=None, final=None):
+    """A recording step that keeps the enumerator's contract, and its list
+    of ``(parent, u, subset)`` calls.  A subset is cut above the weight
+    ``limit`` or when it strictly contains a connected subset whose weight
+    ``final`` divides and that is not above the limit: so cuts are
+    monotone, and every superset of a final subset is cut.  Otherwise its
+    state is final when ``final`` divides its weight, None when
+    ``degenerate`` does, and else the subset itself."""
+    n, calls = cfg.n, []
+    weight = lambda sub: sum(weights[i] for i in sub)
+    closing = [
+        mask_of(sub, n)
+        for sub in _brute_connected_subsets(cfg, n)
+        if final and weight(sub) % final == 0 and (limit is None or weight(sub) <= limit)
+    ]
+
+    def grow(parent, u, key):
+        # key: a mask, or an index tuple for the tuple-keyed reference
+        subset = key if type(key) is tuple else indices(key, n)
+        mask = mask_of(subset, n)
+        calls.append((parent, u, subset))
+        w = weight(subset)
+        if limit is not None and w > limit or any(f & mask == f != mask for f in closing):
+            return CUT
+        if final and w % final == 0:
+            return Final((subset,))
+        return None if degenerate and w % degenerate == 0 else subset
+
+    return grow, calls
+
+
+def _assert_parents_connected_and_stated(cfg, calls, yielded):
+    # each subset is stepped once, from a connected parent the search has
+    # yielded, and with a state of None only if every connected parent
+    # that grows has state None
+    n = cfg.n
+    assert len({subset for _, _, subset in calls}) == len(calls)
+    states = {indices(mask, n): state for mask, state in yielded}
+    states[()] = "root"
+    for parent, u, subset in calls:
+        rest = tuple(x for x in subset if x != u)
+        assert u in subset and rest in states and parent is states[rest]
+        if parent is None:
+            others = [states.get(tuple(x for x in subset if x != v)) for v in subset]
+            assert all(s is None or type(s) is Final for s in others), subset
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_connected_subsets_match_brute_force(data):
+    # states are subset weights, None when divisible by 3 (the sweep's
+    # degenerate subsets), cut above an optional limit (a monotone cut)
+    cfg, weights = _random_roots(data, 8, max_weight=3)
+    n = cfg.n
     max_size = data.draw(st.integers(min_value=-1, max_value=n + 1))
     limit = data.draw(st.none() | st.integers(min_value=1, max_value=3 * n + 1))
+    grow, calls = _contract_step(cfg, weights, limit, degenerate=3)
+    out = list(connected_vertex_subsets(cfg, max_size, grow, "root"))
     weight = lambda sub: sum(weights[i] for i in sub)
-    states = {(): "root"}
-    grown = []
-
-    def grow(parent, u, mask):
+    for mask, state in out:
         subset = indices(mask, n)
-        rest = tuple(x for x in subset if x != u)
-        assert u in subset and rest in states
-        grown.append(subset)
-        assert parent is states[rest]
-        # the first connected parent in canonical order with a state, if any
-        parents = sorted(
-            p for p in (tuple(x for x in subset if x != v) for v in subset)
-            if p in states
-        )
-        assert rest == ([p for p in parents if states[p] is not None] or [rest])[0]
-        w = weight(subset)
-        if limit is not None and w > limit:
-            return CUT
-        return None if w % 3 == 0 else w
-
-    out = []
-    for mask, state in connected_vertex_subsets(cfg, max_size, grow, "root"):
-        subset = indices(mask, n)
-        assert state == (None if weight(subset) % 3 == 0 else weight(subset))
-        states[subset] = state
-        out.append(subset)
+        assert state == (None if weight(subset) % 3 == 0 else subset)
     brute = _brute_connected_subsets(cfg, max(max_size, 0))
-    assert out == [s for s in brute if limit is None or weight(s) <= limit]
-    assert len(grown) == len(set(grown))
+    assert [indices(mask, n) for mask, _ in out] == [
+        s for s in brute if limit is None or weight(s) <= limit
+    ]
+    _assert_parents_connected_and_stated(cfg, calls, out)
 
 
 def _final_search(cfg, max_size, is_final):
@@ -542,81 +591,78 @@ def test_connected_subsets_skip_what_only_final_subsets_reach():
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_connected_subsets_with_final_states_match_reference(data):
-    # a final subset is yielded once and grows nothing; a subset whose
-    # connected parents are all final is not visited; every other subset
-    # is yielded as before, and no level past the first empty one is built
-    n = data.draw(st.integers(min_value=0, max_value=8))
-    edges = [
-        (f"v{i}", f"v{j}", data.draw(st.integers(min_value=1, max_value=2)))
-        for i in range(n)
-        for j in range(i + 1, n)
-        if data.draw(st.integers(min_value=0, max_value=2)) == 0
-    ]
-    cfg = config_from_data([(f"v{i}", -2) for i in range(n)], edges)
-    weights = data.draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
-    modulus = data.draw(st.integers(min_value=2, max_value=6))
+    # a final subset is yielded once and grows nothing, and every superset
+    # of it is cut: the search yields the connected subsets that contain
+    # no smaller final one, as the tuple-keyed reference does, and builds
+    # no level past the first empty one
+    cfg, weights = _random_roots(data, 8)
+    n = cfg.n
+    final = data.draw(st.integers(min_value=2, max_value=6))
     max_size = data.draw(st.integers(min_value=1, max_value=n + 3))
-    is_final = lambda sub: sum(weights[i] for i in sub) % modulus == 0
-    out, levels = _final_search(cfg, max_size, is_final)
-    grows, want = set(), []
-    reference = connected_subsets_reference(cfg, max_size) if n else ()
-    for sub in sorted(reference, key=lambda s: (len(s), s)):
-        if len(sub) == 1 or any(tuple(x for x in sub if x != v) in grows for v in sub):
-            want.append(sub)
-            if not is_final(sub):
-                grows.add(sub)
-    assert [sub for sub, _ in out] == want
-    for sub, state in out:
+    grow, calls = _contract_step(cfg, weights, final=final)
+    out = list(connected_vertex_subsets(cfg, max_size, grow, "root"))
+    is_final = lambda sub: sum(weights[i] for i in sub) % final == 0
+    brute = _brute_connected_subsets(cfg, max_size)
+    want = [
+        sub for sub in brute
+        if not any(is_final(f) and set(f) < set(sub) for f in brute)
+    ]
+    assert [indices(mask, n) for mask, _ in out] == want
+    for mask, state in out:
+        sub = indices(mask, n)
         assert state == ((sub,) if is_final(sub) else sub)
         assert (type(state) is Final) == is_final(sub)
+    ref_grow, _ = _contract_step(cfg, weights, final=final)
+    assert out == [
+        (mask_of(sub, n), state)
+        for sub, state in tuple_keyed_subsets_reference(cfg, max_size, ref_grow, "root")
+    ]
     deepest = max(map(len, want), default=0)
+    levels = max((len(subset) for _, _, subset in calls), default=0)
     assert deepest <= levels <= min(deepest + 1, max_size)
+    _assert_parents_connected_and_stated(cfg, calls, out)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_connected_subsets_match_tuple_keyed_reference(data):
-    # one recording step drives the bitmask-keyed enumerator and the
+    # one contract-keeping step drives the bitmask enumerator and the
     # tuple-keyed one it replaced; states are the subset, None when its
     # weight is divisible by one modulus, final when divisible by another,
-    # and cut above an optional limit (a monotone cut)
-    n = data.draw(st.integers(min_value=0, max_value=9))
-    edges = [
-        (f"v{i}", f"v{j}", data.draw(st.integers(min_value=1, max_value=2)))
-        for i in range(n)
-        for j in range(i + 1, n)
-        if data.draw(st.integers(min_value=0, max_value=2)) == 0
-    ]
-    cfg = config_from_data([(f"v{i}", -2) for i in range(n)], edges)
-    weights = data.draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    # and cut above an optional limit: both yield the same (subset, state)
+    # stream, and the enumerator steps each subset at most once and only
+    # the subsets the reference steps
+    cfg, weights = _random_roots(data, 9)
+    n = cfg.n
     max_size = data.draw(st.integers(min_value=-1, max_value=n + 1))
     limit = data.draw(st.none() | st.integers(min_value=1, max_value=5 * n + 1))
     degenerate = data.draw(st.integers(min_value=2, max_value=5))
     final = data.draw(st.integers(min_value=2, max_value=7))
+    grow, calls = _contract_step(cfg, weights, limit, degenerate, final)
+    out = list(connected_vertex_subsets(cfg, max_size, grow, "root"))
+    ref_grow, ref_calls = _contract_step(cfg, weights, limit, degenerate, final)
+    reference = list(tuple_keyed_subsets_reference(cfg, max_size, ref_grow, "root"))
+    assert [(indices(mask, n), state) for mask, state in out] == reference
+    assert {subset for _, _, subset in calls} <= {subset for _, _, subset in ref_calls}
+    _assert_parents_connected_and_stated(cfg, calls, out)
 
-    def run(enumerate_subsets, read):
-        # read: the subset's index tuple from what the enumerator passes
+
+def test_connected_subsets_take_the_first_stated_parent_when_the_own_is_none():
+    # a triangle whose pair {0, 1} is degenerate: the whole triangle is
+    # grown from {0, 1} but borders {0, 2}, the first connected parent in
+    # canonical order whose state is not None; with every parent None it
+    # keeps its own
+    cfg = config_from_data([("a", -2), ("b", -2), ("c", -2)], [("a", "b"), ("b", "c"), ("a", "c")])
+    for degenerate, want in [({(0, 1)}, ((0, 2), 1)), ({(0, 1), (0, 2), (1, 2)}, (None, 2))]:
         calls = []
 
-        def grow(parent, u, key):
-            subset = read(key)
-            calls.append((parent, u, subset))
-            w = sum(weights[i] for i in subset)
-            if limit is not None and w > limit:
-                return CUT
-            if w % degenerate == 0:
-                return None
-            return Final((subset,)) if w % final == 0 else subset
+        def grow(parent, u, mask):
+            subset = indices(mask, 3)
+            calls.append((subset, parent, u))
+            return None if subset in degenerate else subset
 
-        out = [
-            (read(key), state, type(state))
-            for key, state in enumerate_subsets(cfg, max_size, grow, "root")
-        ]
-        return calls, out
-
-    assert run(connected_vertex_subsets, lambda mask: indices(mask, n)) == run(
-        tuple_keyed_subsets_reference, lambda subset: subset
-    )
+        list(connected_vertex_subsets(cfg, 3, grow, "root"))
+        assert [(parent, u) for subset, parent, u in calls if len(subset) == 3] == [want]
 
 
 @settings(max_examples=60, deadline=None)
