@@ -34,7 +34,11 @@ for ``rho = (delta W) 1`` and ``S = sum(rho) > 0``, and ``G`` has inertia
 ``(1, k-1)``.  The last two make ``g0`` negative semi-definite by the
 argument above, so ``g0`` itself is never eliminated.  Every emitted
 witness passes this check, and :func:`verify_certificate` repeats it from
-the configuration alone.
+the configuration alone, sharing no elimination with the builder and
+building no adjugate: the product check proves the witness the exact
+inverse, so the bound is read off it, and the inertia comes from one
+congruence of ``G``.  A rough certificate carries no witness, so its
+check still rebuilds the adjugate by the builder's Bareiss elimination.
 
 The exclusion sweep runs in exact integers too.  It visits connected
 subconfigurations once each, as bitmasks, through
@@ -60,8 +64,8 @@ one only for a sign sum.
 A verdict scans only the sweep's records (:func:`sweep_records`), pulled
 lazily, so one sweep serves every ``(d, h)``.  Only the certificate that
 is returned is built, from its support's own Gram matrix by one Bareiss
-elimination, as :func:`verify_certificate` does; its witness is checked
-and its bound held to the one the sweep found.
+elimination; its witness is checked and its bound held to the one the
+sweep found.  Cases of one call that end at the same record share it.
 """
 
 from __future__ import annotations
@@ -69,9 +73,10 @@ from __future__ import annotations
 import enum
 import math
 from fractions import Fraction
+from functools import cache, partial
 from itertools import tee
-from operator import mul
-from typing import Iterable, Iterator, NamedTuple
+from operator import add, mul
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .exact import _congruence, bareiss, minor_signature, SingularMatrixError
 from .graph import (
@@ -355,18 +360,22 @@ def _witness_fault(g: list[list[int]], wit: BoxWitness, n_plus: int) -> str | No
     n0, npl = parts = wit.negative_part, wit.nonnegative_part
     if type(delta) is not int or delta < 1 or not all(
         isinstance(p, tuple) and len(p) == k and all(
-            isinstance(r, tuple) and len(r) == k and all(type(x) is int for x in r)
+            isinstance(r, tuple) and len(r) == k and set(map(type, r)) <= {int}
             for r in p
         )
         for p in parts
     ):
         return "the witness is not two k x k tuples of int rows over a positive int"
-    w = [[a + b for a, b in zip(r0, rp)] for r0, rp in zip(n0, npl)]
+    w = [list(map(add, r0, rp)) for r0, rp in zip(n0, npl)]
     for i, row in enumerate(g):
-        nz = [(l, x) for l, x in enumerate(row) if x]
-        for j in range(k):
-            if sum(x * w[l][j] for l, x in nz) != (delta if i == j else 0):
-                return "W is not the inverse of the Gram matrix"
+        # row i of g (delta W): the rows of delta W that row i picks, summed
+        acc = [0] * k
+        for x, wl in zip(row, w):
+            if x:
+                acc = [a + x * b for a, b in zip(acc, wl)]
+        acc[i] -= delta
+        if any(acc):
+            return "W is not the inverse of the Gram matrix"
     if any(x < 0 for row in npl for x in row):
         return "the nonnegative part has a negative entry"
     if any(sum(row) for row in n0):
@@ -387,7 +396,13 @@ def _witness_fault(g: list[list[int]], wit: BoxWitness, n_plus: int) -> str | No
 
 def verify_certificate(cert: BoundCertificate, cfg: CurveConfig) -> bool:
     """Re-verify a certificate by independent recomputation from the
-    configuration it was issued for, in the order of its support.  Total:
+    configuration it was issued for, in the order of its support.  A box
+    certificate is checked against its witness with no elimination of the
+    builder's: the product check of :func:`_witness_fault` proves the
+    witness the exact inverse, the bound is read off it, and the inertia
+    comes from one congruence (a degenerate support fails the product
+    check).  A rough certificate carries no witness, so its inverse is
+    rebuilt by the Bareiss elimination that built it.  Total:
     malformed input, such as a support that is not a tuple of ids, an
     unknown, repeated or degenerate support, a degree cap ``d`` that is
     not an integer (a bool is not) of at least 1 or is below the degree of
@@ -414,18 +429,22 @@ def verify_certificate(cert: BoundCertificate, cfg: CurveConfig) -> bool:
     except (KeyError, ValueError, SingularMatrixError):
         return False
     g = integer_gram(cfg, idx)
-    entry = _adjugate(g)
-    if entry is None or entry.n_plus == 0:
-        return False
     if cert.kind == ROUGH_POSITIVE_ENTRY_SUM:
-        rough = _rough_certificate(cert.support_ids, entry, d)
-        return cert.bound_on_2h == rough.bound_on_2h
+        entry = _adjugate(g)
+        if entry is None or entry.n_plus == 0:
+            return False
+        return cert.bound_on_2h == _rough_certificate(ids, entry, d).bound_on_2h
     if cert.kind == BOX_OPTIMUM_DECOMPOSITION:
         wit = cert.witness
-        if not isinstance(wit, BoxWitness) or _witness_fault(g, wit, entry.n_plus):
+        if not isinstance(wit, BoxWitness):
             return False
-        # the witness has passed as the inverse adj / det
-        return cert.bound_on_2h == Fraction(sum(entry.sums) * d * d, entry.det)
+        n_plus = _congruence(g)[0].n_plus
+        if n_plus == 0 or _witness_fault(g, wit, n_plus):
+            return False
+        # the witness has passed as the inverse W = g0 + g+, and g0 1 = 0,
+        # so the entry sum of W is that of g+
+        total = sum(map(sum, wit.nonnegative_part))
+        return cert.bound_on_2h == Fraction(total * d * d, wit.delta)
     return False
 
 
@@ -602,9 +621,9 @@ def _checked_certificate(
     cfg: CurveConfig, subset: tuple[int, ...], d: int, bound: Fraction
 ) -> BoundCertificate:
     """The certificate of one swept subset, built from its own Gram matrix
-    by one Bareiss elimination, as :func:`verify_certificate` does: box,
-    with its witness checked, when :func:`_box_total` lets the split apply,
-    else rough.  It must carry the bound the sweep found."""
+    by one Bareiss elimination: box, with its witness checked, when
+    :func:`_box_total` lets the split apply, else rough.  It must carry the
+    bound the sweep found."""
     g = integer_gram(cfg, subset)
     entry = _adjugate(g)
     ids = tuple(cfg.vertices[i].id for i in subset)
@@ -697,7 +716,9 @@ def exclude_all(
     matrix that :func:`~k3lat.graph.classify` built, through
     :func:`itertools.tee`: each replays those already pulled before it
     pulls more, so the sweep runs only as far as the case that needs it
-    furthest.  Nothing is kept once the call returns.
+    furthest.  Cases that end at the same record ``(subset, d, bound)``
+    share one built and checked certificate, so they return equal ones.
+    Nothing is kept once the call returns.
     """
     cases = list(cases)
     if type(use_pinned_degrees) is not bool:
@@ -712,8 +733,9 @@ def exclude_all(
     ip = intrinsic_polarization(cfg) if use_pinned_degrees else None
     # a subset of more curves than the rank is degenerate
     sweep = _records(cfg, cls._gram, min(subgraph_cap, cfg.n - cls.signature.n_zero))
+    certificate = cache(partial(_checked_certificate, cfg))
     return [
-        _hyperbolic_verdict(cfg, d, h, subgraph_cap, ip, records)
+        _hyperbolic_verdict(cfg, d, h, subgraph_cap, ip, records, certificate)
         for (d, h), records in zip(cases, tee(sweep, len(cases)))
     ]
 
@@ -761,10 +783,12 @@ def _hyperbolic_verdict(
     subgraph_cap: int,
     ip: IntrinsicPolarization | None,
     records: Iterator[tuple[tuple[int, ...], int, int]],
+    certificate: Callable[[tuple[int, ...], int, Fraction], BoundCertificate],
 ) -> ExclusionVerdict:
     """The verdict of one case on a hyperbolic span from the pinned-degree
     solution ``ip`` (None unless pinned) and a scan of the sweep's
-    ``records``, pulled only up to the first below ``2h``."""
+    ``records``, pulled only up to the first below ``2h``; ``certificate``
+    is :func:`_checked_certificate` on ``cfg``."""
     two_h = Fraction(2 * h)
     notes: list[str] = []
     best: BoundCertificate | None = None
@@ -792,7 +816,7 @@ def _hyperbolic_verdict(
     for subset, total, den in records:
         bound = Fraction(total * d * d, den)
         if bound < two_h:
-            cert = _checked_certificate(cfg, subset, d, bound)
+            cert = certificate(subset, d, bound)
             return ExclusionVerdict(
                 ExclusionStatus.HYPERBOLIC_EXCLUDED,
                 certificates=(cert,),
@@ -802,7 +826,7 @@ def _hyperbolic_verdict(
             )
     # the last record holds the least bound
     if bound is not None and (best is None or bound < best.bound_on_2h):
-        best = _checked_certificate(cfg, subset, d, bound)
+        best = certificate(subset, d, bound)
     return ExclusionVerdict(
         ExclusionStatus.HYPERBOLIC_UNDECIDED,
         certificates=() if best is None else (best,),

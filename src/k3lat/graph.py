@@ -323,17 +323,19 @@ class QuotientProjection(NamedTuple):
     """Linear projection from vertex space onto the nondegenerate quotient.
 
     ``basis_ids`` are the vertices whose classes form a basis; ``matrix``
-    has one row per basis element and one column per original vertex.
+    has one row per basis element and one column per original vertex, of
+    which there are ``vertex_count`` (a quotient of rank 0 has no row to
+    count them by).
     """
 
     basis_ids: tuple[str, ...]
     matrix: tuple[tuple[Fraction, ...], ...]
+    vertex_count: int
 
     def apply(self, vec: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
         """The quotient coordinates of ``vec``, which has one entry per
-        original vertex; another length is a ``ValueError`` (a quotient of
-        rank 0 has no row to tell it by)."""
-        if self.matrix and len(vec) != len(self.matrix[0]):
+        original vertex; another length is a ``ValueError``."""
+        if len(vec) != self.vertex_count:
             raise ValueError(f"vector of {len(vec)} entries, not one per vertex")
         return tuple(sum(map(mul, row, map(Fraction, vec)), Fraction(0)) for row in self.matrix)
 
@@ -365,7 +367,7 @@ def quotient_by_kernel(
     quotient = tuple(tuple(g[i][j] for j in basis) for i in basis)
     basis_ids = tuple(cfg.vertices[j].id for j in basis)
     matrix = tuple(tuple(Fraction(x, p) for x in row) for row in rows)
-    return quotient, QuotientProjection(basis_ids, matrix)
+    return quotient, QuotientProjection(basis_ids, matrix, cfg.n)
 
 
 # a step result that drops a subset, and everything grown from it, from

@@ -15,7 +15,9 @@ signature-confirmed recognition that ``roots.recognize_component``
 replaced, with the shape walker along degree-two chains (:func:`_shape`)
 that the package's one diagram step replaced,
 :func:`verify_certificate_reference`, the Fraction inverse and dense
-signature check that ``bounds.verify_certificate`` replaced, and
+signature check that ``bounds.verify_certificate`` replaced,
+:func:`witness_fault_reference`, the entry-by-entry product check that
+``bounds._witness_fault``'s row sums replaced, and
 the Fraction symmetric elimination :func:`congruence_reference` that the
 fraction-free ``exact._congruence`` replaced, the congruence-based
 :func:`inverse_reference`,
@@ -668,7 +670,7 @@ def quotient_by_kernel_reference(cfg):
             proj[bi][pc] = -row[bp]
     quotient = submatrix(m, basis_pos)
     basis_ids = tuple(cfg.vertices[j].id for j in basis_pos)
-    return quotient, QuotientProjection(basis_ids, tuple(tuple(r) for r in proj))
+    return quotient, QuotientProjection(basis_ids, tuple(tuple(r) for r in proj), n)
 
 
 def intrinsic_polarization_reference(cfg) -> IntrinsicPolarization:
@@ -1026,6 +1028,45 @@ def verify_certificate_reference(cert, cfg):
             return False
         return cert.bound_on_2h == quadratic_form(w, (Fraction(d),) * len(w))
     return False
+
+
+def witness_fault_reference(g, wit: BoxWitness, n_plus: int) -> str | None:
+    """``bounds._witness_fault`` as it was before its product check summed
+    whole rows: the type check an ``all`` over the entries, and
+    ``g (delta W)`` checked one entry at a time, each a sum over the
+    nonzero entries of its row of ``g``."""
+    k, delta = len(g), wit.delta
+    n0, npl = parts = wit.negative_part, wit.nonnegative_part
+    if type(delta) is not int or delta < 1 or not all(
+        isinstance(p, tuple) and len(p) == k and all(
+            isinstance(r, tuple) and len(r) == k and all(type(x) is int for x in r)
+            for r in p
+        )
+        for p in parts
+    ):
+        return "the witness is not two k x k tuples of int rows over a positive int"
+    w = [[a + b for a, b in zip(r0, rp)] for r0, rp in zip(n0, npl)]
+    for i, row in enumerate(g):
+        nz = [(l, x) for l, x in enumerate(row) if x]
+        for j in range(k):
+            if sum(x * w[l][j] for l, x in nz) != (delta if i == j else 0):
+                return "W is not the inverse of the Gram matrix"
+    if any(x < 0 for row in npl for x in row):
+        return "the nonnegative part has a negative entry"
+    if any(sum(row) for row in n0):
+        return "(1, ..., 1) is not in the kernel of the negative part"
+    if any(any(row) for row in n0):
+        rho = [sum(row) for row in w]
+        total = sum(rho)
+        if total <= 0 or any(
+            total * x != ri * rj
+            for ri, row in zip(rho, npl)
+            for rj, x in zip(rho, row)
+        ):
+            return "the nonnegative part is not the rank-one split"
+        if n_plus != 1:
+            return "the Gram matrix is not of inertia (1, k - 1)"
+    return None
 
 
 # -- the fibre search with the shape step ----------------------------------------

@@ -70,6 +70,7 @@ from oracles import (
     subgraph_certificates_reference,
     submatrix,
     verify_certificate_reference,
+    witness_fault_reference,
     witness_parts,
 )
 
@@ -656,6 +657,106 @@ def test_verify_certificate_rejects_forgery_under_optimize():
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.split() == ["True", "False", "False"]
+
+
+def test_verify_certificate_rejects_box_witness_on_degenerate_or_definite_support():
+    # the box path takes the inverse from the witness and the inertia from
+    # one congruence.  A curve p of square 2 beside an A~1 pair (a, b
+    # meeting twice) spans a degenerate form of inertia (1, 1, 1): the
+    # witness W = diag(1/2, 0, 0), the inverse on p's line, passes every
+    # check but the product, which no witness of a singular Gram matrix
+    # passes.  Two (-2)-curves meeting once span a negative definite form:
+    # its exact inverse -[[2, 1], [1, 2]] / 3 as the split with g0 = 0
+    # passes the product check and fails as a nonnegative part
+    degenerate = config_from_data([("p", 2), ("a", -2), ("b", -2)], [("a", "b", 2)])
+    definite = config_from_data([("a", -2), ("b", -2)], [("a", "b", 1)])
+    zero = ((0, 0, 0),) * 3
+    forged = [
+        (
+            degenerate,
+            BoundCertificate(
+                BOX_OPTIMUM_DECOMPOSITION, Fraction(1, 2), ("p", "a", "b"), 1,
+                BoxWitness(2, zero, ((1, 0, 0), (0, 0, 0), (0, 0, 0))),
+            ),
+            (1, 1, 1),
+            "W is not the inverse of the Gram matrix",
+        ),
+        (
+            definite,
+            BoundCertificate(
+                BOX_OPTIMUM_DECOMPOSITION, Fraction(-2), ("a", "b"), 1,
+                BoxWitness(3, ((0, 0), (0, 0)), ((-2, -1), (-1, -2))),
+            ),
+            (0, 2, 0),
+            "the nonnegative part has a negative entry",
+        ),
+    ]
+    for cfg, cert, inertia, fault in forged:
+        g = graph.integer_gram(cfg, range(cfg.n))
+        assert signature(gram(cfg)) == inertia
+        assert bounds._witness_fault(g, cert.witness, inertia[0]) == fault
+        assert not verify_certificate(cert, cfg)
+        assert not verify_certificate_reference(cert, cfg)
+
+
+def _integer_split(data, g):
+    """A box witness drawn for the integer Gram matrix ``g``: its exact
+    inverse (a random matrix when ``g`` is singular) as the split with
+    ``g0 = 0`` or as the rank-one split, genuine, with one entry off by
+    one, with one entry of another type equal in value, or with one unit
+    moved from ``g+`` to ``g0`` at one entry or, keeping ``g0 1 = 0``,
+    at one entry and back at another of its row."""
+    k = len(g)
+    try:
+        det, adj, _ = exact.bareiss(g)
+    except exact.SingularMatrixError:
+        det = 1
+        adj = [[data.draw(st.integers(-3, 3)) for _ in range(k)] for _ in range(k)]
+    # w = delta W over delta = |det|
+    w = [[x if det > 0 else -x for x in row] for row in adj]
+    rho = [sum(row) for row in w]
+    total = sum(rho)
+    if total and data.draw(st.booleans()):
+        s = 1 if total > 0 else -1
+        delta = abs(det * total)
+        parts = [
+            [[s * (x * total - ri * rj) for x, rj in zip(row, rho)] for row, ri in zip(w, rho)],
+            [[s * ri * rj for rj in rho] for ri in rho],
+        ]
+    else:
+        delta, parts = abs(det), [[[0] * k for _ in range(k)], w]
+    hows = ("genuine", "entry", "type", "move", "row") if k else ("genuine",)
+    how = data.draw(st.sampled_from(hows))
+    if how != "genuine":
+        rows = parts[data.draw(st.integers(0, 1))]
+        i, j, l = (data.draw(st.integers(0, k - 1)) for _ in range(3))
+        if how == "entry":
+            rows[i][j] += data.draw(st.sampled_from((1, -1)))
+        elif how == "type":
+            rows[i][j] = data.draw(st.sampled_from((bool, float, Fraction)))(rows[i][j])
+        else:
+            g0, gplus = parts
+            g0[i][j] += 1
+            gplus[i][j] -= 1
+            if how == "row":
+                g0[i][l] -= 1
+                gplus[i][l] += 1
+    return BoxWitness(delta, *(tuple(map(tuple, part)) for part in parts))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_witness_fault_matches_entrywise_reference_hypothesis(data):
+    # the row-sum product check and the set type check give the answer of
+    # the entry-by-entry loop on every witness, whatever the inertia passed
+    k = data.draw(st.integers(0, 6))
+    g = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            g[i][j] = g[j][i] = data.draw(st.integers(-3, 3))
+    wit = _integer_split(data, g)
+    n_plus = data.draw(st.sampled_from((signature(g).n_plus, 0, 1, 2)))
+    assert bounds._witness_fault(g, wit, n_plus) == witness_fault_reference(g, wit, n_plus)
 
 
 def _sweep(cfg, cap):
@@ -1245,6 +1346,53 @@ def test_exclude_all_runs_one_sweep(monkeypatch):
     # no case needs no classification
     monkeypatch.setattr(bounds, "classify", None)
     assert exclude_all(cfg, [], subgraph_cap=6) == []
+
+
+def _spy_checked_certificate(monkeypatch):
+    """The ``(subset, d, bound)`` of every certificate that
+    :func:`bounds._checked_certificate` builds."""
+    built = []
+    real = bounds._checked_certificate
+
+    def spy(cfg, subset, d, bound):
+        built.append((subset, d, bound))
+        return real(cfg, subset, d, bound)
+
+    monkeypatch.setattr(bounds, "_checked_certificate", spy)
+    return built
+
+
+def test_exclude_all_builds_one_certificate_per_record(monkeypatch):
+    # char3 at d = 1: h = 43 is undecided at the least bound 86, and h = 44
+    # is excluded by that same record, so the two cases build one
+    # certificate and return equal ones
+    built = _spy_checked_certificate(monkeypatch)
+    undecided, excluded = exclude_all(i3star_four_sections(), [(1, 43), (1, 44)])
+    assert (undecided.status, excluded.status) == (
+        ExclusionStatus.HYPERBOLIC_UNDECIDED, ExclusionStatus.HYPERBOLIC_EXCLUDED
+    )
+    assert [(len(subset), d, bound) for subset, d, bound in built] == [(12, 1, 86)]
+    assert undecided.certificates == excluded.certificates
+    # a second call builds again: nothing is kept between calls
+    exclude_all(i3star_four_sections(), [(1, 43)])
+    assert len(built) == 2
+
+
+def test_exclude_all_builds_one_certificate_per_distinct_record(monkeypatch):
+    # 6xI4 plus a section at cap 6: h = 12 ends at the six-curve record of
+    # bound 22 and h = 40 at the five-curve record of bound 35, and the same
+    # six curves at d = 2 are another record of bound 88; each case builds
+    # its own certificate, once
+    built = _spy_checked_certificate(monkeypatch)
+    cfg = i4_fibres_with_section()
+    verdicts = exclude_all(cfg, [(1, 12), (1, 40), (2, 45), (1, 12)], subgraph_cap=6)
+    assert built == [
+        ((0, 1, 5, 9, 13, 17), 1, 22), ((0, 1, 2, 3, 4), 1, 35),
+        ((0, 1, 5, 9, 13, 17), 2, 88),
+    ]
+    certs = [v.certificates for v in verdicts]
+    assert [c.bound_on_2h for (c,) in certs] == [22, 35, 88, 22]
+    assert certs[0] == certs[3] and len(set(certs)) == 3
 
 
 def _nodal_fibres(d):

@@ -368,6 +368,64 @@ def test_verify_catalog_runs_one_sweep_per_configuration(monkeypatch):
         assert (len(sweeps), cases) == (3, 5)
 
 
+def test_verify_catalog_builds_and_checks_each_certificate_once(monkeypatch):
+    # three entry sums, the rough and two box certificates of the bound
+    # checks, and one certificate per configuration's exclusion cases are
+    # each one Bareiss elimination, and so is the check of the one rough
+    # certificate; a box certificate is checked without one.  The five
+    # distinct certificates (char3's box bound equals both its exclusion
+    # certificates, and char2's two exclusion certificates are equal) are
+    # each verified once.  A witness is checked once per box certificate
+    # built (two bound checks, three exclusion certificates) and once per
+    # distinct box certificate verified (four)
+    counts = Counter()
+    real = exact.bareiss
+
+    def spy_bareiss(rows):
+        counts["bareiss"] += 1
+        return real(rows)
+
+    for module in (bounds, catalog):
+        monkeypatch.setattr(module, "bareiss", spy_bareiss)
+    for name in ("verify_certificate", "_checked_certificate", "_witness_fault"):
+        real_fn = getattr(bounds, name)
+
+        def spy(*args, _real=real_fn, _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(bounds, name, spy)
+    assert all(r.ok for r in verify_catalog())
+    assert dict(counts) == {
+        "bareiss": 10,
+        "verify_certificate": 5,
+        "_checked_certificate": 3,
+        "_witness_fault": 9,
+    }
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("entry_sum", "1"), ("box_bound", {"d": 1, "value": "1"}),
+     ("rough_bound", {"d": 1, "value": "1"})],
+)
+def test_degenerate_config_entry_is_an_input_error(
+    tmp_path, monkeypatch, capsys, key, value
+):
+    # the I4 cycle has a kernel, so it has no entry sum and no bound: each
+    # check ends as an input error, not a traceback
+    shutil.copytree(data_root(), tmp_path / "data")
+    target = tmp_path / "data" / "catalog" / "fermat-I4-cycle.json"
+    data = json.loads(target.read_text())
+    data["expected"][key] = value
+    target.write_text(json.dumps(data))
+    monkeypatch.setenv(CATALOG_ENV_VAR, str(tmp_path / "data"))
+    assert main(["catalog", "verify"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "input error: configuration Gram matrix is degenerate; "
+    )
+
+
 # -- extremal lookup -------------------------------------------------------------
 
 

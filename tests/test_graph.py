@@ -370,6 +370,18 @@ def test_quotient_projection_takes_one_entry_per_vertex():
             proj.apply(vec)
 
 
+def test_rank_zero_quotient_projection_checks_the_vector_length():
+    # two disjoint isotropic curves span a quotient of rank 0: its matrix
+    # has no row, yet the projection still takes one entry per vertex
+    cfg = config_from_data([("a", 0), ("b", 0)])
+    q, proj = quotient_by_kernel(cfg)
+    assert (q, proj.basis_ids, proj.matrix, proj.vertex_count) == ((), (), (), 2)
+    assert proj.apply([1, 2]) == ()
+    for vec in ([1, 2, 3], [1], []):
+        with pytest.raises(ValueError, match="one per vertex"):
+            proj.apply(vec)
+
+
 def test_hodge_filter_clean_chain():
     cfg = config_from_data([("a", -2, 1), ("b", -2, 1)], [("a", "b", 1)])
     assert hodge_filter(cfg, 1, 43) == []
