@@ -21,7 +21,8 @@ definite on the orthogonal complement of any positive vector (reverse
 Cauchy-Schwarz: ``(x.Wx) S <= (x.rho)^2``).  The split exists exactly when
 additionally ``rho >= 0`` entrywise.
 
-Certificates are built and checked in integers.  One fraction-free
+Certificates are built and checked in integers.  Every inverse outside
+the sweep comes from one builder, :func:`_support`: one fraction-free
 (Bareiss) elimination of the integer Gram matrix ``G`` gives its
 determinant and adjugate, so ``W = adj / det``, and its inertia from the
 nested principal minors (Jacobi's rule; a congruence takes over in the
@@ -38,7 +39,7 @@ the configuration alone, sharing no elimination with the builder and
 building no adjugate: the product check proves the witness the exact
 inverse, so the bound is read off it, and the inertia comes from one
 congruence of ``G``.  A rough certificate carries no witness, so its
-check still rebuilds the adjugate by the builder's Bareiss elimination.
+check still rebuilds the adjugate by :func:`_support`.
 
 The exclusion sweep runs in exact integers too.  It visits connected
 subconfigurations once each, as bitmasks, through
@@ -63,8 +64,8 @@ one only for a sign sum.
 
 A verdict scans only the sweep's records (:func:`sweep_records`), pulled
 lazily, so one sweep serves every ``(d, h)``.  Only the certificate that
-is returned is built, from its support's own Gram matrix by one Bareiss
-elimination; its witness is checked and its bound held to the one the
+is returned is built, from its support's own Gram matrix by
+:func:`_support`; its witness is checked and its bound held to the one the
 sweep found.  Cases of one call that end at the same record share it.
 """
 
@@ -76,7 +77,7 @@ from fractions import Fraction
 from functools import cache, partial
 from itertools import tee
 from operator import add, mul
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .exact import _congruence, bareiss, minor_signature, SingularMatrixError
 from .graph import (
@@ -174,7 +175,7 @@ def intrinsic_polarization(cfg: CurveConfig) -> IntrinsicPolarization:
     Works on the quotient by the radical.  The system is solvable iff the
     degree vector vanishes on the radical; nonexistence is data, not an
     error.  The class is ``adj d_B / det`` on the quotient basis ``B``, from
-    one Bareiss elimination of the Gram matrix of ``B``.
+    :func:`_support` on ``B``.
     """
     g, _, _, basis = _radical_reduction(cfg)
     if not basis:
@@ -184,7 +185,7 @@ def intrinsic_polarization(cfg: CurveConfig) -> IntrinsicPolarization:
     degrees = cfg.degrees()
     d_b = [degrees[j] for j in basis]
     # the quotient is nondegenerate
-    det, adj, _ = bareiss([[g[i][j] for j in basis] for i in basis])
+    basis_ids, _, (det, adj, *_) = _support(cfg, basis)
     num = [sum(map(mul, row, d_b)) for row in adj]
     # the basis curves pair to their degrees by construction, and the
     # others all do iff the degree functional kills the radical
@@ -202,7 +203,7 @@ def intrinsic_polarization(cfg: CurveConfig) -> IntrinsicPolarization:
         True,
         coords=tuple(Fraction(x, det) for x in num),
         square=Fraction(sum(map(mul, num, d_b)), det),
-        basis_ids=tuple(cfg.vertices[j].id for j in basis),
+        basis_ids=basis_ids,
     )
 
 
@@ -243,20 +244,27 @@ def _adjugate(g: list[list[int]]) -> _Adjugate | None:
     return _Adjugate(det, adj, n_plus, [sum(row) for row in adj])
 
 
-def _inverse_gram(cfg: CurveConfig) -> tuple[list[list[int]], _Adjugate]:
-    g = integer_gram(cfg, range(cfg.n))
+def _support(cfg: CurveConfig, idx: Sequence[int]) -> tuple[tuple[str, ...], list, _Adjugate]:
+    """The ids, integer Gram matrix and :func:`_adjugate` entry of the curves
+    at ``idx``, from k3lat's one inversion; a degenerate support is an error."""
+    g = integer_gram(cfg, idx)
     entry = _adjugate(g)
     if entry is None:
         raise DegenerateLatticeError(
-            "configuration Gram matrix is degenerate; bounds need the "
-            "nondegenerate quotient"
+            "configuration Gram matrix is degenerate; bounds need the nondegenerate quotient"
         )
+    return tuple(cfg.vertices[i].id for i in idx), g, entry
+
+
+def _inverse_gram(cfg: CurveConfig, d: int) -> tuple[tuple[str, ...], list, _Adjugate]:
+    """:func:`_support` on the whole configuration, capped by ``d`` and not negative definite."""
+    check_caps(cfg, d=d)
+    ids, g, entry = _support(cfg, range(cfg.n))
     if entry.n_plus == 0:
         raise ValueError(
-            "configuration Gram matrix is negative definite; its inverse "
-            "form bounds nothing"
+            "configuration Gram matrix is negative definite; its inverse form bounds nothing"
         )
-    return g, entry
+    return ids, g, entry
 
 
 def _rough_total(det: int, adj: list[list[int]]) -> int:
@@ -315,9 +323,8 @@ def rough_bound(cfg: CurveConfig, d: int) -> BoundCertificate:
     solution class.  A curve of degree above ``d`` is a ValueError, and so
     is a negative definite configuration, whose inverse form bounds nothing.
     """
-    check_caps(cfg, d=d)
-    _, entry = _inverse_gram(cfg)
-    return _rough_certificate(cfg.ids(), entry, d)
+    ids, _, entry = _inverse_gram(cfg, d)
+    return _rough_certificate(ids, entry, d)
 
 
 def box_certificate(cfg: CurveConfig, d: int) -> BoundCertificate:
@@ -331,8 +338,7 @@ def box_certificate(cfg: CurveConfig, d: int) -> BoundCertificate:
     ``d`` and a negative definite configuration are ValueErrors, as for
     :func:`rough_bound`.
     """
-    check_caps(cfg, d=d)
-    g, entry = _inverse_gram(cfg)
+    ids, g, entry = _inverse_gram(cfg, d)
     if entry.n_plus != 1:
         raise NoDecompositionFoundError("the Gram matrix is not of inertia (1, k - 1)")
     if not _box_total(entry.det, entry.sums):
@@ -340,7 +346,7 @@ def box_certificate(cfg: CurveConfig, d: int) -> BoundCertificate:
             "inverse Gram matrix has a negative row sum; the rank-one "
             "split cannot certify the box optimum"
         )
-    return _box_certificate(cfg.ids(), g, entry, d)
+    return _box_certificate(ids, g, entry, d)
 
 
 def _witness_fault(g: list[list[int]], wit: BoxWitness, n_plus: int) -> str | None:
@@ -402,20 +408,20 @@ def verify_certificate(cert: BoundCertificate, cfg: CurveConfig) -> bool:
     witness the exact inverse, the bound is read off it, and the inertia
     comes from one congruence (a degenerate support fails the product
     check).  A rough certificate carries no witness, so its inverse is
-    rebuilt by the Bareiss elimination that built it.  Total:
-    malformed input, such as a support that is not a tuple of ids, an
-    unknown, repeated or degenerate support, a degree cap ``d`` that is
-    not an integer (a bool is not) of at least 1 or is below the degree of
-    a support curve, a bound that is not an exact ``Fraction``, or a box
-    witness whose ``delta`` is not a positive int or whose parts are not
-    k x k tuples of int rows (:func:`_witness_fault`), is rejected rather
-    than raised.  A support with no positive direction bounds nothing (the
-    polarization's positive part may lie in its orthogonal complement), so
-    its rough and box certificates are rejected too."""
-    d, ids = cert.d, cert.support_ids
-    if type(d) is not int or d < 1 or not isinstance(ids, tuple):
+    rebuilt by :func:`_support`, which built it.  Total: malformed input,
+    such as an object that is not a :class:`BoundCertificate`, a support
+    that is not a tuple of ids, an unknown, repeated or degenerate support,
+    a degree cap ``d`` that is not an int (a bool is not) of at least 1 or
+    below the degree of a support curve, a bound that is not an exact
+    ``Fraction``, or a box witness whose ``delta`` is not a positive int or
+    whose parts are not k x k tuples of int rows (:func:`_witness_fault`),
+    is rejected rather than raised.  A support with no positive direction
+    bounds nothing (the polarization's positive part may lie in its
+    orthogonal complement), so its rough and box certificates are rejected."""
+    if not isinstance(cert, BoundCertificate) or not isinstance(cert.support_ids, tuple):
         return False
-    if not isinstance(cert.bound_on_2h, Fraction):
+    d, ids = cert.d, cert.support_ids
+    if type(d) is not int or d < 1 or not isinstance(cert.bound_on_2h, Fraction):
         return False
     if not all(isinstance(v, str) for v in ids) or len(set(ids)) != len(ids):
         return False
@@ -426,26 +432,23 @@ def verify_certificate(cert: BoundCertificate, cfg: CurveConfig) -> bool:
         if cert.kind == INTRINSIC_SQUARE:
             ip = intrinsic_polarization(cfg.induced(ids))
             return ip.exists and ip.square == cert.bound_on_2h
-    except (KeyError, ValueError, SingularMatrixError):
+        if cert.kind == ROUGH_POSITIVE_ENTRY_SUM:
+            entry = _support(cfg, idx)[2]
+            bound = _rough_certificate(ids, entry, d).bound_on_2h
+            return entry.n_plus > 0 and cert.bound_on_2h == bound
+    except (KeyError, ValueError):
+        return False
+    wit = cert.witness
+    if cert.kind != BOX_OPTIMUM_DECOMPOSITION or not isinstance(wit, BoxWitness):
         return False
     g = integer_gram(cfg, idx)
-    if cert.kind == ROUGH_POSITIVE_ENTRY_SUM:
-        entry = _adjugate(g)
-        if entry is None or entry.n_plus == 0:
-            return False
-        return cert.bound_on_2h == _rough_certificate(ids, entry, d).bound_on_2h
-    if cert.kind == BOX_OPTIMUM_DECOMPOSITION:
-        wit = cert.witness
-        if not isinstance(wit, BoxWitness):
-            return False
-        n_plus = _congruence(g)[0].n_plus
-        if n_plus == 0 or _witness_fault(g, wit, n_plus):
-            return False
-        # the witness has passed as the inverse W = g0 + g+, and g0 1 = 0,
-        # so the entry sum of W is that of g+
-        total = sum(map(sum, wit.nonnegative_part))
-        return cert.bound_on_2h == Fraction(total * d * d, wit.delta)
-    return False
+    n_plus = _congruence(g)[0].n_plus
+    if n_plus == 0 or _witness_fault(g, wit, n_plus):
+        return False
+    # the witness has passed as the inverse W = g0 + g+, and g0 1 = 0, so
+    # the entry sum of W is that of g+
+    total = sum(map(sum, wit.nonnegative_part))
+    return cert.bound_on_2h == Fraction(total * d * d, wit.delta)
 
 
 # the value of a key that the sweep's level has not met yet
@@ -621,12 +624,10 @@ def _checked_certificate(
     cfg: CurveConfig, subset: tuple[int, ...], d: int, bound: Fraction
 ) -> BoundCertificate:
     """The certificate of one swept subset, built from its own Gram matrix
-    by one Bareiss elimination: box, with its witness checked, when
+    by :func:`_support`: box, with its witness checked, when
     :func:`_box_total` lets the split apply, else rough.  It must carry the
     bound the sweep found."""
-    g = integer_gram(cfg, subset)
-    entry = _adjugate(g)
-    ids = tuple(cfg.vertices[i].id for i in subset)
+    ids, g, entry = _support(cfg, subset)
     if _box_total(entry.det, entry.sums):
         cert = _box_certificate(ids, g, entry, d)
     else:
@@ -696,9 +697,8 @@ def exclude(
     at ``d`` is below ``2h`` excludes, and otherwise the last, the least
     bound of the sweep, is the undecided certificate unless the pinned
     square is no larger.  The records are pulled lazily, so an exclusion
-    ends the sweep at its subset.  Only the certificate returned is built,
-    from its support's own Gram matrix by one Bareiss elimination, with its
-    witness checked; it must carry the bound the sweep found.
+    ends the sweep at its subset.  Only the certificate returned is built
+    (:func:`_checked_certificate`).
     """
     return exclude_all(cfg, [(d, h)], subgraph_cap, use_pinned_degrees)[0]
 
@@ -792,51 +792,29 @@ def _hyperbolic_verdict(
     two_h = Fraction(2 * h)
     notes: list[str] = []
     best: BoundCertificate | None = None
-    if ip is not None:
-        if ip.exists:
-            cert = BoundCertificate(
-                INTRINSIC_SQUARE,
-                ip.square,
-                cfg.ids(),
-                d,
-                witness=ip,
-                note="square of the class solving C.H = d_C exactly",
-            )
-            if cert.bound_on_2h < two_h:
-                return ExclusionVerdict(
-                    ExclusionStatus.HYPERBOLIC_EXCLUDED,
-                    certificates=(cert,),
-                    notes=(f"2h = {two_h} exceeds the pinned-degree bound",),
-                )
-            best = cert
-        else:
-            notes.append(f"pinned degrees admit no solution: {ip.note}")
-
+    if ip is not None and ip.exists:
+        best = BoundCertificate(
+            INTRINSIC_SQUARE, ip.square, cfg.ids(), d, witness=ip,
+            note="square of the class solving C.H = d_C exactly",
+        )
+        if best.bound_on_2h < two_h:
+            notes.append(f"2h = {two_h} exceeds the pinned-degree bound")
+            return ExclusionVerdict(ExclusionStatus.HYPERBOLIC_EXCLUDED, (best,), tuple(notes))
+    elif ip is not None:
+        notes.append(f"pinned degrees admit no solution: {ip.note}")
     bound = None
     for subset, total, den in records:
         bound = Fraction(total * d * d, den)
         if bound < two_h:
             cert = certificate(subset, d, bound)
-            return ExclusionVerdict(
-                ExclusionStatus.HYPERBOLIC_EXCLUDED,
-                certificates=(cert,),
-                notes=tuple(
-                    notes + [f"2h = {two_h} exceeds bound {cert.bound_on_2h}"]
-                ),
-            )
+            notes.append(f"2h = {two_h} exceeds bound {cert.bound_on_2h}")
+            return ExclusionVerdict(ExclusionStatus.HYPERBOLIC_EXCLUDED, (cert,), tuple(notes))
     # the last record holds the least bound
     if bound is not None and (best is None or bound < best.bound_on_2h):
         best = certificate(subset, d, bound)
+    notes.append(f"no certificate below 2h = {two_h} on subgraphs up to {subgraph_cap} vertices")
     return ExclusionVerdict(
-        ExclusionStatus.HYPERBOLIC_UNDECIDED,
-        certificates=() if best is None else (best,),
-        notes=tuple(
-            notes
-            + [
-                "no certificate below "
-                + f"2h = {two_h} on subgraphs up to {subgraph_cap} vertices"
-            ]
-        ),
+        ExclusionStatus.HYPERBOLIC_UNDECIDED, () if best is None else (best,), tuple(notes)
     )
 
 

@@ -3,10 +3,11 @@ extremal fibrations, each with an expected-results block that is recomputed
 on demand.
 
 ``verify_catalog`` re-derives every expected value from the live engines,
-so it doubles as the integration test of the whole package; a config
-entry verifies each distinct certificate it builds once, and one whose
-configuration is degenerate has no entry sum or bound, an input error
-(:class:`k3lat.bounds.DegenerateLatticeError`).  The extremal
+so it doubles as the integration test of the whole package.  It computes
+no lattice data of its own: a config entry's entry sum and bounds come
+from :func:`k3lat.bounds._support`, so a degenerate configuration has
+neither, an input error (:class:`k3lat.bounds.DegenerateLatticeError`),
+and each distinct certificate it builds is verified once.  The extremal
 entries are trusted literature data, kept only in their catalog files; each
 payload is read by the profile schema (:func:`k3lat.formats.profile_from_data`)
 once, at load.  Every object of a catalog file goes through the one reader
@@ -28,8 +29,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import bounds, fibration, formats, kodaira, roots
-from .graph import classify, integer_gram
-from .exact import SingularMatrixError, bareiss
+from .graph import classify
 
 
 CATALOG_ENV_VAR = "K3LAT_CATALOG_DIR"
@@ -175,16 +175,9 @@ def _verify_config_entry(entry: CatalogEntry, entries: list[CatalogEntry]) -> En
         found = Counter(d.tag for d in kodaira.find_kodaira_divisors(cfg))
         checks.append(_check("kodaira", dict(exp["kodaira"]), dict(found)))
     if "entry_sum" in exp:
-        try:
-            det, adj, _ = bareiss(integer_gram(cfg, range(cfg.n)))
-        except SingularMatrixError:
-            raise bounds.DegenerateLatticeError(
-                "configuration Gram matrix is degenerate; it has no entry sum"
-            ) from None
-        total = Fraction(sum(map(sum, adj)), det)
-        checks.append(
-            _check("entry_sum", exp["entry_sum"], formats.format_fraction(total))
-        )
+        inverse = bounds._support(cfg, range(cfg.n))[2]
+        total = formats.format_fraction(Fraction(sum(inverse.sums), inverse.det))
+        checks.append(_check("entry_sum", exp["entry_sum"], total))
     for key, build in (
         ("rough_bound", bounds.rough_bound), ("box_bound", bounds.box_certificate)
     ):

@@ -67,6 +67,8 @@ class FibrationProfile(namedtuple("FibrationProfile", "fibers quasi_elliptic cha
         self = super().__new__(cls, fibers, quasi_elliptic, characteristic)
         if self.characteristic is not None and type(self.characteristic) is not int:
             raise ValueError(f"characteristic must be an int, got {self.characteristic!r}")
+        if type(self.quasi_elliptic) is not bool:
+            raise ValueError(f"quasi_elliptic must be a bool, got {self.quasi_elliptic!r}")
         if self.quasi_elliptic and self.characteristic not in (2, 3):
             raise ValueError(
                 "quasi-elliptic fibrations exist only in characteristics 2 and 3"
@@ -287,6 +289,8 @@ def sd_bound(ctx: SurfaceContext, restricted: bool = False) -> SdBound:
     count is bounded by 40 (resp. 30) at a slightly higher degree
     threshold.
     """
+    if type(restricted) is not bool:
+        raise ValueError(f"restricted must be a bool, got {restricted!r}")
     p = ctx.characteristic
     if p == 0 and ctx.unirational:
         raise UnsupportedContextError(
@@ -344,14 +348,19 @@ class DeclaredCurve(NamedTuple):
 
 class DeclaredModel(namedtuple("DeclaredModel", "h_square h_two_divisible curves")):
     """A finite list of declared curve classes against which the
-    very-ampleness criterion is checked."""
+    very-ampleness criterion is checked; ``h_square`` is an even int and
+    ``h_two_divisible`` a bool (a bool is not an int), else ``ValueError``."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
     def __new__(cls, h_square: int, h_two_divisible: bool, curves: tuple[DeclaredCurve, ...]):
+        if type(h_square) is not int:
+            raise ValueError(f"the polarization square must be an int, got {h_square!r}")
         if h_square % 2 != 0:
             raise ValueError("the polarization square must be even")
+        if type(h_two_divisible) is not bool:
+            raise ValueError(f"h_two_divisible must be a bool, got {h_two_divisible!r}")
         return super().__new__(cls, h_square, h_two_divisible, curves)
 
 

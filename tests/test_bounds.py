@@ -342,6 +342,20 @@ def test_verify_certificate_rejects_tampering(char3_cfg):
     ]
     assert verify_certificate(cert, char3_cfg) and verify_certificate(rough, char3_cfg)
     assert not any(verify_certificate(c, char3_cfg) for c in inexact)
+    # an object that is not a certificate, even a tuple of a certificate's
+    # fields, is rejected rather than raised
+    for other in (None, ("a",), tuple(cert), tuple(rough), "cert"):
+        assert not verify_certificate(other, char3_cfg)
+
+
+def test_built_box_witness_that_fails_its_check_is_an_assertion(monkeypatch, char3_cfg):
+    # the builder checks each witness it emits; one that fails is a bug in
+    # k3lat, never a certificate
+    monkeypatch.setattr(bounds, "_witness_fault", lambda g, wit, n_plus: "forged")
+    with pytest.raises(AssertionError, match="^box witness fails its check: forged$"):
+        box_certificate(char3_cfg, 1)
+    with pytest.raises(AssertionError, match="^box witness fails its check: forged$"):
+        exclude(char3_cfg, 1, 50)
 
 
 def test_verify_certificate_needs_the_rank_one_split_and_the_inertia(char3_cfg):

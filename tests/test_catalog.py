@@ -328,6 +328,14 @@ def test_example_file_errors_name_the_file(
     assert f"input error: {file}: {error}\n" == capsys.readouterr().err
 
 
+def test_entry_file_text_needs_a_file():
+    # an extremal entry keeps its data in the catalog file, with no example file
+    entry = get_entry("extremal-I7-I7-IIstar")
+    assert entry.file is None
+    with pytest.raises(ValueError, match="entry 'extremal-I7-I7-IIstar' has no payload file"):
+        entry_file_text(entry)
+
+
 def test_get_entry_unknown_raises():
     with pytest.raises(KeyError):
         get_entry("definitely-not-there")
@@ -385,8 +393,7 @@ def test_verify_catalog_builds_and_checks_each_certificate_once(monkeypatch):
         counts["bareiss"] += 1
         return real(rows)
 
-    for module in (bounds, catalog):
-        monkeypatch.setattr(module, "bareiss", spy_bareiss)
+    monkeypatch.setattr(bounds, "bareiss", spy_bareiss)
     for name in ("verify_certificate", "_checked_certificate", "_witness_fault"):
         real_fn = getattr(bounds, name)
 

@@ -309,6 +309,51 @@ def test_surface_context_unirational_is_a_bool_or_none(flag):
         assert SurfaceContext(characteristic=2, unirational=known).unirational is known
 
 
+@pytest.mark.parametrize("flag", ["no", 0, 1, None])
+def test_profile_quasi_elliptic_is_a_bool(flag):
+    # "no" read as quasi-elliptic, so budget_check switched mode
+    with pytest.raises(ValueError, match="quasi_elliptic must be a bool"):
+        profile([("IV", 10)], quasi_elliptic=flag, characteristic=3)
+    for known in (True, False):
+        prof = profile([("IV", 10)], quasi_elliptic=known, characteristic=3)
+        assert budget_check(prof).mode == ("quasi-elliptic" if known else "elliptic")
+
+
+@pytest.mark.parametrize("flag", ["no", 0, 1, None])
+def test_sd_bound_restricted_is_a_bool(flag):
+    # "no" returned the restricted bound 30 / S_d' in characteristic 3
+    with pytest.raises(ValueError, match="restricted must be a bool"):
+        sd_bound(SurfaceContext(3), restricted=flag)
+    assert sd_bound(SurfaceContext(3, unirational=False), restricted=False).bound == 24
+    assert sd_bound(SurfaceContext(3, unirational=False), restricted=True).bound == 30
+
+
+@pytest.mark.parametrize("flag", ["no", 0, 1, None])
+def test_declared_model_two_divisibility_is_a_bool(flag):
+    # "no" failed "H^2 = 8 with H 2-divisible"
+    with pytest.raises(ValueError, match="h_two_divisible must be a bool"):
+        DeclaredModel(8, flag, ())
+    assert very_ample_check(DeclaredModel(8, False, ())).passed
+    assert not very_ample_check(DeclaredModel(8, True, ())).passed
+
+
+@pytest.mark.parametrize("h_square", [8.0, True, "8", None])
+def test_declared_model_square_is_an_int(h_square):
+    # 8.0 was accepted, and True was read as the odd square 1
+    with pytest.raises(ValueError, match="the polarization square must be an int"):
+        DeclaredModel(h_square, False, ())
+    with pytest.raises(ValueError, match="the polarization square must be an int"):
+        DeclaredModel(8, False, ())._replace(h_square=h_square)
+
+
+def test_quasi_elliptic_profile_carries_no_wild_term():
+    # a wild term needs characteristic 2 or 3, and so does a quasi-elliptic
+    # fibration, but its Euler budget has no place for one
+    with pytest.raises(ValueError, match="the quasi-elliptic Euler budget carries no wild term"):
+        profile([("IV", 10, 1)], quasi_elliptic=True, characteristic=3)
+    assert profile([("IV", 10, 1)], characteristic=3).fibers[0].delta == 1
+
+
 @pytest.mark.parametrize("count", [-3, 0, 2.5, True, "2"])
 def test_profile_count_is_an_int_of_at_least_one(count):
     # -3 and 0 gave an empty profile, 2.5 a TypeError

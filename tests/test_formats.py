@@ -51,6 +51,11 @@ def test_parse_config_duplicate_id():
         parse_config(text)
 
 
+def test_parse_config_needs_a_vertex():
+    with pytest.raises(ValidationError, match="^config: needs at least one vertex$"):
+        parse_config('{"vertices": []}')
+
+
 def test_parse_config_odd_square():
     with pytest.raises(ValidationError):
         parse_config('{"vertices": [{"id": "a", "square": -1}]}')

@@ -138,3 +138,56 @@ def test_guard_sees_a_dead_private_name():
         "b": ast.parse("from a import _helper\nclass _Both: pass\nprint(_helper, a._late)\n"),
     }
     assert _dead_private(trees) == ["a._Gone", "a._LEFT", "a._both"]
+
+
+
+def _call_sites(tree, name):
+    """The top-level definition around each call of ``name`` in ``tree``,
+    plain or as an attribute (``exact.name``); ``<module>`` for a call
+    outside every definition."""
+    return [
+        getattr(top, "name", "<module>")
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
+def _modules_read(tree):
+    """Each module an import of ``tree`` names, with each name imported from
+    it, relative ones without their dots."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or ""
+            yield from (f"{node.module or ''}.{alias.name}".lstrip(".") for alias in node.names)
+
+
+def _reads_exact(tree):
+    return any("exact" in module.split(".") for module in _modules_read(tree))
+
+
+def test_one_inversion_path():
+    # every Gram-matrix inverse comes from bounds._support, through the one
+    # Bareiss call in bounds._adjugate, and catalog reads its lattice data
+    # off bounds rather than eliminating on its own
+    trees = _trees(SRC)
+    sites = {stem: _call_sites(tree, "bareiss") for stem, tree in trees.items()}
+    assert {stem: at for stem, at in sites.items() if at} == {"bounds": ["_adjugate"]}
+    assert not _reads_exact(trees["catalog"])
+
+
+def test_guard_sees_a_second_bareiss_call_and_an_exact_import():
+    tree = ast.parse(
+        "from . import exact\n"
+        "def _adjugate(g):\n    return bareiss(g)\n"
+        "class Entry:\n    def total(self, g):\n        return exact.bareiss(g)[0]\n"
+        "DET = bareiss([[1]])\n"
+    )
+    assert _call_sites(tree, "bareiss") == ["_adjugate", "Entry", "<module>"]
+    for line in ("from . import exact", "from .exact import bareiss", "import k3lat.exact",
+                 "from k3lat.exact import bareiss", "from k3lat import exact as e"):
+        assert _reads_exact(ast.parse(line)), line
+    assert not _reads_exact(ast.parse("from . import bounds, exacting\nfrom .graph import classify"))

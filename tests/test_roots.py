@@ -356,6 +356,29 @@ def test_standard_diagram_rank_parameter_is_an_int(n):
     assert standard_diagram("A", 2).n == 2
 
 
+@pytest.mark.parametrize(
+    "kind, n, message",
+    [
+        ("A", 0, r"A\(n\) needs n >= 1"),
+        ("AffineA", 1, r"AffineA\(n\) needs n >= 2"),
+        ("D", 3, r"D\(n\) needs n >= 4"),
+        ("AffineD", 3, r"AffineD\(n\) needs n >= 4"),
+        ("E", 9, r"E\(9\) is not a diagram"),
+        ("AffineE", 5, r"AffineE\(5\) is not a diagram"),
+        ("B", 3, "unknown diagram kind 'B'"),
+    ],
+)
+def test_standard_diagram_rejects_a_rank_or_kind_it_has_no_diagram_for(kind, n, message):
+    with pytest.raises(ValueError, match=message):
+        standard_diagram(kind, n)
+
+
+@pytest.mark.parametrize("kind, n", [("A", 3), ("D", 5), ("E", 6), ("AffineE", 5)])
+def test_radical_is_only_for_affine_diagrams(kind, n):
+    with pytest.raises(ValueError, match="is not an affine diagram"):
+        roots.radical(kind, n)
+
+
 def test_standard_gram_table_builds_every_diagram():
     standard_gram.cache_clear()
     kinds = ALL_KINDS + [("A1Tilde", 1)]
