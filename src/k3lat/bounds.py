@@ -66,7 +66,16 @@ A verdict scans only the sweep's records (:func:`sweep_records`), pulled
 lazily, so one sweep serves every ``(d, h)``.  Only the certificate that
 is returned is built, from its support's own Gram matrix by
 :func:`_support`; its witness is checked and its bound held to the one the
-sweep found.  Cases of one call that end at the same record share it.
+sweep found.
+
+The builders share their work through a span (:class:`_Span`), which
+computes each piece of one configuration's lattice data at most once: its
+classification, the :func:`_support` of each index tuple, and the
+certificate of each support and cap.  A public builder makes a span per
+call, so nothing outlives it; ``catalog verify`` makes one per entry, so
+that its entry sum, bound checks and exclusions share one elimination and
+their equal certificates one build.  :func:`verify_certificate` takes no
+span: it stays the independent check.
 """
 
 from __future__ import annotations
@@ -74,7 +83,7 @@ from __future__ import annotations
 import enum
 import math
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from itertools import tee
 from operator import add, mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -82,6 +91,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 from .exact import _congruence, bareiss, minor_signature, SingularMatrixError
 from .graph import (
     CurveConfig,
+    LatticeClass,
     SpanKind,
     _radical_reduction,
     check_caps,
@@ -256,10 +266,83 @@ def _support(cfg: CurveConfig, idx: Sequence[int]) -> tuple[tuple[str, ...], lis
     return tuple(cfg.vertices[i].id for i in idx), g, entry
 
 
-def _inverse_gram(cfg: CurveConfig, d: int) -> tuple[tuple[str, ...], list, _Adjugate]:
-    """:func:`_support` on the whole configuration, capped by ``d`` and not negative definite."""
-    check_caps(cfg, d=d)
-    ids, g, entry = _support(cfg, range(cfg.n))
+class _Span:
+    """The lattice data of one configuration, each piece computed at most
+    once: its classification ``cls``, the :func:`_support` of each index
+    tuple, and the :meth:`certificate` of each support and cap.  A span
+    lives as long as the call that made it; each public builder makes its
+    own, and :func:`verify_certificate` takes none."""
+
+    def __init__(self, cfg: CurveConfig):
+        self.cfg = cfg
+        self.whole = tuple(range(cfg.n))
+        self.support = cache(partial(_support, cfg))
+        self._certificates: dict = {}
+
+    @cached_property
+    def cls(self) -> LatticeClass:
+        return classify(self.cfg)
+
+    def certificate(self, idx: tuple[int, ...], d: int) -> BoundCertificate:
+        """The certificate of the support ``idx`` at the cap ``d``: box, with
+        its witness checked, when :func:`_box_total` lets the split apply,
+        else rough."""
+        cert = self._certificates.get((idx, d))
+        if cert is None:
+            ids, g, entry = self.support(idx)
+            if _box_total(entry.det, entry.sums):
+                cert = _box_certificate(ids, g, entry, d)
+            else:
+                cert = _rough_certificate(ids, entry, d)
+            self._certificates[idx, d] = cert
+        return cert
+
+    def rough_bound(self, d: int) -> BoundCertificate:
+        """:func:`rough_bound` on the span."""
+        ids, _, entry = _inverse_gram(self, d)
+        return _rough_certificate(ids, entry, d)
+
+    def box_certificate(self, d: int) -> BoundCertificate:
+        """:func:`box_certificate` on the span."""
+        entry = _inverse_gram(self, d)[2]
+        if entry.n_plus != 1:
+            raise NoDecompositionFoundError("the Gram matrix is not of inertia (1, k - 1)")
+        if not _box_total(entry.det, entry.sums):
+            raise NoDecompositionFoundError(
+                "inverse Gram matrix has a negative row sum; the rank-one "
+                "split cannot certify the box optimum"
+            )
+        return self.certificate(self.whole, d)
+
+    def exclude_all(self, cases: Iterable[tuple[int, int]], subgraph_cap: int = 13,
+                    use_pinned_degrees: bool = False) -> list[ExclusionVerdict]:
+        """:func:`exclude_all` on the span."""
+        cfg = self.cfg
+        cases = list(cases)
+        if type(use_pinned_degrees) is not bool:
+            raise ValueError(f"use_pinned_degrees must be a bool, got {use_pinned_degrees!r}")
+        for d, h in cases:
+            check_caps(cfg, d=d, h=h, subgraph_cap=subgraph_cap)
+        if not cases:
+            return []
+        cls = self.cls
+        if cls.kind is not SpanKind.HYPERBOLIC:
+            return [_span_verdict(cfg, cls.kind)] * len(cases)
+        ip = intrinsic_polarization(cfg) if use_pinned_degrees else None
+        # a subset of more curves than the rank is degenerate
+        sweep = _records(cfg, cls._gram, min(subgraph_cap, cfg.n - cls.signature.n_zero))
+        certificate = cache(partial(_checked_certificate, self))
+        return [
+            _hyperbolic_verdict(cfg, d, h, subgraph_cap, ip, records, certificate)
+            for (d, h), records in zip(cases, tee(sweep, len(cases)))
+        ]
+
+
+def _inverse_gram(span: _Span, d: int) -> tuple[tuple[str, ...], list, _Adjugate]:
+    """The support of the whole configuration of ``span``, capped by ``d``
+    and not negative definite."""
+    check_caps(span.cfg, d=d)
+    ids, g, entry = span.support(span.whole)
     if entry.n_plus == 0:
         raise ValueError(
             "configuration Gram matrix is negative definite; its inverse form bounds nothing"
@@ -323,8 +406,7 @@ def rough_bound(cfg: CurveConfig, d: int) -> BoundCertificate:
     solution class.  A curve of degree above ``d`` is a ValueError, and so
     is a negative definite configuration, whose inverse form bounds nothing.
     """
-    ids, _, entry = _inverse_gram(cfg, d)
-    return _rough_certificate(ids, entry, d)
+    return _Span(cfg).rough_bound(d)
 
 
 def box_certificate(cfg: CurveConfig, d: int) -> BoundCertificate:
@@ -338,15 +420,7 @@ def box_certificate(cfg: CurveConfig, d: int) -> BoundCertificate:
     ``d`` and a negative definite configuration are ValueErrors, as for
     :func:`rough_bound`.
     """
-    ids, g, entry = _inverse_gram(cfg, d)
-    if entry.n_plus != 1:
-        raise NoDecompositionFoundError("the Gram matrix is not of inertia (1, k - 1)")
-    if not _box_total(entry.det, entry.sums):
-        raise NoDecompositionFoundError(
-            "inverse Gram matrix has a negative row sum; the rank-one "
-            "split cannot certify the box optimum"
-        )
-    return _box_certificate(ids, g, entry, d)
+    return _Span(cfg).box_certificate(d)
 
 
 def _witness_fault(g: list[list[int]], wit: BoxWitness, n_plus: int) -> str | None:
@@ -621,17 +695,12 @@ def _hyperbolic_total(det: int, n_plus: int, sums: list[int], best: list) -> int
 
 
 def _checked_certificate(
-    cfg: CurveConfig, subset: tuple[int, ...], d: int, bound: Fraction
+    span: _Span, subset: tuple[int, ...], d: int, bound: Fraction
 ) -> BoundCertificate:
-    """The certificate of one swept subset, built from its own Gram matrix
-    by :func:`_support`: box, with its witness checked, when
-    :func:`_box_total` lets the split apply, else rough.  It must carry the
-    bound the sweep found."""
-    ids, g, entry = _support(cfg, subset)
-    if _box_total(entry.det, entry.sums):
-        cert = _box_certificate(ids, g, entry, d)
-    else:
-        cert = _rough_certificate(ids, entry, d)
+    """The certificate of one swept subset at the cap ``d``, the span's
+    :meth:`_Span.certificate`, built from the subset's own Gram matrix.  It
+    must carry the bound the sweep found."""
+    cert = span.certificate(subset, d)
     if cert.bound_on_2h != bound:
         raise AssertionError(
             f"sweep bound {bound} differs from the rebuilt certificate's "
@@ -718,26 +787,10 @@ def exclude_all(
     pulls more, so the sweep runs only as far as the case that needs it
     furthest.  Cases that end at the same record ``(subset, d, bound)``
     share one built and checked certificate, so they return equal ones.
-    Nothing is kept once the call returns.
+    The call reads all of this off one :class:`_Span` of its own, so
+    nothing is kept once it returns.
     """
-    cases = list(cases)
-    if type(use_pinned_degrees) is not bool:
-        raise ValueError(f"use_pinned_degrees must be a bool, got {use_pinned_degrees!r}")
-    for d, h in cases:
-        check_caps(cfg, d=d, h=h, subgraph_cap=subgraph_cap)
-    if not cases:
-        return []
-    cls = classify(cfg)
-    if cls.kind is not SpanKind.HYPERBOLIC:
-        return [_span_verdict(cfg, cls.kind)] * len(cases)
-    ip = intrinsic_polarization(cfg) if use_pinned_degrees else None
-    # a subset of more curves than the rank is degenerate
-    sweep = _records(cfg, cls._gram, min(subgraph_cap, cfg.n - cls.signature.n_zero))
-    certificate = cache(partial(_checked_certificate, cfg))
-    return [
-        _hyperbolic_verdict(cfg, d, h, subgraph_cap, ip, records, certificate)
-        for (d, h), records in zip(cases, tee(sweep, len(cases)))
-    ]
+    return _Span(cfg).exclude_all(cases, subgraph_cap, use_pinned_degrees)
 
 
 def _span_verdict(cfg: CurveConfig, kind: SpanKind) -> ExclusionVerdict:
@@ -788,7 +841,7 @@ def _hyperbolic_verdict(
     """The verdict of one case on a hyperbolic span from the pinned-degree
     solution ``ip`` (None unless pinned) and a scan of the sweep's
     ``records``, pulled only up to the first below ``2h``; ``certificate``
-    is :func:`_checked_certificate` on ``cfg``."""
+    is :func:`_checked_certificate` on the configuration's span."""
     two_h = Fraction(2 * h)
     notes: list[str] = []
     best: BoundCertificate | None = None

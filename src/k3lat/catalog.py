@@ -4,10 +4,15 @@ on demand.
 
 ``verify_catalog`` re-derives every expected value from the live engines,
 so it doubles as the integration test of the whole package.  It computes
-no lattice data of its own: a config entry's entry sum and bounds come
-from :func:`k3lat.bounds._support`, so a degenerate configuration has
-neither, an input error (:class:`k3lat.bounds.DegenerateLatticeError`),
-and each distinct certificate it builds is verified once.  The extremal
+no lattice data of its own: a config entry reads its classification,
+entry sum, bound checks and exclusions off one span of
+:mod:`k3lat.bounds` (``bounds._Span``), which classifies the entry once,
+eliminates each support once by :func:`k3lat.bounds._support` and builds
+each certificate of a support and cap once.  So a degenerate configuration
+has no entry sum and no bound, an input error
+(:class:`k3lat.bounds.DegenerateLatticeError`), and each distinct
+certificate is verified once, by :func:`k3lat.bounds.verify_certificate`,
+which shares nothing with the span.  The extremal
 entries are trusted literature data, kept only in their catalog files; each
 payload is read by the profile schema (:func:`k3lat.formats.profile_from_data`)
 once, at load.  Every object of a catalog file goes through the one reader
@@ -29,7 +34,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import bounds, fibration, formats, kodaira, roots
-from .graph import classify
 
 
 CATALOG_ENV_VAR = "K3LAT_CATALOG_DIR"
@@ -163,11 +167,11 @@ def _verify_config_entry(entry: CatalogEntry, entries: list[CatalogEntry]) -> En
     # equal certificates, as the box bound and the exclusions of one support
     # often are, are verified once
     verify = cache(lambda cert: bounds.verify_certificate(cert, cfg))
+    span = bounds._Span(cfg)
     if "vertex_count" in exp:
         checks.append(_check("vertex_count", exp["vertex_count"], cfg.n))
-    cls = classify(cfg)
     if "classification" in exp:
-        checks.append(_check("classification", exp["classification"], cls.kind.value))
+        checks.append(_check("classification", exp["classification"], span.cls.kind.value))
     if "decomposition" in exp:
         names = roots.decompose(cfg).names()
         checks.append(_check("decomposition", sorted(exp["decomposition"]), names))
@@ -175,18 +179,16 @@ def _verify_config_entry(entry: CatalogEntry, entries: list[CatalogEntry]) -> En
         found = Counter(d.tag for d in kodaira.find_kodaira_divisors(cfg))
         checks.append(_check("kodaira", dict(exp["kodaira"]), dict(found)))
     if "entry_sum" in exp:
-        inverse = bounds._support(cfg, range(cfg.n))[2]
+        inverse = span.support(span.whole)[2]
         total = formats.format_fraction(Fraction(sum(inverse.sums), inverse.det))
         checks.append(_check("entry_sum", exp["entry_sum"], total))
-    for key, build in (
-        ("rough_bound", bounds.rough_bound), ("box_bound", bounds.box_certificate)
-    ):
+    for key, build in (("rough_bound", span.rough_bound), ("box_bound", span.box_certificate)):
         if key in exp:
-            cert = build(cfg, exp[key]["d"])
+            cert = build(exp[key]["d"])
             actual = formats.format_fraction(cert.bound_on_2h) if verify(cert) else "unverified"
             checks.append(_check(key, exp[key]["value"], actual))
     cases = exp.get("exclusions", ())
-    verdicts = bounds.exclude_all(cfg, [(case["d"], case["h"]) for case in cases])
+    verdicts = span.exclude_all([(case["d"], case["h"]) for case in cases])
     for case, verdict in zip(cases, verdicts):
         certs_ok = all(map(verify, verdict.certificates))
         checks.append(

@@ -212,16 +212,18 @@ def _certificate_payload(cert: bounds.BoundCertificate) -> dict:
 def _cmd_bound(args) -> int:
     doc = parse_config(_read(args.file))
     cfg = doc.config
+    # the fallback reads the elimination the box builder made
+    span = bounds._Span(cfg)
     try:
         if args.method == "rough":
-            cert = bounds.rough_bound(cfg, args.d)
+            cert = span.rough_bound(args.d)
         elif args.method == "box":
-            cert = bounds.box_certificate(cfg, args.d)
+            cert = span.box_certificate(args.d)
         else:
             try:
-                cert = bounds.box_certificate(cfg, args.d)
+                cert = span.box_certificate(args.d)
             except bounds.NoDecompositionFoundError:
-                cert = bounds.rough_bound(cfg, args.d)
+                cert = span.rough_bound(args.d)
     except bounds.NoDecompositionFoundError as exc:
         _emit({"error": str(exc)}, args.format, [f"no box certificate: {exc}"])
         return 1

@@ -56,13 +56,18 @@ def _tag_sort_key(inst: FiberInstance) -> tuple:
 
 
 class FibrationProfile(namedtuple("FibrationProfile", "fibers quasi_elliptic characteristic")):
-    """Multiset of singular fibers of one genus-one fibration, held sorted."""
+    """Multiset of singular fibers of one genus-one fibration, held sorted;
+    a fiber that is not a :class:`FiberInstance` raises ``ValueError``."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
     def __new__(cls, fibers: tuple[FiberInstance, ...], quasi_elliptic: bool = False,
                 characteristic: int | None = None):
+        fibers = tuple(fibers)
+        for f in fibers:
+            if not isinstance(f, FiberInstance):
+                raise ValueError(f"a fiber must be a FiberInstance, got {f!r}")
         fibers = tuple(sorted(fibers, key=_tag_sort_key))
         self = super().__new__(cls, fibers, quasi_elliptic, characteristic)
         if self.characteristic is not None and type(self.characteristic) is not int:
@@ -287,8 +292,11 @@ def sd_bound(ctx: SurfaceContext, restricted: bool = False) -> SdBound:
     (resp. 3) the unrestricted count needs non-unirationality (resp.
     non-unirationality or large Artin invariant); otherwise the restricted
     count is bounded by 40 (resp. 30) at a slightly higher degree
-    threshold.
+    threshold.  A ``ctx`` that is not a :class:`SurfaceContext` raises
+    ``ValueError``.
     """
+    if not isinstance(ctx, SurfaceContext):
+        raise ValueError(f"ctx must be a SurfaceContext, got {ctx!r}")
     if type(restricted) is not bool:
         raise ValueError(f"restricted must be a bool, got {restricted!r}")
     p = ctx.characteristic
@@ -340,16 +348,28 @@ def sd_bound(ctx: SurfaceContext, restricted: bool = False) -> SdBound:
     return SdBound(30, "S_d'", Fraction(43), ("characteristic 3",))
 
 
-class DeclaredCurve(NamedTuple):
-    label: str
-    genus: int
-    h_degree: int
+class DeclaredCurve(namedtuple("DeclaredCurve", "label genus h_degree")):
+    """A declared curve class: ``label`` is a str, and the arithmetic genus
+    ``genus`` and the H-degree ``h_degree`` are ints (a bool is not), else
+    ``ValueError``."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
+
+    def __new__(cls, label: str, genus: int, h_degree: int):
+        if not isinstance(label, str):
+            raise ValueError(f"a curve label must be a str, got {label!r}")
+        for name, value in (("genus", genus), ("H-degree", h_degree)):
+            if type(value) is not int:
+                raise ValueError(f"curve {label}: the {name} must be an int, got {value!r}")
+        return super().__new__(cls, label, genus, h_degree)
 
 
 class DeclaredModel(namedtuple("DeclaredModel", "h_square h_two_divisible curves")):
     """A finite list of declared curve classes against which the
-    very-ampleness criterion is checked; ``h_square`` is an even int and
-    ``h_two_divisible`` a bool (a bool is not an int), else ``ValueError``."""
+    very-ampleness criterion is checked; ``h_square`` is an even int,
+    ``h_two_divisible`` a bool (a bool is not an int) and ``curves`` a tuple
+    of :class:`DeclaredCurve`, else ``ValueError``."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
@@ -361,6 +381,8 @@ class DeclaredModel(namedtuple("DeclaredModel", "h_square h_two_divisible curves
             raise ValueError("the polarization square must be even")
         if type(h_two_divisible) is not bool:
             raise ValueError(f"h_two_divisible must be a bool, got {h_two_divisible!r}")
+        if not isinstance(curves, tuple) or not all(isinstance(c, DeclaredCurve) for c in curves):
+            raise ValueError(f"curves must be a tuple of DeclaredCurve, got {curves!r}")
         return super().__new__(cls, h_square, h_two_divisible, curves)
 
 

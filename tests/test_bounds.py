@@ -1092,14 +1092,14 @@ def test_checked_certificate_builds_a_rough_certificate():
     # has a row sum of each sign, so the box split fails and the rough
     # bound, its positive entries 2/5 + 1/5 + 1/5, is the certificate
     cfg = config_from_data([("p", 2), ("n", -2)], [("p", "n", 1)])
-    cert = _checked_certificate(cfg, (0, 1), 1, Fraction(4, 5))
+    cert = _checked_certificate(bounds._Span(cfg), (0, 1), 1, Fraction(4, 5))
     assert cert.kind == ROUGH_POSITIVE_ENTRY_SUM
     assert (cert.bound_on_2h, cert.support_ids, cert.d) == (Fraction(4, 5), ("p", "n"), 1)
     assert verify_certificate(cert, cfg)
     with pytest.raises(
         AssertionError, match="sweep bound 1/2 differs from the rebuilt certificate's 4/5"
     ):
-        _checked_certificate(cfg, (0, 1), 1, Fraction(1, 2))
+        _checked_certificate(bounds._Span(cfg), (0, 1), 1, Fraction(1, 2))
 
 
 def test_sweep_skips_a_rough_sum_at_the_cap_that_cannot_set_a_record(monkeypatch):
@@ -1360,6 +1360,18 @@ def test_exclude_all_runs_one_sweep(monkeypatch):
     # no case needs no classification
     monkeypatch.setattr(bounds, "classify", None)
     assert exclude_all(cfg, [], subgraph_cap=6) == []
+
+
+def test_each_exclude_call_classifies_once(monkeypatch):
+    # a call reads its classification off a span of its own, so two calls
+    # on one parsed configuration classify it once each
+    classified = []
+    real = bounds.classify
+    monkeypatch.setattr(bounds, "classify", lambda cfg: classified.append(cfg) or real(cfg))
+    cfg = i3star_four_sections()
+    for calls in (1, 2):
+        assert exclude(cfg, 1, 44).status is ExclusionStatus.HYPERBOLIC_EXCLUDED
+        assert classified == [cfg] * calls
 
 
 def _spy_checked_certificate(monkeypatch):

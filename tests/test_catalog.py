@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from k3lat import bounds, catalog, exact
+from k3lat import bounds, catalog, exact, kodaira, roots
 from k3lat.catalog import (
     CATALOG_ENV_VAR,
     data_root,
@@ -377,15 +377,19 @@ def test_verify_catalog_runs_one_sweep_per_configuration(monkeypatch):
 
 
 def test_verify_catalog_builds_and_checks_each_certificate_once(monkeypatch):
-    # three entry sums, the rough and two box certificates of the bound
-    # checks, and one certificate per configuration's exclusion cases are
-    # each one Bareiss elimination, and so is the check of the one rough
-    # certificate; a box certificate is checked without one.  The five
-    # distinct certificates (char3's box bound equals both its exclusion
-    # certificates, and char2's two exclusion certificates are equal) are
-    # each verified once.  A witness is checked once per box certificate
-    # built (two bound checks, three exclusion certificates) and once per
-    # distinct box certificate verified (four)
+    # each config entry reads one span.  On each of the three hyperbolic
+    # entries the entry sum, the bound check and the exclusion record (the
+    # whole configuration) read one Bareiss elimination, and the check of
+    # the one rough certificate is one more; a box certificate is checked
+    # without one.  Each config entry is classified once, and the I4
+    # cycle's decomposition classifies it once more.  A box certificate is
+    # built once per support and cap: char2's at d = 1 and d = 2, char3's
+    # (its bound check and both exclusions) and D6tilde's exclusion.  The
+    # five distinct certificates (char3's box bound equals both its
+    # exclusion certificates, and char2's two exclusion certificates are
+    # equal) are each verified once; a witness is checked once per box
+    # certificate built and once per distinct box certificate verified.
+    # A second call counts the same: nothing outlives the first
     counts = Counter()
     real = exact.bareiss
 
@@ -394,21 +398,57 @@ def test_verify_catalog_builds_and_checks_each_certificate_once(monkeypatch):
         return real(rows)
 
     monkeypatch.setattr(bounds, "bareiss", spy_bareiss)
-    for name in ("verify_certificate", "_checked_certificate", "_witness_fault"):
-        real_fn = getattr(bounds, name)
+    spied = [(bounds, name) for name in (
+        "verify_certificate", "_checked_certificate", "_witness_fault", "_box_certificate"
+    )] + [(module, "classify") for module in (bounds, roots, kodaira)]
+    for module, name in spied:
+        real_fn = getattr(module, name)
 
         def spy(*args, _real=real_fn, _name=name):
             counts[_name] += 1
             return _real(*args)
 
-        monkeypatch.setattr(bounds, name, spy)
-    assert all(r.ok for r in verify_catalog())
-    assert dict(counts) == {
-        "bareiss": 10,
-        "verify_certificate": 5,
-        "_checked_certificate": 3,
-        "_witness_fault": 9,
-    }
+        monkeypatch.setattr(module, name, spy)
+    for _ in range(2):
+        counts.clear()
+        assert all(r.ok for r in verify_catalog())
+        assert dict(counts) == {
+            "bareiss": 4,
+            "classify": 5,
+            "verify_certificate": 5,
+            "_checked_certificate": 3,
+            "_box_certificate": 4,
+            "_witness_fault": 8,
+        }
+
+
+def test_shared_span_matches_the_public_builders(monkeypatch):
+    # each config entry's bound checks and exclusion verdicts, read off one
+    # span, equal those of the public builders, each on a fresh parse
+    calls = []
+    for name in ("rough_bound", "box_certificate", "exclude_all"):
+        real = getattr(bounds._Span, name)
+
+        def spy(span, *args, _real=real, _name=name):
+            out = _real(span, *args)
+            calls.append((entry, _name, args, out))
+            return out
+
+        monkeypatch.setattr(bounds._Span, name, spy)
+    entries = [e for e in load_catalog() if e.kind == "config"]
+    for entry in entries:
+        assert verify_entry(entry, entries).ok
+    monkeypatch.undo()
+    certs = verdicts = 0
+    for entry, name, args, out in calls:
+        cfg = parse_config(entry_file_text(entry), entry.file).config
+        assert out == getattr(bounds, name)(cfg, *args)
+        if name == "exclude_all":
+            verdicts += len(out)
+        else:
+            certs += 1
+    # one rough and two box bound checks, and five exclusion cases
+    assert (certs, verdicts) == (3, 5)
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from k3lat import bounds
 from k3lat.bounds import (
     BOX_OPTIMUM_DECOMPOSITION,
     ROUGH_POSITIVE_ENTRY_SUM,
@@ -145,8 +146,8 @@ def test_bound_rough_value(capsys):
     assert "1640/21" in out
 
 
-def test_bound_on_invalid_configuration_falls_back_to_rough(tmp_path, capsys):
-    # two positive directions: no rank-one split, and no traceback
+def _invalid_config(tmp_path):
+    """A configuration file whose span has two positive directions."""
     cfg = tmp_path / "invalid.json"
     cfg.write_text(
         json.dumps(
@@ -166,6 +167,12 @@ def test_bound_on_invalid_configuration_falls_back_to_rough(tmp_path, capsys):
             }
         )
     )
+    return cfg
+
+
+def test_bound_on_invalid_configuration_falls_back_to_rough(tmp_path, capsys):
+    # two positive directions: no rank-one split, and no traceback
+    cfg = _invalid_config(tmp_path)
     rc, out, _ = run(capsys, "classify", str(cfg))
     assert "Invalid" in out
     rc, out, _ = run(capsys, "bound", str(cfg), "--d", "1")
@@ -174,6 +181,19 @@ def test_bound_on_invalid_configuration_falls_back_to_rough(tmp_path, capsys):
     rc, out, _ = run(capsys, "bound", str(cfg), "--d", "1", "--method", "box")
     assert rc == 1
     assert out.startswith("no box certificate: ")
+
+
+def test_bound_fallback_eliminates_once(tmp_path, capsys, monkeypatch):
+    # the box builder fails on the inertia after one elimination, and the
+    # rough fallback reads the same one; the check of the rough certificate
+    # is the only other
+    cfg = _invalid_config(tmp_path)
+    calls = []
+    real = bounds.bareiss
+    monkeypatch.setattr(bounds, "bareiss", lambda rows: calls.append(rows) or real(rows))
+    rc, out, _ = run(capsys, "bound", str(cfg), "--d", "1")
+    assert (rc, len(calls)) == (0, 2)
+    assert "RoughPositiveEntrySum" in out
 
 
 def test_bound_with_a_curve_above_the_cap_exit_code(tmp_path, capsys):

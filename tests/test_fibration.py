@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import isqrt
 
@@ -6,6 +7,7 @@ import pytest
 from k3lat.fibration import (
     DeclaredCurve,
     DeclaredModel,
+    FibrationProfile,
     SurfaceContext,
     UnsupportedContextError,
     budget_check,
@@ -362,6 +364,23 @@ def test_profile_count_is_an_int_of_at_least_one(count):
     assert len(profile([("I2", 1)]).fibers) == 1
 
 
+@pytest.mark.parametrize("fibers", [("I2",), (("I2", 1),), (None,), "I2"])
+def test_profile_fibers_are_fiber_instances(fibers):
+    # a tag raised AttributeError from the sort key
+    with pytest.raises(ValueError, match="a fiber must be a FiberInstance"):
+        FibrationProfile(fibers)
+    with pytest.raises(ValueError, match="a fiber must be a FiberInstance"):
+        profile([("I2", 12)])._replace(fibers=fibers)
+    assert FibrationProfile((fiber("I2"),)).tags() == ("I2",)
+
+
+@pytest.mark.parametrize("ctx", ["3", 3, None, (3, None, None)])
+def test_sd_bound_context_is_a_surface_context(ctx):
+    # "3" raised AttributeError on ctx.characteristic
+    with pytest.raises(ValueError, match="ctx must be a SurfaceContext"):
+        sd_bound(ctx)
+
+
 def test_fibration_int_inputs_still_accepted():
     assert sd_bound(SurfaceContext(characteristic=5)).hypotheses[0] == "characteristic 5"
     assert fiber("IV", 1).euler_contribution == 5
@@ -390,6 +409,35 @@ def test_very_ample_genus_one_failure():
     )
     assert not verdict.passed
     assert any("genus-one" in f for f in verdict.failed)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (("E", 1, 2.5), "curve E: the H-degree must be an int, got 2.5"),
+        (("E", 1, True), "curve E: the H-degree must be an int, got True"),
+        (("E", 1.0, 3), "curve E: the genus must be an int, got 1.0"),
+        (("E", False, 3), "curve E: the genus must be an int, got False"),
+        ((5, 1, 3), "a curve label must be a str, got 5"),
+        ((None, 1, 3), "a curve label must be a str, got None"),
+    ],
+)
+def test_declared_curve_fields_are_typed(fields, message):
+    # H-degree 2.5 passed the very-ampleness check as "exceeds 2"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        DeclaredCurve(*fields)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        DeclaredCurve("E", 1, 3)._replace(**dict(zip(DeclaredCurve._fields, fields)))
+
+
+@pytest.mark.parametrize("curves", [("x",), (("E", 1, 3),), [DeclaredCurve("E", 1, 3)], None])
+def test_declared_model_curves_are_a_tuple_of_declared_curves(curves):
+    # a member "x" raised AttributeError in very_ample_check
+    with pytest.raises(ValueError, match="curves must be a tuple of DeclaredCurve"):
+        DeclaredModel(8, False, curves)
+    with pytest.raises(ValueError, match="curves must be a tuple of DeclaredCurve"):
+        DeclaredModel(8, False, ())._replace(curves=curves)
+    assert very_ample_check(DeclaredModel(8, False, (DeclaredCurve("E", 1, 3),))).passed
 
 
 def test_very_ample_two_divisible_failure():
