@@ -68,10 +68,11 @@ is returned is built, from its support's own Gram matrix by
 :func:`_support`; its witness is checked and its bound held to the one the
 sweep found.
 
-The builders share their work through a span (:class:`_Span`), which
-computes each piece of one configuration's lattice data at most once: its
-classification, the :func:`_support` of each index tuple, and the
-certificate of each support and cap.  A public builder makes a span per
+The builders share their work through a span (:class:`_Span`), the one
+owner of each piece of one configuration's lattice data, each computed at
+most once: its integer Gram matrix, which it classifies and sweeps, the
+:func:`_support` of each index tuple, and the certificate of each support
+and cap, box or rough by one rule.  A public builder makes a span per
 call, so nothing outlives it; ``catalog verify`` makes one per entry, so
 that its entry sum, bound checks and exclusions share one elimination and
 their equal certificates one build.  :func:`verify_certificate` takes no
@@ -86,16 +87,16 @@ from fractions import Fraction
 from functools import cache, cached_property, partial
 from itertools import tee
 from operator import add, mul
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .exact import _congruence, bareiss, minor_signature, SingularMatrixError
 from .graph import (
     CurveConfig,
     LatticeClass,
     SpanKind,
+    _gram_class,
     _radical_reduction,
     check_caps,
-    classify,
     connected_vertex_subsets,
     curve_bits,
     integer_gram,
@@ -268,10 +269,12 @@ def _support(cfg: CurveConfig, idx: Sequence[int]) -> tuple[tuple[str, ...], lis
 
 class _Span:
     """The lattice data of one configuration, each piece computed at most
-    once: its classification ``cls``, the :func:`_support` of each index
-    tuple, and the :meth:`certificate` of each support and cap.  A span
-    lives as long as the call that made it; each public builder makes its
-    own, and :func:`verify_certificate` takes none."""
+    once: its integer Gram matrix ``gram``, which the span classifies
+    (``cls``) and sweeps, the :func:`_support` of each index tuple, and the
+    :meth:`certificate` of each support and cap, which also holds the one
+    rule that picks the box or the rough bound.  A span lives as long as
+    the call that made it; each public builder makes its own, and
+    :func:`verify_certificate` takes none."""
 
     def __init__(self, cfg: CurveConfig):
         self.cfg = cfg
@@ -280,17 +283,21 @@ class _Span:
         self._certificates: dict = {}
 
     @cached_property
+    def gram(self) -> list[list[int]]:
+        return integer_gram(self.cfg, self.whole)
+
+    @cached_property
     def cls(self) -> LatticeClass:
-        return classify(self.cfg)
+        return _gram_class(self.gram)
 
     def certificate(self, idx: tuple[int, ...], d: int) -> BoundCertificate:
         """The certificate of the support ``idx`` at the cap ``d``: box, with
-        its witness checked, when :func:`_box_total` lets the split apply,
-        else rough."""
+        its witness checked, when the support has inertia ``(1, k - 1)`` and
+        :func:`_box_total` lets the split apply, else rough."""
         cert = self._certificates.get((idx, d))
         if cert is None:
             ids, g, entry = self.support(idx)
-            if _box_total(entry.det, entry.sums):
+            if entry.n_plus == 1 and _box_total(entry.det, entry.sums):
                 cert = _box_certificate(ids, g, entry, d)
             else:
                 cert = _rough_certificate(ids, entry, d)
@@ -302,17 +309,23 @@ class _Span:
         ids, _, entry = _inverse_gram(self, d)
         return _rough_certificate(ids, entry, d)
 
+    def bound(self, d: int) -> BoundCertificate:
+        """The :meth:`certificate` of the whole configuration, checked as
+        :meth:`rough_bound` is: the bound of ``k3lat bound --method auto``."""
+        _inverse_gram(self, d)
+        return self.certificate(self.whole, d)
+
     def box_certificate(self, d: int) -> BoundCertificate:
         """:func:`box_certificate` on the span."""
-        entry = _inverse_gram(self, d)[2]
-        if entry.n_plus != 1:
-            raise NoDecompositionFoundError("the Gram matrix is not of inertia (1, k - 1)")
-        if not _box_total(entry.det, entry.sums):
+        cert = self.bound(d)
+        if cert.kind != BOX_OPTIMUM_DECOMPOSITION:
             raise NoDecompositionFoundError(
-                "inverse Gram matrix has a negative row sum; the rank-one "
+                "the Gram matrix is not of inertia (1, k - 1)"
+                if self.support(self.whole)[2].n_plus != 1
+                else "inverse Gram matrix has a negative row sum; the rank-one "
                 "split cannot certify the box optimum"
             )
-        return self.certificate(self.whole, d)
+        return cert
 
     def exclude_all(self, cases: Iterable[tuple[int, int]], subgraph_cap: int = 13,
                     use_pinned_degrees: bool = False) -> list[ExclusionVerdict]:
@@ -330,10 +343,9 @@ class _Span:
             return [_span_verdict(cfg, cls.kind)] * len(cases)
         ip = intrinsic_polarization(cfg) if use_pinned_degrees else None
         # a subset of more curves than the rank is degenerate
-        sweep = _records(cfg, cls._gram, min(subgraph_cap, cfg.n - cls.signature.n_zero))
-        certificate = cache(partial(_checked_certificate, self))
+        sweep = _records(cfg, self.gram, min(subgraph_cap, cfg.n - cls.signature.n_zero))
         return [
-            _hyperbolic_verdict(cfg, d, h, subgraph_cap, ip, records, certificate)
+            _hyperbolic_verdict(self, d, h, subgraph_cap, ip, records)
             for (d, h), records in zip(cases, tee(sweep, len(cases)))
         ]
 
@@ -491,7 +503,7 @@ def verify_certificate(cert: BoundCertificate, cfg: CurveConfig) -> bool:
     whose parts are not k x k tuples of int rows (:func:`_witness_fault`),
     is rejected rather than raised.  A support with no positive direction
     bounds nothing (the polarization's positive part may lie in its
-    orthogonal complement), so its rough and box certificates are rejected."""
+    orthogonal complement), so every certificate on it is rejected."""
     if not isinstance(cert, BoundCertificate) or not isinstance(cert.support_ids, tuple):
         return False
     d, ids = cert.d, cert.support_ids
@@ -503,21 +515,23 @@ def verify_certificate(cert: BoundCertificate, cfg: CurveConfig) -> bool:
         idx = tuple(cfg.index_of(v) for v in ids)
         if any(cfg.vertices[i].degree > d for i in idx):
             return False
-        if cert.kind == INTRINSIC_SQUARE:
-            ip = intrinsic_polarization(cfg.induced(ids))
-            return ip.exists and ip.square == cert.bound_on_2h
         if cert.kind == ROUGH_POSITIVE_ENTRY_SUM:
             entry = _support(cfg, idx)[2]
             bound = _rough_certificate(ids, entry, d).bound_on_2h
             return entry.n_plus > 0 and cert.bound_on_2h == bound
+        g = integer_gram(cfg, idx)
+        n_plus = _congruence(g)[0].n_plus
+        if n_plus == 0:
+            return False
+        if cert.kind == INTRINSIC_SQUARE:
+            ip = intrinsic_polarization(cfg.induced(ids))
+            return ip.exists and ip.square == cert.bound_on_2h
     except (KeyError, ValueError):
         return False
     wit = cert.witness
     if cert.kind != BOX_OPTIMUM_DECOMPOSITION or not isinstance(wit, BoxWitness):
         return False
-    g = integer_gram(cfg, idx)
-    n_plus = _congruence(g)[0].n_plus
-    if n_plus == 0 or _witness_fault(g, wit, n_plus):
+    if _witness_fault(g, wit, n_plus):
         return False
     # the witness has passed as the inverse W = g0 + g+, and g0 1 = 0, so
     # the entry sum of W is that of g+
@@ -781,14 +795,14 @@ def exclude_all(
     """The verdict of :func:`exclude` for each ``(d, h)`` of ``cases``, in
     order, from one classification and at most one sweep.
 
-    The cases share the records of :func:`sweep_records`, swept on the Gram
-    matrix that :func:`~k3lat.graph.classify` built, through
-    :func:`itertools.tee`: each replays those already pulled before it
-    pulls more, so the sweep runs only as far as the case that needs it
-    furthest.  Cases that end at the same record ``(subset, d, bound)``
-    share one built and checked certificate, so they return equal ones.
     The call reads all of this off one :class:`_Span` of its own, so
-    nothing is kept once it returns.
+    nothing is kept once it returns.  The cases share the records of
+    :func:`sweep_records`, swept on the Gram matrix that the span
+    classified, through :func:`itertools.tee`: each replays those already
+    pulled before it pulls more, so the sweep runs only as far as the case
+    that needs it furthest.  Cases that end at the same record share the
+    span's one certificate of that support and cap, so they return equal
+    ones.
     """
     return _Span(cfg).exclude_all(cases, subgraph_cap, use_pinned_degrees)
 
@@ -830,24 +844,19 @@ def _span_verdict(cfg: CurveConfig, kind: SpanKind) -> ExclusionVerdict:
 
 
 def _hyperbolic_verdict(
-    cfg: CurveConfig,
-    d: int,
-    h: int,
-    subgraph_cap: int,
-    ip: IntrinsicPolarization | None,
+    span: _Span, d: int, h: int, subgraph_cap: int, ip: IntrinsicPolarization | None,
     records: Iterator[tuple[tuple[int, ...], int, int]],
-    certificate: Callable[[tuple[int, ...], int, Fraction], BoundCertificate],
 ) -> ExclusionVerdict:
-    """The verdict of one case on a hyperbolic span from the pinned-degree
-    solution ``ip`` (None unless pinned) and a scan of the sweep's
-    ``records``, pulled only up to the first below ``2h``; ``certificate``
-    is :func:`_checked_certificate` on the configuration's span."""
+    """The verdict of one case on the hyperbolic ``span`` from the
+    pinned-degree solution ``ip`` (None unless pinned) and a scan of the
+    sweep's ``records``, pulled only up to the first below ``2h``; its
+    certificate is :func:`_checked_certificate`."""
     two_h = Fraction(2 * h)
     notes: list[str] = []
     best: BoundCertificate | None = None
     if ip is not None and ip.exists:
         best = BoundCertificate(
-            INTRINSIC_SQUARE, ip.square, cfg.ids(), d, witness=ip,
+            INTRINSIC_SQUARE, ip.square, span.cfg.ids(), d, witness=ip,
             note="square of the class solving C.H = d_C exactly",
         )
         if best.bound_on_2h < two_h:
@@ -859,12 +868,12 @@ def _hyperbolic_verdict(
     for subset, total, den in records:
         bound = Fraction(total * d * d, den)
         if bound < two_h:
-            cert = certificate(subset, d, bound)
+            cert = _checked_certificate(span, subset, d, bound)
             notes.append(f"2h = {two_h} exceeds bound {cert.bound_on_2h}")
             return ExclusionVerdict(ExclusionStatus.HYPERBOLIC_EXCLUDED, (cert,), tuple(notes))
     # the last record holds the least bound
     if bound is not None and (best is None or bound < best.bound_on_2h):
-        best = certificate(subset, d, bound)
+        best = _checked_certificate(span, subset, d, bound)
     notes.append(f"no certificate below 2h = {two_h} on subgraphs up to {subgraph_cap} vertices")
     return ExclusionVerdict(
         ExclusionStatus.HYPERBOLIC_UNDECIDED, () if best is None else (best,), tuple(notes)
@@ -875,7 +884,12 @@ def admissible_h_range(cfg: CurveConfig) -> AdmissibleHRange:
     """Upper bound for the half-degree ``h`` over all surfaces carrying the
     configuration with its pinned degrees; None means unbounded, and 0
     that no ``h >= 1`` is admissible."""
-    cls = classify(cfg)
+    return _h_range(_Span(cfg).cls, intrinsic_polarization(cfg))
+
+
+def _h_range(cls: LatticeClass, ip: IntrinsicPolarization) -> AdmissibleHRange:
+    """:func:`admissible_h_range` of a configuration of class ``cls`` whose
+    :func:`intrinsic_polarization` is ``ip``."""
     if cls.kind in (SpanKind.ELLIPTIC, SpanKind.PARABOLIC):
         return AdmissibleHRange(
             None, note=f"{cls.kind.value.lower()} span: no constraint on h"
@@ -884,7 +898,6 @@ def admissible_h_range(cfg: CurveConfig) -> AdmissibleHRange:
         return AdmissibleHRange(
             0, note="two positive directions: impossible on any surface"
         )
-    ip = intrinsic_polarization(cfg)
     if not ip.exists:
         return AdmissibleHRange(
             0,

@@ -6,9 +6,10 @@ on demand.
 so it doubles as the integration test of the whole package.  It computes
 no lattice data of its own: a config entry reads its classification,
 entry sum, bound checks and exclusions off one span of
-:mod:`k3lat.bounds` (``bounds._Span``), which classifies the entry once,
-eliminates each support once by :func:`k3lat.bounds._support` and builds
-each certificate of a support and cap once.  So a degenerate configuration
+:mod:`k3lat.bounds` (``bounds._Span``), which owns the entry's Gram
+matrix, classifies it once, eliminates each support once by
+:func:`k3lat.bounds._support` and builds each certificate of a support and
+cap once.  So a degenerate configuration
 has no entry sum and no bound, an input error
 (:class:`k3lat.bounds.DegenerateLatticeError`), and each distinct
 certificate is verified once, by :func:`k3lat.bounds.verify_certificate`,
@@ -159,7 +160,7 @@ def _check(name: str, expected, actual) -> CheckResult:
     return CheckResult(name, expected == actual, str(expected), str(actual))
 
 
-def _verify_config_entry(entry: CatalogEntry, entries: list[CatalogEntry]) -> EntryReport:
+def _verify_config_entry(entry: CatalogEntry, entries: list[CatalogEntry]) -> list[CheckResult]:
     doc = formats.parse_config(entry_file_text(entry), entry.file)
     cfg = doc.config
     exp = entry.expected
@@ -198,10 +199,10 @@ def _verify_config_entry(entry: CatalogEntry, entries: list[CatalogEntry]) -> En
                 verdict.status.value if certs_ok else "certificate failed",
             )
         )
-    return EntryReport(entry.name, entry.kind, all(c.ok for c in checks), tuple(checks))
+    return checks
 
 
-def _verify_profile_entry(entry: CatalogEntry, entries: list[CatalogEntry]) -> EntryReport:
+def _verify_profile_entry(entry: CatalogEntry, entries: list[CatalogEntry]) -> list[CheckResult]:
     prof = formats.parse_profile(entry_file_text(entry), entry.file)
     exp = entry.expected
     report = fibration.budget_check(prof)
@@ -230,10 +231,10 @@ def _verify_profile_entry(entry: CatalogEntry, entries: list[CatalogEntry]) -> E
                 formats.format_fraction(got.h_threshold),
             )
         )
-    return EntryReport(entry.name, entry.kind, all(c.ok for c in checks), tuple(checks))
+    return checks
 
 
-def _verify_extremal_entry(entry: CatalogEntry, entries: list[CatalogEntry]) -> EntryReport:
+def _verify_extremal_entry(entry: CatalogEntry, entries: list[CatalogEntry]) -> list[CheckResult]:
     prof = entry.profile
     exp = entry.expected
     hits = extremal_lookup(prof, entries)
@@ -248,17 +249,17 @@ def _verify_extremal_entry(entry: CatalogEntry, entries: list[CatalogEntry]) -> 
         checks.append(
             _check("mordell_weil", exp["mordell_weil"], self_hit.expected["mordell_weil"])
         )
-    return EntryReport(entry.name, entry.kind, all(c.ok for c in checks), tuple(checks))
+    return checks
 
 
-def _verify_model_entry(entry: CatalogEntry, entries: list[CatalogEntry]) -> EntryReport:
+def _verify_model_entry(entry: CatalogEntry, entries: list[CatalogEntry]) -> list[CheckResult]:
     model = formats.parse_model(entry_file_text(entry), entry.file)
     verdict = fibration.very_ample_check(model)
     exp = entry.expected
     checks = [_check("passes", exp["passes"], verdict.passed)]
     if "failed" in exp:
         checks.append(_check("failed", list(exp["failed"]), list(verdict.failed)))
-    return EntryReport(entry.name, entry.kind, all(c.ok for c in checks), tuple(checks))
+    return checks
 
 
 _VERIFIERS = {
@@ -270,7 +271,9 @@ _VERIFIERS = {
 
 
 def verify_entry(entry: CatalogEntry, entries: list[CatalogEntry]) -> EntryReport:
-    return _VERIFIERS[entry.kind](entry, entries)
+    """The checks of the entry's kind, ``ok`` when all of them pass."""
+    checks = tuple(_VERIFIERS[entry.kind](entry, entries))
+    return EntryReport(entry.name, entry.kind, all(c.ok for c in checks), checks)
 
 
 def verify_catalog() -> list[EntryReport]:

@@ -16,6 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import bounds, catalog, fibration, kodaira, roots
+from .exact import positive_square_vector
 from .formats import (
     format_fraction,
     parse_config,
@@ -23,7 +24,7 @@ from .formats import (
     parse_profile,
     read_json,
 )
-from .graph import classify, validate_pairings
+from .graph import classify, integer_gram, validate_pairings
 
 
 def _emit(report: dict, fmt: str, lines: list[str]) -> None:
@@ -52,6 +53,7 @@ def _violations_payload(violations) -> list[dict]:
 def _cmd_classify(args) -> int:
     doc = parse_config(_read(args.file))
     cls = classify(doc.config)
+    witness = positive_square_vector(integer_gram(doc.config, range(doc.config.n)))
     violations = validate_pairings(doc.config, cls)
     report = {
         "name": doc.config.name,
@@ -63,10 +65,8 @@ def _cmd_classify(args) -> int:
         },
         "violations": _violations_payload(violations),
     }
-    if cls.positive_witness is not None:
-        report["positive_square_vector"] = [
-            format_fraction(x) for x in cls.positive_witness
-        ]
+    if witness is not None:
+        report["positive_square_vector"] = [format_fraction(x) for x in witness]
     lines = [
         f"{doc.config.name or args.file}: {cls.kind.value}",
         f"signature (n+, n-, n0) = {tuple(cls.signature)}",
@@ -160,7 +160,7 @@ def _cmd_polarize(args) -> int:
     doc = parse_config(_read(args.file))
     cfg = doc.config
     ip = bounds.intrinsic_polarization(cfg)
-    rng = bounds.admissible_h_range(cfg)
+    rng = bounds._h_range(classify(cfg), ip)
     report = {
         "name": cfg.name,
         "exists": ip.exists,
@@ -212,18 +212,10 @@ def _certificate_payload(cert: bounds.BoundCertificate) -> dict:
 def _cmd_bound(args) -> int:
     doc = parse_config(_read(args.file))
     cfg = doc.config
-    # the fallback reads the elimination the box builder made
     span = bounds._Span(cfg)
+    build = {"rough": span.rough_bound, "box": span.box_certificate, "auto": span.bound}
     try:
-        if args.method == "rough":
-            cert = span.rough_bound(args.d)
-        elif args.method == "box":
-            cert = span.box_certificate(args.d)
-        else:
-            try:
-                cert = span.box_certificate(args.d)
-            except bounds.NoDecompositionFoundError:
-                cert = span.rough_bound(args.d)
+        cert = build[args.method](args.d)
     except bounds.NoDecompositionFoundError as exc:
         _emit({"error": str(exc)}, args.format, [f"no box certificate: {exc}"])
         return 1

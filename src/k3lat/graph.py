@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from operator import mul, or_
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -214,30 +214,11 @@ def config_from_data(
     return CurveConfig(vs, es, name=name)
 
 
-class LatticeClass(namedtuple("LatticeClass", "kind signature")):
-    """Definiteness class of the span of a configuration: its ``kind`` and
-    ``signature``, which alone make its repr, equality and hash.
+class LatticeClass(NamedTuple):
+    """Definiteness class of the span of a configuration."""
 
-    ``positive_witness``, a vector of positive square when the span has a
-    positive direction, is computed from its integer Gram matrix ``_gram``,
-    which :func:`classify` keeps only then, on first read: few callers
-    read it, and the signature alone takes a cheaper elimination.
-    """
-
-    def __new__(cls, kind: SpanKind, signature: Signature, _gram: list[list[int]] | None = None):
-        self = super().__new__(cls, kind, signature)
-        self._gram = _gram
-        return self
-
-    def _replace(self, **fields) -> "LatticeClass":
-        # the named tuple's own copy is built by tuple.__new__, without _gram
-        return LatticeClass(*super()._replace(**fields), self._gram)
-
-    @cached_property
-    def positive_witness(self) -> tuple[Fraction, ...] | None:
-        if self._gram is None:
-            return None
-        return _congruence(self._gram, witness=True)[1]
+    kind: SpanKind
+    signature: Signature
 
 
 class Violation(NamedTuple):
@@ -263,16 +244,22 @@ def classify(cfg: CurveConfig) -> LatticeClass:
     """Elliptic / parabolic / hyperbolic trichotomy of the span.
 
     Two or more positive directions cannot occur inside the Picard lattice
-    of a surface (Hodge index), so such input is reported as Invalid with an
-    explicit positive-square witness vector.
+    of a surface (Hodge index), so such input is reported as Invalid.  A
+    vector of positive square, when there is one, is
+    :func:`~k3lat.exact.positive_square_vector` of the Gram matrix.
     """
-    g = integer_gram(cfg, range(cfg.n))
+    return _gram_class(integer_gram(cfg, range(cfg.n)))
+
+
+def _gram_class(g: list[list[int]]) -> LatticeClass:
+    """The class of the span whose integer Gram matrix is ``g``, from one
+    congruence."""
     sig = _congruence(g)[0]
     if sig.n_plus == 0:
         kind = SpanKind.ELLIPTIC if sig.n_zero == 0 else SpanKind.PARABOLIC
-        return LatticeClass(kind, sig)
-    kind = SpanKind.HYPERBOLIC if sig.n_plus == 1 else SpanKind.INVALID
-    return LatticeClass(kind, sig, g)
+    else:
+        kind = SpanKind.HYPERBOLIC if sig.n_plus == 1 else SpanKind.INVALID
+    return LatticeClass(kind, sig)
 
 
 def validate_pairings(cfg: CurveConfig, cls: LatticeClass) -> list[Violation]:

@@ -35,12 +35,13 @@ from k3lat.bounds import (
     sweep_records,
     verify_certificate,
 )
-from k3lat.exact import kernel_basis, signature
+from k3lat.exact import kernel_basis, positive_square_vector, signature
 from k3lat.formats import parse_config
 from k3lat.graph import (
     SpanKind,
     classify,
     config_from_data,
+    integer_gram,
     quotient_by_kernel,
 )
 from k3lat.roots import standard_diagram
@@ -538,6 +539,21 @@ def test_verify_certificate_rejects_support_without_positive_direction():
     ]
     for cert in forged:
         assert not verify_certificate(cert, cfg), cert.support_ids
+
+
+def test_verify_certificate_rejects_a_pinned_square_without_positive_direction():
+    # a(-2) meets s(0), and b(-2) is isolated: the whole span is
+    # hyperbolic, but the supports (a) and (a, b) are negative definite, so
+    # their pinned squares -1/2 and -1 would certify "2h <= -1/2"
+    cfg = config_from_data([("a", -2), ("s", 0), ("b", -2)], [("a", "s")])
+    (pinned,) = exclude(cfg, 1, 1, use_pinned_degrees=True).certificates
+    assert pinned.kind == INTRINSIC_SQUARE and verify_certificate(pinned, cfg)
+    for support, square in ((("a",), Fraction(-1, 2)), (("a", "b"), Fraction(-1))):
+        ip = intrinsic_polarization(cfg.induced(support))
+        assert (ip.exists, ip.square) == (True, square)
+        forged = pinned._replace(bound_on_2h=square, support_ids=support, witness=ip)
+        assert not verify_certificate(forged, cfg), support
+
 
 @functools.lru_cache(maxsize=None)
 def _certificate_pool():
@@ -1358,33 +1374,34 @@ def test_exclude_all_runs_one_sweep(monkeypatch):
         "HyperbolicExcluded", "HyperbolicExcluded",
     ]
     # no case needs no classification
-    monkeypatch.setattr(bounds, "classify", None)
+    monkeypatch.setattr(bounds, "_gram_class", None)
     assert exclude_all(cfg, [], subgraph_cap=6) == []
 
 
 def test_each_exclude_call_classifies_once(monkeypatch):
     # a call reads its classification off a span of its own, so two calls
-    # on one parsed configuration classify it once each
+    # on one parsed configuration classify its Gram matrix once each
     classified = []
-    real = bounds.classify
-    monkeypatch.setattr(bounds, "classify", lambda cfg: classified.append(cfg) or real(cfg))
+    real = bounds._gram_class
+    monkeypatch.setattr(bounds, "_gram_class", lambda g: classified.append(g) or real(g))
     cfg = i3star_four_sections()
     for calls in (1, 2):
         assert exclude(cfg, 1, 44).status is ExclusionStatus.HYPERBOLIC_EXCLUDED
-        assert classified == [cfg] * calls
+        assert classified == [integer_gram(cfg, range(cfg.n))] * calls
 
 
-def _spy_checked_certificate(monkeypatch):
-    """The ``(subset, d, bound)`` of every certificate that
-    :func:`bounds._checked_certificate` builds."""
+def _spy_built_certificates(monkeypatch, cfg):
+    """The ``(subset, d, bound)`` of every box or rough certificate built
+    on ``cfg``, the subset as the index tuple of its support."""
     built = []
-    real = bounds._checked_certificate
+    for name in ("_box_certificate", "_rough_certificate"):
 
-    def spy(cfg, subset, d, bound):
-        built.append((subset, d, bound))
-        return real(cfg, subset, d, bound)
+        def spy(ids, *args, _real=getattr(bounds, name)):
+            cert = _real(ids, *args)
+            built.append((tuple(map(cfg.index_of, ids)), cert.d, cert.bound_on_2h))
+            return cert
 
-    monkeypatch.setattr(bounds, "_checked_certificate", spy)
+        monkeypatch.setattr(bounds, name, spy)
     return built
 
 
@@ -1392,7 +1409,7 @@ def test_exclude_all_builds_one_certificate_per_record(monkeypatch):
     # char3 at d = 1: h = 43 is undecided at the least bound 86, and h = 44
     # is excluded by that same record, so the two cases build one
     # certificate and return equal ones
-    built = _spy_checked_certificate(monkeypatch)
+    built = _spy_built_certificates(monkeypatch, i3star_four_sections())
     undecided, excluded = exclude_all(i3star_four_sections(), [(1, 43), (1, 44)])
     assert (undecided.status, excluded.status) == (
         ExclusionStatus.HYPERBOLIC_UNDECIDED, ExclusionStatus.HYPERBOLIC_EXCLUDED
@@ -1409,8 +1426,8 @@ def test_exclude_all_builds_one_certificate_per_distinct_record(monkeypatch):
     # bound 22 and h = 40 at the five-curve record of bound 35, and the same
     # six curves at d = 2 are another record of bound 88; each case builds
     # its own certificate, once
-    built = _spy_checked_certificate(monkeypatch)
     cfg = i4_fibres_with_section()
+    built = _spy_built_certificates(monkeypatch, cfg)
     verdicts = exclude_all(cfg, [(1, 12), (1, 40), (2, 45), (1, 12)], subgraph_cap=6)
     assert built == [
         ((0, 1, 5, 9, 13, 17), 1, 22), ((0, 1, 2, 3, 4), 1, 35),
@@ -1919,6 +1936,9 @@ def test_classify_golden_byte_identical():
     assert len(cfgs) == 4
     cfgs += [cfg for cfg, _ in _golden_random_configs()]
     cfgs += _relabelled_fibrations()
-    out = [(c.kind, c.signature, c.positive_witness) for c in map(classify, cfgs)]
+    out = [
+        (c.kind, c.signature, positive_square_vector(integer_gram(cfg, range(cfg.n))))
+        for cfg, c in zip(cfgs, map(classify, cfgs))
+    ]
     digest = hashlib.sha256(repr(out).encode()).hexdigest()[:16]
     assert digest == "721cdcdf86a79444"

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from k3lat import bounds, catalog, exact, kodaira, roots
+from k3lat import bounds, catalog, exact, graph
 from k3lat.catalog import (
     CATALOG_ENV_VAR,
     data_root,
@@ -381,10 +381,12 @@ def test_verify_catalog_builds_and_checks_each_certificate_once(monkeypatch):
     # entries the entry sum, the bound check and the exclusion record (the
     # whole configuration) read one Bareiss elimination, and the check of
     # the one rough certificate is one more; a box certificate is checked
-    # without one.  Each config entry is classified once, and the I4
-    # cycle's decomposition classifies it once more.  A box certificate is
-    # built once per support and cap: char2's at d = 1 and d = 2, char3's
-    # (its bound check and both exclusions) and D6tilde's exclusion.  The
+    # without one.  Each config entry's Gram matrix is classified once, and
+    # the I4 cycle's decomposition classifies it once more.  Each of the
+    # five exclusion cases holds its certificate to the sweep's bound, but
+    # a box certificate is built once per support and cap: char2's at
+    # d = 1 and d = 2, char3's (its bound check and both exclusions) and
+    # D6tilde's exclusion.  The
     # five distinct certificates (char3's box bound equals both its
     # exclusion certificates, and char2's two exclusion certificates are
     # equal) are each verified once; a witness is checked once per box
@@ -399,8 +401,9 @@ def test_verify_catalog_builds_and_checks_each_certificate_once(monkeypatch):
 
     monkeypatch.setattr(bounds, "bareiss", spy_bareiss)
     spied = [(bounds, name) for name in (
-        "verify_certificate", "_checked_certificate", "_witness_fault", "_box_certificate"
-    )] + [(module, "classify") for module in (bounds, roots, kodaira)]
+        "verify_certificate", "_checked_certificate", "_witness_fault", "_box_certificate",
+        "_gram_class",
+    )] + [(graph, "_gram_class")]
     for module, name in spied:
         real_fn = getattr(module, name)
 
@@ -414,9 +417,9 @@ def test_verify_catalog_builds_and_checks_each_certificate_once(monkeypatch):
         assert all(r.ok for r in verify_catalog())
         assert dict(counts) == {
             "bareiss": 4,
-            "classify": 5,
+            "_gram_class": 5,
             "verify_certificate": 5,
-            "_checked_certificate": 3,
+            "_checked_certificate": 5,
             "_box_certificate": 4,
             "_witness_fault": 8,
         }

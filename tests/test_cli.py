@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from k3lat import bounds
+from k3lat import bounds, cli, graph
 from k3lat.bounds import (
     BOX_OPTIMUM_DECOMPOSITION,
     ROUGH_POSITIVE_ENTRY_SUM,
@@ -16,7 +16,9 @@ from k3lat.bounds import (
 )
 from k3lat.catalog import data_root, load_catalog
 from k3lat.cli import main
+from k3lat.exact import Signature
 from k3lat.formats import parse_config, parse_fraction
+from k3lat.graph import LatticeClass, SpanKind
 
 from oracles import integer_witness
 
@@ -65,11 +67,48 @@ def test_classify_violations_exit_code(tmp_path, capsys):
     assert "Hyperbolic" in out
 
 
+def test_classify_reports_violations_of_a_claimed_class(tmp_path, capsys, monkeypatch):
+    # a double edge between (-2)-curves breaks the pairings of a negative
+    # definite span; classify never computes such a class for such input,
+    # so the report path is driven by a claimed one
+    bad = tmp_path / "double.json"
+    bad.write_text(json.dumps({
+        "vertices": [{"id": "a", "square": -2}, {"id": "b", "square": -2}],
+        "edges": [{"a": "a", "b": "b", "mult": 2}],
+    }))
+    claimed = LatticeClass(SpanKind.ELLIPTIC, Signature(0, 2, 0))
+    monkeypatch.setattr(cli, "classify", lambda cfg: claimed)
+    rc, out, _ = run(capsys, "classify", str(bad))
+    assert rc == 1
+    assert out.splitlines()[1:] == [
+        "signature (n+, n-, n0) = (0, 2, 0)",
+        "violation [elliptic-pair] a, b: C.C' = 2 but a negative definite span "
+        "forces C.C' in {0,1}",
+    ]
+
+
 def test_decompose(capsys):
     rc, out, _ = run(capsys, "decompose", str(EXAMPLES / "fermat-I4-cycle.json"))
     assert rc == 0
     assert "A~3" in out
     assert "kernel [1, 1, 1, 1]" in out
+
+
+def test_decompose_json_finite_component_has_no_kernel(tmp_path, capsys):
+    chain = tmp_path / "a2.json"
+    chain.write_text(json.dumps({
+        "name": "chain",
+        "vertices": [{"id": "a", "square": -2}, {"id": "b", "square": -2}],
+        "edges": [{"a": "a", "b": "b"}],
+    }))
+    rc, out, _ = run(capsys, "decompose", str(chain), "--format", "json")
+    assert rc == 0
+    assert json.loads(out) == {
+        "name": "chain",
+        "components": [{"kind": "A2", "vertices": ["a", "b"], "kernel_vector": None}],
+        "unrecognized": [],
+        "total_rank": 2,
+    }
 
 
 def test_decompose_hyperbolic_fails(capsys):
@@ -121,6 +160,20 @@ def test_kodaira_max_weight_below_one_exit_code(capsys):
         rc, out, err = run(capsys, "kodaira", path, "--max-weight", weight)
         assert rc == 2
         assert out == "" and "max_weight" in err
+
+
+def test_polarize_solves_the_pinned_degree_class_once(capsys, monkeypatch):
+    # the admissible range reads the solution the command already has: one
+    # radical reduction and one elimination of its quotient
+    calls = []
+    for module, name in ((graph, "row_echelon"), (bounds, "bareiss")):
+        real = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args)
+        )
+    rc, out, _ = run(capsys, "polarize", str(EXAMPLES / "char3-I3star-4sections.json"))
+    assert (rc, sorted(calls)) == (0, ["bareiss", "row_echelon"])
+    assert "admissible h: h <= 43" in out
 
 
 def test_polarize(capsys):
@@ -436,6 +489,11 @@ def test_catalog_list_and_verify_reject_entry_name(capsys):
         rc, out, err = run(capsys, "catalog", action, "example-D6tilde")
         assert rc == 2
         assert out == "" and "takes no entry name" in err
+
+
+def test_catalog_show_needs_a_name(capsys):
+    rc, out, err = run(capsys, "catalog", "show")
+    assert (rc, out, err) == (2, "", "catalog show needs an entry name\n")
 
 
 def test_missing_file_is_input_error(capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from k3lat import formats
+from k3lat.fibration import profile
 from k3lat.formats import (
     ParseError,
     ValidationError,
@@ -135,6 +136,21 @@ def test_profile_round_trip():
     assert len(prof.fibers) == 10
     text = serialize_profile(prof)
     assert parse_profile(text) == prof
+
+
+def test_profile_round_trip_keeps_wild_terms():
+    # fibres of one type with different wild terms are written as separate
+    # groups, and only a nonzero delta is written
+    prof = profile([("II", 2, 1), ("II", 1), ("I1", 3)], characteristic=2)
+    text = serialize_profile(prof)
+    groups = json.loads(text)["fibers"]
+    assert groups == [
+        {"type": "I1", "count": 3},
+        {"type": "II", "count": 1},
+        {"type": "II", "count": 2, "delta": 1},
+    ]
+    back = parse_profile(text)
+    assert back == prof and sorted(f.delta for f in back.fibers) == [0, 0, 0, 0, 1, 1]
 
 
 def test_profile_validation():

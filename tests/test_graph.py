@@ -182,8 +182,7 @@ def test_classify_isotropic_parabolic():
 
 def test_classify_triple_edge_hyperbolic():
     cls = classify(config_from_data([("a", -2), ("b", -2)], [("a", "b", 3)]))
-    assert cls.kind is SpanKind.HYPERBOLIC
-    assert cls.positive_witness is not None
+    assert cls == LatticeClass(SpanKind.HYPERBOLIC, Signature(1, 1, 0))
 
 
 def test_classify_invalid_with_witness():
@@ -192,8 +191,9 @@ def test_classify_invalid_with_witness():
         [("a", "b", 3), ("c", "d", 3)],
     )
     cls = classify(cfg)
-    assert cls.kind is SpanKind.INVALID
-    assert quadratic_form(gram(cfg), cls.positive_witness) > 0
+    assert cls == LatticeClass(SpanKind.INVALID, Signature(2, 2, 0))
+    # the vector of positive square that k3lat classify reports
+    assert quadratic_form(gram(cfg), positive_square_vector(gram(cfg))) > 0
 
 
 
@@ -214,57 +214,29 @@ def test_classify_invalid_with_witness():
     ],
 )
 def test_classify_runs_one_elimination(monkeypatch, verts, edges, kind):
-    # the signature and the positive witness come from one congruence, run
-    # on the integer Gram matrix
+    # the signature comes from one witness-free congruence, run on the
+    # integer Gram matrix
     cfg = config_from_data(verts, edges)
     calls = []
     congruence = exact._congruence
     monkeypatch.setattr(
         graph,
         "_congruence",
-        lambda rows, witness=False: calls.append(rows) or congruence(rows, witness),
+        lambda rows, witness=False: calls.append((rows, witness)) or congruence(rows, witness),
     )
     cls = classify(cfg)
-    assert cls.kind is kind
-    assert len(calls) == 1
-    assert all(type(x) is int for row in calls[0] for x in row)
-    assert cls.positive_witness == positive_square_vector(gram(cfg))
-    assert quadratic_form(gram(cfg), cls.positive_witness) > 0
+    assert cls == LatticeClass(kind, signature(gram(cfg)))
+    ((rows, witness),) = calls
+    assert not witness and all(type(x) is int for row in rows for x in row)
 
 
-def test_classify_computes_the_witness_on_first_read(monkeypatch):
-    # the signature takes a witness-free congruence; the witness takes one
-    # more on its first read and none after
-    cfg = config_from_data([("a", 0), ("b", 0), ("c", -2)], [("a", "b"), ("b", "c")])
-    calls = []
-    congruence = exact._congruence
-    monkeypatch.setattr(
-        graph,
-        "_congruence",
-        lambda rows, witness=False: calls.append(witness) or congruence(rows, witness),
-    )
-    cls = classify(cfg)
-    assert (cls.kind, calls) == (SpanKind.HYPERBOLIC, [False])
-    assert cls.positive_witness == positive_square_vector(gram(cfg))
-    assert cls.positive_witness is cls.positive_witness
-    assert calls == [False, True]
-    assert classify(config_from_data([("a", -2)])).positive_witness is None
-    assert calls == [False, True, False]
-
-
-def test_lattice_class_is_its_kind_and_signature(monkeypatch):
-    # repr, equality and hash read (kind, signature) alone, never the kept
-    # Gram matrix, and no elimination runs until the witness is read
+def test_lattice_class_is_its_kind_and_signature():
+    # a plain named tuple of two fields, which alone make its repr,
+    # equality and hash, and nothing else
     cfg = config_from_data([("a", 2), ("b", -2)], [("a", "b", 1)])
-    calls = []
-    congruence = exact._congruence
-    monkeypatch.setattr(
-        graph,
-        "_congruence",
-        lambda rows, witness=False: calls.append(witness) or congruence(rows, witness),
-    )
     cls = classify(cfg)
     bare = LatticeClass(SpanKind.HYPERBOLIC, Signature(1, 1, 0))
+    assert LatticeClass._fields == ("kind", "signature")
     assert repr(cls) == repr(bare) == (
         "LatticeClass(kind=<SpanKind.HYPERBOLIC: 'Hyperbolic'>, "
         "signature=Signature(n_plus=1, n_minus=1, n_zero=0))"
@@ -272,26 +244,17 @@ def test_lattice_class_is_its_kind_and_signature(monkeypatch):
     assert cls == bare and hash(cls) == hash(bare) and {cls: 1}[bare] == 1
     assert cls != LatticeClass(SpanKind.INVALID, Signature(1, 1, 0))
     assert cls != LatticeClass(SpanKind.HYPERBOLIC, Signature(1, 2, 0))
-    assert calls == [False]
-    assert bare.positive_witness is None
-    assert quadratic_form(gram(cfg), cls.positive_witness) > 0
-    assert cls.positive_witness is cls.positive_witness
-    assert calls == [False, True]
+    assert not hasattr(cls, "__dict__")
+    with pytest.raises(AttributeError):
+        cls.positive_witness = None
 
 
-def test_lattice_class_replace_keeps_its_gram_matrix():
-    # a named tuple's own _replace builds its copy without the kept Gram
-    # matrix, and the copy's witness raised AttributeError
-    cfg = config_from_data([("a", -2), ("b", 2)], [("a", "b", 2)])
-    cls = classify(cfg)
+def test_lattice_class_replace_is_a_plain_copy():
+    cls = classify(config_from_data([("a", -2), ("b", 2)], [("a", "b", 2)]))
     copy = cls._replace(kind=SpanKind.INVALID)
     assert type(copy) is LatticeClass
-    assert copy == LatticeClass(SpanKind.INVALID, cls.signature)
-    assert copy.positive_witness == cls.positive_witness
-    assert quadratic_form(gram(cfg), copy.positive_witness) > 0
-    assert cls._replace() == cls and cls._replace().positive_witness == cls.positive_witness
-    bare = LatticeClass(SpanKind.ELLIPTIC, Signature(0, 1, 0))
-    assert bare._replace(signature=Signature(0, 2, 0)).positive_witness is None
+    assert copy == LatticeClass(SpanKind.INVALID, cls.signature) == (SpanKind.INVALID, cls.signature)
+    assert cls._replace() == cls
 
 
 def test_validate_pairings_elliptic_clean():
@@ -808,9 +771,11 @@ def test_adjacency_is_read_only():
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_classify_matches_congruence_reference_hypothesis(data):
-    # the integer congruence gives the inertia and the witness that the
-    # Fraction loop gives on the Fraction Gram matrix
+    # the integer congruence gives the inertia that the Fraction loop gives
+    # on the Fraction Gram matrix, and the witness that k3lat classify
+    # reports from the integer Gram matrix
     cfg = _random_config(data, 9)
     cls = classify(cfg)
     want_sig, want_vec = signature_and_witness_reference(gram(cfg))
-    assert (cls.signature, cls.positive_witness) == (want_sig, want_vec)
+    witness = positive_square_vector(graph.integer_gram(cfg, range(cfg.n)))
+    assert (cls.signature, witness) == (want_sig, want_vec)
