@@ -48,19 +48,18 @@ parent that grew the subset, or if that is degenerate the first
 nondegenerate connected parent: the determinant and the adjugate of its
 Gram matrix follow in ``O(k^2)`` by a fraction-free (Bareiss-Sylvester)
 update, and its inertia by the sign of one Schur complement (Haynsworth
-additivity).  The subsets
-of one level whose Gram matrices agree in their stored orders, as across
-the fibres of a fibration, share one computed state (:func:`_bordered`).
-A subconfiguration whose connected parents are all degenerate takes one
-Bareiss elimination, and with a record it is the only subset whose index
-tuple is built.  Every state carries the row sums of its adjugate, which
-a bordered one updates in ``O(k)`` from its parent's.  One rule,
-:func:`_box_total`, reads the box bound off them wherever its split
-applies.  Where it fails, the rough sign sum is at least the sum of the
-row sums of its sign, so it is taken only when that is below the least
-bound so far; else the subset is no record.  A subconfiguration at the
-last level has no children, so its entry keeps no adjugate; it builds
-one only for a sign sum.
+additivity).  The subsets of one level whose Gram matrices agree in their
+stored orders, as across the fibres of a fibration, share one computed
+state (:func:`_adjugate_sweep`).  A subconfiguration whose connected
+parents are all degenerate takes one Bareiss elimination, and with a
+record it is the only subset whose index tuple is built.  Every state
+carries the row sums of its adjugate, which a bordered one updates in
+``O(k)`` from its parent's.  One rule, :func:`_box_total`, reads the box
+bound off them wherever its split applies.  Where it fails, the rough
+sign sum is at least the sum of the row sums of its sign, so it is taken
+only when that is below the least bound so far; else the subset is no
+record.  A subconfiguration at the last level has no children, so its
+entry keeps no adjugate; it builds one only for a sign sum.
 
 A verdict scans only the sweep's records (:func:`sweep_records`), pulled
 lazily, so one sweep serves every ``(d, h)``.  Only the certificate that
@@ -224,7 +223,7 @@ class _Adjugate(NamedTuple):
     ``det`` and ``adj`` are the determinant and adjugate of the Gram matrix
     in some order of its curves, so that its inverse is ``adj / det``,
     ``n_plus`` its positive inertia and ``sums`` the row sums of ``adj``,
-    set once when the entry is made.  A sweep entry (:func:`_bordered`)
+    set once when the entry is made.  A sweep entry (:func:`_adjugate_sweep`)
     has its class ``cls`` and the ``total`` of :func:`_hyperbolic_total`
     (None for no record, which stays true as the least bound falls); one
     bordered at the sweep's cap, with no children, keeps no adjugate or
@@ -543,61 +542,6 @@ def verify_certificate(cert: BoundCertificate, cfg: CurveConfig) -> bool:
 _UNSEEN = object()
 
 
-def _bordered(
-    g: list[list[int]], nbrs: list[int], curve_of: dict[int, int], cap: int,
-    states: dict, best: list, parent: tuple | None, u: int, mask: int,
-) -> tuple[tuple[int, ...], _Adjugate] | None:
-    """The sweep state ``(order, entry)`` of the subset ``mask``, which is
-    ``parent + {u}``, or None when it is degenerate; ``g`` is the Gram
-    matrix of the whole configuration, ``nbrs`` its neighbour masks
-    (:func:`~k3lat.graph.neighbour_masks`), ``curve_of`` the curve of each
-    bit (:func:`~k3lat.graph.curve_bits`) and ``best`` the least bound so
-    far (:func:`_may_win`).  ``entry`` is the :class:`_Adjugate` that the
-    level's table holds for the subset's class, and ``order`` lists the
-    subset's curves in the order its rows follow, or is ``()`` for a
-    subset of ``cap`` curves, which nothing borders.
-
-    The entry depends only on the parent's Gram matrix in its order, the
-    column ``b`` of ``u`` over that order (its nonzero ``(position,
-    multiplicity)`` pairs) and the square ``c`` of ``u``.  When ``u`` meets
-    a single curve of the subset, ``nbrs[u] & mask`` is that curve's bit
-    and ``b`` its one position in ``order``; otherwise ``b`` is read by a
-    scan of ``order``.  ``states``, the table of one level, keeps what
-    :func:`_border` computes under ``(parent class, b, c)``, and every
-    subset of that class holds it.  A class is the table's size before its
-    entry is stored, so subsets of one level share a class only when their
-    Gram matrices in their orders are equal; shared rows are never
-    mutated.  A parent of None, every connected parent being degenerate,
-    leaves one Bareiss elimination in the subset's index order, stored
-    under the subset to number its class.
-    """
-    leaf = mask.bit_count() == cap
-    if parent is None:
-        subset = mask_indices(mask, len(g))
-        entry = _adjugate([[g[i][j] for j in subset] for i in subset])
-        if entry is None:
-            return None
-        total = _hyperbolic_total(entry.det, entry.n_plus, entry.sums, best)
-        if total == 0:
-            total = _rough_total(entry.det, entry.adj)
-        states[subset] = entry = entry._replace(cls=len(states), total=total)
-        return ((), entry) if leaf else (subset, entry)
-    order, parent = parent
-    col = g[u]
-    w = curve_of.get(nbrs[u] & mask)
-    if w is None:
-        b = tuple([(i, col[v]) for i, v in enumerate(order) if col[v]])
-    else:
-        b = ((order.index(w), col[w]),)
-    key = parent.cls, b, col[u]
-    entry = states.get(key, _UNSEEN)
-    if entry is _UNSEEN:
-        entry = states[key] = _border(parent, b, col[u], None if leaf else len(states), best)
-    if entry is None:
-        return None
-    return ((), entry) if leaf else (order + (u,), entry)
-
-
 def _border(
     parent: _Adjugate, b: tuple[tuple[int, int], ...], c: int, cls: int | None, best: list
 ) -> _Adjugate | None:
@@ -645,16 +589,28 @@ def _adjugate_sweep(cfg: CurveConfig, g: list[list[int]], cap: int, best: list):
     """Yield ``(mask, state)`` for every connected vertex subset of at most
     ``cap`` curves in canonical order (size, then index tuple); ``g`` is the
     integer Gram matrix of the whole configuration, and ``best`` the least
-    bound before each subset (:func:`_may_win`).  ``state``
-    is None for a degenerate subset, else its pair ``(order, entry)`` of
-    :func:`_bordered`.
+    bound before each subset (:func:`_may_win`).  ``state`` is None for a
+    degenerate subset, else ``(order, entry)``: ``entry`` is the
+    :class:`_Adjugate` that its level's table holds for the subset's class,
+    and ``order`` lists the subset's curves in the order its rows follow,
+    or is ``()`` for a subset of ``cap`` curves, which nothing borders.
 
-    Each subset borders the parent that grew it, or if that one is
-    degenerate the first nondegenerate connected parent
-    (:func:`~k3lat.graph.connected_vertex_subsets`); one whose connected
-    parents are all degenerate is computed from scratch by one Bareiss
-    elimination.  The table of shared entries (:func:`_bordered`) holds
-    one level, the only one the next borders.
+    Each subset ``parent + {u}`` borders the parent that grew it, or if
+    that one is degenerate the first nondegenerate connected parent
+    (:func:`~k3lat.graph.connected_vertex_subsets`).  Its entry depends
+    only on the parent's Gram matrix in its order, the column ``b`` of
+    ``u`` over that order (its nonzero ``(position, multiplicity)`` pairs)
+    and the square ``c`` of ``u``.  When ``u`` meets a single curve of the
+    subset, that curve's bit is ``nbrs[u] & mask`` and ``b`` its one
+    position in ``order``; otherwise ``b`` is read by a scan of ``order``.
+    The table of one level, the only one the next borders, keeps what
+    :func:`_border` computes under ``(parent class, b, c)``, and every
+    subset of that class holds it.  A class is the table's size before its
+    entry is stored, so subsets of one level share a class only when their
+    Gram matrices in their orders are equal; shared rows are never
+    mutated.  A subset whose connected parents are all degenerate takes
+    one Bareiss elimination in its index order, stored under the subset to
+    number its class.
     """
     states: dict = {}
     size = 0
@@ -663,10 +619,35 @@ def _adjugate_sweep(cfg: CurveConfig, g: list[list[int]], cap: int, best: list):
 
     def step(parent, u, mask):
         nonlocal size
-        if mask.bit_count() != size:
+        k = mask.bit_count()
+        if k != size:
             states.clear()
-            size = mask.bit_count()
-        return _bordered(g, nbrs, curve_of, cap, states, best, parent, u, mask)
+            size = k
+        if parent is None:
+            subset = mask_indices(mask, len(g))
+            entry = _adjugate([[g[i][j] for j in subset] for i in subset])
+            if entry is None:
+                return None
+            total = _hyperbolic_total(entry.det, entry.n_plus, entry.sums, best)
+            if total == 0:
+                total = _rough_total(entry.det, entry.adj)
+            states[subset] = entry = entry._replace(cls=len(states), total=total)
+            return ((), entry) if k == cap else (subset, entry)
+        order, parent = parent
+        col = g[u]
+        w = curve_of.get(nbrs[u] & mask)
+        if w is None:
+            b = tuple([(i, col[v]) for i, v in enumerate(order) if col[v]])
+        else:
+            b = ((order.index(w), col[w]),)
+        key = parent.cls, b, col[u]
+        entry = states.get(key, _UNSEEN)
+        if entry is _UNSEEN:
+            cls = None if k == cap else len(states)
+            entry = states[key] = _border(parent, b, col[u], cls, best)
+        if entry is None:
+            return None
+        return ((), entry) if k == cap else (order + (u,), entry)
 
     return connected_vertex_subsets(cfg, cap, step, ((), _Adjugate(1, [], 0, [])))
 

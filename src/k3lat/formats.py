@@ -20,7 +20,7 @@ from operator import methodcaller
 
 from .fibration import DeclaredCurve, DeclaredModel, FibrationProfile, fiber
 from .graph import CurveConfig, CurveVertex
-from .kodaira import parse_tag
+from .kodaira import _series_euler, parse_tag
 
 
 class ValidationError(ValueError):
@@ -199,7 +199,7 @@ def _fibers(tag: str, count: int, delta: int) -> list:
     if not 1 <= count <= 24:
         raise ValueError(f"count {count} is not in 1..24")
     series, n = parse_tag(tag)
-    if n is not None and n + (6 if series == "I*" else 0) > 24:
+    if n is not None and _series_euler(series, n) > 24:
         raise ValueError(f"fiber type {tag} has Euler number above 24")
     return [fiber(tag, delta) for _ in range(count)]
 

@@ -93,6 +93,12 @@ def parse_tag(tag: str) -> tuple[str, int | None]:
     raise ValueError(f"unknown fiber type tag {tag!r}")
 
 
+def _series_euler(series: str, n: int) -> int:
+    """The Euler number of ``In`` or ``I*n`` from :func:`parse_tag`'s
+    series and index: ``n``, or ``n + 6`` for ``I*n``."""
+    return n + 6 if series == "I*" else n
+
+
 def type_table(tag: str) -> KodairaType:
     """The filled type record for an exact (unmerged) fiber tag; any other
     tag raises :func:`parse_tag`'s ``ValueError``."""
@@ -108,9 +114,9 @@ def _type_record(tag: str) -> KodairaType:
         if n == 0:
             # smooth fiber: one component, Euler number zero
             return KodairaType("I0", (1,), False, 0)
-        return KodairaType(tag, (1,) * n, False, n)
+        return KodairaType(tag, (1,) * n, False, _series_euler(series, n))
     if series == "I*":
-        return KodairaType(tag, radical("AffineD", n + 4), True, n + 6)
+        return KodairaType(tag, radical("AffineD", n + 4), True, _series_euler(series, n))
     mults, euler = _FIXED_TYPES[tag]
     return KodairaType(tag, mults, True, euler)
 

@@ -1032,24 +1032,29 @@ def test_sweep_builds_an_index_tuple_per_record_and_elimination_only(monkeypatch
     # a full sweep reads a subset's index tuple off its mask once for each
     # record it yields and once for each subset it eliminates from scratch,
     # and never once per subset; the fibre search reads none
-    converted, scratch = [], []
-    real_indices, real_bordered = graph.mask_indices, bounds._bordered
+    converted, seen = [], []
+    real_indices, real_subsets = graph.mask_indices, bounds.connected_vertex_subsets
 
     def indices_spy(mask, n):
         converted.append(mask)
         return real_indices(mask, n)
 
-    def bordered_spy(g, nbrs, curve_of, cap, states, best, parent, u, mask):
-        if parent is None:
-            scratch.append(mask)
-        return real_bordered(g, nbrs, curve_of, cap, states, best, parent, u, mask)
+    def subsets_spy(cfg, max_size, grow, root, reach=None):
+        # every step, and whether it eliminates its subset from scratch
+        def step(parent, u, mask):
+            seen.append((mask, parent is None))
+            return grow(parent, u, mask)
+
+        return real_subsets(cfg, max_size, step, root, reach)
 
     for module in (graph, bounds, roots, kodaira):
         if hasattr(module, "mask_indices"):
             monkeypatch.setattr(module, "mask_indices", indices_spy)
-    monkeypatch.setattr(bounds, "_bordered", bordered_spy)
+    monkeypatch.setattr(bounds, "connected_vertex_subsets", subsets_spy)
     steps = recorded_steps(monkeypatch, bounds)
     records = list(sweep_records(cfg, cap))
+    scratch = [mask for mask, fresh in seen if fresh]
+    assert len(seen) == len(steps)
     assert records and len(converted) == len(records) + len(scratch) < len(steps)
     assert Counter(converted) == Counter(scratch + [mask_of(r[0], cfg.n) for r in records])
     converted.clear()
@@ -1326,6 +1331,51 @@ def test_sweep_records_skip_only_what_cannot_win_hypothesis(data):
         assert low >= least
 
 
+def _entries(cfg, cap):
+    # every subset of the pass that prunes nothing, with the determinant,
+    # positive inertia and total of its entry, each independent of the order
+    # of its rows
+    return [
+        (subset, state and (state[1].det, state[1].n_plus, state[1].total))
+        for subset, state in _sweep(cfg, cap)
+    ]
+
+
+def test_sweep_from_scratch_matches_the_bordered_sweep_hypothesis():
+    # a step handed no parent eliminates its subset from scratch; forcing
+    # that on every step leaves every entry and record as the bordered
+    # sweep's, and the pass that prunes nothing takes the rough sum there
+    real_subsets, real_rough = bounds.connected_vertex_subsets, bounds._rough_total
+    rough = []
+
+    def from_scratch(cfg, max_size, grow, root, reach=None):
+        def step(parent, u, mask):
+            return grow(None, u, mask)
+
+        return real_subsets(cfg, max_size, step, root, reach)
+
+    def rough_spy(det, adj):
+        rough.append(det)
+        return real_rough(det, adj)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def check(data):
+        cfg, n, _ = _random_config(data)
+        cap = data.draw(st.integers(min_value=1, max_value=n))
+        records, entries = _records(cfg, cap), _entries(cfg, cap)
+        assert records == _unpruned_records(cfg, cap)
+        forced = mock.patch.multiple(
+            bounds, connected_vertex_subsets=from_scratch, _rough_total=rough_spy
+        )
+        with forced:
+            assert _records(cfg, cap) == records
+            assert _entries(cfg, cap) == entries
+
+    check()
+    assert rough
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_exclude_all_matches_reference_hypothesis(data):
@@ -1453,13 +1503,16 @@ def test_nodal_fibres_sweep_stops_at_the_rank(monkeypatch, d):
     # every subset of more curves than the rank 2 is degenerate, so the
     # default cap of 13 sweeps nothing beyond the pairs; H = d O + 3d F has
     # H.C = d on every curve and H^2 = 4 d^2, so the bound is sharp
-    real = bounds._bordered
+    real = bounds.connected_vertex_subsets
+    swept = []
 
-    def spy(g, nbrs, curve_of, cap, states, best, parent, u, mask):
-        assert mask.bit_count() <= 2
-        return real(g, nbrs, curve_of, cap, states, best, parent, u, mask)
+    def spy(cfg, max_size, grow, root, reach=None):
+        for mask, state in real(cfg, max_size, grow, root, reach):
+            assert mask.bit_count() <= 2
+            swept.append(mask)
+            yield mask, state
 
-    monkeypatch.setattr(bounds, "_bordered", spy)
+    monkeypatch.setattr(bounds, "connected_vertex_subsets", spy)
     cfg = _nodal_fibres(d)
     for h, status in [
         (2 * d * d, ExclusionStatus.HYPERBOLIC_UNDECIDED),
@@ -1476,6 +1529,7 @@ def test_nodal_fibres_sweep_stops_at_the_rank(monkeypatch, d):
     assert exclude(cfg, d, 2 * d * d).notes == (
         f"no certificate below 2h = {4 * d * d} on subgraphs up to 13 vertices",
     )
+    assert swept
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from k3lat import bounds, cli, graph
+from k3lat import bounds, graph
 from k3lat.bounds import (
     BOX_OPTIMUM_DECOMPOSITION,
     ROUGH_POSITIVE_ENTRY_SUM,
@@ -16,9 +16,7 @@ from k3lat.bounds import (
 )
 from k3lat.catalog import data_root, load_catalog
 from k3lat.cli import main
-from k3lat.exact import Signature
 from k3lat.formats import parse_config, parse_fraction
-from k3lat.graph import LatticeClass, SpanKind
 
 from oracles import integer_witness
 
@@ -65,26 +63,6 @@ def test_classify_violations_exit_code(tmp_path, capsys):
     rc, out, _ = run(capsys, "classify", str(bad))
     assert rc == 0
     assert "Hyperbolic" in out
-
-
-def test_classify_reports_violations_of_a_claimed_class(tmp_path, capsys, monkeypatch):
-    # a double edge between (-2)-curves breaks the pairings of a negative
-    # definite span; classify never computes such a class for such input,
-    # so the report path is driven by a claimed one
-    bad = tmp_path / "double.json"
-    bad.write_text(json.dumps({
-        "vertices": [{"id": "a", "square": -2}, {"id": "b", "square": -2}],
-        "edges": [{"a": "a", "b": "b", "mult": 2}],
-    }))
-    claimed = LatticeClass(SpanKind.ELLIPTIC, Signature(0, 2, 0))
-    monkeypatch.setattr(cli, "classify", lambda cfg: claimed)
-    rc, out, _ = run(capsys, "classify", str(bad))
-    assert rc == 1
-    assert out.splitlines()[1:] == [
-        "signature (n+, n-, n0) = (0, 2, 0)",
-        "violation [elliptic-pair] a, b: C.C' = 2 but a negative definite span "
-        "forces C.C' in {0,1}",
-    ]
 
 
 def test_decompose(capsys):
@@ -237,9 +215,9 @@ def test_bound_on_invalid_configuration_falls_back_to_rough(tmp_path, capsys):
 
 
 def test_bound_fallback_eliminates_once(tmp_path, capsys, monkeypatch):
-    # the box builder fails on the inertia after one elimination, and the
-    # rough fallback reads the same one; the check of the rough certificate
-    # is the only other
+    # --method auto builds the rough certificate directly, the inertia
+    # ruling out the box split, from one elimination; verify_certificate's
+    # check of the rough certificate is the only other
     cfg = _invalid_config(tmp_path)
     calls = []
     real = bounds.bareiss

@@ -262,6 +262,35 @@ def test_validate_pairings_elliptic_clean():
     assert validate_pairings(cfg, classify(cfg)) == []
 
 
+def test_validate_pairings_never_fires_on_the_computed_class_hypothesis():
+    # a definite span's 2 x 2 minors force every pairing of (-2)-curves
+    # into {0, 1}, and a semi-definite one's into {0, 1, 2} with every
+    # isotropic curve meeting nothing, so the computed class admits no
+    # violation; some examples are definite or semi-definite with an edge
+    semidefinite = []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def check(data):
+        n = data.draw(st.integers(min_value=1, max_value=7))
+        squares = st.sampled_from((-2, -2, -2, 0, 2))
+        mults = st.sampled_from((0, 0, 1, 1, 2, 3))
+        edges = [
+            (f"v{i}", f"v{j}", m)
+            for i in range(n)
+            for j in range(i + 1, n)
+            if (m := data.draw(mults))
+        ]
+        cfg = config_from_data([(f"v{i}", data.draw(squares)) for i in range(n)], edges)
+        cls = classify(cfg)
+        assert validate_pairings(cfg, cls) == []
+        if edges and cls.kind in (SpanKind.ELLIPTIC, SpanKind.PARABOLIC):
+            semidefinite.append(cfg)
+
+    check()
+    assert semidefinite
+
+
 def test_validate_pairings_elliptic_claim_on_double_edge():
     cfg = config_from_data([("a", -2), ("b", -2)], [("a", "b", 2)])
     claimed = LatticeClass(SpanKind.ELLIPTIC, Signature(0, 2, 0))
