@@ -51,7 +51,7 @@ def _violations_payload(violations) -> list[dict]:
 
 
 def _cmd_classify(args) -> int:
-    doc = parse_config(_read(args.file))
+    doc = parse_config(_read(args.file), args.file)
     cls = classify(doc.config)
     witness = positive_square_vector(integer_gram(doc.config, range(doc.config.n)))
     # the computed class admits no pairing violation (validate_pairings
@@ -78,7 +78,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    doc = parse_config(_read(args.file))
+    doc = parse_config(_read(args.file), args.file)
     try:
         dec = roots.decompose(doc.config)
     except roots.NotNegativeSemidefiniteError as exc:
@@ -118,7 +118,7 @@ def _cmd_kodaira(args) -> int:
     if (args.d is None) != (args.h is None):
         sys.stderr.write("the low-degree check needs both --d and --h\n")
         return 2
-    doc = parse_config(_read(args.file))
+    doc = parse_config(_read(args.file), args.file)
     divisors = kodaira.find_kodaira_divisors(doc.config, args.max_weight)
     report = {
         "name": doc.config.name,
@@ -155,7 +155,7 @@ def _cmd_kodaira(args) -> int:
 
 
 def _cmd_polarize(args) -> int:
-    doc = parse_config(_read(args.file))
+    doc = parse_config(_read(args.file), args.file)
     cfg = doc.config
     ip = bounds.intrinsic_polarization(cfg)
     rng = bounds._h_range(classify(cfg), ip)
@@ -208,7 +208,7 @@ def _certificate_payload(cert: bounds.BoundCertificate) -> dict:
 
 
 def _cmd_bound(args) -> int:
-    doc = parse_config(_read(args.file))
+    doc = parse_config(_read(args.file), args.file)
     cfg = doc.config
     span = bounds._Span(cfg)
     build = {"rough": span.rough_bound, "box": span.box_certificate, "auto": span.bound}
@@ -232,7 +232,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_exclude(args) -> int:
-    doc = parse_config(_read(args.file))
+    doc = parse_config(_read(args.file), args.file)
     verdict = bounds.exclude(
         doc.config, args.d, args.h, subgraph_cap=args.cap,
         use_pinned_degrees=args.pinned,
@@ -260,7 +260,7 @@ def _cmd_exclude(args) -> int:
 
 
 def _cmd_budget(args) -> int:
-    prof = parse_profile(_read(args.file))
+    prof = parse_profile(_read(args.file), args.file)
     report_obj = fibration.budget_check(prof)
     comp_bound = fibration.rational_component_bound(prof)
     st = fibration.shioda_tate_rank(prof, args.mw)
@@ -332,7 +332,7 @@ def _cmd_sd_bound(args) -> int:
 
 
 def _cmd_very_ample(args) -> int:
-    model = parse_model(_read(args.file))
+    model = parse_model(_read(args.file), args.file)
     verdict = fibration.very_ample_check(model)
     report = {
         "passes": verdict.passed,

@@ -4,18 +4,19 @@ The type table records, for each fiber type, the component multiplicities,
 the weight (their sum) and the Euler number.  Detection walks the connected
 induced subgraphs of the configuration's (-2)-curves, each once, with
 :func:`~k3lat.graph.connected_vertex_subsets` and reports every one that
-carries an isotropic effective divisor of fiber shape.  The enumeration
-step is :func:`k3lat.roots._diagram_step`, the one shape rule that
-:func:`k3lat.roots.decompose` uses too: each subgraph carries the finite
-ADE diagram it is, one that is indefinite is cut with all its supergraphs,
-and one that is affine gets a final state that holds its skeleton and is
-grown no further, since every connected supergraph of an affine diagram is
-indefinite.  A D or E subgraph grows only where
+carries an isotropic effective divisor of fiber shape.  The step and the
+naming of its hits are :func:`k3lat.roots._diagram_search`, the one shape
+rule that :func:`k3lat.roots.decompose` uses too: each subgraph carries the
+finite ADE diagram it is, one that is indefinite is cut with all its
+supergraphs, and one that is affine gets a final state that holds its
+skeleton and is grown no further, since every connected supergraph of an
+affine diagram is indefinite.  A D or E subgraph grows only where
 :func:`k3lat.roots._diagram_reach` says the step can keep a child, so the
 search builds none of the children it would cut there, nor any subgraph
-that contains one.  Each affine subgraph is named from its skeleton and
-confirmed against the standard diagram's Gram matrix by
-:func:`k3lat.roots._component`.
+that contains one.  Each affine subgraph stays in curve indices and masks
+until it is named from its skeleton and confirmed, entry by entry, against
+the standard diagram's Gram matrix (:func:`k3lat.roots._confirmed`); one
+record per diagram holds its tag, weight and Euler range.
 The dual graphs of some type pairs coincide (two curves meeting twice is a
 2-cycle or a tangent pair; three curves meeting pairwise once is a triangle
 or three concurrent lines), so detection returns merged tags for those.
@@ -36,7 +37,7 @@ from .graph import (
     classify,
     connected_vertex_subsets,
 )
-from .roots import _component, _diagram_reach, _diagram_step, radical
+from .roots import _diagram_reach, _diagram_search, radical
 
 # the star-shaped fibres, by the rank of their affine E diagram
 _AFFINE_E_TAGS = {6: "IV*", 7: "III*", 8: "II*"}
@@ -48,8 +49,6 @@ _FIXED_TYPES = {
     "IV": ((1, 1, 1), 4),
     **{tag: (radical("AffineE", k), k + 2) for k, tag in _AFFINE_E_TAGS.items()},
 }
-
-_TAG_RE = re.compile(r"^I(\*)?(\d+)$")
 
 
 class KodairaType(NamedTuple):
@@ -82,12 +81,13 @@ class KodairaType(NamedTuple):
 def parse_tag(tag: str) -> tuple[str, int | None]:
     """Split a fiber tag into (series, index): ("I", 4), ("I*", 2) or
     (tag, None) for the fixed additive types; any other tag, one that is
-    not a str included, raises ``ValueError``."""
+    not a str or not canonically spelt (``I04``, a non-ASCII digit, a
+    trailing newline) included, raises ``ValueError``."""
     if not isinstance(tag, str):
         raise ValueError(f"fiber type tag must be a str, got {tag!r}")
     if tag in _FIXED_TYPES:
         return tag, None
-    m = _TAG_RE.match(tag)
+    m = re.fullmatch(r"I(\*)?(0|[1-9][0-9]*)", tag)
     if m:
         return ("I*" if m.group(1) else "I"), int(m.group(2))
     raise ValueError(f"unknown fiber type tag {tag!r}")
@@ -111,10 +111,8 @@ def type_table(tag: str) -> KodairaType:
 def _type_record(tag: str) -> KodairaType:
     series, n = parse_tag(tag)
     if series == "I":
-        if n == 0:
-            # smooth fiber: one component, Euler number zero
-            return KodairaType("I0", (1,), False, 0)
-        return KodairaType(tag, (1,) * n, False, _series_euler(series, n))
+        # I0, the smooth fiber, has one component
+        return KodairaType(tag, (1,) * max(n, 1), False, _series_euler(series, n))
     if series == "I*":
         return KodairaType(tag, radical("AffineD", n + 4), True, _series_euler(series, n))
     mults, euler = _FIXED_TYPES[tag]
@@ -136,25 +134,26 @@ class KodairaDivisor(NamedTuple):
 
 
 def _divisor_from_component(comp) -> KodairaDivisor:
-    """Map a recognized affine root component to its fiber divisor; a dual
-    graph shared by two types gets their merged tag and Euler range."""
-    k = comp.rank_param
-    if comp.kind == "A1Tilde":
+    """The fiber divisor of a recognized affine root component."""
+    tag, weight, euler_range = _fibre_of_diagram(comp.kind, comp.rank_param)
+    return KodairaDivisor(tag, comp.vertex_ids, comp.kernel_vector, weight, euler_range)
+
+
+@functools.cache
+def _fibre_of_diagram(kind: str, k: int) -> tuple[str, int, tuple[int, int]]:
+    """The tag, weight and Euler range of the fibres whose dual graph is the
+    affine diagram ``(kind, k)``, built once per diagram; a dual graph
+    shared by two types gets their merged tag and Euler range."""
+    if kind == "A1Tilde":
         tags = ("I2", "III")
-    elif comp.kind == "AffineA":
+    elif kind == "AffineA":
         tags = ("I3", "IV") if k == 2 else (f"I{k + 1}",)
-    elif comp.kind == "AffineD":
+    elif kind == "AffineD":
         tags = (f"I*{k - 4}",)
     else:
         tags = (_AFFINE_E_TAGS[k],)
     first, last = type_table(tags[0]), type_table(tags[-1])
-    return KodairaDivisor(
-        "_OR_".join(tags),
-        comp.vertex_ids,
-        comp.kernel_vector,
-        first.weight,
-        (first.euler, last.euler),
-    )
+    return "_OR_".join(tags), first.weight, (first.euler, last.euler)
 
 
 def find_kodaira_divisors(
@@ -162,41 +161,32 @@ def find_kodaira_divisors(
 ) -> list[KodairaDivisor]:
     """All fiber-shaped divisors supported on induced subgraphs of ``cfg``.
 
-    An isolated isotropic vertex counts as a one-component fiber (a nodal
-    or cuspidal curve of arithmetic genus one) and is flagged as such.
-    The others are the affine subgraphs of the (-2)-curves: the search
-    step hands each one over as a final state holding its skeleton, which
-    names the diagram and its canonical order; every one is confirmed by
-    its integer Gram matrix in that order before it is reported.
-    Results are capped at ``max_weight`` (default 30, the largest standard
-    weight) and sorted by (weight, support ids), which fixes a
-    deterministic order.  Raises ``ValueError`` unless ``max_weight`` is a
-    positive ``int`` (:func:`~k3lat.graph.check_caps`).
+    Every isotropic curve counts as a one-component fiber (a nodal or
+    cuspidal curve of arithmetic genus one), whatever it meets, and is
+    flagged as such.  The others are the affine subgraphs of the
+    (-2)-curves: the search step hands each one over as a final state
+    holding its skeleton, which names the diagram and its canonical order;
+    every one is confirmed by its integer Gram matrix in that order before
+    it is reported.  Results are capped at ``max_weight`` (default 30, the
+    largest standard weight) and sorted by (weight, support ids), which
+    fixes a deterministic order.  Raises ``ValueError`` unless
+    ``max_weight`` is a positive ``int`` (:func:`~k3lat.graph.check_caps`).
     """
     cap = 30 if max_weight is None else max_weight
     check_caps(max_weight=cap)
-    out: list[KodairaDivisor] = []
-    for v in cfg.vertices:
-        if v.square == 0:
-            out.append(
-                KodairaDivisor(
-                    "I1", (v.id,), (1,), 1, (1, 2), nodal_or_cuspidal=True
-                )
-            )
+    out = [
+        KodairaDivisor("I1", (v.id,), (1,), 1, (1, 2), nodal_or_cuspidal=True)
+        for v in cfg.vertices if v.square == 0
+    ]
     # multi-vertex divisors live on the (-2)-curves only
     roots_only = cfg.induced([v.id for v in cfg.vertices if v.square == -2])
     # weight >= support size for every type, so size-capped enumeration
     # cannot miss a divisor under the weight cap
-    for _, state in connected_vertex_subsets(
-        roots_only, min(cap, roots_only.n), _diagram_step(roots_only), None, _diagram_reach
-    ):
-        if type(state) is not Final:
-            continue
-        comp = _component(roots_only, state)
-        if comp is None:
-            continue
-        div = _divisor_from_component(comp)
-        if div.weight <= cap:
+    step, component = _diagram_search(roots_only)
+    size = min(cap, roots_only.n)
+    found = connected_vertex_subsets(roots_only, size, step, None, _diagram_reach)
+    for comp in (component(state) for _, state in found if type(state) is Final):
+        if comp is not None and (div := _divisor_from_component(comp)).weight <= cap:
             out.append(div)
     out.sort(key=lambda dv: (dv.weight, tuple(sorted(dv.support))))
     return out
@@ -207,14 +197,6 @@ def divisor_degree(div: KodairaDivisor, cfg: CurveConfig) -> int:
     degree over the support."""
     return sum(
         m * cfg.vertex(vid).degree for vid, m in zip(div.support, div.multiplicities)
-    )
-
-
-def _pairing_with_divisor(cfg: CurveConfig, vid: str, div: KodairaDivisor) -> int:
-    return sum(
-        m * cfg.edge_mult(vid, sid)
-        for sid, m in zip(div.support, div.multiplicities)
-        if sid != vid
     )
 
 
@@ -250,7 +232,8 @@ def exclusion_6d(cfg: CurveConfig, d: int, h: int) -> list[Violation]:
         for v in cfg.vertices:
             if v.id in support:
                 continue
-            pairing = _pairing_with_divisor(cfg, v.id, div)
+            pairs = zip(div.support, div.multiplicities)
+            pairing = sum(m * cfg.edge_mult(v.id, sid) for sid, m in pairs)
             if pairing > 0:
                 out.append(
                     Violation(

@@ -4,21 +4,23 @@ A connected component of a negative (semi-)definite configuration is either
 a simply-laced root diagram A/D/E, its affine extension (negative
 semi-definite with a one-dimensional radical carrying the standard positive
 multiplicities), a pair of curves joined by a double edge (the degenerate
-rank-one extension), or an isolated isotropic vertex.  One step,
-:func:`_diagram_step`, decides a diagram's shape as a subgraph grows by one
-curve: it carries the finite diagram (a centre and its arms), cuts the
-subgraph once it is indefinite, and ends an affine one with its skeleton (a
-cycle, a star, or a chain forked at both ends).  The fibre search of
+rank-one extension), or an isolated isotropic vertex.  One step decides a
+diagram's shape as a subgraph grows by one curve (:func:`_diagram_search`):
+it carries the finite diagram (a centre and its arms), cuts the subgraph
+once it is indefinite, and ends an affine one with its skeleton (a cycle, a
+star, or a chain forked at both ends).  The fibre search of
 :mod:`k3lat.kodaira` enumerates with it, growing a D or E diagram only
 where :func:`_diagram_reach` says the step can keep a child, and
-:func:`decompose` grows it over each component's curves.
-:func:`canonical_diagram` names a skeleton: kind, rank and the canonical
-vertex order; it is the one rule for that order.  The match is confirmed
-when the integer Gram matrix in canonical order equals the standard
-diagram's (:func:`_confirmed`).  That matrix comes from a table built once
-per diagram, and building it checks the exact signature and, for affine
-kinds, that the radical generator annihilates it; equal matrices share
-both, so a wrong match cannot slip through.
+:func:`decompose` grows it over each component's curves.  A hit stays in
+curve indices and masks until it is reported: its skeleton names each
+curve by id rank, :func:`canonical_diagram` orders it (the one rule for
+that order), and :func:`_confirmed` compares every entry of the standard
+diagram's Gram matrix in that order with the curves' squares, edges and
+neighbour masks; only a confirmed component gets its id tuple.  The
+standard matrix comes from a table built once per diagram, and building it
+checks the exact signature and, for affine kinds, that the radical
+generator annihilates it; equal matrices share both, so a wrong match
+cannot slip through.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from typing import NamedTuple
 from .exact import _congruence
 from .graph import (
     CUT, CurveConfig, CurveVertex, Final, SpanKind, classify, curve_bits, integer_gram,
+    neighbour_masks,
 )
 
 
@@ -42,7 +45,7 @@ class RootComponent(NamedTuple):
 
     ``kind`` is one of ``"A"``, ``"D"``, ``"E"``, ``"AffineA"``,
     ``"AffineD"``, ``"AffineE"``, ``"A1Tilde"``, ``"IsotropicVertex"``;
-    ``rank_param`` is the subscript (None for A1Tilde / IsotropicVertex).
+    ``rank_param`` is the subscript (1 for A1Tilde, None for IsotropicVertex).
     ``vertex_ids`` lists the vertices in canonical diagram order and
     ``kernel_vector`` (affine kinds only) gives the radical generator in
     that order.
@@ -59,9 +62,9 @@ class RootComponent(NamedTuple):
             return "A~1"
         if self.kind == "IsotropicVertex":
             return "isotropic"
-        base = self.kind[-1] if self.kind.startswith("Affine") else self.kind
-        tilde = "~" if self.kind.startswith("Affine") or self.kind == "A1Tilde" else ""
-        return f"{base}{tilde}{self.rank_param}"
+        if self.kind.startswith("Affine"):
+            return f"{self.kind[-1]}~{self.rank_param}"
+        return f"{self.kind}{self.rank_param}"
 
     @property
     def is_affine(self) -> bool:
@@ -69,13 +72,9 @@ class RootComponent(NamedTuple):
 
     @property
     def rank(self) -> int:
-        """Rank of the component's span (size minus one for affine kinds)."""
-        size = len(self.vertex_ids)
-        if self.is_affine:
-            return size - 1
-        if self.kind == "IsotropicVertex":
-            return 0
-        return size
+        """Rank of the component's span: its size, less one for a kind with
+        a radical (the affine kinds and the isotropic vertex)."""
+        return len(self.vertex_ids) - (1 if self.is_affine or self.kind == "IsotropicVertex" else 0)
 
 
 class Decomposition(NamedTuple):
@@ -88,9 +87,7 @@ class Decomposition(NamedTuple):
     @property
     def total_rank(self) -> int:
         # unrecognized pieces count with full size, a safe upper bound
-        return sum(c.rank for c in self.components) + sum(
-            len(u) for u in self.unrecognized
-        )
+        return sum(c.rank for c in self.components) + sum(map(len, self.unrecognized))
 
 
 # star-shaped diagrams other than D, keyed by their arm lengths in
@@ -131,9 +128,9 @@ def radical(kind: str, n: int) -> tuple[int, ...]:
     return (top,) + tuple(top * (a - i) // (a + 1) for a in arms for i in range(a))
 
 
-def canonical_diagram(skeleton: tuple) -> tuple[str, int, tuple[str, ...]]:
+def canonical_diagram(skeleton: tuple) -> tuple[str, int, tuple]:
     """Kind, rank parameter and canonical vertex order of a connected root
-    diagram given by its skeleton.
+    diagram given by its skeleton, in ids or labels that compare as ids do.
 
     A skeleton is one of
 
@@ -142,7 +139,7 @@ def canonical_diagram(skeleton: tuple) -> tuple[str, int, tuple[str, ...]]:
     * ``("star", centre, arms)``: a curve and the chains leaving it, each
       from the centre outward; a path has at most two arms, D has arm
       lengths (1, 1, k), the rest are looked up in one table, which holds
-      every other star :func:`_diagram_step` lets through;
+      every other star :func:`_diagram_search` lets through;
     * ``("forks", leaves, chain, leaves)``: a chain forked at both ends
       (D~n, n > 4), from one fork to the other, with each fork's two
       leaves.
@@ -180,55 +177,69 @@ def canonical_diagram(skeleton: tuple) -> tuple[str, int, tuple[str, ...]]:
     return (*_STARS[lengths], (centre,) + sum(arms, ()))
 
 
-def _diagram_step(cfg: CurveConfig):
-    """Enumeration step that decides a connected subgraph's diagram, the
-    one shape rule of both the fibre search and :func:`recognize_component`.
+def _diagram_search(cfg: CurveConfig):
+    """The step that decides a connected subgraph's diagram, and the naming
+    of the diagram it ends in, for one search over ``cfg``: ``(grow,
+    component)``, the one shape rule of the fibre search and of
+    :func:`recognize_component`.
 
-    A finite (negative definite) subset's state is ``(centre, arms)``: one
-    curve and the chains leaving it, each from the centre outward; a path
-    has at most two arms, D and E have three.  From it the step decides
-    whether the subset grown by ``u`` is finite, affine or indefinite
-    (:data:`~k3lat.graph.CUT`).  An affine subset's state is a
-    :class:`~k3lat.graph.Final` skeleton in curve ids, as
-    :func:`canonical_diagram` takes it: the pair meeting twice or the
-    closed path as a cycle, the star's centre and arms, or D~n's two forks
-    with their leaves and the chain between them.  A star whose arms have
-    ``p_i - 1`` curves is finite, affine or indefinite as ``sum(1/p_i)``
-    exceeds, equals or falls short of the number of arms less two (the
-    sign of its Gram determinant); the other affine diagrams are the closed
-    path, the double edge and D~n (n > 4).  Having a positive direction is
-    monotone, so the cut loses nothing, and a final subset needs no step:
-    all its connected supergraphs are indefinite.  The step reads the
-    edges only; squares are left to :func:`_confirmed`.  A subset comes as
-    its mask, and a curve is in it when its bit
-    (:func:`~k3lat.graph.curve_bits`) is.
+    A finite (negative definite) subset's state is ``(centre, arms)`` in
+    curve indices: one curve and the chains leaving it, each from the
+    centre outward; a path has at most two arms, D and E have three.  From
+    it ``grow(state, u, mask)`` decides whether the subset grown by ``u``
+    is finite, affine or indefinite (:data:`~k3lat.graph.CUT`), reading
+    the subset's neighbours of ``u`` off one neighbour mask.  An affine
+    subset's state is a :class:`~k3lat.graph.Final` skeleton
+    (:func:`canonical_diagram`) naming each curve by its id rank, its id's
+    position in sorted order, so that names compare as ids do.  A star
+    whose arms have ``p_i - 1`` curves is finite, affine or indefinite as
+    ``sum(1/p_i)`` exceeds, equals or falls short of the number of arms
+    less two (the sign of its Gram determinant); the other affine diagrams
+    are the closed path, the double edge and D~n (n > 4).  Having a
+    positive direction is monotone, so the cut loses nothing, and a final
+    subset needs no step: all its connected supergraphs are indefinite.
+    The step reads the edges only, and a curve is in a subset's mask when
+    its bit (:func:`~k3lat.graph.curve_bits`) is.
+
+    ``component(state)`` orders a final skeleton or a finite state
+    canonically and maps it back to curve indices once: the root component
+    with its id tuple if :func:`_confirmed` confirms those curves, else
+    None.
     """
     adj = cfg.adjacency()
     ids = cfg.ids()
-    bits = curve_bits(len(ids))
+    n = len(ids)
+    bits = curve_bits(n)
+    nbrs = neighbour_masks(cfg)
+    # the curve of each id rank, and its inverse, the rank of each curve
+    index = sorted(range(n), key=ids.__getitem__)
+    rank = sorted(range(n), key=index.__getitem__)
+    tables = (bits, [v.square for v in cfg.vertices], adj, nbrs)
 
     def named(curves):
-        return tuple(ids[v] for v in curves)
+        return tuple([rank[v] for v in curves])
 
     def star(centre, arms):
         sign = _star_sign(tuple(map(len, arms))) if len(arms) > 2 else 1
         if sign > 0:
             return centre, arms
-        return Final(("star", ids[centre], tuple(map(named, arms)))) if sign == 0 else CUT
+        return Final(("star", rank[centre], tuple(map(named, arms)))) if sign == 0 else CUT
 
     def grow(state, u, mask):
-        hits = {(w, m) for w, m in adj[u].items() if bits[w] & mask}
-        if not hits:
+        near = nbrs[u] & mask
+        if not near:
             return u, ()
         centre, arms = state
-        if len(hits) > 1:
+        if near & near - 1:
             # A~n: u closes a path, meeting each of its two ends once
             ends = [arm[-1] for arm in arms] + [centre] * (2 - len(arms))
+            hits = {(w, m) for w, m in adj[u].items() if bits[w] & near}
             if len(arms) < 3 and hits == {(w, 1) for w in ends}:
                 back = arms[1][::-1] if len(arms) == 2 else ()
                 return Final(("cycle", named((centre, *arms[0], u, *back))))
             return CUT
-        ((w, m),) = hits
+        w = n - near.bit_length()
+        m = adj[u][w]
         if m > 1:
             # A~1 is two curves meeting twice
             return Final(("cycle", named((centre, u)))) if m == 2 and not arms else CUT
@@ -249,13 +260,25 @@ def _diagram_step(cfg: CurveConfig):
             return Final(("forks", leaves, named((centre,) + arm[:-1]), named((arm[-1], u))))
         return CUT
 
-    return grow
+    def component(state):
+        affine = type(state) is Final
+        if not affine:
+            centre, arms = state
+            state = ("star", rank[centre], tuple(map(named, arms)))
+        kind, k, order = canonical_diagram(state)
+        curves = [index[r] for r in order]
+        if not _confirmed(tables, kind, k, curves):
+            return None
+        kernel = radical(kind, k) if affine else None
+        return RootComponent(kind, k, tuple([ids[v] for v in curves]), kernel)
+
+    return grow, component
 
 
 @functools.cache
 def _star_sign(lengths: tuple[int, ...]) -> int:
     """1, 0 or -1 as a star with arms of these lengths is finite, affine or
-    indefinite (:func:`_diagram_step`)."""
+    indefinite (:func:`_diagram_search`)."""
     p = [a + 1 for a in lengths]
     whole = math.prod(p)
     excess = sum(whole // q for q in p) - (len(p) - 2) * whole
@@ -263,7 +286,7 @@ def _star_sign(lengths: tuple[int, ...]) -> int:
 
 
 def _diagram_reach(state) -> list[int] | None:
-    """The curves of a finite subset next to which :func:`_diagram_step`
+    """The curves of a finite subset next to which :func:`_diagram_search`
     can keep a child, or None for all of them.  A star with three arms
     keeps only a child that meets it once: at an arm's end, at the centre
     of D4 (D~4) or beside the end of D_n's long arm (D~n); the step cuts
@@ -283,30 +306,24 @@ def recognize_component(cfg: CurveConfig, ids: tuple[str, ...]) -> RootComponent
 
     Returns None for anything that is not an ADE diagram, an affine
     extension, a double-edge pair, or an isolated isotropic vertex, and for
-    ids that are not connected.  :func:`_diagram_step` is grown over the
-    curves breadth first from the least index, on the mask of the curves
-    grown so far, and :func:`_component` names the diagram it ends in and
-    confirms it.  Repeated ids are read as their set, except that a lone
-    curve or a pair meeting twice is recognised only from its ids without
-    repeats.  Work is proportional to the subset and its neighbourhood.  An
-    id not in ``cfg`` raises the ``ValueError`` of
-    :meth:`CurveConfig.induced`.
+    ids that are not connected.  The step of :func:`_diagram_search` is
+    grown over the curves breadth first from the least index, on the mask
+    of the curves grown so far, and its naming confirms the diagram it ends
+    in.  Repeated ids are read as their set, except that a lone curve or a
+    pair meeting twice is recognised only from its ids without repeats.
+    Work is proportional to the subset and its neighbourhood.  An id not in
+    ``cfg`` raises the ``ValueError`` of :meth:`CurveConfig.induced`.
     """
     try:
         members = set(map(cfg.index_of, ids))
     except KeyError:
         raise ValueError(f"unknown vertex ids {sorted(set(ids).difference(cfg.ids()))}") from None
-    if len(ids) == 1:
-        v = cfg.vertex(ids[0])
-        if v.square == 0:
-            return RootComponent("IsotropicVertex", None, (v.id,))
-        if v.square == -2:
-            return RootComponent("A", 1, (v.id,))
-        return None
-    if len(members) < 2:
+    if len(ids) == 1 and cfg.vertex(ids[0]).square == 0:
+        return RootComponent("IsotropicVertex", None, (ids[0],))
+    if len(members) < min(len(ids), 2):
         return None
     adj, bits = cfg.adjacency(), curve_bits(cfg.n)
-    step = _diagram_step(cfg)
+    step, component = _diagram_search(cfg)
     order = [min(members)]
     grown = bits[order[0]]
     state = step(None, order[0], grown)
@@ -322,47 +339,34 @@ def recognize_component(cfg: CurveConfig, ids: tuple[str, ...]) -> RootComponent
                 if state is CUT:
                     return None
                 order.append(u)
-    if len(order) < len(members):
+    if len(order) < len(members) or type(state) is Final and len(members) == 2 < len(ids):
+        # not connected, or the pair meeting twice named with a repeat
         return None
-    if type(state) is not Final:
-        centre, arms = state
-        names = cfg.ids()
-        state = ("star", names[centre], tuple(tuple(names[w] for w in arm) for arm in arms))
-    elif len(members) == 2 < len(ids):
-        # the pair meeting twice, named with a repeat
-        return None
-    return _component(cfg, state)
+    return component(state)
 
 
-def _component(cfg: CurveConfig, skeleton: tuple) -> RootComponent | None:
-    """The root component a skeleton names, with the radical for a final
-    (affine) one, or None if its Gram matrix in canonical order is not the
-    standard diagram's."""
-    kind, n, order = canonical_diagram(skeleton)
-    kernel = radical(kind, n) if type(skeleton) is Final else None
-    return _confirmed(cfg, RootComponent(kind, n, order, kernel))
-
-
-def _confirmed(cfg: CurveConfig, comp: RootComponent) -> RootComponent | None:
-    """Cross-check the shape match: the integer Gram matrix in canonical
-    order must equal the standard diagram's, whose signature (and, for
-    affine kinds, radical) :func:`standard_gram` checked once.  Each row is
-    laid from the curve's square and its edges, with no lookup for zeros."""
-    want = standard_gram(comp.kind, comp.rank_param)
-    verts, adj = cfg.vertices, cfg.adjacency()
-    pos = {cfg.index_of(v): i for i, v in enumerate(comp.vertex_ids)}
-    if len(pos) != len(want):
-        return None
-    for v, i in pos.items():
-        row = [0] * len(want)
-        row[i] = verts[v].square
-        for w, m in adj[v].items():
-            j = pos.get(w)
-            if j is not None:
-                row[j] = m
-        if want[i] != tuple(row):
-            return None
-    return comp
+def _confirmed(tables: tuple, kind: str, n: int, curves: list[int]) -> bool:
+    """Whether ``curves``, in canonical order, have the standard diagram's
+    Gram matrix (:func:`standard_gram`, whose signature and radical were
+    checked once), given the curves' bits, squares, adjacency and neighbour
+    masks.  Every entry is compared: the curves are distinct, the squares
+    and the standard edges match, and each curve meets as many of them as
+    its standard row has edges (so every zero entry is zero)."""
+    bits, squares, adj, nbrs = tables
+    rows = _standard_rows(kind, n)
+    mask = 0
+    for v in curves:
+        mask |= bits[v]
+    if len(curves) != len(rows) or mask.bit_count() != len(rows):
+        return False
+    for v, (square, degree, edges) in zip(curves, rows):
+        if squares[v] != square or (nbrs[v] & mask).bit_count() != degree:
+            return False
+        near = adj[v]
+        for j, m in edges:
+            if near.get(curves[j]) != m:
+                return False
+    return True
 
 
 def decompose(cfg: CurveConfig) -> Decomposition:
@@ -482,3 +486,15 @@ def standard_gram(kind: str, n: int | None) -> tuple[tuple[int, ...], ...]:
     if any(sum(x * y for x, y in zip(row, rad)) for row in g):
         raise RuntimeError(f"radical of {cfg.name} does not annihilate its Gram matrix")
     return g
+
+
+@functools.cache
+def _standard_rows(kind: str, n: int) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
+    """Each row of :func:`standard_gram` as :func:`_confirmed` compares it,
+    built once per diagram: its square, its number of edges, and its edges
+    to later rows as ``(column, multiplicity)``."""
+    rows = []
+    for i, row in enumerate(standard_gram(kind, n)):
+        later = tuple((j, m) for j, m in enumerate(row) if j > i and m)
+        rows.append((row[i], len(row) - 1 - row.count(0), later))
+    return tuple(rows)

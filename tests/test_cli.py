@@ -480,6 +480,15 @@ def test_missing_file_is_input_error(capsys):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize("tag", ["I04", "I\u0664", "I4\n"])
+def test_profile_with_a_tag_that_is_not_canonical_exits_2(tmp_path, capsys, tag):
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps({"fibers": [{"type": tag, "count": 2}]}))
+    rc, out, err = run(capsys, "budget", str(path))
+    assert rc == 2 and out == ""
+    assert err.startswith(f"input error: {path}: ") and "unknown fiber type tag" in err
+
+
 def test_invalid_json_is_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{ nope")
@@ -494,7 +503,7 @@ def test_oversized_integer_is_input_error(tmp_path, capsys):
     big.write_text('{"vertices": [{"id": "a", "square": ' + "2" * 5001 + "}]}")
     rc, out, err = run(capsys, "classify", str(big))
     assert rc == 2 and out == ""
-    assert err.startswith("input error: config: Exceeds the limit (4300 digits)")
+    assert err.startswith(f"input error: {big}: Exceeds the limit (4300 digits)")
 
 
 def test_reports_are_byte_identical(capsys):
@@ -510,21 +519,23 @@ def test_reports_are_byte_identical(capsys):
     assert t1 == t2
 
 
-def test_bound_golden_byte_identical(capsys):
+def test_bound_golden_byte_identical(capsys, monkeypatch):
     # text and JSON output, stderr and exit codes of every method on every
-    # shipped example; profiles and models are input errors
+    # shipped example, run from the examples directory so each run is keyed
+    # by file name; profiles and models are input errors
+    monkeypatch.chdir(EXAMPLES)
     out = []
     for path in sorted(EXAMPLES.glob("*.json")):
         for d in ("1", "2"):
             for method in ("rough", "box", "auto"):
                 for fmt in ("text", "json"):
                     out.append((path.name, d, method, fmt) + run(
-                        capsys, "bound", str(path), "--d", d,
+                        capsys, "bound", path.name, "--d", d,
                         "--method", method, "--format", fmt,
                     ))
     assert len(out) == 11 * 2 * 3 * 2
     digest = hashlib.sha256(repr(out).encode()).hexdigest()[:16]
-    assert digest == "ec01cc210d810def"
+    assert digest == "83d7b7e45a6402ae"
 
 
 def test_cli_golden_byte_identical(capsys, monkeypatch):
@@ -557,4 +568,4 @@ def test_cli_golden_byte_identical(capsys, monkeypatch):
     ]
     assert len(out) == 200
     digest = hashlib.sha256(repr(out).encode()).hexdigest()[:16]
-    assert digest == "ae585fe3c6e23a65"
+    assert digest == "4d6475dfcb25adc7"

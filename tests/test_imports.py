@@ -141,16 +141,16 @@ def test_guard_sees_a_dead_private_name():
 
 
 
-def _call_sites(tree, name):
-    """The top-level definition around each call of ``name`` in ``tree``,
-    plain or as an attribute (``exact.name``); ``<module>`` for a call
-    outside every definition."""
+def _read_sites(tree, name):
+    """The top-level definition around each read of ``name`` in ``tree``, a
+    call or any other, plain or as an attribute (``exact.name``);
+    ``<module>`` for a read outside every definition."""
     return [
         getattr(top, "name", "<module>")
         for top in tree.body
         for node in ast.walk(top)
-        if isinstance(node, ast.Call)
-        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        if isinstance(node, ast.Name) and node.id == name and not isinstance(node.ctx, ast.Store)
+        or isinstance(node, ast.Attribute) and node.attr == name
     ]
 
 
@@ -174,7 +174,7 @@ def test_one_inversion_path():
     # Bareiss call in bounds._adjugate, and catalog reads its lattice data
     # off bounds rather than eliminating on its own
     trees = _trees(SRC)
-    sites = {stem: _call_sites(tree, "bareiss") for stem, tree in trees.items()}
+    sites = {stem: _read_sites(tree, "bareiss") for stem, tree in trees.items()}
     assert {stem: at for stem, at in sites.items() if at} == {"bounds": ["_adjugate"]}
     assert not _reads_exact(trees["catalog"])
 
@@ -186,8 +186,28 @@ def test_guard_sees_a_second_bareiss_call_and_an_exact_import():
         "class Entry:\n    def total(self, g):\n        return exact.bareiss(g)[0]\n"
         "DET = bareiss([[1]])\n"
     )
-    assert _call_sites(tree, "bareiss") == ["_adjugate", "Entry", "<module>"]
+    assert _read_sites(tree, "bareiss") == ["_adjugate", "Entry", "<module>"]
     for line in ("from . import exact", "from .exact import bareiss", "import k3lat.exact",
                  "from k3lat.exact import bareiss", "from k3lat import exact as e"):
         assert _reads_exact(ast.parse(line)), line
     assert not _reads_exact(ast.parse("from . import bounds, exacting\nfrom .graph import classify"))
+
+
+def test_one_confirmation_path():
+    # every root diagram is confirmed by roots._confirmed, the one reader
+    # of the standard rows, which alone read the checked standard Gram
+    # matrices
+    trees = _trees(SRC)
+    for name, reader in (("standard_gram", "_standard_rows"), ("_standard_rows", "_confirmed")):
+        sites = {stem: _read_sites(tree, name) for stem, tree in trees.items()}
+        assert {stem: at for stem, at in sites.items() if at} == {"roots": [reader]}, name
+
+
+def test_guard_sees_a_second_reader():
+    tree = ast.parse(
+        "def _confirmed(k):\n    return _standard_rows(k)\n"
+        "def _recheck(k):\n    rows = _standard_rows\n"
+        "    return rows(k) == roots._standard_rows(k)\n"
+        "_standard_rows = None\n"
+    )
+    assert _read_sites(tree, "_standard_rows") == ["_confirmed", "_recheck", "_recheck"]

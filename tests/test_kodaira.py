@@ -20,7 +20,7 @@ from k3lat.kodaira import (
     parse_tag,
     type_table,
 )
-from k3lat.roots import _component, _diagram_reach, _diagram_step, standard_diagram
+from k3lat.roots import RootComponent, _diagram_reach, _diagram_search, standard_diagram
 
 from conftest import (
     ALL_KINDS,
@@ -65,6 +65,16 @@ def test_parse_tag():
         parse_tag("V")
     with pytest.raises(ValueError):
         parse_tag("I*")
+
+
+@pytest.mark.parametrize("tag", ["I04", "I*00", "I\u0664", "I*\u0661", "I4\n", " I4", "I+4", "I_4"])
+def test_parse_tag_rejects_spellings_that_are_not_canonical(tag):
+    # each would become a tag of its own, which extremal lookups miss and
+    # serialization writes back
+    with pytest.raises(ValueError, match="unknown fiber type tag"):
+        parse_tag(tag)
+    with pytest.raises(ValueError, match="unknown fiber type tag"):
+        type_table(tag)
 
 
 @pytest.mark.parametrize("tag", [3, None, ["I2"], b"I2"])
@@ -296,7 +306,7 @@ def _assert_step_cuts_exactly_the_indefinite(cfg):
     # parent is degenerate, and it is final exactly when it is degenerate,
     # with the component its skeleton names equal to the recognised one;
     # a final parent grows nothing, since all its children are indefinite
-    step = _diagram_step(cfg)
+    step, component = _diagram_search(cfg)
     kept = dict(_searched(cfg, step))
     kept[()] = None
     sig = {(): (0, 0, 0)}
@@ -319,7 +329,7 @@ def _assert_step_cuts_exactly_the_indefinite(cfg):
                 assert (type(state) is Final) == (n_zero > 0), (parent, u)
             if type(state) is Final:
                 ids = tuple(cfg.vertices[i].id for i in subset)
-                comp = _component(cfg, state)
+                comp = component(state)
                 assert comp is not None and comp == recognize_component_reference(cfg, ids), subset
 
 
@@ -350,7 +360,7 @@ def _roots_config(n, edges):
 def test_shape_prune_on_branched_trees(edges):
     n = 1 + max(j for _, j in edges)
     cfg = _roots_config(n, dict.fromkeys(edges, 1))
-    kept = dict(_searched(cfg, _diagram_step(cfg)))
+    kept = dict(_searched(cfg, _diagram_search(cfg)[0]))
     assert tuple(range(n)) not in kept
     _assert_step_cuts_exactly_the_indefinite(cfg)
 
@@ -389,7 +399,7 @@ def _assert_reach_is_exact(cfg):
     # the step cuts every child the diagram reach drops, so growing only
     # where it allows yields the same subsets with the same states, and so
     # the same components, as growing from every curve
-    step, adj = _diagram_step(cfg), cfg.adjacency()
+    (step, component), adj = _diagram_search(cfg), cfg.adjacency()
     full = _searched(cfg, step)
     for subset, state in full:
         tips = None if type(state) is Final else _diagram_reach(state)
@@ -400,7 +410,7 @@ def _assert_reach_is_exact(cfg):
     reached = _searched(cfg, step, _diagram_reach)
     assert reached == full
     finals = [state for _, state in reached if type(state) is Final]
-    assert [_component(cfg, s) for s in finals] == [_component(cfg, s) for _, s in full if type(s) is Final]
+    assert [component(s) for s in finals] == [component(s) for _, s in full if type(s) is Final]
 
 
 @settings(max_examples=100, deadline=None)
@@ -420,13 +430,9 @@ def test_diagram_reach_is_exact_on_uniform_fibrations(fibres, length):
     _assert_reach_is_exact(fibres_with_section(fibres, length))
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_find_divisors_matches_shape_step_search(data):
-    # the same divisor lists as the search that recognised every subset
-    # its shape step kept, on trees, cycles, stars and chords with
-    # isotropic curves and multiple edges, with and without a weight cap
-    n = data.draw(st.integers(min_value=1, max_value=10))
+def _drawn_fibre_config(data, n, ids):
+    # trees, cycles, stars and chords with isotropic curves and multiple
+    # edges, curve i named ids[i]
     shape = data.draw(st.sampled_from(["tree", "cycle", "star"]))
     mult = st.sampled_from([1, 1, 1, 1, 2, 3])
     if shape == "tree":
@@ -438,10 +444,31 @@ def test_find_divisors_matches_shape_step_search(data):
         edges.update(_random_edges(data, n, mult) if data.draw(st.booleans()) else {})
     square = st.sampled_from([-2, -2, -2, 0])
     squares = data.draw(st.lists(square, min_size=n, max_size=n))
-    cfg = config_from_data(
-        [(f"v{i}", sq) for i, sq in enumerate(squares)],
-        [(f"v{i}", f"v{j}", m) for (i, j), m in edges.items()],
+    return config_from_data(
+        list(zip(ids, squares)), [(ids[i], ids[j], m) for (i, j), m in edges.items()]
     )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_find_divisors_matches_shape_step_search(data):
+    # the same divisor lists as the search that recognised every subset
+    # its shape step kept, with and without a weight cap
+    n = data.draw(st.integers(min_value=1, max_value=10))
+    cfg = _drawn_fibre_config(data, n, [f"v{i}" for i in range(n)])
+    cap = data.draw(st.one_of(st.none(), st.integers(min_value=1, max_value=12)))
+    assert find_kodaira_divisors(cfg, cap) == find_kodaira_divisors_reference(cfg, cap)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_find_divisors_matches_shape_step_search_with_shuffled_ids(data):
+    # v0..v9 sort in index order; random names do not, so the search's
+    # naming by id rank decides every canonical order here
+    n = data.draw(st.integers(min_value=1, max_value=12))
+    name = st.text(alphabet="abyz", min_size=1, max_size=3)
+    ids = data.draw(st.lists(name, min_size=n, max_size=n, unique=True))
+    cfg = _drawn_fibre_config(data, n, ids)
     cap = data.draw(st.one_of(st.none(), st.integers(min_value=1, max_value=12)))
     assert find_kodaira_divisors(cfg, cap) == find_kodaira_divisors_reference(cfg, cap)
 
@@ -452,18 +479,18 @@ def test_recognition_runs_on_affine_subsets_only(monkeypatch):
     calls = []
     real_confirmed = roots._confirmed
 
-    def recording(cfg, comp):
-        confirmed = real_confirmed(cfg, comp)
-        calls.append(confirmed)
+    def recording(tables, kind, n, curves):
+        confirmed = real_confirmed(tables, kind, n, curves)
+        calls.append((RootComponent(kind, n, ()), confirmed))
         return confirmed
 
     monkeypatch.setattr(roots, "_confirmed", recording)
     divisors = find_kodaira_divisors(cfg)
     assert len(calls) == len(divisors) == 496
-    assert all(comp is not None and comp.is_affine for comp in calls)
+    assert all(confirmed and comp.is_affine for comp, confirmed in calls)
     calls.clear()
     capped = find_kodaira_divisors(cfg, max_weight=4)
-    assert all(comp is not None and comp.is_affine for comp in calls)
+    assert all(confirmed and comp.is_affine for comp, confirmed in calls)
     assert capped == [d for d in divisors if d.weight <= 4]
     assert len(calls) == sum(len(d.support) <= 4 for d in divisors)
 

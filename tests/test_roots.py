@@ -16,6 +16,8 @@ from k3lat.exact import signature
 from k3lat.graph import (
     CurveConfig,
     CurveVertex,
+    Final,
+    SpanKind,
     classify,
     config_from_data,
 )
@@ -98,6 +100,40 @@ def test_double_edge_is_degenerate_rank_one_extension():
     (comp,) = dec.components
     assert comp.name == "A~1"
     assert comp.kernel_vector == (1, 1)
+
+
+def _ring(names, squares=None, edges=None):
+    # the cycle through the curves named, in order, listed in reverse so
+    # that a curve's index is not its id rank
+    squares = {v: -2 for v in names} | (squares or {})
+    cycle = {(a, b): 1 for a, b in zip(names, names[1:] + names[:1])} | (edges or {})
+    return config_from_data(
+        [(v, squares[v]) for v in reversed(names)], [(a, b, m) for (a, b), m in cycle.items()]
+    )
+
+
+def test_confirmation_names_a_skeleton_by_id_rank():
+    _, component = roots._diagram_search(_ring("wxyz"))
+    comp = component(Final(("cycle", (2, 1, 0, 3))))
+    assert comp == roots.RootComponent("AffineA", 3, ("w", "x", "y", "z"), (1, 1, 1, 1))
+
+
+@pytest.mark.parametrize(
+    "cfg, ring",
+    [
+        (_ring("wxyz", edges={("w", "y"): 1}), (0, 1, 2, 3)),  # an extra chord
+        (_ring("wxyz", edges={("w", "x"): 2}), (0, 1, 2, 3)),  # multiplicity 2 where 1 is needed
+        (_ring("wxyz", squares={"y": 0}), (0, 1, 2, 3)),  # a square-0 curve
+        # a repeated curve: a triangle named as a hexagon meets every
+        # other count the hexagon asks for
+        (_ring("wxy"), (0, 1, 2, 0, 1, 2)),
+    ],
+)
+def test_confirmation_rejects_a_gram_matrix_off_by_one_entry(cfg, ring):
+    # each induced Gram matrix differs from the standard affine A one in
+    # one way only; the confirmation compares every entry, so none passes
+    _, component = roots._diagram_search(cfg)
+    assert component(Final(("cycle", ring))) is None
 
 
 def test_isotropic_vertex_component():
@@ -348,6 +384,46 @@ def test_recognition_matches_signature_reference(data):
             ), order
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_decompose_matches_recognition_reference_with_shuffled_ids(data):
+    # disjoint standard diagrams of up to 12 curves in all, renamed at
+    # random and listed in shuffled order, sometimes with one edge, square
+    # or multiplicity changed: each component is what the reference
+    # recognizes, and decomposition refuses a span with a positive direction
+    kinds = [("A1Tilde", None), ("IsotropicVertex", None)] + [k for k in ALL_KINDS if k[1] <= 8]
+    pieces = data.draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=4))
+    diagrams = [standard_diagram(kind, n, prefix=f"p{k}_") for k, (kind, n) in enumerate(pieces)]
+    vertices = [(v.id, v.square) for d in diagrams for v in d.vertices]
+    if len(vertices) > 12:
+        vertices = vertices[:12]
+    kept = {v for v, _ in vertices}
+    edges = {(a, b): m for d in diagrams for a, b, m in d.edge_items() if {a, b} <= kept}
+    if len(kept) > 1 and data.draw(st.booleans()):
+        pair = st.lists(st.sampled_from(sorted(kept)), min_size=2, max_size=2, unique=True)
+        i, j = data.draw(pair)
+        edges[min(i, j), max(i, j)] = data.draw(st.sampled_from([1, 2, 3]))
+    if data.draw(st.booleans()):
+        k = data.draw(st.integers(min_value=0, max_value=len(vertices) - 1))
+        vertices[k] = (vertices[k][0], data.draw(st.sampled_from([0, 0, 2])))
+    name = st.text(alphabet="abyz", min_size=1, max_size=3)
+    names = data.draw(st.lists(name, min_size=len(vertices), max_size=len(vertices), unique=True))
+    rename = dict(zip((v for v, _ in vertices), names))
+    order = data.draw(st.permutations(range(len(vertices))))
+    cfg = config_from_data(
+        [(rename[vertices[k][0]], vertices[k][1]) for k in order],
+        [(rename[a], rename[b], m) for (a, b), m in edges.items()],
+    )
+    if classify(cfg).kind in (SpanKind.HYPERBOLIC, SpanKind.INVALID):
+        with pytest.raises(NotNegativeSemidefiniteError):
+            decompose(cfg)
+        return
+    want = [(ids, recognize_component_reference(cfg, ids)) for ids in cfg.connected_components()]
+    dec = decompose(cfg)
+    assert dec.components == tuple(comp for _, comp in want if comp is not None)
+    assert dec.unrecognized == tuple(ids for ids, comp in want if comp is None)
+
+
 @pytest.mark.parametrize("n", [None, True, 2.0, "3"])
 def test_standard_diagram_rank_parameter_is_an_int(n):
     # True built A1 named "ATrue", and 2.0 raised TypeError
@@ -435,6 +511,7 @@ def test_fibre_search_runs_one_elimination_per_diagram_type(monkeypatch):
     # the exact signature runs once per distinct diagram the search
     # recognizes, not once per matching subset
     standard_gram.cache_clear()
+    roots._standard_rows.cache_clear()
     eliminations = []
     real_congruence = exact._congruence
 
@@ -445,12 +522,12 @@ def test_fibre_search_runs_one_elimination_per_diagram_type(monkeypatch):
     kinds, matches, visited = set(), [], []
     real_confirmed = roots._confirmed
 
-    def recording(cfg, comp):
-        visited.append(comp.vertex_ids)
-        confirmed = real_confirmed(cfg, comp)
-        if confirmed is not None:
-            kinds.add((comp.kind, comp.rank_param))
-            matches.append(comp.vertex_ids)
+    def recording(tables, kind, n, curves):
+        visited.append(curves)
+        confirmed = real_confirmed(tables, kind, n, curves)
+        if confirmed:
+            kinds.add((kind, n))
+            matches.append(curves)
         return confirmed
 
     for module in (exact, graph, roots):
