@@ -15,7 +15,7 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 from typing import NamedTuple
 
-from .kodaira import KodairaType, type_table
+from .kodaira import KodairaType, _series_euler, parse_tag, type_table
 
 
 class UnsupportedContextError(ValueError):
@@ -55,9 +55,23 @@ def _tag_sort_key(inst: FiberInstance) -> tuple:
     return (inst.type.weight, inst.type.tag, inst.delta)
 
 
+def _fibers(tag: str, count: int, delta: int) -> list[FiberInstance]:
+    """The ``count`` fibers of one profile entry: a count outside 1..24, or
+    an ``In`` or ``I*n`` Euler number above the budget 24, raises
+    ``ValueError`` before any fiber is built."""
+    if not 1 <= count <= 24:
+        raise ValueError(f"count {count} is not in 1..24")
+    series, n = parse_tag(tag)
+    if n is not None and _series_euler(series, n) > 24:
+        raise ValueError(f"fiber type {tag} has Euler number above 24")
+    return [fiber(tag, delta) for _ in range(count)]
+
+
 class FibrationProfile(namedtuple("FibrationProfile", "fibers quasi_elliptic characteristic")):
     """Multiset of singular fibers of one genus-one fibration, held sorted;
-    a fiber that is not a :class:`FiberInstance` raises ``ValueError``."""
+    a fiber that is not a :class:`FiberInstance`, or a characteristic that
+    is not None, 0 or a prime (:func:`_check_characteristic`), raises
+    ``ValueError``."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
@@ -70,8 +84,8 @@ class FibrationProfile(namedtuple("FibrationProfile", "fibers quasi_elliptic cha
                 raise ValueError(f"a fiber must be a FiberInstance, got {f!r}")
         fibers = tuple(sorted(fibers, key=_tag_sort_key))
         self = super().__new__(cls, fibers, quasi_elliptic, characteristic)
-        if self.characteristic is not None and type(self.characteristic) is not int:
-            raise ValueError(f"characteristic must be an int, got {self.characteristic!r}")
+        if self.characteristic is not None:
+            _check_characteristic(self.characteristic)
         if type(self.quasi_elliptic) is not bool:
             raise ValueError(f"quasi_elliptic must be a bool, got {self.quasi_elliptic!r}")
         if self.quasi_elliptic and self.characteristic not in (2, 3):
@@ -106,8 +120,9 @@ def profile(
     characteristic: int | None = None,
 ) -> FibrationProfile:
     """Build a profile from (tag, count[, delta]) entries, each a plain
-    tuple or list; any other entry (a :class:`FiberInstance` is one), or a
-    count that is not an int (a bool is not) of at least 1, raises
+    tuple or list; any other entry (a :class:`FiberInstance` is one), a
+    count that is not an int (a bool is not) of at least 1, or an entry
+    that a profile file may not hold (:func:`_fibers`) raises
     ``ValueError``."""
     fibers = []
     for item in entries:
@@ -116,8 +131,7 @@ def profile(
         tag, count = item[0], item[1]
         if type(count) is not int or count < 1:
             raise ValueError(f"fiber count must be an int >= 1, got {count!r}")
-        delta = item[2] if len(item) > 2 else 0
-        fibers.extend(fiber(tag, delta) for _ in range(count))
+        fibers += _fibers(tag, count, item[2] if len(item) > 2 else 0)
     return FibrationProfile(tuple(fibers), quasi_elliptic, characteristic)
 
 
@@ -241,6 +255,13 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _check_characteristic(p) -> None:
+    """Raise ``ValueError`` unless ``p`` is an int (a bool is not), 0 or a
+    prime below ``_PRIME_TEST_LIMIT``, where primality is decided exactly."""
+    if type(p) is not int or p != 0 and not (p < _PRIME_TEST_LIMIT and _is_prime(p)):
+        raise ValueError(f"characteristic must be an int, 0 or a prime, got {p!r}")
+
+
 class SurfaceContext(namedtuple("SurfaceContext", "characteristic unirational artin_invariant")):
     """Hypothesis flags selecting the applicable curve-count bound.
 
@@ -258,8 +279,7 @@ class SurfaceContext(namedtuple("SurfaceContext", "characteristic unirational ar
                 artin_invariant: int | None = None):
         self = super().__new__(cls, characteristic, unirational, artin_invariant)
         p, sigma = self.characteristic, self.artin_invariant
-        if type(p) is not int or p != 0 and not (p < _PRIME_TEST_LIMIT and _is_prime(p)):
-            raise ValueError(f"characteristic must be an int, 0 or a prime, got {p!r}")
+        _check_characteristic(p)
         if sigma is not None and (type(sigma) is not int or not 1 <= sigma <= 10):
             raise ValueError(f"Artin invariant must be an int in 1..10, got {sigma!r}")
         if sigma is not None and p == 0:

@@ -18,9 +18,8 @@ from collections import namedtuple
 from fractions import Fraction
 from operator import methodcaller
 
-from .fibration import DeclaredCurve, DeclaredModel, FibrationProfile, fiber
+from .fibration import DeclaredCurve, DeclaredModel, FibrationProfile, _fibers
 from .graph import CurveConfig, CurveVertex
-from .kodaira import _series_euler, parse_tag
 
 
 class ValidationError(ValueError):
@@ -195,21 +194,12 @@ def serialize_config(doc: ConfigDocument) -> str:
 _FIBER_COLUMNS = {"type": (str, _REQUIRED), "count": (int, _REQUIRED), "delta": (int, 0)}
 
 
-def _fibers(tag: str, count: int, delta: int) -> list:
-    if not 1 <= count <= 24:
-        raise ValueError(f"count {count} is not in 1..24")
-    series, n = parse_tag(tag)
-    if n is not None and _series_euler(series, n) > 24:
-        raise ValueError(f"fiber type {tag} has Euler number above 24")
-    return [fiber(tag, delta) for _ in range(count)]
-
-
 def profile_from_data(data: Fields, extra: tuple[str, ...] = ()) -> FibrationProfile:
     """The fibration profile one JSON object holds, besides its ``extra``
     fields.  Schema: ``{"quasi_elliptic": bool, "characteristic": int |
-    null, "fibers": [{"type": str, "count": int, "delta"?: int}]}``.  A
-    count, or an ``In`` or ``I*n`` Euler number, above the budget 24 is
-    rejected before any fibre is built."""
+    null, "fibers": [{"type": str, "count": int, "delta"?: int}]}``.  Each
+    fibre row is read by :func:`~k3lat.fibration._fibers`, the rule of
+    :func:`~k3lat.fibration.profile`."""
     data.only("quasi_elliptic", "characteristic", "fibers", *extra)
     qe = data.typed("quasi_elliptic", bool, False)
     char = None if data.get("characteristic") is None else data.typed("characteristic", int)

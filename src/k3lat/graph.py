@@ -13,8 +13,7 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 from fractions import Fraction
-from functools import reduce
-from operator import mul, or_
+from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -388,7 +387,7 @@ def mask_indices(mask: int, n: int) -> tuple[int, ...]:
     return tuple(i for i, bit in enumerate(f"{mask:0{n}b}") if bit == "1")
 
 
-def connected_vertex_subsets(cfg: CurveConfig, max_size: int, grow, root, reach=None):
+def connected_vertex_subsets(cfg: CurveConfig, max_size: int, grow, root):
     """Yield ``(mask, state)`` for every connected vertex subset of at most
     ``max_size`` curves exactly once, in canonical order (size, then index
     tuple), each as its mask (:func:`curve_bits`) from enumeration on.
@@ -408,15 +407,9 @@ def connected_vertex_subsets(cfg: CurveConfig, max_size: int, grow, root, reach=
     :class:`Final` state keeps the subset but grows nothing from it.  That
     loses nothing when cuts are monotone (every connected parent of a
     subset that is not cut is not cut either) and every connected superset
-    of a final subset is cut.  Given ``reach``, a subset grows only by
-    neighbours of the curves in ``reach(state)``, or of all its curves when
-    that is None, and the other curves leave its extension.  That is exact
-    when the step would cut, from any parent, every child that ``reach``
-    drops: a subset that could still add such a curve contains that child,
-    so it is cut too, and a kept child has the same parent as without
-    ``reach``.  A level is built only once the previous one is consumed,
-    and the search ends at the first empty level, however large
-    ``max_size`` is.
+    of a final subset is cut.  A level is built only once the previous one
+    is consumed, and the search ends at the first empty level, however
+    large ``max_size`` is.
 
     The smallest curve in the symmetric difference of two subsets of one
     size owns their highest differing bit, so within a level integer
@@ -448,8 +441,6 @@ def connected_vertex_subsets(cfg: CurveConfig, max_size: int, grow, root, reach=
         for mask, ext, near, state in kept:
             if state is None and parents is None:
                 parents = {mask: state for mask, _, _, state in kept if state is not None}
-            if reach and (tips := reach(state)) is not None:
-                ext &= reduce(or_, [nbrs[v] for v in tips], 0)
             later = (1 << mask.bit_length() - 1) - 1
             while ext:
                 bit = 1 << ext.bit_length() - 1

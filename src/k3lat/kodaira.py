@@ -10,13 +10,11 @@ rule that :func:`k3lat.roots.decompose` uses too: each subgraph carries the
 finite ADE diagram it is, one that is indefinite is cut with all its
 supergraphs, and one that is affine gets a final state that holds its
 skeleton and is grown no further, since every connected supergraph of an
-affine diagram is indefinite.  A D or E subgraph grows only where
-:func:`k3lat.roots._diagram_reach` says the step can keep a child, so the
-search builds none of the children it would cut there, nor any subgraph
-that contains one.  Each affine subgraph stays in curve indices and masks
-until it is named from its skeleton and confirmed, entry by entry, against
-the standard diagram's Gram matrix (:func:`k3lat.roots._confirmed`); one
-record per diagram holds its tag, weight and Euler range.
+affine diagram is indefinite.  Each affine subgraph stays in curve
+indices and masks until it is named from its skeleton and confirmed, entry
+by entry, against the standard diagram's Gram matrix
+(:func:`k3lat.roots._confirmed`); one record per diagram holds its tag,
+weight and Euler range.
 The dual graphs of some type pairs coincide (two curves meeting twice is a
 2-cycle or a tangent pair; three curves meeting pairwise once is a triangle
 or three concurrent lines), so detection returns merged tags for those.
@@ -37,7 +35,7 @@ from .graph import (
     classify,
     connected_vertex_subsets,
 )
-from .roots import _diagram_reach, _diagram_search, radical
+from .roots import _diagram_search, radical
 
 # the star-shaped fibres, by the rank of their affine E diagram
 _AFFINE_E_TAGS = {6: "IV*", 7: "III*", 8: "II*"}
@@ -184,7 +182,7 @@ def find_kodaira_divisors(
     # cannot miss a divisor under the weight cap
     step, component = _diagram_search(roots_only)
     size = min(cap, roots_only.n)
-    found = connected_vertex_subsets(roots_only, size, step, None, _diagram_reach)
+    found = connected_vertex_subsets(roots_only, size, step, None)
     for comp in (component(state) for _, state in found if type(state) is Final):
         if comp is not None and (div := _divisor_from_component(comp)).weight <= cap:
             out.append(div)

@@ -9,18 +9,16 @@ diagram's shape as a subgraph grows by one curve (:func:`_diagram_search`):
 it carries the finite diagram (a centre and its arms), cuts the subgraph
 once it is indefinite, and ends an affine one with its skeleton (a cycle, a
 star, or a chain forked at both ends).  The fibre search of
-:mod:`k3lat.kodaira` enumerates with it, growing a D or E diagram only
-where :func:`_diagram_reach` says the step can keep a child, and
-:func:`decompose` grows it over each component's curves.  A hit stays in
-curve indices and masks until it is reported: its skeleton names each
-curve by id rank, :func:`canonical_diagram` orders it (the one rule for
-that order), and :func:`_confirmed` compares every entry of the standard
-diagram's Gram matrix in that order with the curves' squares, edges and
-neighbour masks; only a confirmed component gets its id tuple.  The
-standard matrix comes from a table built once per diagram, and building it
-checks the exact signature and, for affine kinds, that the radical
-generator annihilates it; equal matrices share both, so a wrong match
-cannot slip through.
+:mod:`k3lat.kodaira` enumerates with it, and :func:`decompose` grows one
+search over each component's curves.  A hit stays in curve indices and
+masks until it is reported: its skeleton names each curve by id rank,
+:func:`canonical_diagram` orders it (the one rule for that order), and
+:func:`_confirmed` compares every entry of the standard diagram's Gram
+matrix in that order with the curves' squares, edges and neighbour masks;
+only a confirmed component gets its id tuple.  The standard matrix comes
+from a table built once per diagram, and building it checks the exact
+signature and, for affine kinds, that the radical generator annihilates
+it; equal matrices share both, so a wrong match cannot slip through.
 """
 
 from __future__ import annotations
@@ -285,22 +283,6 @@ def _star_sign(lengths: tuple[int, ...]) -> int:
     return (excess > 0) - (excess < 0)
 
 
-def _diagram_reach(state) -> list[int] | None:
-    """The curves of a finite subset next to which :func:`_diagram_search`
-    can keep a child, or None for all of them.  A star with three arms
-    keeps only a child that meets it once: at an arm's end, at the centre
-    of D4 (D~4) or beside the end of D_n's long arm (D~n); the step cuts
-    every other child, and every subset that contains one."""
-    centre, arms = state
-    if len(arms) < 3:
-        return None
-    tips = [arm[-1] for arm in arms]
-    if sorted(map(len, arms))[1] == 1:
-        long = max(arms, key=len)
-        tips.append(long[-2] if len(long) > 1 else centre)
-    return tips
-
-
 def recognize_component(cfg: CurveConfig, ids: tuple[str, ...]) -> RootComponent | None:
     """Recognize one connected induced subgraph as a root component.
 
@@ -314,16 +296,23 @@ def recognize_component(cfg: CurveConfig, ids: tuple[str, ...]) -> RootComponent
     Work is proportional to the subset and its neighbourhood.  An id not in
     ``cfg`` raises the ``ValueError`` of :meth:`CurveConfig.induced`.
     """
+    return _recognized(cfg, _diagram_search(cfg), ids)
+
+
+def _recognized(cfg: CurveConfig, search, ids: tuple[str, ...]) -> RootComponent | None:
+    """:func:`recognize_component` through ``search``, the
+    :func:`_diagram_search` of ``cfg``, which a caller builds once for all
+    its components."""
     try:
         members = set(map(cfg.index_of, ids))
     except KeyError:
         raise ValueError(f"unknown vertex ids {sorted(set(ids).difference(cfg.ids()))}") from None
     if len(ids) == 1 and cfg.vertex(ids[0]).square == 0:
         return RootComponent("IsotropicVertex", None, (ids[0],))
-    if len(members) < min(len(ids), 2):
+    if len(members) < min(len(ids), 2) or not members:
         return None
     adj, bits = cfg.adjacency(), curve_bits(cfg.n)
-    step, component = _diagram_search(cfg)
+    step, component = search
     order = [min(members)]
     grown = bits[order[0]]
     state = step(None, order[0], grown)
@@ -386,8 +375,9 @@ def decompose(cfg: CurveConfig) -> Decomposition:
         )
     components = []
     unrecognized = []
+    search = _diagram_search(cfg)
     for comp_ids in cfg.connected_components():
-        rec = recognize_component(cfg, comp_ids)
+        rec = _recognized(cfg, search, comp_ids)
         if rec is None:
             unrecognized.append(comp_ids)
         else:

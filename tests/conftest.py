@@ -107,13 +107,13 @@ def recorded_steps(monkeypatch, module):
     real = module.connected_vertex_subsets
     results = []
 
-    def recording(cfg, max_size, grow, root, reach=None):
+    def recording(cfg, max_size, grow, root):
         def step(parent, u, mask):
             state = grow(parent, u, mask)
             results.append(state)
             return state
 
-        return real(cfg, max_size, step, root, reach)
+        return real(cfg, max_size, step, root)
 
     monkeypatch.setattr(module, "connected_vertex_subsets", recording)
     return results

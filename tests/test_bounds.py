@@ -1039,13 +1039,13 @@ def test_sweep_builds_an_index_tuple_per_record_and_elimination_only(monkeypatch
         converted.append(mask)
         return real_indices(mask, n)
 
-    def subsets_spy(cfg, max_size, grow, root, reach=None):
+    def subsets_spy(cfg, max_size, grow, root):
         # every step, and whether it eliminates its subset from scratch
         def step(parent, u, mask):
             seen.append((mask, parent is None))
             return grow(parent, u, mask)
 
-        return real_subsets(cfg, max_size, step, root, reach)
+        return real_subsets(cfg, max_size, step, root)
 
     for module in (graph, bounds, roots, kodaira):
         if hasattr(module, "mask_indices"):
@@ -1348,11 +1348,11 @@ def test_sweep_from_scratch_matches_the_bordered_sweep_hypothesis():
     real_subsets, real_rough = bounds.connected_vertex_subsets, bounds._rough_total
     rough = []
 
-    def from_scratch(cfg, max_size, grow, root, reach=None):
+    def from_scratch(cfg, max_size, grow, root):
         def step(parent, u, mask):
             return grow(None, u, mask)
 
-        return real_subsets(cfg, max_size, step, root, reach)
+        return real_subsets(cfg, max_size, step, root)
 
     def rough_spy(det, adj):
         rough.append(det)
@@ -1506,8 +1506,8 @@ def test_nodal_fibres_sweep_stops_at_the_rank(monkeypatch, d):
     real = bounds.connected_vertex_subsets
     swept = []
 
-    def spy(cfg, max_size, grow, root, reach=None):
-        for mask, state in real(cfg, max_size, grow, root, reach):
+    def spy(cfg, max_size, grow, root):
+        for mask, state in real(cfg, max_size, grow, root):
             assert mask.bit_count() <= 2
             swept.append(mask)
             yield mask, state

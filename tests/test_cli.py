@@ -489,6 +489,16 @@ def test_profile_with_a_tag_that_is_not_canonical_exits_2(tmp_path, capsys, tag)
     assert err.startswith(f"input error: {path}: ") and "unknown fiber type tag" in err
 
 
+@pytest.mark.parametrize("p", [4, -3, 1, 6])
+def test_profile_with_a_characteristic_that_is_not_prime_exits_2(tmp_path, capsys, p):
+    # "characteristic": 4 parsed, and budget printed "24 / 24 -> ok"
+    path = tmp_path / "char.json"
+    path.write_text(json.dumps({"characteristic": p, "fibers": [{"type": "I4", "count": 6}]}))
+    rc, out, err = run(capsys, "budget", str(path))
+    assert rc == 2 and out == ""
+    assert err.startswith(f"input error: {path}: ") and "0 or a prime" in err
+
+
 def test_invalid_json_is_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{ nope")

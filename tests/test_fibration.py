@@ -1,9 +1,11 @@
+import json
 import re
 from fractions import Fraction
 from math import isqrt
 
 import pytest
 
+from k3lat import fibration
 from k3lat.fibration import (
     DeclaredCurve,
     DeclaredModel,
@@ -19,6 +21,7 @@ from k3lat.fibration import (
     shioda_tate_rank,
     very_ample_check,
 )
+from k3lat.formats import ValidationError, parse_profile
 
 
 # -- budget ------------------------------------------------------------------
@@ -362,6 +365,36 @@ def test_profile_count_is_an_int_of_at_least_one(count):
     with pytest.raises(ValueError, match="fiber count must be an int >= 1"):
         profile([("I2", count)])
     assert len(profile([("I2", 1)]).fibers) == 1
+
+
+@pytest.mark.parametrize(
+    "entry, error",
+    [
+        (("I1", 10**6), "count 1000000 is not in 1..24"),
+        (("I30", 1), "fiber type I30 has Euler number above 24"),
+    ],
+)
+def test_profile_rejects_what_a_profile_file_may_not_hold(monkeypatch, entry, error):
+    # a million I1 fibres were built one by one, and I30 was accepted,
+    # although a profile file holding either is an input error
+    built = []
+    monkeypatch.setattr(fibration, "fiber", lambda *args: built.append(args))
+    with pytest.raises(ValueError, match=error):
+        profile([entry])
+    assert built == []
+    with pytest.raises(ValidationError, match=error):
+        parse_profile(json.dumps({"fibers": [{"type": entry[0], "count": entry[1]}]}))
+
+
+@pytest.mark.parametrize("p", [4, -3, 1, 6, True])
+def test_profile_characteristic_is_none_zero_or_a_prime(p):
+    # a profile in characteristic 4 was built, and k3lat budget passed it
+    with pytest.raises(ValueError, match="characteristic must be an int, 0 or a prime"):
+        profile([("I4", 6)], characteristic=p)
+    with pytest.raises(ValueError, match="characteristic must be an int, 0 or a prime"):
+        profile([("I4", 6)])._replace(characteristic=p)
+    for q in (None, 0, 2, 5):
+        assert profile([("I4", 6)], characteristic=q).characteristic == q
 
 
 @pytest.mark.parametrize("fibers", [("I2",), (("I2", 1),), (None,), "I2"])

@@ -3,7 +3,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3lat import formats
+from k3lat import fibration, formats
 from k3lat.fibration import DeclaredCurve
 from k3lat.graph import CurveVertex
 
@@ -13,7 +13,7 @@ from oracles import rows_reference
 TABLES = [
     (formats._VERTEX_COLUMNS, CurveVertex),
     (formats._EDGE_COLUMNS, lambda *edge: edge),
-    (formats._FIBER_COLUMNS, formats._fibers),
+    (formats._FIBER_COLUMNS, fibration._fibers),
     (formats._CURVE_COLUMNS, DeclaredCurve),
 ]
 TYPED = {

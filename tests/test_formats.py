@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from k3lat import formats
+from k3lat import fibration
 from k3lat.fibration import profile
 from k3lat.formats import (
     ParseError,
@@ -209,14 +209,14 @@ def test_fraction_formatting():
 )
 def test_profile_size_is_bounded_before_any_fibre_is_built(monkeypatch, fibre, error):
     built = []
-    real = formats.fiber
+    real = fibration.fiber
 
     def spy(*args):
         built.append(args)
         assert len(built) <= 25, "more fibres built than a profile can hold"
         return real(*args)
 
-    monkeypatch.setattr(formats, "fiber", spy)
+    monkeypatch.setattr(fibration, "fiber", spy)
     with pytest.raises(ValidationError, match=error):
         parse_profile(json.dumps({"fibers": [fibre]}))
     assert built == []

@@ -182,6 +182,12 @@ def test_recognize_component_rejects_an_unknown_id():
         assert str(got.value) == str(want.value)
 
 
+def test_recognize_component_of_no_ids_is_none():
+    # min() of the empty id set raised ValueError; no ids are no component
+    for cfg in (standard_diagram("A", 3), config_from_data([("p", 0)])):
+        assert recognize_component(cfg, ()) is None
+
+
 def test_recognize_component_rejects_indefinite_shapes():
     # a cycle with a chord is not semi-definite
     cfg = config_from_data(
@@ -260,6 +266,21 @@ def test_mixed_parabolic_decomposition():
     dec = decompose(cfg)
     assert sorted(dec.names()) == ["A2", "A~3", "isotropic"]
     assert classify(cfg).kind.value == "Parabolic"
+
+
+def test_decompose_builds_one_diagram_search(monkeypatch):
+    # the search's id ranks and neighbour masks are built once for all the
+    # components, not once per component
+    cfg = i4_fibres_with_section().induced([f"f{f}c{c}" for f in range(6) for c in range(4)])
+    real, built = roots._diagram_search, []
+
+    def spy(cfg):
+        built.append(cfg)
+        return real(cfg)
+
+    monkeypatch.setattr(roots, "_diagram_search", spy)
+    assert decompose(cfg).names() == ["A~3"] * 6
+    assert len(built) == 1
 
 
 @functools.lru_cache(maxsize=None)
